@@ -52,6 +52,22 @@ def parse_field(token: str) -> FieldSpec:
     raise InputError(f"unknown field {token!r} (use Q or GF(p))")
 
 
+def _parse_number(token: str) -> Fraction:
+    """A rational literal such as -3 or 2/5."""
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"malformed number {token!r}") from None
+
+
+def _parse_dim(chunk: str):
+    """One ``vertex=n`` entry of a dim line, n a non-negative integer."""
+    v, _, n = chunk.partition("=")
+    if not re.fullmatch(r"[0-9]+", n):
+        raise InputError(f"malformed dimension {chunk!r} (expected vertex=n with n >= 0)")
+    return v, int(n)
+
+
 def _parse_relation(rest: str) -> RelationPoly:
     # split into signed terms
     pieces = re.split(r"\s*([+-])\s*", rest.strip())
@@ -74,7 +90,7 @@ def _parse_relation(rest: str) -> RelationPoly:
             raise InputError(f"empty term in relation {rest!r}")
         coeff = Fraction(sign)
         if _NUM_RE.match(tokens[0]):
-            coeff *= Fraction(tokens[0])
+            coeff *= _parse_number(tokens[0])
             tokens = tokens[1:]
         if not tokens:
             raise InputError(f"coefficient without a path in relation {rest!r}")
@@ -134,7 +150,7 @@ def _parse_matrix_literal(text: str, field: FieldSpec, rows: int, cols: int) -> 
     row_strs = inner.split("],[")
     entries = []
     for rs in row_strs:
-        entries.append([field.coerce(Fraction(tok)) for tok in rs.split(",") if tok != ""])
+        entries.append([field.coerce(_parse_number(tok)) for tok in rs.split(",") if tok != ""])
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise InputError(
             f"matrix literal is {len(entries)}x{len(entries[0]) if entries else 0}, "
@@ -160,8 +176,8 @@ def parse_module_text(text: str, algebra: Algebra | None = None,
         elif head == "dim":
             dims = {}
             for chunk in rest.split():
-                v, _, n = chunk.partition("=")
-                dims[v] = int(n)
+                v, d = _parse_dim(chunk)
+                dims[v] = d
         elif head == "map":
             name, _, literal = rest.partition("=")
             map_lines.append((name.strip(), literal.strip()))

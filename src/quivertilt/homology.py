@@ -775,31 +775,49 @@ def left_add_approximation(x: Representation, t: Representation, seed: int = 0):
 
     Returns (f, summand_tags) where f: x -> T0 is the approximation, T0 the
     direct sum of the tagged indecomposable summands of t, and every
-    morphism x -> t' with t' in add(t) factors through f.  Minimality is
-    certified by re-checking the factorization property after every
-    attempted removal of a summand copy.
+    morphism x -> t' with t' in add(t) factors through f.
+
+    The canonical map has one copy c of T_{j_c} for each basis map
+    b_c: x -> T_{j_c}.  Since Hom(T0, T_j) = ⊕_c Hom(T_{j_c}, T_j), a map
+    x -> T_j factors through f exactly when it lies in the span of the
+    composites b_c then h, h in Hom(T_{j_c}, T_j), over the copies in T0.
+    So f is an approximation when these rows span Hom(x, T_j) for every j;
+    each Hom(T_i, T_j) and each composite is computed once.  Minimality is
+    certified by this span test after every attempted removal of a copy.
+    The test is monotone in the kept copies (removing one only shrinks the
+    spans), so a removal refused against some kept set stays refused
+    against every smaller one, and a single pass from the last copy to the
+    first leaves a set from which no copy can be removed.
     """
+    fld = x.algebra.field
     factors = [fac for fac, _ in decompose(t, seed)]
     hom_bases = [hom_space(x, fac) for fac in factors]
-    copies = []
-    for j, hs in enumerate(hom_bases):
-        for b in hs.basis:
-            copies.append((j, b))
-    f, tags = _assemble_approx(x, factors, copies)
-    if not _is_left_approximation(f, factors, hom_bases, tags):
+    between = [[hom_space(a, b) for b in factors] for a in factors]
+    copies = [(j, b) for j, hs in enumerate(hom_bases) for b in hs.basis]
+    # through[c][j]: flattened composites b_c then h, h in Hom(T_{j_c}, T_j)
+    through = [[[_flatten_map(b.compose(h)) for h in between[jc][j].basis]
+                for j in range(len(factors))]
+               for jc, b in copies]
+
+    def spans(kept) -> bool:
+        for j, hs in enumerate(hom_bases):
+            if hs.dim == 0:
+                continue
+            rows = [r for c in kept for r in through[c][j]]
+            if len(rows) < hs.dim:
+                return False
+            if rank(Matrix(fld, len(rows), len(rows[0]), tuple(rows))) != hs.dim:
+                return False
+        return True
+
+    kept = list(range(len(copies)))
+    if not spans(kept):
         raise ConsistencyError("canonical map is not a left approximation")
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(copies) - 1, -1, -1):
-            trial = copies[:idx] + copies[idx + 1:]
-            tf, ttags = _assemble_approx(x, factors, trial)
-            if _is_left_approximation(tf, factors, hom_bases, ttags):
-                copies = trial
-                f, tags = tf, ttags
-                changed = True
-                break
-    return f, tags
+    for idx in range(len(copies) - 1, -1, -1):
+        trial = [c for c in kept if c != idx]
+        if spans(trial):
+            kept = trial
+    return _assemble_approx(x, factors, [copies[c] for c in kept])
 
 
 def _assemble_approx(x, factors, copies):
@@ -813,22 +831,3 @@ def _assemble_approx(x, factors, copies):
     for (j, b), inc in zip(copies, incls):
         f = f.add(b.compose(inc))
     return f, tuple(j for j, _ in copies)
-
-
-def _is_left_approximation(f: ModuleMap, factors, hom_bases, tags) -> bool:
-    """Does every basis morphism x -> factor factor through f?"""
-    t0 = f.target
-    for j, hs in enumerate(hom_bases):
-        if hs.dim == 0:
-            continue
-        through = hom_space(t0, factors[j])
-        fld = t0.algebra.field
-        rows = [_flatten_map(f.compose(h)) for h in through.basis]
-        width = len(_flatten_map(hs.basis[0]))
-        rows_m = Matrix(fld, len(rows), width, tuple(rows)) if rows else Matrix.zeros(fld, 0, width)
-        for g in hs.basis:
-            target_v = Matrix(fld, 1, width, (_flatten_map(g),))
-            sol, _ = solve_linear_system(rows_m, target_v)
-            if sol is None:
-                return False
-    return True

@@ -578,30 +578,41 @@ def _endo_radical_dim(m: Representation, hs: HomSpace) -> int:
     return hs.dim - rad_dim
 
 
-def indecomposable_summands(m: Representation, seed: int = 0):
-    """Full list of indecomposable direct summands, each with a split pair
-    (factor, inclusion, projection) satisfying incl then proj = identity.
-
-    Splitting searches for Fitting decompositions along endomorphisms; a
-    module is certified indecomposable when End/rad is one-dimensional.
-    """
-    if m.total_dim == 0:
-        return []
-    hs = hom_space(m, m)
-    candidates = list(hs.basis)
+def _fitting_candidates(hs: HomSpace, seed: int):
+    """Endomorphisms to try as Fitting splitters, built one at a time: the
+    Hom basis, sums and differences of pairs among its first eight
+    elements, then 48 random combinations drawn from Random(seed)."""
+    yield from hs.basis
     for a, b in itertools.combinations(range(min(hs.dim, 8)), 2):
-        candidates.append(hs.basis[a].add(hs.basis[b]))
-        candidates.append(hs.basis[a].sub(hs.basis[b]))
+        yield hs.basis[a].add(hs.basis[b])
+        yield hs.basis[a].sub(hs.basis[b])
     rng = random.Random(seed)
-    fld = m.algebra.field
+    fld = hs.source.algebra.field
     if fld.kind == "prime-field":
         sample = lambda: rng.randrange(fld.characteristic)
     else:
         sample = lambda: rng.randint(-3, 3)
     for _ in range(48):
-        candidates.append(hs.combo([fld.coerce(sample()) for _ in range(hs.dim)]))
+        yield hs.combo([fld.coerce(sample()) for _ in range(hs.dim)])
 
-    for f in candidates:
+
+def indecomposable_summands(m: Representation, seed: int = 0):
+    """Full list of indecomposable direct summands, each with a split pair
+    (factor, inclusion, projection) satisfying incl then proj = identity.
+
+    A module with dim End = 1 (a brick) has End = K, a local ring, so it is
+    certified indecomposable in every characteristic before any search.
+    Any other module is split along the first Fitting decomposition found
+    among the candidate endomorphisms; when none splits, it is certified
+    indecomposable by dim End/rad = 1, computed with the trace form, which
+    needs p = 0 or p > dim.
+    """
+    if m.total_dim == 0:
+        return []
+    hs = hom_space(m, m)
+    if hs.dim == 1:
+        return [(m, identity_map(m), identity_map(m))]
+    for f in _fitting_candidates(hs, seed):
         split = _fitting_split(m, f)
         if split is None:
             continue
@@ -623,18 +634,24 @@ def indecomposable_summands(m: Representation, seed: int = 0):
 
 def decompose(m: Representation, seed: int = 0):
     """Krull-Schmidt decomposition as a list of (indecomposable, multiplicity),
-    grouped up to isomorphism, ordered by decreasing total dimension."""
-    parts = indecomposable_summands(m, seed)
-    groups = []
-    for fac, _, _ in parts:
-        for g in groups:
-            if g[0].dims == fac.dims and is_isomorphic(g[0], fac, seed):
-                g[1] += 1
-                break
-        else:
-            groups.append([fac, 1])
-    groups.sort(key=lambda g: (-g[0].total_dim, g[0].dim_vector()))
-    return [(g[0], g[1]) for g in groups]
+    grouped up to isomorphism, ordered by decreasing total dimension.
+
+    The result is memoized per module and seed in the module's cache, so a
+    module is split once however often it is asked about; each call returns
+    a fresh list."""
+    memo = m._caches.setdefault("decompose", {})
+    if seed not in memo:
+        groups = []
+        for fac, _, _ in indecomposable_summands(m, seed):
+            for g in groups:
+                if g[0].dims == fac.dims and is_isomorphic(g[0], fac, seed):
+                    g[1] += 1
+                    break
+            else:
+                groups.append([fac, 1])
+        groups.sort(key=lambda g: (-g[0].total_dim, g[0].dim_vector()))
+        memo[seed] = tuple((g[0], g[1]) for g in groups)
+    return list(memo[seed])
 
 
 def in_add_of(x: Representation, t: Representation, seed: int = 0) -> bool:

@@ -31,3 +31,12 @@ def triple3():
 @pytest.fixture(scope="session")
 def all_algebras(a2, kron2, cycle2, triple3):
     return {"a2": a2, "kron2": kron2, "cycle2": cycle2, "triple3": triple3}
+
+
+def linear_algebra(n, rad2=False, field=QQ):
+    """A_n: vertices 1..n, arrows a_i: i -> i+1; with ``rad2`` every path
+    of length two is a relation."""
+    arrows = tuple((f"a{i}", str(i), str(i + 1)) for i in range(1, n))
+    q = Quiver(tuple(str(i) for i in range(1, n + 1)), arrows)
+    rels = [RelationPoly(((1, (f"a{i}", f"a{i + 1}")),)) for i in range(1, n - 1)] if rad2 else []
+    return build_algebra(q, rels, field)

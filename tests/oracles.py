@@ -2,7 +2,9 @@
 
 Deliberately independent of quivertilt.linalg: plain Fraction Gaussian
 elimination over row lists, so oracle results share no code with the
-implementation they check.
+implementation they check.  The one exception is
+reference_left_approximation, a direct search built on the library's Hom
+solver.
 """
 
 from fractions import Fraction
@@ -225,3 +227,61 @@ def oracle_corner_tor1_dim(alg, vertices):
             img_rows.append(img)
     induced_rank = oracle_rank(img_rows) if img_rows else 0
     return k_tensor - induced_rank
+
+
+def reference_left_approximation(x, t, seed=0):
+    """Minimal left add(t)-approximation by the plain greedy loop: assemble
+    the canonical map, then repeatedly drop the last copy whose removal
+    still leaves a left approximation, re-assembling T0 and re-solving
+    Hom(T0, T_j) on every trial and restarting after each removal.
+
+    Unlike the functions above it uses the library's Hom solver and
+    elimination; what it checks is the library's one-pass span test
+    against this direct search.
+    """
+    from quivertilt.linalg import Matrix, solve_linear_system
+    from quivertilt.modules import (_flatten_map, decompose, direct_sum_with_maps,
+                                    hom_space, zero_map)
+    from quivertilt.algebra import zero_module
+
+    factors = [fac for fac, _ in decompose(t, seed)]
+    hom_bases = [hom_space(x, fac) for fac in factors]
+
+    def assemble(copies):
+        if not copies:
+            return zero_map(x, zero_module(x.algebra)), ()
+        total, incls, _ = direct_sum_with_maps([factors[j] for j, _ in copies])
+        f = zero_map(x, total)
+        for (_, b), inc in zip(copies, incls):
+            f = f.add(b.compose(inc))
+        return f, tuple(j for j, _ in copies)
+
+    def is_approximation(f):
+        fld = x.algebra.field
+        for j, hs in enumerate(hom_bases):
+            if hs.dim == 0:
+                continue
+            rows = [_flatten_map(f.compose(h))
+                    for h in hom_space(f.target, factors[j]).basis]
+            width = len(_flatten_map(hs.basis[0]))
+            rows_m = (Matrix(fld, len(rows), width, tuple(rows)) if rows
+                      else Matrix.zeros(fld, 0, width))
+            for g in hs.basis:
+                sol, _ = solve_linear_system(rows_m, Matrix(fld, 1, width, (_flatten_map(g),)))
+                if sol is None:
+                    return False
+        return True
+
+    copies = [(j, b) for j, hs in enumerate(hom_bases) for b in hs.basis]
+    f, tags = assemble(copies)
+    assert is_approximation(f), "canonical map is not a left approximation"
+    changed = True
+    while changed:
+        changed = False
+        for idx in range(len(copies) - 1, -1, -1):
+            trial = copies[:idx] + copies[idx + 1:]
+            tf, ttags = assemble(trial)
+            if is_approximation(tf):
+                copies, f, tags, changed = trial, tf, ttags, True
+                break
+    return f, tags

@@ -79,6 +79,21 @@ def test_parse_errors():
         parse_algebra_text("field Q\nfrobnicate 12\n")
     with pytest.raises(InputError):
         parse_algebra_text("field F4\nvertex 1\n")
+    with pytest.raises(InputError, match="'1/0'"):
+        parse_algebra_text("field Q\nvertex 1\narrow a: 1 -> 1\nrelation 1/0*a*a\n")
+    a2 = fixture_algebra("a2")
+    for text, token in (("dim 1=x", "1=x"), ("dim 1=-1", "1=-1"),
+                        ("dim 1=1 2=1\nmap a = [[z]]", "z"),
+                        ("dim 1=1 2=1\nmap a = [[1/0]]", "1/0")):
+        with pytest.raises(InputError, match=f"'{token}'"):
+            parse_module_text(text, a2)
+
+
+def test_cli_malformed_number_exits_2(tmp_path):
+    bad = tmp_path / "bad.mod"
+    bad.write_text("dim 1=1 2=1\nmap a = [[1/0]]\n")
+    a2 = str(FIXTURE_DIR / "a2.alg")
+    assert main(["hom", a2, str(bad), str(bad)]) == 2
 
 
 def test_load_module_matches_library_injective(cycle2):

@@ -317,3 +317,102 @@ def test_approximation_factorization_property(cycle2):
     for g in hom_space(r, t).basis:
         sol, _ = solve_linear_system(rows_m, Matrix(fld, 1, width, (_flatten_map(g),)))
         assert sol is not None
+
+
+# -- approximation against the greedy reference ----------------------------------
+
+
+def _rebased(m):
+    """m in another basis: at each vertex the new basis vectors are the
+    partial sums of the old ones.  Hom bases out of it are no longer
+    adapted to the summands, so which copies a minimal approximation
+    keeps depends on the order removals are tried in."""
+    from quivertilt.linalg import Matrix
+    from quivertilt.modules import Representation
+    fld = m.algebra.field
+
+    def mat(d, entry):
+        return Matrix(fld, d, d, tuple(tuple(fld.coerce(entry(i, j)) for j in range(d))
+                                       for i in range(d)))
+
+    g = {v: mat(d, lambda i, j: j >= i) for v, d in m.dims.items()}
+    g_inv = {v: mat(d, lambda i, j: (i == j) - (j == i + 1)) for v, d in m.dims.items()}
+    return Representation(m.algebra, dict(m.dims),
+                          {a: g[s].mul(m.arrow_mats[a]).mul(g_inv[t])
+                           for a, s, t in m.algebra.quiver.arrows})
+
+
+def _approx_cases():
+    """(x, t) pairs: the T's of the approximation tests above and of the
+    worked examples, then T = R, T = D(A) and Bongartz's N ⊕ S_v on A_3 and
+    A_4, hereditary over Q and radical-square-zero over GF(101), each also
+    approximating R in another basis."""
+    from conftest import linear_algebra
+    from quivertilt import GF, QQ
+    from quivertilt.formats import fixture_algebra
+    from quivertilt.homology import universal_extension
+
+    def bongartz(s):
+        n_mod, _ = universal_extension(s, regular_module(s.algebra))
+        return direct_sum([n_mod, s])
+
+    cases = []
+    for fld in (QQ, GF(101)):
+        c = fixture_algebra("cycle2", fld)
+        t = direct_sum([projective(c, "2"), simple(c, "2")])
+        cases += [(f"cycle2/{fld}/R", regular_module(c), t),
+                  (f"cycle2/{fld}/rebased R", _rebased(regular_module(c)), t),
+                  (f"cycle2/{fld}/P2", projective(c, "2"), t)]
+        tr = fixture_algebra("triple3", fld)
+        cases.append((f"triple3/{fld}/R", regular_module(tr),
+                      direct_sum([projective(tr, "1"), projective(tr, "2"), simple(tr, "1")])))
+        a = fixture_algebra("a2", fld)
+        cases += [(f"a2/{fld}/S1+P1", regular_module(a),
+                   direct_sum([simple(a, "1"), projective(a, "1")])),
+                  (f"a2/{fld}/N+S1", regular_module(a), bongartz(simple(a, "1")))]
+    for n in (3, 4):
+        for rad2, fld, v in ((False, QQ, 1), (True, GF(101), n - 1)):
+            alg = linear_algebra(n, rad2, fld)
+            r = regular_module(alg)
+            name = f"A{n}/{'rad2' if rad2 else 'hered'}"
+            for tname, t in (("R", r),
+                             ("DA", direct_sum([injective(alg, w) for w in alg.vertices])),
+                             (f"N+S{v}", bongartz(simple(alg, str(v))))):
+                cases += [(f"{name}/R/{tname}", r, t),
+                          (f"{name}/rebased R/{tname}", _rebased(r), t)]
+    return cases
+
+
+def test_approximation_matches_greedy_reference():
+    from oracles import reference_left_approximation
+    for name, x, t in _approx_cases():
+        f, tags = left_add_approximation(x, t)
+        ref_f, ref_tags = reference_left_approximation(x, t)
+        assert tags == ref_tags, name
+        assert f.mats == ref_f.mats, name
+        assert f.target.dims == ref_f.target.dims, name
+        assert f.target.arrow_mats == ref_f.target.arrow_mats, name
+
+
+def test_approximation_solves_each_hom_space_once(monkeypatch):
+    """With t's decomposition cached, the approximation solves Hom(x, T_j)
+    and Hom(T_i, T_j) once each: m + m^2 solves for m factors, none per
+    removal trial."""
+    import quivertilt.homology as homology
+    import quivertilt.modules as modules
+    from conftest import linear_algebra
+    alg = linear_algebra(4)
+    r = regular_module(alg)
+    m = len(decompose(r))
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return hom_space(a, b)
+
+    monkeypatch.setattr(homology, "hom_space", counting)
+    monkeypatch.setattr(modules, "hom_space", counting)
+    f, tags = left_add_approximation(r, r)
+    assert m == 4
+    assert len(calls) == m + m * m
+    assert f.is_isomorphism() and len(tags) == 4

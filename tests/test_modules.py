@@ -185,3 +185,28 @@ def test_in_add_of(cycle2):
     assert in_add_of(direct_sum([p2, p2]), t)
     assert in_add_of(s2, t)
     assert not in_add_of(simple(cycle2, "1"), t)
+
+
+def test_decompose_is_memoized_per_module_and_seed(monkeypatch):
+    import quivertilt.modules as modules
+    from conftest import linear_algebra
+    m = regular_module(linear_algebra(3))
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return hom_space(a, b)
+
+    monkeypatch.setattr(modules, "hom_space", counting)
+    first = decompose(m)
+    assert calls
+    calls.clear()
+    second = decompose(m)
+    assert calls == [] and second == first
+    second.append("junk")
+    second[0] = None
+    assert decompose(m) == first
+    assert decompose(m, seed=1) == first and calls
+    calls.clear()
+    decompose(m, seed=1)
+    assert calls == []

@@ -302,3 +302,28 @@ def test_bongartz_cycle2_s2(cycle2):
 def test_bongartz_rejects_bad_input(cycle2):
     with pytest.raises(InputError):
         bongartz_complement(simple(cycle2, "1"))  # pd 2
+
+
+# -- small prime fields ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_small_primes_on_brick_summands(p):
+    """Every indecomposable summand met here has dim End = 1, which certifies
+    it indecomposable over any field.  cycle2 and triple3 still raise
+    InputError over GF(2) and GF(3): their summands are not bricks and the
+    trace-form radical needs p > dim."""
+    from conftest import linear_algebra
+    from quivertilt import GF
+    from quivertilt.verify import run_example
+    alg = linear_algebra(3, field=GF(p))
+    r = regular_module(alg)
+    dec = decompose(r)
+    assert [mult for _, mult in dec] == [1, 1, 1]
+    for v in alg.vertices:
+        assert sum(is_isomorphic(fac, projective(alg, v)) for fac, _ in dec) == 1
+    assert isinstance(tilting_module_check(r), TiltingCertificate)
+    n_mod, _, cert = bongartz_complement(simple(alg, "1"))
+    assert isinstance(cert, TiltingCertificate)
+    assert n_mod.dim_vector() == (2, 2, 3)
+    assert run_example("a2-bongartz", field=GF(p)).passed

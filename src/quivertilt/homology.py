@@ -11,7 +11,8 @@ from dataclasses import dataclass, field as _dc_field
 
 from .algebra import Algebra, zero_module
 from .errors import BoundExceeded, ConsistencyError, InputError
-from .linalg import Matrix, quotient_basis, rank, row_space, solve_linear_system, solve_right_kernel
+from .linalg import (Matrix, _tensor_induced, quotient_basis, rank, row_space, solve_linear_system,
+                     solve_right_kernel)
 from .modules import (HomSpace, ModuleMap, Representation, _flatten_map,
                       decompose, direct_sum_with_maps, hom_space, identity_map,
                       image, quotient, submodule_from_rows, top, zero_map)
@@ -464,21 +465,6 @@ def _tensor_space(x: Representation, y: LeftModule):
         sub = Matrix.zeros(fld, 0, dx * dy)
     section, proj = quotient_basis(sub, dx * dy)
     return section.rows, section, proj
-
-
-def _tensor_induced(fmat: Matrix, y_dim: int, src_section: Matrix, tgt_proj: Matrix) -> Matrix:
-    """Map induced on tensor quotients by f ⊗ id."""
-    fld = fmat.field
-    dx, dx2 = fmat.rows, fmat.cols
-    raw = [[fld.zero()] * (dx2 * y_dim) for _ in range(dx * y_dim)]
-    for p in range(dx):
-        for p2 in range(dx2):
-            c = fmat.entries[p][p2]
-            if c:
-                for q in range(y_dim):
-                    raw[p * y_dim + q][p2 * y_dim + q] = c
-    raw_m = Matrix(fld, dx * y_dim, dx2 * y_dim, tuple(tuple(r) for r in raw))
-    return src_section.mul(raw_m).mul(tgt_proj)
 
 
 def tor_dims_range(x: Representation, y: LeftModule, max_degree: int,

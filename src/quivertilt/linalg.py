@@ -7,7 +7,17 @@ matrix whose rows span it.  Consequently the kernel of a matrix ``m`` is
 right-hand sides.
 
 No floating point anywhere: rationals are ``fractions.Fraction``, prime
-field elements are ints in ``[0, p)``.
+field elements are ints in ``[0, p)``, and ``FieldSpec.coerce`` rejects
+floats.
+
+Row operations are specialised per field: each elimination and each matrix
+product picks its arithmetic once from the field (one ``% p`` per entry
+over GF(p), plain Fraction arithmetic over Q) and touches only the nonzero
+entries of the rows it combines, instead of dispatching every element
+operation through ``FieldSpec``.  Only ``solve_right_kernel`` and
+``solve_linear_system`` (and what is built on them) carry the transform
+T with T*m = R through the elimination; ``rref``, ``rank``, ``row_space``,
+``sum_subspaces`` and ``quotient_basis`` reduce the matrix alone.
 """
 
 from dataclasses import dataclass, field as _dc_field
@@ -27,6 +37,10 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+# Fractions are immutable, so every rational zero and one can be these.
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -50,15 +64,22 @@ class FieldSpec:
     # -- element operations ------------------------------------------------
 
     def zero(self):
-        return 0 if self.kind == "prime-field" else Fraction(0)
+        return 0 if self.kind == "prime-field" else _Q_ZERO
 
     def one(self):
-        return 1 if self.kind == "prime-field" else Fraction(1)
+        return 1 if self.kind == "prime-field" else _Q_ONE
 
     def coerce(self, x):
-        """Coerce an int, Fraction or 'a/b' string into the field."""
+        """Coerce an int, Fraction or 'a/b' string into the field.  Floats
+        are rejected: they are not exact."""
         if isinstance(x, str):
-            x = Fraction(x)
+            try:
+                x = Fraction(x)
+            except (ValueError, ZeroDivisionError):
+                raise InputError(f"malformed number {x!r}") from None
+        elif isinstance(x, float):
+            raise InputError(f"floating-point value {x!r} is not exact; "
+                             "pass an int, a Fraction or an 'a/b' string")
         if self.kind == "prime-field":
             p = self.characteristic
             if isinstance(x, Fraction):
@@ -117,7 +138,7 @@ class Matrix:
     entries: tuple = _dc_field(default=())  # tuple of row tuples
 
     def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+        if len(self.entries) != self.rows or (self.rows and set(map(len, self.entries)) != {self.cols}):
             raise DimensionMismatch("entry grid does not match declared shape")
 
     # -- constructors --------------------------------------------------------
@@ -146,24 +167,8 @@ class Matrix:
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"({self.rows}x{self.cols}) * ({other.rows}x{other.cols})")
-        fld = self.field
-        if self.rows == 0 or other.cols == 0:
-            return Matrix.zeros(fld, self.rows, other.cols)
-        if self.cols == 0:
-            return Matrix.zeros(fld, self.rows, other.cols)
-        add, mul, zero = fld.add, fld.mul, fld.zero()
-        ocols = list(zip(*other.entries))
-        out = []
-        for r in self.entries:
-            row = []
-            for c in ocols:
-                s = zero
-                for a, b in zip(r, c):
-                    if a and b:
-                        s = add(s, mul(a, b))
-                row.append(s)
-            out.append(tuple(row))
-        return Matrix(fld, self.rows, other.cols, tuple(out))
+        return Matrix(self.field, self.rows, other.cols,
+                      _mul_entries(self.field, self.entries, other.entries, other.cols))
 
     def add(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -248,16 +253,73 @@ def block_matrix(fld: FieldSpec, grid) -> Matrix:
     return out
 
 
-# -- elimination ------------------------------------------------------------
+# -- row arithmetic and elimination ----------------------------------------
 
 
-def _rref_with_transform(m: Matrix):
+def _mul_entries(fld: FieldSpec, rows, other, cols: int) -> tuple:
+    """Entries of rows*other, summing only products of nonzero entries; over
+    GF(p) each entry is reduced once, after its sum."""
+    zero = fld.zero()
+    if not rows or not cols:
+        return tuple((zero,) * cols for _ in rows)
+    other_nz = [[(j, b) for j, b in enumerate(r) if b] for r in other]
+    out = []
+    for r in rows:
+        acc = [zero] * cols
+        for a, nz in zip(r, other_nz):
+            if a:
+                for j, b in nz:
+                    acc[j] += a * b
+        out.append(acc)
+    if fld.kind == "prime-field":
+        p = fld.characteristic
+        return tuple(tuple([x % p for x in acc]) for acc in out)
+    return tuple(tuple(acc) for acc in out)
+
+
+def _row_ops(fld: FieldSpec):
+    """Row operations of the field, picked once per elimination.
+
+    scale(c, row) returns c*row; axpy(row, c, nz) subtracts c times a pivot
+    row from row in place, where nz lists the pivot row's nonzero
+    (column, value) pairs.  Skipping the zero columns changes no value,
+    since a - c*0 == a in both fields."""
+    if fld.kind == "prime-field":
+        p = fld.characteristic
+
+        def scale(c, row):
+            return [c * x % p for x in row]
+
+        def axpy(row, c, nz):
+            for j, b in nz:
+                row[j] = (row[j] - c * b) % p
+    else:
+        def scale(c, row):
+            return [c * x for x in row]
+
+        def axpy(row, c, nz):
+            for j, b in nz:
+                row[j] -= c * b
+    return scale, axpy
+
+
+def _nonzeros(row) -> list:
+    return [(j, x) for j, x in enumerate(row) if x]
+
+
+def _rref_with_transform(m: Matrix, with_transform: bool = True):
     """Reduced row echelon form.  Returns (R, pivots, T) with T*m = R and T
-    invertible; rows of T below the pivot rows span the left kernel of m."""
+    invertible; rows of T below the pivot rows span the left kernel of m.
+    Without ``with_transform`` T is not computed and is None."""
     fld = m.field
+    scale, axpy = _row_ops(fld)
+    zero, one = fld.zero(), fld.one()
     work = [list(r) for r in m.entries]
-    trans = [list(r) for r in Matrix.identity(fld, m.rows).entries]
-    add, sub, mul, inv = fld.add, fld.sub, fld.mul, fld.inv
+    trans = None
+    if with_transform:
+        trans = [[zero] * m.rows for _ in range(m.rows)]
+        for i in range(m.rows):
+            trans[i][i] = one
     pivots = []
     pr = 0
     for pc in range(m.cols):
@@ -269,29 +331,34 @@ def _rref_with_transform(m: Matrix):
         if sel is None:
             continue
         work[pr], work[sel] = work[sel], work[pr]
-        trans[pr], trans[sel] = trans[sel], trans[pr]
         piv = work[pr][pc]
-        if piv != fld.one():
-            iv = inv(piv)
-            work[pr] = [mul(iv, x) for x in work[pr]]
-            trans[pr] = [mul(iv, x) for x in trans[pr]]
+        if piv != one:
+            iv = fld.inv(piv)
+            work[pr] = scale(iv, work[pr])
+        work_nz = _nonzeros(work[pr])
+        if with_transform:
+            trans[pr], trans[sel] = trans[sel], trans[pr]
+            if piv != one:
+                trans[pr] = scale(iv, trans[pr])
+            trans_nz = _nonzeros(trans[pr])
         for i in range(m.rows):
             if i != pr and work[i][pc]:
                 c = work[i][pc]
-                work[i] = [sub(a, mul(c, b)) for a, b in zip(work[i], work[pr])]
-                trans[i] = [sub(a, mul(c, b)) for a, b in zip(trans[i], trans[pr])]
+                axpy(work[i], c, work_nz)
+                if with_transform:
+                    axpy(trans[i], c, trans_nz)
         pivots.append(pc)
         pr += 1
         if pr == m.rows:
             break
     R = Matrix(fld, m.rows, m.cols, tuple(tuple(r) for r in work))
-    T = Matrix(fld, m.rows, m.rows, tuple(tuple(r) for r in trans))
+    T = Matrix(fld, m.rows, m.rows, tuple(tuple(r) for r in trans)) if with_transform else None
     return R, tuple(pivots), T
 
 
 def rref(m: Matrix):
     """(R, pivots) without the transform."""
-    R, pivots, _ = _rref_with_transform(m)
+    R, pivots, _ = _rref_with_transform(m, with_transform=False)
     return R, pivots
 
 
@@ -322,9 +389,11 @@ def solve_linear_system(a: Matrix, b: Matrix):
         raise DimensionMismatch("solve_linear_system: cols(a) != cols(b)")
     R, pivots, T = _rref_with_transform(a)
     fld = a.field
+    _, axpy = _row_ops(fld)
+    pivot_nz = [_nonzeros(R.entries[k]) for k in range(len(pivots))]
+    kernel = T.take_rows(range(len(pivots), a.rows))
     zero = fld.zero()
-    xrows = []
-    ok = True
+    coeff_rows = []
     for brow in b.entries:
         # express brow in the reduced row basis of a
         residual = list(brow)
@@ -333,21 +402,12 @@ def solve_linear_system(a: Matrix, b: Matrix):
             c = residual[pc]
             if c:
                 coeffs[k] = c
-                residual = [fld.sub(r, fld.mul(c, v)) for r, v in zip(residual, R.entries[k])]
+                axpy(residual, c, pivot_nz[k])
         if any(residual):
-            ok = False
-            break
-        # y*R = brow with y supported on pivot rows; x = y*T
-        x = [zero] * a.rows
-        for k in range(len(pivots)):
-            c = coeffs[k]
-            if c:
-                x = [fld.add(xi, fld.mul(c, t)) for xi, t in zip(x, T.entries[k])]
-        xrows.append(tuple(x))
-    kernel = T.take_rows(range(len(pivots), a.rows))
-    if not ok:
-        return None, kernel
-    x = Matrix(fld, b.rows, a.rows, tuple(xrows))
+            return None, kernel
+        coeff_rows.append(coeffs)
+    # y*R = brow with y supported on pivot rows; x = y*T
+    x = Matrix(fld, b.rows, a.rows, _mul_entries(fld, coeff_rows, T.entries, a.rows))
     return x, kernel
 
 
@@ -369,21 +429,38 @@ def quotient_basis(sub: Matrix, ambient_dim: int):
     if sub.cols != ambient_dim:
         raise DimensionMismatch("quotient_basis: subspace ambient dimension mismatch")
     R, pivots = rref(sub)
-    free = [j for j in range(ambient_dim) if j not in pivots]
+    pivot_set = set(pivots)
+    free = [j for j in range(ambient_dim) if j not in pivot_set]
     zero, one = fld.zero(), fld.one()
     section = Matrix(fld, len(free), ambient_dim,
                      tuple(tuple(one if j == c else zero for j in range(ambient_dim)) for c in free))
-    # projection row for e_i: reduce e_i modulo R, keep free coordinates
-    proj_rows = []
-    for i in range(ambient_dim):
-        residual = [one if j == i else zero for j in range(ambient_dim)]
-        for k, pc in enumerate(pivots):
-            c = residual[pc]
-            if c:
-                residual = [fld.sub(r, fld.mul(c, v)) for r, v in zip(residual, R.entries[k])]
-        proj_rows.append(tuple(residual[c] for c in free))
+    # e_i reduced modulo R, read at the free coordinates: -R_k[free] when i
+    # is the pivot column of row k (R_k is zero at every other pivot
+    # column), and the unit vector of i when i is free
+    proj_rows = [None] * ambient_dim
+    for k, pc in enumerate(pivots):
+        proj_rows[pc] = tuple(fld.neg(R.entries[k][j]) for j in free)
+    for q, c in enumerate(free):
+        proj_rows[c] = tuple(one if t == q else zero for t in range(len(free)))
     projection = Matrix(fld, ambient_dim, len(free), tuple(proj_rows))
     return section, projection
+
+
+def _tensor_induced(fmat: Matrix, y_dim: int, src_section: Matrix, tgt_proj: Matrix) -> Matrix:
+    """Map induced by f ⊗ id_Y on tensor quotients: src_section * (f ⊗ I_y) *
+    tgt_proj, where the raw tensor basis is ordered (p, q) -> p*y_dim + q.
+    Both Tor routes (path algebras and structure-constant rings) use it."""
+    fld = fmat.field
+    dx, dx2 = fmat.rows, fmat.cols
+    raw = [[fld.zero()] * (dx2 * y_dim) for _ in range(dx * y_dim)]
+    for p in range(dx):
+        for p2 in range(dx2):
+            c = fmat.entries[p][p2]
+            if c:
+                for q in range(y_dim):
+                    raw[p * y_dim + q][p2 * y_dim + q] = c
+    raw_m = Matrix(fld, dx * y_dim, dx2 * y_dim, tuple(tuple(r) for r in raw))
+    return src_section.mul(raw_m).mul(tgt_proj)
 
 
 def sum_subspaces(a: Matrix, b: Matrix) -> Matrix:

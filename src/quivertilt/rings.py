@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .algebra import Algebra
 from .errors import ConsistencyError, InputError
-from .linalg import (Matrix, block_matrix, quotient_basis, rank, row_space,
+from .linalg import (Matrix, _tensor_induced, block_matrix, quotient_basis, rank, row_space,
                      solve_linear_system, solve_right_kernel)
 
 
@@ -360,20 +360,6 @@ def sc_free_resolution(x: SCRightModule, max_len: int):
     return terms, diffs, conclusive
 
 
-def _sc_induced(fmat: Matrix, y_dim: int, sec_k: Matrix, proj_prev: Matrix) -> Matrix:
-    fld = fmat.field
-    dxk, dxp = fmat.rows, fmat.cols
-    raw = [[fld.zero()] * (dxp * y_dim) for _ in range(dxk * y_dim)]
-    for p in range(dxk):
-        for p2 in range(dxp):
-            c = fmat.entries[p][p2]
-            if c:
-                for q in range(y_dim):
-                    raw[p * y_dim + q][p2 * y_dim + q] = c
-    raw_m = Matrix(fld, dxk * y_dim, dxp * y_dim, tuple(tuple(r) for r in raw))
-    return sec_k.mul(raw_m).mul(proj_prev)
-
-
 def sc_tor_dims(x: SCRightModule, y: SCLeftModule, max_degree: int):
     """(dims of Tor_1..Tor_max_degree, conclusive) over the common ring.
 
@@ -386,7 +372,7 @@ def sc_tor_dims(x: SCRightModule, y: SCLeftModule, max_degree: int):
     def induced(k):
         _, sec_k, _ = spaces[k]
         _, _, proj_prev = spaces[k - 1]
-        return _sc_induced(diffs[k], y.dim, sec_k, proj_prev)
+        return _tensor_induced(diffs[k], y.dim, sec_k, proj_prev)
 
     mats = {k: induced(k) for k in range(1, length + 1)}
     out = []
@@ -411,7 +397,7 @@ def sc_tor_dim(degree: int, x: SCRightModule, y: SCLeftModule, bound: int = 16) 
         spaces = [_sc_tensor_space(t, y) for t in terms]
         t0 = spaces[0][0]
         if len(terms) > 1:
-            return t0 - rank(_sc_induced(diffs[1], y.dim, spaces[1][1], spaces[0][2]))
+            return t0 - rank(_tensor_induced(diffs[1], y.dim, spaces[1][1], spaces[0][2]))
         return t0
     dims, _ = sc_tor_dims(x, y, degree)
     return dims[degree - 1]

@@ -2,9 +2,11 @@
 
 Deliberately independent of quivertilt.linalg: plain Fraction Gaussian
 elimination over row lists, so oracle results share no code with the
-implementation they check.  The one exception is
-reference_left_approximation, a direct search built on the library's Hom
-solver.
+implementation they check.  The exceptions are
+reference_quotient_projection, the per-coordinate reduction loop that
+quotient_basis replaced with a closed form, which uses the field's element
+operations, and reference_left_approximation, a direct search built on the
+library's Hom solver.
 """
 
 from fractions import Fraction
@@ -32,6 +34,30 @@ def oracle_rank(rows):
                 m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+def oracle_matmul(a, b, cols):
+    """Product of list-of-lists matrices a (r x k) and b (k x cols) over Q."""
+    return [[sum((Fraction(x) * Fraction(row[j]) for x, row in zip(r, b)), Fraction(0))
+             for j in range(cols)] for r in a]
+
+
+def reference_quotient_projection(fld, R, pivots, n):
+    """Matrix of K^n -> K^n / (row span of R), R in reduced row echelon form
+    with the given pivot columns: each unit vector e_i is reduced modulo
+    the pivot rows of R one pivot at a time and read at the free columns.
+    Returns a list of n rows."""
+    free = [j for j in range(n) if j not in pivots]
+    zero, one = fld.zero(), fld.one()
+    rows = []
+    for i in range(n):
+        residual = [one if j == i else zero for j in range(n)]
+        for k, pc in enumerate(pivots):
+            c = residual[pc]
+            if c:
+                residual = [fld.sub(r, fld.mul(c, v)) for r, v in zip(residual, R.entries[k])]
+        rows.append(tuple(residual[c] for c in free))
+    return rows
 
 
 def oracle_solve(rows, target):

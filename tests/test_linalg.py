@@ -1,14 +1,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quivertilt.linalg import (GF, QQ, FieldSpec, Matrix, intersect_subspaces,
-                               quotient_basis, rank, row_space,
-                               solve_linear_system, solve_right_kernel,
+from quivertilt.linalg import (GF, QQ, FieldSpec, Matrix, _rref_with_transform,
+                               intersect_subspaces, quotient_basis, rank, rref,
+                               row_space, solve_linear_system, solve_right_kernel,
                                sum_subspaces)
 from quivertilt.errors import InputError
+
+from oracles import oracle_matmul, reference_quotient_projection
 
 
 def M(field, rows):
@@ -24,6 +26,12 @@ def test_field_spec_validation():
     assert GF(2).coerce(-1) == 1
     assert QQ.coerce("3/4") == Fraction(3, 4)
     assert GF(7).coerce(Fraction(1, 2)) == 4  # 2 * 4 = 1 mod 7
+
+
+@pytest.mark.parametrize("fld, value", [(QQ, 0.1), (GF(7), 2.5), (QQ, "abc"), (GF(7), "1/0")])
+def test_coerce_rejects_inexact_and_malformed_values(fld, value):
+    with pytest.raises(InputError):
+        fld.coerce(value)
 
 
 def test_kernel_identity_is_empty():
@@ -164,3 +172,84 @@ def test_row_space_idempotent(m):
     r = row_space(m)
     assert row_space(r) == r
     assert rank(r) == r.rows == rank(m)
+
+
+# -- the elimination kernel over every kind of field ----------------------------
+
+FIELDS = (QQ, GF(2), GF(3), GF(101))
+dims = st.integers(min_value=0, max_value=5)
+
+
+def field_entries(fld):
+    """Mostly small values with many zeros, so that ranks drop and rows are
+    sparse; fractions over Q."""
+    if fld == QQ:
+        return st.one_of(st.just(0), st.integers(-4, 4),
+                         st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    return st.one_of(st.just(0), st.integers(0, fld.characteristic - 1))
+
+
+@st.composite
+def field_matrix(draw, fld=None, rows=None, cols=None):
+    fld = draw(st.sampled_from(FIELDS)) if fld is None else fld
+    rows = draw(dims) if rows is None else rows
+    cols = draw(dims) if cols is None else cols
+    entries = [[draw(field_entries(fld)) for _ in range(cols)] for _ in range(rows)]
+    return Matrix.from_rows(fld, entries, cols)
+
+
+@st.composite
+def matrix_pair(draw):
+    """(a, b) over one field with a*b defined."""
+    fld = draw(st.sampled_from(FIELDS))
+    r, k, c = draw(dims), draw(dims), draw(dims)
+    return draw(field_matrix(fld, r, k)), draw(field_matrix(fld, k, c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrix())
+@example(Matrix.zeros(GF(2), 0, 3))
+@example(Matrix.zeros(GF(3), 3, 0))
+@example(Matrix.zeros(QQ, 0, 0))
+def test_rref_equals_transform_kernel_and_transform_reduces(m):
+    R, pivots, T = _rref_with_transform(m)
+    assert rref(m) == (R, pivots)
+    assert T.rows == T.cols == m.rows
+    assert T.mul(m) == R
+    assert rank(T) == m.rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrix())
+@example(Matrix.zeros(GF(101), 0, 4))
+@example(Matrix.zeros(QQ, 2, 0))
+def test_quotient_basis_identities_and_reference_projection(sub):
+    n = sub.cols
+    section, proj = quotient_basis(sub, n)
+    assert section.mul(proj) == Matrix.identity(sub.field, section.rows)
+    assert sub.mul(proj).is_zero()
+    assert section.rows == n - rank(sub)
+    R, pivots = rref(sub)
+    assert list(proj.entries) == reference_quotient_projection(sub.field, R, pivots, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_pair())
+def test_product_equals_fraction_oracle(pair):
+    a, b = pair
+    fld = a.field
+    expected = oracle_matmul(a.entries, b.entries, b.cols)
+    if fld != QQ:
+        expected = [[int(x) % fld.characteristic for x in r] for r in expected]
+    assert [list(r) for r in a.mul(b).entries] == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_pair())
+def test_solve_recovers_a_product_over_every_field(pair):
+    x0, a = pair
+    b = x0.mul(a)
+    x, kernel = solve_linear_system(a, b)
+    assert x is not None and x.mul(a) == b
+    assert kernel.rows == a.rows - rank(a)
+    assert kernel.mul(a).is_zero()

@@ -12,7 +12,6 @@ vertex 2 uniserial of length three with simple socle at vertex 2.
 """
 
 from dataclasses import dataclass, field as _dc_field
-from fractions import Fraction
 
 from .errors import BoundExceeded, ConsistencyError, InputError
 from .linalg import FieldSpec, Matrix

@@ -14,14 +14,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import injective, projective, regular_module, simple
+from .algebra import injective, projective, simple
 from .complexes import cohomology, resolve_to_complex
 from .errors import BoundExceeded, InputError, QuivertiltError
 from .formats import load_algebra, load_module, parse_field
-from .homology import ext_dim, global_dimension, min_resolution, proj_dim
-from .modules import decompose, direct_sum, hom_space, is_isomorphic
-from .recollement import (recollement_report, stratifying_ideal_check,
-                          universal_localization)
+from .homology import ext_dim, global_dimension, min_resolution
+from .modules import decompose, direct_sum, hom_space
+from .recollement import (recollement_report, reflect, reflect_regular,
+                          stratifying_ideal_check, universal_localization)
 from .tilting import (TiltingCertificate, bongartz_complement, check_A1_A2,
                       construct_tilting, tilting_module_check)
 from .verify import run_example
@@ -64,8 +64,14 @@ def _load_alg(args):
     return load_algebra(args.algebra, _field(args))
 
 
-def _load_mods(alg, paths, field):
+def _load_mods(alg, paths):
     return [load_module(p, alg) for p in paths]
+
+
+def _load_sum(alg, paths):
+    """Direct sum of the listed module files (the module itself for one)."""
+    mods = _load_mods(alg, paths)
+    return direct_sum(mods) if len(mods) > 1 else mods[0]
 
 
 def cmd_info(args):
@@ -95,7 +101,7 @@ def _path_str(alg, i):
 
 def cmd_hom(args):
     alg = _load_alg(args)
-    m, n = _load_mods(alg, [args.m, args.n], _field(args))
+    m, n = _load_mods(alg, [args.m, args.n])
     d = hom_space(m, n).dim
     _emit(args, {"command": "hom", "dim": d}, [f"dim Hom = {d}"])
     return 0
@@ -103,7 +109,7 @@ def cmd_hom(args):
 
 def cmd_ext(args):
     alg = _load_alg(args)
-    m, n = _load_mods(alg, [args.m, args.n], _field(args))
+    m, n = _load_mods(alg, [args.m, args.n])
     d = ext_dim(args.k, m, n, args.max_resolution)
     _emit(args, {"command": "ext", "k": args.k, "dim": d}, [f"dim Ext^{args.k} = {d}"])
     return 0
@@ -112,7 +118,7 @@ def cmd_ext(args):
 def cmd_resolve(args):
     alg = _load_alg(args)
     m = load_module(args.m, alg)
-    res = min_resolution(m, args.max)
+    res = min_resolution(m, args.max_resolution)
     lines = [f"minimal resolution of {args.m}: length {res.length}"]
     terms = []
     for k, t in enumerate(res.terms):
@@ -136,8 +142,7 @@ def cmd_gldim(args):
 
 def cmd_tilting_check(args):
     alg = _load_alg(args)
-    mods = _load_mods(alg, args.modules, _field(args))
-    t = direct_sum(mods) if len(mods) > 1 else mods[0]
+    t = _load_sum(alg, args.modules)
     cert = tilting_module_check(t, args.seed, args.max_resolution)
     if isinstance(cert, TiltingCertificate):
         lines = [f"tilting: YES (pd {cert.pd}, Ext^1(T,T) = {cert.ext1_dim})",
@@ -171,7 +176,7 @@ def cmd_bongartz(args):
 
 def cmd_construct_tilting(args):
     alg = _load_alg(args)
-    t1m, t2m = _load_mods(alg, [args.t1, args.t2], _field(args))
+    t1m, t2m = _load_mods(alg, [args.t1, args.t2])
     t1 = resolve_to_complex(t1m, args.max_resolution)
     t2 = resolve_to_complex(t2m, args.max_resolution)
     rep = check_A1_A2(t1, t2)
@@ -200,20 +205,12 @@ def cmd_construct_tilting(args):
 
 
 def cmd_reflect(args):
-    from .complexes import derived_hom
-    from .recollement import reflect_regular, reflection_brick, reflection_iterative
     alg = _load_alg(args)
     t1 = load_module(args.t1, alg)
     if args.m:
-        m = load_module(args.m, alg)
-        mc = resolve_to_complex(m, args.max_resolution)
+        mc = resolve_to_complex(load_module(args.m, alg), args.max_resolution)
         t1c = resolve_to_complex(t1, args.max_resolution)
-        if not t1c.is_zero_complex() and derived_hom(t1c, t1c, 0).dim == 1:
-            q, _ = reflection_brick(t1c, mc)
-            method = "brick"
-        else:
-            q, _, _ = reflection_iterative(t1c, mc, args.max_steps)
-            method = "iterative"
+        q, _, method = reflect(t1c, mc, args.max_steps)
     else:
         q, _, method = reflect_regular(alg, t1, args.max_steps, args.max_resolution)
     hs = {n: cohomology(q, n).dim_vector() for n in
@@ -229,8 +226,7 @@ def cmd_reflect(args):
 
 
 def _localization_from_modules(alg, paths, args):
-    mods = [load_module(p, alg) for p in paths]
-    t = direct_sum(mods) if len(mods) > 1 else mods[0]
+    t = _load_sum(alg, paths)
     cert = tilting_module_check(t, args.seed, args.max_resolution)
     if not isinstance(cert, TiltingCertificate):
         raise InputError(f"input is not a tilting module: {cert.reasons}")
@@ -294,8 +290,7 @@ def cmd_stratify(args):
 
 def cmd_recollement(args):
     alg = _load_alg(args)
-    mods = [load_module(p, alg) for p in args.modules]
-    t = direct_sum(mods) if len(mods) > 1 else mods[0]
+    t = _load_sum(alg, args.modules)
     rep = recollement_report(t, args.seed, args.max_steps, args.max_resolution)
     lines = [f"T1 (X-side generator) dims {rep.t1.dim_vector()}",
              f"orthogonality Hom(T1[n], T2) = 0: {rep.orthogonality_ok}",
@@ -366,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_ext)
 
     sp = sub.add_parser("resolve", help="minimal projective resolution of M")
-    sp.add_argument("--max", type=int, default=32)
     sp.add_argument("algebra"); sp.add_argument("m")
     sp.set_defaults(func=cmd_resolve)
 

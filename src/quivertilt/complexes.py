@@ -13,9 +13,10 @@ from dataclasses import dataclass, field as _dc_field
 from .algebra import Algebra
 from .errors import ConsistencyError, DimensionMismatch, InputError
 from .linalg import Matrix, block_matrix, quotient_basis, row_space, solve_linear_system, solve_right_kernel
-from .modules import ModuleMap, Representation, quotient, submodule_from_rows, zero_map
-from .homology import (DEFAULT_RESOLUTION_BOUND, ProjSum, Resolution, gen_coords,
-                       hom_from_gens, min_resolution, proj_sum)
+from .modules import (ModuleMap, Representation, identity_map, quotient, submodule_from_rows,
+                      zero_map)
+from .homology import (DEFAULT_RESOLUTION_BOUND, ProjSum, Resolution, _split_gen_vector,
+                       gen_coords, hom_from_gens, min_resolution, proj_sum)
 
 
 @dataclass(frozen=True)
@@ -84,12 +85,6 @@ def zero_complex(alg: Algebra) -> PerfectComplex:
     return PerfectComplex(alg, {}, {})
 
 
-def stalk_projective(psum: ProjSum, degree: int = 0) -> PerfectComplex:
-    if psum.rank == 0:
-        return zero_complex(psum.algebra)
-    return PerfectComplex(psum.algebra, {degree: psum}, {})
-
-
 def resolve_to_complex(m: Representation, bound: int = DEFAULT_RESOLUTION_BOUND,
                        resolution: Resolution | None = None) -> PerfectComplex:
     """Minimal resolution placed in degrees [-pd, 0]; cohomology is m in
@@ -141,7 +136,7 @@ def direct_sum_complexes(parts, algebra: Algebra | None = None) -> PerfectComple
             continue
         blocks = [[live[i].diffs.get(n) if i == j else None for j in range(len(live))]
                   for i in range(len(live))]
-        d = _assemble_block_map(terms[n], terms[n + 1], blocks,
+        d = _assemble_block_map(terms[n].rep, terms[n + 1].rep, blocks,
                                 [p.term_rep(n) for p in live],
                                 [p.term_rep(n + 1) for p in live])
         if not d.is_zero():
@@ -149,7 +144,8 @@ def direct_sum_complexes(parts, algebra: Algebra | None = None) -> PerfectComple
     return PerfectComplex(alg, terms, diffs)
 
 
-def _assemble_block_map(src: ProjSum, tgt: ProjSum, blocks, src_reps, tgt_reps) -> ModuleMap:
+def _assemble_block_map(src: Representation, tgt: Representation, blocks, src_reps,
+                        tgt_reps) -> ModuleMap:
     """Map src -> tgt from a grid of blocks; blocks[i][j] maps the i-th
     source part to the j-th target part (None = zero).  Part basis layouts
     concatenate in order inside src/tgt by construction of proj_sum."""
@@ -168,9 +164,9 @@ def _assemble_block_map(src: ProjSum, tgt: ProjSum, blocks, src_reps, tgt_reps) 
                     row.append(b.mats[v])
             grid.append(row)
         mats[v] = block_matrix(fld, grid)
-        if (mats[v].rows, mats[v].cols) != (src.rep.dims[v], tgt.rep.dims[v]):
+        if (mats[v].rows, mats[v].cols) != (src.dims[v], tgt.dims[v]):
             raise ConsistencyError("block assembly shape mismatch")
-    return ModuleMap(src.rep, tgt.rep, mats)
+    return ModuleMap(src, tgt, mats)
 
 
 @dataclass(frozen=True)
@@ -234,7 +230,6 @@ def zero_chain_map(x: PerfectComplex, y: PerfectComplex) -> ChainMap:
 
 
 def identity_chain_map(x: PerfectComplex) -> ChainMap:
-    from .modules import identity_map
     return ChainMap(x, x, {n: identity_map(x.terms[n].rep) for n in x.terms})
 
 
@@ -266,7 +261,7 @@ def mapping_cone(f: ChainMap):
         tgt_reps = [x.term_rep(n + 2), y.term_rep(n + 1)]
         blocks = [[x.diff(n + 1).neg(), f.comp(n + 1)],
                   [None, y.diff(n)]]
-        d = _assemble_block_map(terms[n], terms[n + 1], blocks, src_reps, tgt_reps)
+        d = _assemble_block_map(terms[n].rep, terms[n + 1].rep, blocks, src_reps, tgt_reps)
         if not d.is_zero():
             diffs[n] = d
     cone = PerfectComplex(alg, terms, diffs)
@@ -274,88 +269,34 @@ def mapping_cone(f: ChainMap):
     incl_comps = {}
     for n in y.terms:
         if n in cone.terms:
-            incl_comps[n] = _assemble_block_map_from_reps(
+            incl_comps[n] = _assemble_block_map(
                 y.term_rep(n), cone.terms[n].rep,
-                [[None, _identity_block(y.term_rep(n))]],
+                [[None, identity_map(y.term_rep(n))]],
                 [y.term_rep(n)], [x.term_rep(n + 1), y.term_rep(n)])
     incl = ChainMap(y, cone, incl_comps)
     sx = shift(x, 1)
     proj_comps = {}
     for n in cone.terms:
         if n in sx.terms:
-            proj_comps[n] = _assemble_block_map_from_reps(
+            proj_comps[n] = _assemble_block_map(
                 cone.terms[n].rep, sx.terms[n].rep,
-                [[_identity_block(x.term_rep(n + 1))], [None]],
+                [[identity_map(x.term_rep(n + 1))], [None]],
                 [x.term_rep(n + 1), y.term_rep(n)], [x.term_rep(n + 1)])
     proj = ChainMap(cone, sx, proj_comps)
     return cone, incl, proj
 
 
-def _identity_block(rep: Representation) -> ModuleMap:
-    from .modules import identity_map
-    return identity_map(rep)
-
-
-def _assemble_block_map_from_reps(src_rep, tgt_rep, blocks, src_reps, tgt_reps) -> ModuleMap:
-    alg = src_rep.algebra
-    fld = alg.field
-    mats = {}
-    for v in alg.vertices:
-        grid = []
-        for i, srep in enumerate(src_reps):
-            row = []
-            for j, trep in enumerate(tgt_reps):
-                b = blocks[i][j]
-                row.append(b.mats[v] if b is not None else Matrix.zeros(fld, srep.dims[v], trep.dims[v]))
-            grid.append(row)
-        mats[v] = block_matrix(fld, grid)
-    return ModuleMap(src_rep, tgt_rep, mats)
-
-
 def triangle_from_map(alpha: ChainMap):
     """Given alpha: T2 -> T1[1], realize the triangle T1 -> T -> T2 -> T1[1]
-    with T = cone(alpha)[-1].  Returns (T, incl: T1 -> T, proj: T -> T2)."""
-    t2 = alpha.source
-    st1 = alpha.target
-    t1 = shift(st1, -1)
-    alg = t2.algebra
-    degrees = sorted(set(t2.terms) | set(t1.terms))
-    terms = {}
-    for n in degrees:
-        gens = (t2.terms[n].gens if n in t2.terms else ()) + \
-               (t1.terms[n].gens if n in t1.terms else ())
-        if gens:
-            terms[n] = proj_sum(alg, gens)
-    diffs = {}
-    for n in terms:
-        if (n + 1) not in terms:
-            continue
-        src_reps = [t2.term_rep(n), t1.term_rep(n)]
-        tgt_reps = [t2.term_rep(n + 1), t1.term_rep(n + 1)]
-        # alpha^n : t2^n -> t1[1]^n = t1^{n+1}
-        blocks = [[t2.diff(n), alpha.comp(n).neg()],
-                  [None, t1.diff(n)]]
-        d = _assemble_block_map(terms[n], terms[n + 1], blocks, src_reps, tgt_reps)
-        if not d.is_zero():
-            diffs[n] = d
-    T = PerfectComplex(alg, terms, diffs)
-    incl_comps = {}
-    for n in t1.terms:
-        if n in T.terms:
-            incl_comps[n] = _assemble_block_map_from_reps(
-                t1.term_rep(n), T.terms[n].rep,
-                [[None, _identity_block(t1.term_rep(n))]],
-                [t1.term_rep(n)], [t2.term_rep(n), t1.term_rep(n)])
-    incl = ChainMap(t1, T, incl_comps)
-    proj_comps = {}
-    for n in T.terms:
-        if n in t2.terms:
-            proj_comps[n] = _assemble_block_map_from_reps(
-                T.terms[n].rep, t2.term_rep(n),
-                [[_identity_block(t2.term_rep(n))], [None]],
-                [t2.term_rep(n), t1.term_rep(n)], [t2.term_rep(n)])
-    proj = ChainMap(T, t2, proj_comps)
-    return T, incl, proj
+    with T = cone(alpha)[-1].  Returns (T, incl: T1 -> T, proj: T -> T2).
+
+    T^n = T2^n ⊕ T1^n with differential [[d_T2, -alpha], [0, d_T1]]: the
+    cone's sign and the shift's sign cancel on the blocks of T2 and T1."""
+    cone, incl, proj = mapping_cone(alpha)
+    T = shift(cone, -1)
+    t1 = shift(alpha.target, -1)
+    return (T, ChainMap._trusted(t1, T, {n + 1: f for n, f in incl.comps.items()}),
+            ChainMap._trusted(T, alpha.source, {n + 1: f for n, f in proj.comps.items()}))
 
 
 # -- derived Hom ---------------------------------------------------------------
@@ -549,7 +490,7 @@ def derived_hom(x: PerfectComplex, y: PerfectComplex, n: int) -> DerivedHomSpace
             coords = repmat.entries[r][pos:pos + vdim]
             pos += vdim
             psum = x.terms[i]
-            images = _split_hom_vector(psum, sy.terms[i].rep, coords)
+            images = _split_gen_vector(psum, sy.terms[i].rep, coords)
             comps[i] = hom_from_gens(psum, sy.terms[i].rep, images)
         reps.append(ChainMap(x, sy, comps))
     space = DerivedHomSpace(x, y, n, repmat.rows, tuple(reps))
@@ -558,19 +499,6 @@ def derived_hom(x: PerfectComplex, y: PerfectComplex, n: int) -> DerivedHomSpace
     space._data["layout"] = layout
     space._data["sy"] = sy
     return space
-
-
-def _split_hom_vector(psum: ProjSum, n_rep: Representation, flat):
-    out = []
-    pos = 0
-    for v in psum.gens:
-        out.append(tuple(flat[pos:pos + n_rep.dims[v]]))
-        pos += n_rep.dims[v]
-    return out
-
-
-def derived_hom_dim(x, y, n) -> int:
-    return derived_hom(x, y, n).dim
 
 
 def cohomology(x: PerfectComplex, n: int) -> Representation:
@@ -603,11 +531,6 @@ def is_exceptional(x: PerfectComplex) -> bool:
         if derived_hom(x, x, n).dim != 0:
             return False
     return True
-
-
-def compose_classes(f: ChainMap, g: ChainMap, g_shift: int = 0) -> ChainMap:
-    """Compose f: x -> y[n] with g: y -> z[m] (shifted by n): x -> z[n+m]."""
-    return f.compose(shift_chain_map(g, g_shift))
 
 
 def stack_to_common_target(maps) -> ChainMap:

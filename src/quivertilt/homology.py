@@ -11,11 +11,12 @@ from dataclasses import dataclass, field as _dc_field
 
 from .algebra import Algebra, zero_module
 from .errors import BoundExceeded, ConsistencyError, InputError
-from .linalg import (Matrix, _tensor_induced, quotient_basis, rank, row_space, solve_linear_system,
-                     solve_right_kernel)
+from .linalg import (Matrix, _tensor_homology_dims, _tensor_quotient, quotient_basis, rank,
+                     row_space, solve_linear_system, solve_right_kernel)
 from .modules import (HomSpace, ModuleMap, Representation, _flatten_map,
                       decompose, direct_sum_with_maps, hom_space, identity_map,
                       image, quotient, submodule_from_rows, top, zero_map)
+from .rings import _check_action
 
 DEFAULT_RESOLUTION_BOUND = 32
 
@@ -122,11 +123,6 @@ def hom_basis_maps(psum: ProjSum, n: Representation):
                       for jj, vv in enumerate(psum.gens)]
             out.append(hom_from_gens(psum, n, images))
     return out
-
-
-def psum_direct_sum(parts) -> ProjSum:
-    gens = tuple(v for p in parts for v in p.gens)
-    return proj_sum(parts[0].algebra, gens)
 
 
 # -- projective covers and minimal resolutions -----------------------------------
@@ -371,30 +367,7 @@ class LeftModule:
 
     def __post_init__(self):
         alg = self.algebra
-        fld = alg.field
-        if len(self.act) != alg.dim:
-            raise InputError("left module needs one action matrix per basis element")
-        for a in self.act:
-            if (a.rows, a.cols) != (self.dim, self.dim):
-                raise InputError("left action matrices must be square of the module dimension")
-        ident = Matrix.identity(fld, self.dim)
-        unit = self._combo(alg.unit())
-        if unit != ident:
-            raise ConsistencyError("unit does not act as identity on left module")
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                expect = self._combo(alg.mult[(i, j)])
-                got = self.act[j].mul(self.act[i])
-                if expect != got:
-                    raise ConsistencyError("left action does not respect multiplication")
-
-    def _combo(self, coeffs) -> Matrix:
-        fld = self.algebra.field
-        out = Matrix.zeros(fld, self.dim, self.dim)
-        for i, c in enumerate(coeffs):
-            if c:
-                out = out.add(self.act[i].scale(c))
-        return out
+        _check_action(alg.field, alg.unit(), alg.mult, self.dim, self.act, right=False)
 
 
 def left_regular_module(alg: Algebra) -> LeftModule:
@@ -435,36 +408,14 @@ def _total_action(rep: Representation, i: int) -> Matrix:
 
 
 def _tensor_space(x: Representation, y: LeftModule):
-    """x ⊗_A y as a quotient of the full K-tensor space; returns
-    (dim, section, projection) with matrices over the raw dx*dy space."""
+    """x ⊗_A y as a quotient of the full K-tensor space: (section,
+    projection) over the raw dx*dy space.  The vertex idempotents and the
+    arrows generate A, so their relations span all of them."""
     alg = x.algebra
-    fld = alg.field
-    dx, dy = x.total_dim, y.dim
-    if dx == 0 or dy == 0:
-        return 0, Matrix.zeros(fld, 0, dx * dy), Matrix.zeros(fld, dx * dy, 0)
     gens = [alg.vertex_idempotent(v) for v in alg.vertices]
     gens += [alg.basis_index_of_arrow(a[0]) for a in alg.quiver.arrows]
-    rows = []
-    for g in gens:
-        R = _total_action(x, g)
-        L = y.act[g]
-        for p in range(dx):
-            for q in range(dy):
-                row = [fld.zero()] * (dx * dy)
-                for p2 in range(dx):
-                    if R.entries[p][p2]:
-                        row[p2 * dy + q] = R.entries[p][p2]
-                for q2 in range(dy):
-                    if L.entries[q][q2]:
-                        row[p * dy + q2] = fld.sub(row[p * dy + q2], L.entries[q][q2])
-                if any(row):
-                    rows.append(tuple(row))
-    if rows:
-        sub = row_space(Matrix(fld, len(rows), dx * dy, tuple(rows)))
-    else:
-        sub = Matrix.zeros(fld, 0, dx * dy)
-    section, proj = quotient_basis(sub, dx * dy)
-    return section.rows, section, proj
+    pairs = ((_total_action(x, g), y.act[g]) for g in gens)
+    return _tensor_quotient(alg.field, x.total_dim, y.dim, pairs)
 
 
 def tor_dims_range(x: Representation, y: LeftModule, max_degree: int,
@@ -480,25 +431,8 @@ def tor_dims_range(x: Representation, y: LeftModule, max_degree: int,
         raise BoundExceeded("resolution bound exceeded while computing Tor")
     top = min(res.length, max_degree + 1)
     spaces = [_tensor_space(res.terms[k].rep, y) for k in range(top + 1)]
-
-    def induced(k):  # map T_k -> T_{k-1}
-        fmat = res.diffs[k - 1].total_matrix()
-        _, sec_k, _ = spaces[k]
-        _, _, proj_prev = spaces[k - 1]
-        return _tensor_induced(fmat, y.dim, sec_k, proj_prev)
-
-    ranks = {k: rank(induced(k)) for k in range(1, top + 1)}
-    out = []
-    for degree in range(0, max_degree + 1):
-        if degree > res.length:
-            out.append(0)
-            continue
-        tk = spaces[degree][0]
-        ker_dim = tk - ranks[degree] if degree >= 1 else tk
-        if degree + 1 <= res.length:
-            ker_dim -= ranks[degree + 1]
-        out.append(ker_dim)
-    return tuple(out)
+    fmats = [res.diffs[k].total_matrix() for k in range(top)]
+    return _tensor_homology_dims(spaces, fmats, y.dim, max_degree)
 
 
 def tor_dim(degree: int, x: Representation, y: LeftModule,

@@ -9,11 +9,10 @@ import itertools
 import random
 from dataclasses import dataclass, field as _dc_field
 
-from .algebra import Algebra, zero_module
+from .algebra import Algebra
 from .errors import ConsistencyError, DimensionMismatch, InputError
-from .linalg import (Matrix, in_row_span, intersect_subspaces, quotient_basis,
-                     rank, row_space, solve_linear_system, solve_right_kernel,
-                     sum_subspaces)
+from .linalg import (Matrix, intersect_subspaces, quotient_basis, rank, row_space,
+                     solve_linear_system, solve_right_kernel, sum_subspaces)
 
 
 @dataclass(frozen=True)

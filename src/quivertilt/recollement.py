@@ -10,18 +10,18 @@ in for the homotopy colimit.  Failure to stabilize within the step budget
 is an explicit error, never a truncated answer.
 """
 
-from dataclasses import dataclass, field as _dc_field
+from dataclasses import dataclass
 
 from .algebra import Algebra, regular_module, simple, zero_module
 from .complexes import (ChainMap, PerfectComplex, cohomology, derived_hom,
                         hom_window, is_exceptional, mapping_cone,
-                        resolve_to_complex, shift, shift_chain_map,
-                        stack_to_common_target, zero_complex)
+                        resolve_to_complex, shift_chain_map,
+                        stack_to_common_target)
 from .errors import BoundExceeded, ConsistencyError, InputError
 from .homology import (DEFAULT_RESOLUTION_BOUND, LeftModule, ShortExact,
-                       ext_dim, min_resolution, proj_dim, tor_dim,
-                       tor_dims_range)
-from .linalg import Matrix, row_space, solve_linear_system, solve_right_kernel
+                       ext_dim, min_resolution, proj_dim, tor_dims_range)
+from .linalg import (Matrix, _tensor_quotient, row_space, solve_linear_system,
+                     solve_right_kernel)
 from .modules import (ModuleMap, Representation, _flatten_map, cokernel,
                       decompose, hom_space, identity_map,
                       indecomposable_summands, is_isomorphic, quotient,
@@ -193,18 +193,23 @@ def _verify_step(t1, before, after, sigma: ChainMap, top: int):
                     f"reflection step not injective on Hom(t1, -[{top - 1}])")
 
 
+def reflect(t1: PerfectComplex, m: PerfectComplex, max_steps: int = 16):
+    """Reflection of m at t1, taking the brick fast path when t1 is zero or
+    End_D(t1) is one-dimensional and the iterative construction otherwise.
+    Returns (q(m), map, method) with method "brick" or "iterative"."""
+    if t1.is_zero_complex() or derived_hom(t1, t1, 0).dim == 1:
+        q, mp = reflection_brick(t1, m)
+        return q, mp, "brick"
+    q, mp, _ = reflection_iterative(t1, m, max_steps)
+    return q, mp, "iterative"
+
+
 def reflect_regular(alg: Algebra, t1_module: Representation,
                     max_steps: int = 16, bound: int = DEFAULT_RESOLUTION_BOUND):
-    """Reflection of the regular module at resolve(t1_module), taking the
-    brick fast path when available.  Returns (q(R), map, method)."""
-    r = regular_module(alg)
-    rc = resolve_to_complex(r, bound)
-    t1c = resolve_to_complex(t1_module, bound)
-    if t1c.is_zero_complex() or derived_hom(t1c, t1c, 0).dim == 1:
-        q, mp = reflection_brick(t1c, rc)
-        return q, mp, "brick"
-    q, mp, _ = reflection_iterative(t1c, rc, max_steps)
-    return q, mp, "iterative"
+    """Reflection of the regular module at resolve(t1_module), routed as in
+    reflect.  Returns (q(R), map, method)."""
+    rc = resolve_to_complex(regular_module(alg), bound)
+    return reflect(resolve_to_complex(t1_module, bound), rc, max_steps)
 
 
 # -- universal localization --------------------------------------------------------
@@ -340,6 +345,7 @@ class LocalizationReport:
     ru_decomposition: tuple      # (factor, multiplicity)
     presentation: RingPresentation
     eta: ModuleMap               # R -> R_U, the reflection of R
+    reflection: PerfectComplex   # q(R), the reflection of R at resolve(T1)
     reflection_method: str
     reflection_matches: bool
     hom_epi: HomEpiReport
@@ -380,7 +386,7 @@ def universal_localization(seq: ShortExact, seed: int = 0,
     dec = decompose(ru, seed)
     evidence = ring_evidence(ru, pres, seed)
     epi = homological_epi_check(ru, pres, hom_epi_degree, bound)
-    return LocalizationReport(seq, ru, tuple(dec), pres, eta, method, matches,
+    return LocalizationReport(seq, ru, tuple(dec), pres, eta, q, method, matches,
                               epi, evidence)
 
 
@@ -444,7 +450,8 @@ def stratifying_ideal_check(alg: Algebra, vertices, max_degree: int = 8) -> Stra
     nonzero Tor was found, the test is inconclusive and raises."""
     ae, ea, ae_idx, ea_idx, ring = corner_bimodules(alg, vertices)
     fld = alg.field
-    tdim, section, _ = _tensor_data(ae, ea)
+    section, _ = _tensor_quotient(fld, ae.dim, ea.dim, zip(ae.act, ea.act))
+    tdim = section.rows
     # multiplication map on tensor representatives
     rows = []
     for row in section.entries:
@@ -477,11 +484,6 @@ def stratifying_ideal_check(alg: Algebra, vertices, max_degree: int = 8) -> Stra
                              bijective and tor_ok)
 
 
-def _tensor_data(ae, ea):
-    from .rings import _sc_tensor_space
-    return _sc_tensor_space(ae, ea)
-
-
 # -- the recollement report --------------------------------------------------------
 
 
@@ -508,21 +510,18 @@ def recollement_report(t: Representation, seed: int = 0,
     cert = tilting_module_check(t, seed, bound)
     if isinstance(cert, TiltingFailure):
         raise InputError(f"not a tilting module: {cert.reasons}")
-    alg = t.algebra
     t0, t1 = cert.sequence.mid, cert.sequence.right
     loc = universal_localization(cert.sequence, seed, max_steps, bound, hom_epi_degree)
-    q, _, _ = reflect_regular(alg, t1, max_steps, bound)
+    q = loc.reflection
     t1c = resolve_to_complex(t1, bound)
     # Hom_D(T1[n], T2) = Hom_D(T1, T2[-n]): sweep the whole window
     ortho = all(derived_hom(t1c, q, k).dim == 0 for k in hom_window(t1c, q))
     t2_exc = is_exceptional(q)
     t2_matches = None
     if t2_exc:
-        h = cohomology(q, 0) if not q.is_zero_complex() else zero_module(alg)
-        conc = all(cohomology(q, n).total_dim == 0
-                   for n in (range(q.lo, q.hi + 1) if not q.is_zero_complex() else [])
-                   if n != 0)
-        t2_matches = conc and is_isomorphic(h, loc.ru_module, seed)
+        # universal_localization has tested q(R) for cohomology concentrated
+        # in degree 0 with H^0 isomorphic to R_U
+        t2_matches = loc.reflection_matches
         if not t2_matches:
             raise ConsistencyError("exceptional q(R) does not match R_U")
     cor_zero = hom_space(t1, t0).dim == 0

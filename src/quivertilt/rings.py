@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 from .algebra import Algebra
 from .errors import ConsistencyError, InputError
-from .linalg import (Matrix, _tensor_induced, block_matrix, quotient_basis, rank, row_space,
-                     solve_linear_system, solve_right_kernel)
+from .linalg import (Matrix, _tensor_homology_dims, _tensor_quotient, block_matrix, rank,
+                     row_space, solve_linear_system, solve_right_kernel)
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,8 @@ class SCRightModule:
     act: tuple
 
     def __post_init__(self):
-        _check_action(self.ring, self.dim, self.act, right=True)
+        _check_action(self.ring.field, self.ring.unit, self.ring.mult, self.dim, self.act,
+                      right=True)
 
 
 @dataclass(frozen=True)
@@ -158,30 +159,35 @@ class SCLeftModule:
     act: tuple
 
     def __post_init__(self):
-        _check_action(self.ring, self.dim, self.act, right=False)
+        _check_action(self.ring.field, self.ring.unit, self.ring.mult, self.dim, self.act,
+                      right=False)
 
 
-def _check_action(ring: SCRing, dim: int, act, right: bool):
-    fld = ring.field
-    if len(act) != ring.dim:
+def _check_action(fld, unit, mult, dim: int, act, right: bool):
+    """Module laws for action matrices act[i] of the basis elements b_i of a
+    ring with unit coordinates `unit` and products b_i b_j = sum_k
+    mult[(i, j)][k] b_k: the unit acts as the identity, and act[i*j] is
+    act[i] @ act[j] for a right module, act[j] @ act[i] for a left one (row
+    convention).  Path algebras and structure-constant rings share it."""
+    if len(act) != len(unit):
         raise InputError("one action matrix per ring basis element required")
     for a in act:
         if (a.rows, a.cols) != (dim, dim):
-            raise InputError("action matrices must be square")
-    unit = Matrix.zeros(fld, dim, dim)
-    for i, c in enumerate(ring.unit):
-        if c:
-            unit = unit.add(act[i].scale(c))
-    if unit != Matrix.identity(fld, dim):
+            raise InputError("action matrices must be square of the module dimension")
+
+    def combo(coeffs) -> Matrix:
+        out = Matrix.zeros(fld, dim, dim)
+        for k, c in enumerate(coeffs):
+            if c:
+                out = out.add(act[k].scale(c))
+        return out
+
+    if combo(unit) != Matrix.identity(fld, dim):
         raise ConsistencyError("unit does not act as identity")
-    for i in range(ring.dim):
-        for j in range(ring.dim):
-            combo = Matrix.zeros(fld, dim, dim)
-            for k, c in enumerate(ring.mult[(i, j)]):
-                if c:
-                    combo = combo.add(act[k].scale(c))
+    for i in range(len(unit)):
+        for j in range(len(unit)):
             got = act[i].mul(act[j]) if right else act[j].mul(act[i])
-            if combo != got:
+            if combo(mult[(i, j)]) != got:
                 raise ConsistencyError("action does not respect ring multiplication")
 
 
@@ -250,39 +256,6 @@ def sc_kernel_module(m: SCRightModule, f: Matrix, target: SCRightModule):
             raise ConsistencyError("kernel is not action-stable")
         act.append(sol)
     return SCRightModule(m.ring, ker.rows, tuple(act)), ker
-
-
-def sc_tensor_dim(x: SCRightModule, y: SCLeftModule) -> int:
-    dim, _, _ = _sc_tensor_space(x, y)
-    return dim
-
-
-def _sc_tensor_space(x: SCRightModule, y: SCLeftModule):
-    """x ⊗_ring y as quotient of the raw tensor space; returns
-    (dim, section, projection)."""
-    ring = x.ring
-    fld = ring.field
-    dx, dy = x.dim, y.dim
-    if dx == 0 or dy == 0:
-        return 0, Matrix.zeros(fld, 0, dx * dy), Matrix.zeros(fld, dx * dy, 0)
-    rows = []
-    for g in range(ring.dim):
-        R, L = x.act[g], y.act[g]
-        for p in range(dx):
-            for q in range(dy):
-                row = [fld.zero()] * (dx * dy)
-                for p2 in range(dx):
-                    if R.entries[p][p2]:
-                        row[p2 * dy + q] = R.entries[p][p2]
-                for q2 in range(dy):
-                    if L.entries[q][q2]:
-                        row[p * dy + q2] = fld.sub(row[p * dy + q2], L.entries[q][q2])
-                if any(row):
-                    rows.append(tuple(row))
-    sub = row_space(Matrix(fld, len(rows), dx * dy, tuple(rows))) if rows \
-        else Matrix.zeros(fld, 0, dx * dy)
-    section, proj = quotient_basis(sub, dx * dy)
-    return section.rows, section, proj
 
 
 def sc_is_projective(m: SCRightModule) -> bool:
@@ -366,41 +339,8 @@ def sc_tor_dims(x: SCRightModule, y: SCLeftModule, max_degree: int):
     conclusive is True when the free resolution terminated within the
     window, so all higher Tor groups vanish as well."""
     terms, diffs, conclusive = sc_free_resolution(x, max_degree + 1)
-    length = len(terms) - 1
-    spaces = [_sc_tensor_space(t, y) for t in terms]
-
-    def induced(k):
-        _, sec_k, _ = spaces[k]
-        _, _, proj_prev = spaces[k - 1]
-        return _tensor_induced(diffs[k], y.dim, sec_k, proj_prev)
-
-    mats = {k: induced(k) for k in range(1, length + 1)}
-    out = []
-    for degree in range(1, max_degree + 1):
-        if degree > length:
-            out.append(0)
-            continue
-        tk = spaces[degree][0]
-        ker_dim = tk - rank(mats[degree])
-        if degree + 1 <= length:
-            ker_dim -= rank(mats[degree + 1])
-        out.append(ker_dim)
-    return tuple(out), conclusive
-
-
-def sc_tor_dim(degree: int, x: SCRightModule, y: SCLeftModule, bound: int = 16) -> int:
-    """dim Tor_degree^ring(x, y) from a free resolution of x."""
-    if degree < 0:
-        raise InputError("tor degree must be >= 0")
-    if degree == 0:
-        terms, diffs, _ = sc_free_resolution(x, 1)
-        spaces = [_sc_tensor_space(t, y) for t in terms]
-        t0 = spaces[0][0]
-        if len(terms) > 1:
-            return t0 - rank(_tensor_induced(diffs[1], y.dim, spaces[1][1], spaces[0][2]))
-        return t0
-    dims, _ = sc_tor_dims(x, y, degree)
-    return dims[degree - 1]
+    spaces = [_tensor_quotient(x.ring.field, t.dim, y.dim, zip(t.act, y.act)) for t in terms]
+    return _tensor_homology_dims(spaces, diffs[1:], y.dim, max_degree)[1:], conclusive
 
 
 # -- corner rings eAe -------------------------------------------------------------

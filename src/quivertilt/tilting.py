@@ -11,7 +11,7 @@ always computed and compared.
 
 from dataclasses import dataclass
 
-from .algebra import regular_module, simple, zero_module
+from .algebra import regular_module, simple
 from .complexes import (ChainMap, DerivedHomSpace, PerfectComplex,
                         derived_hom, direct_sum_complexes, hom_window,
                         is_exceptional, resolve_to_complex, shift,
@@ -19,12 +19,10 @@ from .complexes import (ChainMap, DerivedHomSpace, PerfectComplex,
                         stack_to_common_target, triangle_from_map,
                         zero_chain_map)
 from .errors import ConsistencyError, InputError
-from .homology import (DEFAULT_RESOLUTION_BOUND, ShortExact, ext, ext_dim,
-                       left_add_approximation, min_resolution, proj_dim,
-                       universal_extension)
-from .linalg import Matrix, row_space, solve_linear_system
-from .modules import (Representation, cokernel, decompose, direct_sum,
-                      hom_space, image, in_add_of, is_isomorphic)
+from .homology import (DEFAULT_RESOLUTION_BOUND, ShortExact, ext_dim,
+                       left_add_approximation, proj_dim, universal_extension)
+from .linalg import Matrix, row_space
+from .modules import Representation, cokernel, decompose, direct_sum, in_add_of
 
 
 @dataclass(frozen=True)
@@ -126,7 +124,7 @@ def left_universal_map(t2: PerfectComplex, t1: PerfectComplex):
         from .complexes import zero_complex
         return zero_chain_map(zero_complex(t2.algebra), st1), 0
     alpha = stack_to_common_target(list(space.reps))
-    if not _left_universal(alpha):
+    if not is_left_universal(alpha):
         raise ConsistencyError("canonical stacked map is not left-universal")
     return alpha, m
 
@@ -139,7 +137,7 @@ def right_universal_map(t2: PerfectComplex, t1: PerfectComplex):
         from .complexes import zero_complex
         return zero_chain_map(t2, zero_complex(t2.algebra)), 0
     beta = stack_to_common_source(list(space.reps))
-    if not _right_universal(beta):
+    if not is_right_universal(beta):
         raise ConsistencyError("canonical stacked map is not right-universal")
     return beta, m
 
@@ -171,10 +169,6 @@ def is_right_universal(beta: ChainMap) -> bool:
     fld = tgt.algebra.field
     m = Matrix(fld, len(rows), target_space.dim, tuple(rows))
     return row_space(m).rows == target_space.dim
-
-
-_left_universal = is_left_universal
-_right_universal = is_right_universal
 
 
 def _ambient_space(f: ChainMap) -> DerivedHomSpace:

@@ -8,15 +8,12 @@ These are the same checks the acceptance suite asserts one by one.
 from dataclasses import dataclass
 
 from .algebra import injective, projective, regular_module, simple
-from .complexes import cohomology, derived_hom, resolve_to_complex
-from .errors import QuivertiltError
+from .complexes import cohomology, resolve_to_complex
 from .formats import fixture_algebra
-from .homology import ext, ext_dim, global_dimension, left_add_approximation, realize_extension
+from .homology import ext, global_dimension, left_add_approximation, realize_extension
 from .linalg import FieldSpec
-from .modules import (cokernel, decompose, direct_sum, hom_space,
-                      is_isomorphic, quotient, socle)
-from .recollement import (perp_membership, recollement_report,
-                          universal_localization)
+from .modules import cokernel, decompose, direct_sum, is_isomorphic, quotient, socle
+from .recollement import perp_membership, universal_localization
 from .tilting import (TiltingCertificate, bongartz_complement, check_A1_A2,
                       construct_tilting, tilting_module_check)
 

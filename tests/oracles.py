@@ -5,8 +5,9 @@ elimination over row lists, so oracle results share no code with the
 implementation they check.  The exceptions are
 reference_quotient_projection, the per-coordinate reduction loop that
 quotient_basis replaced with a closed form, which uses the field's element
-operations, and reference_left_approximation, a direct search built on the
-library's Hom solver.
+operations, reference_left_approximation, a direct search built on the
+library's Hom solver, and reference_triangle, the direct block assembly of
+a triangle that triangle_from_map replaced with a shifted mapping cone.
 """
 
 from fractions import Fraction
@@ -311,3 +312,57 @@ def reference_left_approximation(x, t, seed=0):
                 copies, f, tags, changed = trial, tf, ttags, True
                 break
     return f, tags
+
+
+def reference_triangle(alpha):
+    """Triangle T1 -> T -> T2 -> T1[1] of alpha: T2 -> T1[1], assembled
+    block by block: T^n = T2^n ⊕ T1^n with differential
+    [[d_T2, -alpha], [0, d_T1]], incl = [0 | id] and proj = [id ; 0].
+
+    It uses the library's complexes, maps and block matrices; what it
+    checks is triangle_from_map's cone-and-shift construction against
+    this direct one.  Returns (T, incl, proj)."""
+    from quivertilt.complexes import ChainMap, PerfectComplex, shift
+    from quivertilt.homology import proj_sum
+    from quivertilt.linalg import Matrix, block_matrix
+    from quivertilt.modules import ModuleMap, identity_map
+
+    def assemble(src, tgt, blocks, src_reps, tgt_reps):
+        fld = src.algebra.field
+        mats = {}
+        for v in src.algebra.vertices:
+            mats[v] = block_matrix(fld, [[b.mats[v] if b is not None
+                                          else Matrix.zeros(fld, s.dims[v], t.dims[v])
+                                          for b, t in zip(row, tgt_reps)]
+                                         for row, s in zip(blocks, src_reps)])
+        return ModuleMap(src, tgt, mats)
+
+    t2 = alpha.source
+    t1 = shift(alpha.target, -1)
+    alg = t2.algebra
+    terms = {}
+    for n in sorted(set(t2.terms) | set(t1.terms)):
+        gens = (t2.terms[n].gens if n in t2.terms else ()) + \
+               (t1.terms[n].gens if n in t1.terms else ())
+        if gens:
+            terms[n] = proj_sum(alg, gens)
+    diffs = {}
+    for n in terms:
+        if (n + 1) not in terms:
+            continue
+        d = assemble(terms[n].rep, terms[n + 1].rep,
+                     [[t2.diff(n), alpha.comp(n).neg()], [None, t1.diff(n)]],
+                     [t2.term_rep(n), t1.term_rep(n)],
+                     [t2.term_rep(n + 1), t1.term_rep(n + 1)])
+        if not d.is_zero():
+            diffs[n] = d
+    T = PerfectComplex(alg, terms, diffs)
+    incl = ChainMap(t1, T, {n: assemble(t1.term_rep(n), T.terms[n].rep,
+                                        [[None, identity_map(t1.term_rep(n))]],
+                                        [t1.term_rep(n)], [t2.term_rep(n), t1.term_rep(n)])
+                            for n in t1.terms if n in T.terms})
+    proj = ChainMap(T, t2, {n: assemble(T.terms[n].rep, t2.term_rep(n),
+                                        [[identity_map(t2.term_rep(n))], [None]],
+                                        [t2.term_rep(n), t1.term_rep(n)], [t2.term_rep(n)])
+                            for n in T.terms if n in t2.terms})
+    return T, incl, proj

@@ -9,9 +9,11 @@ from quivertilt.complexes import (ChainMap, cohomology, derived_hom,
                                   mapping_cone, resolve_to_complex, shift,
                                   shift_chain_map, triangle_from_map,
                                   zero_chain_map, zero_complex)
+from quivertilt.formats import fixture_algebra
 from quivertilt.homology import ext_dim, min_resolution, proj_sum
 from quivertilt.linalg import Matrix, row_space
 from quivertilt.modules import direct_sum, is_isomorphic
+from oracles import reference_triangle
 
 
 def test_resolve_projective_is_stalk(cycle2):
@@ -146,6 +148,33 @@ def test_triangle_reproduces_middle_term(cycle2):
     T, incl, proj = triangle_from_map(space.reps[0])
     assert is_isomorphic(cohomology(T, 0), injective(cycle2, "2"))
     assert is_exceptional(T)
+
+
+def test_triangle_matches_reference_assembly():
+    """triangle_from_map is the shifted mapping cone: on every degree-1 class
+    between simples, projectives and injectives of a2, cycle2 and triple3,
+    its terms, differentials, inclusion and projection equal the direct
+    block assembly, and incl/proj end and start at the returned T."""
+    classes = 0
+    for name in ("a2", "cycle2", "triple3"):
+        alg = fixture_algebra(name)
+        cs = [resolve_to_complex(f(alg, v)) for f in (simple, projective, injective)
+              for v in alg.vertices]
+        for x, y in itertools.product(cs, cs):
+            for alpha in derived_hom(x, y, 1).reps:
+                T, incl, proj = triangle_from_map(alpha)
+                T_ref, incl_ref, proj_ref = reference_triangle(alpha)
+                assert {n: t.gens for n, t in T.terms.items()} == \
+                    {n: t.gens for n, t in T_ref.terms.items()}
+                assert {n: d.mats for n, d in T.diffs.items()} == \
+                    {n: d.mats for n, d in T_ref.diffs.items()}
+                for f, f_ref in ((incl, incl_ref), (proj, proj_ref)):
+                    assert {n: g.mats for n, g in f.comps.items()} == \
+                        {n: g.mats for n, g in f_ref.comps.items()}
+                assert incl.target is T and proj.source is T
+                assert proj.target is alpha.source
+                classes += 1
+    assert classes == 15
 
 
 def _induced_matrix(space_from, space_to, post, post_shift):

@@ -199,6 +199,29 @@ def test_cli_reflect(capsys):
     assert "brick" in out
 
 
+def test_cli_resolve_uses_shared_resolution_bound(capsys):
+    # S2 has projective dimension 1: its second kernel vanishes, which a
+    # bound of 2 steps sees and a bound of 0 does not
+    assert main(["resolve", "--max-resolution", "0", ALG, S2]) == 3
+    assert main(["resolve", "--max-resolution", "2", ALG, S2]) == 0
+
+
+@pytest.mark.parametrize("t1_text", ["dim 1=0 2=0\n", "dim 2=1\n"])
+def test_cli_reflect_method_matches_library_route(tmp_path, t1_text):
+    """The CLI reports the route the library takes for the same T1, also
+    for the zero module, where the brick path applies."""
+    from quivertilt.complexes import resolve_to_complex
+    from quivertilt.recollement import reflect
+    t1_path = tmp_path / "t1.mod"
+    t1_path.write_text(t1_text)
+    out = tmp_path / "r.json"
+    assert main(["reflect", ALG, str(t1_path), S2, "--json", str(out)]) == 0
+    alg = load_algebra(ALG)
+    _, _, route = reflect(resolve_to_complex(load_module(t1_path, alg)),
+                          resolve_to_complex(load_module(S2, alg)))
+    assert json.loads(out.read_text())["method"] == route == "brick"
+
+
 def test_cli_localize_and_homepi(capsys):
     assert main(["localize", ALG, P2, S2]) == 0
     out = capsys.readouterr().out

@@ -7,7 +7,7 @@ from quivertilt.homology import (ExtClass, connecting_class, ext, ext_dim,
                                  global_dimension, left_add_approximation,
                                  left_module_from_op_rep, left_regular_module,
                                  min_resolution, proj_dim, projective_cover,
-                                 realize_extension, tor_dim,
+                                 realize_extension, tor_dim, tor_dims_range,
                                  universal_extension)
 from quivertilt.modules import (cokernel, decompose, direct_sum, hom_space,
                                 is_isomorphic, quotient, socle, zero_map)
@@ -199,6 +199,30 @@ def test_tor0_matches_brute_force_bilinear_quotient(a2, cycle2):
             left_acts = [[list(r) for r in left.act[g].entries] for g in gens]
             expected = oracle_tensor_dim(x.total_dim, left.dim, right_acts, left_acts)
             assert tor_dim(0, x, left) == expected
+
+
+def test_tor_routes_agree_on_a2(a2):
+    """The path-algebra route (minimal resolution over KQ/I) and the
+    structure-constant route (free resolution over a ring) give the same
+    Tor: corner_ring over every vertex is A itself, in the algebra's basis
+    order."""
+    from quivertilt.homology import _total_action
+    from quivertilt.rings import SCLeftModule, SCRightModule, corner_ring, sc_tor_dims
+    ring, idx = corner_ring(a2, a2.vertices)
+    assert idx == list(range(a2.dim))
+    op = opposite_algebra(a2)
+    lefts = [left_regular_module(a2)]
+    lefts += [left_module_from_op_rep(a2, simple(op, v)) for v in a2.vertices]
+    nonzero = 0
+    for x in [f(a2, v) for f in (simple, injective) for v in a2.vertices]:
+        xs = SCRightModule(ring, x.total_dim,
+                           tuple(_total_action(x, i) for i in range(a2.dim)))
+        for y in lefts:
+            dims = tor_dims_range(x, y, 3)[1:]
+            sc_dims, _ = sc_tor_dims(xs, SCLeftModule(ring, y.dim, y.act), 3)
+            assert dims == sc_dims
+            nonzero += any(dims)
+    assert nonzero
 
 
 # -- extensions ---------------------------------------------------------------

@@ -345,7 +345,6 @@ class LocalizationReport:
     ru_decomposition: tuple      # (factor, multiplicity)
     presentation: RingPresentation
     eta: ModuleMap               # R -> R_U, the reflection of R
-    reflection: PerfectComplex   # q(R), the reflection of R at resolve(T1)
     reflection_method: str
     reflection_matches: bool
     hom_epi: HomEpiReport
@@ -386,7 +385,7 @@ def universal_localization(seq: ShortExact, seed: int = 0,
     dec = decompose(ru, seed)
     evidence = ring_evidence(ru, pres, seed)
     epi = homological_epi_check(ru, pres, hom_epi_degree, bound)
-    return LocalizationReport(seq, ru, tuple(dec), pres, eta, q, method, matches,
+    return LocalizationReport(seq, ru, tuple(dec), pres, eta, method, matches,
                               epi, evidence)
 
 
@@ -510,18 +509,21 @@ def recollement_report(t: Representation, seed: int = 0,
     cert = tilting_module_check(t, seed, bound)
     if isinstance(cert, TiltingFailure):
         raise InputError(f"not a tilting module: {cert.reasons}")
+    alg = t.algebra
     t0, t1 = cert.sequence.mid, cert.sequence.right
     loc = universal_localization(cert.sequence, seed, max_steps, bound, hom_epi_degree)
-    q = loc.reflection
+    q, _, _ = reflect_regular(alg, t1, max_steps, bound)
     t1c = resolve_to_complex(t1, bound)
     # Hom_D(T1[n], T2) = Hom_D(T1, T2[-n]): sweep the whole window
     ortho = all(derived_hom(t1c, q, k).dim == 0 for k in hom_window(t1c, q))
     t2_exc = is_exceptional(q)
     t2_matches = None
     if t2_exc:
-        # universal_localization has tested q(R) for cohomology concentrated
-        # in degree 0 with H^0 isomorphic to R_U
-        t2_matches = loc.reflection_matches
+        h = cohomology(q, 0) if not q.is_zero_complex() else zero_module(alg)
+        conc = all(cohomology(q, n).total_dim == 0
+                   for n in (range(q.lo, q.hi + 1) if not q.is_zero_complex() else [])
+                   if n != 0)
+        t2_matches = conc and is_isomorphic(h, loc.ru_module, seed)
         if not t2_matches:
             raise ConsistencyError("exceptional q(R) does not match R_U")
     cor_zero = hom_space(t1, t0).dim == 0

@@ -282,24 +282,6 @@ def test_recollement_triple3(triple3):
     assert rep.orthogonality_ok
 
 
-def test_recollement_report_reflects_regular_once(cycle2, monkeypatch):
-    """The report reuses the q(R) that universal_localization computed
-    instead of reflecting R a second time."""
-    import quivertilt.recollement as rc
-    calls = []
-    original = rc.reflect_regular
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(rc, "reflect_regular", counting)
-    rep = recollement_report(direct_sum([projective(cycle2, "2"), simple(cycle2, "2")]))
-    assert len(calls) == 1
-    assert rep.t2 is rep.localization.reflection
-    assert rep.t2_matches_ru == rep.localization.reflection_matches
-
-
 def test_recollement_rejects_non_tilting(cycle2):
     with pytest.raises(InputError):
         recollement_report(simple(cycle2, "2"))

@@ -515,14 +515,14 @@ def simple(alg: Algebra, v) -> "Representation":
     mats = {}
     for name, s, t in alg.quiver.arrows:
         mats[name] = Matrix.zeros(alg.field, dims[s], dims[t])
-    return Representation(alg, dims, mats)
+    return Representation._trusted(alg, dims, mats)
 
 
 def zero_module(alg: Algebra) -> "Representation":
     from .modules import Representation
     dims = {w: 0 for w in alg.vertices}
     mats = {name: Matrix.zeros(alg.field, 0, 0) for name, _, _ in alg.quiver.arrows}
-    return Representation(alg, dims, mats)
+    return Representation._trusted(alg, dims, mats)
 
 
 def regular_module(alg: Algebra) -> "Representation":
@@ -586,7 +586,8 @@ def _module_from_paths(alg: Algebra, idxs, dual: bool):
                 rows.append(tuple(row))
             L = Matrix(fld, dims[t], dims[s], tuple(rows))
             mats[name] = L.transpose()
-    return Representation(alg, dims, mats)
+    # multiplication in the verified algebra: valid by construction
+    return Representation._trusted(alg, dims, mats)
 
 
 def opposite_algebra(alg: Algebra) -> Algebra:

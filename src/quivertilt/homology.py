@@ -78,7 +78,8 @@ def proj_sum(alg: Algebra, gens) -> ProjSum:
                     row[pos[(j, k)]] = c
             rows.append(tuple(row))
         mats[name] = Matrix(fld, dims[s], dims[t], tuple(rows))
-    rep = Representation(alg, dims, mats)
+    # right multiplication by arrows on paths: valid by the verified algebra
+    rep = Representation._trusted(alg, dims, mats)
     gen_pos = []
     for j, v in enumerate(gens):
         idem = alg.vertex_idempotent(v)
@@ -88,8 +89,11 @@ def proj_sum(alg: Algebra, gens) -> ProjSum:
 
 def hom_from_gens(psum: ProjSum, n: Representation, images) -> ModuleMap:
     """Module map ⊕P_{v_j} -> n with prescribed generator images (row
-    vectors of length n.dims[v_j])."""
+    vectors of length n.dims[v_j]).  Any images define a module map, as
+    ⊕P_{v_j} is free on its generators."""
     alg = psum.algebra
+    if n.algebra is not alg:
+        raise InputError("module map between different algebras")
     fld = alg.field
     img_rows = [Matrix(fld, 1, n.dims[v], (tuple(img),))
                 for (v, img) in zip(psum.gens, images)]
@@ -100,7 +104,7 @@ def hom_from_gens(psum: ProjSum, n: Representation, images) -> ModuleMap:
             act = n.basis_action(i)  # n.dims[gens[j]] x n.dims[w]
             rows.append(img_rows[j].mul(act).entries[0])
         mats[w] = Matrix(fld, len(rows), n.dims[w], tuple(rows))
-    return ModuleMap(psum.rep, n, mats)
+    return ModuleMap._trusted(psum.rep, n, mats)
 
 
 def gen_coords(psum: ProjSum, f: ModuleMap) -> tuple:
@@ -179,34 +183,47 @@ class Resolution:
 
 def min_resolution(m: Representation, max_len: int = DEFAULT_RESOLUTION_BOUND,
                    require_finite: bool = True) -> Resolution:
-    """Minimal resolution; raises BoundExceeded when require_finite is set
-    and the kernel has not vanished after max_len steps."""
+    """Minimal resolution of length at most max_len, complete when the
+    kernel of its last map vanishes.  Beyond max_len, raises BoundExceeded
+    when require_finite is set and returns the incomplete max_len-prefix
+    otherwise.
+
+    The longest resolution built for m is kept in m's cache.  A request it
+    covers (it is complete or at least max_len long) is answered from it
+    with exactly what a fresh resolution would give; a longer one resolves
+    m again and replaces it."""
+    res = m._caches.get("resolution")
+    if res is None or not (res.complete or res.length >= max_len):
+        res = m._caches["resolution"] = _resolve(m, max_len)
+    if res.complete and res.length <= max_len:
+        return res
+    if require_finite:
+        raise BoundExceeded(f"resolution exceeds bound {max_len}")
+    if res.length > max_len:
+        res = Resolution(m, res.terms[:max_len + 1], res.diffs[:max_len], res.augment, False)
+    return res
+
+
+def _resolve(m: Representation, max_len: int) -> Resolution:
+    """Minimal resolution of m up to the term P_max_len."""
     alg = m.algebra
     if m.total_dim == 0:
         empty = proj_sum(alg, ())
         return Resolution(m, (empty,), (), zero_map(empty.rep, m), True)
-    terms = []
-    diffs = []
-    p0, epi = projective_cover(m)
-    terms.append(p0)
-    augment = epi
-    current_epi = epi
-    current_term = p0
-    for k in range(max_len):
+    p0, augment = projective_cover(m)
+    terms, diffs = [p0], []
+    current_epi = augment
+    while True:
         ker_rows = {v: solve_right_kernel(current_epi.mats[v]) for v in alg.vertices}
-        ker_dim = sum(r.rows for r in ker_rows.values())
-        if ker_dim == 0:
+        if all(r.rows == 0 for r in ker_rows.values()):
             return Resolution(m, tuple(terms), tuple(diffs), augment, True)
+        if len(diffs) == max_len:
+            return Resolution(m, tuple(terms), tuple(diffs), augment, False)
         ker, ker_incl = submodule_from_rows(current_epi.source, ker_rows)
-        _assert_in_radical(current_term, ker_incl)
-        pk, cover_epi = projective_cover(ker)
-        diffs.append(cover_epi.compose(ker_incl))
+        _assert_in_radical(terms[-1], ker_incl)
+        pk, current_epi = projective_cover(ker)
+        diffs.append(current_epi.compose(ker_incl))
         terms.append(pk)
-        current_epi = cover_epi
-        current_term = pk
-    if require_finite:
-        raise BoundExceeded(f"resolution exceeds bound {max_len}")
-    return Resolution(m, tuple(terms), tuple(diffs), augment, False)
 
 
 def _assert_in_radical(psum: ProjSum, ker_incl: ModuleMap):
@@ -287,8 +304,7 @@ def ext(degree: int, m: Representation, n: Representation,
         raise InputError("ext degree must be >= 0")
     if degree + 1 > bound:
         raise BoundExceeded(f"ext degree {degree} beyond resolution bound {bound}")
-    alg = m.algebra
-    fld = alg.field
+    fld = m.algebra.field
     if resolution is None or (resolution.length < degree + 1 and not resolution.complete):
         resolution = min_resolution(m, degree + 1, require_finite=False)
     res = resolution
@@ -303,9 +319,7 @@ def ext(degree: int, m: Representation, n: Representation,
         d_next = res.diffs[degree]
         p_next = res.terms[degree + 1]
         basis_maps = hom_basis_maps(pk, n)
-        rows = [gen_coords(p_next, ModuleMap(p_next.rep, n,
-                {v: d_next.mats[v].mul(f.mats[v]) for v in alg.vertices}))
-                for f in basis_maps]
+        rows = [gen_coords(p_next, d_next.compose(f)) for f in basis_maps]
         M_next = Matrix(fld, nvars, p_next.hom_dim(n), tuple(rows))
         Z = solve_right_kernel(M_next)
     else:
@@ -315,9 +329,7 @@ def ext(degree: int, m: Representation, n: Representation,
         d_prev = res.diffs[degree - 1]
         p_prev = res.terms[degree - 1]
         prev_maps = hom_basis_maps(p_prev, n)
-        b_rows = [gen_coords(pk, ModuleMap(pk.rep, n,
-                  {v: d_prev.mats[v].mul(f.mats[v]) for v in alg.vertices}))
-                  for f in prev_maps]
+        b_rows = [gen_coords(pk, d_prev.compose(f)) for f in prev_maps]
         B = row_space(Matrix(fld, len(b_rows), nvars, tuple(b_rows)))
     else:
         B = Matrix.zeros(fld, 0, nvars)
@@ -426,9 +438,7 @@ def tor_dims_range(x: Representation, y: LeftModule, max_degree: int,
         raise InputError("tor degree must be >= 0")
     res = resolution
     if res is None or (not res.complete and res.length < max_degree + 1):
-        res = min_resolution(x, max(max_degree + 1, 1), require_finite=False)
-    if not res.complete and res.length < max_degree + 1:
-        raise BoundExceeded("resolution bound exceeded while computing Tor")
+        res = min_resolution(x, max_degree + 1, require_finite=False)
     top = min(res.length, max_degree + 1)
     spaces = [_tensor_space(res.terms[k].rep, y) for k in range(top + 1)]
     fmats = [res.diffs[k].total_matrix() for k in range(top)]

@@ -32,6 +32,17 @@ class Representation:
                 raise DimensionMismatch(f"arrow {name}: matrix shape mismatch")
         self._check_relations()
 
+    @classmethod
+    def _trusted(cls, algebra, dims, arrow_mats) -> "Representation":
+        """Build without the checks of __post_init__, for representations
+        that are valid by construction from already-checked inputs."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "algebra", algebra)
+        object.__setattr__(obj, "dims", dims)
+        object.__setattr__(obj, "arrow_mats", arrow_mats)
+        object.__setattr__(obj, "_caches", {})
+        return obj
+
     def _check_relations(self):
         alg = self.algebra
         for rel in alg.relations:
@@ -107,31 +118,40 @@ class ModuleMap:
             if lhs != rhs:
                 raise ConsistencyError(f"map is not natural at arrow {name}")
 
-    # -- algebra of maps ----------------------------------------------------
-    #
-    # Sums, scalings and composites of natural maps are natural, so these
-    # constructors skip the naturality re-check.
-
     @classmethod
     def _trusted(cls, source, target, mats) -> "ModuleMap":
+        """Build without the checks of __post_init__, for maps that are
+        natural by construction from already-checked inputs."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "source", source)
         object.__setattr__(obj, "target", target)
         object.__setattr__(obj, "mats", mats)
         return obj
 
+    # -- algebra of maps ----------------------------------------------------
+    #
+    # Sums, scalings and composites of natural maps between the same modules
+    # are natural, so these constructors check only that the modules agree.
+
     def compose(self, other: "ModuleMap") -> "ModuleMap":
         """self followed by other (diagrammatic order)."""
-        if self.target is not other.source and self.target.dims != other.source.dims:
+        if not _same_module(self.target, other.source):
             raise DimensionMismatch("composition target/source mismatch")
         return ModuleMap._trusted(self.source, other.target,
                                   {v: self.mats[v].mul(other.mats[v]) for v in self.mats})
 
+    def _check_parallel(self, other: "ModuleMap"):
+        if not (_same_module(self.source, other.source)
+                and _same_module(self.target, other.target)):
+            raise DimensionMismatch("maps have different sources or targets")
+
     def add(self, other: "ModuleMap") -> "ModuleMap":
+        self._check_parallel(other)
         return ModuleMap._trusted(self.source, self.target,
                                   {v: self.mats[v].add(other.mats[v]) for v in self.mats})
 
     def sub(self, other: "ModuleMap") -> "ModuleMap":
+        self._check_parallel(other)
         return ModuleMap._trusted(self.source, self.target,
                                   {v: self.mats[v].sub(other.mats[v]) for v in self.mats})
 
@@ -171,14 +191,23 @@ class ModuleMap:
         return f"ModuleMap({self.source.dim_vector()} -> {self.target.dim_vector()})"
 
 
+def _same_module(m: Representation, n: Representation) -> bool:
+    """The same module, as an object or by its algebra, dims and arrow matrices."""
+    return m is n or (m.algebra is n.algebra and m.dims == n.dims
+                      and m.arrow_mats == n.arrow_mats)
+
+
 def identity_map(m: Representation) -> ModuleMap:
     fld = m.algebra.field
-    return ModuleMap(m, m, {v: Matrix.identity(fld, m.dims[v]) for v in m.algebra.vertices})
+    return ModuleMap._trusted(m, m, {v: Matrix.identity(fld, m.dims[v]) for v in m.algebra.vertices})
 
 
 def zero_map(m: Representation, n: Representation) -> ModuleMap:
+    if m.algebra is not n.algebra:
+        raise InputError("module map between different algebras")
     fld = m.algebra.field
-    return ModuleMap(m, n, {v: Matrix.zeros(fld, m.dims[v], n.dims[v]) for v in m.algebra.vertices})
+    return ModuleMap._trusted(m, n, {v: Matrix.zeros(fld, m.dims[v], n.dims[v])
+                                     for v in m.algebra.vertices})
 
 
 # -- hom spaces ----------------------------------------------------------------
@@ -250,7 +279,7 @@ def _unflatten_map(m: Representation, n: Representation, flat) -> ModuleMap:
             rows.append(tuple(flat[pos:pos + c]))
             pos += c
         mats[v] = Matrix(fld, r, c, tuple(rows))
-    return ModuleMap(m, n, mats)
+    return ModuleMap._trusted(m, n, mats)
 
 
 def hom_space(m: Representation, n: Representation) -> HomSpace:
@@ -318,8 +347,10 @@ def submodule_from_rows(m: Representation, rows_per_vertex: dict):
         if x is None:
             raise ConsistencyError("rows do not span an action-stable subspace")
         mats[name] = x
-    sub = Representation(alg, dims, mats)
-    incl = ModuleMap(sub, m, {v: basis[v] for v in alg.vertices})
+    # each arrow matrix solves basis[s] * A = x * basis[t] exactly, so the
+    # subspace is a submodule and the inclusion is natural
+    sub = Representation._trusted(alg, dims, mats)
+    incl = ModuleMap._trusted(sub, m, {v: basis[v] for v in alg.vertices})
     return sub, incl
 
 
@@ -340,13 +371,14 @@ def image(f: ModuleMap):
         if x is None:
             raise ConsistencyError("image projection failed")
         proj_mats[v] = x
-    proj = ModuleMap(f.source, img, proj_mats)
+    # proj then the injective incl is the natural f, so proj is natural
+    proj = ModuleMap._trusted(f.source, img, proj_mats)
     return img, incl, proj
 
 
 def quotient(m: Representation, sub_incl: ModuleMap):
     """(m/sub, projection).  sub_incl must be an injective map into m."""
-    if sub_incl.target is not m and sub_incl.target.dims != m.dims:
+    if not _same_module(sub_incl.target, m):
         raise InputError("quotient: inclusion does not land in the module")
     if not sub_incl.is_injective():
         raise InputError("quotient by a non-injective map")
@@ -360,8 +392,10 @@ def quotient(m: Representation, sub_incl: ModuleMap):
     mats = {}
     for name, s, t in alg.quiver.arrows:
         mats[name] = sections[s].mul(m.arrow_mats[name]).mul(projs[t])
-    q = Representation(alg, dims, mats)
-    proj_map = ModuleMap(m, q, {v: projs[v] for v in alg.vertices})
+    # the image of a natural injective map into m is a submodule, so the
+    # action descends to the quotient and the projection is natural
+    q = Representation._trusted(alg, dims, mats)
+    proj_map = ModuleMap._trusted(m, q, {v: projs[v] for v in alg.vertices})
     return q, proj_map
 
 
@@ -382,6 +416,8 @@ def direct_sum_with_maps(summands):
     if not summands:
         raise InputError("direct_sum of nothing (pass a zero module explicitly)")
     alg = summands[0].algebra
+    if any(s.algebra is not alg for s in summands):
+        raise InputError("direct_sum across different algebras")
     fld = alg.field
     dims = {v: sum(s.dims[v] for s in summands) for v in alg.vertices}
     off = {v: [] for v in alg.vertices}
@@ -399,7 +435,7 @@ def direct_sum_with_maps(summands):
                 for j in range(m.cols):
                     out[off[s][k] + i][off[t][k] + j] = m.entries[i][j]
         mats[name] = Matrix(fld, dims[s], dims[t], tuple(tuple(r) for r in out))
-    total = Representation(alg, dims, mats)
+    total = Representation._trusted(alg, dims, mats)
     incls, projs = [], []
     for k, summand in enumerate(summands):
         imats, pmats = {}, {}
@@ -411,8 +447,8 @@ def direct_sum_with_maps(summands):
                 prj[off[v][k] + i][i] = fld.one()
             imats[v] = Matrix(fld, summand.dims[v], dims[v], tuple(tuple(r) for r in inc))
             pmats[v] = Matrix(fld, dims[v], summand.dims[v], tuple(tuple(r) for r in prj))
-        incls.append(ModuleMap(summand, total, imats))
-        projs.append(ModuleMap(total, summand, pmats))
+        incls.append(ModuleMap._trusted(summand, total, imats))
+        projs.append(ModuleMap._trusted(total, summand, pmats))
     return total, incls, projs
 
 

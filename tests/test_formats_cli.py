@@ -200,9 +200,10 @@ def test_cli_reflect(capsys):
 
 
 def test_cli_resolve_uses_shared_resolution_bound(capsys):
-    # S2 has projective dimension 1: its second kernel vanishes, which a
-    # bound of 2 steps sees and a bound of 0 does not
+    # S2 has projective dimension 1: a bound of 1 step certifies it, a
+    # bound of 0 does not
     assert main(["resolve", "--max-resolution", "0", ALG, S2]) == 3
+    assert main(["resolve", "--max-resolution", "1", ALG, S2]) == 0
     assert main(["resolve", "--max-resolution", "2", ALG, S2]) == 0
 
 

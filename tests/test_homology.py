@@ -81,6 +81,82 @@ def test_proj_dims(cycle2, triple3):
     assert [proj_dim(simple(triple3, v)) for v in triple3.vertices] == [2, 3, 4]
 
 
+def test_proj_dim_equal_to_the_bound_is_found(cycle2, triple3):
+    """A bound of d certifies projective dimension d: the kernel at the
+    last term is checked before giving up."""
+    assert proj_dim(simple(cycle2, "2"), 1) == 1
+    assert proj_dim(simple(cycle2, "1"), 1) is None
+    assert proj_dim(simple(cycle2, "1"), 2) == 2
+    assert proj_dim(projective(cycle2, "2"), 0) == 0
+    assert proj_dim(simple(triple3, "3"), 3) is None
+    assert proj_dim(simple(triple3, "3"), 4) == 4
+
+
+def _prefix_key(res, L):
+    """What a resolution bounded by L must equal: the L-prefix of res."""
+    n = min(L, res.length)
+    return (n, res.complete and res.length <= L, tuple(t.gens for t in res.terms[:n + 1]),
+            tuple(d.mats for d in res.diffs[:n]), res.augment.mats)
+
+
+def _resolution_key(res):
+    return _prefix_key(res, res.length)
+
+
+def _fixture_simples_and_injectives(all_algebras):
+    for name, alg in all_algebras.items():
+        for v in alg.vertices:
+            yield f"{name}/S{v}", lambda alg=alg, v=v: simple(alg, v)
+            yield f"{name}/I{v}", lambda alg=alg, v=v: injective(alg, v)
+
+
+def test_bounded_resolution_is_a_prefix_of_a_longer_one(all_algebras):
+    """min_resolution(m, L) equals the L-prefix of a longer resolution,
+    computed fresh and served from the module's cache alike."""
+    for name, make in _fixture_simples_and_injectives(all_algebras):
+        long = min_resolution(make(), 8, require_finite=False)
+        assert long.complete, name
+        for L in range(6):
+            fresh = min_resolution(make(), L, require_finite=False)
+            served = min_resolution(long.module, L, require_finite=False)
+            assert _resolution_key(fresh) == _prefix_key(long, L), (name, L)
+            assert _resolution_key(served) == _prefix_key(long, L), (name, L)
+
+
+def test_module_is_resolved_once(cycle2, monkeypatch):
+    """proj_dim then ext_dim on one module builds one resolution: one
+    projective cover per term."""
+    import quivertilt.homology as homology
+    covers = []
+    real_cover = homology.projective_cover
+
+    def counting(m):
+        covers.append(m)
+        return real_cover(m)
+
+    monkeypatch.setattr(homology, "projective_cover", counting)
+    t = direct_sum([simple(cycle2, "2"), projective(cycle2, "2")])
+    assert proj_dim(t) == 1
+    assert ext_dim(1, t, t) == 0
+    assert len(covers) == len(min_resolution(t).terms) == 2
+
+
+def test_cached_resolution_answers_shorter_and_longer_requests(triple3):
+    m = simple(triple3, "3")
+    full = min_resolution(m)
+    assert full.length == 4 and min_resolution(m, 4) is full
+    short = min_resolution(m, 2, require_finite=False)
+    assert not short.complete
+    assert _resolution_key(short) == _resolution_key(
+        min_resolution(simple(triple3, "3"), 2, require_finite=False))
+    with pytest.raises(BoundExceeded):
+        min_resolution(m, 3)
+    # a longer request than the cached one resolves again
+    m2 = simple(triple3, "3")
+    assert min_resolution(m2, 1, require_finite=False).length == 1
+    assert _resolution_key(min_resolution(m2)) == _resolution_key(full)
+
+
 # -- ext --------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 import pytest
 
-from quivertilt import InputError, injective, projective, regular_module, simple
+from quivertilt import (DimensionMismatch, InputError, injective, projective,
+                        regular_module, simple)
 from quivertilt.modules import (cokernel, decompose, direct_sum,
                                 direct_sum_with_maps, hom_space, identity_map,
                                 image, in_add_of, is_isomorphic, kernel,
@@ -75,6 +76,28 @@ def test_quotient_requires_injective(cycle2):
     m = projective(cycle2, "2")
     with pytest.raises(InputError):
         quotient(m, zero_map(m, m))
+
+
+def test_quotient_rejects_inclusion_into_another_module(a2):
+    """S1 -> S1+S2 has the dimensions of a map into P1 but lands elsewhere."""
+    _, (s1_incl, _), _ = direct_sum_with_maps([simple(a2, "1"), simple(a2, "2")])
+    with pytest.raises(InputError):
+        quotient(projective(a2, "1"), s1_incl)
+
+
+def test_map_arithmetic_requires_matching_modules(a2):
+    """S1+S2 and P1 have equal dimensions but are different modules, so
+    their identities neither compose nor add; equal modules built twice do."""
+    f = identity_map(direct_sum([simple(a2, "1"), simple(a2, "2")]))
+    g = identity_map(projective(a2, "1"))
+    with pytest.raises(DimensionMismatch):
+        f.compose(g)
+    with pytest.raises(DimensionMismatch):
+        f.add(g)
+    with pytest.raises(DimensionMismatch):
+        f.sub(g)
+    h = identity_map(projective(a2, "1"))
+    assert g.compose(h).mats == g.add(h).sub(g).mats == g.mats
 
 
 def test_trace_of_s2_in_p2_is_socle(cycle2):

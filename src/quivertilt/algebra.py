@@ -49,7 +49,7 @@ class RelationPoly:
 
     terms: tuple  # of (coefficient, tuple_of_arrow_names)
 
-    def validate(self, quiver: Quiver, fld: FieldSpec):
+    def validate(self, quiver: Quiver):
         if not self.terms:
             raise InputError("empty relation")
         amap = quiver.arrow_map()
@@ -137,7 +137,7 @@ def build_algebra(quiver: Quiver, relations, fld: FieldSpec, max_path_len: int =
     """
     relations = tuple(relations)
     for r in relations:
-        r.validate(quiver, fld)
+        r.validate(quiver)
     amap = quiver.arrow_map()
     arrow_index = {a[0]: i for i, a in enumerate(quiver.arrows)}
     src_index = {v: i for i, v in enumerate(quiver.vertices)}

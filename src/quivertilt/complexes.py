@@ -362,7 +362,7 @@ class DerivedHomSpace:
         Z = self._data["Z"]
         proj = self._data["proj"]
         layout = self._data["layout"]
-        flat = _flatten_chain(f, self._data["sy"], layout)
+        flat = _flatten_chain(f, layout)
         fld = Z.field
         c = Matrix(fld, 1, Z.cols, (flat,))
         yv, _ = solve_linear_system(Z, c)
@@ -378,7 +378,7 @@ class DerivedHomSpace:
         return out
 
 
-def _flatten_chain(f: ChainMap, sy: PerfectComplex, layout) -> tuple:
+def _flatten_chain(f: ChainMap, layout) -> tuple:
     out = []
     for (i, vdim) in layout:
         psum = f.source.terms[i]

@@ -436,6 +436,8 @@ def tor_dims_range(x: Representation, y: LeftModule, max_degree: int,
     """(dim Tor_0, ..., dim Tor_max_degree) from a single resolution pass."""
     if max_degree < 0:
         raise InputError("tor degree must be >= 0")
+    if max_degree + 1 > bound:
+        raise BoundExceeded(f"tor degree {max_degree} beyond resolution bound {bound}")
     res = resolution
     if res is None or (not res.complete and res.length < max_degree + 1):
         res = min_resolution(x, max_degree + 1, require_finite=False)
@@ -572,7 +574,7 @@ def _resolution_power(res: Resolution, k: int) -> Resolution:
     for copy in range(k):
         for j, (v, row_idx) in enumerate(res.terms[0].gen_pos):
             row = res.augment.mats[v].entries[row_idx]
-            aug_images.append(_embed_module_block(res.module, msum, copy, k, v, row))
+            aug_images.append(_embed_module_block(res.module, msum, copy, v, row))
     augment = hom_from_gens(terms[0], msum, aug_images)
     return Resolution(msum, tuple(terms), tuple(diffs), augment, res.complete)
 
@@ -591,7 +593,7 @@ def _embed_block(tgt_single: ProjSum, tgt_new: ProjSum, copy: int, v, row):
     return tuple(out)
 
 
-def _embed_module_block(single: Representation, total: Representation, copy: int, k: int, v, row):
+def _embed_module_block(single: Representation, total: Representation, copy: int, v, row):
     fld = single.algebra.field
     out = [fld.zero()] * total.dims[v]
     off = single.dims[v] * copy
@@ -600,7 +602,7 @@ def _embed_module_block(single: Representation, total: Representation, copy: int
     return tuple(out)
 
 
-def universal_extension(m: Representation, x: Representation, seed: int = 0,
+def universal_extension(m: Representation, x: Representation,
                         bound: int = DEFAULT_RESOLUTION_BOUND):
     """Universal extension 0 -> x -> N -> m^k -> 0 killing Ext^1(m, x).
 

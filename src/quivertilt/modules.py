@@ -555,9 +555,12 @@ def _fitting_split(m: Representation, f: ModuleMap):
     while steps < n:
         power = power.compose(power)
         steps *= 2
-    ker_rep, ker_incl = kernel(power)
-    if ker_rep.total_dim == 0 or ker_rep.total_dim == m.total_dim:
+    # a unit or a nilpotent f fails here, before any submodule is built
+    rows = {v: solve_right_kernel(power.mats[v]) for v in m.algebra.vertices}
+    ker_dim = sum(r.rows for r in rows.values())
+    if ker_dim == 0 or ker_dim == n:
         return None
+    ker_rep, ker_incl = submodule_from_rows(m, rows)
     img_rep, img_incl, _ = image(power)
     if ker_rep.total_dim + img_rep.total_dim != m.total_dim:
         return None
@@ -585,6 +588,12 @@ def _split_projection(m: Representation, part_incl: ModuleMap, other_incl: Modul
     return ModuleMap(m, part_incl.source, mats)
 
 
+def _trace_form_valid(m: Representation) -> bool:
+    """Dickson's trace form computes rad End(m) when p = 0 or p > dim m."""
+    fld = m.algebra.field
+    return fld.kind != "prime-field" or fld.characteristic > m.total_dim
+
+
 def _endo_radical_dim(m: Representation, hs: HomSpace) -> int:
     """dim of End(m)/rad End(m) via the trace form (Dickson).
 
@@ -593,7 +602,7 @@ def _endo_radical_dim(m: Representation, hs: HomSpace) -> int:
     """
     fld = m.algebra.field
     n = m.total_dim
-    if fld.kind == "prime-field" and fld.characteristic <= n:
+    if not _trace_form_valid(m):
         raise InputError(
             f"endomorphism radical over GF({fld.characteristic}) with module dimension {n} "
             "is outside the supported range (need p > dim)")
@@ -613,11 +622,10 @@ def _endo_radical_dim(m: Representation, hs: HomSpace) -> int:
     return hs.dim - rad_dim
 
 
-def _fitting_candidates(hs: HomSpace, seed: int):
-    """Endomorphisms to try as Fitting splitters, built one at a time: the
-    Hom basis, sums and differences of pairs among its first eight
-    elements, then 48 random combinations drawn from Random(seed)."""
-    yield from hs.basis
+def _further_candidates(hs: HomSpace, seed: int):
+    """Endomorphisms to try as Fitting splitters after the Hom basis, built
+    one at a time: sums and differences of pairs among the first eight
+    basis elements, then 48 random combinations drawn from Random(seed)."""
     for a, b in itertools.combinations(range(min(hs.dim, 8)), 2):
         yield hs.basis[a].add(hs.basis[b])
         yield hs.basis[a].sub(hs.basis[b])
@@ -631,40 +639,58 @@ def _fitting_candidates(hs: HomSpace, seed: int):
         yield hs.combo([fld.coerce(sample()) for _ in range(hs.dim)])
 
 
+def _first_split(m: Representation, candidates):
+    for f in candidates:
+        split = _fitting_split(m, f)
+        if split is not None:
+            return split
+    return None
+
+
 def indecomposable_summands(m: Representation, seed: int = 0):
     """Full list of indecomposable direct summands, each with a split pair
     (factor, inclusion, projection) satisfying incl then proj = identity.
 
-    A module with dim End = 1 (a brick) has End = K, a local ring, so it is
-    certified indecomposable in every characteristic before any search.
-    Any other module is split along the first Fitting decomposition found
-    among the candidate endomorphisms; when none splits, it is certified
-    indecomposable by dim End/rad = 1, computed with the trace form, which
-    needs p = 0 or p > dim.
+    The steps, in order:
+
+    1. A module with dim End = 1 (a brick) has End = K, a local ring, so it
+       is certified indecomposable in every characteristic before any
+       search.
+    2. Each Hom basis element is tried as a Fitting splitter; the first
+       that splits m = ker(f^N) ⊕ im(f^N) wins.
+    3. When none does and the trace form applies (p = 0 or p > dim), a
+       module with dim End/rad = 1 has a local End ring, whose elements are
+       all units or nilpotent, so no further candidate could split: it is
+       certified indecomposable here.
+    4. Otherwise the remaining candidates (pair sums and differences, then
+       random combinations) are tried in order. When none splits, p > dim
+       means End/rad is known to be larger than K and ConsistencyError is
+       raised; p <= dim raises InputError from the trace form.
     """
     if m.total_dim == 0:
         return []
     hs = hom_space(m, m)
     if hs.dim == 1:
         return [(m, identity_map(m), identity_map(m))]
-    for f in _fitting_candidates(hs, seed):
-        split = _fitting_split(m, f)
-        if split is None:
-            continue
-        k_incl, i_incl = split
-        k_proj = _split_projection(m, k_incl, i_incl)
-        i_proj = _split_projection(m, i_incl, k_incl)
-        out = []
-        for part_incl, part_proj in ((k_incl, k_proj), (i_incl, i_proj)):
-            for fac, sub_incl, sub_proj in indecomposable_summands(part_incl.source, seed):
-                out.append((fac, sub_incl.compose(part_incl), part_proj.compose(sub_proj)))
-        return out
-
-    if _endo_radical_dim(m, hs) == 1:
+    split = _first_split(m, hs.basis)
+    if split is None and _trace_form_valid(m) and _endo_radical_dim(m, hs) == 1:
         return [(m, identity_map(m), identity_map(m))]
-    raise ConsistencyError(
-        "could not certify indecomposability: End/rad has dimension > 1 "
-        "but no Fitting split was found")
+    if split is None:
+        split = _first_split(m, _further_candidates(hs, seed))
+    if split is None:
+        if not _trace_form_valid(m):
+            _endo_radical_dim(m, hs)  # p <= dim: the trace form raises InputError
+        raise ConsistencyError(
+            "could not certify indecomposability: End/rad has dimension > 1 "
+            "but no Fitting split was found")
+    k_incl, i_incl = split
+    k_proj = _split_projection(m, k_incl, i_incl)
+    i_proj = _split_projection(m, i_incl, k_incl)
+    out = []
+    for part_incl, part_proj in ((k_incl, k_proj), (i_incl, i_proj)):
+        for fac, sub_incl, sub_proj in indecomposable_summands(part_incl.source, seed):
+            out.append((fac, sub_incl.compose(part_incl), part_proj.compose(sub_proj)))
+    return out
 
 
 def decompose(m: Representation, seed: int = 0):

@@ -264,12 +264,22 @@ def end_ring_presentation(m: Representation, eta: ModuleMap) -> RingPresentation
     ends = hom_space(m, m)
     if m.total_dim and ends.dim == 0:
         raise ConsistencyError("endomorphism ring of a nonzero module is zero")
-    mult = {}
-    for i, fi in enumerate(ends.basis):
-        for j, fj in enumerate(ends.basis):
-            mult[(i, j)] = ends.coords(fj.compose(fi))
-    unit = ends.coords(identity_map(m)) if m.total_dim else ()
-    ring = SCRing(fld, ends.dim, tuple(f"f{k}" for k in range(ends.dim)), mult, unit)
+    d = ends.dim
+    mult, unit = {}, ()
+    if d:
+        # coordinates of every product f_j∘f_i and of the identity, from one
+        # elimination of the flattened basis
+        width = len(_flatten_map(ends.basis[0]))
+        basis_m = Matrix(fld, d, width, tuple(_flatten_map(b) for b in ends.basis))
+        maps = [fj.compose(fi) for fi in ends.basis for fj in ends.basis] + [identity_map(m)]
+        x, _ = solve_linear_system(
+            basis_m, Matrix(fld, len(maps), width, tuple(_flatten_map(f) for f in maps)))
+        if x is None:
+            raise ConsistencyError("map does not lie in the hom space")
+        mult = {(i, j): x.entries[i * d + j] for i in range(d) for j in range(d)}
+        unit = x.entries[-1]
+    # composition of module maps is associative and unital
+    ring = SCRing._trusted(fld, d, tuple(f"f{k}" for k in range(d)), mult, unit)
     # lambda on the algebra basis
     r = eta.source
     rows = [_flatten_map(eta.compose(b)) for b in ends.basis]

@@ -49,6 +49,19 @@ class SCRing:
                     if left != right:
                         raise ConsistencyError("ring structure constants not associative")
 
+    @classmethod
+    def _trusted(cls, field, dim, labels, mult, unit) -> "SCRing":
+        """Build without the checks of __post_init__, for rings that are
+        associative and unital by construction, such as a ring of module
+        maps under composition."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "field", field)
+        object.__setattr__(obj, "dim", dim)
+        object.__setattr__(obj, "labels", labels)
+        object.__setattr__(obj, "mult", mult)
+        object.__setattr__(obj, "unit", unit)
+        return obj
+
     def product(self, u: tuple, w: tuple) -> tuple:
         fld = self.field
         out = [fld.zero()] * self.dim
@@ -243,7 +256,7 @@ def sc_cover_by_free(m: SCRightModule):
     return free, cover, gens
 
 
-def sc_kernel_module(m: SCRightModule, f: Matrix, target: SCRightModule):
+def sc_kernel_module(m: SCRightModule, f: Matrix):
     """(kernel module, inclusion rows) of a module map given by a matrix f
     with x*f equivariant for the actions."""
     ker = solve_right_kernel(f)
@@ -321,7 +334,7 @@ def sc_free_resolution(x: SCRightModule, max_len: int):
         free, cover, _ = sc_cover_by_free(current)
         terms.append(free)
         diffs.append(None if k == 0 else cover.mul(incl_to_prev_free))
-        kmod, krows = sc_kernel_module(free, cover, current)
+        kmod, krows = sc_kernel_module(free, cover)
         if kmod.dim == 0:
             conclusive = True
             break

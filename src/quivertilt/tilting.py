@@ -306,7 +306,7 @@ def bongartz_complement(m: Representation, seed: int = 0,
     if e1:
         raise InputError(f"Bongartz complement needs Ext^1(M, M) = 0, got dim {e1}")
     r = regular_module(m.algebra)
-    n_mod, ses = universal_extension(m, r, seed, bound)
+    n_mod, ses = universal_extension(m, r, bound)
     cert = tilting_module_check(direct_sum([n_mod, m]), seed, bound)
     if isinstance(cert, TiltingFailure):
         raise ConsistencyError(f"N ⊕ M failed tilting certification: {cert.reasons}")

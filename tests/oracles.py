@@ -6,8 +6,10 @@ implementation they check.  The exceptions are
 reference_quotient_projection, the per-coordinate reduction loop that
 quotient_basis replaced with a closed form, which uses the field's element
 operations, reference_left_approximation, a direct search built on the
-library's Hom solver, and reference_triangle, the direct block assembly of
-a triangle that triangle_from_map replaced with a shifted mapping cone.
+library's Hom solver, reference_triangle, the direct block assembly of
+a triangle that triangle_from_map replaced with a shifted mapping cone, and
+reference_summands, the Fitting search that runs every candidate before it
+asks the trace form whether End is local.
 """
 
 from fractions import Fraction
@@ -366,3 +368,72 @@ def reference_triangle(alpha):
                                         [t2.term_rep(n), t1.term_rep(n)], [t2.term_rep(n)])
                             for n in T.terms if n in t2.terms})
     return T, incl, proj
+
+
+def reference_summands(m, seed=0):
+    """Indecomposable summands (factor, inclusion, projection) by the plain
+    Fitting search: the Hom basis, sums and differences of pairs among its
+    first eight elements, then 48 combinations drawn from Random(seed),
+    each splitting m = ker(f^N) ⊕ im(f^N) through the library's kernel and
+    image; only when none splits is dim End/rad = 1 asked of the trace form.
+
+    It uses the library's Hom solver, kernel, image and trace form; what it
+    checks is that certifying a local End ring early, and rejecting units
+    and nilpotents before any submodule is built, change no split.
+    """
+    import itertools
+    import random
+    from quivertilt.errors import ConsistencyError
+    from quivertilt.linalg import rank
+    from quivertilt.modules import (_endo_radical_dim, _split_projection, hom_space,
+                                    identity_map, image, kernel)
+
+    def fitting_split(f):
+        n = m.total_dim
+        power, steps = f, 1
+        while steps < n:
+            power, steps = power.compose(power), steps * 2
+        ker_rep, ker_incl = kernel(power)
+        if ker_rep.total_dim in (0, n):
+            return None
+        img_rep, img_incl, _ = image(power)
+        if ker_rep.total_dim + img_rep.total_dim != n:
+            return None
+        for v in m.algebra.vertices:
+            if rank(ker_incl.mats[v].vstack(img_incl.mats[v])) != m.dims[v]:
+                return None
+        return ker_incl, img_incl
+
+    def candidates(hs):
+        yield from hs.basis
+        for a, b in itertools.combinations(range(min(hs.dim, 8)), 2):
+            yield hs.basis[a].add(hs.basis[b])
+            yield hs.basis[a].sub(hs.basis[b])
+        rng = random.Random(seed)
+        fld = m.algebra.field
+        if fld.kind == "prime-field":
+            sample = lambda: rng.randrange(fld.characteristic)
+        else:
+            sample = lambda: rng.randint(-3, 3)
+        for _ in range(48):
+            yield hs.combo([fld.coerce(sample()) for _ in range(hs.dim)])
+
+    if m.total_dim == 0:
+        return []
+    hs = hom_space(m, m)
+    if hs.dim == 1:
+        return [(m, identity_map(m), identity_map(m))]
+    for f in candidates(hs):
+        split = fitting_split(f)
+        if split is None:
+            continue
+        k_incl, i_incl = split
+        out = []
+        for part_incl, other_incl in ((k_incl, i_incl), (i_incl, k_incl)):
+            part_proj = _split_projection(m, part_incl, other_incl)
+            for fac, sub_incl, sub_proj in reference_summands(part_incl.source, seed):
+                out.append((fac, sub_incl.compose(part_incl), part_proj.compose(sub_proj)))
+        return out
+    if _endo_radical_dim(m, hs) == 1:
+        return [(m, identity_map(m), identity_map(m))]
+    raise ConsistencyError("no Fitting split found and End/rad has dimension > 1")

@@ -98,13 +98,13 @@ def test_relation_validation():
     q = Quiver(("1", "2"), (("a", "1", "2"), ("b", "2", "1")))
     with pytest.raises(InputError):
         # length-1 term is not admissible
-        RelationPoly(((1, ("a",)),)).validate(q, QQ)
+        RelationPoly(((1, ("a",)),)).validate(q)
     with pytest.raises(InputError):
         # non-composable word
-        RelationPoly(((1, ("a", "a")),)).validate(q, QQ)
+        RelationPoly(((1, ("a", "a")),)).validate(q)
     with pytest.raises(InputError):
         # non-parallel terms
-        RelationPoly(((1, ("a", "b")), (1, ("b", "a")))).validate(q, QQ)
+        RelationPoly(((1, ("a", "b")), (1, ("b", "a")))).validate(q)
 
 
 def test_composition_convention_is_forced(cycle2):

@@ -157,6 +157,18 @@ def test_cached_resolution_answers_shorter_and_longer_requests(triple3):
     assert _resolution_key(min_resolution(m2)) == _resolution_key(full)
 
 
+def test_tor_respects_the_resolution_bound(triple3):
+    s3, left = simple(triple3, "3"), left_regular_module(triple3)
+    with pytest.raises(BoundExceeded):
+        ext_dim(3, s3, s3, bound=1)
+    with pytest.raises(BoundExceeded):
+        tor_dims_range(s3, left, 5, bound=1)
+    with pytest.raises(BoundExceeded):
+        tor_dim(3, s3, left, bound=3)
+    assert tor_dims_range(s3, left, 5, bound=6) == tor_dims_range(s3, left, 5)
+    assert tor_dim(3, s3, left, bound=4) == tor_dims_range(s3, left, 3)[3]
+
+
 # -- ext --------------------------------------------------------------------
 
 

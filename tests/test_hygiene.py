@@ -1,7 +1,9 @@
-"""Source hygiene: every name a package module imports is used in it.
+"""Source hygiene: every name a package module imports is used in it, and
+every parameter of a package function is read in its body.
 
 Checked with the standard-library ``ast`` module only.  ``__init__.py`` is
-exempt, because its imports are the package's re-exports.
+exempt from the import check, because its imports are the package's
+re-exports.
 """
 
 import ast
@@ -29,6 +31,33 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def unused_parameters(source: str) -> list:
+    """(line, function, parameter) of each parameter of a function or lambda
+    that its body never reads.  A read inside a nested function counts, and
+    a zero-argument ``super()`` reads the first parameter, which Python
+    passes to it implicitly."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = set()
+        for stmt in body:
+            for sub in ast.walk(stmt):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    read.add(sub.id)
+                elif (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                      and sub.func.id == "super" and not sub.args and params):
+                    read.add(params[0])
+        name = getattr(node, "name", "<lambda>")
+        found.extend((node.lineno, name, p) for p in params if p not in read)
+    return sorted(found)
+
+
 def test_unused_import_detector_sees_plain_and_aliased_names():
     src = ("import os\nfrom a import b, c as d\nfrom e import f\n"
            "def g():\n    from h import i\n    return f(os.sep)\n")
@@ -43,3 +72,19 @@ def test_no_unused_imports_in_package_modules():
         for line, name in unused_imports(path.read_text()):
             found.append(f"{path.name}:{line}: {name}")
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_unused_parameter_detector_sees_every_kind_of_parameter():
+    src = ("def f(a, b, *c, d=1, **e):\n    return a + d\n"
+           "class K:\n    def __init__(self, **kw):\n        super().__init__(**kw)\n"
+           "    def g(self, x):\n        return lambda y, z: x + y\n")
+    assert unused_parameters(src) == [(1, "f", "b"), (1, "f", "c"), (1, "f", "e"),
+                                      (6, "g", "self"), (7, "<lambda>", "z")]
+
+
+def test_no_unused_parameters_in_package_functions():
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for line, func, name in unused_parameters(path.read_text()):
+            found.append(f"{path.name}:{line}: {func}({name})")
+    assert not found, "unused parameters:\n" + "\n".join(found)

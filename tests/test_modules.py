@@ -1,12 +1,13 @@
 import pytest
 
-from quivertilt import (DimensionMismatch, InputError, injective, projective,
-                        regular_module, simple)
+from quivertilt import (GF, QQ, DimensionMismatch, InputError, injective,
+                        projective, regular_module, simple)
+from quivertilt.formats import fixture_algebra
 from quivertilt.modules import (cokernel, decompose, direct_sum,
                                 direct_sum_with_maps, hom_space, identity_map,
-                                image, in_add_of, is_isomorphic, kernel,
-                                quotient, radical, socle, top, trace_submodule,
-                                zero_map)
+                                image, in_add_of, indecomposable_summands,
+                                is_isomorphic, kernel, quotient, radical, socle,
+                                top, trace_submodule, zero_map)
 
 
 def test_hom_s2_p2(cycle2):
@@ -200,6 +201,35 @@ def test_decompose_roundtrip(all_algebras):
 def test_indecomposable_has_trivial_decomposition(cycle2):
     dec = decompose(projective(cycle2, "2"))
     assert len(dec) == 1 and dec[0][1] == 1
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "GF101"])
+@pytest.mark.parametrize("name, vertex", [("cycle2", "2"), ("triple3", "1"), ("triple3", "2")])
+def test_local_module_is_certified_after_the_basis_candidates(monkeypatch, name, vertex, field):
+    import quivertilt.modules as modules
+    m = projective(fixture_algebra(name, None if field == QQ else field), vertex)
+    end_dim = hom_space(m, m).dim
+    assert end_dim == 2
+    tried = []
+    real = modules._fitting_split
+
+    def counting(mod, f):
+        tried.append(f)
+        return real(mod, f)
+
+    monkeypatch.setattr(modules, "_fitting_split", counting)
+    [(fac, incl, proj)] = indecomposable_summands(m)
+    assert len(tried) <= end_dim
+    assert fac is m and incl.mats == proj.mats == identity_map(m).mats
+
+
+def test_local_module_over_a_small_prime_still_needs_the_trace_form():
+    # p = 2 <= dim P2 = 3: the trace form cannot certify End local, and no
+    # candidate splits a local module, so the search ends in InputError
+    m = projective(fixture_algebra("cycle2", GF(2)), "2")
+    assert hom_space(m, m).dim == 2
+    with pytest.raises(InputError):
+        indecomposable_summands(m)
 
 
 def test_in_add_of(cycle2):

@@ -1,10 +1,10 @@
-"""Modules and maps the library derives from checked inputs are built with
-``_trusted`` and skip the checks of ``__post_init__``.  Building every one
-of them through the validating constructors instead must give the same
-verdicts: a trusted site that produced an invalid module or map would
-raise here."""
+"""Modules, maps and endomorphism rings the library derives from checked
+inputs are built with ``_trusted`` and skip the checks of
+``__post_init__``.  Building every one of them through the validating
+constructors instead must give the same verdicts: a trusted site that
+produced an invalid module, map or ring would raise here."""
 
-from quivertilt import (GF, QQ, ModuleMap, Representation, TiltingCertificate,
+from quivertilt import (GF, QQ, ModuleMap, Representation, SCRing, TiltingCertificate,
                         bongartz_complement, direct_sum, injective,
                         recollement_report, regular_module, run_example,
                         simple, tilting_module_check)
@@ -50,7 +50,13 @@ def test_trusted_sites_pass_the_full_checks(monkeypatch):
         built.append(cls)
         return ModuleMap(source, target, mats)
 
+    def validating_ring(cls, field, dim, labels, mult, unit):
+        built.append(cls)
+        return SCRing(field, dim, labels, mult, unit)
+
     monkeypatch.setattr(Representation, "_trusted", classmethod(validating_rep))
     monkeypatch.setattr(ModuleMap, "_trusted", classmethod(validating_map))
+    monkeypatch.setattr(SCRing, "_trusted", classmethod(validating_ring))
     assert _verdicts() == expected
     assert built.count(Representation) > 1000 and built.count(ModuleMap) > 1000
+    assert built.count(SCRing) >= 8

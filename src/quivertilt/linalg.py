@@ -6,13 +6,20 @@ matrix whose rows span it.  Consequently the kernel of a matrix ``m`` is
 ``{v : v*m = 0}`` and solving ``x*a = b`` treats the rows of ``b`` as
 right-hand sides.
 
-No floating point anywhere: rationals are ``fractions.Fraction``, prime
-field elements are ints in ``[0, p)``, and ``FieldSpec.coerce`` rejects
-floats.
+No floating point anywhere.  A rational has one canonical form: an ``int``
+when it is integral and a ``fractions.Fraction`` with denominator > 1
+otherwise, so integer matrices are eliminated in int arithmetic.  Since
+``n == Fraction(n)``, ``hash(n) == hash(Fraction(n))`` and
+``str(n) == str(Fraction(n))``, the form shows in no equality, hash or
+text.  Prime field elements are ints in ``[0, p)``.  ``FieldSpec.coerce``
+rejects floats, and the only division is ``FieldSpec.inv``, which builds
+the inverse from numerator and denominator; no ``/`` operator is used, so
+no arithmetic here can produce a float.
 
 Row operations are specialised per field: each elimination and each matrix
 product picks its arithmetic once from the field (one ``% p`` per entry
-over GF(p), plain Fraction arithmetic over Q) and touches only the nonzero
+over GF(p); over Q, an integral Fraction result is turned back into an
+int, and int arithmetic needs no check) and touches only the nonzero
 entries of the rows it combines, instead of dispatching every element
 operation through ``FieldSpec``.  Only ``solve_right_kernel`` and
 ``solve_linear_system`` (and what is built on them) carry the transform
@@ -39,13 +46,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# Fractions are immutable, so every rational zero and one can be these.
-_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
+def _q(x):
+    """Canonical form of a rational: the int when x is integral."""
+    return x.numerator if x.__class__ is Fraction and x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Ground field: the rationals (characteristic 0) or F_p, p prime < 2**31."""
+    """Ground field: the rationals (characteristic 0) or F_p, p prime < 2**31.
+
+    Elements are ints in [0, p) over F_p.  Over Q an element is an int when
+    it is integral and a ``Fraction`` with denominator > 1 otherwise; every
+    operation here takes and returns that canonical form."""
 
     kind: str = "rationals"
     characteristic: int = 0
@@ -63,11 +75,13 @@ class FieldSpec:
 
     # -- element operations ------------------------------------------------
 
-    def zero(self):
-        return 0 if self.kind == "prime-field" else _Q_ZERO
+    @staticmethod
+    def zero():
+        return 0
 
-    def one(self):
-        return 1 if self.kind == "prime-field" else _Q_ONE
+    @staticmethod
+    def one():
+        return 1
 
     def coerce(self, x):
         """Coerce an int, Fraction or 'a/b' string into the field.  Floats
@@ -87,22 +101,24 @@ class FieldSpec:
                     raise InputError(f"denominator of {x} not invertible mod {p}")
                 return (x.numerator * pow(x.denominator, p - 2, p)) % p
             return int(x) % p
-        return Fraction(x)
+        if x.__class__ is int:
+            return x
+        return _q(x if x.__class__ is Fraction else Fraction(x))
 
     def add(self, a, b):
         if self.kind == "prime-field":
             return (a + b) % self.characteristic
-        return a + b
+        return _q(a + b)
 
     def sub(self, a, b):
         if self.kind == "prime-field":
             return (a - b) % self.characteristic
-        return a - b
+        return _q(a - b)
 
     def mul(self, a, b):
         if self.kind == "prime-field":
             return (a * b) % self.characteristic
-        return a * b
+        return _q(a * b)
 
     def neg(self, a):
         if self.kind == "prime-field":
@@ -114,7 +130,13 @@ class FieldSpec:
             if a % self.characteristic == 0:
                 raise ZeroDivisionError("inverse of 0")
             return pow(a, self.characteristic - 2, self.characteristic)
-        return Fraction(1) / a
+        # 1/(n/d) = d/n, an int exactly when n = ±1
+        n, d = a.numerator, a.denominator
+        if n == 0:
+            raise ZeroDivisionError("inverse of 0")
+        if n < 0:
+            n, d = -n, -d
+        return d if n == 1 else Fraction(d, n)
 
     def __str__(self):
         return "Q" if self.kind == "rationals" else f"GF({self.characteristic})"
@@ -274,7 +296,7 @@ def _mul_entries(fld: FieldSpec, rows, other, cols: int) -> tuple:
     if fld.kind == "prime-field":
         p = fld.characteristic
         return tuple(tuple([x % p for x in acc]) for acc in out)
-    return tuple(tuple(acc) for acc in out)
+    return tuple(tuple([x if x.__class__ is int else _q(x) for x in acc]) for acc in out)
 
 
 def _row_ops(fld: FieldSpec):
@@ -283,7 +305,9 @@ def _row_ops(fld: FieldSpec):
     scale(c, row) returns c*row; axpy(row, c, nz) subtracts c times a pivot
     row from row in place, where nz lists the pivot row's nonzero
     (column, value) pairs.  Skipping the zero columns changes no value,
-    since a - c*0 == a in both fields."""
+    since a - c*0 == a in both fields.  Over Q a result is put back into
+    canonical form only when a Fraction took part: int arithmetic gives
+    ints."""
     if fld.kind == "prime-field":
         p = fld.characteristic
 
@@ -295,11 +319,12 @@ def _row_ops(fld: FieldSpec):
                 row[j] = (row[j] - c * b) % p
     else:
         def scale(c, row):
-            return [c * x for x in row]
+            return [_q(c * x) for x in row]
 
         def axpy(row, c, nz):
             for j, b in nz:
-                row[j] -= c * b
+                x = row[j] - c * b
+                row[j] = x if x.__class__ is int else _q(x)
     return scale, axpy
 
 

@@ -283,9 +283,23 @@ def _unflatten_map(m: Representation, n: Representation, flat) -> ModuleMap:
 
 
 def hom_space(m: Representation, n: Representation) -> HomSpace:
-    """Solve the naturality system; exact basis of Hom(m, n)."""
+    """Solve the naturality system; exact basis of Hom(m, n).
+
+    End(m), asked for with n the same object as m, is memoized in m's
+    cache; a HomSpace is immutable, so every caller may share it.  Other
+    targets are solved each time: they are rarely asked for twice as the
+    same object, and a cached entry would keep its target alive."""
     if m.algebra is not n.algebra:
         raise InputError("hom_space across different algebras")
+    if n is not m:
+        return _solve_hom_space(m, n)
+    hs = m._caches.get("end")
+    if hs is None:
+        hs = m._caches["end"] = _solve_hom_space(m, m)
+    return hs
+
+
+def _solve_hom_space(m: Representation, n: Representation) -> HomSpace:
     alg = m.algebra
     fld = alg.field
     nvars = _entry_count(m, n)

@@ -1,6 +1,6 @@
 import pytest
 
-from quivertilt import GF, QQ, build_algebra, Quiver, RelationPoly
+from quivertilt import GF, QQ, build_algebra, Quiver, RelationPoly, TiltingCertificate
 from quivertilt.formats import fixture_algebra
 
 
@@ -40,3 +40,11 @@ def linear_algebra(n, rad2=False, field=QQ):
     q = Quiver(tuple(str(i) for i in range(1, n + 1)), arrows)
     rels = [RelationPoly(((1, (f"a{i}", f"a{i + 1}")),)) for i in range(1, n - 1)] if rad2 else []
     return build_algebra(q, rels, field)
+
+
+def tilting_summary(cert):
+    """A tilting verdict as ("certified", number of factors) or ("failure",
+    reason codes)."""
+    if isinstance(cert, TiltingCertificate):
+        return ("certified", len(cert.factors))
+    return ("failure", tuple(code for code, _ in cert.reasons))

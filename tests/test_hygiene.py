@@ -1,5 +1,6 @@
-"""Source hygiene: every name a package module imports is used in it, and
-every parameter of a package function is read in its body.
+"""Source hygiene: every name a package module imports is used in it, every
+parameter of a package function is read in its body, and the arithmetic
+modules contain no true division.
 
 Checked with the standard-library ``ast`` module only.  ``__init__.py`` is
 exempt from the import check, because its imports are the package's
@@ -12,6 +13,11 @@ from pathlib import Path
 import quivertilt
 
 PACKAGE_DIR = Path(quivertilt.__file__).parent
+# Modules that compute with field elements.  A rational is an int when it is
+# integral, so a stray ``a / b`` there would give a float; FieldSpec.inv
+# inverts without the operator.
+ARITHMETIC_MODULES = ("linalg", "algebra", "modules", "homology", "complexes",
+                      "rings", "tilting", "recollement", "verify")
 
 
 def unused_imports(source: str) -> list:
@@ -88,3 +94,23 @@ def test_no_unused_parameters_in_package_functions():
         for line, func, name in unused_parameters(path.read_text()):
             found.append(f"{path.name}:{line}: {func}({name})")
     assert not found, "unused parameters:\n" + "\n".join(found)
+
+
+def true_divisions(source: str) -> list:
+    """Line of each ``/`` or ``/=`` in the source; ``//`` is not one."""
+    tree = ast.parse(source)
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div))
+
+
+def test_true_division_detector_sees_operator_and_augmented_form():
+    src = "a = b / c\nd //= 2\ne = f // g\nh /= 3\ni = '1/2'  # j / k\n"
+    assert true_divisions(src) == [1, 4]
+
+
+def test_no_true_division_in_arithmetic_modules():
+    found = []
+    for name in ARITHMETIC_MODULES:
+        for line in true_divisions((PACKAGE_DIR / f"{name}.py").read_text()):
+            found.append(f"{name}.py:{line}")
+    assert not found, "true division (use FieldSpec.inv):\n" + "\n".join(found)

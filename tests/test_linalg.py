@@ -28,6 +28,18 @@ def test_field_spec_validation():
     assert GF(7).coerce(Fraction(1, 2)) == 4  # 2 * 4 = 1 mod 7
 
 
+def test_rationals_are_ints_when_integral():
+    assert type(QQ.coerce(Fraction(4, 2))) is int
+    assert type(QQ.coerce("6/3")) is int
+    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
+    assert QQ.inv(2) == Fraction(1, 2)
+    assert QQ.inv(Fraction(-1, 3)) == -3 and type(QQ.inv(Fraction(-1, 3))) is int
+    assert type(QQ.add(Fraction(1, 2), Fraction(1, 2))) is int
+    assert type(QQ.mul(2, Fraction(1, 2))) is int
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
 @pytest.mark.parametrize("fld, value", [(QQ, 0.1), (GF(7), 2.5), (QQ, "abc"), (GF(7), "1/0")])
 def test_coerce_rejects_inexact_and_malformed_values(fld, value):
     with pytest.raises(InputError):
@@ -253,3 +265,26 @@ def test_solve_recovers_a_product_over_every_field(pair):
     assert x is not None and x.mul(a) == b
     assert kernel.rows == a.rows - rank(a)
     assert kernel.mul(a).is_zero()
+
+
+def assert_canonical(*matrices):
+    """Every rational entry is an int, or a Fraction that is not integral."""
+    for m in matrices:
+        for r in m.entries:
+            for x in r:
+                assert type(x) is int or (type(x) is Fraction and x.denominator > 1), x
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rational_results_are_canonical(data):
+    a = data.draw(field_matrix(QQ))
+    b = data.draw(field_matrix(QQ, a.rows, a.cols))
+    c = data.draw(field_matrix(QQ, a.cols))
+    y = data.draw(field_matrix(QQ, cols=a.rows))
+    s = data.draw(field_entries(QQ))
+    assert_canonical(rref(a)[0], *_rref_with_transform(a)[::2])
+    assert_canonical(a.mul(c), a.add(b), a.sub(b), a.neg(), a.scale(s))
+    assert_canonical(solve_right_kernel(a), *quotient_basis(a, a.cols))
+    x, kernel = solve_linear_system(a, y.mul(a))
+    assert_canonical(x, kernel)

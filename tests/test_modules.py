@@ -263,3 +263,24 @@ def test_decompose_is_memoized_per_module_and_seed(monkeypatch):
     calls.clear()
     decompose(m, seed=1)
     assert calls == []
+
+
+def test_endomorphism_space_is_memoized_per_module(monkeypatch, cycle2):
+    import quivertilt.modules as modules
+    solves = []
+    solve = modules._solve_hom_space
+
+    def counting(a, b):
+        solves.append((a, b))
+        return solve(a, b)
+
+    monkeypatch.setattr(modules, "_solve_hom_space", counting)
+    p2, i1 = projective(cycle2, "2"), injective(cycle2, "1")
+    end = hom_space(p2, p2)
+    assert hom_space(p2, p2) is end and end.dim == 2 and len(solves) == 1
+    # an equal but distinct module has its own cache, with the same space
+    other = projective(cycle2, "2")
+    assert hom_space(other, other).dim == end.dim and len(solves) == 2
+    assert hom_space(other, other) is hom_space(other, other) and len(solves) == 2
+    # other targets are solved on every call
+    assert hom_space(p2, i1) == hom_space(p2, i1) and len(solves) == 4

@@ -1,0 +1,74 @@
+"""Every rational scalar the library stores is an int when it is integral
+and a Fraction only when it is not.  Building every ``Matrix`` through a
+constructor that rejects floats and integral Fractions must give the same
+verdicts over Q: a stray ``/`` or an arithmetic path that skipped the
+canonical form would raise here."""
+
+from fractions import Fraction
+
+from quivertilt import (QQ, Matrix, bongartz_complement, decompose,
+                        direct_sum, hom_space, injective, projective, regular_module,
+                        run_example, simple, tilting_module_check)
+from quivertilt.formats import parse_algebra_text
+from conftest import linear_algebra, tilting_summary
+
+# A commutative square with a non-unit coefficient: its modules carry 2 and
+# 1/2, so non-integral Fractions reach Hom spaces and decomposition.
+SQUARE = """field Q
+vertex 1 2 3 4
+arrow a: 1 -> 2
+arrow b: 2 -> 4
+arrow c: 1 -> 3
+arrow d: 3 -> 4
+relation 2*a*b - c*d
+"""
+
+
+def _verdicts():
+    out = []
+    for name in ("cycle2", "triple3", "a2-bongartz"):
+        rep = run_example(name)
+        out.append((name, rep.passed, tuple((c.name, c.passed) for c in rep.checks)))
+    square = parse_algebra_text(SQUARE)
+    for alg in (linear_algebra(3), square):
+        vs = alg.vertices
+        dual = direct_sum([injective(alg, v) for v in vs])
+        out.append(tilting_summary(tilting_module_check(regular_module(alg))))
+        out.append(tilting_summary(tilting_module_check(dual)))
+        for v in vs[1:]:
+            n_mod, _, cert = bongartz_complement(simple(alg, v))
+            out.append((n_mod.dim_vector(), tilting_summary(cert)))
+        for m in (regular_module(alg), dual):
+            out.append([(f.dim_vector(), k) for f, k in decompose(m)])
+        out.append([hom_space(injective(alg, v), projective(alg, w)).dim
+                    for v in vs for w in vs])
+    return out
+
+
+def non_canonical(m):
+    """Entries of m that are floats or integral Fractions."""
+    return [x for r in m.entries for x in r
+            if isinstance(x, float) or (isinstance(x, Fraction) and x.denominator == 1)]
+
+
+def test_non_canonical_detector_sees_floats_and_integral_fractions():
+    m = Matrix(QQ, 1, 4, ((Fraction(2), 0.5, Fraction(1, 2), 3),))
+    assert non_canonical(m) == [Fraction(2), 0.5]
+
+
+def test_every_matrix_entry_is_a_canonical_rational(monkeypatch):
+    expected = _verdicts()
+    built = {"matrices": 0, "with_fractions": 0}
+    post_init = Matrix.__post_init__
+
+    def checking_post_init(self):
+        bad = non_canonical(self)
+        if bad:
+            raise TypeError(f"non-canonical scalars {bad!r} in a matrix over {self.field}")
+        built["matrices"] += 1
+        built["with_fractions"] += any(isinstance(x, Fraction) for r in self.entries for x in r)
+        post_init(self)
+
+    monkeypatch.setattr(Matrix, "__post_init__", checking_post_init)
+    assert _verdicts() == expected
+    assert built["matrices"] > 10000 and built["with_fractions"] > 0

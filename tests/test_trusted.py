@@ -4,17 +4,11 @@ inputs are built with ``_trusted`` and skip the checks of
 constructors instead must give the same verdicts: a trusted site that
 produced an invalid module, map or ring would raise here."""
 
-from quivertilt import (GF, QQ, ModuleMap, Representation, SCRing, TiltingCertificate,
+from quivertilt import (GF, QQ, ModuleMap, Representation, SCRing,
                         bongartz_complement, direct_sum, injective,
                         recollement_report, regular_module, run_example,
                         simple, tilting_module_check)
-from conftest import linear_algebra
-
-
-def _tilting_summary(cert):
-    if isinstance(cert, TiltingCertificate):
-        return ("certified", len(cert.factors))
-    return ("failure", tuple(code for code, _ in cert.reasons))
+from conftest import linear_algebra, tilting_summary
 
 
 def _verdicts():
@@ -26,13 +20,13 @@ def _verdicts():
     for rad2 in (False, True):
         alg = linear_algebra(3, rad2, GF(101) if rad2 else QQ)
         dual = direct_sum([injective(alg, v) for v in alg.vertices])
-        out.append(_tilting_summary(tilting_module_check(regular_module(alg))))
-        out.append(_tilting_summary(tilting_module_check(dual)))
+        out.append(tilting_summary(tilting_module_check(regular_module(alg))))
+        out.append(tilting_summary(tilting_module_check(dual)))
         for v in ("2", "3"):
             s_v = simple(alg, v)
             n_mod, _, cert = bongartz_complement(s_v)
             rep = recollement_report(direct_sum([n_mod, s_v]))
-            out.append((n_mod.dim_vector(), _tilting_summary(cert),
+            out.append((n_mod.dim_vector(), tilting_summary(cert),
                         rep.localization.reflection_method, rep.orthogonality_ok,
                         rep.t2_exceptional, rep.t2_matches_ru, rep.corollary_zero))
     return out

@@ -150,7 +150,10 @@ def _parse_matrix_literal(text: str, field: FieldSpec, rows: int, cols: int) -> 
     row_strs = inner.split("],[")
     entries = []
     for rs in row_strs:
-        entries.append([field.coerce(_parse_number(tok)) for tok in rs.split(",") if tok != ""])
+        tokens = rs.split(",") if rs else []  # "[[],[]]" has rows with no entries
+        if "" in tokens:
+            raise InputError(f"empty entry in matrix literal {text!r}")
+        entries.append([field.coerce(_parse_number(tok)) for tok in tokens])
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise InputError(
             f"matrix literal is {len(entries)}x{len(entries[0]) if entries else 0}, "
@@ -163,7 +166,7 @@ def parse_module_text(text: str, algebra: Algebra | None = None,
                       field_override: FieldSpec | None = None) -> Representation:
     alg = algebra
     dims = None
-    map_lines = []
+    map_lines = {}
     for line in _logical_lines(text):
         head, _, rest = line.partition(" ")
         head = head.lower()
@@ -174,13 +177,20 @@ def parse_module_text(text: str, algebra: Algebra | None = None,
                     p = base_dir / p
                 alg = load_algebra(p, field_override)
         elif head == "dim":
+            if dims is not None:
+                raise InputError("module file has a second dim line")
             dims = {}
             for chunk in rest.split():
                 v, d = _parse_dim(chunk)
+                if v in dims:
+                    raise InputError(f"dim line gives vertex {v!r} twice")
                 dims[v] = d
         elif head == "map":
             name, _, literal = rest.partition("=")
-            map_lines.append((name.strip(), literal.strip()))
+            name = name.strip()
+            if name in map_lines:
+                raise InputError(f"arrow {name!r} has a second map line")
+            map_lines[name] = literal.strip()
         else:
             raise InputError(f"unknown directive {head!r}")
     if alg is None:
@@ -194,7 +204,7 @@ def parse_module_text(text: str, algebra: Algebra | None = None,
     mats = {}
     for name, s, t in alg.quiver.arrows:
         mats[name] = Matrix.zeros(alg.field, full_dims[s], full_dims[t])
-    for name, literal in map_lines:
+    for name, literal in map_lines.items():
         s, t = alg.arrow_endpoints(name)
         mats[name] = _parse_matrix_literal(literal, alg.field, full_dims[s], full_dims[t])
     return Representation(alg, full_dims, mats)

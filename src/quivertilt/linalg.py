@@ -24,10 +24,27 @@ entries of the rows it combines, instead of dispatching every element
 operation through ``FieldSpec``.  Only ``solve_right_kernel`` and
 ``solve_linear_system`` (and what is built on them) carry the transform
 T with T*m = R through the elimination; ``rref``, ``rank``, ``row_space``,
-``sum_subspaces`` and ``quotient_basis`` reduce the matrix alone.
+``sum_subspaces`` and ``quotient_basis`` reduce the matrix alone.  The
+elimination works on row lists, and each caller builds only the matrices
+it returns.
+
+Most matrices of a computation are tiny or empty (per-vertex blocks of
+small modules), so they are made cheap without skipping any check:
+
+- ``Matrix`` is a ``__slots__`` class, not a dataclass.  It is immutable:
+  assigning or deleting an attribute raises ``FrozenInstanceError``.  Every
+  construction runs the shape check in ``__post_init__``.
+- ``Matrix.zeros`` and ``Matrix.identity`` return one shared object per
+  field and shape, built and checked once, for shapes with both sides at
+  most ``_SHARED_SIDE``; larger ones are built per call.
+- Empty shapes take fast paths: a product with a zero dimension is the
+  shared zero, a matrix with no rows or no columns is its own RREF with
+  the identity as transform (so its kernel is everything and it solves
+  only zero right-hand sides), and ``take_rows`` of no rows is the shared
+  0 x c zero.
 """
 
-from dataclasses import dataclass, field as _dc_field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, InputError
@@ -149,19 +166,40 @@ def GF(p: int) -> FieldSpec:
     return FieldSpec("prime-field", p)
 
 
-@dataclass(frozen=True)
 class Matrix:
     """Immutable exact matrix.  A 0 x n or n x 0 matrix is a valid value and
-    represents the zero map to or from the zero space."""
+    represents the zero map to or from the zero space.
 
-    field: FieldSpec
-    rows: int
-    cols: int
-    entries: tuple = _dc_field(default=())  # tuple of row tuples
+    ``entries`` is a tuple of row tuples.  Every construction checks the
+    grid against the declared shape in ``__post_init__``; assigning or
+    deleting an attribute afterwards raises."""
+
+    __slots__ = ("field", "rows", "cols", "entries")
+
+    def __init__(self, field: FieldSpec, rows: int, cols: int, entries: tuple = ()):
+        _set_field(self, field)
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_entries(self, entries)
+        self.__post_init__()
 
     def __post_init__(self):
-        if len(self.entries) != self.rows or (self.rows and set(map(len, self.entries)) != {self.cols}):
+        entries, cols = self.entries, self.cols
+        if len(entries) != self.rows:
             raise DimensionMismatch("entry grid does not match declared shape")
+        for r in entries:
+            if len(r) != cols:
+                raise DimensionMismatch("entry grid does not match declared shape")
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(
+            f"cannot assign {type(value).__name__} to field {name!r} of immutable {self!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r} of immutable {self!r}")
+
+    def __reduce__(self):
+        return Matrix, (self.field, self.rows, self.cols, self.entries)
 
     # -- constructors --------------------------------------------------------
 
@@ -176,19 +214,19 @@ class Matrix:
 
     @staticmethod
     def zeros(fld: FieldSpec, rows: int, cols: int) -> "Matrix":
-        z = fld.zero()
-        return Matrix(fld, rows, cols, tuple((z,) * cols for _ in range(rows)))
+        return _zeros(fld, rows, cols)
 
     @staticmethod
     def identity(fld: FieldSpec, n: int) -> "Matrix":
-        z, o = fld.zero(), fld.one()
-        return Matrix(fld, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
+        return _identity(fld, n)
 
     # -- basic algebra -------------------------------------------------------
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"({self.rows}x{self.cols}) * ({other.rows}x{other.cols})")
+        if not (self.rows and self.cols and other.cols):
+            return _zeros(self.field, self.rows, other.cols)
         return Matrix(self.field, self.rows, other.cols,
                       _mul_entries(self.field, self.entries, other.entries, other.cols))
 
@@ -236,6 +274,8 @@ class Matrix:
         return self.entries[i]
 
     def take_rows(self, idxs) -> "Matrix":
+        if not idxs:
+            return _zeros(self.field, 0, self.cols)
         return Matrix(self.field, len(idxs), self.cols, tuple(self.entries[i] for i in idxs))
 
     def take_cols(self, idxs) -> "Matrix":
@@ -255,6 +295,40 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field})"
+
+
+# Slot setters: __init__ writes the slots past the raising __setattr__.
+_set_field, _set_rows, _set_cols, _set_entries = (Matrix.__dict__[name].__set__
+                                                  for name in Matrix.__slots__)
+
+# Zeros and identities with both sides at most _SHARED_SIDE are built and
+# checked once per field and shape, then shared: a Matrix is immutable.
+# Larger ones are built per call, so a large module pins no large constant.
+# A field is determined by its characteristic, which keys the caches.
+_SHARED_SIDE = 32
+_shared_zeros = {}
+_shared_identities = {}
+
+
+def _zeros(fld: FieldSpec, rows: int, cols: int) -> Matrix:
+    key = (fld.characteristic, rows, cols)
+    m = _shared_zeros.get(key)
+    if m is None:
+        m = Matrix(fld, rows, cols, ((fld.zero(),) * cols,) * rows)
+        if rows <= _SHARED_SIDE and cols <= _SHARED_SIDE:
+            _shared_zeros[key] = m
+    return m
+
+
+def _identity(fld: FieldSpec, n: int) -> Matrix:
+    key = (fld.characteristic, n)
+    m = _shared_identities.get(key)
+    if m is None:
+        z, o = fld.zero(), fld.one()
+        m = Matrix(fld, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
+        if n <= _SHARED_SIDE:
+            _shared_identities[key] = m
+    return m
 
 
 def block_matrix(fld: FieldSpec, grid) -> Matrix:
@@ -332,10 +406,12 @@ def _nonzeros(row) -> list:
     return [(j, x) for j, x in enumerate(row) if x]
 
 
-def _rref_with_transform(m: Matrix, with_transform: bool = True):
-    """Reduced row echelon form.  Returns (R, pivots, T) with T*m = R and T
-    invertible; rows of T below the pivot rows span the left kernel of m.
-    Without ``with_transform`` T is not computed and is None."""
+def _eliminate(m: Matrix, with_transform: bool):
+    """Gauss-Jordan elimination of m on row lists.  Returns (work, pivots,
+    trans): the rows of the reduced row echelon form R, its pivot columns,
+    and, with ``with_transform``, the rows of an invertible T with T*m = R
+    (otherwise None).  Rows of T below the pivot rows span the left kernel
+    of m.  Callers build only the matrices they return."""
     fld = m.field
     scale, axpy = _row_ops(fld)
     zero, one = fld.zero(), fld.one()
@@ -376,9 +452,28 @@ def _rref_with_transform(m: Matrix, with_transform: bool = True):
         pr += 1
         if pr == m.rows:
             break
-    R = Matrix(fld, m.rows, m.cols, tuple(tuple(r) for r in work))
-    T = Matrix(fld, m.rows, m.rows, tuple(tuple(r) for r in trans)) if with_transform else None
-    return R, tuple(pivots), T
+    return work, tuple(pivots), trans
+
+
+def _rows_matrix(fld: FieldSpec, cols: int, rows) -> Matrix:
+    """Matrix of the given row lists, each of length cols."""
+    if not rows:
+        return _zeros(fld, 0, cols)
+    return Matrix(fld, len(rows), cols, tuple(map(tuple, rows)))
+
+
+def _rref_with_transform(m: Matrix, with_transform: bool = True):
+    """Reduced row echelon form.  Returns (R, pivots, T) with T*m = R and T
+    invertible; rows of T below the pivot rows span the left kernel of m.
+    Without ``with_transform`` T is not computed and is None.  A matrix
+    with no rows or no columns is its own RREF, with T the identity."""
+    fld = m.field
+    if not (m.rows and m.cols):
+        return m, (), _identity(fld, m.rows) if with_transform else None
+    work, pivots, trans = _eliminate(m, with_transform)
+    R = _rows_matrix(fld, m.cols, work)
+    T = _rows_matrix(fld, m.rows, trans) if with_transform else None
+    return R, pivots, T
 
 
 def rref(m: Matrix):
@@ -388,13 +483,13 @@ def rref(m: Matrix):
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return len(_eliminate(m, False)[1])
 
 
 def row_space(m: Matrix) -> Matrix:
     """Canonical basis (rref rows) of the row span."""
-    R, pivots = rref(m)
-    return R.take_rows(range(len(pivots)))
+    work, pivots, _ = _eliminate(m, False)
+    return _rows_matrix(m.field, m.cols, work[:len(pivots)])
 
 
 def solve_right_kernel(m: Matrix) -> Matrix:
@@ -402,8 +497,10 @@ def solve_right_kernel(m: Matrix) -> Matrix:
 
     Row count is rows(m) - rank(m); the rows are linearly independent.
     """
-    R, pivots, T = _rref_with_transform(m)
-    return T.take_rows(range(len(pivots), m.rows))
+    if not (m.rows and m.cols):
+        return _identity(m.field, m.rows)
+    _, pivots, trans = _eliminate(m, True)
+    return _rows_matrix(m.field, m.rows, trans[len(pivots):])
 
 
 def solve_linear_system(a: Matrix, b: Matrix):
@@ -412,11 +509,15 @@ def solve_linear_system(a: Matrix, b: Matrix):
     {v : v*a = 0}.  Requires cols(a) = cols(b)."""
     if a.cols != b.cols:
         raise DimensionMismatch("solve_linear_system: cols(a) != cols(b)")
-    R, pivots, T = _rref_with_transform(a)
     fld = a.field
+    if not (a.rows and a.cols):
+        # every v*a is zero: b must be zero, and x = 0 is a solution
+        kernel = _identity(fld, a.rows)
+        return (_zeros(fld, b.rows, a.rows) if b.is_zero() else None), kernel
+    work, pivots, trans = _eliminate(a, True)
     _, axpy = _row_ops(fld)
-    pivot_nz = [_nonzeros(R.entries[k]) for k in range(len(pivots))]
-    kernel = T.take_rows(range(len(pivots), a.rows))
+    pivot_nz = [_nonzeros(work[k]) for k in range(len(pivots))]
+    kernel = _rows_matrix(fld, a.rows, trans[len(pivots):])
     zero = fld.zero()
     coeff_rows = []
     for brow in b.entries:
@@ -432,8 +533,7 @@ def solve_linear_system(a: Matrix, b: Matrix):
             return None, kernel
         coeff_rows.append(coeffs)
     # y*R = brow with y supported on pivot rows; x = y*T
-    x = Matrix(fld, b.rows, a.rows, _mul_entries(fld, coeff_rows, T.entries, a.rows))
-    return x, kernel
+    return Matrix(fld, b.rows, a.rows, _mul_entries(fld, coeff_rows, trans, a.rows)), kernel
 
 
 def quotient_basis(sub: Matrix, ambient_dim: int):
@@ -447,7 +547,10 @@ def quotient_basis(sub: Matrix, ambient_dim: int):
     fld = sub.field
     if sub.cols != ambient_dim:
         raise DimensionMismatch("quotient_basis: subspace ambient dimension mismatch")
-    R, pivots = rref(sub)
+    if not (sub.rows and sub.cols):
+        ident = _identity(fld, ambient_dim)
+        return ident, ident
+    work, pivots, _ = _eliminate(sub, False)
     pivot_set = set(pivots)
     free = [j for j in range(ambient_dim) if j not in pivot_set]
     zero, one = fld.zero(), fld.one()
@@ -458,7 +561,7 @@ def quotient_basis(sub: Matrix, ambient_dim: int):
     # column), and the unit vector of i when i is free
     proj_rows = [None] * ambient_dim
     for k, pc in enumerate(pivots):
-        proj_rows[pc] = tuple(fld.neg(R.entries[k][j]) for j in free)
+        proj_rows[pc] = tuple(fld.neg(work[k][j]) for j in free)
     for q, c in enumerate(free):
         proj_rows[c] = tuple(one if t == q else zero for t in range(len(free)))
     projection = Matrix(fld, ambient_dim, len(free), tuple(proj_rows))

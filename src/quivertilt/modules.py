@@ -665,6 +665,18 @@ def indecomposable_summands(m: Representation, seed: int = 0):
     """Full list of indecomposable direct summands, each with a split pair
     (factor, inclusion, projection) satisfying incl then proj = identity.
 
+    The list is memoized per module and seed in the module's cache, so a
+    module is split once however often it is asked about (``decompose``
+    groups this list); each call returns a fresh list."""
+    memo = m._caches.setdefault("summands", {})
+    if seed not in memo:
+        memo[seed] = tuple(_split_summands(m, seed))
+    return list(memo[seed])
+
+
+def _split_summands(m: Representation, seed: int):
+    """The summands of ``indecomposable_summands``, computed.
+
     The steps, in order:
 
     1. A module with dim End = 1 (a brick) has End = K, a local ring, so it
@@ -711,9 +723,8 @@ def decompose(m: Representation, seed: int = 0):
     """Krull-Schmidt decomposition as a list of (indecomposable, multiplicity),
     grouped up to isomorphism, ordered by decreasing total dimension.
 
-    The result is memoized per module and seed in the module's cache, so a
-    module is split once however often it is asked about; each call returns
-    a fresh list."""
+    The grouping is memoized per module and seed in the module's cache, as
+    the split list is; each call returns a fresh list."""
     memo = m._caches.setdefault("decompose", {})
     if seed not in memo:
         groups = []

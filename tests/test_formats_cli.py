@@ -9,6 +9,7 @@ from quivertilt.cli import main
 from quivertilt.formats import (FIXTURE_DIR, fixture_algebra, load_algebra,
                                 load_module, parse_algebra_text,
                                 parse_module_text)
+from quivertilt.linalg import Matrix
 from quivertilt.modules import is_isomorphic
 
 ALG = str(FIXTURE_DIR / "cycle2.alg")
@@ -94,6 +95,26 @@ def test_cli_malformed_number_exits_2(tmp_path):
     bad.write_text("dim 1=1 2=1\nmap a = [[1/0]]\n")
     a2 = str(FIXTURE_DIR / "a2.alg")
     assert main(["hom", a2, str(bad), str(bad)]) == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("dim 1=2 2=1\nmap b = [[1,,2]]", "empty entry"),
+    ("dim 1=2 2=1\nmap b = [[1,2,]]", "empty entry"),
+    ("dim 1=1 2=1\nmap b = [[1]]\nmap b = [[2]]", "second map line"),
+    ("dim 1=1 1=2 2=1", "vertex '1' twice"),
+    ("dim 1=1\ndim 2=1", "second dim line"),
+])
+def test_malformed_module_text_is_rejected(cycle2, tmp_path, text, message):
+    with pytest.raises(InputError, match=message):
+        parse_module_text(text, cycle2)
+    bad = tmp_path / "bad.mod"
+    bad.write_text(text + "\n")
+    assert main(["hom", ALG, str(bad), str(bad)]) == 2
+
+
+def test_matrix_literal_rows_without_entries(cycle2):
+    m = parse_module_text("dim 1=2\nmap a = [[],[]]", cycle2)
+    assert m.arrow_mats["a"] == Matrix.zeros(cycle2.field, 2, 0)
 
 
 def test_load_module_matches_library_injective(cycle2):

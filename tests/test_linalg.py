@@ -1,16 +1,20 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quivertilt.linalg import (GF, QQ, FieldSpec, Matrix, _rref_with_transform,
-                               intersect_subspaces, quotient_basis, rank, rref,
-                               row_space, solve_linear_system, solve_right_kernel,
+from quivertilt.linalg import (GF, QQ, FieldSpec, Matrix, _eliminate, _mul_entries,
+                               _rref_with_transform, intersect_subspaces,
+                               quotient_basis, rank, rref, row_space,
+                               solve_linear_system, solve_right_kernel,
                                sum_subspaces)
-from quivertilt.errors import InputError
+from quivertilt.errors import DimensionMismatch, InputError
 
-from oracles import oracle_matmul, reference_quotient_projection
+from oracles import (oracle_left_kernel, oracle_matmul, oracle_rank, oracle_solve,
+                     reference_quotient_projection)
 
 
 def M(field, rows):
@@ -288,3 +292,143 @@ def test_rational_results_are_canonical(data):
     assert_canonical(solve_right_kernel(a), *quotient_basis(a, a.cols))
     x, kernel = solve_linear_system(a, y.mul(a))
     assert_canonical(x, kernel)
+
+
+# -- the slot-based Matrix, shared constants and empty-shape fast paths ---------
+
+
+def test_matrix_is_immutable_and_has_no_instance_dict():
+    m = M(QQ, [[1, 2], [3, 4]])
+    with pytest.raises(AttributeError):
+        m.rows = 3
+    with pytest.raises(AttributeError):
+        m.extra = 1
+    with pytest.raises(AttributeError):
+        del m.entries
+    assert not hasattr(m, "__dict__")
+    assert m.rows == 2 and m.entries == ((1, 2), (3, 4))
+
+
+def test_equal_matrices_have_equal_hashes_and_survive_copying():
+    m = Matrix(GF(3), 2, 2, ((1, 2), (0, 1)))
+    fresh = Matrix(GF(3), 2, 2, ((1, 2), (0, 1)))
+    assert m == fresh and hash(m) == hash(fresh) and m is not fresh
+    assert m != Matrix(GF(5), 2, 2, ((1, 2), (0, 1))) and m != m.entries
+    assert {m: 1}[fresh] == 1
+    assert copy.copy(m) == m and copy.deepcopy(m) == m and pickle.loads(pickle.dumps(m)) == m
+    assert repr(m) == "Matrix(2x2 over GF(3))"
+
+
+@pytest.mark.parametrize("fld", FIELDS)
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (32, 32)])
+def test_shared_zeros_and_identities_equal_fresh_ones(fld, rows, cols):
+    zero = Matrix.zeros(fld, rows, cols)
+    assert zero == Matrix(fld, rows, cols, tuple((0,) * cols for _ in range(rows)))
+    assert Matrix.zeros(fld, rows, cols) is zero
+    ident = Matrix.identity(fld, rows)
+    assert ident == Matrix(fld, rows, rows, tuple(tuple(int(i == j) for j in range(rows))
+                                                  for i in range(rows)))
+    assert Matrix.identity(fld, rows) is ident
+
+
+def test_large_constants_are_not_shared():
+    assert Matrix.identity(QQ, 33) == Matrix.identity(QQ, 33)
+    assert Matrix.identity(QQ, 33) is not Matrix.identity(QQ, 33)
+    assert Matrix.zeros(GF(2), 40, 1) is not Matrix.zeros(GF(2), 40, 1)
+
+
+def test_every_construction_checks_its_shape(monkeypatch):
+    checked = []
+    post_init = Matrix.__post_init__
+
+    def recording_post_init(self):
+        checked.append((self.rows, self.cols))
+        post_init(self)
+
+    monkeypatch.setattr(Matrix, "__post_init__", recording_post_init)
+    a = Matrix(QQ, 1, 2, ((1, 2),))
+    a.hstack(a).vstack(Matrix.from_rows(QQ, [[5, 6, 7, 8]])).take_cols([0, 3])
+    # a, a|a, the parsed row, the stacked 2 x 4 and its two columns
+    assert checked == [(1, 2), (1, 4), (1, 4), (2, 4), (2, 2)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Matrix(QQ, 2, 2, ((1, 2), (3,))),
+    lambda: Matrix(QQ, 1, 2, ()),
+    lambda: Matrix(GF(2), 0, 2, ((1, 0),)),
+    lambda: Matrix(GF(3), 2, 0, ((), (1,))),
+    lambda: Matrix.from_rows(QQ, [[1, 2], [3]]),
+    lambda: Matrix.from_rows(GF(101), [[1, 2]], 3),
+    lambda: Matrix.zeros(QQ, 2, 1).hstack(Matrix.zeros(QQ, 1, 1)),
+    lambda: Matrix.zeros(QQ, 1, 2).vstack(Matrix.zeros(QQ, 1, 3)),
+])
+def test_bad_shapes_raise_dimension_mismatch(build):
+    """take_cols of a checked matrix cannot build a bad grid; that its
+    output is checked too is shown by the test above."""
+    with pytest.raises(DimensionMismatch):
+        build()
+
+
+@st.composite
+def empty_shape_product(draw):
+    """(a, b) over one field with a*b defined and some dimension zero:
+    0 x n times n x m, k x n times n x 0, or k x 0 times 0 x m."""
+    fld = draw(st.sampled_from(FIELDS))
+    r, k, c = draw(dims), draw(dims), draw(dims)
+    zero_at = draw(st.sampled_from(("r", "k", "c")))
+    r, k, c = (0 if zero_at == "r" else r), (0 if zero_at == "k" else k), (0 if zero_at == "c" else c)
+    return draw(field_matrix(fld, r, k)), draw(field_matrix(fld, k, c))
+
+
+def empty_shaped(fld=None):
+    """A matrix with no rows or no columns (or both)."""
+    return st.one_of(field_matrix(fld, rows=0), field_matrix(fld, cols=0))
+
+
+def as_lists(m):
+    return [list(r) for r in m.entries]
+
+
+@settings(max_examples=100, deadline=None)
+@given(empty_shape_product())
+@example((Matrix.zeros(GF(2), 3, 0), Matrix.zeros(GF(2), 0, 4)))
+def test_empty_shape_product_equals_oracle(pair):
+    a, b = pair
+    product = a.mul(b)
+    assert (product.rows, product.cols) == (a.rows, b.cols)
+    assert as_lists(product) == oracle_matmul(a.entries, b.entries, b.cols)
+    assert product == Matrix(a.field, a.rows, b.cols,
+                             _mul_entries(a.field, a.entries, b.entries, b.cols))
+
+
+@settings(max_examples=100, deadline=None)
+@given(empty_shaped())
+def test_empty_shape_elimination_equals_general_path(m):
+    work, pivots, trans = _eliminate(m, True)
+    R, fast_pivots, T = _rref_with_transform(m)
+    assert fast_pivots == pivots == () and oracle_rank(as_lists(m)) == 0
+    assert R == m == Matrix(m.field, m.rows, m.cols, tuple(map(tuple, work)))
+    assert T == Matrix(m.field, m.rows, m.rows, tuple(map(tuple, trans)))
+    assert rref(m) == (R, ()) and _rref_with_transform(m, False) == (R, (), None)
+    assert rank(m) == 0 and row_space(m) == Matrix.zeros(m.field, 0, m.cols)
+    kernel = solve_right_kernel(m)
+    assert kernel == T and as_lists(kernel) == oracle_left_kernel(as_lists(m))
+    assert m.take_rows([]) == Matrix(m.field, 0, m.cols) == m.take_rows(range(0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_empty_shape_solve_and_quotient_equal_oracles(data):
+    a = data.draw(empty_shaped())
+    fld = a.field
+    b = data.draw(field_matrix(fld, cols=a.cols))
+    x, kernel = solve_linear_system(a, b)
+    assert as_lists(kernel) == oracle_left_kernel(as_lists(a))
+    coeffs = [oracle_solve(as_lists(a), list(r)) for r in b.entries]
+    if any(c is None for c in coeffs):
+        assert x is None
+    else:
+        assert as_lists(x) == coeffs and (x.rows, x.cols) == (b.rows, a.rows)
+    section, proj = quotient_basis(a, a.cols)
+    assert section == Matrix.identity(fld, a.cols) == proj
+    assert list(proj.entries) == reference_quotient_projection(fld, a, (), a.cols)

@@ -1,7 +1,7 @@
 import pytest
 
-from quivertilt import (BoundExceeded, InputError, injective, projective,
-                        regular_module, simple)
+from quivertilt import (BoundExceeded, InputError, Representation, injective,
+                        modules, projective, regular_module, simple)
 from quivertilt.complexes import (cohomology, derived_hom, hom_window,
                                   resolve_to_complex, shift)
 from quivertilt.homology import ext_dim, left_add_approximation
@@ -180,6 +180,27 @@ def test_localization_lambda_is_a_ring_epimorphism(cycle2, cycle2_localization):
     assert row_space(rows).rows == 3
     left = lambda_left_module(loc.ru_module, pres)
     assert tor_dim(0, loc.ru_module, left) == pres.ring.dim == 4
+
+
+def test_localization_splits_r_u_once(cycle2, monkeypatch):
+    """decompose(R_U) and ring_evidence share one split of R_U: a whole
+    localization tries exactly the Fitting splits that one decomposition of
+    an equal, fresh R_U tries."""
+    cert = tilting_module_check(direct_sum([projective(cycle2, "2"), simple(cycle2, "2")]))
+    tried = []
+    fitting_split = modules._fitting_split
+
+    def counting_split(m, f):
+        tried.append(m)
+        return fitting_split(m, f)
+
+    monkeypatch.setattr(modules, "_fitting_split", counting_split)
+    ru = universal_localization(cert.sequence).ru_module
+    in_localization = len(tried)
+    tried.clear()
+    fresh = Representation(cycle2, ru.dims, ru.arrow_mats)
+    assert len(modules.indecomposable_summands(fresh)) == 2
+    assert tried and in_localization == len(tried)
 
 
 def test_localization_regular_tilting_is_identity_like(cycle2):

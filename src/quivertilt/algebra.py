@@ -545,6 +545,9 @@ def _module_from_paths(alg: Algebra, idxs, dual: bool):
     dims = {v: len(by_vertex[v]) for v in alg.vertices}
     mats = {}
     for name, s, t in alg.quiver.arrows:
+        if not (dims[s] and dims[t]):
+            mats[name] = Matrix.zeros(fld, dims[s], dims[t])
+            continue
         if not dual:
             # right multiplication by the arrow: paths ending at s -> ending at t
             ai = None

@@ -278,13 +278,17 @@ def cmd_stratify(args):
              f"corner dim {rep.corner_dim}, tensor dim {rep.tensor_dim}, "
              f"ideal dim {rep.ideal_dim}, multiplication bijective: "
              f"{rep.multiplication_bijective}",
-             f"Tor dims {list(rep.tor_dims)} (conclusive: {rep.tor_conclusive})"]
+             f"Tor^A_n(A/AeA, A/AeA), n=1..{len(rep.quotient_tor_dims)}: "
+             f"{list(rep.quotient_tor_dims)}",
+             f"Ext^n_A(A/AeA, top), n=1..{len(rep.quotient_ext_dims)}: "
+             f"{list(rep.quotient_ext_dims)} (resolution complete: {rep.resolution_complete})"]
     _emit(args, {"command": "stratify", "stratifying": rep.is_stratifying,
                  "corner_dim": rep.corner_dim, "tensor_dim": rep.tensor_dim,
                  "ideal_dim": rep.ideal_dim,
                  "multiplication_bijective": rep.multiplication_bijective,
-                 "tor_dims": list(rep.tor_dims),
-                 "tor_conclusive": rep.tor_conclusive}, lines)
+                 "quotient_tor_dims": list(rep.quotient_tor_dims),
+                 "quotient_ext_dims": list(rep.quotient_ext_dims),
+                 "resolution_complete": rep.resolution_complete}, lines)
     return 0 if rep.is_stratifying else 1
 
 

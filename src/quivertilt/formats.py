@@ -20,7 +20,10 @@ Module files:
     map a = [[1,0],[0,1]]
 
 Matrices are shaped dims(source) x dims(target) and act on row vectors by
-right multiplication; omitted maps are zero.
+right multiplication; omitted maps are zero.  When the caller supplies the
+algebra, the file named on the algebra line must have the same quiver
+(vertices, arrows and their endpoints); its field and relations are not
+read.
 """
 
 import re
@@ -104,6 +107,16 @@ def _parse_relation(rest: str) -> RelationPoly:
 
 def parse_algebra_text(text: str, field_override: FieldSpec | None = None,
                        max_path_len: int = 64) -> Algebra:
+    field, quiver, relations = _parse_algebra_lines(text)
+    if field is None and field_override is None:
+        raise InputError("algebra file declares no field")
+    if field_override is not None:
+        field = field_override
+    return build_algebra(quiver, relations, field, max_path_len)
+
+
+def _parse_algebra_lines(text: str):
+    """(declared field or None, quiver, relations) of an algebra file."""
     field = None
     vertices = []
     arrows = []
@@ -124,20 +137,18 @@ def parse_algebra_text(text: str, field_override: FieldSpec | None = None,
             relations.append(_parse_relation(rest))
         else:
             raise InputError(f"unknown directive {head!r}")
-    if field is None and field_override is None:
-        raise InputError("algebra file declares no field")
-    if field_override is not None:
-        field = field_override
-    quiver = Quiver(tuple(vertices), tuple(arrows))
-    return build_algebra(quiver, relations, field, max_path_len)
+    return field, Quiver(tuple(vertices), tuple(arrows)), relations
+
+
+def _algebra_text(path: Path) -> str:
+    if not path.exists():
+        raise InputError(f"no such algebra file: {path}")
+    return path.read_text()
 
 
 def load_algebra(path, field_override: FieldSpec | None = None,
                  max_path_len: int = 64) -> Algebra:
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"no such algebra file: {p}")
-    return parse_algebra_text(p.read_text(), field_override, max_path_len)
+    return parse_algebra_text(_algebra_text(Path(path)), field_override, max_path_len)
 
 
 def _parse_matrix_literal(text: str, field: FieldSpec, rows: int, cols: int) -> Matrix:
@@ -171,11 +182,18 @@ def parse_module_text(text: str, algebra: Algebra | None = None,
         head, _, rest = line.partition(" ")
         head = head.lower()
         if head == "algebra":
+            p = Path(rest.strip())
+            if base_dir is not None and not p.is_absolute():
+                p = base_dir / p
             if alg is None:
-                p = Path(rest.strip())
-                if base_dir is not None and not p.is_absolute():
-                    p = base_dir / p
                 alg = load_algebra(p, field_override)
+            else:
+                # a supplied algebra must have the quiver the file was written for
+                _, named, _ = _parse_algebra_lines(_algebra_text(p))
+                if (set(named.vertices) != set(alg.quiver.vertices)
+                        or named.arrow_map() != alg.quiver.arrow_map()):
+                    raise InputError(f"module file is written for {p}, whose quiver "
+                                     "differs from that of the supplied algebra")
         elif head == "dim":
             if dims is not None:
                 raise InputError("module file has a second dim line")

@@ -16,7 +16,6 @@ from .linalg import (Matrix, _tensor_homology_dims, _tensor_quotient, quotient_b
 from .modules import (HomSpace, ModuleMap, Representation, _flatten_map,
                       decompose, direct_sum_with_maps, hom_space, identity_map,
                       image, quotient, submodule_from_rows, top, zero_map)
-from .rings import _check_action
 
 DEFAULT_RESOLUTION_BOUND = 32
 
@@ -378,8 +377,27 @@ class LeftModule:
     act: tuple  # Matrix per basis index
 
     def __post_init__(self):
-        alg = self.algebra
-        _check_action(alg.field, alg.unit(), alg.mult, self.dim, self.act, right=False)
+        alg, dim, act = self.algebra, self.dim, self.act
+        fld = alg.field
+        if len(act) != alg.dim:
+            raise InputError("one action matrix per algebra basis element required")
+        for a in act:
+            if (a.rows, a.cols) != (dim, dim):
+                raise InputError("action matrices must be square of the module dimension")
+
+        def combo(coeffs) -> Matrix:
+            out = Matrix.zeros(fld, dim, dim)
+            for k, c in enumerate(coeffs):
+                if c:
+                    out = out.add(act[k].scale(c))
+            return out
+
+        if combo(alg.unit()) != Matrix.identity(fld, dim):
+            raise ConsistencyError("unit does not act as identity")
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                if combo(alg.mult[(i, j)]) != act[j].mul(act[i]):
+                    raise ConsistencyError("action does not respect ring multiplication")
 
 
 def left_regular_module(alg: Algebra) -> LeftModule:

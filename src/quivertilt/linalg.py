@@ -268,7 +268,10 @@ class Matrix:
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise DimensionMismatch("vstack column mismatch")
-        return Matrix(self.field, self.rows + other.rows, self.cols, self.entries + other.entries)
+        rows = self.rows + other.rows
+        if not (rows and self.cols):
+            return _zeros(self.field, rows, self.cols)
+        return Matrix(self.field, rows, self.cols, self.entries + other.entries)
 
     def row(self, i: int) -> tuple:
         return self.entries[i]
@@ -279,6 +282,8 @@ class Matrix:
         return Matrix(self.field, len(idxs), self.cols, tuple(self.entries[i] for i in idxs))
 
     def take_cols(self, idxs) -> "Matrix":
+        if not (self.rows and idxs):
+            return _zeros(self.field, self.rows, len(idxs))
         return Matrix(self.field, self.rows, len(idxs),
                       tuple(tuple(r[j] for j in idxs) for r in self.entries))
 
@@ -570,8 +575,7 @@ def quotient_basis(sub: Matrix, ambient_dim: int):
 
 def _tensor_induced(fmat: Matrix, y_dim: int, src_section: Matrix, tgt_proj: Matrix) -> Matrix:
     """Map induced by f ⊗ id_Y on tensor quotients: src_section * (f ⊗ I_y) *
-    tgt_proj, where the raw tensor basis is ordered (p, q) -> p*y_dim + q.
-    Both Tor routes (path algebras and structure-constant rings) use it."""
+    tgt_proj, where the raw tensor basis is ordered (p, q) -> p*y_dim + q."""
     fld = fmat.field
     dx, dx2 = fmat.rows, fmat.cols
     raw = [[fld.zero()] * (dx2 * y_dim) for _ in range(dx * y_dim)]
@@ -591,8 +595,8 @@ def _tensor_quotient(fld: FieldSpec, dx: int, dy: int, pairs):
     matrices of one ring element r contributes the relations
     x*r ⊗ y - x ⊗ r*y.  Returns (section, projection) as quotient_basis
     does; the RREF is canonical, so the result depends only on the span of
-    the relations.  Both Tor routes (path algebras and structure-constant
-    rings) use it."""
+    the relations.  Tor over a path algebra and the corner tensor product
+    Ae ⊗_{eAe} eA use it."""
     n = dx * dy
     rows = []
     if n:

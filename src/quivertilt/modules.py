@@ -274,6 +274,9 @@ def _unflatten_map(m: Representation, n: Representation, flat) -> ModuleMap:
     pos = 0
     for v in m.algebra.vertices:
         r, c = m.dims[v], n.dims[v]
+        if not (r and c):
+            mats[v] = Matrix.zeros(fld, r, c)
+            continue
         rows = []
         for i in range(r):
             rows.append(tuple(flat[pos:pos + c]))
@@ -442,6 +445,9 @@ def direct_sum_with_maps(summands):
             acc += s.dims[v]
     mats = {}
     for name, s, t in alg.quiver.arrows:
+        if not (dims[s] and dims[t]):
+            mats[name] = Matrix.zeros(fld, dims[s], dims[t])
+            continue
         out = [[fld.zero()] * dims[t] for _ in range(dims[s])]
         for k, summand in enumerate(summands):
             m = summand.arrow_mats[name]
@@ -454,6 +460,10 @@ def direct_sum_with_maps(summands):
     for k, summand in enumerate(summands):
         imats, pmats = {}, {}
         for v in alg.vertices:
+            if not summand.dims[v]:
+                imats[v] = Matrix.zeros(fld, 0, dims[v])
+                pmats[v] = Matrix.zeros(fld, dims[v], 0)
+                continue
             inc = [[fld.zero()] * dims[v] for _ in range(summand.dims[v])]
             prj = [[fld.zero()] * summand.dims[v] for _ in range(dims[v])]
             for i in range(summand.dims[v]):

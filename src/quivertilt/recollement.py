@@ -12,21 +12,23 @@ is an explicit error, never a truncated answer.
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, regular_module, simple, zero_module
+from .algebra import (Algebra, injective, opposite_algebra, projective,
+                      regular_module, simple, zero_module)
 from .complexes import (ChainMap, PerfectComplex, cohomology, derived_hom,
                         hom_window, is_exceptional, mapping_cone,
                         resolve_to_complex, shift_chain_map,
                         stack_to_common_target)
 from .errors import BoundExceeded, ConsistencyError, InputError
 from .homology import (DEFAULT_RESOLUTION_BOUND, LeftModule, ShortExact,
-                       ext_dim, min_resolution, proj_dim, tor_dims_range)
+                       ext_dim, left_module_from_op_rep, min_resolution,
+                       proj_dim, tor_dims_range)
 from .linalg import (Matrix, _tensor_quotient, row_space, solve_linear_system,
                      solve_right_kernel)
 from .modules import (ModuleMap, Representation, _flatten_map, cokernel,
-                      decompose, hom_space, identity_map,
-                      indecomposable_summands, is_isomorphic, quotient,
+                      decompose, direct_sum, hom_space, identity_map,
+                      indecomposable_summands, is_isomorphic, quotient, top,
                       trace_submodule)
-from .rings import RingPresentation, SCRing, corner_bimodules, sc_tor_dims
+from .rings import RingPresentation, SCRing, corner_bimodules
 
 
 # -- perpendicular categories -----------------------------------------------------
@@ -445,22 +447,51 @@ class StratifyingReport:
     tensor_dim: int
     ideal_dim: int
     multiplication_bijective: bool
-    tor_dims: tuple
-    tor_conclusive: bool
+    quotient_tor_dims: tuple     # dim Tor^A_n(A/AeA, A/AeA) for n = 1..max_degree
+    quotient_ext_dims: tuple     # dim Ext^n_A(A/AeA, top A/AeA) for n = 1..max_degree
+    resolution_complete: bool    # pd A/AeA <= max_degree: no Tor beyond the window
     is_stratifying: bool
 
 
 def stratifying_ideal_check(alg: Algebra, vertices, max_degree: int = 8) -> StratifyingReport:
-    """Is the ideal generated by the chosen vertex idempotents stratifying?
+    """Is the ideal AeA generated by the chosen vertex idempotents
+    stratifying?
 
     Checks that multiplication Ae ⊗_{eAe} eA -> AeA is bijective and that
-    Tor^{eAe}_i(Ae, eA) vanishes for i >= 1.  When the free resolution of
-    Ae over the corner ring does not terminate within the bound and no
-    nonzero Tor was found, the test is inconclusive and raises."""
-    ae, ea, ae_idx, ea_idx, ring = corner_bimodules(alg, vertices)
+    A -> B = A/AeA is a homological epimorphism, Tor^A_n(B, B) = 0 for
+    n >= 1 (Cline-Parshall-Scott; Geigle-Lenzing), from one minimal
+    resolution of B.  The first n >= 1 with Tor^A_n(B, B) nonzero and the
+    first with Ext^n_A(B, top B) nonzero are both the first term of that
+    resolution with a summand P_v, v outside e (Auslander-Platzeck-Todorov),
+    and are asserted equal.  When nothing nonzero was found and pd B
+    exceeds max_degree, the test is inconclusive and raises."""
+    vertices = tuple(vertices)
+    corner_dim, tdim, ideal_dim, bijective = _corner_multiplication(alg, vertices)
+    b = _quotient_by_vertex_ideal(alg, vertices)
+    b_left = left_module_from_op_rep(
+        alg, _quotient_by_vertex_ideal(opposite_algebra(alg), vertices))
+    res = min_resolution(b, max_degree + 1, require_finite=False)
+    tor = tor_dims_range(b, b_left, max_degree, resolution=res)[1:]
+    top_b, _ = top(b)
+    ext = tuple(ext_dim(n, b, top_b, resolution=res) for n in range(1, max_degree + 1))
+    if _first_nonzero(tor) != _first_nonzero(ext):
+        raise ConsistencyError(
+            f"Tor^A(B, B) {tor} and Ext_A(B, top B) {ext} start in different degrees")
+    complete = res.complete and res.length <= max_degree
+    tor_ok = not any(tor)
+    if bijective and tor_ok and not complete:
+        raise BoundExceeded(
+            f"pd A/AeA exceeds {max_degree} and Tor^A vanishes up to there")
+    return StratifyingReport(vertices, corner_dim, tdim, ideal_dim, bijective,
+                             tor, ext, complete, bijective and tor_ok)
+
+
+def _corner_multiplication(alg: Algebra, vertices):
+    """(dim eAe, dim Ae ⊗_{eAe} eA, dim AeA, is the multiplication map
+    between the last two bijective)."""
+    corner_idx, ae_idx, ea_idx, r_act, l_act = corner_bimodules(alg, vertices)
     fld = alg.field
-    section, _ = _tensor_quotient(fld, ae.dim, ea.dim, zip(ae.act, ea.act))
-    tdim = section.rows
+    section, _ = _tensor_quotient(fld, len(ae_idx), len(ea_idx), zip(r_act, l_act))
     # multiplication map on tensor representatives
     rows = []
     for row in section.entries:
@@ -468,29 +499,29 @@ def stratifying_ideal_check(alg: Algebra, vertices, max_degree: int = 8) -> Stra
         for pos, c in enumerate(row):
             if not c:
                 continue
-            p, q = divmod(pos, ea.dim)
-            prod = alg.mult[(ae_idx[p], ea_idx[q])]
-            for k, d in enumerate(prod):
+            p, q = divmod(pos, len(ea_idx))
+            for k, d in enumerate(alg.mult[(ae_idx[p], ea_idx[q])]):
                 if d:
                     acc[k] = fld.add(acc[k], fld.mul(c, d))
         rows.append(tuple(acc))
-    mult_matrix = Matrix(fld, len(rows), alg.dim, tuple(rows))
+    mult_rank = row_space(Matrix(fld, len(rows), alg.dim, tuple(rows))).rows
     # AeA = span of all products
-    prod_rows = []
-    for p in ae_idx:
-        for q in ea_idx:
-            prod_rows.append(alg.mult[(p, q)])
-    ideal_dim = row_space(Matrix(fld, len(prod_rows), alg.dim, tuple(prod_rows))).rows
-    mult_rank = row_space(mult_matrix).rows
-    bijective = (mult_rank == tdim == ideal_dim)
-    tor, conclusive = sc_tor_dims(ae, ea, max_degree)
-    tor_ok = all(d == 0 for d in tor)
-    if tor_ok and not conclusive:
-        raise BoundExceeded(
-            f"resolution bound exceeded over the corner ring (checked {max_degree} degrees)")
-    return StratifyingReport(tuple(vertices), ring.dim, tdim, ideal_dim,
-                             bijective, tor, conclusive,
-                             bijective and tor_ok)
+    prod_rows = tuple(alg.mult[(p, q)] for p in ae_idx for q in ea_idx)
+    ideal_dim = row_space(Matrix(fld, len(prod_rows), alg.dim, prod_rows)).rows
+    return len(corner_idx), section.rows, ideal_dim, mult_rank == section.rows == ideal_dim
+
+
+def _quotient_by_vertex_ideal(alg: Algebra, vertices) -> Representation:
+    """A/AeA as a right module: the regular module modulo the trace of
+    eA = ⊕_{v in e} P_v in it."""
+    r = regular_module(alg)
+    gen = direct_sum([projective(alg, v) for v in vertices]) if vertices else zero_module(alg)
+    b, _ = quotient(r, trace_submodule(gen, r))
+    return b
+
+
+def _first_nonzero(dims):
+    return next((n for n, d in enumerate(dims, 1) if d), None)
 
 
 # -- the recollement report --------------------------------------------------------
@@ -541,7 +572,6 @@ def recollement_report(t: Representation, seed: int = 0,
     if cor_zero:
         ru = loc.ru_module
         ru_over_r = cokernel(loc.eta)[0]
-        from .modules import direct_sum
         t_prime = direct_sum([ru, ru_over_r]) if (ru.total_dim or ru_over_r.total_dim) else ru
         equivalent = _same_ext_vanishing_class(t, t_prime, bound)
     return RecollementReport(cert, t1, q, loc, ortho, t2_exc, t2_matches,
@@ -553,7 +583,6 @@ def _same_ext_vanishing_class(t: Representation, t_prime: Representation,
     """Heuristic equality of tilting classes: compare Ext^1-vanishing on the
     simple-generated test family (simples, projectives, injectives, and the
     two modules themselves).  Reported as a flag, never as a proof."""
-    from .algebra import injective, projective
     alg = t.algebra
     family = [simple(alg, v) for v in alg.vertices]
     family += [projective(alg, v) for v in alg.vertices]

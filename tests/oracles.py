@@ -7,9 +7,12 @@ reference_quotient_projection, the per-coordinate reduction loop that
 quotient_basis replaced with a closed form, which uses the field's element
 operations, reference_left_approximation, a direct search built on the
 library's Hom solver, reference_triangle, the direct block assembly of
-a triangle that triangle_from_map replaced with a shifted mapping cone, and
+a triangle that triangle_from_map replaced with a shifted mapping cone,
 reference_summands, the Fitting search that runs every candidate before it
-asks the trace form whether End is local.
+asks the trace form whether End is local, and reference_sc_tor_dims with
+its corner-ring callers, Tor over a structure-constant ring from free
+resolutions built with the library's elimination, which the
+stratifying-ideal test used before it computed Tor over the algebra.
 """
 
 from fractions import Fraction
@@ -437,3 +440,175 @@ def reference_summands(m, seed=0):
     if _endo_radical_dim(m, hs) == 1:
         return [(m, identity_map(m), identity_map(m))]
     raise ConsistencyError("no Fitting split found and End/rad has dimension > 1")
+
+
+def reference_corner_ring(alg, vertices):
+    """(eAe as a checked structure-constant ring, its algebra basis indices)
+    for e the sum of the given vertex idempotents."""
+    from quivertilt.rings import SCRing
+
+    corner, _, _ = corner_data(alg, vertices)
+    fld = alg.field
+    pos = {b: k for k, b in enumerate(corner)}
+    mult = {}
+    for a, i in enumerate(corner):
+        for b, j in enumerate(corner):
+            row = [fld.zero()] * len(corner)
+            for k, c in enumerate(alg.mult[(i, j)]):
+                if c:
+                    row[pos[k]] = c
+            mult[(a, b)] = tuple(row)
+    unit = [fld.zero()] * len(corner)
+    for v in vertices:
+        unit[pos[alg.vertex_idempotent(v)]] = fld.one()
+    labels = tuple(str(alg.basis[i]) for i in corner)
+    return SCRing(fld, len(corner), labels, mult, tuple(unit)), corner
+
+
+def reference_sc_tor_dims(ring, x_dim, x_act, y_dim, y_act, max_degree):
+    """(dims of Tor_1..Tor_max_degree, conclusive) over a structure-constant
+    ring, from a free (not minimal) resolution of the right module x.
+
+    x_act[i] is the matrix of x -> x * b_i and y_act[i] that of y -> b_i * y,
+    both in row convention.  conclusive means the resolution terminated or
+    reached a projective syzygy within max_degree + 1 steps, so every Tor
+    beyond the window vanishes.  A reference for small cases only: its
+    free covers and dense relation rows grow quickly, and for the corner
+    ring of triple3 at vertices 1, 2 it takes about 1 GB at max_degree 1 and
+    still ends inconclusive.
+    """
+    from quivertilt.linalg import (Matrix, _tensor_homology_dims, _tensor_quotient,
+                                   block_matrix, rank, row_space, solve_linear_system,
+                                   solve_right_kernel)
+
+    fld = ring.field
+    regs = [Matrix(fld, ring.dim, ring.dim, tuple(ring.mult[(p, i)] for p in range(ring.dim)))
+            for i in range(ring.dim)]
+
+    def free_module(rank_):
+        act = []
+        for i in range(ring.dim):
+            blocks = [[regs[i] if r == c else Matrix.zeros(fld, ring.dim, ring.dim)
+                       for c in range(rank_)] for r in range(rank_)]
+            act.append(block_matrix(fld, blocks) if rank_ else Matrix.zeros(fld, 0, 0))
+        return rank_ * ring.dim, tuple(act)
+
+    def module_span(m, rows):
+        dim, act = m
+        span = row_space(rows)
+        while True:
+            new = [Matrix(fld, 1, dim, (r,)).mul(a).entries[0]
+                   for r in span.entries for a in act]
+            bigger = row_space(span.vstack(Matrix(fld, len(new), dim, tuple(new)))) \
+                if new else span
+            if bigger.rows == span.rows:
+                return span
+            span = bigger
+
+    def cover_by_free(m):
+        # greedy generating set; free basis (generator g, b_i) maps to g * b_i
+        dim, act = m
+        gens = []
+        span = Matrix.zeros(fld, 0, dim)
+        for i in range(dim):
+            probe = Matrix(fld, 1, dim, (tuple(fld.one() if k == i else fld.zero()
+                                               for k in range(dim)),))
+            if span.rows and solve_linear_system(span, probe)[0] is not None:
+                continue
+            gens.append(probe)
+            span = module_span(m, span.vstack(probe))
+            if span.rows == dim:
+                break
+        free = free_module(len(gens))
+        rows = tuple(g.mul(act[i]).entries[0] for g in gens for i in range(ring.dim))
+        cover = Matrix(fld, free[0], dim, rows)
+        assert rank(cover) == dim, "free cover is not surjective"
+        return free, cover
+
+    def kernel_module(m, f):
+        ker = solve_right_kernel(f)
+        act = []
+        for a in m[1]:
+            sol, _ = solve_linear_system(ker, ker.mul(a))
+            assert sol is not None, "kernel is not action-stable"
+            act.append(sol)
+        return (ker.rows, tuple(act)), ker
+
+    def is_projective(m):
+        # does the free cover split?  Unknown section S (dim x free dim) with
+        # S * cover = I and act_m[i] * S = S * act_free[i]
+        dim, act = m
+        if dim == 0:
+            return True
+        (fdim, fact), cover = cover_by_free(m)
+        nvars = dim * fdim
+        eq_cols, targets = [], []
+        for r in range(dim):
+            for c in range(dim):
+                col = [fld.zero()] * nvars
+                for k in range(fdim):
+                    if cover.entries[k][c]:
+                        col[r * fdim + k] = cover.entries[k][c]
+                eq_cols.append(col)
+                targets.append(fld.one() if r == c else fld.zero())
+        for A, B in zip(act, fact):
+            for r in range(dim):
+                for c in range(fdim):
+                    col = [fld.zero()] * nvars
+                    for k in range(dim):
+                        if A.entries[r][k]:
+                            col[k * fdim + c] = A.entries[r][k]
+                    for k in range(fdim):
+                        if B.entries[k][c]:
+                            col[r * fdim + k] = fld.sub(col[r * fdim + k], B.entries[k][c])
+                    if any(col):
+                        eq_cols.append(col)
+                        targets.append(fld.zero())
+        eqm = Matrix(fld, nvars, len(eq_cols), tuple(zip(*eq_cols)))
+        sol, _ = solve_linear_system(eqm, Matrix(fld, 1, len(targets), (tuple(targets),)))
+        return sol is not None
+
+    terms, diffs = [], []
+    current, incl_to_prev_free = (x_dim, tuple(x_act)), None
+    conclusive = False
+    for k in range(max_degree + 2):
+        free, cover = cover_by_free(current)
+        terms.append(free)
+        if k:
+            diffs.append(cover.mul(incl_to_prev_free))
+        kmod, krows = kernel_module(free, cover)
+        if kmod[0] == 0:
+            conclusive = True
+            break
+        if not conclusive and is_projective(kmod):
+            conclusive = True
+        current, incl_to_prev_free = kmod, krows
+    spaces = [_tensor_quotient(fld, dim, y_dim, zip(act, y_act)) for dim, act in terms]
+    return _tensor_homology_dims(spaces, diffs, y_dim, max_degree)[1:], conclusive
+
+
+def reference_corner_tor_dims(alg, vertices, max_degree):
+    """(dims of Tor^{eAe}_1..Tor^{eAe}_max_degree (Ae, eA), conclusive) by
+    reference_sc_tor_dims over the corner ring."""
+    from quivertilt.linalg import Matrix
+
+    ring, _ = reference_corner_ring(alg, vertices)
+    _, ae, ea, right_acts, left_acts = _corner_actions(alg, vertices)
+    fld = alg.field
+    x_act = [Matrix.from_rows(fld, r, len(ae)) for r in right_acts]
+    y_act = [Matrix.from_rows(fld, l, len(ea)) for l in left_acts]
+    return reference_sc_tor_dims(ring, len(ae), x_act, len(ea), y_act, max_degree)
+
+
+def reference_stratifying_verdict(alg, vertices, max_degree):
+    """Is AeA stratifying, by the corner-ring criterion: Ae ⊗_{eAe} eA ->
+    AeA bijective (dimensions from the oracles above; the map is onto) and
+    Tor^{eAe}_n(Ae, eA) = 0 for n >= 1.  Raises BoundExceeded when both
+    hold within the window but the resolution was inconclusive."""
+    from quivertilt.errors import BoundExceeded
+
+    bijective = oracle_corner_tensor_dim(alg, vertices) == oracle_corner_ideal_dim(alg, vertices)
+    tor, conclusive = reference_corner_tor_dims(alg, vertices, max_degree)
+    if bijective and not any(tor) and not conclusive:
+        raise BoundExceeded("corner-ring resolution inconclusive")
+    return bijective and not any(tor)

@@ -24,7 +24,8 @@ from quivertilt.recollement import (perp_complex_membership, reflection_brick,
 from quivertilt.tilting import check_A1_A2, cone_exceptionality
 from quivertilt.verify import run_example
 from oracles import (oracle_corner_ideal_dim, oracle_corner_tensor_dim,
-                     oracle_corner_tor1_dim)
+                     oracle_corner_tor1_dim, reference_corner_tor_dims,
+                     reference_stratifying_verdict)
 
 
 def _report(criterion: str, passed: bool):
@@ -210,11 +211,10 @@ def test_criterion_7_stratifying_suite():
         rep = stratifying_ideal_check(kron2, vs)
         assert rep.tensor_dim == oracle_corner_tensor_dim(kron2, vs)
         assert rep.ideal_dim == oracle_corner_ideal_dim(kron2, vs)
-        assert rep.tor_dims[0] == oracle_corner_tor1_dim(kron2, vs)
-        oracle_verdict = (rep.tensor_dim == rep.ideal_dim
-                          and oracle_corner_tor1_dim(kron2, vs) == 0
-                          and rep.multiplication_bijective)
-        assert rep.is_stratifying == oracle_verdict
+        tor, _ = reference_corner_tor_dims(kron2, vs, 4)
+        assert tor[0] == oracle_corner_tor1_dim(kron2, vs)
+        assert rep.quotient_tor_dims[1] == rep.tensor_dim - rep.ideal_dim
+        assert rep.is_stratifying == reference_stratifying_verdict(kron2, vs, 4)
     _report("7 (stratifying-ideal suite)", True)
 
 

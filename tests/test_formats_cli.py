@@ -131,6 +131,22 @@ def test_load_module_resolves_algebra_relative_path():
     assert is_isomorphic(m, projective(m.algebra, "2"))
 
 
+def test_module_written_for_another_quiver_is_rejected(capsys):
+    # S2.mod and I1.mod name cycle2.alg
+    assert main(["hom", str(FIXTURE_DIR / "a2.alg"), S2, S2]) == 2
+    assert "quiver" in capsys.readouterr().err
+    assert main(["hom", str(FIXTURE_DIR / "triple3.alg"), I1, I1]) == 2
+    with pytest.raises(InputError, match="quiver"):
+        load_module(S2, fixture_algebra("a2"))
+
+
+def test_module_for_the_same_quiver_loads_under_another_field(capsys):
+    assert main(["hom", "--field", "GF(101)", ALG, S2, S2]) == 0
+    assert "dim Hom = 1" in capsys.readouterr().out
+    m = load_module(S2, fixture_algebra("cycle2", GF(101)))
+    assert m.algebra.field == GF(101) and m.dims == {"1": 0, "2": 1}
+
+
 def test_module_with_wrong_shape_rejected(cycle2, tmp_path):
     bad = tmp_path / "bad.mod"
     bad.write_text("dim 1=1 2=1\nmap a = [[1,2]]\n")
@@ -255,6 +271,16 @@ def test_cli_localize_and_homepi(capsys):
 def test_cli_stratify_exit_codes():
     assert main(["stratify", str(FIXTURE_DIR / "a2.alg"), "--vertices", "2"]) == 0
     assert main(["stratify", ALG, "--vertices", "2"]) == 1
+
+
+def test_cli_stratify_json_reports_tor_over_the_algebra(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert main(["stratify", ALG, "--vertices", "2", "--json", str(out)]) == 1
+    assert "Tor^A_n(A/AeA, A/AeA), n=1..8: [0, 1, 0, 0, 0, 0, 0, 0]" in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert report["quotient_tor_dims"] == report["quotient_ext_dims"] == [0, 1] + [0] * 6
+    assert report["resolution_complete"] is True
+    assert "tor_dims" not in report and "tor_conclusive" not in report
 
 
 def test_cli_recollement(capsys):

@@ -11,7 +11,7 @@ from quivertilt.homology import (ExtClass, connecting_class, ext, ext_dim,
                                  universal_extension)
 from quivertilt.modules import (cokernel, decompose, direct_sum, hom_space,
                                 is_isomorphic, quotient, socle, zero_map)
-from oracles import oracle_tensor_dim
+from oracles import oracle_tensor_dim, reference_corner_ring, reference_sc_tor_dims
 
 
 # -- covers and resolutions -------------------------------------------------
@@ -291,23 +291,21 @@ def test_tor0_matches_brute_force_bilinear_quotient(a2, cycle2):
 
 def test_tor_routes_agree_on_a2(a2):
     """The path-algebra route (minimal resolution over KQ/I) and the
-    structure-constant route (free resolution over a ring) give the same
-    Tor: corner_ring over every vertex is A itself, in the algebra's basis
-    order."""
+    structure-constant reference route (free resolution over a ring) give
+    the same Tor: the corner ring over every vertex is A itself, in the
+    algebra's basis order."""
     from quivertilt.homology import _total_action
-    from quivertilt.rings import SCLeftModule, SCRightModule, corner_ring, sc_tor_dims
-    ring, idx = corner_ring(a2, a2.vertices)
+    ring, idx = reference_corner_ring(a2, a2.vertices)
     assert idx == list(range(a2.dim))
     op = opposite_algebra(a2)
     lefts = [left_regular_module(a2)]
     lefts += [left_module_from_op_rep(a2, simple(op, v)) for v in a2.vertices]
     nonzero = 0
     for x in [f(a2, v) for f in (simple, injective) for v in a2.vertices]:
-        xs = SCRightModule(ring, x.total_dim,
-                           tuple(_total_action(x, i) for i in range(a2.dim)))
+        x_act = [_total_action(x, i) for i in range(a2.dim)]
         for y in lefts:
             dims = tor_dims_range(x, y, 3)[1:]
-            sc_dims, _ = sc_tor_dims(xs, SCLeftModule(ring, y.dim, y.act), 3)
+            sc_dims, _ = reference_sc_tor_dims(ring, x.total_dim, x_act, y.dim, y.act, 3)
             assert dims == sc_dims
             nonzero += any(dims)
     assert nonzero

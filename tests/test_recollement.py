@@ -1,5 +1,14 @@
+import itertools
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import quivertilt
 from quivertilt import (BoundExceeded, InputError, Representation, injective,
                         modules, projective, regular_module, simple)
 from quivertilt.complexes import (cohomology, derived_hom, hom_window,
@@ -16,7 +25,8 @@ from quivertilt.recollement import (homological_epi_check,
                                     universal_localization)
 from quivertilt.tilting import TiltingCertificate, tilting_module_check
 from oracles import (oracle_corner_ideal_dim, oracle_corner_tensor_dim,
-                     oracle_corner_tor1_dim)
+                     oracle_corner_tor1_dim, reference_corner_tor_dims,
+                     reference_stratifying_verdict)
 
 
 # -- perpendicular categories ---------------------------------------------------
@@ -252,8 +262,15 @@ def test_stratifying_a2(a2):
 def test_stratifying_cycle2_corner_fails(cycle2):
     rep = stratifying_ideal_check(cycle2, ("2",))
     assert not rep.is_stratifying
-    assert rep.tor_dims[0] == 1
     assert not rep.multiplication_bijective
+    # B = A/AeA has Tor^A_2(B, B) of dimension 1, the kernel of the corner
+    # multiplication; over the corner ring the same obstruction shows as
+    # Tor^{eAe}_1(Ae, eA) of dimension 1
+    assert rep.quotient_tor_dims[:2] == (0, 1)
+    assert rep.quotient_ext_dims[:2] == (0, 1)
+    assert rep.resolution_complete
+    tor, _ = reference_corner_tor_dims(cycle2, ("2",), 4)
+    assert tor[0] == oracle_corner_tor1_dim(cycle2, ("2",)) == 1
 
 
 def test_stratifying_triple3_heredity(triple3):
@@ -267,7 +284,80 @@ def test_stratifying_matches_independent_oracle(kron2, a2, cycle2):
         rep = stratifying_ideal_check(alg, vs)
         assert rep.tensor_dim == oracle_corner_tensor_dim(alg, vs)
         assert rep.ideal_dim == oracle_corner_ideal_dim(alg, vs)
-        assert rep.tor_dims[0] == oracle_corner_tor1_dim(alg, vs)
+        tor, _ = reference_corner_tor_dims(alg, vs, 4)
+        assert tor[0] == oracle_corner_tor1_dim(alg, vs)
+
+
+def _proper_vertex_subsets(alg):
+    return [vs for k in range(1, len(alg.vertices))
+            for vs in itertools.combinations(alg.vertices, k)]
+
+
+def test_stratifying_triple3_multiplication_failure_is_certified(triple3):
+    """dim Ae ⊗_{eAe} eA = 9 > dim AeA = 8 decides NO even when one degree
+    of Tor cannot decide it (the corner-ring route took about 1 GB here
+    and raised BoundExceeded)."""
+    rep = stratifying_ideal_check(triple3, ("1", "2"), max_degree=1)
+    assert (rep.tensor_dim, rep.ideal_dim) == (9, 8)
+    assert not rep.multiplication_bijective
+    assert not rep.resolution_complete
+    assert not rep.is_stratifying
+
+
+def test_stratifying_inconclusive_window_raises(triple3):
+    # multiplication is bijective and Tor_1 vanishes, but pd A/AeA = 4
+    with pytest.raises(BoundExceeded):
+        stratifying_ideal_check(triple3, ("1",), max_degree=1)
+    rep = stratifying_ideal_check(triple3, ("1",), max_degree=4)
+    assert rep.quotient_tor_dims == (0, 0, 1, 1)
+    assert not rep.is_stratifying
+
+
+def test_corner_kernel_is_tor2_of_the_quotient(all_algebras):
+    """Ae ⊗_{eAe} eA -> AeA is onto, and its kernel has the dimension of
+    Tor^A_2(A/AeA, A/AeA) on every proper vertex subset of the fixtures."""
+    for name, alg in all_algebras.items():
+        for vs in _proper_vertex_subsets(alg):
+            rep = stratifying_ideal_check(alg, vs)
+            assert rep.tensor_dim - rep.ideal_dim == rep.quotient_tor_dims[1], (name, vs)
+            assert rep.resolution_complete
+
+
+def test_stratifying_verdict_matches_corner_ring_route(a2, kron2, cycle2):
+    for alg in (a2, kron2, cycle2):
+        for vs in _proper_vertex_subsets(alg):
+            assert (stratifying_ideal_check(alg, vs, max_degree=4).is_stratifying
+                    == reference_stratifying_verdict(alg, vs, 4)), vs
+
+
+def test_stratifying_suite_time_and_memory():
+    """Every proper vertex subset of the four fixtures at the default
+    max_degree, in a fresh interpreter: under 10 s and 100 MiB peak RSS."""
+    script = textwrap.dedent("""
+        import itertools, json, resource, time
+        from quivertilt.formats import fixture_algebra
+        from quivertilt.recollement import stratifying_ideal_check
+        start = time.perf_counter()
+        verdicts = []
+        for name in ("a2", "kron2", "cycle2", "triple3"):
+            alg = fixture_algebra(name)
+            for k in range(1, len(alg.vertices)):
+                for vs in itertools.combinations(alg.vertices, k):
+                    rep = stratifying_ideal_check(alg, vs)
+                    verdicts.append(rep.is_stratifying)
+        print(json.dumps({"seconds": time.perf_counter() - start,
+                          "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+                          "verdicts": verdicts}))
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(quivertilt.__file__).parents[1]),
+                                         env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    stats = json.loads(out.stdout)
+    assert len(stats["verdicts"]) == 12
+    assert stats["seconds"] < 10
+    assert stats["maxrss_kib"] < 100 * 1024
 
 
 # -- recollement reports -----------------------------------------------------------

@@ -408,10 +408,6 @@ class Algebra:
         src, word = self.basis[i]
         return self.arrow_endpoints(word[-1])[1] if word else src
 
-    def basis_index(self, path) -> int:
-        cache = self._caches.setdefault("bidx", {p: i for i, p in enumerate(self.basis)})
-        return cache[path]
-
     def path_in_basis(self, word) -> tuple:
         """Coefficient tuple of the residue class of an arrow word (length >= 1)."""
         fld = self.field
@@ -445,23 +441,6 @@ class Algebra:
             # relations? admissibility forbids it, but keep a clear error)
             raise InputError(f"arrow {name!r} is not a residue basis element")
         return cache[name]
-
-    def multiply(self, u: tuple, w: tuple) -> tuple:
-        """Product of two coefficient tuples."""
-        fld = self.field
-        out = [fld.zero()] * self.dim
-        for i, c in enumerate(u):
-            if not c:
-                continue
-            for j, d in enumerate(w):
-                if not d:
-                    continue
-                cd = fld.mul(c, d)
-                row = self.mult[(i, j)]
-                for t, e in enumerate(row):
-                    if e:
-                        out[t] = fld.add(out[t], fld.mul(cd, e))
-        return tuple(out)
 
     def unit(self) -> tuple:
         fld = self.field
@@ -614,6 +593,6 @@ def opposite_algebra(alg: Algebra) -> Algebra:
     mult = {}
     for (i, j), row in alg.mult.items():
         mult[(j, i)] = row
-    op = Algebra(op_q, op_rels, alg.field, basis, mult, alg.max_path_len)
-    op._verify()
-    return op
+    # the transpose of a verified table is associative and unital, its
+    # vertex idempotents stay orthogonal and the reversed relations vanish
+    return Algebra(op_q, op_rels, alg.field, basis, mult, alg.max_path_len)

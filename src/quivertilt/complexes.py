@@ -15,8 +15,8 @@ from .errors import ConsistencyError, DimensionMismatch, InputError
 from .linalg import Matrix, block_matrix, quotient_basis, row_space, solve_linear_system, solve_right_kernel
 from .modules import (ModuleMap, Representation, identity_map, quotient, submodule_from_rows,
                       zero_map)
-from .homology import (DEFAULT_RESOLUTION_BOUND, ProjSum, Resolution, _split_gen_vector,
-                       gen_coords, hom_from_gens, min_resolution, proj_sum)
+from .homology import (DEFAULT_RESOLUTION_BOUND, ProjSum, Resolution, _precompose_matrix,
+                       _split_gen_vector, gen_coords, hom_from_gens, min_resolution, proj_sum)
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,6 @@ class PerfectComplex:
     def is_zero_complex(self) -> bool:
         return not self.terms
 
-    def term(self, n: int):
-        return self.terms.get(n)
-
     def term_rep(self, n: int) -> Representation:
         t = self.terms.get(n)
         if t is not None:
@@ -65,9 +62,6 @@ class PerfectComplex:
         if d is not None:
             return d
         return zero_map(self.term_rep(n), self.term_rep(n + 1))
-
-    def total_rank(self) -> int:
-        return sum(t.rank for t in self.terms.values())
 
     def __repr__(self):
         if not self.terms:
@@ -316,32 +310,6 @@ def _postcompose_matrix(psum: ProjSum, g: ModuleMap) -> Matrix:
     blocks = [[g.mats[v] if i == j else Matrix.zeros(fld, g.source.dims[v], g.target.dims[w])
                for j, w in enumerate(psum.gens)] for i, v in enumerate(psum.gens)]
     return block_matrix(fld, blocks) if psum.gens else Matrix.zeros(fld, 0, 0)
-
-
-def _precompose_matrix(d: ModuleMap, psrc: ProjSum, ptgt: ProjSum, n: Representation) -> Matrix:
-    """Matrix of Hom(d, n): coords(d then f) = coords(f) * M, where
-    d: psrc -> ptgt and f in Hom(ptgt, n)."""
-    alg = psrc.algebra
-    fld = alg.field
-    rows_dim = ptgt.hom_dim(n)
-    cols_dim = psrc.hom_dim(n)
-    tgt_off = ptgt.hom_offsets(n)
-    src_off = psrc.hom_offsets(n)
-    out = [[fld.zero()] * cols_dim for _ in range(rows_dim)]
-    for jp, (u, row_idx) in enumerate(psrc.gen_pos):
-        drow = d.mats[u].entries[row_idx]  # vector in ptgt.rep at vertex u
-        for pos, (j, i) in enumerate(ptgt.layout[u]):
-            c = drow[pos]
-            if not c:
-                continue
-            act = n.basis_action(i)  # n.dims[gens[j]] x n.dims[u]
-            for r in range(act.rows):
-                for s in range(act.cols):
-                    if act.entries[r][s]:
-                        out[tgt_off[j] + r][src_off[jp] + s] = fld.add(
-                            out[tgt_off[j] + r][src_off[jp] + s],
-                            fld.mul(c, act.entries[r][s]))
-    return Matrix(fld, rows_dim, cols_dim, tuple(tuple(r) for r in out))
 
 
 @dataclass(frozen=True)

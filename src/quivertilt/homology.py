@@ -115,17 +115,30 @@ def gen_coords(psum: ProjSum, f: ModuleMap) -> tuple:
     return tuple(out)
 
 
-def hom_basis_maps(psum: ProjSum, n: Representation):
-    """Basis of Hom(psum, n) as ModuleMaps, one per generator coordinate."""
-    fld = psum.algebra.field
-    out = []
-    for j, v in enumerate(psum.gens):
-        for c in range(n.dims[v]):
-            images = [tuple(fld.one() if (jj == j and cc == c) else fld.zero()
-                            for cc in range(n.dims[vv]))
-                      for jj, vv in enumerate(psum.gens)]
-            out.append(hom_from_gens(psum, n, images))
-    return out
+def _precompose_matrix(d: ModuleMap, psrc: ProjSum, ptgt: ProjSum, n: Representation) -> Matrix:
+    """Matrix of Hom(d, n): coords(d then f) = coords(f) * M, where
+    d: psrc -> ptgt and f in Hom(ptgt, n)."""
+    alg = psrc.algebra
+    fld = alg.field
+    rows_dim = ptgt.hom_dim(n)
+    cols_dim = psrc.hom_dim(n)
+    tgt_off = ptgt.hom_offsets(n)
+    src_off = psrc.hom_offsets(n)
+    out = [[fld.zero()] * cols_dim for _ in range(rows_dim)]
+    for jp, (u, row_idx) in enumerate(psrc.gen_pos):
+        drow = d.mats[u].entries[row_idx]  # vector in ptgt.rep at vertex u
+        for pos, (j, i) in enumerate(ptgt.layout[u]):
+            c = drow[pos]
+            if not c:
+                continue
+            act = n.basis_action(i)  # n.dims[gens[j]] x n.dims[u]
+            for r in range(act.rows):
+                for s in range(act.cols):
+                    if act.entries[r][s]:
+                        out[tgt_off[j] + r][src_off[jp] + s] = fld.add(
+                            out[tgt_off[j] + r][src_off[jp] + s],
+                            fld.mul(c, act.entries[r][s]))
+    return Matrix(fld, rows_dim, cols_dim, tuple(tuple(r) for r in out))
 
 
 # -- projective covers and minimal resolutions -----------------------------------
@@ -175,9 +188,6 @@ class Resolution:
     @property
     def length(self) -> int:
         return len(self.terms) - 1
-
-    def term(self, k: int) -> ProjSum:
-        return self.terms[k] if 0 <= k < len(self.terms) else None
 
 
 def min_resolution(m: Representation, max_len: int = DEFAULT_RESOLUTION_BOUND,
@@ -313,23 +323,14 @@ def ext(degree: int, m: Representation, n: Representation,
     nvars = pk.hom_dim(n)
     if nvars == 0:
         return ExtSpace(res, degree, n, 0, ())
-    # rows of the "next" differential action: coords of (d_{degree+1} then f)
+    # cocycles: kernel of precomposition with d_{degree+1}
     if degree < res.length:
-        d_next = res.diffs[degree]
-        p_next = res.terms[degree + 1]
-        basis_maps = hom_basis_maps(pk, n)
-        rows = [gen_coords(p_next, d_next.compose(f)) for f in basis_maps]
-        M_next = Matrix(fld, nvars, p_next.hom_dim(n), tuple(rows))
-        Z = solve_right_kernel(M_next)
+        Z = solve_right_kernel(_precompose_matrix(res.diffs[degree], res.terms[degree + 1], pk, n))
     else:
         Z = Matrix.identity(fld, nvars)
     # coboundaries: image of precomposition with d_degree
     if degree >= 1:
-        d_prev = res.diffs[degree - 1]
-        p_prev = res.terms[degree - 1]
-        prev_maps = hom_basis_maps(p_prev, n)
-        b_rows = [gen_coords(pk, d_prev.compose(f)) for f in prev_maps]
-        B = row_space(Matrix(fld, len(b_rows), nvars, tuple(b_rows)))
+        B = row_space(_precompose_matrix(res.diffs[degree - 1], pk, res.terms[degree - 1], n))
     else:
         B = Matrix.zeros(fld, 0, nvars)
     # express B inside Z and take the quotient
@@ -399,6 +400,17 @@ class LeftModule:
                 if combo(alg.mult[(i, j)]) != act[j].mul(act[i]):
                     raise ConsistencyError("action does not respect ring multiplication")
 
+    @classmethod
+    def _trusted(cls, algebra, dim, act) -> "LeftModule":
+        """Build without the checks of __post_init__, for left modules that
+        are valid by construction from an already-checked algebra, module or
+        ring homomorphism."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "algebra", algebra)
+        object.__setattr__(obj, "dim", dim)
+        object.__setattr__(obj, "act", act)
+        return obj
+
 
 def left_regular_module(alg: Algebra) -> LeftModule:
     """The algebra as a left module over itself."""
@@ -407,7 +419,8 @@ def left_regular_module(alg: Algebra) -> LeftModule:
     for i in range(alg.dim):
         rows = [alg.mult[(i, p)] for p in range(alg.dim)]
         act.append(Matrix(fld, alg.dim, alg.dim, tuple(rows)))
-    return LeftModule(alg, alg.dim, tuple(act))
+    # left multiplication in the verified (associative, unital) algebra
+    return LeftModule._trusted(alg, alg.dim, tuple(act))
 
 
 def left_module_from_op_rep(alg: Algebra, op_rep: Representation) -> LeftModule:
@@ -419,7 +432,8 @@ def left_module_from_op_rep(alg: Algebra, op_rep: Representation) -> LeftModule:
     act = []
     for i in range(alg.dim):
         act.append(_total_action(op_rep, i))
-    return LeftModule(alg, op_rep.total_dim, tuple(act))
+    # a representation of the verified A^op is a left A-module
+    return LeftModule._trusted(alg, op_rep.total_dim, tuple(act))
 
 
 def _total_action(rep: Representation, i: int) -> Matrix:

@@ -423,13 +423,10 @@ def cokernel(f: ModuleMap):
 
 
 def direct_sum(summands):
-    """Block-diagonal direct sum; returns just the representation."""
-    reps, incls, projs = direct_sum_with_maps(summands)
-    return reps
-
-
-def direct_sum_with_maps(summands):
-    summands = list(summands)
+    """Block-diagonal direct sum.  The summands are recorded, in order, in
+    the sum's cache under "parts", so that its split pairs can be rebuilt
+    (``_block_maps``) and its indecomposable summands read off the parts."""
+    summands = tuple(summands)
     if not summands:
         raise InputError("direct_sum of nothing (pass a zero module explicitly)")
     alg = summands[0].algebra
@@ -437,43 +434,57 @@ def direct_sum_with_maps(summands):
         raise InputError("direct_sum across different algebras")
     fld = alg.field
     dims = {v: sum(s.dims[v] for s in summands) for v in alg.vertices}
-    off = {v: [] for v in alg.vertices}
-    for v in alg.vertices:
-        acc = 0
-        for s in summands:
-            off[v].append(acc)
-            acc += s.dims[v]
     mats = {}
     for name, s, t in alg.quiver.arrows:
         if not (dims[s] and dims[t]):
             mats[name] = Matrix.zeros(fld, dims[s], dims[t])
             continue
         out = [[fld.zero()] * dims[t] for _ in range(dims[s])]
-        for k, summand in enumerate(summands):
+        r0 = c0 = 0
+        for summand in summands:
             m = summand.arrow_mats[name]
-            for i in range(m.rows):
-                for j in range(m.cols):
-                    out[off[s][k] + i][off[t][k] + j] = m.entries[i][j]
+            for i, row in enumerate(m.entries):
+                out[r0 + i][c0:c0 + m.cols] = row
+            r0, c0 = r0 + m.rows, c0 + m.cols
         mats[name] = Matrix(fld, dims[s], dims[t], tuple(tuple(r) for r in out))
     total = Representation._trusted(alg, dims, mats)
+    total._caches["parts"] = summands
+    return total
+
+
+def direct_sum_with_maps(summands):
+    """(sum, inclusions, projections): the direct sum and the split pair of
+    each summand, in order."""
+    total = direct_sum(summands)
+    incls, projs = _block_maps(total)
+    return total, incls, projs
+
+
+def _block_maps(total: Representation):
+    """(inclusions, projections) of the recorded parts of a direct sum."""
+    alg = total.algebra
+    fld = alg.field
+    start = {v: 0 for v in alg.vertices}
     incls, projs = [], []
-    for k, summand in enumerate(summands):
+    for part in total._caches["parts"]:
         imats, pmats = {}, {}
         for v in alg.vertices:
-            if not summand.dims[v]:
-                imats[v] = Matrix.zeros(fld, 0, dims[v])
-                pmats[v] = Matrix.zeros(fld, dims[v], 0)
+            d, n = part.dims[v], total.dims[v]
+            if not d:
+                imats[v] = Matrix.zeros(fld, 0, n)
+                pmats[v] = Matrix.zeros(fld, n, 0)
                 continue
-            inc = [[fld.zero()] * dims[v] for _ in range(summand.dims[v])]
-            prj = [[fld.zero()] * summand.dims[v] for _ in range(dims[v])]
-            for i in range(summand.dims[v]):
-                inc[i][off[v][k] + i] = fld.one()
-                prj[off[v][k] + i][i] = fld.one()
-            imats[v] = Matrix(fld, summand.dims[v], dims[v], tuple(tuple(r) for r in inc))
-            pmats[v] = Matrix(fld, dims[v], summand.dims[v], tuple(tuple(r) for r in prj))
-        incls.append(ModuleMap._trusted(summand, total, imats))
-        projs.append(ModuleMap._trusted(total, summand, pmats))
-    return total, incls, projs
+            inc = [[fld.zero()] * n for _ in range(d)]
+            prj = [[fld.zero()] * d for _ in range(n)]
+            for i in range(d):
+                inc[i][start[v] + i] = fld.one()
+                prj[start[v] + i][i] = fld.one()
+            start[v] += d
+            imats[v] = Matrix(fld, d, n, tuple(tuple(r) for r in inc))
+            pmats[v] = Matrix(fld, n, d, tuple(tuple(r) for r in prj))
+        incls.append(ModuleMap._trusted(part, total, imats))
+        projs.append(ModuleMap._trusted(total, part, pmats))
+    return incls, projs
 
 
 # -- trace, radical, socle, top -------------------------------------------------
@@ -595,21 +606,21 @@ def _fitting_split(m: Representation, f: ModuleMap):
     return ker_incl, img_incl
 
 
-def _split_projection(m: Representation, part_incl: ModuleMap, other_incl: ModuleMap) -> ModuleMap:
-    """Projection m -> part along the complement, in the basis adapted to
-    m = part ⊕ other."""
+def _split_projections(m: Representation, k_incl: ModuleMap, i_incl: ModuleMap):
+    """Projections of m = ker ⊕ im onto each part along the other, read off
+    one solve of id_m = x * [k_incl; i_incl] per vertex."""
     alg = m.algebra
     fld = alg.field
-    mats = {}
+    k_mats, i_mats = {}, {}
     for v in alg.vertices:
-        stacked = part_incl.mats[v].vstack(other_incl.mats[v])
-        # solve id_m = x * stacked, take the part columns
-        ident = Matrix.identity(fld, m.dims[v])
-        x, _ = solve_linear_system(stacked, ident)
+        stacked = k_incl.mats[v].vstack(i_incl.mats[v])
+        x, _ = solve_linear_system(stacked, Matrix.identity(fld, m.dims[v]))
         if x is None:
             raise ConsistencyError("split projection failed")
-        mats[v] = x.take_cols(range(part_incl.source.dims[v]))
-    return ModuleMap(m, part_incl.source, mats)
+        k = k_incl.source.dims[v]
+        k_mats[v] = x.take_cols(range(k))
+        i_mats[v] = x.take_cols(range(k, m.dims[v]))
+    return ModuleMap(m, k_incl.source, k_mats), ModuleMap(m, i_incl.source, i_mats)
 
 
 def _trace_form_valid(m: Representation) -> bool:
@@ -675,6 +686,12 @@ def indecomposable_summands(m: Representation, seed: int = 0):
     """Full list of indecomposable direct summands, each with a split pair
     (factor, inclusion, projection) satisfying incl then proj = identity.
 
+    A module built by ``direct_sum`` is split along its recorded parts: its
+    summands are those of each part in order, carried into m by the part's
+    block inclusion and projection (Krull-Schmidt), so no End(m) is solved.
+    Any other module takes the brick test and Fitting search of
+    ``_split_summands``.
+
     The list is memoized per module and seed in the module's cache, so a
     module is split once however often it is asked about (``decompose``
     groups this list); each call returns a fresh list."""
@@ -684,11 +701,21 @@ def indecomposable_summands(m: Representation, seed: int = 0):
     return list(memo[seed])
 
 
+def _through_parts(pairs, seed: int):
+    """The summands of each part of a split, carried into the whole along
+    the part's (inclusion, projection)."""
+    return [(fac, sub_incl.compose(incl), proj.compose(sub_proj))
+            for incl, proj in pairs
+            for fac, sub_incl, sub_proj in indecomposable_summands(incl.source, seed)]
+
+
 def _split_summands(m: Representation, seed: int):
     """The summands of ``indecomposable_summands``, computed.
 
     The steps, in order:
 
+    0. A direct sum with recorded parts is split along them; each part is
+       certified by its own split.
     1. A module with dim End = 1 (a brick) has End = K, a local ring, so it
        is certified indecomposable in every characteristic before any
        search.
@@ -705,6 +732,8 @@ def _split_summands(m: Representation, seed: int):
     """
     if m.total_dim == 0:
         return []
+    if "parts" in m._caches:
+        return _through_parts(zip(*_block_maps(m)), seed)
     hs = hom_space(m, m)
     if hs.dim == 1:
         return [(m, identity_map(m), identity_map(m))]
@@ -720,13 +749,8 @@ def _split_summands(m: Representation, seed: int):
             "could not certify indecomposability: End/rad has dimension > 1 "
             "but no Fitting split was found")
     k_incl, i_incl = split
-    k_proj = _split_projection(m, k_incl, i_incl)
-    i_proj = _split_projection(m, i_incl, k_incl)
-    out = []
-    for part_incl, part_proj in ((k_incl, k_proj), (i_incl, i_proj)):
-        for fac, sub_incl, sub_proj in indecomposable_summands(part_incl.source, seed):
-            out.append((fac, sub_incl.compose(part_incl), part_proj.compose(sub_proj)))
-    return out
+    k_proj, i_proj = _split_projections(m, k_incl, i_incl)
+    return _through_parts(((k_incl, k_proj), (i_incl, i_proj)), seed)
 
 
 def decompose(m: Representation, seed: int = 0):

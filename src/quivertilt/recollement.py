@@ -307,12 +307,16 @@ def lambda_left_module(m: Representation, pres: RingPresentation) -> LeftModule:
     """m as a left module over the algebra through lambda."""
     alg = pres.algebra
     ends = hom_space(m, m)
+    if pres.ring.dim != ends.dim:
+        raise InputError("the presentation is not of End(m)")
     act = []
     for i in range(alg.dim):
         coords = pres.lam[i]
         f = ends.combo(coords)
         act.append(f.total_matrix())
-    return LeftModule(alg, m.total_dim, tuple(act))
+    # lambda is a checked ring homomorphism into End(m), unique by the
+    # reflection property asserted where the presentation is built
+    return LeftModule._trusted(alg, m.total_dim, tuple(act))
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,13 @@ operations, reference_left_approximation, a direct search built on the
 library's Hom solver, reference_triangle, the direct block assembly of
 a triangle that triangle_from_map replaced with a shifted mapping cone,
 reference_summands, the Fitting search that runs every candidate before it
-asks the trace form whether End is local, and reference_sc_tor_dims with
-its corner-ring callers, Tor over a structure-constant ring from free
-resolutions built with the library's elimination, which the
-stratifying-ideal test used before it computed Tor over the algebra.
+asks the trace form whether End is local, reference_ext_matrices, the
+per-coordinate construction of Ext's cocycle and coboundary matrices that
+the closed-form matrix of precomposition replaced, and
+reference_sc_tor_dims with its corner-ring callers, Tor over a
+structure-constant ring from free resolutions built with the library's
+elimination, which the stratifying-ideal test used before it computed Tor
+over the algebra.
 """
 
 from fractions import Fraction
@@ -388,8 +391,20 @@ def reference_summands(m, seed=0):
     import random
     from quivertilt.errors import ConsistencyError
     from quivertilt.linalg import rank
-    from quivertilt.modules import (_endo_radical_dim, _split_projection, hom_space,
-                                    identity_map, image, kernel)
+    from quivertilt.linalg import Matrix, solve_linear_system
+    from quivertilt.modules import (ModuleMap, _endo_radical_dim, hom_space, identity_map,
+                                    image, kernel)
+
+    def split_projection(part_incl, other_incl):
+        # solve id_m = x * [part; other] per vertex, take the part columns
+        mats = {}
+        for v in m.algebra.vertices:
+            stacked = part_incl.mats[v].vstack(other_incl.mats[v])
+            x, _ = solve_linear_system(stacked, Matrix.identity(m.algebra.field, m.dims[v]))
+            if x is None:
+                raise ConsistencyError("split projection failed")
+            mats[v] = x.take_cols(range(part_incl.source.dims[v]))
+        return ModuleMap(m, part_incl.source, mats)
 
     def fitting_split(f):
         n = m.total_dim
@@ -433,13 +448,48 @@ def reference_summands(m, seed=0):
         k_incl, i_incl = split
         out = []
         for part_incl, other_incl in ((k_incl, i_incl), (i_incl, k_incl)):
-            part_proj = _split_projection(m, part_incl, other_incl)
+            part_proj = split_projection(part_incl, other_incl)
             for fac, sub_incl, sub_proj in reference_summands(part_incl.source, seed):
                 out.append((fac, sub_incl.compose(part_incl), part_proj.compose(sub_proj)))
         return out
     if _endo_radical_dim(m, hs) == 1:
         return [(m, identity_map(m), identity_map(m))]
     raise ConsistencyError("no Fitting split found and End/rad has dimension > 1")
+
+
+def reference_ext_matrices(res, degree, n):
+    """(cocycle matrix, coboundary rows) of Ext^degree(m, n) from a
+    resolution of m, built one generator coordinate at a time: for each
+    basis map f of Hom(P_degree, n), the generator coordinates of
+    d_{degree+1} then f; for each basis map g of Hom(P_{degree-1}, n), those
+    of d_degree then g.  Either is None where its differential does not
+    exist.  It uses the library's map composition and generator
+    coordinates; it checks the closed-form matrix of precomposition."""
+    from quivertilt.homology import gen_coords, hom_from_gens
+    from quivertilt.linalg import Matrix
+
+    fld = n.algebra.field
+
+    def basis_maps(psum):
+        out = []
+        for j, v in enumerate(psum.gens):
+            for c in range(n.dims[v]):
+                images = [tuple(fld.one() if (jj == j and cc == c) else fld.zero()
+                                for cc in range(n.dims[vv]))
+                          for jj, vv in enumerate(psum.gens)]
+                out.append(hom_from_gens(psum, n, images))
+        return out
+
+    def rows_of(d, psrc, ptgt):
+        rows = [gen_coords(psrc, d.compose(f)) for f in basis_maps(ptgt)]
+        return Matrix(fld, ptgt.hom_dim(n), psrc.hom_dim(n), tuple(rows))
+
+    pk = res.terms[degree]
+    m_next = (rows_of(res.diffs[degree], res.terms[degree + 1], pk)
+              if degree < res.length else None)
+    b_rows = (rows_of(res.diffs[degree - 1], pk, res.terms[degree - 1])
+              if degree >= 1 else None)
+    return m_next, b_rows
 
 
 def reference_corner_ring(alg, vertices):

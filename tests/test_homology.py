@@ -1,9 +1,10 @@
 import pytest
 
-from quivertilt import (BoundExceeded, InputError, injective,
+from quivertilt import (GF, BoundExceeded, InputError, injective,
                         opposite_algebra, projective, regular_module, simple,
                         zero_module)
-from quivertilt.homology import (ExtClass, connecting_class, ext, ext_dim,
+from quivertilt.formats import fixture_algebra
+from quivertilt.homology import (ExtClass, _precompose_matrix, connecting_class, ext, ext_dim,
                                  global_dimension, left_add_approximation,
                                  left_module_from_op_rep, left_regular_module,
                                  min_resolution, proj_dim, projective_cover,
@@ -11,7 +12,8 @@ from quivertilt.homology import (ExtClass, connecting_class, ext, ext_dim,
                                  universal_extension)
 from quivertilt.modules import (cokernel, decompose, direct_sum, hom_space,
                                 is_isomorphic, quotient, socle, zero_map)
-from oracles import oracle_tensor_dim, reference_corner_ring, reference_sc_tor_dims
+from oracles import (oracle_tensor_dim, reference_corner_ring, reference_ext_matrices,
+                     reference_sc_tor_dims)
 
 
 # -- covers and resolutions -------------------------------------------------
@@ -221,6 +223,31 @@ def test_ext_independent_of_basis_presentation(cycle2):
         for n in (i1, simple(cycle2, "2")):
             assert ext_dim(k, twisted, n) == ext_dim(k, p2, n)
             assert ext_dim(k, n, twisted) == ext_dim(k, n, p2)
+
+
+@pytest.mark.parametrize("field", [None, GF(101)], ids=["Q", "GF101"])
+@pytest.mark.parametrize("name", ["a2", "kron2", "cycle2", "triple3"])
+def test_ext_matrices_equal_the_per_coordinate_construction(name, field):
+    """Ext's cocycle matrix and coboundary rows are the matrices of
+    precomposition with d_{k+1} and d_k, entry for entry, in degrees 0-3,
+    on every pair of simple, projective and injective modules."""
+    alg = fixture_algebra(name, field)
+    mods = [build(alg, v) for build in (simple, projective, injective) for v in alg.vertices]
+    compared = 0
+    for m in mods:
+        res = min_resolution(m, 4, require_finite=False)
+        for n in mods:
+            for k in range(min(3, res.length) + 1):
+                m_next, b_rows = reference_ext_matrices(res, k, n)
+                if m_next is not None:
+                    assert _precompose_matrix(res.diffs[k], res.terms[k + 1],
+                                              res.terms[k], n) == m_next
+                    compared += 1
+                if b_rows is not None:
+                    assert _precompose_matrix(res.diffs[k - 1], res.terms[k],
+                                              res.terms[k - 1], n) == b_rows
+                    compared += 1
+    assert compared
 
 
 def test_euler_characteristic_on_short_exact_sequences(cycle2):

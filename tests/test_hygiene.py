@@ -1,6 +1,8 @@
 """Source hygiene: every name a package module imports is used in it, every
-parameter of a package function is read in its body, and the arithmetic
-modules contain no true division.
+parameter of a package function is read in its body, every package
+function and method is referred to by name somewhere in ``src/``,
+``tests/`` or ``bench/`` outside its own body, and the arithmetic modules
+contain no true division.
 
 Checked with the standard-library ``ast`` module only.  ``__init__.py`` is
 exempt from the import check, because its imports are the package's
@@ -114,3 +116,67 @@ def test_no_true_division_in_arithmetic_modules():
         for line in true_divisions((PACKAGE_DIR / f"{name}.py").read_text()):
             found.append(f"{name}.py:{line}")
     assert not found, "true division (use FieldSpec.inv):\n" + "\n".join(found)
+
+
+def defined_functions(source: str) -> list:
+    """(line, name) of each function and method defined in the source,
+    except dunder methods, which Python calls by protocol."""
+    tree = ast.parse(source)
+    return sorted((node.lineno, node.name) for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
+def referenced_names(source: str) -> set:
+    """Names the source refers to: a read or written name, an attribute or an
+    imported name, except a reference inside a function of that same name,
+    so that a function reached only from its own body counts as unused."""
+    found = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        names = []
+        if isinstance(node, ast.Name):
+            names.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.extend(alias.name for alias in node.names)
+        found.update(n for n in names if n not in enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(source), frozenset())
+    return found
+
+
+def unreferenced_functions(package_sources: dict, other_sources) -> list:
+    """(file, line, name) of each function or method defined in one of
+    ``package_sources`` (file name -> source) that no source refers to."""
+    used = set()
+    for source in list(package_sources.values()) + list(other_sources):
+        used |= referenced_names(source)
+    return sorted((path, line, name) for path, source in package_sources.items()
+                  for line, name in defined_functions(source) if name not in used)
+
+
+def test_unreferenced_function_detector_sees_functions_methods_and_recursion():
+    pkg = {"m.py": ("def used():\n    return 1\n"
+                    "def dead():\n    return used()\n"
+                    "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+                    "class K:\n    def __repr__(self):\n        return 'K'\n"
+                    "    def method(self):\n        return self.other()\n"
+                    "    def other(self):\n        return 2\n")}
+    tests = ["from m import K\n\ndef test_k():\n    assert K().method() == 2\n"]
+    assert unreferenced_functions(pkg, tests) == [("m.py", 3, "dead"), ("m.py", 5, "recursive")]
+
+
+def test_every_package_function_is_referenced():
+    root = PACKAGE_DIR.parent.parent
+    package = {path.name: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    others = [path.read_text() for d in ("tests", "bench")
+              for path in sorted((root / d).glob("*.py"))]
+    found = [f"{path}:{line}: {name}"
+             for path, line, name in unreferenced_functions(package, others)]
+    assert not found, "functions referenced nowhere:\n" + "\n".join(found)

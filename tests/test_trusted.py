@@ -1,13 +1,22 @@
-"""Modules, maps and endomorphism rings the library derives from checked
-inputs are built with ``_trusted`` and skip the checks of
-``__post_init__``.  Building every one of them through the validating
-constructors instead must give the same verdicts: a trusted site that
-produced an invalid module, map or ring would raise here."""
+"""Modules, maps, left modules and endomorphism rings the library derives
+from checked inputs are built with ``_trusted`` and skip the checks of
+``__post_init__``, and ``opposite_algebra`` skips the associativity check
+of a table that is the transpose of a verified one.  Building every one of
+them through the validating constructors instead must give the same
+verdicts: a trusted site that produced an invalid module, map, ring or
+algebra would raise here."""
 
-from quivertilt import (GF, QQ, ModuleMap, Representation, SCRing,
+import itertools
+import sys
+
+import quivertilt.algebra
+from quivertilt import (GF, QQ, LeftModule, ModuleMap, Representation, SCRing,
                         bongartz_complement, direct_sum, injective,
-                        recollement_report, regular_module, run_example,
-                        simple, tilting_module_check)
+                        left_regular_module, recollement_report, regular_module,
+                        run_example, simple, stratifying_ideal_check,
+                        tilting_module_check)
+from quivertilt.formats import fixture_algebra
+from quivertilt.homology import tor_dims_range
 from conftest import linear_algebra, tilting_summary
 
 
@@ -29,6 +38,15 @@ def _verdicts():
             out.append((n_mod.dim_vector(), tilting_summary(cert),
                         rep.localization.reflection_method, rep.orthogonality_ok,
                         rep.t2_exceptional, rep.t2_matches_ru, rep.corollary_zero))
+    for name in ("a2", "kron2", "cycle2", "triple3"):
+        alg = fixture_algebra(name)
+        left = left_regular_module(alg)
+        out.append(tuple(tor_dims_range(simple(alg, v), left, 2) for v in alg.vertices))
+        for k in range(1, len(alg.vertices)):
+            for vs in itertools.combinations(alg.vertices, k):
+                rep = stratifying_ideal_check(alg, vs)
+                out.append((name, vs, rep.is_stratifying, rep.quotient_tor_dims,
+                            rep.quotient_ext_dims, rep.resolution_complete))
     return out
 
 
@@ -48,9 +66,27 @@ def test_trusted_sites_pass_the_full_checks(monkeypatch):
         built.append(cls)
         return SCRing(field, dim, labels, mult, unit)
 
+    def validating_left(cls, algebra, dim, act):
+        built.append(cls)
+        return LeftModule(algebra, dim, act)
+
+    real_opposite = quivertilt.algebra.opposite_algebra
+
+    def verified_opposite(alg):
+        built.append("opposite")
+        op = real_opposite(alg)
+        op._verify()
+        return op
+
     monkeypatch.setattr(Representation, "_trusted", classmethod(validating_rep))
     monkeypatch.setattr(ModuleMap, "_trusted", classmethod(validating_map))
     monkeypatch.setattr(SCRing, "_trusted", classmethod(validating_ring))
+    monkeypatch.setattr(LeftModule, "_trusted", classmethod(validating_left))
+    for name, mod in list(sys.modules.items()):
+        if (name.startswith("quivertilt")
+                and getattr(mod, "opposite_algebra", None) is real_opposite):
+            monkeypatch.setattr(mod, "opposite_algebra", verified_opposite)
     assert _verdicts() == expected
     assert built.count(Representation) > 1000 and built.count(ModuleMap) > 1000
     assert built.count(SCRing) >= 8
+    assert built.count(LeftModule) >= 24 and built.count("opposite") >= 12

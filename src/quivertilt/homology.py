@@ -4,15 +4,17 @@ realization, universal extensions and left add-approximations.
 Resolutions are built from tagged projective sums: a term knows the list of
 vertices its generators sit at, which makes Hom out of it free data (a map
 from ⊕P_v is determined by arbitrary images of the generators).  Ext is
-computed from a resolution of the first argument only.
+computed from a resolution of the first argument only.  Tor tensors the same
+resolution with a left module Y through e_vA ⊗_A Y ≅ e_vY, so each term
+P_k ⊗_A Y is a sum of vertex components of Y.
 """
 
 from dataclasses import dataclass, field as _dc_field
 
 from .algebra import Algebra, zero_module
 from .errors import BoundExceeded, ConsistencyError, InputError
-from .linalg import (Matrix, _tensor_homology_dims, _tensor_quotient, quotient_basis, rank,
-                     row_space, solve_linear_system, solve_right_kernel)
+from .linalg import (Matrix, quotient_basis, rank, row_space, solve_linear_system,
+                     solve_right_kernel)
 from .modules import (HomSpace, ModuleMap, Representation, _flatten_map,
                       decompose, direct_sum_with_maps, hom_space, identity_map,
                       image, quotient, submodule_from_rows, top, zero_map)
@@ -451,21 +453,17 @@ def _total_action(rep: Representation, i: int) -> Matrix:
     return Matrix(fld, n, n, tuple(tuple(r) for r in out))
 
 
-def _tensor_space(x: Representation, y: LeftModule):
-    """x ⊗_A y as a quotient of the full K-tensor space: (section,
-    projection) over the raw dx*dy space.  The vertex idempotents and the
-    arrows generate A, so their relations span all of them."""
-    alg = x.algebra
-    gens = [alg.vertex_idempotent(v) for v in alg.vertices]
-    gens += [alg.basis_index_of_arrow(a[0]) for a in alg.quiver.arrows]
-    pairs = ((_total_action(x, g), y.act[g]) for g in gens)
-    return _tensor_quotient(alg.field, x.total_dim, y.dim, pairs)
-
-
 def tor_dims_range(x: Representation, y: LeftModule, max_degree: int,
                    bound: int = DEFAULT_RESOLUTION_BOUND,
                    resolution: Resolution | None = None):
-    """(dim Tor_0, ..., dim Tor_max_degree) from a single resolution pass."""
+    """(dim Tor_0, ..., dim Tor_max_degree) from a single resolution pass.
+
+    e_vA ⊗_A y ≅ e_vy, so P_k ⊗_A y is ⊕_g e_{u_g}y over the generators g of
+    P_k, each at its vertex u_g, with the basis B_v = row_space(y.act[e_v])
+    of e_vy.  d_k ⊗ id then has one block per generator g of P_k and h of
+    P_{k-1}: the sum of c * B_{u_g} * act[i] over the entries c of d_k(g) at
+    (h, path i), in the columns of h's copy of y.  So dim Tor_k =
+    Σ_g dim e_{u_g}y - rank(d_k ⊗ id) - rank(d_{k+1} ⊗ id)."""
     if max_degree < 0:
         raise InputError("tor degree must be >= 0")
     if max_degree + 1 > bound:
@@ -474,9 +472,33 @@ def tor_dims_range(x: Representation, y: LeftModule, max_degree: int,
     if res is None or (not res.complete and res.length < max_degree + 1):
         res = min_resolution(x, max_degree + 1, require_finite=False)
     top = min(res.length, max_degree + 1)
-    spaces = [_tensor_space(res.terms[k].rep, y) for k in range(top + 1)]
-    fmats = [res.diffs[k].total_matrix() for k in range(top)]
-    return _tensor_homology_dims(spaces, fmats, y.dim, max_degree)
+    alg = x.algebra
+    fld = alg.field
+    bases = {v: row_space(y.act[alg.vertex_idempotent(v)]) for v in alg.vertices}
+    moved = {}  # path i -> B_{target of i} * act[i]
+
+    def tensored(k: int) -> Matrix:
+        src, tgt = res.terms[k], res.terms[k - 1]
+        cols = tgt.rank * y.dim
+        out = []
+        for u, row_idx in src.gen_pos:
+            block = [[fld.zero()] * cols for _ in range(bases[u].rows)]
+            for c, (h, i) in zip(res.diffs[k - 1].mats[u].entries[row_idx], tgt.layout[u]):
+                if not c:
+                    continue
+                if i not in moved:
+                    moved[i] = bases[u].mul(y.act[i])
+                for brow, mrow in zip(block, moved[i].entries):
+                    for s, a in enumerate(mrow):
+                        if a:
+                            brow[h * y.dim + s] = fld.add(brow[h * y.dim + s], fld.mul(c, a))
+            out.extend(block)
+        return Matrix(fld, len(out), cols, tuple(tuple(r) for r in out))
+
+    dims = [sum(bases[u].rows for u in res.terms[k].gens) for k in range(top + 1)]
+    ranks = [0] + [rank(tensored(k)) for k in range(1, top + 1)] + [0]
+    return tuple(dims[k] - ranks[k] - ranks[k + 1] if k <= top else 0
+                 for k in range(max_degree + 1))
 
 
 def tor_dim(degree: int, x: Representation, y: LeftModule,

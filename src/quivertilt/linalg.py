@@ -573,63 +573,6 @@ def quotient_basis(sub: Matrix, ambient_dim: int):
     return section, projection
 
 
-def _tensor_induced(fmat: Matrix, y_dim: int, src_section: Matrix, tgt_proj: Matrix) -> Matrix:
-    """Map induced by f ⊗ id_Y on tensor quotients: src_section * (f ⊗ I_y) *
-    tgt_proj, where the raw tensor basis is ordered (p, q) -> p*y_dim + q."""
-    fld = fmat.field
-    dx, dx2 = fmat.rows, fmat.cols
-    raw = [[fld.zero()] * (dx2 * y_dim) for _ in range(dx * y_dim)]
-    for p in range(dx):
-        for p2 in range(dx2):
-            c = fmat.entries[p][p2]
-            if c:
-                for q in range(y_dim):
-                    raw[p * y_dim + q][p2 * y_dim + q] = c
-    raw_m = Matrix(fld, dx * y_dim, dx2 * y_dim, tuple(tuple(r) for r in raw))
-    return src_section.mul(raw_m).mul(tgt_proj)
-
-
-def _tensor_quotient(fld: FieldSpec, dx: int, dy: int, pairs):
-    """X ⊗ Y as a quotient of the raw tensor space K^{dx*dy}, basis ordered
-    (p, q) -> p*dy + q.  Each (right action on X, left action on Y) pair of
-    matrices of one ring element r contributes the relations
-    x*r ⊗ y - x ⊗ r*y.  Returns (section, projection) as quotient_basis
-    does; the RREF is canonical, so the result depends only on the span of
-    the relations.  Tor over a path algebra and the corner tensor product
-    Ae ⊗_{eAe} eA use it."""
-    n = dx * dy
-    rows = []
-    if n:
-        for R, L in pairs:
-            for p in range(dx):
-                for q in range(dy):
-                    row = [fld.zero()] * n
-                    for p2 in range(dx):
-                        if R.entries[p][p2]:
-                            row[p2 * dy + q] = R.entries[p][p2]
-                    for q2 in range(dy):
-                        if L.entries[q][q2]:
-                            row[p * dy + q2] = fld.sub(row[p * dy + q2], L.entries[q][q2])
-                    if any(row):
-                        rows.append(tuple(row))
-    sub = row_space(Matrix(fld, len(rows), n, tuple(rows))) if rows else Matrix.zeros(fld, 0, n)
-    return quotient_basis(sub, n)
-
-
-def _tensor_homology_dims(spaces, fmats, y_dim: int, max_degree: int) -> tuple:
-    """dim H_k of ... -> P_1 ⊗ Y -> P_0 ⊗ Y for k = 0..max_degree.
-
-    spaces[k] is the (section, projection) of P_k ⊗ Y from _tensor_quotient
-    and fmats[k-1] the matrix of the differential P_k -> P_{k-1}, for k up
-    to len(spaces) - 1; degrees beyond the given terms have zero homology.
-    dim H_k = dim(P_k ⊗ Y) - rank d_k - rank d_{k+1}."""
-    ranks = {k: rank(_tensor_induced(fmats[k - 1], y_dim, spaces[k][0], spaces[k - 1][1]))
-             for k in range(1, len(spaces))}
-    return tuple(spaces[k][0].rows - ranks.get(k, 0) - ranks.get(k + 1, 0)
-                 if k < len(spaces) else 0
-                 for k in range(max_degree + 1))
-
-
 def sum_subspaces(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.cols:
         raise DimensionMismatch("sum_subspaces ambient mismatch")

@@ -22,7 +22,7 @@ from .errors import BoundExceeded, ConsistencyError, InputError
 from .homology import (DEFAULT_RESOLUTION_BOUND, LeftModule, ShortExact,
                        ext_dim, left_module_from_op_rep, min_resolution,
                        proj_dim, tor_dims_range)
-from .linalg import (Matrix, _tensor_quotient, row_space, solve_linear_system,
+from .linalg import (FieldSpec, Matrix, quotient_basis, row_space, solve_linear_system,
                      solve_right_kernel)
 from .modules import (ModuleMap, Representation, _flatten_map, cokernel,
                       decompose, direct_sum, hom_space, identity_map,
@@ -453,7 +453,7 @@ class StratifyingReport:
     multiplication_bijective: bool
     quotient_tor_dims: tuple     # dim Tor^A_n(A/AeA, A/AeA) for n = 1..max_degree
     quotient_ext_dims: tuple     # dim Ext^n_A(A/AeA, top A/AeA) for n = 1..max_degree
-    resolution_complete: bool    # pd A/AeA <= max_degree: no Tor beyond the window
+    resolution_complete: bool    # pd A/AeA <= max_degree + 1: no Tor beyond what the verdict read
     is_stratifying: bool
 
 
@@ -467,27 +467,33 @@ def stratifying_ideal_check(alg: Algebra, vertices, max_degree: int = 8) -> Stra
     resolution of B.  The first n >= 1 with Tor^A_n(B, B) nonzero and the
     first with Ext^n_A(B, top B) nonzero are both the first term of that
     resolution with a summand P_v, v outside e (Auslander-Platzeck-Todorov),
-    and are asserted equal.  When nothing nonzero was found and pd B
-    exceeds max_degree, the test is inconclusive and raises."""
+    and are asserted equal.  The resolution is built to length
+    max_degree + 1.  When it is complete there, the verdict also reads
+    Tor_{max_degree+1} and Ext^{max_degree+1}, and nothing lies beyond; the
+    report lists degrees 1..max_degree either way.  When nothing nonzero was
+    found and pd B exceeds max_degree + 1, the test is inconclusive and
+    raises."""
     vertices = tuple(vertices)
     corner_dim, tdim, ideal_dim, bijective = _corner_multiplication(alg, vertices)
     b = _quotient_by_vertex_ideal(alg, vertices)
     b_left = left_module_from_op_rep(
         alg, _quotient_by_vertex_ideal(opposite_algebra(alg), vertices))
     res = min_resolution(b, max_degree + 1, require_finite=False)
-    tor = tor_dims_range(b, b_left, max_degree, resolution=res)[1:]
+    # d_{max_degree+2} is known, and zero, only when the resolution is complete
+    reach = max_degree + 1 if res.complete else max_degree
+    tor = tor_dims_range(b, b_left, reach, resolution=res)[1:]
     top_b, _ = top(b)
-    ext = tuple(ext_dim(n, b, top_b, resolution=res) for n in range(1, max_degree + 1))
+    ext = tuple(ext_dim(n, b, top_b, resolution=res) for n in range(1, reach + 1))
     if _first_nonzero(tor) != _first_nonzero(ext):
         raise ConsistencyError(
             f"Tor^A(B, B) {tor} and Ext_A(B, top B) {ext} start in different degrees")
-    complete = res.complete and res.length <= max_degree
     tor_ok = not any(tor)
-    if bijective and tor_ok and not complete:
+    if bijective and tor_ok and not res.complete:
         raise BoundExceeded(
-            f"pd A/AeA exceeds {max_degree} and Tor^A vanishes up to there")
+            f"pd A/AeA exceeds {max_degree + 1} and Tor^A vanishes up to {max_degree}")
     return StratifyingReport(vertices, corner_dim, tdim, ideal_dim, bijective,
-                             tor, ext, complete, bijective and tor_ok)
+                             tor[:max_degree], ext[:max_degree], res.complete,
+                             bijective and tor_ok)
 
 
 def _corner_multiplication(alg: Algebra, vertices):
@@ -513,6 +519,32 @@ def _corner_multiplication(alg: Algebra, vertices):
     prod_rows = tuple(alg.mult[(p, q)] for p in ae_idx for q in ea_idx)
     ideal_dim = row_space(Matrix(fld, len(prod_rows), alg.dim, prod_rows)).rows
     return len(corner_idx), section.rows, ideal_dim, mult_rank == section.rows == ideal_dim
+
+
+def _tensor_quotient(fld: FieldSpec, dx: int, dy: int, pairs):
+    """X ⊗ Y as a quotient of the raw tensor space K^{dx*dy}, basis ordered
+    (p, q) -> p*dy + q.  Each (right action on X, left action on Y) pair of
+    matrices of one ring element r contributes the relations
+    x*r ⊗ y - x ⊗ r*y.  Returns (section, projection) as quotient_basis
+    does; the RREF is canonical, so the result depends only on the span of
+    the relations.  _corner_multiplication reads Ae ⊗_{eAe} eA off it."""
+    n = dx * dy
+    rows = []
+    if n:
+        for R, L in pairs:
+            for p in range(dx):
+                for q in range(dy):
+                    row = [fld.zero()] * n
+                    for p2 in range(dx):
+                        if R.entries[p][p2]:
+                            row[p2 * dy + q] = R.entries[p][p2]
+                    for q2 in range(dy):
+                        if L.entries[q][q2]:
+                            row[p * dy + q2] = fld.sub(row[p * dy + q2], L.entries[q][q2])
+                    if any(row):
+                        rows.append(tuple(row))
+    sub = row_space(Matrix(fld, len(rows), n, tuple(rows))) if rows else Matrix.zeros(fld, 0, n)
+    return quotient_basis(sub, n)
 
 
 def _quotient_by_vertex_ideal(alg: Algebra, vertices) -> Representation:

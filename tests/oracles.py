@@ -11,11 +11,13 @@ a triangle that triangle_from_map replaced with a shifted mapping cone,
 reference_summands, the Fitting search that runs every candidate before it
 asks the trace form whether End is local, reference_ext_matrices, the
 per-coordinate construction of Ext's cocycle and coboundary matrices that
-the closed-form matrix of precomposition replaced, and
+the closed-form matrix of precomposition replaced,
 reference_sc_tor_dims with its corner-ring callers, Tor over a
 structure-constant ring from free resolutions built with the library's
 elimination, which the stratifying-ideal test used before it computed Tor
-over the algebra.
+over the algebra, and reference_tor_dims, Tor over the algebra with each
+P_k ⊗_A Y taken as a quotient of the raw (dim P_k · dim Y)-space, the
+route that reading P_k ⊗_A Y as a sum of vertex components e_vY replaced.
 """
 
 from fractions import Fraction
@@ -527,9 +529,9 @@ def reference_sc_tor_dims(ring, x_dim, x_act, y_dim, y_act, max_degree):
     ring of triple3 at vertices 1, 2 it takes about 1 GB at max_degree 1 and
     still ends inconclusive.
     """
-    from quivertilt.linalg import (Matrix, _tensor_homology_dims, _tensor_quotient,
-                                   block_matrix, rank, row_space, solve_linear_system,
+    from quivertilt.linalg import (Matrix, block_matrix, rank, row_space, solve_linear_system,
                                    solve_right_kernel)
+    from quivertilt.recollement import _tensor_quotient
 
     fld = ring.field
     regs = [Matrix(fld, ring.dim, ring.dim, tuple(ring.mult[(p, i)] for p in range(ring.dim)))
@@ -635,6 +637,61 @@ def reference_sc_tor_dims(ring, x_dim, x_act, y_dim, y_act, max_degree):
         current, incl_to_prev_free = kmod, krows
     spaces = [_tensor_quotient(fld, dim, y_dim, zip(act, y_act)) for dim, act in terms]
     return _tensor_homology_dims(spaces, diffs, y_dim, max_degree)[1:], conclusive
+
+
+def _tensor_induced(fmat, y_dim, src_section, tgt_proj):
+    """Map induced by f ⊗ id_Y on tensor quotients: src_section * (f ⊗ I_y) *
+    tgt_proj, where the raw tensor basis is ordered (p, q) -> p*y_dim + q."""
+    from quivertilt.linalg import Matrix
+
+    fld = fmat.field
+    dx, dx2 = fmat.rows, fmat.cols
+    raw = [[fld.zero()] * (dx2 * y_dim) for _ in range(dx * y_dim)]
+    for p in range(dx):
+        for p2 in range(dx2):
+            c = fmat.entries[p][p2]
+            if c:
+                for q in range(y_dim):
+                    raw[p * y_dim + q][p2 * y_dim + q] = c
+    raw_m = Matrix(fld, dx * y_dim, dx2 * y_dim, tuple(tuple(r) for r in raw))
+    return src_section.mul(raw_m).mul(tgt_proj)
+
+
+def _tensor_homology_dims(spaces, fmats, y_dim, max_degree):
+    """dim H_k of ... -> P_1 ⊗ Y -> P_0 ⊗ Y for k = 0..max_degree.
+
+    spaces[k] is the (section, projection) of P_k ⊗ Y from _tensor_quotient
+    and fmats[k-1] the matrix of the differential P_k -> P_{k-1}, for k up
+    to len(spaces) - 1; degrees beyond the given terms have zero homology.
+    dim H_k = dim(P_k ⊗ Y) - rank d_k - rank d_{k+1}."""
+    from quivertilt.linalg import rank
+
+    ranks = {k: rank(_tensor_induced(fmats[k - 1], y_dim, spaces[k][0], spaces[k - 1][1]))
+             for k in range(1, len(spaces))}
+    return tuple(spaces[k][0].rows - ranks.get(k, 0) - ranks.get(k + 1, 0)
+                 if k < len(spaces) else 0
+                 for k in range(max_degree + 1))
+
+
+def reference_tor_dims(x, y, max_degree):
+    """(dim Tor_0, ..., dim Tor_max_degree) of the right module x and the
+    left module y over the algebra: a minimal resolution of x, each term
+    tensored with y as the quotient of the raw (dim P_k · dim y)-space by
+    the relations p*r ⊗ q - p ⊗ r*q of the vertex idempotents and arrows
+    (they generate A), and d_k ⊗ id induced on those quotients."""
+    from quivertilt.homology import _total_action, min_resolution
+    from quivertilt.recollement import _tensor_quotient
+
+    alg = x.algebra
+    gens = [alg.vertex_idempotent(v) for v in alg.vertices]
+    gens += [alg.basis_index_of_arrow(a[0]) for a in alg.quiver.arrows]
+    res = min_resolution(x, max_degree + 1, require_finite=False)
+    top = min(res.length, max_degree + 1)
+    spaces = [_tensor_quotient(alg.field, t.rep.total_dim, y.dim,
+                               ((_total_action(t.rep, g), y.act[g]) for g in gens))
+              for t in res.terms[:top + 1]]
+    fmats = [d.total_matrix() for d in res.diffs[:top]]
+    return _tensor_homology_dims(spaces, fmats, y.dim, max_degree)
 
 
 def reference_corner_tor_dims(alg, vertices, max_degree):

@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from quivertilt import (GF, BoundExceeded, InputError, injective,
+from quivertilt import (GF, BoundExceeded, InputError, Representation, injective,
                         opposite_algebra, projective, regular_module, simple,
                         zero_module)
 from quivertilt.formats import fixture_algebra
@@ -10,10 +12,14 @@ from quivertilt.homology import (ExtClass, _precompose_matrix, connecting_class,
                                  min_resolution, proj_dim, projective_cover,
                                  realize_extension, tor_dim, tor_dims_range,
                                  universal_extension)
+from quivertilt.linalg import Matrix
 from quivertilt.modules import (cokernel, decompose, direct_sum, hom_space,
                                 is_isomorphic, quotient, socle, zero_map)
+from quivertilt.recollement import (_quotient_by_vertex_ideal, lambda_left_module,
+                                    universal_localization)
+from quivertilt.tilting import TiltingCertificate, tilting_module_check
 from oracles import (oracle_tensor_dim, reference_corner_ring, reference_ext_matrices,
-                     reference_sc_tor_dims)
+                     reference_sc_tor_dims, reference_tor_dims)
 
 
 # -- covers and resolutions -------------------------------------------------
@@ -336,6 +342,94 @@ def test_tor_routes_agree_on_a2(a2):
             assert dims == sc_dims
             nonzero += any(dims)
     assert nonzero
+
+
+def _tor_pairs(alg):
+    """Right modules X (the simples, A and every A/AeA) and left modules Y
+    (A, the op-simples and every left A/AeA) over a fixture, e running over
+    the proper nonempty vertex subsets."""
+    op = opposite_algebra(alg)
+    subsets = [vs for k in range(1, len(alg.vertices))
+               for vs in itertools.combinations(alg.vertices, k)]
+    xs = [simple(alg, v) for v in alg.vertices] + [regular_module(alg)]
+    xs += [_quotient_by_vertex_ideal(alg, vs) for vs in subsets]
+    ys = [left_regular_module(alg)]
+    ys += [left_module_from_op_rep(alg, simple(op, v)) for v in alg.vertices]
+    ys += [left_module_from_op_rep(alg, _quotient_by_vertex_ideal(op, vs)) for vs in subsets]
+    return xs, ys
+
+
+@pytest.mark.parametrize("field", [None, GF(101)], ids=["Q", "GF101"])
+@pytest.mark.parametrize("name", ["a2", "kron2", "cycle2", "triple3"])
+def test_tor_matches_tensor_quotient_reference(name, field):
+    """Tor read off vertex components equals Tor from the quotients of the
+    raw tensor spaces, up to degree 4, on every (X, Y) pair of _tor_pairs
+    (175 pairs per field)."""
+    alg = fixture_algebra(name, field)
+    xs, ys = _tor_pairs(alg)
+    higher = 0
+    for x in xs:
+        for y in ys:
+            dims = tor_dims_range(x, y, 4)
+            assert dims == reference_tor_dims(x, y, 4)
+            higher += any(dims[1:])
+    assert higher
+
+
+def _kronecker_band(alg, lam):
+    """K --(1, lam)--> K over kron2 or its opposite (arrows a, b)."""
+    fld = alg.field
+    one = Matrix(fld, 1, 1, ((fld.one(),),))
+    return Representation(alg, {"1": 1, "2": 1},
+                          {"a": one, "b": Matrix(fld, 1, 1, ((fld.coerce(lam),),))})
+
+
+@pytest.mark.parametrize("field", [None, GF(101)], ids=["Q", "GF101"])
+def test_tor_matches_tensor_quotient_reference_on_kronecker_bands(field):
+    """The differential of a band's resolution carries lam as a coefficient,
+    and Tor_0 and Tor_1 of the band at lam and the op-band at mu are
+    nonzero exactly when lam = mu."""
+    alg = fixture_algebra("kron2", field)
+    op = opposite_algebra(alg)
+    for lam in range(4):
+        x = _kronecker_band(alg, lam)
+        for mu in range(4):
+            y = left_module_from_op_rep(alg, _kronecker_band(op, mu))
+            dims = tor_dims_range(x, y, 2)
+            assert dims == reference_tor_dims(x, y, 2)
+            assert dims == ((1, 1, 0) if lam == mu else (0, 0, 0))
+
+
+def _triple3_tilting_sequence(alg):
+    """The (T3) sequence of the triple3 worked example: T0 from the minimal
+    left add(P1 + P2 + S1)-approximation of A, T1 its cokernel."""
+    tchar = direct_sum([projective(alg, "1"), projective(alg, "2"), simple(alg, "1")])
+    f, _ = left_add_approximation(regular_module(alg), tchar)
+    cert = tilting_module_check(direct_sum([f.target, cokernel(f)[0]]))
+    assert isinstance(cert, TiltingCertificate)
+    return cert.sequence
+
+
+def _cycle2_tilting_sequence(alg):
+    """The (T3) sequence of T = P2 + S2 in the cycle2 worked example."""
+    cert = tilting_module_check(direct_sum([projective(alg, "2"), simple(alg, "2")]))
+    assert isinstance(cert, TiltingCertificate)
+    return cert.sequence
+
+
+TILTING_SEQUENCES = {"cycle2": _cycle2_tilting_sequence, "triple3": _triple3_tilting_sequence}
+
+
+@pytest.mark.parametrize("field", [None, GF(101)], ids=["Q", "GF101"])
+@pytest.mark.parametrize("name", sorted(TILTING_SEQUENCES))
+def test_tor_of_localization_matches_tensor_quotient_reference(name, field):
+    """Tor^A(R_U, R_U), with R_U a left module through lambda, agrees with
+    the raw tensor-quotient route in both worked examples."""
+    alg = fixture_algebra(name, field)
+    loc = universal_localization(TILTING_SEQUENCES[name](alg))
+    ru = loc.ru_module
+    left = lambda_left_module(ru, loc.presentation)
+    assert tor_dims_range(ru, left, 4) == reference_tor_dims(ru, left, 4)
 
 
 # -- extensions ---------------------------------------------------------------

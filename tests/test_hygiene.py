@@ -1,8 +1,9 @@
 """Source hygiene: every name a package module imports is used in it, every
 parameter of a package function is read in its body, every package
 function and method is referred to by name somewhere in ``src/``,
-``tests/`` or ``bench/`` outside its own body, and the arithmetic modules
-contain no true division.
+``tests/`` or ``bench/`` outside its own body, every private (leading
+underscore) one somewhere in ``src/``, and the arithmetic modules contain
+no true division.
 
 Checked with the standard-library ``ast`` module only.  ``__init__.py`` is
 exempt from the import check, because its imports are the package's
@@ -180,3 +181,33 @@ def test_every_package_function_is_referenced():
     found = [f"{path}:{line}: {name}"
              for path, line, name in unreferenced_functions(package, others)]
     assert not found, "functions referenced nowhere:\n" + "\n".join(found)
+
+
+def private_functions_unused_by_package(package_sources: dict) -> list:
+    """(file, line, name) of each function or method whose name starts with
+    an underscore, defined in one of ``package_sources``, that no package
+    source refers to outside its own body.  A private helper that only
+    tests or benchmarks reach belongs with them, not in the package."""
+    used = set()
+    for source in package_sources.values():
+        used |= referenced_names(source)
+    return sorted((path, line, name) for path, source in package_sources.items()
+                  for line, name in defined_functions(source)
+                  if name.startswith("_") and name not in used)
+
+
+def test_private_function_detector_ignores_tests_and_public_names():
+    pkg = {"m.py": ("def _inner():\n    return 1\n"
+                    "def public():\n    return _inner()\n"
+                    "def _for_tests():\n    return _for_tests\n"
+                    "class K:\n    def _hook(self):\n        return 2\n"
+                    "    def _used(self):\n        return self._hook()\n"),
+           "n.py": "from m import K\n\ndef api():\n    return K()._used()\n"}
+    assert private_functions_unused_by_package(pkg) == [("m.py", 5, "_for_tests")]
+
+
+def test_every_private_package_function_is_used_by_the_package():
+    package = {path.name: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    found = [f"{path}:{line}: {name}"
+             for path, line, name in private_functions_unused_by_package(package)]
+    assert not found, "private functions the package never uses:\n" + "\n".join(found)

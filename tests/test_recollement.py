@@ -13,17 +13,18 @@ from quivertilt import (BoundExceeded, InputError, Representation, injective,
                         modules, projective, regular_module, simple)
 from quivertilt.complexes import (cohomology, derived_hom, hom_window,
                                   resolve_to_complex, shift)
-from quivertilt.homology import ext_dim, left_add_approximation
+from quivertilt.homology import ext_dim, left_add_approximation, proj_dim
 from quivertilt.modules import (cokernel, direct_sum, hom_space,
                                 is_isomorphic, quotient, socle,
                                 trace_submodule)
-from quivertilt.recollement import (homological_epi_check,
+from quivertilt.recollement import (_quotient_by_vertex_ideal, homological_epi_check,
                                     perp_complex_membership, perp_membership,
                                     recollement_report, reflection_brick,
                                     reflection_iterative,
                                     stratifying_ideal_check,
                                     universal_localization)
 from quivertilt.tilting import TiltingCertificate, tilting_module_check
+from conftest import linear_algebra
 from oracles import (oracle_corner_ideal_dim, oracle_corner_tensor_dim,
                      oracle_corner_tor1_dim, reference_corner_tor_dims,
                      reference_stratifying_verdict)
@@ -311,6 +312,38 @@ def test_stratifying_inconclusive_window_raises(triple3):
     rep = stratifying_ideal_check(triple3, ("1",), max_degree=4)
     assert rep.quotient_tor_dims == (0, 0, 1, 1)
     assert not rep.is_stratifying
+
+
+def test_stratifying_decides_at_pd_one_past_the_window(triple3):
+    """pd A/AeA = 2 for e at vertices 2, 3: the resolution built for
+    Tor_1 is complete at length 2, and Tor_2 read off it decides YES."""
+    rep = stratifying_ideal_check(triple3, ("2", "3"), max_degree=1)
+    assert rep.is_stratifying and rep.resolution_complete
+    assert rep.quotient_tor_dims == rep.quotient_ext_dims == (0,)
+    assert stratifying_ideal_check(triple3, ("2", "3"), max_degree=2).is_stratifying
+
+
+def test_stratifying_verdict_at_pd_minus_one_equals_verdict_at_pd(all_algebras):
+    """On every proper vertex subset with pd A/AeA = p >= 2, the check at
+    max_degree = p - 1 returns the verdict of the check at max_degree = p."""
+    algebras = dict(all_algebras)
+    for n in (3, 4):
+        algebras[f"A{n}"] = linear_algebra(n)
+        algebras[f"A{n}-rad2"] = linear_algebra(n, rad2=True)
+    seen = 0
+    for name, alg in algebras.items():
+        for vs in _proper_vertex_subsets(alg):
+            p = proj_dim(_quotient_by_vertex_ideal(alg, vs))
+            if p < 2:
+                continue
+            short = stratifying_ideal_check(alg, vs, max_degree=p - 1)
+            full = stratifying_ideal_check(alg, vs, max_degree=p)
+            assert short.resolution_complete and full.resolution_complete, (name, vs)
+            assert short.is_stratifying == full.is_stratifying, (name, vs)
+            assert short.quotient_tor_dims == full.quotient_tor_dims[:p - 1], (name, vs)
+            assert short.quotient_ext_dims == full.quotient_ext_dims[:p - 1], (name, vs)
+            seen += 1
+    assert seen >= 10
 
 
 def test_corner_kernel_is_tor2_of_the_quotient(all_algebras):

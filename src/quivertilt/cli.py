@@ -143,7 +143,7 @@ def cmd_gldim(args):
 def cmd_tilting_check(args):
     alg = _load_alg(args)
     t = _load_sum(alg, args.modules)
-    cert = tilting_module_check(t, args.seed, args.max_resolution)
+    cert = tilting_module_check(t, args.max_resolution)
     if isinstance(cert, TiltingCertificate):
         lines = [f"tilting: YES (pd {cert.pd}, Ext^1(T,T) = {cert.ext1_dim})",
                  f"sequence 0 -> R -> T0 -> T1 -> 0 with T0 dims "
@@ -163,8 +163,8 @@ def cmd_tilting_check(args):
 def cmd_bongartz(args):
     alg = _load_alg(args)
     m = load_module(args.m, alg)
-    n_mod, ses, cert = bongartz_complement(m, args.seed, args.max_resolution)
-    dec = decompose(n_mod, args.seed)
+    n_mod, ses, cert = bongartz_complement(m, args.max_resolution)
+    dec = decompose(n_mod)
     lines = [f"Bongartz complement dims {n_mod.dim_vector()}",
              "decomposition: " + ", ".join(f"{f.dim_vector()} x{mult}" for f, mult in dec),
              "N + M certified tilting"]
@@ -227,11 +227,10 @@ def cmd_reflect(args):
 
 def _localization_from_modules(alg, paths, args):
     t = _load_sum(alg, paths)
-    cert = tilting_module_check(t, args.seed, args.max_resolution)
+    cert = tilting_module_check(t, args.max_resolution)
     if not isinstance(cert, TiltingCertificate):
         raise InputError(f"input is not a tilting module: {cert.reasons}")
-    return t, cert, universal_localization(cert.sequence, args.seed, args.max_steps,
-                                           args.max_resolution)
+    return t, cert, universal_localization(cert.sequence, args.max_steps, args.max_resolution)
 
 
 def cmd_localize(args):
@@ -295,7 +294,7 @@ def cmd_stratify(args):
 def cmd_recollement(args):
     alg = _load_alg(args)
     t = _load_sum(alg, args.modules)
-    rep = recollement_report(t, args.seed, args.max_steps, args.max_resolution)
+    rep = recollement_report(t, args.max_steps, args.max_resolution)
     lines = [f"T1 (X-side generator) dims {rep.t1.dim_vector()}",
              f"orthogonality Hom(T1[n], T2) = 0: {rep.orthogonality_ok}",
              f"T2 exceptional: {rep.t2_exceptional}"
@@ -304,8 +303,8 @@ def cmd_recollement(args):
              f"{'YES' if rep.localization.hom_epi.is_homological_epi else 'NO'}",
              f"Hom(T1, T0) = 0 (quotient-style tilting): {rep.corollary_zero}"]
     if rep.corollary_zero:
-        lines.append(f"  T equivalent to R_U + R_U/R (heuristic Ext^1 class "
-                     f"comparison): {rep.equivalent_to_ru_tilting}")
+        lines.append(f"  T equivalent to R_U + R_U/R (add T = add T'): "
+                     f"{rep.equivalent_to_ru_tilting}")
     report = {"command": "recollement",
               "t1_dims": rep.t1.dim_vector(),
               "orthogonality_ok": rep.orthogonality_ok,
@@ -320,7 +319,7 @@ def cmd_recollement(args):
 
 
 def cmd_verify_example(args):
-    rep = run_example(args.name, args.seed, _field(args))
+    rep = run_example(args.name, _field(args))
     lines = [f"{args.name}: {'PASS' if rep.passed else 'FAIL'}"]
     for c in rep.checks:
         mark = "ok" if c.passed else "FAIL"
@@ -346,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="projective resolution length bound")
     common.add_argument("--max-steps", type=int, default=16,
                         help="iteration budget for reflections")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
     common.add_argument("--json", metavar="PATH", help="also write a JSON report here")
     sub = p.add_subparsers(dest="verb", required=True, parser_class=_SubParser)
     _SubParser.common = common

@@ -756,7 +756,7 @@ def _end_generating_classes(m, space, end: HomSpace):
 # -- left add-approximations --------------------------------------------------------
 
 
-def left_add_approximation(x: Representation, t: Representation, seed: int = 0):
+def left_add_approximation(x: Representation, t: Representation):
     """Minimal left add(t)-approximation of x.
 
     Returns (f, summand_tags) where f: x -> T0 is the approximation, T0 the
@@ -776,7 +776,7 @@ def left_add_approximation(x: Representation, t: Representation, seed: int = 0):
     first leaves a set from which no copy can be removed.
     """
     fld = x.algebra.field
-    factors = [fac for fac, _ in decompose(t, seed)]
+    factors = [fac for fac, _ in decompose(t)]
     hom_bases = [hom_space(x, fac) for fac in factors]
     between = [[hom_space(a, b) for b in factors] for a in factors]
     copies = [(j, b) for j, hs in enumerate(hom_bases) for b in hs.basis]

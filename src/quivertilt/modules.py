@@ -6,7 +6,6 @@ arrow s -> t acts by right multiplication with a dims(s) x dims(t) matrix.
 """
 
 import itertools
-import random
 from dataclasses import dataclass, field as _dc_field
 
 from .algebra import Algebra
@@ -539,13 +538,19 @@ def top(m: Representation):
 # -- isomorphism and Krull-Schmidt decomposition ---------------------------------
 
 
-def is_isomorphic(m: Representation, n: Representation, seed: int = 0) -> bool:
-    """Exhibit an invertible map in Hom(m, n) or report that the randomized
-    search plus a small deterministic grid found none.
+def is_isomorphic(m: Representation, n: Representation) -> bool:
+    """Decide exactly whether m and n are isomorphic.
 
-    Invertibility is a Zariski-open condition on Hom(m, n), so for modules
-    that are actually isomorphic a random combination works with high
-    probability; the deterministic grid keeps small prime fields honest.
+    "Yes" comes with an invertible witness: an element of the Hom(m, n)
+    basis, or the fixed combination sum (i+1)*b_i of it.  When neither is
+    invertible:
+
+    - an indecomposable m has a local End(m) (Fitting's lemma), so were
+      m ≅ n through some phi, the non-isomorphisms m -> n would form the
+      proper subspace phi∘rad End(m), which cannot hold a basis of
+      Hom(m, n).  No basis element is invertible, so m and n are not
+      isomorphic;
+    - otherwise the Krull-Schmidt groupings of m and n are compared.
     """
     if m.algebra is not n.algebra:
         raise InputError("is_isomorphic across different algebras")
@@ -556,30 +561,42 @@ def is_isomorphic(m: Representation, n: Representation, seed: int = 0) -> bool:
     hs = hom_space(m, n)
     if hs.dim == 0:
         return False
-    fld = m.algebra.field
+    if _invertible_map(hs) is not None:
+        return True
+    if len(indecomposable_summands(m)) == 1:
+        return False
+    return match_decomposition(decompose(m), decompose(n))
 
-    def invertible(f: ModuleMap) -> bool:
-        return all(rank(f.mats[v]) == m.dims[v] for v in m.algebra.vertices)
 
-    rng = random.Random(seed)
-    if fld.kind == "prime-field":
-        sample = lambda: rng.randrange(fld.characteristic)
-    else:
-        sample = lambda: rng.randint(-4, 4)
-    for _ in range(64):
-        f = hs.combo([fld.coerce(sample()) for _ in range(hs.dim)])
-        if invertible(f):
-            return True
-    # deterministic fallback: small structured grid
-    grid_vals = [0, 1, -1, 2, -2] if fld.kind == "rationals" else list(range(min(5, fld.characteristic)))
-    if hs.dim <= 6:
-        for combo in itertools.product(grid_vals, repeat=hs.dim):
-            if not any(combo):
-                continue
-            f = hs.combo([fld.coerce(c) for c in combo])
-            if invertible(f):
-                return True
-    return False
+def _invertible_map(hs: HomSpace):
+    """The first invertible map among the basis of hs and then the fixed
+    combination sum (i+1)*b_i, or None when none of them is invertible."""
+    dims = hs.source.dims
+    fld = hs.source.algebra.field
+
+    def candidates():
+        yield from hs.basis
+        yield hs.combo([fld.coerce(i + 1) for i in range(hs.dim)])
+
+    return next((f for f in candidates()
+                 if all(rank(f.mats[v]) == d for v, d in dims.items())), None)
+
+
+def match_decomposition(dec, other) -> bool:
+    """Do two Krull-Schmidt groupings [(indecomposable, multiplicity)], each
+    of pairwise non-isomorphic factors, list isomorphic factors with equal
+    multiplicities, in any order?"""
+    if len(dec) != len(other):
+        return False
+    unmatched = list(other)
+    for fac, mult in dec:
+        for i, (fac2, mult2) in enumerate(unmatched):
+            if mult == mult2 and is_isomorphic(fac, fac2):
+                del unmatched[i]
+                break
+        else:
+            return False
+    return True
 
 
 def _fitting_split(m: Representation, f: ModuleMap):
@@ -657,21 +674,13 @@ def _endo_radical_dim(m: Representation, hs: HomSpace) -> int:
     return hs.dim - rad_dim
 
 
-def _further_candidates(hs: HomSpace, seed: int):
+def _further_candidates(hs: HomSpace):
     """Endomorphisms to try as Fitting splitters after the Hom basis, built
     one at a time: sums and differences of pairs among the first eight
-    basis elements, then 48 random combinations drawn from Random(seed)."""
+    basis elements."""
     for a, b in itertools.combinations(range(min(hs.dim, 8)), 2):
         yield hs.basis[a].add(hs.basis[b])
         yield hs.basis[a].sub(hs.basis[b])
-    rng = random.Random(seed)
-    fld = hs.source.algebra.field
-    if fld.kind == "prime-field":
-        sample = lambda: rng.randrange(fld.characteristic)
-    else:
-        sample = lambda: rng.randint(-3, 3)
-    for _ in range(48):
-        yield hs.combo([fld.coerce(sample()) for _ in range(hs.dim)])
 
 
 def _first_split(m: Representation, candidates):
@@ -682,7 +691,7 @@ def _first_split(m: Representation, candidates):
     return None
 
 
-def indecomposable_summands(m: Representation, seed: int = 0):
+def indecomposable_summands(m: Representation):
     """Full list of indecomposable direct summands, each with a split pair
     (factor, inclusion, projection) satisfying incl then proj = identity.
 
@@ -692,24 +701,23 @@ def indecomposable_summands(m: Representation, seed: int = 0):
     Any other module takes the brick test and Fitting search of
     ``_split_summands``.
 
-    The list is memoized per module and seed in the module's cache, so a
-    module is split once however often it is asked about (``decompose``
-    groups this list); each call returns a fresh list."""
-    memo = m._caches.setdefault("summands", {})
-    if seed not in memo:
-        memo[seed] = tuple(_split_summands(m, seed))
-    return list(memo[seed])
+    The list is memoized in the module's cache, so a module is split once
+    however often it is asked about (``decompose`` groups this list); each
+    call returns a fresh list."""
+    if "summands" not in m._caches:
+        m._caches["summands"] = tuple(_split_summands(m))
+    return list(m._caches["summands"])
 
 
-def _through_parts(pairs, seed: int):
+def _through_parts(pairs):
     """The summands of each part of a split, carried into the whole along
     the part's (inclusion, projection)."""
     return [(fac, sub_incl.compose(incl), proj.compose(sub_proj))
             for incl, proj in pairs
-            for fac, sub_incl, sub_proj in indecomposable_summands(incl.source, seed)]
+            for fac, sub_incl, sub_proj in indecomposable_summands(incl.source)]
 
 
-def _split_summands(m: Representation, seed: int):
+def _split_summands(m: Representation):
     """The summands of ``indecomposable_summands``, computed.
 
     The steps, in order:
@@ -725,15 +733,16 @@ def _split_summands(m: Representation, seed: int):
        module with dim End/rad = 1 has a local End ring, whose elements are
        all units or nilpotent, so no further candidate could split: it is
        certified indecomposable here.
-    4. Otherwise the remaining candidates (pair sums and differences, then
-       random combinations) are tried in order. When none splits, p > dim
-       means End/rad is known to be larger than K and ConsistencyError is
-       raised; p <= dim raises InputError from the trace form.
+    4. Otherwise the sums and differences of pairs among the first eight
+       basis elements are tried in order. When none splits, p > dim means
+       End/rad is known to be larger than K and ConsistencyError is
+       raised, also when End/rad is a field larger than K and m is in fact
+       indecomposable; p <= dim raises InputError from the trace form.
     """
     if m.total_dim == 0:
         return []
     if "parts" in m._caches:
-        return _through_parts(zip(*_block_maps(m)), seed)
+        return _through_parts(zip(*_block_maps(m)))
     hs = hom_space(m, m)
     if hs.dim == 1:
         return [(m, identity_map(m), identity_map(m))]
@@ -741,7 +750,7 @@ def _split_summands(m: Representation, seed: int):
     if split is None and _trace_form_valid(m) and _endo_radical_dim(m, hs) == 1:
         return [(m, identity_map(m), identity_map(m))]
     if split is None:
-        split = _first_split(m, _further_candidates(hs, seed))
+        split = _first_split(m, _further_candidates(hs))
     if split is None:
         if not _trace_form_valid(m):
             _endo_radical_dim(m, hs)  # p <= dim: the trace form raises InputError
@@ -750,37 +759,36 @@ def _split_summands(m: Representation, seed: int):
             "but no Fitting split was found")
     k_incl, i_incl = split
     k_proj, i_proj = _split_projections(m, k_incl, i_incl)
-    return _through_parts(((k_incl, k_proj), (i_incl, i_proj)), seed)
+    return _through_parts(((k_incl, k_proj), (i_incl, i_proj)))
 
 
-def decompose(m: Representation, seed: int = 0):
+def decompose(m: Representation):
     """Krull-Schmidt decomposition as a list of (indecomposable, multiplicity),
     grouped up to isomorphism, ordered by decreasing total dimension.
 
-    The grouping is memoized per module and seed in the module's cache, as
-    the split list is; each call returns a fresh list."""
-    memo = m._caches.setdefault("decompose", {})
-    if seed not in memo:
+    The grouping is memoized in the module's cache, as the split list is;
+    each call returns a fresh list."""
+    if "decompose" not in m._caches:
         groups = []
-        for fac, _, _ in indecomposable_summands(m, seed):
+        for fac, _, _ in indecomposable_summands(m):
             for g in groups:
-                if g[0].dims == fac.dims and is_isomorphic(g[0], fac, seed):
+                if g[0].dims == fac.dims and is_isomorphic(g[0], fac):
                     g[1] += 1
                     break
             else:
                 groups.append([fac, 1])
         groups.sort(key=lambda g: (-g[0].total_dim, g[0].dim_vector()))
-        memo[seed] = tuple((g[0], g[1]) for g in groups)
-    return list(memo[seed])
+        m._caches["decompose"] = tuple((g[0], g[1]) for g in groups)
+    return list(m._caches["decompose"])
 
 
-def in_add_of(x: Representation, t: Representation, seed: int = 0) -> bool:
+def in_add_of(x: Representation, t: Representation) -> bool:
     """Is x isomorphic to a direct summand of a finite sum of copies of t?
     Checked through Krull-Schmidt factor matching."""
     if x.total_dim == 0:
         return True
-    t_factors = [f for f, _ in decompose(t, seed)]
-    for fac, _ in decompose(x, seed):
-        if not any(is_isomorphic(fac, tf, seed) for tf in t_factors):
+    t_factors = [f for f, _ in decompose(t)]
+    for fac, _ in decompose(x):
+        if not any(is_isomorphic(fac, tf) for tf in t_factors):
             return False
     return True

@@ -12,8 +12,7 @@ is an explicit error, never a truncated answer.
 
 from dataclasses import dataclass
 
-from .algebra import (Algebra, injective, opposite_algebra, projective,
-                      regular_module, simple, zero_module)
+from .algebra import Algebra, opposite_algebra, projective, regular_module, zero_module
 from .complexes import (ChainMap, PerfectComplex, cohomology, derived_hom,
                         hom_window, is_exceptional, mapping_cone,
                         resolve_to_complex, shift_chain_map,
@@ -26,7 +25,7 @@ from .linalg import (FieldSpec, Matrix, quotient_basis, row_space, solve_linear_
                      solve_right_kernel)
 from .modules import (ModuleMap, Representation, _flatten_map, cokernel,
                       decompose, direct_sum, hom_space, identity_map,
-                      indecomposable_summands, is_isomorphic, quotient, top,
+                      in_add_of, indecomposable_summands, is_isomorphic, quotient, top,
                       trace_submodule)
 from .rings import RingPresentation, SCRing, corner_bimodules
 
@@ -367,8 +366,7 @@ class LocalizationReport:
     evidence: RingEvidence
 
 
-def universal_localization(seq: ShortExact, seed: int = 0,
-                           max_steps: int = 16,
+def universal_localization(seq: ShortExact, max_steps: int = 16,
                            bound: int = DEFAULT_RESOLUTION_BOUND,
                            hom_epi_degree: int = 6) -> LocalizationReport:
     """Localization data from a (T3)-style sequence 0 -> R -> T0 -> T1 -> 0.
@@ -393,19 +391,19 @@ def universal_localization(seq: ShortExact, seed: int = 0,
     matches = False
     if concentrated:
         h0 = cohomology(q, 0) if not q.is_zero_complex() else zero_module(alg)
-        matches = is_isomorphic(h0, ru, seed)
+        matches = is_isomorphic(h0, ru)
         if not matches:
             raise ConsistencyError(
                 "trace quotient and reflection of R disagree: internal inconsistency")
     pres = end_ring_presentation(ru, eta)
-    dec = decompose(ru, seed)
-    evidence = ring_evidence(ru, pres, seed)
+    dec = decompose(ru)
+    evidence = ring_evidence(ru, pres)
     epi = homological_epi_check(ru, pres, hom_epi_degree, bound)
     return LocalizationReport(seq, ru, tuple(dec), pres, eta, method, matches,
                               epi, evidence)
 
 
-def ring_evidence(ru: Representation, pres: RingPresentation, seed: int = 0) -> RingEvidence:
+def ring_evidence(ru: Representation, pres: RingPresentation) -> RingEvidence:
     """Matrix-ring style evidence: orthogonal idempotents cut out by the
     Krull-Schmidt decomposition, their corner dimensions (1 = primitive),
     and a scan checking that each basis element generates the whole ring as
@@ -415,7 +413,7 @@ def ring_evidence(ru: Representation, pres: RingPresentation, seed: int = 0) -> 
     idem_coords = []
     corners = []
     if ru.total_dim:
-        parts = indecomposable_summands(ru, seed)
+        parts = indecomposable_summands(ru)
         fld = ru.algebra.field
         for fac, incl, proj in parts:
             # endomorphism of ru: project to the factor, include back
@@ -573,22 +571,21 @@ class RecollementReport:
     t2_exceptional: bool
     t2_matches_ru: bool | None       # H^0(T2) iso R_U when exceptional
     corollary_zero: bool             # Hom(T1, T0) = 0 pattern
-    equivalent_to_ru_tilting: bool | None  # heuristic Gen-class comparison
+    equivalent_to_ru_tilting: bool | None  # add T = add(R_U ⊕ R_U/R), when corollary_zero
 
 
-def recollement_report(t: Representation, seed: int = 0,
-                       max_steps: int = 16,
+def recollement_report(t: Representation, max_steps: int = 16,
                        bound: int = DEFAULT_RESOLUTION_BOUND,
                        hom_epi_degree: int = 6) -> RecollementReport:
     """Assemble the recollement witness data of a tilting module of
     projective dimension at most one."""
     from .tilting import TiltingFailure, tilting_module_check
-    cert = tilting_module_check(t, seed, bound)
+    cert = tilting_module_check(t, bound)
     if isinstance(cert, TiltingFailure):
         raise InputError(f"not a tilting module: {cert.reasons}")
     alg = t.algebra
     t0, t1 = cert.sequence.mid, cert.sequence.right
-    loc = universal_localization(cert.sequence, seed, max_steps, bound, hom_epi_degree)
+    loc = universal_localization(cert.sequence, max_steps, bound, hom_epi_degree)
     q, _, _ = reflect_regular(alg, t1, max_steps, bound)
     t1c = resolve_to_complex(t1, bound)
     # Hom_D(T1[n], T2) = Hom_D(T1, T2[-n]): sweep the whole window
@@ -600,31 +597,13 @@ def recollement_report(t: Representation, seed: int = 0,
         conc = all(cohomology(q, n).total_dim == 0
                    for n in (range(q.lo, q.hi + 1) if not q.is_zero_complex() else [])
                    if n != 0)
-        t2_matches = conc and is_isomorphic(h, loc.ru_module, seed)
+        t2_matches = conc and is_isomorphic(h, loc.ru_module)
         if not t2_matches:
             raise ConsistencyError("exceptional q(R) does not match R_U")
     cor_zero = hom_space(t1, t0).dim == 0
     equivalent = None
     if cor_zero:
-        ru = loc.ru_module
-        ru_over_r = cokernel(loc.eta)[0]
-        t_prime = direct_sum([ru, ru_over_r]) if (ru.total_dim or ru_over_r.total_dim) else ru
-        equivalent = _same_ext_vanishing_class(t, t_prime, bound)
+        t_prime = direct_sum([loc.ru_module, cokernel(loc.eta)[0]])
+        equivalent = in_add_of(t, t_prime) and in_add_of(t_prime, t)
     return RecollementReport(cert, t1, q, loc, ortho, t2_exc, t2_matches,
                              cor_zero, equivalent)
-
-
-def _same_ext_vanishing_class(t: Representation, t_prime: Representation,
-                              bound: int) -> bool:
-    """Heuristic equality of tilting classes: compare Ext^1-vanishing on the
-    simple-generated test family (simples, projectives, injectives, and the
-    two modules themselves).  Reported as a flag, never as a proof."""
-    alg = t.algebra
-    family = [simple(alg, v) for v in alg.vertices]
-    family += [projective(alg, v) for v in alg.vertices]
-    family += [injective(alg, v) for v in alg.vertices]
-    family += [t, t_prime]
-    for x in family:
-        if (ext_dim(1, t, x, bound) == 0) != (ext_dim(1, t_prime, x, bound) == 0):
-            return False
-    return True

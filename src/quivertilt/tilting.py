@@ -253,8 +253,7 @@ class TiltingFailure:
     reasons: tuple  # of (code, detail)
 
 
-def tilting_module_check(t: Representation, seed: int = 0,
-                         bound: int = DEFAULT_RESOLUTION_BOUND):
+def tilting_module_check(t: Representation, bound: int = DEFAULT_RESOLUTION_BOUND):
     """Certify the three classical tilting conditions for a module of
     projective dimension at most one.
 
@@ -275,25 +274,24 @@ def tilting_module_check(t: Representation, seed: int = 0,
     if reasons:
         return TiltingFailure(t, tuple(reasons))
     r = regular_module(alg)
-    f, tags = left_add_approximation(r, t, seed)
+    f, tags = left_add_approximation(r, t)
     if not f.is_injective():
         reasons.append(("approx", "left add(T)-approximation of the regular module "
                                   "is not injective (T does not generate)"))
         return TiltingFailure(t, tuple(reasons))
     coker, cproj = cokernel(f)
-    if not in_add_of(coker, t, seed):
+    if not in_add_of(coker, t):
         reasons.append(("coker", "cokernel of the approximation is not in add(T)"))
         return TiltingFailure(t, tuple(reasons))
     seq = ShortExact(r, f.target, coker, f, cproj)
-    factors = tuple(fac for fac, _ in decompose(t, seed))
+    factors = tuple(fac for fac, _ in decompose(t))
     coker_ext = ext_dim(1, t, coker, bound)
     if coker_ext:
         raise ConsistencyError("Ext^1(T, coker) nonzero for a certified tilting module")
     return TiltingCertificate(t, pd, e1, seq, tags, factors, coker_ext)
 
 
-def bongartz_complement(m: Representation, seed: int = 0,
-                        bound: int = DEFAULT_RESOLUTION_BOUND):
+def bongartz_complement(m: Representation, bound: int = DEFAULT_RESOLUTION_BOUND):
     """Complement N from the universal extension 0 -> R -> N -> M^k -> 0,
     with certification that N ⊕ M is a tilting module.
 
@@ -307,7 +305,7 @@ def bongartz_complement(m: Representation, seed: int = 0,
         raise InputError(f"Bongartz complement needs Ext^1(M, M) = 0, got dim {e1}")
     r = regular_module(m.algebra)
     n_mod, ses = universal_extension(m, r, bound)
-    cert = tilting_module_check(direct_sum([n_mod, m]), seed, bound)
+    cert = tilting_module_check(direct_sum([n_mod, m]), bound)
     if isinstance(cert, TiltingFailure):
         raise ConsistencyError(f"N ⊕ M failed tilting certification: {cert.reasons}")
     return n_mod, ses, cert

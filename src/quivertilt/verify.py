@@ -12,7 +12,8 @@ from .complexes import cohomology, resolve_to_complex
 from .formats import fixture_algebra
 from .homology import ext, global_dimension, left_add_approximation, realize_extension
 from .linalg import FieldSpec
-from .modules import cokernel, decompose, direct_sum, is_isomorphic, quotient, socle
+from .modules import (cokernel, decompose, direct_sum, is_isomorphic, match_decomposition,
+                      quotient, socle)
 from .recollement import perp_membership, universal_localization
 from .tilting import (TiltingCertificate, bongartz_complement, check_A1_A2,
                       construct_tilting, tilting_module_check)
@@ -36,23 +37,7 @@ class ExampleReport:
         return all(c.passed for c in self.checks)
 
 
-def _match_decomposition(dec, expected, seed=0):
-    """dec: [(factor, mult)]; expected: [(module, mult)].  Multiset match up
-    to isomorphism."""
-    if len(dec) != len(expected):
-        return False
-    used = [False] * len(expected)
-    for fac, mult in dec:
-        for i, (mod, emult) in enumerate(expected):
-            if not used[i] and mult == emult and is_isomorphic(fac, mod, seed):
-                used[i] = True
-                break
-        else:
-            return False
-    return True
-
-
-def verify_cycle2(seed: int = 0, field: FieldSpec | None = None) -> ExampleReport:
+def verify_cycle2(field: FieldSpec | None = None) -> ExampleReport:
     alg = fixture_algebra("cycle2", field)
     checks = []
     data = {}
@@ -66,13 +51,13 @@ def verify_cycle2(seed: int = 0, field: FieldSpec | None = None) -> ExampleRepor
     I2 = injective(alg, "2")
     S2 = simple(alg, "2")
     T = direct_sum([P2, S2])
-    cert = tilting_module_check(T, seed)
+    cert = tilting_module_check(T)
     is_cert = isinstance(cert, TiltingCertificate)
     check("tilting_module_check(P2 + S2) passes", is_cert,
           getattr(cert, "reasons", ""))
     if is_cert:
-        seq_ok = (is_isomorphic(cert.sequence.mid, direct_sum([P2, P2]), seed)
-                  and is_isomorphic(cert.sequence.right, S2, seed))
+        seq_ok = (is_isomorphic(cert.sequence.mid, direct_sum([P2, P2]))
+                  and is_isomorphic(cert.sequence.right, S2))
         check("sequence is 0 -> R -> P2^2 -> S2 -> 0", seq_ok,
               f"T0 dims {cert.sequence.mid.dim_vector()}, "
               f"T1 dims {cert.sequence.right.dim_vector()}")
@@ -81,10 +66,10 @@ def verify_cycle2(seed: int = 0, field: FieldSpec | None = None) -> ExampleRepor
     ok, wit = perp_membership([S2], P2)
     check("P2 not in perp({S2})", not ok, f"witness {wit}")
     if is_cert:
-        loc = universal_localization(cert.sequence, seed)
+        loc = universal_localization(cert.sequence)
         data["ru_dims"] = loc.ru_module.dim_vector()
         check("R_U decomposes as I1^2",
-              _match_decomposition(loc.ru_decomposition, [(I1, 2)], seed),
+              match_decomposition(loc.ru_decomposition, [(I1, 2)]),
               f"R_U dims {loc.ru_module.dim_vector()}")
         ev = loc.evidence
         square_evidence = (ev.dim == 4 and len(ev.idempotent_coords) == 2
@@ -102,7 +87,7 @@ def verify_cycle2(seed: int = 0, field: FieldSpec | None = None) -> ExampleRepor
     check("dim Ext^1(I1, S2) = 1", space.dim == 1, f"dim = {space.dim}")
     if space.dim == 1:
         ses = realize_extension(space.classes[0])
-        mid_ok = is_isomorphic(ses.mid, I2, seed) and is_isomorphic(ses.mid, P2, seed)
+        mid_ok = is_isomorphic(ses.mid, I2) and is_isomorphic(ses.mid, P2)
         check("extension middle term is I2 (and I2 = P2)", mid_ok,
               f"middle dims {ses.mid.dim_vector()}")
     pair_rep = check_A1_A2(resolve_to_complex(S2), resolve_to_complex(I1))
@@ -111,18 +96,16 @@ def verify_cycle2(seed: int = 0, field: FieldSpec | None = None) -> ExampleRepor
     if pair_rep.ok:
         built = construct_tilting(pair_rep.pair)
         h0 = cohomology(built.first, 0)
-        dec = decompose(h0, seed)
-        both = (any(is_isomorphic(f, I2, seed) for f, _ in dec)
-                and any(is_isomorphic(f, I1, seed) for f, _ in dec)
-                and sum(m for _, m in dec) == 2)
+        dec = decompose(h0)
         check("construct_tilting: H^0 summands are I2 and I1",
-              both, f"{[(f.dim_vector(), m) for f, m in dec]}")
+              match_decomposition(dec, [(I2, 1), (I1, 1)]),
+              f"{[(f.dim_vector(), m) for f, m in dec]}")
         check("construct_tilting outputs are exceptional",
               built.first_exceptional and built.second_exceptional)
     return ExampleReport("cycle2", tuple(checks), data)
 
 
-def verify_triple3(seed: int = 0, field: FieldSpec | None = None) -> ExampleReport:
+def verify_triple3(field: FieldSpec | None = None) -> ExampleReport:
     alg = fixture_algebra("triple3", field)
     checks = []
     data = {}
@@ -137,24 +120,24 @@ def verify_triple3(seed: int = 0, field: FieldSpec | None = None) -> ExampleRepo
     S1 = simple(alg, "1")
     r = regular_module(alg)
     tchar = direct_sum([P1, P2, S1])
-    f, _ = left_add_approximation(r, tchar, seed)
+    f, _ = left_add_approximation(r, tchar)
     t0 = f.target
     t1, _ = cokernel(f)
     check("approximation gives T0 = P1 + P2^2",
-          _match_decomposition(decompose(t0, seed), [(P1, 1), (P2, 2)], seed),
+          match_decomposition(decompose(t0), [(P1, 1), (P2, 2)]),
           f"T0 dims {t0.dim_vector()}")
     check("T1 has dimension vector (1,1,0)", t1.dim_vector() == (1, 1, 0),
           f"T1 dims {t1.dim_vector()}")
     tilt = direct_sum([t0, t1])
-    cert = tilting_module_check(tilt, seed)
+    cert = tilting_module_check(tilt)
     is_cert = isinstance(cert, TiltingCertificate)
     check("T0 + T1 is a tilting module", is_cert, getattr(cert, "reasons", ""))
     if not is_cert:
         return ExampleReport("triple3", tuple(checks), data)
-    loc = universal_localization(cert.sequence, seed)
+    loc = universal_localization(cert.sequence)
     p2s2 = quotient(P2, socle(P2)[1])[0]
     check("R_U decomposes as S1 + (P2/S2)^2",
-          _match_decomposition(loc.ru_decomposition, [(S1, 1), (p2s2, 2)], seed),
+          match_decomposition(loc.ru_decomposition, [(S1, 1), (p2s2, 2)]),
           f"R_U dims {loc.ru_module.dim_vector()}")
     ext_dims = loc.hom_epi.ext_dims
     data["ext1_dim"] = ext_dims[0] if ext_dims else 0
@@ -166,7 +149,7 @@ def verify_triple3(seed: int = 0, field: FieldSpec | None = None) -> ExampleRepo
     return ExampleReport("triple3", tuple(checks), data)
 
 
-def verify_a2_bongartz(seed: int = 0, field: FieldSpec | None = None) -> ExampleReport:
+def verify_a2_bongartz(field: FieldSpec | None = None) -> ExampleReport:
     alg = fixture_algebra("a2", field)
     checks = []
     data = {}
@@ -176,11 +159,11 @@ def verify_a2_bongartz(seed: int = 0, field: FieldSpec | None = None) -> Example
 
     S1 = simple(alg, "1")
     P1 = projective(alg, "1")
-    n_mod, ses, cert = bongartz_complement(S1, seed)
+    n_mod, ses, cert = bongartz_complement(S1)
     check("complement decomposes as P1^2",
-          _match_decomposition(decompose(n_mod, seed), [(P1, 2)], seed),
+          match_decomposition(decompose(n_mod), [(P1, 2)]),
           f"N dims {n_mod.dim_vector()}")
-    cert2 = tilting_module_check(direct_sum([S1, P1]), seed)
+    cert2 = tilting_module_check(direct_sum([S1, P1]))
     check("tilting_module_check(S1 + P1) passes",
           isinstance(cert2, TiltingCertificate), getattr(cert2, "reasons", ""))
     return ExampleReport("a2-bongartz", tuple(checks), data)
@@ -193,8 +176,8 @@ VERIFIERS = {
 }
 
 
-def run_example(name: str, seed: int = 0, field: FieldSpec | None = None) -> ExampleReport:
+def run_example(name: str, field: FieldSpec | None = None) -> ExampleReport:
     if name not in VERIFIERS:
         from .errors import InputError
         raise InputError(f"unknown example {name!r}; choose from {sorted(VERIFIERS)}")
-    return VERIFIERS[name](seed, field)
+    return VERIFIERS[name](field)

@@ -9,7 +9,9 @@ operations, reference_left_approximation, a direct search built on the
 library's Hom solver, reference_triangle, the direct block assembly of
 a triangle that triangle_from_map replaced with a shifted mapping cone,
 reference_summands, the Fitting search that runs every candidate before it
-asks the trace form whether End is local, reference_ext_matrices, the
+asks the trace form whether End is local, reference_is_isomorphic, the
+seeded random search for an invertible map that exact isomorphism
+replaced, reference_ext_matrices, the
 per-coordinate construction of Ext's cocycle and coboundary matrices that
 the closed-form matrix of precomposition replaced,
 reference_sc_tor_dims with its corner-ring callers, Tor over a
@@ -266,7 +268,7 @@ def oracle_corner_tor1_dim(alg, vertices):
     return k_tensor - induced_rank
 
 
-def reference_left_approximation(x, t, seed=0):
+def reference_left_approximation(x, t):
     """Minimal left add(t)-approximation by the plain greedy loop: assemble
     the canonical map, then repeatedly drop the last copy whose removal
     still leaves a left approximation, re-assembling T0 and re-solving
@@ -281,7 +283,7 @@ def reference_left_approximation(x, t, seed=0):
                                     hom_space, zero_map)
     from quivertilt.algebra import zero_module
 
-    factors = [fac for fac, _ in decompose(t, seed)]
+    factors = [fac for fac, _ in decompose(t)]
     hom_bases = [hom_space(x, fac) for fac in factors]
 
     def assemble(copies):
@@ -457,6 +459,45 @@ def reference_summands(m, seed=0):
     if _endo_radical_dim(m, hs) == 1:
         return [(m, identity_map(m), identity_map(m))]
     raise ConsistencyError("no Fitting split found and End/rad has dimension > 1")
+
+
+def reference_is_isomorphic(m, n, seed=0):
+    """Isomorphism by searching Hom(m, n) for an invertible map: 64
+    combinations drawn from Random(seed), then, when dim Hom <= 6, every
+    nonzero combination with coefficients in a small grid.  "No" means only
+    that the search found none.  It uses the library's Hom solver and rank;
+    what it checks is that the exact test changes no verdict."""
+    import itertools
+    import random
+    from quivertilt.linalg import rank
+    from quivertilt.modules import hom_space
+
+    if m.dims != n.dims:
+        return False
+    if m.total_dim == 0:
+        return True
+    hs = hom_space(m, n)
+    if hs.dim == 0:
+        return False
+    fld = m.algebra.field
+
+    def invertible(f):
+        return all(rank(f.mats[v]) == m.dims[v] for v in m.algebra.vertices)
+
+    rng = random.Random(seed)
+    if fld.kind == "prime-field":
+        sample = lambda: rng.randrange(fld.characteristic)
+    else:
+        sample = lambda: rng.randint(-4, 4)
+    for _ in range(64):
+        if invertible(hs.combo([fld.coerce(sample()) for _ in range(hs.dim)])):
+            return True
+    grid = [0, 1, -1, 2, -2] if fld.kind == "rationals" else list(range(min(5, fld.characteristic)))
+    if hs.dim <= 6:
+        for combo in itertools.product(grid, repeat=hs.dim):
+            if any(combo) and invertible(hs.combo([fld.coerce(c) for c in combo])):
+                return True
+    return False
 
 
 def reference_ext_matrices(res, degree, n):

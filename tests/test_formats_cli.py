@@ -305,12 +305,19 @@ def test_cli_field_override(capsys):
 def test_cli_json_report_deterministic(tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
-    assert main(["tilting-check", ALG, P2, S2, "--seed", "3", "--json", str(out1)]) == 0
-    assert main(["tilting-check", ALG, P2, S2, "--seed", "3", "--json", str(out2)]) == 0
+    assert main(["tilting-check", ALG, P2, S2, "--json", str(out1)]) == 0
+    assert main(["tilting-check", ALG, P2, S2, "--json", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     data = json.loads(out1.read_text())
     assert data["tilting"] is True
     assert data["t0_dims"] == [2, 4]
+
+
+def test_cli_has_no_seed_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tilting-check", ALG, P2, S2, "--seed", "3"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_cli_localize_json_deterministic(tmp_path):

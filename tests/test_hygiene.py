@@ -2,8 +2,9 @@
 parameter of a package function is read in its body, every package
 function and method is referred to by name somewhere in ``src/``,
 ``tests/`` or ``bench/`` outside its own body, every private (leading
-underscore) one somewhere in ``src/``, and the arithmetic modules contain
-no true division.
+underscore) one somewhere in ``src/``, the arithmetic modules contain
+no true division, and no package module imports ``random`` or has a
+function parameter named ``seed``: every verdict is deterministic.
 
 Checked with the standard-library ``ast`` module only.  ``__init__.py`` is
 exempt from the import check, because its imports are the package's
@@ -211,3 +212,37 @@ def test_every_private_package_function_is_used_by_the_package():
     found = [f"{path}:{line}: {name}"
              for path, line, name in private_functions_unused_by_package(package)]
     assert not found, "private functions the package never uses:\n" + "\n".join(found)
+
+
+def randomness(source: str) -> list:
+    """(line, what) of each import of ``random``, at any depth, and of each
+    parameter named ``seed`` of a function or lambda."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, "import random") for alias in node.names
+                      if alias.name.split(".")[0] == "random"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "random":
+            found.append((node.lineno, "import random"))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            found += [(node.lineno, "parameter seed") for a in params
+                      if a is not None and a.arg == "seed"]
+    return sorted(found)
+
+
+def test_randomness_detector_sees_imports_and_seed_parameters():
+    src = ("import os, random\nfrom random import Random\n"
+           "def f(x, seed=0):\n    import random as r\n    return lambda *, seed: seed\n"
+           "def g(seed_vecs):\n    return seed_vecs\n")
+    assert randomness(src) == [(1, "import random"), (2, "import random"),
+                               (3, "parameter seed"), (4, "import random"),
+                               (5, "parameter seed")]
+
+
+def test_no_randomness_in_package_modules():
+    found = [f"{path.name}:{line}: {what}"
+             for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for line, what in randomness(path.read_text())]
+    assert not found, "random imports or seed parameters:\n" + "\n".join(found)

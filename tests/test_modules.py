@@ -240,7 +240,7 @@ def test_in_add_of(cycle2):
     assert not in_add_of(simple(cycle2, "1"), t)
 
 
-def test_decompose_is_memoized_per_module_and_seed(monkeypatch):
+def test_decompose_is_memoized_per_module(monkeypatch):
     import quivertilt.modules as modules
     from conftest import linear_algebra
     m = regular_module(linear_algebra(3))
@@ -258,11 +258,7 @@ def test_decompose_is_memoized_per_module_and_seed(monkeypatch):
     assert calls == [] and second == first
     second.append("junk")
     second[0] = None
-    assert decompose(m) == first
-    assert decompose(m, seed=1) == first and calls
-    calls.clear()
-    decompose(m, seed=1)
-    assert calls == []
+    assert decompose(m) == first and calls == []
 
 
 def test_endomorphism_space_is_memoized_per_module(monkeypatch, cycle2):

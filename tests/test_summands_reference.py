@@ -29,14 +29,14 @@ from oracles import reference_summands
 
 
 def _decomposed_modules(monkeypatch, run):
-    """Each distinct (module, seed) that decompose is asked about while
-    ``run`` runs, in order of first request."""
+    """Each distinct module that decompose is asked about while ``run``
+    runs, in order of first request."""
     seen = {}
     real = modules.decompose
 
-    def recording(m, seed=0):
-        seen.setdefault((id(m), seed), (m, seed))
-        return real(m, seed)
+    def recording(m):
+        seen.setdefault(id(m), m)
+        return real(m)
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("quivertilt") and getattr(mod, "decompose", None) is real:
@@ -50,18 +50,18 @@ def _summary(parts):
     return [(fac.dims, fac.arrow_mats, incl.mats, proj.mats) for fac, incl, proj in parts]
 
 
-def _expected_summands(m, seed=0):
+def _expected_summands(m):
     """reference_summands(m) for a module without recorded parts; for a
     direct sum, the expected summands of each part in order, composed with
     the part's block maps from a fresh direct_sum_with_maps, re-pointed at m."""
     parts = m._caches.get("parts")
     if parts is None:
-        return reference_summands(m, seed)
+        return reference_summands(m)
     _, incls, projs = modules.direct_sum_with_maps(parts)
     out = []
     for part, incl, proj in zip(parts, incls, projs):
         incl, proj = ModuleMap(part, m, incl.mats), ModuleMap(m, part, proj.mats)
-        for fac, sub_incl, sub_proj in _expected_summands(part, seed):
+        for fac, sub_incl, sub_proj in _expected_summands(part):
             out.append((fac, sub_incl.compose(incl), proj.compose(sub_proj)))
     return out
 
@@ -81,20 +81,20 @@ def _assert_split_pairs(m, parts):
     assert total.mats == modules.identity_map(m).mats
 
 
-def _assert_matches_reference(pairs):
-    assert pairs
-    assert any("parts" in m._caches for m, _ in pairs)
-    for m, seed in pairs:
-        parts = modules.indecomposable_summands(m, seed)
-        assert _summary(parts) == _summary(_expected_summands(m, seed))
+def _assert_matches_reference(mods):
+    assert mods
+    assert any("parts" in m._caches for m in mods)
+    for m in mods:
+        parts = modules.indecomposable_summands(m)
+        assert _summary(parts) == _summary(_expected_summands(m))
         _assert_split_pairs(m, parts)
 
 
 @pytest.mark.parametrize("field", [None, GF(101)], ids=["Q", "GF101"])
 @pytest.mark.parametrize("name", ["cycle2", "triple3", "a2-bongartz"])
 def test_worked_examples_split_as_the_reference(monkeypatch, name, field):
-    pairs = _decomposed_modules(monkeypatch, lambda: run_example(name, field=field))
-    _assert_matches_reference(pairs)
+    mods = _decomposed_modules(monkeypatch, lambda: run_example(name, field=field))
+    _assert_matches_reference(mods)
 
 
 @pytest.mark.parametrize("rad2", [False, True], ids=["A3-Q", "rad2-A3-GF101"])

@@ -268,15 +268,20 @@ def _fresh_rules(elim: _Eliminator):
 class Algebra:
     """A finite-dimensional path algebra with relations.
 
-    basis[i] is a residue path (source, word); mult[(i, j)] is the tuple of
-    structure constants of basis[i] * basis[j].
+    basis[i] is a residue path (source, word).  mult[(i, j)] is the sparse
+    row of basis[i] * basis[j]: a tuple of (k, c) pairs with c != 0, in
+    increasing k, standing for sum_k c * basis[k]; a zero product is ().
+    Every pair (i, j) has an entry.
+
+    The table is certified on generator triples (see _verify), not on all
+    dim^3 basis triples.
     """
 
     quiver: Quiver
     relations: tuple
     field: FieldSpec
     basis: tuple
-    mult: dict
+    mult: dict  # (i, j) -> sparse row of basis[i] * basis[j]
     max_path_len: int = 64
     _caches: dict = _dc_field(default_factory=dict, compare=False, repr=False)
 
@@ -287,31 +292,20 @@ class Algebra:
         amap = quiver.arrow_map()
         index = {p: i for i, p in enumerate(basis)}
         dim = len(basis)
+        starting = {v: [] for v in quiver.vertices}
+        for j, (src, _) in enumerate(basis):
+            starting[src].append(j)
 
-        def path_target(path):
-            src, word = path
-            return amap[word[-1]][1] if word else src
-
-        def concat(p, q):
-            if path_target(p) != q[0]:
-                return None
-            return (p[0], p[1] + q[1])
-
-        mult = {}
-        zero = fld.zero()
-        for i, p in enumerate(basis):
-            for j, q in enumerate(basis):
-                pq = concat(p, q)
-                row = [zero] * dim
-                if pq is not None:
-                    red = elim.reduce({pq: fld.one()})
-                    for r, c in red.items():
-                        if r not in index:
-                            raise BoundExceeded(
-                                "product reduction escaped the residue basis; "
-                                "increase max_path_len")
-                        row[index[r]] = c
-                mult[(i, j)] = tuple(row)
+        mult = {(i, j): () for i in range(dim) for j in range(dim)}
+        for i, (src, word) in enumerate(basis):
+            end = amap[word[-1]][1] if word else src
+            for j in starting[end]:
+                red = elim.reduce({(src, word + basis[j][1]): fld.one()})
+                if any(r not in index for r in red):
+                    raise BoundExceeded(
+                        "product reduction escaped the residue basis; "
+                        "increase max_path_len")
+                mult[(i, j)] = tuple(sorted((index[r], c) for r, c in red.items()))
         alg = Algebra(quiver, relations, fld, tuple(basis), mult, max_path_len)
         alg._verify()
         return alg
@@ -319,52 +313,75 @@ class Algebra:
     # -- verified invariants ---------------------------------------------------
 
     def _verify(self):
+        """Certify that the table is a unital associative algebra in which
+        the relations vanish.
+
+        - The vertex idempotents are orthogonal idempotents summing to the
+          unit: e_{s(p)} * p = p = p * e_{t(p)}, and every other e_v kills p
+          on either side.
+        - The basis is suffix-closed in the table: every path p of length
+          >= 1 is a * p' with a its first arrow and p' a basis path.
+        - (g * b_j) * b_k = g * (b_j * b_k) for every generator g (vertex
+          idempotent or arrow) and all j, k.
+
+        The last two give associativity on all triples, by induction on the
+        length of the first factor: for b_i = a * b_i',
+        (b_i b_j) b_k = a ((b_i' b_j) b_k) = a (b_i' (b_j b_k)) = b_i (b_j b_k).
+        """
         fld = self.field
-        dim = self.dim
-        # orthogonal idempotents summing to 1
-        for v in self.quiver.vertices:
-            i = self.vertex_idempotent(v)
-            row = self.mult[(i, i)]
-            expect = tuple(fld.one() if k == i else fld.zero() for k in range(dim))
-            if row != expect:
-                raise ConsistencyError("vertex idempotent fails e*e = e")
-        idems = [self.vertex_idempotent(v) for v in self.quiver.vertices]
-        for i in idems:
-            for j in idems:
-                if i != j and any(self.mult[(i, j)]):
-                    raise ConsistencyError("vertex idempotents not orthogonal")
-        # associativity on all basis triples
-        for i in range(dim):
-            for j in range(dim):
-                ij = self.mult[(i, j)]
-                for k in range(dim):
-                    left = self._combo_mult(ij, k, right=True)
-                    jk = self.mult[(j, k)]
-                    right = self._combo_mult(jk, i, right=False)
-                    if left != right:
+        mult = self.mult
+        one = fld.one()
+        idems = {v: self.vertex_idempotent(v) for v in self.quiver.vertices}
+        for i in range(self.dim):
+            itself = ((i, one),)
+            s, t = self.path_source(i), self.path_target(i)
+            for v, e in idems.items():
+                if (mult[(e, i)] != (itself if v == s else ())
+                        or mult[(i, e)] != (itself if v == t else ())):
+                    raise ConsistencyError(
+                        "vertex idempotents are not orthogonal idempotents summing to 1")
+        index = {p: i for i, p in enumerate(self.basis)}
+        gens = list(idems.values())
+        for i, (src, word) in enumerate(self.basis):
+            if not word:
+                continue
+            a = index.get((src, word[:1]))
+            rest = index.get((self.arrow_endpoints(word[0])[1], word[1:]))
+            if a is None or rest is None or mult[(a, rest)] != ((i, one),):
+                raise ConsistencyError("residue basis is not suffix-closed")
+            if len(word) == 1:
+                gens.append(i)
+        # associativity on generator triples; a triple whose both sides are
+        # sums over empty rows is 0 = 0 and is skipped
+        nonzero_after = [[k for k in range(self.dim) if mult[(j, k)]] for j in range(self.dim)]
+        for g in gens:
+            for j in range(self.dim):
+                gj = mult[(g, j)]
+                ks = set(nonzero_after[j])
+                for m, _ in gj:
+                    ks.update(nonzero_after[m])
+                for k in ks:
+                    if (self._row_times(gj, k, right=True)
+                            != self._row_times(mult[(j, k)], g, right=False)):
                         raise ConsistencyError("structure constants are not associative")
         # relations evaluate to zero
         for rel in self.relations:
-            acc = [fld.zero()] * dim
+            acc = {}
             for coeff, word in rel.terms:
-                vec = self.path_in_basis(word)
                 c = fld.coerce(coeff)
-                acc = [fld.add(a, fld.mul(c, x)) for a, x in zip(acc, vec)]
-            if any(acc):
+                for k, x in self.path_in_basis(word):
+                    acc[k] = fld.add(acc.get(k, fld.zero()), fld.mul(c, x))
+            if any(acc.values()):
                 raise ConsistencyError("relation does not vanish in the quotient")
 
-    def _combo_mult(self, combo, k, right: bool):
-        """combo * basis[k] if right else basis[k] * combo, as coefficient tuple."""
+    def _row_times(self, row, k, right: bool) -> tuple:
+        """row * basis[k] if right else basis[k] * row, as a sparse row."""
         fld = self.field
-        out = [fld.zero()] * self.dim
-        for idx, c in enumerate(combo):
-            if not c:
-                continue
-            row = self.mult[(idx, k)] if right else self.mult[(k, idx)]
-            for t, d in enumerate(row):
-                if d:
-                    out[t] = fld.add(out[t], fld.mul(c, d))
-        return tuple(out)
+        acc = {}
+        for m, c in row:
+            for t, d in self.mult[(m, k) if right else (k, m)]:
+                acc[t] = fld.add(acc.get(t, fld.zero()), fld.mul(c, d))
+        return tuple(sorted((t, c) for t, c in acc.items() if c))
 
     # -- basic queries --------------------------------------------------------
 
@@ -409,24 +426,12 @@ class Algebra:
         return self.arrow_endpoints(word[-1])[1] if word else src
 
     def path_in_basis(self, word) -> tuple:
-        """Coefficient tuple of the residue class of an arrow word (length >= 1)."""
-        fld = self.field
-        amap = self.quiver.arrow_map()
-        src = amap[word[0]][0]
-        vec = [fld.zero()] * self.dim
-        vec[self.vertex_idempotent(src)] = fld.one()
+        """Sparse row of the residue class of an arrow word (length >= 1)."""
+        src = self.arrow_endpoints(word[0])[0]
+        row = ((self.vertex_idempotent(src), self.field.one()),)
         for a in word:
-            nxt = [fld.zero()] * self.dim
-            ai = self.basis_index_of_arrow(a)
-            for i, c in enumerate(vec):
-                if not c:
-                    continue
-                row = self.mult[(i, ai)]
-                for t, d in enumerate(row):
-                    if d:
-                        nxt[t] = fld.add(nxt[t], fld.mul(c, d))
-            vec = nxt
-        return tuple(vec)
+            row = self._row_times(row, self.basis_index_of_arrow(a), right=True)
+        return row
 
     def basis_index_of_arrow(self, name) -> int:
         cache = self._caches.get("aidx")
@@ -443,11 +448,16 @@ class Algebra:
         return cache[name]
 
     def unit(self) -> tuple:
-        fld = self.field
-        vec = [fld.zero()] * self.dim
-        for v in self.vertices:
-            vec[self.vertex_idempotent(v)] = fld.one()
-        return tuple(vec)
+        """Sparse row of the unit, the sum of the vertex idempotents."""
+        one = self.field.one()
+        return tuple(sorted((self.vertex_idempotent(v), one) for v in self.vertices))
+
+    def dense_row(self, row) -> tuple:
+        """The coefficient tuple of a sparse row, for a Matrix row."""
+        out = [self.field.zero()] * self.dim
+        for k, c in row:
+            out[k] = c
+        return tuple(out)
 
     # -- derived data: paths grouped by endpoints ------------------------------
 
@@ -538,10 +548,8 @@ def _module_from_paths(alg: Algebra, idxs, dual: bool):
             for i in by_vertex[s]:
                 row = [fld.zero()] * dims[t]
                 if ai is not None:
-                    prod = alg.mult[(i, ai)]
-                    for k, c in enumerate(prod):
-                        if c:
-                            row[pos[t][k]] = c
+                    for k, c in alg.mult[(i, ai)]:
+                        row[pos[t][k]] = c
                 rows.append(tuple(row))
             mats[name] = Matrix(fld, dims[s], dims[t], tuple(rows))
         else:
@@ -561,10 +569,8 @@ def _module_from_paths(alg: Algebra, idxs, dual: bool):
             for i in by_vertex[t]:
                 row = [fld.zero()] * dims[s]
                 if ai is not None:
-                    prod = alg.mult[(ai, i)]
-                    for k, c in enumerate(prod):
-                        if c:
-                            row[pos[s][k]] = c
+                    for k, c in alg.mult[(ai, i)]:
+                        row[pos[s][k]] = c
                 rows.append(tuple(row))
             L = Matrix(fld, dims[t], dims[s], tuple(rows))
             mats[name] = L.transpose()
@@ -590,9 +596,7 @@ def opposite_algebra(alg: Algebra) -> Algebra:
         return (end, tuple(reversed(word)))
 
     basis = tuple(rev_path(p) for p in alg.basis)
-    mult = {}
-    for (i, j), row in alg.mult.items():
-        mult[(j, i)] = row
+    mult = {(j, i): row for (i, j), row in alg.mult.items()}
     # the transpose of a verified table is associative and unital, its
     # vertex idempotents stay orthogonal and the reversed relations vanish
     return Algebra(op_q, op_rels, alg.field, basis, mult, alg.max_path_len)

@@ -74,9 +74,8 @@ def proj_sum(alg: Algebra, gens) -> ProjSum:
         rows = []
         for (j, i) in layout[s]:
             row = [fld.zero()] * dims[t]
-            for k, c in enumerate(alg.mult[(i, ai)]):
-                if c:
-                    row[pos[(j, k)]] = c
+            for k, c in alg.mult[(i, ai)]:
+                row[pos[(j, k)]] = c
             rows.append(tuple(row))
         mats[name] = Matrix(fld, dims[s], dims[t], tuple(rows))
     # right multiplication by arrows on paths: valid by the verified algebra
@@ -388,11 +387,10 @@ class LeftModule:
             if (a.rows, a.cols) != (dim, dim):
                 raise InputError("action matrices must be square of the module dimension")
 
-        def combo(coeffs) -> Matrix:
+        def combo(row) -> Matrix:
             out = Matrix.zeros(fld, dim, dim)
-            for k, c in enumerate(coeffs):
-                if c:
-                    out = out.add(act[k].scale(c))
+            for k, c in row:
+                out = out.add(act[k].scale(c))
             return out
 
         if combo(alg.unit()) != Matrix.identity(fld, dim):
@@ -419,7 +417,7 @@ def left_regular_module(alg: Algebra) -> LeftModule:
     fld = alg.field
     act = []
     for i in range(alg.dim):
-        rows = [alg.mult[(i, p)] for p in range(alg.dim)]
+        rows = [alg.dense_row(alg.mult[(i, p)]) for p in range(alg.dim)]
         act.append(Matrix(fld, alg.dim, alg.dim, tuple(rows)))
     # left multiplication in the verified (associative, unital) algebra
     return LeftModule._trusted(alg, alg.dim, tuple(act))

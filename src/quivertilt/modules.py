@@ -545,6 +545,8 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
     basis, or the fixed combination sum (i+1)*b_i of it.  When neither is
     invertible:
 
+    - m ≅ n forces dim Hom(m, n) = dim End(m) = dim End(n), so unequal
+      dimensions mean "no";
     - an indecomposable m has a local End(m) (Fitting's lemma), so were
       m ≅ n through some phi, the non-isomorphisms m -> n would form the
       proper subspace phi∘rad End(m), which cannot hold a basis of
@@ -563,6 +565,8 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
         return False
     if _invertible_map(hs) is not None:
         return True
+    if not hs.dim == hom_space(m, m).dim == hom_space(n, n).dim:
+        return False
     if len(indecomposable_summands(m)) == 1:
         return False
     return match_decomposition(decompose(m), decompose(n))

@@ -12,7 +12,7 @@ is an explicit error, never a truncated answer.
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, opposite_algebra, projective, regular_module, zero_module
+from .algebra import Algebra, opposite_algebra, regular_module, zero_module
 from .complexes import (ChainMap, PerfectComplex, cohomology, derived_hom,
                         hom_window, is_exceptional, mapping_cone,
                         resolve_to_complex, shift_chain_map,
@@ -25,8 +25,8 @@ from .linalg import (FieldSpec, Matrix, quotient_basis, row_space, solve_linear_
                      solve_right_kernel)
 from .modules import (ModuleMap, Representation, _flatten_map, cokernel,
                       decompose, direct_sum, hom_space, identity_map,
-                      in_add_of, indecomposable_summands, is_isomorphic, quotient, top,
-                      trace_submodule)
+                      in_add_of, indecomposable_summands, is_isomorphic, quotient,
+                      submodule_from_rows, top, trace_submodule)
 from .rings import RingPresentation, SCRing, corner_bimodules
 
 
@@ -245,9 +245,8 @@ def left_multiplication_map(alg: Algebra, r: Representation, coeffs) -> ModuleMa
             for i, c in enumerate(coeffs):
                 if not c:
                     continue
-                for k, d in enumerate(alg.mult[(i, p)]):
-                    if d:
-                        out[rpos][pos[k]] = fld.add(out[rpos][pos[k]], fld.mul(c, d))
+                for k, d in alg.mult[(i, p)]:
+                    out[rpos][pos[k]] = fld.add(out[rpos][pos[k]], fld.mul(c, d))
         mats[w] = Matrix(fld, len(rows_idx), len(rows_idx), tuple(tuple(x) for x in out))
     return ModuleMap(r, r, mats)
 
@@ -508,13 +507,11 @@ def _corner_multiplication(alg: Algebra, vertices):
             if not c:
                 continue
             p, q = divmod(pos, len(ea_idx))
-            for k, d in enumerate(alg.mult[(ae_idx[p], ea_idx[q])]):
-                if d:
-                    acc[k] = fld.add(acc[k], fld.mul(c, d))
+            for k, d in alg.mult[(ae_idx[p], ea_idx[q])]:
+                acc[k] = fld.add(acc[k], fld.mul(c, d))
         rows.append(tuple(acc))
     mult_rank = row_space(Matrix(fld, len(rows), alg.dim, tuple(rows))).rows
-    # AeA = span of all products
-    prod_rows = tuple(alg.mult[(p, q)] for p in ae_idx for q in ea_idx)
+    prod_rows = tuple(alg.dense_row(row) for _, row in _vertex_ideal_products(alg, vertices))
     ideal_dim = row_space(Matrix(fld, len(prod_rows), alg.dim, prod_rows)).rows
     return len(corner_idx), section.rows, ideal_dim, mult_rank == section.rows == ideal_dim
 
@@ -545,12 +542,33 @@ def _tensor_quotient(fld: FieldSpec, dx: int, dy: int, pairs):
     return quotient_basis(sub, n)
 
 
+def _vertex_ideal_products(alg: Algebra, vertices):
+    """(target vertex, sparse row) of every nonzero product b_p * b_q with p
+    ending and q starting at a vertex of e.  They span AeA."""
+    for v in vertices:
+        for p in alg.paths_to(v):
+            for q in alg.paths_from(v):
+                row = alg.mult[(p, q)]
+                if row:
+                    yield alg.path_target(q), row
+
+
 def _quotient_by_vertex_ideal(alg: Algebra, vertices) -> Representation:
-    """A/AeA as a right module: the regular module modulo the trace of
-    eA = ⊕_{v in e} P_v in it."""
+    """A/AeA as a right module: the regular module modulo the span of the
+    products that span AeA, each at the vertex where it ends."""
     r = regular_module(alg)
-    gen = direct_sum([projective(alg, v) for v in vertices]) if vertices else zero_module(alg)
-    b, _ = quotient(r, trace_submodule(gen, r))
+    fld = alg.field
+    tables = regular_basis_tables(alg)
+    pos = {w: {b: k for k, b in enumerate(tables[w])} for w in alg.vertices}
+    rows = {w: [] for w in alg.vertices}
+    for w, prod in _vertex_ideal_products(alg, vertices):
+        row = [fld.zero()] * r.dims[w]
+        for k, c in prod:
+            row[pos[w][k]] = c
+        rows[w].append(tuple(row))
+    _, incl = submodule_from_rows(
+        r, {w: Matrix(fld, len(rows[w]), r.dims[w], tuple(rows[w])) for w in alg.vertices})
+    b, _ = quotient(r, incl)
     return b
 
 

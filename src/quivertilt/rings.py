@@ -121,9 +121,8 @@ class RingPresentation:
             for j in range(alg.dim):
                 lhs = self.ring.product(self.lam[i], self.lam[j])
                 rhs = [fld.zero()] * self.ring.dim
-                for k, c in enumerate(alg.mult[(i, j)]):
-                    if c:
-                        rhs = [fld.add(a, fld.mul(c, b)) for a, b in zip(rhs, self.lam[k])]
+                for k, c in alg.mult[(i, j)]:
+                    rhs = [fld.add(a, fld.mul(c, b)) for a, b in zip(rhs, self.lam[k])]
                 if lhs != tuple(rhs):
                     raise ConsistencyError("lambda is not multiplicative")
 
@@ -156,8 +155,7 @@ def _multiplication_matrix(alg: Algebra, idx, j: int, right: bool) -> Matrix:
     rows = []
     for i in idx:
         row = [fld.zero()] * len(idx)
-        for k, c in enumerate(alg.mult[(i, j) if right else (j, i)]):
-            if c:
-                row[pos[k]] = c
+        for k, c in alg.mult[(i, j) if right else (j, i)]:
+            row[pos[k]] = c
         rows.append(tuple(row))
     return Matrix(fld, len(idx), len(idx), tuple(rows))

@@ -19,7 +19,10 @@ structure-constant ring from free resolutions built with the library's
 elimination, which the stratifying-ideal test used before it computed Tor
 over the algebra, and reference_tor_dims, Tor over the algebra with each
 P_k ⊗_A Y taken as a quotient of the raw (dim P_k · dim Y)-space, the
-route that reading P_k ⊗_A Y as a sum of vertex components e_vY replaced.
+route that reading P_k ⊗_A Y as a sum of vertex components e_vY replaced,
+and reference_verify_algebra, the sweep of a dense structure-constant
+table over all basis triples that the generator-triple certificate of
+Algebra._verify replaced, which uses the field's element operations.
 """
 
 from fractions import Fraction
@@ -163,6 +166,63 @@ def oracle_tensor_dim(dim_x, dim_y, right_acts, left_acts):
     return dim_x * dim_y - (oracle_rank(rows) if rows else 0)
 
 
+def _dense_row(alg, i, j):
+    """The coefficient list of basis[i] * basis[j], expanded from the
+    algebra's sparse row."""
+    row = [alg.field.zero()] * alg.dim
+    for k, c in alg.mult[(i, j)]:
+        row[k] = c
+    return row
+
+
+def reference_verify_algebra(alg):
+    """Is the table of alg a unital associative algebra in which the
+    relations vanish?  The full check that Algebra._verify replaced with its
+    generator-triple certificate: on the dense table, the vertex idempotents
+    are orthogonal idempotents summing to 1 (e_{s(p)} p = p = p e_{t(p)},
+    every other e_v kills p), associativity holds on all dim^3 basis
+    triples, and every relation evaluates to zero."""
+    fld, dim = alg.field, alg.dim
+    table = {(i, j): _dense_row(alg, i, j) for i in range(dim) for j in range(dim)}
+    unit_vec = [[fld.one() if t == k else fld.zero() for t in range(dim)] for k in range(dim)]
+    zero_vec = [fld.zero()] * dim
+    amap = {name: (s, t) for name, s, t in alg.quiver.arrows}
+    index = {p: i for i, p in enumerate(alg.basis)}
+
+    def times(combo, k, right):
+        out = [fld.zero()] * dim
+        for m, c in enumerate(combo):
+            if c:
+                for t, d in enumerate(table[(m, k)] if right else table[(k, m)]):
+                    if d:
+                        out[t] = fld.add(out[t], fld.mul(c, d))
+        return out
+
+    for i, (src, word) in enumerate(alg.basis):
+        tgt = amap[word[-1]][1] if word else src
+        for v in alg.vertices:
+            e = index[(v, ())]
+            if table[(e, i)] != (unit_vec[i] if v == src else zero_vec):
+                return False
+            if table[(i, e)] != (unit_vec[i] if v == tgt else zero_vec):
+                return False
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                if times(table[(i, j)], k, True) != times(table[(j, k)], i, False):
+                    return False
+    for rel in alg.relations:
+        acc = list(zero_vec)
+        for coeff, word in rel.terms:
+            vec = unit_vec[index[(amap[word[0]][0], ())]]
+            for a in word:
+                vec = times(vec, index[(amap[a][0], (a,))], True)
+            acc = [fld.add(x, fld.mul(fld.coerce(coeff), y)) for x, y in zip(acc, vec)]
+        if any(acc):
+            return False
+    return True
+
+
 def corner_data(alg, vertices):
     """Raw corner data straight from the multiplication table:
     (corner basis indices, Ae indices, eA indices)."""
@@ -182,14 +242,12 @@ def _corner_actions(alg, vertices):
     for g in corner:
         R = [[0] * len(ae) for _ in ae]
         for p, i in enumerate(ae):
-            for k, c in enumerate(alg.mult[(i, g)]):
-                if c:
-                    R[p][ae_pos[k]] = c
+            for k, c in alg.mult[(i, g)]:
+                R[p][ae_pos[k]] = c
         L = [[0] * len(ea) for _ in ea]
         for q, i in enumerate(ea):
-            for k, c in enumerate(alg.mult[(g, i)]):
-                if c:
-                    L[q][ea_pos[k]] = c
+            for k, c in alg.mult[(g, i)]:
+                L[q][ea_pos[k]] = c
         right_acts.append(R)
         left_acts.append(L)
     return corner, ae, ea, right_acts, left_acts
@@ -204,7 +262,7 @@ def oracle_corner_tensor_dim(alg, vertices):
 def oracle_corner_ideal_dim(alg, vertices):
     """dim AeA as the span of all products of Ae and eA basis paths."""
     _, ae, ea = corner_data(alg, vertices)
-    rows = [list(alg.mult[(p, q)]) for p in ae for q in ea]
+    rows = [list(_dense_row(alg, p, q)) for p in ae for q in ea]
     return oracle_rank(rows) if rows else 0
 
 
@@ -222,7 +280,7 @@ def oracle_corner_tor1_dim(alg, vertices):
     cover = []
     for p, i in enumerate(ae):
         for g in corner:
-            cover.append([alg.mult[(i, g)][j] for j in ae])
+            cover.append([_dense_row(alg, i, g)[j] for j in ae])
     kernel = oracle_left_kernel(cover)
     kdim = len(kernel)
     if kdim == 0:
@@ -233,10 +291,9 @@ def oracle_corner_tor1_dim(alg, vertices):
         mat = [[Fraction(0)] * (na * nc) for _ in range(na * nc)]
         for p in range(na):
             for gi, g in enumerate(corner):
-                for k, c in enumerate(alg.mult[(g, h)]):
-                    if c:
-                        assert k in corner_pos
-                        mat[p * nc + gi][p * nc + corner_pos[k]] += Fraction(c)
+                for k, c in alg.mult[(g, h)]:
+                    assert k in corner_pos
+                    mat[p * nc + gi][p * nc + corner_pos[k]] += Fraction(c)
         right_free.append(mat)
     # right action on K in kernel coordinates
     right_kernel = []
@@ -547,9 +604,8 @@ def reference_corner_ring(alg, vertices):
     for a, i in enumerate(corner):
         for b, j in enumerate(corner):
             row = [fld.zero()] * len(corner)
-            for k, c in enumerate(alg.mult[(i, j)]):
-                if c:
-                    row[pos[k]] = c
+            for k, c in alg.mult[(i, j)]:
+                row[pos[k]] = c
             mult[(a, b)] = tuple(row)
     unit = [fld.zero()] * len(corner)
     for v in vertices:

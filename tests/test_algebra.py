@@ -1,9 +1,14 @@
 import pytest
 
-from quivertilt import (GF, QQ, BoundExceeded, InputError, Quiver,
+from quivertilt import (GF, QQ, BoundExceeded, ConsistencyError, InputError, Quiver,
                         RelationPoly, build_algebra, injective,
-                        opposite_algebra, projective, regular_module, simple)
+                        opposite_algebra, projective, regular_module, simple,
+                        tilting_module_check)
+from quivertilt.algebra import Algebra
+from quivertilt.formats import fixture_algebra
 from quivertilt.modules import hom_space, is_isomorphic
+from conftest import linear_algebra, tilting_summary
+from oracles import reference_verify_algebra
 
 
 def test_a2_basis(a2):
@@ -142,3 +147,93 @@ def test_prime_field_build(cycle2):
     alg101 = build_algebra(q, cycle2.relations, GF(101))
     assert alg101.dim == 5
     assert projective(alg101, "2").dim_vector() == (1, 2)
+
+
+# -- the generator-triple certificate against the full sweep ----------------------
+
+CORRUPTION_FIELDS = [None, GF(2), GF(3), GF(101)]
+
+
+def _with_constant(alg, i, j, k, value):
+    """alg's table with the coefficient of basis[k] in basis[i] * basis[j]
+    set to value, unverified."""
+    row = dict(alg.mult[(i, j)])
+    row[k] = value
+    mult = dict(alg.mult)
+    mult[(i, j)] = tuple(sorted((t, c) for t, c in row.items() if c))
+    return Algebra(alg.quiver, alg.relations, alg.field, alg.basis, mult, alg.max_path_len)
+
+
+def _rejected(alg) -> bool:
+    try:
+        alg._verify()
+    except ConsistencyError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("field", CORRUPTION_FIELDS, ids=["Q", "GF2", "GF3", "GF101"])
+def test_certificate_rejects_every_corruption_the_full_sweep_rejects(field):
+    # set each structure constant c of the four fixture tables to c + 1,
+    # c - 1 and 0, where these differ from c
+    tried = swept_out = 0
+    for name in ("a2", "kron2", "cycle2", "triple3"):
+        alg = fixture_algebra(name, field)
+        fld = alg.field
+        assert reference_verify_algebra(alg) and not _rejected(alg)
+        for (i, j), row in alg.mult.items():
+            for k in range(alg.dim):
+                c = dict(row).get(k, fld.zero())
+                values = []
+                for value in (fld.add(c, fld.one()), fld.sub(c, fld.one()), fld.zero()):
+                    if value != c and value not in values:
+                        values.append(value)
+                for value in values:
+                    bad = _with_constant(alg, i, j, k, value)
+                    tried += 1
+                    if not reference_verify_algebra(bad):
+                        swept_out += 1
+                        assert _rejected(bad), (name, alg.basis[i], alg.basis[j], alg.basis[k], value)
+    # the full sweep accepts four rescalings, such as b * a = 2 * ba in
+    # cycle2 (two over GF(2)): associative and unital, but ba is then not
+    # the product of its first arrow and its suffix, which the certificate
+    # rejects
+    assert (tried, swept_out) == ((945, 943) if field == GF(2) else (1890, 1886))
+
+
+def test_certificate_checks_the_unit_law(a2):
+    # e_1 * a = 0: associative, and e_1, e_2 stay orthogonal idempotents,
+    # but e_1 + e_2 is not a unit
+    e1, a = a2.vertex_idempotent("1"), a2.basis_index_of_arrow("a")
+    bad = _with_constant(a2, e1, a, a, 0)
+    with pytest.raises(ConsistencyError, match="summing to 1"):
+        bad._verify()
+    assert not reference_verify_algebra(bad)
+
+
+def test_certificate_rejects_a_basis_that_is_not_suffix_closed():
+    # 1 -a-> 2 -b-> 3 with basis e_1, e_2, e_3, a, ab: the suffix b of ab is
+    # missing, and the table, which never forms a * b, is still associative
+    q = Quiver(("1", "2", "3"), (("a", "1", "2"), ("b", "2", "3")))
+    basis = (("1", ()), ("2", ()), ("3", ()), ("1", ("a",)), ("1", ("a", "b")))
+    src, tgt = (0, 1, 2, 0, 0), (0, 1, 2, 1, 2)
+    mult = {(i, j): () for i in range(5) for j in range(5)}
+    for i in range(5):
+        mult[(src[i], i)] = mult[(i, tgt[i])] = ((i, 1),)
+    alg = Algebra(q, (), QQ, basis, mult)
+    assert reference_verify_algebra(alg)
+    with pytest.raises(ConsistencyError, match="not suffix-closed"):
+        alg._verify()
+
+
+def test_opposite_tables_pass_the_certificate(all_algebras):
+    for alg in all_algebras.values():
+        op = opposite_algebra(alg)
+        op._verify()
+        assert reference_verify_algebra(op)
+
+
+def test_a12_builds_and_certifies_its_regular_module():
+    alg = linear_algebra(12)
+    assert alg.dim == 78
+    assert tilting_summary(tilting_module_check(regular_module(alg))) == ("certified", 12)

@@ -1,7 +1,8 @@
 """is_isomorphic is exact: "yes" comes with an invertible map, and "no"
-comes either from an indecomposable module, whose local End ring keeps
-every basis of Hom(m, n) out of the non-isomorphisms when m ≅ n, or from
-comparing Krull-Schmidt groupings.  The verdicts agree with the seeded
+comes from unequal dimensions of Hom(m, n), End(m) and End(n), from an
+indecomposable module, whose local End ring keeps every basis of
+Hom(m, n) out of the non-isomorphisms when m ≅ n, or from comparing
+Krull-Schmidt groupings.  The verdicts agree with the seeded
 random search it replaced (``oracles.reference_is_isomorphic``)."""
 
 import itertools
@@ -52,50 +53,70 @@ def _counting_branches(monkeypatch):
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_projective_is_not_the_sum_of_its_composition_factors(monkeypatch, field):
     # over a2 = (1 -> 2), P1 and S1 ⊕ S2 share dims (1, 1) and map to each
-    # other both ways, but neither map is invertible
+    # other both ways, but neither map is invertible; dim End(S1 ⊕ S2) = 2
+    # differs from dim Hom = 1, which decides both ways
     alg = fixture_algebra("a2", field)
     p1, s12 = projective(alg, "1"), direct_sum([simple(alg, "1"), simple(alg, "2")])
     assert p1.dims == s12.dims
     assert hom_space(p1, s12).dim == hom_space(s12, p1).dim == 1
+    assert hom_space(s12, s12).dim == 2
     seen = _counting_branches(monkeypatch)
     assert not is_isomorphic(p1, s12)
+    assert not is_isomorphic(s12, p1)
+    assert seen == []
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_indecomposable_branch_decides_when_the_dimensions_agree(monkeypatch, field):
+    # over cycle2, P1 and I1 share dims (1, 1) and are bricks with
+    # dim Hom = 1 both ways, but no map between them is invertible
+    alg = fixture_algebra("cycle2", field)
+    p1, i1 = projective(alg, "1"), injective(alg, "1")
+    assert p1.dims == i1.dims
+    assert (hom_space(p1, i1).dim == hom_space(i1, p1).dim
+            == hom_space(p1, p1).dim == hom_space(i1, i1).dim == 1)
+    seen = _counting_branches(monkeypatch)
+    assert not is_isomorphic(p1, i1)
     assert seen == ["indecomposable"]
     seen.clear()
-    assert not is_isomorphic(s12, p1)
-    assert seen[0] == "indecomposable" and seen[-1] == "krull-schmidt"
+    assert not is_isomorphic(i1, p1)
+    assert seen == ["indecomposable"]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_self_extension_of_a_band_is_not_the_square_of_the_band(field):
     # the band K --(1, 1)--> K and its non-split self-extension (b a Jordan
-    # block), against band ⊕ band: dims (2, 2), dim Hom = 2 both ways
+    # block), against band ⊕ band: dims (2, 2), dim Hom = 2 both ways, but
+    # dim End(band ⊕ band) = 4, which decides "no" in every characteristic
     alg = fixture_algebra("kron2", field)
     ext = _kronecker(alg, ((1, 0), (0, 1)), ((1, 1), (0, 1)))
     band = _kronecker(alg, ((1,),), ((1,),))
     square = direct_sum([band, band])
     assert hom_space(ext, square).dim == hom_space(square, ext).dim == 2
+    assert hom_space(square, square).dim == 4
+    assert not is_isomorphic(ext, square)
+    assert not is_isomorphic(square, ext)
     if field is None or field.characteristic > ext.total_dim:
-        assert not is_isomorphic(ext, square)
-        assert not is_isomorphic(square, ext)
         assert len(modules.indecomposable_summands(ext)) == 1
     else:
-        # p <= dim: the trace form cannot certify End(ext) local, so there
-        # is no verdict rather than a "no" without proof
+        # p <= dim: the trace form cannot certify End(ext) local
         with pytest.raises(InputError):
-            is_isomorphic(ext, square)
-        with pytest.raises(InputError):
-            is_isomorphic(square, ext)
+            modules.indecomposable_summands(ext)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_krull_schmidt_branch_decides_sums_without_a_witness(monkeypatch, field):
     # with no witness offered for the sums themselves, isomorphic sums are
-    # still recognised, by matching their groupings factor by factor
+    # still recognised, by matching their groupings factor by factor; over
+    # cycle2, P1 ⊕ P1 and P1 ⊕ I1 have dim Hom = dim End = 4 on both sides,
+    # so only their groupings tell them apart
     alg = fixture_algebra("a2", field)
     p1, s1, s2 = projective(alg, "1"), simple(alg, "1"), simple(alg, "2")
+    c2 = fixture_algebra("cycle2", field)
+    c2_p1, c2_i1 = projective(c2, "1"), injective(c2, "1")
     cases = [(direct_sum([p1, s2]), direct_sum([s2, p1]), True),
              (direct_sum([s1, s1, s2]), direct_sum([s2, s1, s1]), True),
-             (direct_sum([p1, s1, s2]), direct_sum([p1, p1]), False)]
+             (direct_sum([c2_p1, c2_p1]), direct_sum([c2_p1, c2_i1]), False)]
     sums = {id(m) for m, _, _ in cases}
     witness = modules._invertible_map
     monkeypatch.setattr(modules, "_invertible_map",

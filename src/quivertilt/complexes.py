@@ -13,14 +13,20 @@ from dataclasses import dataclass, field as _dc_field
 from .algebra import Algebra
 from .errors import ConsistencyError, DimensionMismatch, InputError
 from .linalg import Matrix, block_matrix, quotient_basis, row_space, solve_linear_system, solve_right_kernel
-from .modules import (ModuleMap, Representation, identity_map, quotient, submodule_from_rows,
-                      zero_map)
-from .homology import (DEFAULT_RESOLUTION_BOUND, ProjSum, Resolution, _precompose_matrix,
-                       _split_gen_vector, gen_coords, hom_from_gens, min_resolution, proj_sum)
+from .modules import (ModuleMap, Representation, _same_module, identity_map, quotient,
+                      submodule_from_rows, zero_map)
+from .homology import (DEFAULT_RESOLUTION_BOUND, ProjSum, Resolution, _gen_rows, _precompose_matrix,
+                       _same_gen_rows, _split_gen_vector, gen_coords, hom_from_gens, min_resolution,
+                       proj_sum)
 
 
 @dataclass(frozen=True)
 class PerfectComplex:
+    """Bounded complex of projective sums.  Checked on construction: every
+    differential runs between the modules of its terms (_same_module), and
+    d∘d = 0 on the generator rows of each term, which decides it: a map out
+    of a projective sum is zero exactly when it kills the generators."""
+
     algebra: Algebra
     terms: dict   # degree -> ProjSum (only nonzero degrees present)
     diffs: dict   # degree n -> ModuleMap terms[n] -> terms[n+1]
@@ -32,12 +38,11 @@ class PerfectComplex:
         for n, d in self.diffs.items():
             if n not in self.terms or (n + 1) not in self.terms:
                 raise InputError("differential between absent terms")
-            if d.source.dims != self.terms[n].rep.dims or d.target.dims != self.terms[n + 1].rep.dims:
+            if not (_same_module(d.source, self.terms[n].rep)
+                    and _same_module(d.target, self.terms[n + 1].rep)):
                 raise DimensionMismatch("differential shape mismatch")
-        for n in self.terms:
-            d0 = self.diff(n)
-            d1 = self.diff(n + 1)
-            if not d0.compose(d1).is_zero():
+        for n, d in self.diffs.items():
+            if not _same_gen_rows(_gen_rows(self.terms[n], d, self.diffs.get(n + 1)), None):
                 raise ConsistencyError("d∘d != 0")
 
     @property
@@ -165,20 +170,26 @@ def _assemble_block_map(src: Representation, tgt: Representation, blocks, src_re
 
 @dataclass(frozen=True)
 class ChainMap:
+    """Chain map, one module map per degree (absent: zero).  Checked on
+    construction: every component runs between the modules of its terms,
+    and f^n d_y = d_x f^{n+1} on the generator rows of x^n (_gen_rows)."""
+
     source: PerfectComplex
     target: PerfectComplex
     comps: dict  # degree -> ModuleMap source.term(n) -> target.term(n)
 
     def __post_init__(self):
+        x, y = self.source, self.target
         for n, f in self.comps.items():
-            if n not in self.source.terms or n not in self.target.terms:
+            if n not in x.terms or n not in y.terms:
                 raise InputError("chain map component between absent terms")
-        for n in set(self.source.terms) | set(self.target.terms):
-            lhs = self.comp(n).compose(self.target.diff(n))
-            rhs = self.source.diff(n).compose(self.comp(n + 1))
-            for v in self.source.algebra.vertices:
-                if lhs.mats[v] != rhs.mats[v]:
-                    raise ConsistencyError(f"chain map does not commute at degree {n}")
+            if not (_same_module(f.source, x.terms[n].rep) and _same_module(f.target, y.terms[n].rep)):
+                raise DimensionMismatch("chain map component shape mismatch")
+        for n, t in x.terms.items():
+            lhs = _gen_rows(t, self.comps.get(n), y.diffs.get(n))
+            rhs = _gen_rows(t, x.diffs.get(n), self.comps.get(n + 1))
+            if not _same_gen_rows(lhs, rhs):
+                raise ConsistencyError(f"chain map does not commute at degree {n}")
 
     @classmethod
     def _trusted(cls, source, target, comps) -> "ChainMap":
@@ -304,12 +315,21 @@ def hom_window(x: PerfectComplex, y: PerfectComplex):
     return range(y.lo - x.hi, y.hi - x.lo + 1)
 
 
-def _postcompose_matrix(psum: ProjSum, g: ModuleMap) -> Matrix:
-    """Matrix of Hom(psum, g): coords(f then g) = coords(f) * M."""
-    fld = psum.algebra.field
-    blocks = [[g.mats[v] if i == j else Matrix.zeros(fld, g.source.dims[v], g.target.dims[w])
-               for j, w in enumerate(psum.gens)] for i, v in enumerate(psum.gens)]
-    return block_matrix(fld, blocks) if psum.gens else Matrix.zeros(fld, 0, 0)
+def _add_block(out, r0: int, c0: int, m: Matrix, op):
+    """out[r0 + r][c0 + c] = op(out[r0 + r][c0 + c], m[r][c]) for the
+    nonzero entries of m."""
+    for r, row in enumerate(m.entries):
+        for c, a in enumerate(row):
+            if a:
+                out[r0 + r][c0 + c] = op(out[r0 + r][c0 + c], a)
+
+
+def _add_postcompose(out, r0: int, c0: int, psum: ProjSum, g: ModuleMap):
+    """Add at (r0, c0) the matrix of Hom(psum, g), coords(f then g) =
+    coords(f) * M: block diagonal, g's matrix at each generator's vertex."""
+    for v in psum.gens:
+        _add_block(out, r0, c0, g.mats[v], psum.algebra.field.add)
+        r0, c0 = r0 + g.mats[v].rows, c0 + g.mats[v].cols
 
 
 @dataclass(frozen=True)
@@ -320,8 +340,29 @@ class DerivedHomSpace:
     y: PerfectComplex
     n: int
     dim: int
-    reps: tuple  # of ChainMap x -> shift(y, n)
     _data: dict = _dc_field(default_factory=dict, compare=False, repr=False)
+
+    @property
+    def reps(self) -> tuple:
+        """One ChainMap x -> shift(y, n) per basis class, built (and checked)
+        on first use: most callers read only dim."""
+        if self.dim == 0:
+            return ()
+        reps = self._data.get("reps")
+        if reps is None:
+            x, sy = self.x, self._data["sy"]
+            reps = []
+            for row in self._data["section"].mul(self._data["Z"]).entries:
+                comps = {}
+                pos = 0
+                for (i, vdim) in self._data["layout"]:
+                    psum = x.terms[i]
+                    images = _split_gen_vector(psum, sy.terms[i].rep, row[pos:pos + vdim])
+                    pos += vdim
+                    comps[i] = hom_from_gens(psum, sy.terms[i].rep, images)
+                reps.append(ChainMap(x, sy, comps))
+            reps = self._data["reps"] = tuple(reps)
+        return reps
 
     def class_coords(self, f: ChainMap) -> tuple:
         """Coordinates of the homotopy class of f in the chosen basis."""
@@ -359,7 +400,7 @@ def derived_hom(x: PerfectComplex, y: PerfectComplex, n: int) -> DerivedHomSpace
     alg = x.algebra
     fld = alg.field
     if n not in hom_window(x, y):
-        return DerivedHomSpace(x, y, n, 0, ())
+        return DerivedHomSpace(x, y, n, 0)
     sy = shift(y, n)
     # variable layout: degrees i where x^i and y[n]^i both exist
     layout = []
@@ -372,10 +413,9 @@ def derived_hom(x: PerfectComplex, y: PerfectComplex, n: int) -> DerivedHomSpace
             offsets[i] = total
             total += d
     if total == 0:
-        return DerivedHomSpace(x, y, n, 0, ())
+        return DerivedHomSpace(x, y, n, 0)
 
     # chain condition rows: for each i, f^i d_sy^i - d_x^i f^{i+1} = 0
-    constraint_cols = []
     con_layout = []
     con_total = 0
     for i in sorted(set(x.terms)):
@@ -391,22 +431,14 @@ def derived_hom(x: PerfectComplex, y: PerfectComplex, n: int) -> DerivedHomSpace
         acc += w
     rows = [[fld.zero()] * con_total for _ in range(total)]
     for (i, vdim) in layout:
-        if i in con_off:
-            A = _postcompose_matrix(x.terms[i], sy.diff(i))
-            for r in range(vdim):
-                for c in range(A.cols):
-                    if A.entries[r][c]:
-                        rows[offsets[i] + r][con_off[i] + c] = A.entries[r][c]
+        if i in con_off and i in sy.diffs:
+            _add_postcompose(rows, offsets[i], con_off[i], x.terms[i], sy.diffs[i])
     for (i, vdim) in layout:
         # f^{i} appears in the constraint at degree i-1 via d_x^{i-1} f^i
         j = i - 1
-        if j in con_off and j in x.terms:
-            B = _precompose_matrix(x.diff(j), x.terms[j], x.terms[i], sy.terms[j + 1].rep)
-            for r in range(vdim):
-                for c in range(B.cols):
-                    if B.entries[r][c]:
-                        rows[offsets[i] + r][con_off[j] + c] = fld.sub(
-                            rows[offsets[i] + r][con_off[j] + c], B.entries[r][c])
+        if j in con_off and j in x.diffs:
+            _add_block(rows, offsets[i], con_off[j],
+                       _precompose_matrix(x.diffs[j], x.terms[j], x.terms[i], sy.terms[i].rep), fld.sub)
     if con_total:
         sysm = Matrix(fld, total, con_total, tuple(tuple(r) for r in rows))
         Z = solve_right_kernel(sysm)  # rows v with v * sysm = 0
@@ -428,44 +460,25 @@ def derived_hom(x: PerfectComplex, y: PerfectComplex, n: int) -> DerivedHomSpace
     brows = [[fld.zero()] * total for _ in range(h_total)]
     for (i, hdim) in h_layout:
         # h^i then d_sy^{i-1}: lands in component at degree i
-        if i in offsets:
-            A = _postcompose_matrix(x.terms[i], sy.diff(i - 1))
-            for r in range(hdim):
-                for c in range(A.cols):
-                    if A.entries[r][c]:
-                        brows[h_off[i] + r][offsets[i] + c] = A.entries[r][c]
+        if i in offsets and (i - 1) in sy.diffs:
+            _add_postcompose(brows, h_off[i], offsets[i], x.terms[i], sy.diffs[i - 1])
         # d_x^{i-1} then h^i: component at degree i-1
         j = i - 1
-        if j in offsets and j in x.terms:
-            B = _precompose_matrix(x.diff(j), x.terms[j], x.terms[i], sy.terms[j].rep)
-            for r in range(hdim):
-                for c in range(B.cols):
-                    if B.entries[r][c]:
-                        brows[h_off[i] + r][offsets[j] + c] = fld.add(
-                            brows[h_off[i] + r][offsets[j] + c], B.entries[r][c])
+        if j in offsets and j in x.diffs:
+            _add_block(brows, h_off[i], offsets[j],
+                       _precompose_matrix(x.diffs[j], x.terms[j], x.terms[i], sy.terms[j].rep), fld.add)
     B = row_space(Matrix(fld, h_total, total, tuple(tuple(r) for r in brows))) if h_total \
         else Matrix.zeros(fld, 0, total)
     Y, _ = solve_linear_system(Z, B)
     if Y is None:
         raise ConsistencyError("null-homotopic maps escaped the chain-map space")
     section, proj = quotient_basis(Y, Z.rows)
-    repmat = section.mul(Z)
-    reps = []
-    for r in range(repmat.rows):
-        comps = {}
-        pos = 0
-        for (i, vdim) in layout:
-            coords = repmat.entries[r][pos:pos + vdim]
-            pos += vdim
-            psum = x.terms[i]
-            images = _split_gen_vector(psum, sy.terms[i].rep, coords)
-            comps[i] = hom_from_gens(psum, sy.terms[i].rep, images)
-        reps.append(ChainMap(x, sy, comps))
-    space = DerivedHomSpace(x, y, n, repmat.rows, tuple(reps))
+    space = DerivedHomSpace(x, y, n, section.rows)
     space._data["Z"] = Z
     space._data["proj"] = proj
     space._data["layout"] = layout
     space._data["sy"] = sy
+    space._data["section"] = section
     return space
 
 

@@ -13,11 +13,11 @@ from dataclasses import dataclass, field as _dc_field
 
 from .algebra import Algebra, zero_module
 from .errors import BoundExceeded, ConsistencyError, InputError
-from .linalg import (Matrix, quotient_basis, rank, row_space, solve_linear_system,
+from .linalg import (Matrix, quotient_basis, rank, row_space, rref, solve_linear_system,
                      solve_right_kernel)
 from .modules import (HomSpace, ModuleMap, Representation, _flatten_map,
                       decompose, direct_sum_with_maps, hom_space, identity_map,
-                      image, quotient, submodule_from_rows, top, zero_map)
+                      image, quotient, zero_map)
 
 DEFAULT_RESOLUTION_BOUND = 32
 
@@ -58,14 +58,11 @@ class ProjSum:
 def proj_sum(alg: Algebra, gens) -> ProjSum:
     gens = tuple(gens)
     fld = alg.field
-    layout = {}
-    for w in alg.vertices:
-        entries = []
-        for j, v in enumerate(gens):
-            for i in alg.paths_from(v):
-                if alg.path_target(i) == w:
-                    entries.append((j, i))
-        layout[w] = tuple(entries)
+    entries = {w: [] for w in alg.vertices}
+    for j, v in enumerate(gens):
+        for i in alg.paths_from(v):
+            entries[alg.path_target(i)].append((j, i))
+    layout = {w: tuple(e) for w, e in entries.items()}
     pos = {e: k for w in alg.vertices for k, e in enumerate(layout[w])}
     dims = {w: len(layout[w]) for w in alg.vertices}
     mats = {}
@@ -147,29 +144,57 @@ def _precompose_matrix(d: ModuleMap, psrc: ProjSum, ptgt: ProjSum, n: Representa
 
 def projective_cover(m: Representation):
     """(P, epi) with P the projective cover of m; the kernel of the epi lies
-    in rad P."""
+    in rad P.  The cover of all of m, by _cover."""
     if m.total_dim == 0:
         raise InputError("projective cover of the zero module")
+    return _cover(m, {v: Matrix.identity(m.algebra.field, m.dims[v]) for v in m.algebra.vertices})
+
+
+def _cover(m: Representation, rows: dict):
+    """(P, d) with d: P -> m the projective cover of the submodule K of m
+    with basis rows[v] at each vertex v, in m's coordinates.  rad K at w is
+    the sum of K_v * a over the arrows a: v -> w; the generators at w are
+    the rows of K_w independent modulo it.  Checked: rank d_v = dim K_v."""
     alg = m.algebra
-    t, proj = top(m)
-    gens = []
-    images = []
-    for v in alg.vertices:
-        if t.dims[v] == 0:
+    gens, images = [], []
+    for w in alg.vertices:
+        if not rows[w].rows:
             continue
-        # lift the top basis at v back into m
-        ident = Matrix.identity(alg.field, t.dims[v])
-        x, _ = solve_linear_system(proj.mats[v], ident)
-        if x is None:
-            raise ConsistencyError("top projection is not surjective")
-        for r in range(t.dims[v]):
-            gens.append(v)
-            images.append(x.entries[r])
+        stack = Matrix.zeros(alg.field, 0, m.dims[w])
+        for name, v, t in alg.quiver.arrows:
+            if t == w and rows[v].rows:
+                stack = stack.vstack(rows[v].mul(m.arrow_mats[name]))
+        first = stack.rows
+        stack = stack.vstack(rows[w])
+        # pivot columns of the transpose: each row independent of those above
+        _, pivots = rref(stack.transpose())
+        for p in pivots:
+            if p >= first:
+                gens.append(w)
+                images.append(stack.entries[p])
     psum = proj_sum(alg, gens)
-    epi = hom_from_gens(psum, m, images)
-    if not epi.is_surjective():
-        raise ConsistencyError("projective cover map is not surjective")
-    return psum, epi
+    d = hom_from_gens(psum, m, images)
+    if any(rank(d.mats[v]) != rows[v].rows for v in alg.vertices):
+        raise ConsistencyError("projective cover map is not onto its submodule")
+    return psum, d
+
+
+def _gen_rows(psum: ProjSum, f: ModuleMap | None, g: ModuleMap | None) -> tuple | None:
+    """Rows of f then g at the generators of psum, one row-times-matrix
+    product each; None (zero) when f or g is absent.  A map out of a
+    projective sum is zero exactly when it kills the generators."""
+    if f is None or g is None:
+        return None
+    fld = psum.algebra.field
+    return tuple(Matrix(fld, 1, f.target.dims[v], (f.mats[v].entries[r],)).mul(g.mats[v])
+                 for v, r in psum.gen_pos)
+
+
+def _same_gen_rows(a: tuple | None, b: tuple | None) -> bool:
+    """Whether two results of _gen_rows agree, None being zero rows."""
+    if a is None or b is None:
+        return all(r.is_zero() for r in (a or b or ()))
+    return a == b
 
 
 @dataclass(frozen=True)
@@ -215,33 +240,38 @@ def min_resolution(m: Representation, max_len: int = DEFAULT_RESOLUTION_BOUND,
 
 
 def _resolve(m: Representation, max_len: int) -> Resolution:
-    """Minimal resolution of m up to the term P_max_len."""
+    """Minimal resolution of m up to the term P_max_len.  Each kernel
+    K = ker d_{k-1} is covered inside P_{k-1}, as row bases (_cover); no
+    kernel module is built.  Checked: K lies in rad P_{k-1}, d_k maps onto
+    K, and d_k∘d_{k-1} = 0 on the generators of P_k: so the resolution is
+    minimal and exact."""
     alg = m.algebra
     if m.total_dim == 0:
         empty = proj_sum(alg, ())
         return Resolution(m, (empty,), (), zero_map(empty.rep, m), True)
     p0, augment = projective_cover(m)
     terms, diffs = [p0], []
-    current_epi = augment
+    prev = augment
     while True:
-        ker_rows = {v: solve_right_kernel(current_epi.mats[v]) for v in alg.vertices}
-        if all(r.rows == 0 for r in ker_rows.values()):
+        ker = {v: solve_right_kernel(prev.mats[v]) for v in alg.vertices}
+        if all(r.rows == 0 for r in ker.values()):
             return Resolution(m, tuple(terms), tuple(diffs), augment, True)
         if len(diffs) == max_len:
             return Resolution(m, tuple(terms), tuple(diffs), augment, False)
-        ker, ker_incl = submodule_from_rows(current_epi.source, ker_rows)
-        _assert_in_radical(terms[-1], ker_incl)
-        pk, current_epi = projective_cover(ker)
-        diffs.append(current_epi.compose(ker_incl))
+        _assert_in_radical(terms[-1], ker)
+        pk, d = _cover(terms[-1].rep, ker)
+        if not _same_gen_rows(_gen_rows(pk, d, prev), None):
+            raise ConsistencyError("resolution: d∘d != 0")
+        diffs.append(d)
         terms.append(pk)
+        prev = d
 
 
-def _assert_in_radical(psum: ProjSum, ker_incl: ModuleMap):
+def _assert_in_radical(psum: ProjSum, ker: dict):
     # minimality: kernel vectors have no component on the generators
-    for j, (v, row_idx) in enumerate(psum.gen_pos):
-        col = row_idx
-        for r in ker_incl.mats[v].entries:
-            if r[col]:
+    for v, row_idx in psum.gen_pos:
+        for r in ker[v].entries:
+            if r[row_idx]:
                 raise ConsistencyError("resolution is not minimal: kernel meets the generators")
 
 

@@ -218,15 +218,13 @@ def reflect_regular(alg: Algebra, t1_module: Representation,
 
 def regular_basis_tables(alg: Algebra):
     """Row order of the regular module at each vertex: algebra basis indices
-    of the paths ending there, grouped by starting vertex."""
-    tables = {}
-    for w in alg.vertices:
-        rows = []
-        for v in alg.vertices:
-            for i in alg.paths_from(v):
-                if alg.path_target(i) == w:
-                    rows.append(i)
-        tables[w] = rows
+    of the paths ending there, grouped by starting vertex.  A function of
+    the basis alone, memoized in the algebra's cache."""
+    tables = alg._caches.get("regular_rows")
+    if tables is None:
+        tables = alg._caches["regular_rows"] = {
+            w: tuple(i for v in alg.vertices for i in alg.paths_from(v) if alg.path_target(i) == w)
+            for w in alg.vertices}
     return tables
 
 
@@ -288,17 +286,18 @@ def end_ring_presentation(m: Representation, eta: ModuleMap) -> RingPresentation
     if solve_right_kernel(rows_m).rows != 0:
         raise ConsistencyError(
             "reflection property violated: Hom(eta, m) has a kernel")
-    lam = []
+    targets = []
     for i in range(alg.dim):
         coeffs = tuple(fld.one() if k == i else fld.zero() for k in range(alg.dim))
         ma = left_multiplication_map(alg, r, coeffs)
-        target = Matrix(fld, 1, width, (_flatten_map(ma.compose(eta)),))
-        x, _ = solve_linear_system(rows_m, target)
-        if x is None:
-            raise ConsistencyError(
-                "reflection property violated: left multiplication does not factor")
-        lam.append(x.entries[0])
-    return RingPresentation(ring, alg, tuple(lam))
+        targets.append(_flatten_map(ma.compose(eta)))
+    # one elimination of rows_m for every basis element; the solution is
+    # unique, as rows_m has no kernel
+    x, _ = solve_linear_system(rows_m, Matrix(fld, alg.dim, width, tuple(targets)))
+    if x is None:
+        raise ConsistencyError(
+            "reflection property violated: left multiplication does not factor")
+    return RingPresentation(ring, alg, x.entries)
 
 
 def lambda_left_module(m: Representation, pres: RingPresentation) -> LeftModule:

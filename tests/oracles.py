@@ -20,9 +20,12 @@ elimination, which the stratifying-ideal test used before it computed Tor
 over the algebra, and reference_tor_dims, Tor over the algebra with each
 P_k ⊗_A Y taken as a quotient of the raw (dim P_k · dim Y)-space, the
 route that reading P_k ⊗_A Y as a sum of vertex components e_vY replaced,
-and reference_verify_algebra, the sweep of a dense structure-constant
+reference_verify_algebra, the sweep of a dense structure-constant
 table over all basis triples that the generator-triple certificate of
-Algebra._verify replaced, which uses the field's element operations.
+Algebra._verify replaced, which uses the field's element operations, and
+reference_min_resolution, the resolution that built each kernel as a
+module and covered it through its top, which covering each kernel inside
+the previous term replaced.
 """
 
 from fractions import Fraction
@@ -816,3 +819,46 @@ def reference_stratifying_verdict(alg, vertices, max_degree):
     if bijective and not any(tor) and not conclusive:
         raise BoundExceeded("corner-ring resolution inconclusive")
     return bijective and not any(tor)
+
+
+def reference_min_resolution(m, max_len):
+    """Minimal resolution of m up to the term P_max_len, by the route that
+    builds each kernel as a submodule, takes its top (a quotient by the
+    radical) and lifts a basis of the top back into it as the generator
+    images.  Built on the library's modules, as the resolution it checks."""
+    from quivertilt.errors import ConsistencyError
+    from quivertilt.homology import Resolution, hom_from_gens, proj_sum
+    from quivertilt.linalg import Matrix, solve_linear_system, solve_right_kernel
+    from quivertilt.modules import submodule_from_rows, top, zero_map
+
+    alg = m.algebra
+
+    def cover(mod):
+        t, proj = top(mod)
+        gens, images = [], []
+        for v in alg.vertices:
+            if t.dims[v]:
+                x, _ = solve_linear_system(proj.mats[v], Matrix.identity(alg.field, t.dims[v]))
+                gens += [v] * t.dims[v]
+                images += list(x.entries)
+        psum = proj_sum(alg, gens)
+        epi = hom_from_gens(psum, mod, images)
+        if not epi.is_surjective():
+            raise ConsistencyError("projective cover map is not surjective")
+        return psum, epi
+
+    if m.total_dim == 0:
+        empty = proj_sum(alg, ())
+        return Resolution(m, (empty,), (), zero_map(empty.rep, m), True)
+    p0, augment = cover(m)
+    terms, diffs, epi = [p0], [], augment
+    while True:
+        ker_rows = {v: solve_right_kernel(epi.mats[v]) for v in alg.vertices}
+        if all(r.rows == 0 for r in ker_rows.values()):
+            return Resolution(m, tuple(terms), tuple(diffs), augment, True)
+        if len(diffs) == max_len:
+            return Resolution(m, tuple(terms), tuple(diffs), augment, False)
+        ker, ker_incl = submodule_from_rows(epi.source, ker_rows)
+        pk, epi = cover(ker)
+        diffs.append(epi.compose(ker_incl))
+        terms.append(pk)

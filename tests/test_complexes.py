@@ -2,17 +2,18 @@ import itertools
 
 import pytest
 
-from quivertilt import injective, projective, regular_module, simple
-from quivertilt.complexes import (ChainMap, cohomology, derived_hom,
+from quivertilt import GF, injective, projective, regular_module, simple
+from quivertilt.complexes import (ChainMap, PerfectComplex, cohomology, derived_hom,
                                   direct_sum_complexes, hom_window,
                                   identity_chain_map, is_exceptional,
                                   mapping_cone, resolve_to_complex, shift,
                                   shift_chain_map, triangle_from_map,
                                   zero_chain_map, zero_complex)
 from quivertilt.formats import fixture_algebra
-from quivertilt.homology import ext_dim, min_resolution, proj_sum
+from quivertilt.errors import ConsistencyError, DimensionMismatch
+from quivertilt.homology import _split_gen_vector, ext_dim, gen_coords, hom_from_gens, proj_sum
 from quivertilt.linalg import Matrix, row_space
-from quivertilt.modules import direct_sum, is_isomorphic
+from quivertilt.modules import ModuleMap, Representation, direct_sum, is_isomorphic
 from oracles import reference_triangle
 
 
@@ -234,3 +235,145 @@ def test_chain_map_validation_rejects_bad_components(cycle2):
         pytest.skip("no second component to break commutation against")
     with pytest.raises(ConsistencyError):
         ChainMap(c, rep.target, bad_comps)
+
+
+
+# -- checks on generator rows --------------------------------------------------
+
+
+def _fixture_complexes():
+    """Resolutions with at least two differentials of the fixture simples
+    and injectives, over Q and GF(101)."""
+    for name, fld in itertools.product(("a2", "kron2", "cycle2", "triple3"), (None, GF(101))):
+        alg = fixture_algebra(name, fld)
+        for v in alg.vertices:
+            for m in (simple(alg, v), injective(alg, v)):
+                c = resolve_to_complex(m)
+                if len(c.diffs) >= 2:
+                    yield c
+
+
+def _perturbed(psum, f, k):
+    """f with its k-th generator-image coordinate raised by one: still a
+    module map out of the projective sum."""
+    coords = list(gen_coords(psum, f))
+    coords[k] += 1
+    g = hom_from_gens(psum, f.target, _split_gen_vector(psum, f.target, coords))
+    return ModuleMap(g.source, g.target, g.mats)  # checks naturality
+
+
+def _full_dd_is_zero(diffs):
+    return all(d.compose(diffs[n + 1]).is_zero() for n, d in diffs.items() if n + 1 in diffs)
+
+
+def _full_commutes(f):
+    """The full check: f^n d_y = d_x f^{n+1} as module maps, over every degree."""
+    x, y = f.source, f.target
+    for n in set(x.terms) | set(y.terms):
+        lhs = f.comp(n).compose(y.diff(n))
+        rhs = x.diff(n).compose(f.comp(n + 1))
+        if any(lhs.mats[v] != rhs.mats[v] for v in x.algebra.vertices):
+            return False
+    return True
+
+
+def test_dd_certificate_rejects_what_the_full_check_rejects():
+    """A differential with one generator image perturbed: the complex is
+    refused exactly when the full d∘d is nonzero."""
+    refused = 0
+    for c in _fixture_complexes():
+        for n, d in c.diffs.items():
+            for k in range(len(gen_coords(c.terms[n], d))):
+                diffs = dict(c.diffs)
+                diffs[n] = _perturbed(c.terms[n], d, k)
+                if _full_dd_is_zero(diffs):
+                    PerfectComplex(c.algebra, c.terms, diffs)
+                    continue
+                refused += 1
+                with pytest.raises(ConsistencyError, match="d∘d"):
+                    PerfectComplex(c.algebra, c.terms, diffs)
+    assert refused >= 20
+
+
+def test_chain_map_certificate_rejects_what_the_full_check_rejects():
+    """A chain map with one generator image of one component perturbed is
+    refused exactly when the full commutation check fails."""
+    refused = 0
+    for c in _fixture_complexes():
+        maps = [identity_chain_map(c)] + list(derived_hom(c, c, 0).reps)
+        for f in maps:
+            for n, g in f.comps.items():
+                for k in range(len(gen_coords(c.terms[n], g))):
+                    comps = dict(f.comps)
+                    comps[n] = _perturbed(c.terms[n], g, k)
+                    if _full_commutes(ChainMap._trusted(c, f.target, comps)):
+                        ChainMap(c, f.target, comps)
+                        continue
+                    refused += 1
+                    with pytest.raises(ConsistencyError, match="does not commute"):
+                        ChainMap(c, f.target, comps)
+    assert refused >= 20
+
+
+def test_a_change_off_the_generator_rows_is_not_natural():
+    """Generator rows determine a map out of a projective sum: changing any
+    other row of a differential breaks naturality."""
+    changed = 0
+    for c in _fixture_complexes():
+        for n, d in c.diffs.items():
+            gen_rows = set(c.terms[n].gen_pos)
+            for v, mat in d.mats.items():
+                for r in range(mat.rows):
+                    if (v, r) in gen_rows or not mat.cols:
+                        continue
+                    rows = [list(row) for row in mat.entries]
+                    rows[r][0] += 1
+                    mats = dict(d.mats)
+                    mats[v] = Matrix.from_rows(mat.field, rows)
+                    changed += 1
+                    with pytest.raises(ConsistencyError, match="not natural"):
+                        ModuleMap(d.source, d.target, mats)
+    assert changed >= 60
+
+
+def test_shape_check_compares_the_modules_not_their_dims(cycle2):
+    """A differential or component whose source has the term's dims but
+    other arrow matrices is refused."""
+    c = resolve_to_complex(injective(cycle2, "1"))
+    n, d = min(c.diffs.items())
+    src = d.source
+    other = Representation._trusted(
+        cycle2, dict(src.dims), {a: m.scale(2) for a, m in src.arrow_mats.items()})
+    assert other.arrow_mats != src.arrow_mats
+    diffs = dict(c.diffs)
+    diffs[n] = ModuleMap._trusted(other, d.target, d.mats)
+    with pytest.raises(DimensionMismatch):
+        PerfectComplex(cycle2, c.terms, diffs)
+    comps = dict(identity_chain_map(c).comps)
+    comps[n] = ModuleMap._trusted(other, other, comps[n].mats)
+    with pytest.raises(DimensionMismatch):
+        ChainMap(c, c, comps)
+
+
+def test_derived_hom_dim_builds_no_chain_maps(all_algebras, monkeypatch):
+    """derived_hom(x, y, n).dim alone calls hom_from_gens zero times; the
+    representatives are built on first use."""
+    import quivertilt.complexes as complexes_mod
+    import quivertilt.homology as homology_mod
+    cs = [resolve_to_complex(m) for alg in all_algebras.values() for v in alg.vertices
+          for m in (simple(alg, v), injective(alg, v))]
+    calls = []
+    real = homology_mod.hom_from_gens
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(homology_mod, "hom_from_gens", counting)
+    monkeypatch.setattr(complexes_mod, "hom_from_gens", counting)
+    spaces = [derived_hom(x, y, n) for x in cs for y in cs
+              if x.algebra is y.algebra for n in hom_window(x, y)]
+    assert sum(s.dim for s in spaces) > 50 and calls == []
+    space = next(s for s in spaces if s.dim)
+    assert len(space.reps) == space.dim and calls
+    assert space.reps is space.reps

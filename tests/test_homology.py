@@ -12,14 +12,14 @@ from quivertilt.homology import (ExtClass, _precompose_matrix, connecting_class,
                                  min_resolution, proj_dim, projective_cover,
                                  realize_extension, tor_dim, tor_dims_range,
                                  universal_extension)
-from quivertilt.linalg import Matrix
+from quivertilt.linalg import Matrix, rank
 from quivertilt.modules import (cokernel, decompose, direct_sum, hom_space,
                                 is_isomorphic, quotient, socle, zero_map)
 from quivertilt.recollement import (_quotient_by_vertex_ideal, lambda_left_module,
                                     universal_localization)
 from quivertilt.tilting import TiltingCertificate, tilting_module_check
 from oracles import (oracle_tensor_dim, reference_corner_ring, reference_ext_matrices,
-                     reference_sc_tor_dims, reference_tor_dims)
+                     reference_min_resolution, reference_sc_tor_dims, reference_tor_dims)
 
 
 # -- covers and resolutions -------------------------------------------------
@@ -132,17 +132,17 @@ def test_bounded_resolution_is_a_prefix_of_a_longer_one(all_algebras):
 
 
 def test_module_is_resolved_once(cycle2, monkeypatch):
-    """proj_dim then ext_dim on one module builds one resolution: one
-    projective cover per term."""
+    """proj_dim then ext_dim on one module builds one resolution: one run
+    of the cover routine per term."""
     import quivertilt.homology as homology
     covers = []
-    real_cover = homology.projective_cover
+    real_cover = homology._cover
 
-    def counting(m):
+    def counting(m, rows):
         covers.append(m)
-        return real_cover(m)
+        return real_cover(m, rows)
 
-    monkeypatch.setattr(homology, "projective_cover", counting)
+    monkeypatch.setattr(homology, "_cover", counting)
     t = direct_sum([simple(cycle2, "2"), projective(cycle2, "2")])
     assert proj_dim(t) == 1
     assert ext_dim(1, t, t) == 0
@@ -163,6 +163,81 @@ def test_cached_resolution_answers_shorter_and_longer_requests(triple3):
     m2 = simple(triple3, "3")
     assert min_resolution(m2, 1, require_finite=False).length == 1
     assert _resolution_key(min_resolution(m2)) == _resolution_key(full)
+
+
+def _reference_route_modules():
+    """Every simple, injective and the regular module of the fixtures over
+    Q and GF(101), of hereditary A_5 and of rad-square-zero A_6."""
+    from conftest import linear_algebra
+    algs = [(f"{name}/{fld or 'Q'}", fixture_algebra(name, fld))
+            for name in ("a2", "kron2", "cycle2", "triple3") for fld in (None, GF(101))]
+    algs += [("A5", linear_algebra(5)), ("rad2-A6", linear_algebra(6, rad2=True))]
+    for label, alg in algs:
+        for v in alg.vertices:
+            yield f"{label}/S{v}", simple(alg, v)
+            yield f"{label}/I{v}", injective(alg, v)
+        yield f"{label}/A", regular_module(alg)
+
+
+def _is_exact(res):
+    """Rank count at every vertex: rank d_k + rank d_{k+1} = dim P_k, with
+    d_0 the augmentation (onto m) and, when complete, the last map injective."""
+    m = res.module
+    maps = [res.augment] + list(res.diffs)
+    for v in m.algebra.vertices:
+        ranks = [rank(f.mats[v]) for f in maps]
+        if ranks[0] != m.dims[v]:
+            return False
+        for k, t in enumerate(res.terms):
+            incoming = ranks[k + 1] if k + 1 < len(ranks) else 0
+            if res.complete or k + 1 < len(res.terms):
+                if ranks[k] + incoming != t.rep.dims[v]:
+                    return False
+    return True
+
+
+def test_resolution_matches_the_reference_route():
+    """Covering each kernel inside the previous term gives the terms,
+    length, completeness and Ext of the route that builds the kernel module
+    and lifts its top; every resolution is exact."""
+    count = 0
+    for label, m in _reference_route_modules():
+        res = min_resolution(m, 8, require_finite=False)
+        ref = reference_min_resolution(m, 8)
+        assert [t.gens for t in res.terms] == [t.gens for t in ref.terms], label
+        assert (res.length, res.complete) == (ref.length, ref.complete), label
+        assert _is_exact(res), label
+        for v in m.algebra.vertices:
+            s = simple(m.algebra, v)
+            for i in range(4):
+                assert (ext_dim(i, m, s, resolution=res)
+                        == ext_dim(i, m, s, resolution=ref)), (label, v, i)
+        count += 1
+    assert count == 68
+
+
+def test_resolution_builds_no_submodule_top_or_quotient(all_algebras, monkeypatch):
+    """Resolving the fixture simples and injectives calls none of
+    submodule_from_rows, top and quotient."""
+    import quivertilt
+    import quivertilt.modules as modules
+    calls = []
+    for name in ("submodule_from_rows", "top", "quotient"):
+        real = getattr(modules, name)
+
+        def counting(*args, name=name, real=real):
+            calls.append(name)
+            return real(*args)
+
+        for mod in vars(quivertilt).values():
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting)
+    resolved = 0
+    for label, make in _fixture_simples_and_injectives(all_algebras):
+        resolved += len(min_resolution(make(), 8, require_finite=False).terms)
+    assert resolved > 40 and calls == []
+    modules.top(simple(all_algebras["a2"], "1"))
+    assert set(calls) == {"submodule_from_rows", "top", "quotient"}
 
 
 def test_tor_respects_the_resolution_bound(triple3):

@@ -30,7 +30,7 @@ def _verdicts():
         rep = run_example(name)
         out.append((name, rep.passed, tuple((c.name, c.passed) for c in rep.checks)))
     square = parse_algebra_text(SQUARE)
-    for alg in (linear_algebra(3), square):
+    for alg in (linear_algebra(3), linear_algebra(4), square):
         vs = alg.vertices
         dual = direct_sum([injective(alg, v) for v in vs])
         out.append(tilting_summary(tilting_module_check(regular_module(alg))))

@@ -346,7 +346,7 @@ class Algebra:
             if not word:
                 continue
             a = index.get((src, word[:1]))
-            rest = index.get((self.arrow_endpoints(word[0])[1], word[1:]))
+            rest = self.suffix_index(i)
             if a is None or rest is None or mult[(a, rest)] != ((i, one),):
                 raise ConsistencyError("residue basis is not suffix-closed")
             if len(word) == 1:
@@ -432,6 +432,17 @@ class Algebra:
         for a in word:
             row = self._row_times(row, self.basis_index_of_arrow(a), right=True)
         return row
+
+    def suffix_index(self, i: int):
+        """Basis index of p' for basis path i = a * p' of length >= 1 (None
+        when p' is not a basis path, which _verify rejects)."""
+        table = self._caches.get("suffix")
+        if table is None:
+            index = {p: k for k, p in enumerate(self.basis)}
+            table = self._caches["suffix"] = tuple(
+                index.get((self.arrow_endpoints(word[0])[1], word[1:])) if word else None
+                for _, word in self.basis)
+        return table[i]
 
     def basis_index_of_arrow(self, name) -> int:
         cache = self._caches.get("aidx")

@@ -343,6 +343,14 @@ class DerivedHomSpace:
     _data: dict = _dc_field(default_factory=dict, compare=False, repr=False)
 
     @property
+    def target(self) -> PerfectComplex:
+        """shift(y, n), the target of every chain map in the space."""
+        sy = self._data.get("sy")
+        if sy is None:
+            sy = self._data["sy"] = shift(self.y, self.n)
+        return sy
+
+    @property
     def reps(self) -> tuple:
         """One ChainMap x -> shift(y, n) per basis class, built (and checked)
         on first use: most callers read only dim."""
@@ -350,7 +358,7 @@ class DerivedHomSpace:
             return ()
         reps = self._data.get("reps")
         if reps is None:
-            x, sy = self.x, self._data["sy"]
+            x, sy = self.x, self.target
             reps = []
             for row in self._data["section"].mul(self._data["Z"]).entries:
                 comps = {}
@@ -380,7 +388,7 @@ class DerivedHomSpace:
         return yv.mul(proj).entries[0]
 
     def combo(self, coeffs) -> ChainMap:
-        out = zero_chain_map(self.x, self._data["sy"])
+        out = zero_chain_map(self.x, self.target)
         for c, r in zip(coeffs, self.reps):
             if c:
                 out = out.add(r.scale(c))
@@ -524,21 +532,12 @@ def stack_to_common_target(maps) -> ChainMap:
     src = direct_sum_complexes(parts, parts[0].algebra)
     comps = {}
     for n in src.terms:
-        if n not in y.terms:
-            continue
-        mats = {}
-        for v in src.algebra.vertices:
-            block = None
-            for g in maps:
-                piece = g.comp(n).mats[v] if n in g.source.terms else None
-                if piece is None:
-                    piece = Matrix.zeros(src.algebra.field,
-                                         g.source.term_rep(n).dims[v], y.term_rep(n).dims[v])
-                block = piece if block is None else block.vstack(piece)
-            mats[v] = block
-        comp = ModuleMap(src.term_rep(n), y.term_rep(n), mats)
-        if not comp.is_zero():
-            comps[n] = comp
+        if n in y.terms:
+            comp = _assemble_block_map(src.term_rep(n), y.term_rep(n),
+                                       [[g.comps.get(n)] for g in maps],
+                                       [p.term_rep(n) for p in parts], [y.term_rep(n)])
+            if not comp.is_zero():
+                comps[n] = comp
     return ChainMap(src, y, comps)
 
 
@@ -552,19 +551,10 @@ def stack_to_common_source(maps) -> ChainMap:
     tgt = direct_sum_complexes(parts, parts[0].algebra)
     comps = {}
     for n in x.terms:
-        if n not in tgt.terms:
-            continue
-        mats = {}
-        for v in x.algebra.vertices:
-            block = None
-            for g in maps:
-                piece = g.comp(n).mats[v] if n in g.target.terms else None
-                if piece is None:
-                    piece = Matrix.zeros(x.algebra.field,
-                                         x.term_rep(n).dims[v], g.target.term_rep(n).dims[v])
-                block = piece if block is None else block.hstack(piece)
-            mats[v] = block
-        comp = ModuleMap(x.term_rep(n), tgt.term_rep(n), mats)
-        if not comp.is_zero():
-            comps[n] = comp
+        if n in tgt.terms:
+            comp = _assemble_block_map(x.term_rep(n), tgt.term_rep(n),
+                                       [[g.comps.get(n) for g in maps]],
+                                       [x.term_rep(n)], [p.term_rep(n) for p in parts])
+            if not comp.is_zero():
+                comps[n] = comp
     return ChainMap(x, tgt, comps)

@@ -63,14 +63,19 @@ class Representation:
         return m
 
     def basis_action(self, i: int) -> Matrix:
-        """Action matrix of basis path i, from dims(source) to dims(target)."""
+        """Action matrix of basis path i, from dims(source) to dims(target).
+        A path a * p' of length >= 2 acts as arrow_mats[a] times the action
+        of its suffix p', a basis path in a certified algebra."""
         cache = self._caches.setdefault("act", {})
         if i not in cache:
-            src, word = self.algebra.basis[i]
+            alg = self.algebra
+            src, word = alg.basis[i]
             if not word:
-                cache[i] = Matrix.identity(self.algebra.field, self.dims[src])
+                cache[i] = Matrix.identity(alg.field, self.dims[src])
+            elif len(word) == 1:
+                cache[i] = self.arrow_mats[word[0]]
             else:
-                cache[i] = self.path_matrix(word)
+                cache[i] = self.arrow_mats[word[0]].mul(self.basis_action(alg.suffix_index(i)))
         return cache[i]
 
     @property

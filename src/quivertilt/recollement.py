@@ -8,26 +8,30 @@ brick fast path), and an iterative degree-descending construction that
 stops when every Hom(T1, M_n[i]) vanishes — a finite stabilization standing
 in for the homotopy colimit.  Failure to stabilize within the step budget
 is an explicit error, never a truncated answer.
+
+The stratifying-ideal check reads every number it reports, the corner
+multiplication Ae ⊗_{eAe} eA -> AeA included, off one minimal resolution
+of A/AeA over A; no corner ring and no opposite algebra is built.
 """
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, opposite_algebra, regular_module, zero_module
+from .algebra import Algebra, regular_module, zero_module
 from .complexes import (ChainMap, PerfectComplex, cohomology, derived_hom,
                         hom_window, is_exceptional, mapping_cone,
                         resolve_to_complex, shift_chain_map,
                         stack_to_common_target)
 from .errors import BoundExceeded, ConsistencyError, InputError
 from .homology import (DEFAULT_RESOLUTION_BOUND, LeftModule, ShortExact,
-                       ext_dim, left_module_from_op_rep, min_resolution,
+                       ext_dim, left_regular_module, min_resolution,
                        proj_dim, tor_dims_range)
-from .linalg import (FieldSpec, Matrix, quotient_basis, row_space, solve_linear_system,
+from .linalg import (Matrix, quotient_basis, row_space, solve_linear_system,
                      solve_right_kernel)
 from .modules import (ModuleMap, Representation, _flatten_map, cokernel,
                       decompose, direct_sum, hom_space, identity_map,
                       in_add_of, indecomposable_summands, is_isomorphic, quotient,
                       submodule_from_rows, top, trace_submodule)
-from .rings import RingPresentation, SCRing, corner_bimodules
+from .rings import RingPresentation, SCRing
 
 
 # -- perpendicular categories -----------------------------------------------------
@@ -443,10 +447,10 @@ def ring_evidence(ru: Representation, pres: RingPresentation) -> RingEvidence:
 @dataclass(frozen=True)
 class StratifyingReport:
     vertices: tuple
-    corner_dim: int
-    tensor_dim: int
-    ideal_dim: int
-    multiplication_bijective: bool
+    corner_dim: int              # dim eAe: the basis paths from e to e
+    tensor_dim: int              # dim Ae ⊗_{eAe} eA = dim AeA + dim Tor^A_2(A/AeA, A/AeA)
+    ideal_dim: int               # dim AeA
+    multiplication_bijective: bool  # Tor^A_2(A/AeA, A/AeA) = 0
     quotient_tor_dims: tuple     # dim Tor^A_n(A/AeA, A/AeA) for n = 1..max_degree
     quotient_ext_dims: tuple     # dim Ext^n_A(A/AeA, top A/AeA) for n = 1..max_degree
     resolution_complete: bool    # pd A/AeA <= max_degree + 1: no Tor beyond what the verdict read
@@ -454,91 +458,64 @@ class StratifyingReport:
 
 
 def stratifying_ideal_check(alg: Algebra, vertices, max_degree: int = 8) -> StratifyingReport:
-    """Is the ideal AeA generated by the chosen vertex idempotents
+    """Is the ideal J = AeA generated by the chosen vertex idempotents
     stratifying?
 
-    Checks that multiplication Ae ⊗_{eAe} eA -> AeA is bijective and that
-    A -> B = A/AeA is a homological epimorphism, Tor^A_n(B, B) = 0 for
-    n >= 1 (Cline-Parshall-Scott; Geigle-Lenzing), from one minimal
-    resolution of B.  The first n >= 1 with Tor^A_n(B, B) nonzero and the
-    first with Ext^n_A(B, top B) nonzero are both the first term of that
-    resolution with a summand P_v, v outside e (Auslander-Platzeck-Todorov),
-    and are asserted equal.  The resolution is built to length
-    max_degree + 1.  When it is complete there, the verdict also reads
-    Tor_{max_degree+1} and Ext^{max_degree+1}, and nothing lies beyond; the
-    report lists degrees 1..max_degree either way.  When nothing nonzero was
-    found and pd B exceeds max_degree + 1, the test is inconclusive and
-    raises."""
+    J is stratifying exactly when the multiplication
+    Ae ⊗_{eAe} eA -> J is bijective and A -> B = A/J is a homological
+    epimorphism, Tor^A_n(B, B) = 0 for n >= 1 (Cline-Parshall-Scott;
+    Geigle-Lenzing).  Both are read off one minimal resolution of B.
+
+    The multiplication check is Tor_2.  Write M = Ae ⊗_{eAe} eA, μ: M -> J
+    and K = ker μ.  μ is onto.  Ae is a projective left A-module, so
+    J ⊗_A M ≅ M, and under that isomorphism id ⊗ μ: M -> J ⊗_A J is onto
+    with kernel the image of J ⊗_A K, which is 0 because e·K = 0 (μ is the
+    identity on eM = eA).  Hence K ≅ ker(J ⊗_A J -> J) = Tor^A_1(J, B) ≅
+    Tor^A_2(B, B) (Auslander-Platzeck-Todorov): tensor_dim is
+    dim J + dim Tor_2, and the multiplication is bijective iff Tor_2 = 0.
+
+    The first n >= 1 with Tor^A_n(B, B) nonzero and the first with
+    Ext^n_A(B, top B) nonzero are both the first term of the resolution
+    with a summand P_v, v outside e, and are asserted equal.  The
+    resolution is built to length max(max_degree, 2) + 1, so that Tor_2 is
+    always read.  When it is complete within max_degree + 1, the verdict
+    also reads Tor_{max_degree+1} and Ext^{max_degree+1}, and nothing lies
+    beyond; the report lists degrees 1..max_degree either way.  When
+    nothing nonzero was found and pd B exceeds max_degree + 1, the test is
+    inconclusive and raises."""
     vertices = tuple(vertices)
-    corner_dim, tdim, ideal_dim, bijective = _corner_multiplication(alg, vertices)
+    for v in vertices:
+        alg.vertex_index(v)
+    vset = set(vertices)
+    corner_dim = sum(1 for i in range(alg.dim)
+                     if alg.path_source(i) in vset and alg.path_target(i) in vset)
+    fld = alg.field
+    prods = tuple(alg.dense_row(row) for _, row in _vertex_ideal_products(alg, vertices))
+    ideal = row_space(Matrix(fld, len(prods), alg.dim, prods))
     b = _quotient_by_vertex_ideal(alg, vertices)
-    b_left = left_module_from_op_rep(
-        alg, _quotient_by_vertex_ideal(opposite_algebra(alg), vertices))
-    res = min_resolution(b, max_degree + 1, require_finite=False)
+    section, proj = quotient_basis(ideal, alg.dim)
+    # J is a two-sided ideal, so left multiplication descends to A/J
+    b_left = LeftModule._trusted(alg, section.rows, tuple(
+        section.mul(mat).mul(proj) for mat in left_regular_module(alg).act))
+    res = min_resolution(b, max(max_degree, 2) + 1, require_finite=False)
+    complete = res.complete and res.length <= max_degree + 1
     # d_{max_degree+2} is known, and zero, only when the resolution is complete
-    reach = max_degree + 1 if res.complete else max_degree
-    tor = tor_dims_range(b, b_left, reach, resolution=res)[1:]
+    reach = max_degree + 1 if complete else max_degree
+    tor = tor_dims_range(b, b_left, max(reach, 2), resolution=res)[1:]
+    tor2, tor = tor[1], tor[:reach]
+    bijective = tor2 == 0
     top_b, _ = top(b)
     ext = tuple(ext_dim(n, b, top_b, resolution=res) for n in range(1, reach + 1))
     if _first_nonzero(tor) != _first_nonzero(ext):
         raise ConsistencyError(
             f"Tor^A(B, B) {tor} and Ext_A(B, top B) {ext} start in different degrees")
     tor_ok = not any(tor)
-    if bijective and tor_ok and not res.complete:
+    if bijective and tor_ok and not complete:
         raise BoundExceeded(
             f"pd A/AeA exceeds {max_degree + 1} and Tor^A vanishes up to {max_degree}")
-    return StratifyingReport(vertices, corner_dim, tdim, ideal_dim, bijective,
-                             tor[:max_degree], ext[:max_degree], res.complete,
+    return StratifyingReport(vertices, corner_dim, ideal.rows + tor2, ideal.rows, bijective,
+                             tor[:max_degree], ext[:max_degree], complete,
                              bijective and tor_ok)
-
-
-def _corner_multiplication(alg: Algebra, vertices):
-    """(dim eAe, dim Ae ⊗_{eAe} eA, dim AeA, is the multiplication map
-    between the last two bijective)."""
-    corner_idx, ae_idx, ea_idx, r_act, l_act = corner_bimodules(alg, vertices)
-    fld = alg.field
-    section, _ = _tensor_quotient(fld, len(ae_idx), len(ea_idx), zip(r_act, l_act))
-    # multiplication map on tensor representatives
-    rows = []
-    for row in section.entries:
-        acc = [fld.zero()] * alg.dim
-        for pos, c in enumerate(row):
-            if not c:
-                continue
-            p, q = divmod(pos, len(ea_idx))
-            for k, d in alg.mult[(ae_idx[p], ea_idx[q])]:
-                acc[k] = fld.add(acc[k], fld.mul(c, d))
-        rows.append(tuple(acc))
-    mult_rank = row_space(Matrix(fld, len(rows), alg.dim, tuple(rows))).rows
-    prod_rows = tuple(alg.dense_row(row) for _, row in _vertex_ideal_products(alg, vertices))
-    ideal_dim = row_space(Matrix(fld, len(prod_rows), alg.dim, prod_rows)).rows
-    return len(corner_idx), section.rows, ideal_dim, mult_rank == section.rows == ideal_dim
-
-
-def _tensor_quotient(fld: FieldSpec, dx: int, dy: int, pairs):
-    """X ⊗ Y as a quotient of the raw tensor space K^{dx*dy}, basis ordered
-    (p, q) -> p*dy + q.  Each (right action on X, left action on Y) pair of
-    matrices of one ring element r contributes the relations
-    x*r ⊗ y - x ⊗ r*y.  Returns (section, projection) as quotient_basis
-    does; the RREF is canonical, so the result depends only on the span of
-    the relations.  _corner_multiplication reads Ae ⊗_{eAe} eA off it."""
-    n = dx * dy
-    rows = []
-    if n:
-        for R, L in pairs:
-            for p in range(dx):
-                for q in range(dy):
-                    row = [fld.zero()] * n
-                    for p2 in range(dx):
-                        if R.entries[p][p2]:
-                            row[p2 * dy + q] = R.entries[p][p2]
-                    for q2 in range(dy):
-                        if L.entries[q][q2]:
-                            row[p * dy + q2] = fld.sub(row[p * dy + q2], L.entries[q][q2])
-                    if any(row):
-                        rows.append(tuple(row))
-    sub = row_space(Matrix(fld, len(rows), n, tuple(rows))) if rows else Matrix.zeros(fld, 0, n)
-    return quotient_basis(sub, n)
 
 
 def _vertex_ideal_products(alg: Algebra, vertices):

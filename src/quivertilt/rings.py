@@ -1,11 +1,9 @@
-"""Finite-dimensional rings given by structure constants, and the corner
-actions of a path algebra.
+"""Finite-dimensional rings given by structure constants.
 
 Endomorphism rings of localized modules are presented by structure
-constants, with the algebra homomorphism lambda attached.  The corner ring
-eAe enters only through its actions on Ae and eA, for the multiplication
-check Ae ⊗_{eAe} eA -> AeA of the stratifying-ideal test; the Tor groups of
-that test are computed over the algebra itself.
+constants, with the algebra homomorphism lambda attached.  No corner ring
+eAe is built here: the stratifying-ideal test reads its multiplication
+check Ae ⊗_{eAe} eA -> AeA off Tor over the algebra itself.
 """
 
 from dataclasses import dataclass
@@ -125,37 +123,3 @@ class RingPresentation:
                     rhs = [fld.add(a, fld.mul(c, b)) for a, b in zip(rhs, self.lam[k])]
                 if lhs != tuple(rhs):
                     raise ConsistencyError("lambda is not multiplicative")
-
-
-# -- corner rings eAe -------------------------------------------------------------
-
-
-def corner_bimodules(alg: Algebra, vertices):
-    """(eAe, Ae, eA basis index lists, right action matrices of the eAe
-    basis on Ae, left action matrices on eA) for e the sum of the given
-    vertex idempotents.  Indices are algebra basis indices; the left action
-    is in row convention, b * y = y @ act[b]."""
-    for v in vertices:
-        alg.vertex_index(v)
-    vset = set(vertices)
-    corner_idx = [i for i in range(alg.dim)
-                  if alg.path_source(i) in vset and alg.path_target(i) in vset]
-    ae_idx = [i for i in range(alg.dim) if alg.path_target(i) in vset]
-    ea_idx = [i for i in range(alg.dim) if alg.path_source(i) in vset]
-    r_act = tuple(_multiplication_matrix(alg, ae_idx, j, right=True) for j in corner_idx)
-    l_act = tuple(_multiplication_matrix(alg, ea_idx, j, right=False) for j in corner_idx)
-    return corner_idx, ae_idx, ea_idx, r_act, l_act
-
-
-def _multiplication_matrix(alg: Algebra, idx, j: int, right: bool) -> Matrix:
-    """Matrix of x -> x * b_j (right) or x -> b_j * x on the span of the
-    basis paths idx, one row per path."""
-    fld = alg.field
-    pos = {b: k for k, b in enumerate(idx)}
-    rows = []
-    for i in idx:
-        row = [fld.zero()] * len(idx)
-        for k, c in alg.mult[(i, j) if right else (j, i)]:
-            row[pos[k]] = c
-        rows.append(tuple(row))
-    return Matrix(fld, len(idx), len(idx), tuple(rows))

@@ -20,7 +20,9 @@ elimination, which the stratifying-ideal test used before it computed Tor
 over the algebra, and reference_tor_dims, Tor over the algebra with each
 P_k ⊗_A Y taken as a quotient of the raw (dim P_k · dim Y)-space, the
 route that reading P_k ⊗_A Y as a sum of vertex components e_vY replaced,
-reference_verify_algebra, the sweep of a dense structure-constant
+both through _tensor_quotient, the raw tensor-space quotient that left
+the package once the stratifying check read its multiplication check off
+Tor_2, reference_verify_algebra, the sweep of a dense structure-constant
 table over all basis triples that the generator-triple certificate of
 Algebra._verify replaced, which uses the field's element operations, and
 reference_min_resolution, the resolution that built each kernel as a
@@ -31,9 +33,13 @@ the previous term replaced.
 from fractions import Fraction
 
 
-def oracle_rank(rows):
-    """Rank of a list-of-lists matrix over Q by naive elimination."""
-    m = [[Fraction(x) for x in r] for r in rows]
+def oracle_rank(rows, char=0):
+    """Rank of a list-of-lists matrix over Q, or over F_char when a prime
+    characteristic is given (entries are then integers), by naive elimination."""
+    if char:
+        m = [[int(x) % char for x in r] for r in rows]
+    else:
+        m = [[Fraction(x) for x in r] for r in rows]
     rank = 0
     cols = len(m[0]) if m else 0
     for c in range(cols):
@@ -46,11 +52,17 @@ def oracle_rank(rows):
             continue
         m[rank], m[piv] = m[piv], m[rank]
         pv = m[rank][c]
-        m[rank] = [x / pv for x in m[rank]]
+        if char:
+            inv = pow(pv, -1, char)
+            m[rank] = [x * inv % char for x in m[rank]]
+        else:
+            m[rank] = [x / pv for x in m[rank]]
         for r in range(len(m)):
             if r != rank and m[r][c]:
                 f = m[r][c]
                 m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+                if char:
+                    m[r] = [a % char for a in m[r]]
         rank += 1
     return rank
 
@@ -147,8 +159,9 @@ def oracle_left_kernel(rows):
     return [row[width:] for row in aug[rank:]]
 
 
-def oracle_tensor_dim(dim_x, dim_y, right_acts, left_acts):
-    """dim of (X ⊗ Y) / span{x·g ⊗ y - x ⊗ g·y} over the generators g.
+def oracle_tensor_dim(dim_x, dim_y, right_acts, left_acts, char=0):
+    """dim of (X ⊗ Y) / span{x·g ⊗ y - x ⊗ g·y} over the generators g,
+    over Q or, when a prime characteristic is given, over F_char.
 
     right_acts[g][p][p2]: x_p · g = sum_p2 R[p][p2] x_p2;
     left_acts[g][q][q2]:  g · y_q = sum_q2 L[q][q2] y_q2.
@@ -166,7 +179,7 @@ def oracle_tensor_dim(dim_x, dim_y, right_acts, left_acts):
                         row[p * dim_y + q2] -= Fraction(L[q][q2])
                 if any(row):
                     rows.append(row)
-    return dim_x * dim_y - (oracle_rank(rows) if rows else 0)
+    return dim_x * dim_y - (oracle_rank(rows, char) if rows else 0)
 
 
 def _dense_row(alg, i, j):
@@ -259,14 +272,15 @@ def _corner_actions(alg, vertices):
 def oracle_corner_tensor_dim(alg, vertices):
     """dim Ae ⊗_{eAe} eA by the generic bilinear quotient."""
     _, ae, ea, right_acts, left_acts = _corner_actions(alg, vertices)
-    return oracle_tensor_dim(len(ae), len(ea), right_acts, left_acts)
+    return oracle_tensor_dim(len(ae), len(ea), right_acts, left_acts,
+                             alg.field.characteristic)
 
 
 def oracle_corner_ideal_dim(alg, vertices):
     """dim AeA as the span of all products of Ae and eA basis paths."""
     _, ae, ea = corner_data(alg, vertices)
     rows = [list(_dense_row(alg, p, q)) for p in ae for q in ea]
-    return oracle_rank(rows) if rows else 0
+    return oracle_rank(rows, alg.field.characteristic) if rows else 0
 
 
 def oracle_corner_tor1_dim(alg, vertices):
@@ -617,6 +631,35 @@ def reference_corner_ring(alg, vertices):
     return SCRing(fld, len(corner), labels, mult, tuple(unit)), corner
 
 
+def _tensor_quotient(fld, dx, dy, pairs):
+    """X ⊗ Y as a quotient of the raw tensor space K^{dx*dy}, basis ordered
+    (p, q) -> p*dy + q.  Each (right action on X, left action on Y) pair of
+    matrices of one ring element r contributes the relations
+    x*r ⊗ y - x ⊗ r*y.  Returns (section, projection) as quotient_basis
+    does; the RREF is canonical, so the result depends only on the span of
+    the relations.  reference_sc_tor_dims and reference_tor_dims read
+    P_k ⊗ Y off it."""
+    from quivertilt.linalg import Matrix, quotient_basis, row_space
+
+    n = dx * dy
+    rows = []
+    if n:
+        for R, L in pairs:
+            for p in range(dx):
+                for q in range(dy):
+                    row = [fld.zero()] * n
+                    for p2 in range(dx):
+                        if R.entries[p][p2]:
+                            row[p2 * dy + q] = R.entries[p][p2]
+                    for q2 in range(dy):
+                        if L.entries[q][q2]:
+                            row[p * dy + q2] = fld.sub(row[p * dy + q2], L.entries[q][q2])
+                    if any(row):
+                        rows.append(tuple(row))
+    sub = row_space(Matrix(fld, len(rows), n, tuple(rows))) if rows else Matrix.zeros(fld, 0, n)
+    return quotient_basis(sub, n)
+
+
 def reference_sc_tor_dims(ring, x_dim, x_act, y_dim, y_act, max_degree):
     """(dims of Tor_1..Tor_max_degree, conclusive) over a structure-constant
     ring, from a free (not minimal) resolution of the right module x.
@@ -631,7 +674,6 @@ def reference_sc_tor_dims(ring, x_dim, x_act, y_dim, y_act, max_degree):
     """
     from quivertilt.linalg import (Matrix, block_matrix, rank, row_space, solve_linear_system,
                                    solve_right_kernel)
-    from quivertilt.recollement import _tensor_quotient
 
     fld = ring.field
     regs = [Matrix(fld, ring.dim, ring.dim, tuple(ring.mult[(p, i)] for p in range(ring.dim)))
@@ -780,7 +822,6 @@ def reference_tor_dims(x, y, max_degree):
     the relations p*r ⊗ q - p ⊗ r*q of the vertex idempotents and arrows
     (they generate A), and d_k ⊗ id induced on those quotients."""
     from quivertilt.homology import _total_action, min_resolution
-    from quivertilt.recollement import _tensor_quotient
 
     alg = x.algebra
     gens = [alg.vertex_idempotent(v) for v in alg.vertices]

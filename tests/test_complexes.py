@@ -377,3 +377,15 @@ def test_derived_hom_dim_builds_no_chain_maps(all_algebras, monkeypatch):
     space = next(s for s in spaces if s.dim)
     assert len(space.reps) == space.dim and calls
     assert space.reps is space.reps
+
+
+def test_combo_of_zero_coefficients_is_the_zero_map_into_the_shift(cycle2):
+    """Every derived Hom space knows its target shift(y, n), also the
+    zero-dimensional ones derived_hom returns before solving anything."""
+    x = resolve_to_complex(simple(cycle2, "2"))
+    y = resolve_to_complex(simple(cycle2, "1"))
+    for n in range(-3, 4):
+        space = derived_hom(x, y, n)
+        f = space.combo((0,) * space.dim)
+        assert f.is_zero() and f.source is x, n
+        assert f.target == shift(y, n), n

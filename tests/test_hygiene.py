@@ -246,3 +246,40 @@ def test_no_randomness_in_package_modules():
              for path in sorted(PACKAGE_DIR.glob("*.py"))
              for line, what in randomness(path.read_text())]
     assert not found, "random imports or seed parameters:\n" + "\n".join(found)
+
+
+def test_no_raw_tensor_quotient_or_corner_ring_in_the_package():
+    """The raw tensor-space quotient and the corner bimodules Ae, eA live
+    only in the test oracles: the package's one tensor computation is
+    homology.tor_dims_range."""
+    found = [f"{path.name}: {name}" for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for name in ("_tensor_quotient", "corner_bimodules")
+             if name in path.read_text()]
+    assert not found, "raw tensor quotient or corner ring in src/:\n" + "\n".join(found)
+
+
+def test_stratifying_check_builds_no_opposite_algebra(monkeypatch):
+    """A/AeA as a left module comes from the ideal rows over A itself."""
+    import sys
+
+    import quivertilt.algebra
+    from quivertilt.formats import fixture_algebra
+    from quivertilt.recollement import stratifying_ideal_check
+
+    real = quivertilt.algebra.opposite_algebra
+    calls = []
+
+    def counted(alg):
+        calls.append(alg)
+        return real(alg)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("quivertilt") and getattr(mod, "opposite_algebra", None) is real:
+            monkeypatch.setattr(mod, "opposite_algebra", counted)
+    for name in ("a2", "kron2", "cycle2", "triple3"):
+        alg = fixture_algebra(name)
+        for v in alg.vertices:
+            stratifying_ideal_check(alg, (v,))
+    assert calls == []
+    quivertilt.algebra.opposite_algebra(alg)
+    assert len(calls) == 1

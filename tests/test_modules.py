@@ -280,3 +280,23 @@ def test_endomorphism_space_is_memoized_per_module(monkeypatch, cycle2):
     assert hom_space(other, other) is hom_space(other, other) and len(solves) == 2
     # other targets are solved on every call
     assert hom_space(p2, i1) == hom_space(p2, i1) and len(solves) == 4
+
+
+def test_basis_action_is_the_path_matrix_of_every_basis_path():
+    """basis_action builds a path a * p' as arrow_mats[a] times the action
+    of the suffix p'; path_matrix multiplies the arrows from an identity.
+    The opposite algebras, whose tables are not re-certified, have
+    suffix-closed bases too."""
+    from conftest import linear_algebra
+
+    from quivertilt.algebra import opposite_algebra
+
+    algebras = [fixture_algebra(n) for n in ("a2", "kron2", "cycle2", "triple3")]
+    algebras += [opposite_algebra(a) for a in algebras]
+    algebras += [linear_algebra(6, rad2=True), linear_algebra(4)]
+    for alg in algebras:
+        mods = [regular_module(alg)] + [injective(alg, v) for v in alg.vertices]
+        for m in mods:
+            for i, (_, word) in enumerate(alg.basis):
+                if word:
+                    assert m.basis_action(i) == m.path_matrix(word), (alg, word)

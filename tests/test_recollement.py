@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import quivertilt
-from quivertilt import (BoundExceeded, InputError, Representation, injective,
+from quivertilt import (GF, QQ, BoundExceeded, InputError, Representation, injective,
                         modules, projective, regular_module, simple)
 from quivertilt.complexes import (cohomology, derived_hom, hom_window,
                                   resolve_to_complex, shift)
@@ -23,6 +23,7 @@ from quivertilt.recollement import (_quotient_by_vertex_ideal, homological_epi_c
                                     reflection_iterative,
                                     stratifying_ideal_check,
                                     universal_localization)
+from quivertilt.formats import fixture_algebra
 from quivertilt.tilting import TiltingCertificate, tilting_module_check
 from conftest import linear_algebra
 from oracles import (oracle_corner_ideal_dim, oracle_corner_tensor_dim,
@@ -346,14 +347,24 @@ def test_stratifying_verdict_at_pd_minus_one_equals_verdict_at_pd(all_algebras):
     assert seen >= 10
 
 
-def test_corner_kernel_is_tor2_of_the_quotient(all_algebras):
-    """Ae ⊗_{eAe} eA -> AeA is onto, and its kernel has the dimension of
-    Tor^A_2(A/AeA, A/AeA) on every proper vertex subset of the fixtures."""
-    for name, alg in all_algebras.items():
-        for vs in _proper_vertex_subsets(alg):
-            rep = stratifying_ideal_check(alg, vs)
-            assert rep.tensor_dim - rep.ideal_dim == rep.quotient_tor_dims[1], (name, vs)
-            assert rep.resolution_complete
+def test_corner_kernel_is_tor2_of_the_quotient():
+    """dim Ae ⊗_{eAe} eA, which the check reads as dim AeA plus
+    dim Tor^A_2(A/AeA, A/AeA), and dim AeA agree with the bilinear-quotient
+    and product-span oracles on every proper vertex subset of the fixtures
+    and of hereditary and radical-square-zero A_3, A_4, over Q, GF(2),
+    GF(3) and GF(101)."""
+    for field in (QQ, GF(2), GF(3), GF(101)):
+        algebras = {name: fixture_algebra(name, None if field == QQ else field)
+                    for name in ("a2", "kron2", "cycle2", "triple3")}
+        for n in (3, 4):
+            algebras[f"A{n}"] = linear_algebra(n, field=field)
+            algebras[f"A{n}-rad2"] = linear_algebra(n, rad2=True, field=field)
+        for name, alg in algebras.items():
+            for vs in _proper_vertex_subsets(alg):
+                rep = stratifying_ideal_check(alg, vs)
+                assert rep.tensor_dim == oracle_corner_tensor_dim(alg, vs), (field, name, vs)
+                assert rep.ideal_dim == oracle_corner_ideal_dim(alg, vs), (field, name, vs)
+                assert rep.resolution_complete
 
 
 def test_stratifying_verdict_matches_corner_ring_route(a2, kron2, cycle2):

@@ -16,7 +16,7 @@ from quivertilt import (GF, QQ, LeftModule, ModuleMap, Representation, SCRing,
                         run_example, simple, stratifying_ideal_check,
                         tilting_module_check)
 from quivertilt.formats import fixture_algebra
-from quivertilt.homology import tor_dims_range
+from quivertilt.homology import left_module_from_op_rep, tor_dims_range
 from conftest import linear_algebra, tilting_summary
 
 
@@ -39,6 +39,12 @@ def _verdicts():
                         rep.localization.reflection_method, rep.orthogonality_ok,
                         rep.t2_exceptional, rep.t2_matches_ru, rep.corollary_zero))
     for name in ("a2", "kron2", "cycle2", "triple3"):
+        for field in (None, GF(3), GF(101)):
+            alg = fixture_algebra(name, field)
+            op = quivertilt.algebra.opposite_algebra(alg)
+            lefts = [left_module_from_op_rep(alg, simple(op, v)) for v in alg.vertices]
+            out.append(tuple(tor_dims_range(injective(alg, v), y, 2)
+                             for v in alg.vertices for y in lefts))
         alg = fixture_algebra(name)
         left = left_regular_module(alg)
         out.append(tuple(tor_dims_range(simple(alg, v), left, 2) for v in alg.vertices))

@@ -526,9 +526,12 @@ def zero_module(alg: Algebra) -> "Representation":
 
 
 def regular_module(alg: Algebra) -> "Representation":
-    """The algebra as a right module over itself, ⊕_v P_v in vertex order."""
+    """The algebra as a right module over itself, ⊕_v P_v in vertex order,
+    memoized in the algebra's cache: every caller gets the same parts P_v."""
     from .modules import direct_sum
-    return direct_sum([projective(alg, v) for v in alg.vertices])
+    if "regular" not in alg._caches:
+        alg._caches["regular"] = direct_sum([projective(alg, v) for v in alg.vertices])
+    return alg._caches["regular"]
 
 
 def _module_from_paths(alg: Algebra, idxs, dual: bool):

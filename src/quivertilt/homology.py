@@ -15,9 +15,9 @@ from .algebra import Algebra, zero_module
 from .errors import BoundExceeded, ConsistencyError, InputError
 from .linalg import (Matrix, quotient_basis, rank, row_space, rref, solve_linear_system,
                      solve_right_kernel)
-from .modules import (HomSpace, ModuleMap, Representation, _flatten_map,
-                      decompose, direct_sum_with_maps, hom_space, identity_map,
-                      image, quotient, zero_map)
+from .modules import (HomSpace, ModuleMap, Representation, _assemble_block_map, _block_maps,
+                      _flatten_map, decompose, direct_sum, direct_sum_with_maps, hom_space,
+                      identity_map, image, quotient, submodule_from_rows, zero_map)
 
 DEFAULT_RESOLUTION_BOUND = 32
 
@@ -443,14 +443,15 @@ class LeftModule:
 
 
 def left_regular_module(alg: Algebra) -> LeftModule:
-    """The algebra as a left module over itself."""
-    fld = alg.field
-    act = []
-    for i in range(alg.dim):
-        rows = [alg.dense_row(alg.mult[(i, p)]) for p in range(alg.dim)]
-        act.append(Matrix(fld, alg.dim, alg.dim, tuple(rows)))
-    # left multiplication in the verified (associative, unital) algebra
-    return LeftModule._trusted(alg, alg.dim, tuple(act))
+    """The algebra as a left module over itself, memoized in the algebra's
+    cache (a LeftModule is immutable)."""
+    if "left_regular" not in alg._caches:
+        act = tuple(Matrix(alg.field, alg.dim, alg.dim,
+                           tuple(alg.dense_row(alg.mult[(i, p)]) for p in range(alg.dim)))
+                    for i in range(alg.dim))
+        # left multiplication in the verified (associative, unital) algebra
+        alg._caches["left_regular"] = LeftModule._trusted(alg, alg.dim, act)
+    return alg._caches["left_regular"]
 
 
 def left_module_from_op_rep(alg: Algebra, op_rep: Representation) -> LeftModule:
@@ -564,39 +565,74 @@ class ShortExact:
 
 def realize_extension(c: ExtClass) -> ShortExact:
     """Middle term of a degree-one extension class, as the pushout of the
-    syzygy inclusion along the cocycle."""
+    syzygy inclusion along the cocycle.
+
+    A target n built by ``direct_sum`` is pushed out only over the recorded
+    parts the cocycle touches, read off its generator images on each part's
+    block.  A cocycle that vanishes on the part n_i (its composite with the
+    projection onto n_i is zero) factors through the block inclusion of
+    n' = ⊕_{j≠i} n_j, so its class lies in ⊕_{j≠i} Ext¹(m, n_j), and the
+    pushout along the cocycle is the pushout E' along the factored cocycle
+    followed by the pushout along n' -> n' ⊕ n_i, which is E' ⊕ n_i.  So
+    mid = direct_sum([pushout over the touched parts, *untouched parts]),
+    whose untouched parts are the very objects recorded in n."""
     if c.degree != 1:
         raise InputError("realize_extension needs a degree-1 class")
-    res = c.resolution
-    m = res.module
-    n = c.target
-    alg = m.algebra
-    if res.length < 1:
+    res, n = c.resolution, c.target
+    m, alg = res.module, n.algebra
+    if res.length < 1 and not c.cocycle.is_zero():
         # projective source: only the split extension exists
-        if not c.cocycle.is_zero():
-            raise ConsistencyError("nonzero cocycle over a projective module")
+        raise ConsistencyError("nonzero cocycle over a projective module")
+    parts = n._caches.get("parts", (n,))
+    cols, off = [], dict.fromkeys(alg.vertices, 0)
+    for part in parts:
+        cols.append({v: range(off[v], off[v] + part.dims[v]) for v in alg.vertices})
+        off = {v: off[v] + part.dims[v] for v in alg.vertices}
+    gen_rows = [(v, c.cocycle.mats[v].entries[r]) for v, r in res.terms[1].gen_pos] \
+        if res.length >= 1 else []
+    touched = [k for k, kc in enumerate(cols) if any(row[j] for v, row in gen_rows for j in kc[v])]
+    if len(touched) == len(parts):
+        e, incl, proj = _pushout(res, c.cocycle)
+        return ShortExact(n, e, m, incl, proj)
+    rest = [k for k in range(len(parts)) if k not in touched]
+    n_t = direct_sum([parts[k] for k in touched]) if touched else zero_module(alg)
+    e_t, incl_t, proj_t = _pushout(res, ModuleMap._trusted(
+        c.cocycle.source, n_t,
+        {v: c.cocycle.mats[v].take_cols([j for k in touched for j in cols[k][v]])
+         for v in alg.vertices}))
+    mid_parts = [e_t] + [parts[k] for k in rest]
+    into_t = iter(_block_maps(n_t)[0] if touched else ())
+    # a touched part goes into E' through the pushout, an untouched one onto itself
+    blocks = [[next(into_t).compose(incl_t)] + [None] * len(rest) if k in touched
+              else [None] + [identity_map(parts[k]) if j == k else None for j in rest]
+              for k in range(len(parts))]
+    incl = _assemble_block_map(n, direct_sum(mid_parts), blocks, parts, mid_parts)
+    proj = _assemble_block_map(incl.target, m, [[proj_t]] + [[None]] * len(rest), mid_parts, [m])
+    return ShortExact(n, incl.target, m, incl, proj)
+
+
+def _pushout(res: Resolution, cocycle: ModuleMap):
+    """(E, n -> E, E -> m): the pushout of the syzygy inclusion of m's
+    resolution along a cocycle P_1 -> n."""
+    m, n = res.module, cocycle.target
+    alg = m.algebra
     d1 = res.diffs[0] if res.length >= 1 else zero_map(proj_sum(alg, ()).rep, res.terms[0].rep)
     omega, om_incl, om_proj = image(d1)
     # factor the cocycle through omega: cocycle = om_proj then phi
-    phi_mats = {}
-    for v in alg.vertices:
-        x = _left_divide(om_proj.mats[v], c.cocycle.mats[v])
-        phi_mats[v] = x
-    phi = ModuleMap(omega, n, phi_mats)
+    phi = ModuleMap(omega, n, {v: _left_divide(om_proj.mats[v], cocycle.mats[v])
+                               for v in alg.vertices})
     # pushout of (omega -> P0) along phi
     total, incls, projs = direct_sum_with_maps([n, res.terms[0].rep])
     graph = ModuleMap(omega, total,
                       {v: phi.mats[v].neg().hstack(om_incl.mats[v]) for v in alg.vertices})
-    gimg, gincl, _ = image(graph)
+    _, gincl = submodule_from_rows(total, graph.mats)
     e_rep, to_e = quotient(total, gincl)
-    incl_n = incls[0].compose(to_e)
     # projection E -> m descends from (0, augment)
     big = ModuleMap(total, m,
                     {v: Matrix.zeros(alg.field, n.dims[v], m.dims[v]).vstack(res.augment.mats[v])
                      for v in alg.vertices})
     proj_mats = {v: _left_divide(to_e.mats[v], big.mats[v]) for v in alg.vertices}
-    proj_e = ModuleMap(e_rep, m, proj_mats)
-    return ShortExact(n, e_rep, m, incl_n, proj_e)
+    return e_rep, incls[0].compose(to_e), ModuleMap(e_rep, m, proj_mats)
 
 
 def _left_divide(a: Matrix, b: Matrix) -> Matrix:

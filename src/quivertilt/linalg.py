@@ -337,21 +337,18 @@ def _identity(fld: FieldSpec, n: int) -> Matrix:
 
 
 def block_matrix(fld: FieldSpec, grid) -> Matrix:
-    """Assemble a matrix from a 2d grid of blocks (each a Matrix)."""
-    rows = []
-    for brow in grid:
-        if not brow:
-            continue
-        m = brow[0]
-        for other in brow[1:]:
-            m = m.hstack(other)
-        rows.append(m)
-    if not rows:
+    """Assemble a matrix from a 2d grid of blocks (each a Matrix), row by
+    row of the result: the blocks of a grid row share their row count, and
+    every grid row has the same total column count."""
+    grid = [brow for brow in grid if brow]
+    if not grid:
         return Matrix.zeros(fld, 0, 0)
-    out = rows[0]
-    for m in rows[1:]:
-        out = out.vstack(m)
-    return out
+    cols = sum(b.cols for b in grid[0])
+    if any(b.rows != brow[0].rows for brow in grid for b in brow) \
+            or any(sum(b.cols for b in brow) != cols for brow in grid):
+        raise DimensionMismatch("block grid shape mismatch")
+    return Matrix(fld, sum(brow[0].rows for brow in grid), cols,
+                  tuple(sum(parts, ()) for brow in grid for parts in zip(*(b.entries for b in brow))))
 
 
 # -- row arithmetic and elimination ----------------------------------------

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field as _dc_field
 
 from .algebra import Algebra
 from .errors import ConsistencyError, DimensionMismatch, InputError
-from .linalg import (Matrix, intersect_subspaces, quotient_basis, rank, row_space,
-                     solve_linear_system, solve_right_kernel, sum_subspaces)
+from .linalg import (Matrix, block_matrix, intersect_subspaces, quotient_basis, rank,
+                     row_space, solve_linear_system, solve_right_kernel, sum_subspaces)
 
 
 @dataclass(frozen=True)
@@ -422,7 +422,7 @@ def quotient(m: Representation, sub_incl: ModuleMap):
 
 def cokernel(f: ModuleMap):
     """(coker, projection target -> coker)."""
-    img, incl, _ = image(f)
+    _, incl = submodule_from_rows(f.target, f.mats)
     return quotient(f.target, incl)
 
 
@@ -489,6 +489,24 @@ def _block_maps(total: Representation):
         incls.append(ModuleMap._trusted(part, total, imats))
         projs.append(ModuleMap._trusted(total, part, pmats))
     return incls, projs
+
+
+def _assemble_block_map(src: Representation, tgt: Representation, blocks, src_reps,
+                        tgt_reps) -> ModuleMap:
+    """Map src -> tgt from a grid of blocks; blocks[i][j] maps the i-th
+    source part to the j-th target part (None = zero).  Part basis layouts
+    concatenate in order inside src/tgt, as direct_sum and proj_sum lay
+    them out, so their arrow matrices are block diagonal and a grid of
+    natural maps between the parts is natural."""
+    fld = src.algebra.field
+    mats = {v: block_matrix(fld, [[b.mats[v] if b is not None
+                                   else Matrix.zeros(fld, srep.dims[v], trep.dims[v])
+                                   for b, trep in zip(row, tgt_reps)]
+                                  for row, srep in zip(blocks, src_reps)])
+            for v in src.algebra.vertices}
+    if any((mats[v].rows, mats[v].cols) != (src.dims[v], tgt.dims[v]) for v in mats):
+        raise ConsistencyError("block assembly shape mismatch")
+    return ModuleMap._trusted(src, tgt, mats)
 
 
 # -- trace, radical, socle, top -------------------------------------------------
@@ -622,7 +640,7 @@ def _fitting_split(m: Representation, f: ModuleMap):
     if ker_dim == 0 or ker_dim == n:
         return None
     ker_rep, ker_incl = submodule_from_rows(m, rows)
-    img_rep, img_incl, _ = image(power)
+    img_rep, img_incl = submodule_from_rows(m, power.mats)
     if ker_rep.total_dim + img_rep.total_dim != m.total_dim:
         return None
     for v in m.algebra.vertices:

@@ -24,10 +24,12 @@ both through _tensor_quotient, the raw tensor-space quotient that left
 the package once the stratifying check read its multiplication check off
 Tor_2, reference_verify_algebra, the sweep of a dense structure-constant
 table over all basis triples that the generator-triple certificate of
-Algebra._verify replaced, which uses the field's element operations, and
+Algebra._verify replaced, which uses the field's element operations,
 reference_min_resolution, the resolution that built each kernel as a
 module and covered it through its top, which covering each kernel inside
-the previous term replaced.
+the previous term replaced, and reference_realize_extension, the pushout
+over the whole target that pushing out only over the recorded parts the
+cocycle touches replaced.
 """
 
 from fractions import Fraction
@@ -903,3 +905,28 @@ def reference_min_resolution(m, max_len):
         pk, epi = cover(ker)
         diffs.append(epi.compose(ker_incl))
         terms.append(pk)
+
+
+def reference_realize_extension(c):
+    """Middle term of a degree-one extension class as the pushout of the
+    syzygy inclusion along the cocycle, over the whole target, whatever
+    parts it records.  Returns (mid, incl, proj)."""
+    from quivertilt.homology import _left_divide, proj_sum
+    from quivertilt.linalg import Matrix
+    from quivertilt.modules import ModuleMap, direct_sum_with_maps, image, quotient, zero_map
+
+    res, n = c.resolution, c.target
+    m, alg = res.module, n.algebra
+    d1 = res.diffs[0] if res.length >= 1 else zero_map(proj_sum(alg, ()).rep, res.terms[0].rep)
+    omega, om_incl, om_proj = image(d1)
+    phi = ModuleMap(omega, n, {v: _left_divide(om_proj.mats[v], c.cocycle.mats[v])
+                               for v in alg.vertices})
+    total, incls, _ = direct_sum_with_maps([n, res.terms[0].rep])
+    graph = ModuleMap(omega, total,
+                      {v: phi.mats[v].neg().hstack(om_incl.mats[v]) for v in alg.vertices})
+    _, gincl, _ = image(graph)
+    e_rep, to_e = quotient(total, gincl)
+    big = {v: Matrix.zeros(alg.field, n.dims[v], m.dims[v]).vstack(res.augment.mats[v])
+           for v in alg.vertices}
+    proj = ModuleMap(e_rep, m, {v: _left_divide(to_e.mats[v], big[v]) for v in alg.vertices})
+    return e_rep, incls[0].compose(to_e), proj

@@ -283,3 +283,41 @@ def test_stratifying_check_builds_no_opposite_algebra(monkeypatch):
     assert calls == []
     quivertilt.algebra.opposite_algebra(alg)
     assert len(calls) == 1
+
+
+# Package modules from the bottom layer up; formats sits below verify,
+# which reads the fixtures through it.
+LAYER_ORDER = ("errors", "linalg", "algebra", "modules", "rings", "homology", "complexes",
+               "tilting", "recollement", "formats", "verify", "cli")
+# Imports that go up the layer order, made inside a function so that the
+# lower module can be imported first: algebra builds its modules
+# (projective, simple, regular_module) from modules.Representation.
+UPWARD_FUNCTION_IMPORTS = {("algebra", "modules")}
+
+
+def package_imports(source: str) -> list:
+    """(line, imported module, at module level?) of each relative import of
+    a sibling package module, ``from .x import ...``."""
+    tree = ast.parse(source)
+    top = {id(node) for node in tree.body}
+    return sorted((node.lineno, node.module, id(node) in top) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module)
+
+
+def test_package_import_detector_tells_module_level_from_function_level():
+    src = ("from .linalg import Matrix\nimport os\n"
+           "def f():\n    from .modules import direct_sum\n    return direct_sum\n")
+    assert package_imports(src) == [(1, "linalg", True), (4, "modules", False)]
+
+
+def test_package_imports_go_down_the_layer_order():
+    assert sorted(LAYER_ORDER) == sorted(p.stem for p in PACKAGE_DIR.glob("*.py")
+                                         if p.name != "__init__.py")
+    found = []
+    for name in LAYER_ORDER:
+        for line, imported, module_level in package_imports((PACKAGE_DIR / f"{name}.py").read_text()):
+            if LAYER_ORDER.index(imported) < LAYER_ORDER.index(name):
+                continue
+            if module_level or (name, imported) not in UPWARD_FUNCTION_IMPORTS:
+                found.append(f"{name}.py:{line}: imports {imported}")
+    assert not found, "imports up the layer order:\n" + "\n".join(found)

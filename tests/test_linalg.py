@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quivertilt.linalg import (GF, QQ, FieldSpec, Matrix, _eliminate, _mul_entries,
-                               _rref_with_transform, intersect_subspaces,
+                               _rref_with_transform, block_matrix, intersect_subspaces,
                                quotient_basis, rank, rref, row_space,
                                solve_linear_system, solve_right_kernel,
                                sum_subspaces)
@@ -432,3 +432,16 @@ def test_empty_shape_solve_and_quotient_equal_oracles(data):
     section, proj = quotient_basis(a, a.cols)
     assert section == Matrix.identity(fld, a.cols) == proj
     assert list(proj.entries) == reference_quotient_projection(fld, a, (), a.cols)
+
+
+def test_block_matrix_matches_stacking_and_rejects_ragged_grids():
+    a, b = M(QQ, [[1, 2], [3, 4]]), M(QQ, [[5], [6]])
+    c, d = M(QQ, [[7, 8]]), M(QQ, [[9]])
+    z = Matrix.zeros(QQ, 0, 2)
+    assert block_matrix(QQ, [[a, b], [c, d]]) == a.hstack(b).vstack(c.hstack(d))
+    assert block_matrix(QQ, [[a], [z], []]) == a
+    assert block_matrix(QQ, [[Matrix.zeros(QQ, 2, 0), b]]) == b
+    assert block_matrix(QQ, []) == Matrix.zeros(QQ, 0, 0)
+    for ragged in ([[a, c]], [[a, b], [c]], [[a], [Matrix.zeros(QQ, 0, 3)]]):
+        with pytest.raises(DimensionMismatch):
+            block_matrix(QQ, ragged)

@@ -31,7 +31,6 @@ from .recollement import (HomEpiReport, LocalizationReport, RecollementReport,
                           recollement_report, reflection_brick,
                           reflection_iterative, stratifying_ideal_check,
                           universal_localization)
-from .rings import RingPresentation, SCRing
 from .tilting import (ExceptionalPair, TiltingCertificate, TiltingFailure,
                       bongartz_complement, check_A1_A2, cone_exceptionality,
                       construct_tilting, left_universal_map,

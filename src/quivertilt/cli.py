@@ -237,22 +237,24 @@ def cmd_localize(args):
     alg = _load_alg(args)
     t, cert, loc = _localization_from_modules(alg, args.modules, args)
     dec = [[f.dim_vector(), mult] for f, mult in loc.ru_decomposition]
-    lines = [f"R_U dims {loc.ru_module.dim_vector()}, ring dim {loc.presentation.ring.dim}",
+    ev = loc.evidence
+    lines = [f"R_U dims {loc.ru_module.dim_vector()}, ring dim {ev.dim}",
              "decomposition: " + ", ".join(f"{d} x{m}" for d, m in dec),
              f"reflection method {loc.reflection_method}, matches trace quotient: "
              f"{loc.reflection_matches}",
-             f"homological epimorphism: {'YES' if loc.hom_epi.is_homological_epi else 'NO'}"]
+             f"homological epimorphism: {'YES' if loc.hom_epi.is_homological_epi else 'NO'}",
+             f"End(R_U) = M_{len(ev.units)}(K), matrix units checked" if ev.reason is None
+             else f"End(R_U) not certified a matrix ring over K: {ev.reason}"]
     report = {"command": "localize", "ru_dims": loc.ru_module.dim_vector(),
-              "ring_dim": loc.presentation.ring.dim, "decomposition": dec,
+              "ring_dim": ev.dim, "decomposition": dec,
               "reflection_method": loc.reflection_method,
               "reflection_matches": loc.reflection_matches,
               "hom_epi": loc.hom_epi.is_homological_epi,
               "ext_dims": list(loc.hom_epi.ext_dims),
               "tor_dims": list(loc.hom_epi.tor_dims),
-              "ring_evidence": {"dim": loc.evidence.dim,
-                                "idempotents": len(loc.evidence.idempotent_coords),
-                                "primitive_corners": list(loc.evidence.primitive),
-                                "ideal_scan_full": loc.evidence.ideal_scan_full}}
+              "ring_evidence": {"dim": ev.dim,
+                                "matrix_size": None if ev.reason else len(ev.units),
+                                "reason": ev.reason}}
     _emit(args, report, lines)
     return 0
 

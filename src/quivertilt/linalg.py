@@ -542,7 +542,8 @@ def quotient_basis(sub: Matrix, ambient_dim: int):
     """Quotient of K^n by the row span of `sub` (a matrix with n columns).
 
     Returns (section, projection): section is a q x n matrix whose rows are
-    coset representatives forming a basis of the quotient, projection is the
+    coset representatives forming a basis of the quotient, the unit vectors
+    of the q coordinates that are not pivots of `sub`; projection is the
     n x q matrix of the quotient map in coordinates.  Identities:
     section*projection = I_q and sub*projection = 0.
     """

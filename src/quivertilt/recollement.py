@@ -2,6 +2,11 @@
 structure, homological-epimorphism and stratifying-ideal checks, and the
 recollement report assembled from a tilting module.
 
+The ring of a universal localization is S = End(R_U), used through
+lambda: R -> S as End(R_U) coordinates on the algebra basis, checked on
+generator pairs.  S itself is certified by matrix units when it is a
+matrix ring over the base field; no structure-constant table is formed.
+
 The reflection of a complex M at an exceptional object T1 is computed two
 ways: a one-shot cone construction when End(T1) is one-dimensional (the
 brick fast path), and an iterative degree-descending construction that
@@ -23,15 +28,14 @@ from .complexes import (ChainMap, PerfectComplex, cohomology, derived_hom,
                         stack_to_common_target)
 from .errors import BoundExceeded, ConsistencyError, InputError
 from .homology import (DEFAULT_RESOLUTION_BOUND, LeftModule, ShortExact,
-                       ext_dim, left_regular_module, min_resolution,
+                       ext_dim, min_resolution,
                        proj_dim, tor_dims_range)
-from .linalg import (Matrix, quotient_basis, row_space, solve_linear_system,
-                     solve_right_kernel)
-from .modules import (ModuleMap, Representation, _flatten_map, cokernel,
-                      decompose, direct_sum, hom_space, identity_map,
-                      in_add_of, indecomposable_summands, is_isomorphic, quotient,
-                      submodule_from_rows, top, trace_submodule)
-from .rings import RingPresentation, SCRing
+from .linalg import (Matrix, block_matrix, quotient_basis, row_space,
+                     solve_linear_system, solve_right_kernel)
+from .modules import (ModuleMap, Representation, _assemble_block_map, _flatten_map,
+                      _invertible_map, cokernel, decompose, direct_sum, hom_space,
+                      identity_map, in_add_of, indecomposable_summands, is_isomorphic,
+                      quotient, submodule_from_rows, top, trace_submodule)
 
 
 # -- perpendicular categories -----------------------------------------------------
@@ -232,92 +236,116 @@ def regular_basis_tables(alg: Algebra):
     return tables
 
 
-def left_multiplication_map(alg: Algebra, r: Representation, coeffs) -> ModuleMap:
-    """Left multiplication by an algebra element on the regular module, as a
-    right-module map."""
-    tables = regular_basis_tables(alg)
+def left_multiples(f: ModuleMap) -> list:
+    """For f: R -> X on the regular module, the maps (left multiplication
+    by b_i) then f, one for each basis element b_i.  Row p of the i-th at
+    vertex w is f at b_i b_p, which ends at w as b_p does, so each map is
+    read off f's rows; no multiplication map is built."""
+    alg = f.source.algebra
     fld = alg.field
-    mats = {}
-    for w in alg.vertices:
-        rows_idx = tables[w]
-        pos = {b: k for k, b in enumerate(rows_idx)}
-        out = [[fld.zero()] * len(rows_idx) for _ in rows_idx]
-        for rpos, p in enumerate(rows_idx):
-            # (sum_i coeffs[i] b_i) * b_p
-            for i, c in enumerate(coeffs):
-                if not c:
-                    continue
-                for k, d in alg.mult[(i, p)]:
-                    out[rpos][pos[k]] = fld.add(out[rpos][pos[k]], fld.mul(c, d))
-        mats[w] = Matrix(fld, len(rows_idx), len(rows_idx), tuple(tuple(x) for x in out))
-    return ModuleMap(r, r, mats)
+    tables = regular_basis_tables(alg)
+    row_of = {k: f.mats[w].entries[pos] for w in alg.vertices
+              for pos, k in enumerate(tables[w])}
+    zero_rows = {w: (fld.zero(),) * f.target.dims[w] for w in alg.vertices}
+    # left multiplication by b_i is a right-module map of R, so its
+    # composite with the natural f is natural
+    return [ModuleMap._trusted(f.source, f.target, {
+        w: Matrix(fld, len(tables[w]), f.target.dims[w],
+                  tuple(_combination(fld, alg.mult[(i, p)], row_of, zero_rows[w])
+                        for p in tables[w]))
+        for w in alg.vertices}) for i in range(alg.dim)]
 
 
-def end_ring_presentation(m: Representation, eta: ModuleMap) -> RingPresentation:
-    """End(m) as a structure-constant ring, with the algebra homomorphism
-    lambda solved from the reflection property of eta: R -> m.
+def _combination(fld, row, vectors, zero: tuple) -> tuple:
+    """Σ c · vectors[k] over a sparse row ((k, c), ...) of algebra
+    coordinates; ``zero`` is the zero vector."""
+    if not row:
+        return zero
+    if len(row) == 1 and row[0][1] == fld.one():
+        return vectors[row[0][0]]
+    out = zero
+    for k, c in row:
+        out = tuple(fld.add(a, fld.mul(c, b)) for a, b in zip(out, vectors[k]))
+    return out
 
-    Ring product is composition as functions (apply the right factor
-    first); lambda(a) is the unique endomorphism f with
-    (left multiplication by a) then eta = eta then f, uniqueness being part
-    of the reflection property and asserted."""
+
+def end_ring_presentation(m: Representation, eta: ModuleMap) -> tuple:
+    """The algebra homomorphism lambda: A -> End(m), solved from the
+    reflection property of eta: R -> m, on the algebra basis.
+
+    Returns one coordinate vector per algebra basis element, in the basis
+    of hom_space(m, m).  lambda(a) is the unique endomorphism f with
+    (left multiplication by a) then eta = eta then f; uniqueness is the
+    injectivity of f -> eta then f, part of the reflection property and
+    asserted.  Endomorphisms compose as functions (apply the right factor
+    first), so lambda(ab) = lambda(a) lambda(b); ``lambda_left_module``
+    checks it."""
     alg = m.algebra
     fld = alg.field
     ends = hom_space(m, m)
     if m.total_dim and ends.dim == 0:
         raise ConsistencyError("endomorphism ring of a nonzero module is zero")
-    d = ends.dim
-    mult, unit = {}, ()
-    if d:
-        # coordinates of every product f_j∘f_i and of the identity, from one
-        # elimination of the flattened basis
-        width = len(_flatten_map(ends.basis[0]))
-        basis_m = Matrix(fld, d, width, tuple(_flatten_map(b) for b in ends.basis))
-        maps = [fj.compose(fi) for fi in ends.basis for fj in ends.basis] + [identity_map(m)]
-        x, _ = solve_linear_system(
-            basis_m, Matrix(fld, len(maps), width, tuple(_flatten_map(f) for f in maps)))
-        if x is None:
-            raise ConsistencyError("map does not lie in the hom space")
-        mult = {(i, j): x.entries[i * d + j] for i in range(d) for j in range(d)}
-        unit = x.entries[-1]
-    # composition of module maps is associative and unital
-    ring = SCRing._trusted(fld, d, tuple(f"f{k}" for k in range(d)), mult, unit)
-    # lambda on the algebra basis
-    r = eta.source
     rows = [_flatten_map(eta.compose(b)) for b in ends.basis]
     width = len(_flatten_map(eta))
     rows_m = Matrix(fld, len(rows), width, tuple(rows))
     if solve_right_kernel(rows_m).rows != 0:
         raise ConsistencyError(
             "reflection property violated: Hom(eta, m) has a kernel")
-    targets = []
-    for i in range(alg.dim):
-        coeffs = tuple(fld.one() if k == i else fld.zero() for k in range(alg.dim))
-        ma = left_multiplication_map(alg, r, coeffs)
-        targets.append(_flatten_map(ma.compose(eta)))
+    targets = [_flatten_map(f) for f in left_multiples(eta)]
     # one elimination of rows_m for every basis element; the solution is
     # unique, as rows_m has no kernel
     x, _ = solve_linear_system(rows_m, Matrix(fld, alg.dim, width, tuple(targets)))
     if x is None:
         raise ConsistencyError(
             "reflection property violated: left multiplication does not factor")
-    return RingPresentation(ring, alg, x.entries)
+    return x.entries
 
 
-def lambda_left_module(m: Representation, pres: RingPresentation) -> LeftModule:
-    """m as a left module over the algebra through lambda."""
-    alg = pres.algebra
+def lambda_left_module(eta: ModuleMap, lam) -> LeftModule:
+    """m = eta.target as a left module over the algebra through lambda,
+    given on the algebra basis in the coordinates of hom_space(m, m), as
+    ``end_ring_presentation`` solves it from eta: R -> m.
+
+    Checked: lambda(1) = 1; (left multiplication by g) then eta = eta then
+    lambda(g) for every generator g (vertex idempotent or arrow); and
+    lambda(g b) = lambda(g) lambda(b) for every generator g and basis
+    element b.  The last is enough for every pair, by induction on the
+    length of the first factor in the certified suffix-closed basis: for
+    p = a p', lambda(p y) = lambda(a) lambda(p' y)
+    = lambda(a) lambda(p') lambda(y) = lambda(p) lambda(y).  With the
+    second, and f -> eta then f injective, lambda is the homomorphism of
+    the reflection property.  In row convention lambda(u) acts as act[u]
+    and act[g b] = act[b] act[g], so all the pairs of one g are one product
+    of the stacked act[b] by act[g]."""
+    m = eta.target
+    alg = m.algebra
+    fld = alg.field
     ends = hom_space(m, m)
-    if pres.ring.dim != ends.dim:
-        raise InputError("the presentation is not of End(m)")
-    act = []
-    for i in range(alg.dim):
-        coords = pres.lam[i]
-        f = ends.combo(coords)
-        act.append(f.total_matrix())
-    # lambda is a checked ring homomorphism into End(m), unique by the
-    # reflection property asserted where the presentation is built
-    return LeftModule._trusted(alg, m.total_dim, tuple(act))
+    if len(lam) != alg.dim or any(len(c) != ends.dim for c in lam):
+        raise InputError("lambda must give End(m) coordinates for every algebra basis element")
+    n = m.total_dim
+    maps = [ends.combo(c) for c in lam]
+    act = tuple(f.total_matrix() for f in maps)
+    flat = [_flat(a.entries) for a in act]
+    zero = (fld.zero(),) * (n * n)
+    if _combination(fld, alg.unit(), flat, zero) != _flat(Matrix.identity(fld, n).entries):
+        raise ConsistencyError("lambda does not preserve the unit")
+    stacked = block_matrix(fld, [[a] for a in act])
+    gens = [alg.vertex_idempotent(v) for v in alg.vertices]
+    gens += [alg.basis_index_of_arrow(name) for name, _, _ in alg.quiver.arrows]
+    through_eta = left_multiples(eta)
+    for g in gens:
+        if through_eta[g].mats != eta.compose(maps[g]).mats:
+            raise ConsistencyError("lambda does not satisfy the reflection property")
+        products = _flat(stacked.mul(act[g]).entries)
+        if any(products[b * n * n:(b + 1) * n * n] != _combination(fld, alg.mult[(g, b)], flat, zero)
+               for b in range(alg.dim)):
+            raise ConsistencyError("lambda is not multiplicative")
+    return LeftModule._trusted(alg, n, act)
+
+
+def _flat(rows) -> tuple:
+    return tuple(x for row in rows for x in row)
 
 
 @dataclass(frozen=True)
@@ -332,16 +360,18 @@ class HomEpiReport:
             (all(e == 0 for e in self.ext_dims) == all(t == 0 for t in self.tor_dims))
 
 
-def homological_epi_check(ru: Representation, pres: RingPresentation,
-                          max_degree: int = 6,
+def homological_epi_check(eta: ModuleMap, lam, max_degree: int = 6,
                           bound: int = DEFAULT_RESOLUTION_BOUND) -> HomEpiReport:
-    """Primary test Ext^i_R(S, S) = 0 for 1 <= i <= max_degree; secondary
-    test Tor^R_i(S, S) = 0 with the left structure through lambda.  Both
-    reported; the verdict follows the Ext side."""
+    """Primary test Ext^i_R(S, S) = 0 for 1 <= i <= max_degree, with S the
+    target of eta: R -> S; secondary test Tor^R_i(S, S) = 0 with the left
+    structure through lambda (End(S) coordinates on the algebra basis, as
+    ``end_ring_presentation`` returns them).  Both reported; the verdict
+    follows the Ext side."""
+    ru = eta.target
     res = min_resolution(ru, bound)
     ext_dims = tuple(ext_dim(i, ru, ru, bound, resolution=res)
                      for i in range(1, max_degree + 1))
-    left = lambda_left_module(ru, pres)
+    left = lambda_left_module(eta, lam)
     tor_all = tor_dims_range(ru, left, max_degree, bound, resolution=res)
     tor_dims = tor_all[1:]
     return HomEpiReport(ext_dims, tor_dims, all(d == 0 for d in ext_dims))
@@ -349,10 +379,15 @@ def homological_epi_check(ru: Representation, pres: RingPresentation,
 
 @dataclass(frozen=True)
 class RingEvidence:
-    dim: int
-    idempotent_coords: tuple     # orthogonal idempotents from the decomposition
-    primitive: tuple             # corner dimension e*S*e per idempotent
-    ideal_scan_full: bool        # every basis element generates the whole ring
+    """End(R_U) as a matrix ring M_n(K), or why it is not certified one.
+
+    ``units[i][j]`` is the matrix unit e_ij: R_U -> R_U.  With products
+    taken in diagrammatic order (``e.compose(f)``, e first), they satisfy
+    e_ij e_kl = δ_jk e_il and Σ e_ii = id, and dim End(R_U) = n²; so they
+    form a basis of End(R_U) with the multiplication table of M_n(K)."""
+    dim: int             # dim End(R_U)
+    units: tuple         # n x n grid of matrix units; () when reason is set
+    reason: str | None   # why no units: several isomorphism classes, or dim End X > 1
 
 
 @dataclass(frozen=True)
@@ -360,7 +395,7 @@ class LocalizationReport:
     sequence: ShortExact
     ru_module: Representation
     ru_decomposition: tuple      # (factor, multiplicity)
-    presentation: RingPresentation
+    lam: tuple                   # lambda: A -> End(R_U), End(R_U) coordinates per basis element
     eta: ModuleMap               # R -> R_U, the reflection of R
     reflection_method: str
     reflection_matches: bool
@@ -373,17 +408,21 @@ def universal_localization(seq: ShortExact, max_steps: int = 16,
                            hom_epi_degree: int = 6) -> LocalizationReport:
     """Localization data from a (T3)-style sequence 0 -> R -> T0 -> T1 -> 0.
 
-    R_U = T0 / trace of T1 in T0, cross-checked against the reflection of R
-    whenever that reflection has cohomology concentrated in degree zero; the
-    ring structure is End(R_U) and lambda is solved from the reflection
-    property.  A mismatch between trace and reflection aborts loudly."""
+    R_U = T0 / trace of T1 in T0 (``_trace_quotient``), cross-checked against
+    the reflection of R whenever that reflection has cohomology concentrated
+    in degree zero; a mismatch aborts loudly.  The ring is S = End(R_U):
+    lambda: R -> S is solved from the reflection property of eta: R -> R_U
+    (``end_ring_presentation``) and checked on generator pairs when R_U is
+    made a left module for the Tor side of the homological-epimorphism test
+    (``lambda_left_module``), and S is certified a matrix ring over the
+    base field by matrix units, or given a reason why not
+    (``ring_evidence``).  No structure constants of S are formed."""
     alg = seq.left.algebra
     r = regular_module(alg)
     if seq.left.dims != r.dims:
         raise InputError("sequence must start at the regular module")
     t0, t1 = seq.mid, seq.right
-    tau = trace_submodule(t1, t0)
-    ru, proj = quotient(t0, tau)
+    ru, proj = _trace_quotient(t1, t0)
     eta = seq.incl.compose(proj)
     # reflection cross-check
     q, _, method = reflect_regular(alg, t1, max_steps, bound)
@@ -397,48 +436,114 @@ def universal_localization(seq: ShortExact, max_steps: int = 16,
         if not matches:
             raise ConsistencyError(
                 "trace quotient and reflection of R disagree: internal inconsistency")
-    pres = end_ring_presentation(ru, eta)
+    lam = end_ring_presentation(ru, eta)
     dec = decompose(ru)
-    evidence = ring_evidence(ru, pres)
-    epi = homological_epi_check(ru, pres, hom_epi_degree, bound)
-    return LocalizationReport(seq, ru, tuple(dec), pres, eta, method, matches,
+    evidence = ring_evidence(ru)
+    epi = homological_epi_check(eta, lam, hom_epi_degree, bound)
+    return LocalizationReport(seq, ru, tuple(dec), lam, eta, method, matches,
                               epi, evidence)
 
 
-def ring_evidence(ru: Representation, pres: RingPresentation) -> RingEvidence:
-    """Matrix-ring style evidence: orthogonal idempotents cut out by the
-    Krull-Schmidt decomposition, their corner dimensions (1 = primitive),
-    and a scan checking that each basis element generates the whole ring as
-    a two-sided ideal."""
-    ring = pres.ring
+def _trace_quotient(t1: Representation, t0: Representation):
+    """(T0 / τ(T1, T0), projection), split along T0's recorded parts.
+
+    For T0 = ⊕_c T0_c built by ``direct_sum``, Hom(T1, T0) = ⊕_c Hom(T1, T0_c):
+    every f: T1 -> T0 has image inside ⊕_c im(f_c), and each inclusion of an
+    f_c into T0 is itself a map from T1, so τ(T1, T0) = ⊕_c τ(T1, T0_c).
+    Hence T0/τ = ⊕_c T0_c/τ(T1, T0_c), and the projection is block diagonal.
+    Each distinct part object is divided once, so copies share one quotient
+    object with its cached End and split, and a part with τ(T1, T0_c) = 0
+    is its own quotient, keeping the caches it already has.  The quotient
+    is the direct_sum of the nonzero ones, and records them as its parts.
+    A T0 with no recorded parts, or whose parts all vanish, is divided as
+    a whole."""
+    parts = t0._caches.get("parts", ())
+    divided = {}
+    for part in parts:
+        if id(part) not in divided:
+            tau = trace_submodule(t1, part)
+            divided[id(part)] = (quotient(part, tau) if tau.source.total_dim
+                                 else (part, identity_map(part)))
+    pieces = [divided[id(part)] for part in parts]
+    kept = [c for c, (q, _) in enumerate(pieces) if q.total_dim]
+    if not kept:
+        return quotient(t0, trace_submodule(t1, t0))
+    ru = direct_sum([pieces[c][0] for c in kept])
+    blocks = [[pieces[c][1] if c == k else None for k in kept] for c in range(len(parts))]
+    return ru, _assemble_block_map(t0, ru, blocks, parts, ru._caches["parts"])
+
+
+def ring_evidence(ru: Representation) -> RingEvidence:
+    """Matrix units of End(R_U), or the reason there are none.
+
+    End(R_U) is simple artinian exactly when R_U ≅ X^n for one
+    indecomposable X whose End is a division ring, and then
+    End(R_U) ≅ M_n(End X): M_n(K) for a brick X.  The units come from the
+    Krull-Schmidt split R_U = X_1 ⊕ ... ⊕ X_n with isomorphisms
+    φ_i: X_i -> X (X the first summand): e_ij = proj_i φ_i φ_j⁻¹ incl_j in
+    diagrammatic order, checked by ``check_matrix_units``.  Otherwise the
+    reason says which condition fails: more than one isomorphism class, or
+    dim End X > 1 (End X is larger than K, so End(R_U) is not M_n(K))."""
     ends = hom_space(ru, ru)
-    idem_coords = []
-    corners = []
-    if ru.total_dim:
-        parts = indecomposable_summands(ru)
-        fld = ru.algebra.field
-        for fac, incl, proj in parts:
-            # endomorphism of ru: project to the factor, include back
-            idem_map = proj.compose(incl)
-            coords = ends.coords(idem_map)
-            if ring.product(coords, coords) != tuple(coords):
-                raise ConsistencyError("decomposition projector is not idempotent")
-            idem_coords.append(tuple(coords))
-            # corner dimension e S e
-            corner_rows = []
-            for k in range(ring.dim):
-                basis_vec = tuple(fld.one() if t == k else fld.zero() for t in range(ring.dim))
-                corner_rows.append(ring.product(coords, ring.product(basis_vec, coords)))
-            corners.append(row_space(Matrix(fld, len(corner_rows), ring.dim,
-                                            tuple(corner_rows))).rows)
-    scan_ok = True
-    for k in range(ring.dim):
-        fld = ring.field
-        basis_vec = tuple(fld.one() if t == k else fld.zero() for t in range(ring.dim))
-        if ring.two_sided_ideal_dim([basis_vec]) != ring.dim:
-            scan_ok = False
-            break
-    return RingEvidence(ring.dim, tuple(idem_coords), tuple(corners), scan_ok)
+    groups = decompose(ru)
+    if len(groups) > 1:
+        return RingEvidence(ends.dim, (), f"{len(groups)} isomorphism classes of summands")
+    summands = indecomposable_summands(ru)
+    x = summands[0][0] if summands else ru
+    if hom_space(x, x).dim > 1:
+        return RingEvidence(ends.dim, (), f"dim End X = {hom_space(x, x).dim} > 1")
+    to_x, from_x = [], []
+    for fac, incl, proj in summands:
+        phi = identity_map(x) if fac is x else _invertible_map(hom_space(fac, x))
+        if phi is None:
+            raise ConsistencyError("summands of one isomorphism class are not isomorphic")
+        to_x.append(proj.compose(phi))
+        from_x.append((phi if fac is x else _inverse_map(phi)).compose(incl))
+    units = tuple(tuple(a.compose(b) for b in from_x) for a in to_x)
+    check_matrix_units(ru, units)
+    return RingEvidence(ends.dim, units, None)
+
+
+def _inverse_map(f: ModuleMap) -> ModuleMap:
+    """The inverse of an isomorphism, one solve per vertex."""
+    fld = f.source.algebra.field
+    mats = {}
+    for v, mat in f.mats.items():
+        x, _ = solve_linear_system(mat, Matrix.identity(fld, mat.rows))
+        if x is None:
+            raise ConsistencyError("map is not invertible")
+        mats[v] = x
+    # the inverse of a natural isomorphism is natural
+    return ModuleMap._trusted(f.target, f.source, mats)
+
+
+def check_matrix_units(m: Representation, units):
+    """Raise ConsistencyError unless ``units`` is an n x n grid of matrix
+    units of End(m) ≅ M_n(K): e_ij e_kl = δ_jk e_il in diagrammatic order,
+    Σ e_ii = id and dim End(m) = n².  All products come from one product of
+    the stacked e_ij by the e_kl side by side, as total matrices."""
+    fld = m.algebra.field
+    n, size = len(units), m.total_dim
+    if any(len(row) != n for row in units):
+        raise InputError("matrix units must form a square grid")
+    if hom_space(m, m).dim != n * n:
+        raise ConsistencyError(f"dim End = {hom_space(m, m).dim}, not {n}² for {n} units")
+    mats = [[e.total_matrix() for e in row] for row in units]
+    total = Matrix.zeros(fld, size, size)
+    for i in range(n):
+        total = total.add(mats[i][i])
+    if total != Matrix.identity(fld, size):
+        raise ConsistencyError("the diagonal matrix units do not sum to the identity")
+    if not n:
+        return
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    zero = Matrix.zeros(fld, size, size)
+    stacked = block_matrix(fld, [[mats[i][j]] for i, j in pairs])
+    wide = block_matrix(fld, [[mats[k][l] for k, l in pairs]])
+    expected = block_matrix(fld, [[mats[i][l] if j == k else zero for k, l in pairs]
+                                  for i, j in pairs])
+    if stacked.mul(wide) != expected:
+        raise ConsistencyError("e_ij e_kl = δ_jk e_il fails")
 
 
 # -- stratifying ideals ------------------------------------------------------------
@@ -490,13 +595,21 @@ def stratifying_ideal_check(alg: Algebra, vertices, max_degree: int = 8) -> Stra
     corner_dim = sum(1 for i in range(alg.dim)
                      if alg.path_source(i) in vset and alg.path_target(i) in vset)
     fld = alg.field
-    prods = tuple(alg.dense_row(row) for _, row in _vertex_ideal_products(alg, vertices))
-    ideal = row_space(Matrix(fld, len(prods), alg.dim, prods))
-    b = _quotient_by_vertex_ideal(alg, vertices)
+    products = tuple(_vertex_ideal_products(alg, vertices))
+    ideal = row_space(Matrix(fld, len(products), alg.dim,
+                             tuple(alg.dense_row(row) for _, row in products)))
+    b = _quotient_by_vertex_ideal(alg, products)
     section, proj = quotient_basis(ideal, alg.dim)
-    # J is a two-sided ideal, so left multiplication descends to A/J
+    # J is a two-sided ideal, so left multiplication L_i descends to A/J as
+    # section · L_i · proj.  The section's rows are the unit vectors of the
+    # free paths p, so section · L_i is the rows mult[(i, p)] of L_i.
+    one = fld.one()
+    free = [row.index(one) for row in section.entries]
+    zero = (fld.zero(),) * section.rows
     b_left = LeftModule._trusted(alg, section.rows, tuple(
-        section.mul(mat).mul(proj) for mat in left_regular_module(alg).act))
+        Matrix(fld, len(free), section.rows,
+               tuple(_combination(fld, alg.mult[(i, p)], proj.entries, zero) for p in free))
+        for i in range(alg.dim)))
     res = min_resolution(b, max(max_degree, 2) + 1, require_finite=False)
     complete = res.complete and res.length <= max_degree + 1
     # d_{max_degree+2} is known, and zero, only when the resolution is complete
@@ -529,15 +642,16 @@ def _vertex_ideal_products(alg: Algebra, vertices):
                     yield alg.path_target(q), row
 
 
-def _quotient_by_vertex_ideal(alg: Algebra, vertices) -> Representation:
+def _quotient_by_vertex_ideal(alg: Algebra, products) -> Representation:
     """A/AeA as a right module: the regular module modulo the span of the
-    products that span AeA, each at the vertex where it ends."""
+    products that span AeA (``_vertex_ideal_products``), each at the vertex
+    where it ends."""
     r = regular_module(alg)
     fld = alg.field
     tables = regular_basis_tables(alg)
     pos = {w: {b: k for k, b in enumerate(tables[w])} for w in alg.vertices}
     rows = {w: [] for w in alg.vertices}
-    for w, prod in _vertex_ideal_products(alg, vertices):
+    for w, prod in products:
         row = [fld.zero()] * r.dims[w]
         for k, c in prod:
             row[pos[w][k]] = c

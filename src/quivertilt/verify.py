@@ -72,13 +72,10 @@ def verify_cycle2(field: FieldSpec | None = None) -> ExampleReport:
               match_decomposition(loc.ru_decomposition, [(I1, 2)]),
               f"R_U dims {loc.ru_module.dim_vector()}")
         ev = loc.evidence
-        square_evidence = (ev.dim == 4 and len(ev.idempotent_coords) == 2
-                          and all(c == 1 for c in ev.primitive) and ev.ideal_scan_full)
         check("End(R_U) is a 2x2 matrix ring over the base field "
-              "(dim 4, two orthogonal primitive idempotents, trivial basis-ideal scan)",
-              square_evidence,
-              f"dim {ev.dim}, idempotents {len(ev.idempotent_coords)}, "
-              f"corners {ev.primitive}, scan {ev.ideal_scan_full}")
+              "(checked matrix units e_ij e_kl = δ_jk e_il, Σ e_ii = 1, dim 4)",
+              ev.reason is None and len(ev.units) == 2 and ev.dim == 4,
+              f"dim {ev.dim}, {len(ev.units)}x{len(ev.units)} units, reason {ev.reason}")
         check("homological epimorphism: Ext^i(R_U, R_U) = 0 for i = 1..6",
               loc.hom_epi.is_homological_epi and len(loc.hom_epi.ext_dims) == 6,
               f"ext dims {loc.hom_epi.ext_dims}, tor dims {loc.hom_epi.tor_dims}")

@@ -29,9 +29,13 @@ reference_min_resolution, the resolution that built each kernel as a
 module and covered it through its top, which covering each kernel inside
 the previous term replaced, and reference_realize_extension, the pushout
 over the whole target that pushing out only over the recorded parts the
-cocycle touches replaced.
+cocycle touches replaced, and reference_ring_presentation, End(R_U) as a
+structure-constant ring (SCRing, which left the package with it) with
+lambda checked on all basis pairs and the two-sided ideal scan, which
+matrix units and the generator-pair check of lambda replaced.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -611,11 +615,162 @@ def reference_ext_matrices(res, degree, n):
     return m_next, b_rows
 
 
+@dataclass(frozen=True)
+class SCRing:
+    """Associative unital ring: basis b_0..b_{d-1}, products
+    b_i * b_j = sum_k mult[(i, j)][k] b_k, unit coordinates.  Associativity
+    and the unit law are checked on all basis triples; ``_trusted`` skips
+    the check for rings that hold by construction."""
+
+    field: object
+    dim: int
+    labels: tuple
+    mult: dict
+    unit: tuple
+
+    def __post_init__(self):
+        from quivertilt.errors import ConsistencyError, InputError
+
+        if len(self.labels) != self.dim or len(self.unit) != self.dim:
+            raise InputError("ring presentation sizes disagree")
+        for i in range(self.dim):
+            for j in range(self.dim):
+                if (i, j) not in self.mult or len(self.mult[(i, j)]) != self.dim:
+                    raise InputError("incomplete multiplication table")
+        basis = [self.basis_vector(i) for i in range(self.dim)]
+        for ei in basis:
+            if self.product(self.unit, ei) != ei or self.product(ei, self.unit) != ei:
+                raise ConsistencyError("unit law fails")
+        for i, ei in enumerate(basis):
+            for j in range(self.dim):
+                for k, ek in enumerate(basis):
+                    if self.product(self.mult[(i, j)], ek) != self.product(ei, self.mult[(j, k)]):
+                        raise ConsistencyError("ring structure constants not associative")
+
+    @classmethod
+    def _trusted(cls, field, dim, labels, mult, unit) -> "SCRing":
+        obj = object.__new__(cls)
+        for name, value in (("field", field), ("dim", dim), ("labels", labels),
+                            ("mult", mult), ("unit", unit)):
+            object.__setattr__(obj, name, value)
+        return obj
+
+    def basis_vector(self, i: int) -> tuple:
+        fld = self.field
+        return tuple(fld.one() if k == i else fld.zero() for k in range(self.dim))
+
+    def product(self, u: tuple, w: tuple) -> tuple:
+        fld = self.field
+        out = [fld.zero()] * self.dim
+        for i, c in enumerate(u):
+            if not c:
+                continue
+            for j, d in enumerate(w):
+                if not d:
+                    continue
+                cd = fld.mul(c, d)
+                for k, e in enumerate(self.mult[(i, j)]):
+                    if e:
+                        out[k] = fld.add(out[k], fld.mul(cd, e))
+        return tuple(out)
+
+    def two_sided_ideal_dim(self, seed_vecs) -> int:
+        """Dimension of the two-sided ideal generated by the given vectors."""
+        from quivertilt.linalg import Matrix, row_space
+
+        fld = self.field
+        span = row_space(Matrix(fld, len(seed_vecs), self.dim, tuple(tuple(v) for v in seed_vecs)))
+        basis_vecs = [self.basis_vector(i) for i in range(self.dim)]
+        while True:
+            new_rows = []
+            for r in span.entries:
+                for b in basis_vecs:
+                    new_rows.append(self.product(r, b))
+                    new_rows.append(self.product(b, r))
+            bigger = row_space(span.vstack(Matrix(fld, len(new_rows), self.dim, tuple(new_rows))))
+            if bigger.rows == span.rows:
+                return span.rows
+            span = bigger
+
+
+@dataclass(frozen=True)
+class ReferenceRing:
+    ring: SCRing            # End(m) by structure constants, product = composition as functions
+    lam: tuple              # lambda on the algebra basis, End(m) coordinates
+    ideal_scan_full: bool   # every basis element generates the whole ring as a two-sided ideal
+
+
+def reference_ring_presentation(m, eta):
+    """End(m) as a structure-constant ring with lambda: A -> End(m) solved
+    from the reflection property of eta: R -> m, the route that matrix
+    units and the generator-pair check of lambda replaced: the d² table of
+    products f_j∘f_i of the hom_space(m, m) basis, lambda checked unital
+    and multiplicative on all dim(A)² basis pairs through that table, and
+    the scan that each basis element generates the whole ring as a
+    two-sided ideal."""
+    from quivertilt.errors import ConsistencyError
+    from quivertilt.linalg import Matrix, solve_linear_system
+    from quivertilt.modules import ModuleMap, _flatten_map, hom_space, identity_map
+    from quivertilt.recollement import regular_basis_tables
+
+    alg = m.algebra
+    fld = alg.field
+
+    def left_multiplication_map(r, coeffs):
+        """Left multiplication by an algebra element on the regular module,
+        as a checked right-module map."""
+        mats = {}
+        for w, rows_idx in regular_basis_tables(alg).items():
+            pos = {b: k for k, b in enumerate(rows_idx)}
+            out = [[fld.zero()] * len(rows_idx) for _ in rows_idx]
+            for rpos, p in enumerate(rows_idx):
+                for i, c in enumerate(coeffs):
+                    for k, d in (alg.mult[(i, p)] if c else ()):
+                        out[rpos][pos[k]] = fld.add(out[rpos][pos[k]], fld.mul(c, d))
+            mats[w] = Matrix(fld, len(rows_idx), len(rows_idx), tuple(tuple(x) for x in out))
+        return ModuleMap(r, r, mats)
+
+    ends = hom_space(m, m)
+    d = ends.dim
+    mult, unit = {}, ()
+    if d:
+        width = len(_flatten_map(ends.basis[0]))
+        basis_m = Matrix(fld, d, width, tuple(_flatten_map(b) for b in ends.basis))
+        maps = [fj.compose(fi) for fi in ends.basis for fj in ends.basis] + [identity_map(m)]
+        x, _ = solve_linear_system(
+            basis_m, Matrix(fld, len(maps), width, tuple(_flatten_map(f) for f in maps)))
+        assert x is not None
+        mult = {(i, j): x.entries[i * d + j] for i in range(d) for j in range(d)}
+        unit = x.entries[-1]
+    ring = SCRing._trusted(fld, d, tuple(f"f{k}" for k in range(d)), mult, unit)
+    rows = [_flatten_map(eta.compose(b)) for b in ends.basis]
+    width = len(_flatten_map(eta))
+    targets = [_flatten_map(left_multiplication_map(
+        eta.source, tuple(fld.one() if k == i else fld.zero() for k in range(alg.dim))
+    ).compose(eta)) for i in range(alg.dim)]
+    x, _ = solve_linear_system(Matrix(fld, len(rows), width, tuple(rows)),
+                               Matrix(fld, alg.dim, width, tuple(targets)))
+    assert x is not None
+    lam = x.entries
+    one = [fld.zero()] * d
+    for v in alg.vertices:
+        one = [fld.add(a, b) for a, b in zip(one, lam[alg.vertex_idempotent(v)])]
+    if tuple(one) != ring.unit:
+        raise ConsistencyError("lambda does not preserve the unit")
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            rhs = [fld.zero()] * d
+            for k, c in alg.mult[(i, j)]:
+                rhs = [fld.add(a, fld.mul(c, b)) for a, b in zip(rhs, lam[k])]
+            if ring.product(lam[i], lam[j]) != tuple(rhs):
+                raise ConsistencyError("lambda is not multiplicative")
+    scan = all(ring.two_sided_ideal_dim([ring.basis_vector(k)]) == d for k in range(d))
+    return ReferenceRing(ring, lam, scan)
+
+
 def reference_corner_ring(alg, vertices):
     """(eAe as a checked structure-constant ring, its algebra basis indices)
     for e the sum of the given vertex idempotents."""
-    from quivertilt.rings import SCRing
-
     corner, _, _ = corner_data(alg, vertices)
     fld = alg.field
     pos = {b: k for k, b in enumerate(corner)}

@@ -15,8 +15,8 @@ from quivertilt.homology import (ExtClass, _precompose_matrix, connecting_class,
 from quivertilt.linalg import Matrix, rank
 from quivertilt.modules import (cokernel, decompose, direct_sum, hom_space,
                                 is_isomorphic, quotient, socle, zero_map)
-from quivertilt.recollement import (_quotient_by_vertex_ideal, lambda_left_module,
-                                    universal_localization)
+from quivertilt.recollement import (_quotient_by_vertex_ideal, _vertex_ideal_products,
+                                    lambda_left_module, universal_localization)
 from quivertilt.tilting import TiltingCertificate, tilting_module_check
 from oracles import (oracle_tensor_dim, reference_corner_ring, reference_ext_matrices,
                      reference_min_resolution, reference_sc_tor_dims, reference_tor_dims)
@@ -427,10 +427,12 @@ def _tor_pairs(alg):
     subsets = [vs for k in range(1, len(alg.vertices))
                for vs in itertools.combinations(alg.vertices, k)]
     xs = [simple(alg, v) for v in alg.vertices] + [regular_module(alg)]
-    xs += [_quotient_by_vertex_ideal(alg, vs) for vs in subsets]
+    xs += [_quotient_by_vertex_ideal(alg, tuple(_vertex_ideal_products(alg, vs)))
+           for vs in subsets]
     ys = [left_regular_module(alg)]
     ys += [left_module_from_op_rep(alg, simple(op, v)) for v in alg.vertices]
-    ys += [left_module_from_op_rep(alg, _quotient_by_vertex_ideal(op, vs)) for vs in subsets]
+    ys += [left_module_from_op_rep(alg, _quotient_by_vertex_ideal(
+        op, tuple(_vertex_ideal_products(op, vs)))) for vs in subsets]
     return xs, ys
 
 
@@ -503,7 +505,7 @@ def test_tor_of_localization_matches_tensor_quotient_reference(name, field):
     alg = fixture_algebra(name, field)
     loc = universal_localization(TILTING_SEQUENCES[name](alg))
     ru = loc.ru_module
-    left = lambda_left_module(ru, loc.presentation)
+    left = lambda_left_module(loc.eta, loc.lam)
     assert tor_dims_range(ru, left, 4) == reference_tor_dims(ru, left, 4)
 
 

@@ -4,7 +4,9 @@ function and method is referred to by name somewhere in ``src/``,
 ``tests/`` or ``bench/`` outside its own body, every private (leading
 underscore) one somewhere in ``src/``, the arithmetic modules contain
 no true division, and no package module imports ``random`` or has a
-function parameter named ``seed``: every verdict is deterministic.
+function parameter named ``seed``: every verdict is deterministic.  Every
+operation the benchmark's tracer times by name pattern matches a package
+function, so a rename cannot silently zero a per-layer metric.
 
 Checked with the standard-library ``ast`` module only.  ``__init__.py`` is
 exempt from the import check, because its imports are the package's
@@ -21,7 +23,7 @@ PACKAGE_DIR = Path(quivertilt.__file__).parent
 # integral, so a stray ``a / b`` there would give a float; FieldSpec.inv
 # inverts without the operator.
 ARITHMETIC_MODULES = ("linalg", "algebra", "modules", "homology", "complexes",
-                      "rings", "tilting", "recollement", "verify")
+                      "tilting", "recollement", "verify")
 
 
 def unused_imports(source: str) -> list:
@@ -287,7 +289,7 @@ def test_stratifying_check_builds_no_opposite_algebra(monkeypatch):
 
 # Package modules from the bottom layer up; formats sits below verify,
 # which reads the fixtures through it.
-LAYER_ORDER = ("errors", "linalg", "algebra", "modules", "rings", "homology", "complexes",
+LAYER_ORDER = ("errors", "linalg", "algebra", "modules", "homology", "complexes",
                "tilting", "recollement", "formats", "verify", "cli")
 # Imports that go up the layer order, made inside a function so that the
 # lower module can be imported first: algebra builds its modules
@@ -321,3 +323,21 @@ def test_package_imports_go_down_the_layer_order():
             if module_level or (name, imported) not in UPWARD_FUNCTION_IMPORTS:
                 found.append(f"{name}.py:{line}: imports {imported}")
     assert not found, "imports up the layer order:\n" + "\n".join(found)
+
+
+def test_every_traced_operation_matches_a_package_function():
+    """Each pattern of ``OPS`` and ``COUNTED`` in bench/tracing.py matches a
+    function or method the tracer would wrap; one that matches nothing
+    reads 0 in every run."""
+    import importlib.util
+    import re
+
+    path = PACKAGE_DIR.parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = [name for _, _, _, name in tracing.Tracer(quivertilt)._discover()]
+    assert names
+    unmatched = [op for op, pattern in {**tracing.COUNTED, **tracing.OPS}.items()
+                 if not any(re.fullmatch(pattern, name) for name in names)]
+    assert not unmatched, f"traced operations matching no package function: {unmatched}"

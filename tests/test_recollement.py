@@ -9,15 +9,17 @@ from pathlib import Path
 import pytest
 
 import quivertilt
-from quivertilt import (GF, QQ, BoundExceeded, InputError, Representation, injective,
+from quivertilt import (GF, QQ, BoundExceeded, ConsistencyError, InputError, Matrix,
+                        ModuleMap, Representation, bongartz_complement, injective,
                         modules, projective, regular_module, simple)
 from quivertilt.complexes import (cohomology, derived_hom, hom_window,
                                   resolve_to_complex, shift)
 from quivertilt.homology import ext_dim, left_add_approximation, proj_dim
-from quivertilt.modules import (cokernel, direct_sum, hom_space,
+from quivertilt.modules import (cokernel, direct_sum, identity_map,
                                 is_isomorphic, quotient, socle,
                                 trace_submodule)
-from quivertilt.recollement import (_quotient_by_vertex_ideal, homological_epi_check,
+from quivertilt.recollement import (_quotient_by_vertex_ideal, _vertex_ideal_products,
+                                    check_matrix_units, lambda_left_module,
                                     perp_complex_membership, perp_membership,
                                     recollement_report, reflection_brick,
                                     reflection_iterative,
@@ -28,7 +30,7 @@ from quivertilt.tilting import TiltingCertificate, tilting_module_check
 from conftest import linear_algebra
 from oracles import (oracle_corner_ideal_dim, oracle_corner_tensor_dim,
                      oracle_corner_tor1_dim, reference_corner_tor_dims,
-                     reference_stratifying_verdict)
+                     reference_ring_presentation, reference_stratifying_verdict)
 
 
 # -- perpendicular categories ---------------------------------------------------
@@ -164,19 +166,16 @@ def test_localization_module(cycle2, cycle2_localization):
 
 
 def test_localization_ring_structure(cycle2_localization):
+    """End(R_U) ≅ M_2(K) for R_U ≅ I1²: four checked matrix units, e_11 and
+    e_22 orthogonal idempotents summing to the identity."""
     loc = cycle2_localization
-    ring = loc.presentation.ring
-    assert ring.dim == 4
     ev = loc.evidence
-    assert len(ev.idempotent_coords) == 2
-    assert all(c == 1 for c in ev.primitive)
-    assert ev.ideal_scan_full
-    # orthogonality of the decomposition idempotents
-    e, f = ev.idempotent_coords
-    assert not any(ring.product(e, f))
-    assert not any(ring.product(f, e))
-    one = [a + b for a, b in zip(e, f)]
-    assert tuple(one) == ring.unit
+    assert ev.dim == 4 and ev.reason is None and len(ev.units) == 2
+    check_matrix_units(loc.ru_module, ev.units)
+    (e11, e12), (e21, e22) = ev.units
+    assert e11.compose(e22).is_zero() and e22.compose(e11).is_zero()
+    assert e12.compose(e21).mats == e11.mats and e21.compose(e12).mats == e22.mats
+    assert e11.add(e22).mats == identity_map(loc.ru_module).mats
 
 
 def test_localization_lambda_is_a_ring_epimorphism(cycle2, cycle2_localization):
@@ -184,21 +183,109 @@ def test_localization_lambda_is_a_ring_epimorphism(cycle2, cycle2_localization):
     triangular-type subalgebra of the 2x2 matrix ring), but it is a ring
     epimorphism: S ⊗_R S has the dimension of S."""
     loc = cycle2_localization
-    pres = loc.presentation
     from quivertilt.homology import tor_dim
-    from quivertilt.linalg import Matrix, row_space
-    from quivertilt.recollement import lambda_left_module
-    rows = Matrix(cycle2.field, cycle2.dim, pres.ring.dim, tuple(pres.lam))
+    from quivertilt.linalg import row_space
+    rows = Matrix(cycle2.field, cycle2.dim, loc.evidence.dim, tuple(loc.lam))
     assert row_space(rows).rows == 3
-    left = lambda_left_module(loc.ru_module, pres)
-    assert tor_dim(0, loc.ru_module, left) == pres.ring.dim == 4
+    left = lambda_left_module(loc.eta, loc.lam)
+    assert tor_dim(0, loc.ru_module, left) == loc.evidence.dim == 4
 
 
-def test_localization_splits_r_u_once(cycle2, monkeypatch):
-    """decompose(R_U) and ring_evidence share one split of R_U: a whole
-    localization tries exactly the Fitting splits that one decomposition of
-    an equal, fresh R_U tries."""
-    cert = tilting_module_check(direct_sum([projective(cycle2, "2"), simple(cycle2, "2")]))
+@pytest.fixture(scope="module")
+def bongartz_localizations():
+    """(label, localization) of every Bongartz-complement tilting module
+    N ⊕ S_v with pd S_v <= 1: cycle2, triple3 and a2 over Q and GF(101),
+    hereditary and radical-square-zero A_3..A_5 over Q."""
+    algebras = [(f"{name}/{field or 'Q'}", fixture_algebra(name, field))
+                for name in ("cycle2", "triple3", "a2") for field in (None, GF(101))]
+    algebras += [(f"A{n}{'-rad2' if rad2 else ''}", linear_algebra(n, rad2))
+                 for n in (3, 4, 5) for rad2 in (False, True)]
+    out = []
+    for label, alg in algebras:
+        for v in alg.vertices:
+            s = simple(alg, v)
+            if proj_dim(s) > 1:
+                continue
+            n_mod, _, _ = bongartz_complement(s)
+            cert = tilting_module_check(direct_sum([n_mod, s]))
+            assert isinstance(cert, TiltingCertificate), (label, v)
+            out.append((f"{label}/S{v}", universal_localization(cert.sequence)))
+    return out
+
+
+def test_localization_ring_matches_structure_constant_reference(bongartz_localizations):
+    """On every Bongartz-complement localization, lambda equals the one the
+    structure-constant reference solves and checks on all basis pairs, and
+    End(R_U) gets matrix units exactly when the reference's two-sided ideal
+    scan finds every basis element generating the whole ring."""
+    assert len(bongartz_localizations) == 24
+    with_units = 0
+    for label, loc in bongartz_localizations:
+        ref = reference_ring_presentation(loc.ru_module, loc.eta)
+        ev = loc.evidence
+        assert loc.lam == ref.lam, label
+        assert ev.dim == ref.ring.dim, label
+        assert (ev.reason is None) == ref.ideal_scan_full, label
+        if ev.reason is None:
+            assert len(ev.units) ** 2 == ev.dim, label
+            with_units += 1
+    assert with_units == 4
+
+
+def test_changed_matrix_unit_entry_is_rejected(bongartz_localizations):
+    """Changing any one entry of any one e_ij breaks the checked relations."""
+    mutated = 0
+    for _, loc in bongartz_localizations:
+        units = loc.evidence.units
+        for i, j in itertools.product(range(len(units)), repeat=2):
+            e = units[i][j]
+            fld = e.source.algebra.field
+            for v, mat in e.mats.items():
+                for r, c in itertools.product(range(mat.rows), range(mat.cols)):
+                    entries = [list(row) for row in mat.entries]
+                    entries[r][c] = fld.add(entries[r][c], fld.one())
+                    changed = ModuleMap._trusted(e.source, e.target, {
+                        **e.mats, v: Matrix(fld, mat.rows, mat.cols,
+                                            tuple(tuple(row) for row in entries))})
+                    grid = [list(row) for row in units]
+                    grid[i][j] = changed
+                    with pytest.raises(ConsistencyError):
+                        check_matrix_units(loc.ru_module, grid)
+                    mutated += 1
+    assert mutated > 0
+
+
+def test_changed_lambda_entry_on_an_arrow_is_rejected(bongartz_localizations):
+    """Changing any one End(R_U) coordinate of lambda on any arrow is
+    rejected by the generator checks of lambda_left_module."""
+    mutated = 0
+    for _, loc in bongartz_localizations:
+        alg = loc.ru_module.algebra
+        fld = alg.field
+        lambda_left_module(loc.eta, loc.lam)
+        for name, _, _ in alg.quiver.arrows:
+            a = alg.basis_index_of_arrow(name)
+            for k in range(len(loc.lam[a])):
+                lam = list(loc.lam)
+                lam[a] = tuple(fld.add(x, fld.one()) if t == k else x
+                               for t, x in enumerate(lam[a]))
+                with pytest.raises(ConsistencyError):
+                    lambda_left_module(loc.eta, tuple(lam))
+                mutated += 1
+    assert mutated > 0
+
+
+def test_localization_splits_r_u_along_t0_parts(triple3, monkeypatch):
+    """R_U is the direct sum of the nonzero quotients T0_c / τ(T1, T0_c) of
+    T0's recorded parts, one quotient object per distinct part object, so a
+    whole localization tries fewer Fitting splits than one decomposition of
+    an equal, fresh R_U."""
+    r = regular_module(triple3)
+    tchar = direct_sum([projective(triple3, "1"), projective(triple3, "2"),
+                        simple(triple3, "1")])
+    f, _ = left_add_approximation(r, tchar)
+    t1_mod, _ = cokernel(f)
+    seq = tilting_module_check(direct_sum([f.target, t1_mod])).sequence
     tried = []
     fitting_split = modules._fitting_split
 
@@ -207,12 +294,20 @@ def test_localization_splits_r_u_once(cycle2, monkeypatch):
         return fitting_split(m, f)
 
     monkeypatch.setattr(modules, "_fitting_split", counting_split)
-    ru = universal_localization(cert.sequence).ru_module
+    ru = universal_localization(seq).ru_module
     in_localization = len(tried)
+    t0_parts, ru_parts = seq.mid._caches["parts"], ru._caches["parts"]
+    kept = [q for q in (quotient(part, trace_submodule(seq.right, part))[0]
+                        for part in t0_parts) if q.total_dim]
+    assert [q.dims for q in ru_parts] == [q.dims for q in kept]
+    assert len(ru_parts) == len(t0_parts) == 3
+    assert all((a is b) == (c is d) for (a, c), (b, d)
+               in itertools.combinations(zip(t0_parts, ru_parts), 2))
+    assert any(a is b for a, b in itertools.combinations(ru_parts, 2))
     tried.clear()
-    fresh = Representation(cycle2, ru.dims, ru.arrow_mats)
-    assert len(modules.indecomposable_summands(fresh)) == 2
-    assert tried and in_localization == len(tried)
+    fresh = Representation(triple3, ru.dims, ru.arrow_mats)
+    assert len(modules.indecomposable_summands(fresh)) == 3
+    assert in_localization < len(tried)
 
 
 def test_localization_regular_tilting_is_identity_like(cycle2):
@@ -334,7 +429,7 @@ def test_stratifying_verdict_at_pd_minus_one_equals_verdict_at_pd(all_algebras):
     seen = 0
     for name, alg in algebras.items():
         for vs in _proper_vertex_subsets(alg):
-            p = proj_dim(_quotient_by_vertex_ideal(alg, vs))
+            p = proj_dim(_quotient_by_vertex_ideal(alg, tuple(_vertex_ideal_products(alg, vs))))
             if p < 2:
                 continue
             short = stratifying_ideal_check(alg, vs, max_degree=p - 1)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from quivertilt import (QQ, Matrix, bongartz_complement, decompose,
                         direct_sum, hom_space, injective, projective, regular_module,
-                        run_example, simple, tilting_module_check)
+                        run_example, simple, tilting_module_check, universal_localization)
 from quivertilt.formats import parse_algebra_text
 from conftest import linear_algebra, tilting_summary
 
@@ -29,6 +29,14 @@ def _verdicts():
     for name in ("cycle2", "triple3", "a2-bongartz"):
         rep = run_example(name)
         out.append((name, rep.passed, tuple((c.name, c.passed) for c in rep.checks)))
+    for n in (3, 4):
+        alg = linear_algebra(n)
+        for v in alg.vertices:
+            s_v = simple(alg, v)
+            n_mod, _, _ = bongartz_complement(s_v)
+            loc = universal_localization(tilting_module_check(direct_sum([n_mod, s_v])).sequence)
+            out.append((loc.ru_module.dim_vector(), loc.evidence.reason,
+                        loc.hom_epi.is_homological_epi))
     square = parse_algebra_text(SQUARE)
     for alg in (linear_algebra(3), linear_algebra(4), square):
         vs = alg.vertices

@@ -1,16 +1,17 @@
-"""Modules, maps, left modules and endomorphism rings the library derives
-from checked inputs are built with ``_trusted`` and skip the checks of
-``__post_init__``, and ``opposite_algebra`` skips the associativity check
-of a table that is the transpose of a verified one.  Building every one of
-them through the validating constructors instead must give the same
-verdicts: a trusted site that produced an invalid module, map, ring or
-algebra would raise here."""
+"""Modules, maps and left modules the library derives from checked inputs
+are built with ``_trusted`` and skip the checks of ``__post_init__``, and
+``opposite_algebra`` skips the associativity check of a table that is the
+transpose of a verified one.  Building every one of them through the
+validating constructors instead must give the same verdicts: a trusted
+site that produced an invalid module, map, left module or algebra would
+raise here.  Every left module through lambda: R -> End(R_U) is among
+them, so the full action law runs on each."""
 
 import itertools
 import sys
 
 import quivertilt.algebra
-from quivertilt import (GF, QQ, LeftModule, ModuleMap, Representation, SCRing,
+from quivertilt import (GF, QQ, LeftModule, ModuleMap, Representation,
                         bongartz_complement, direct_sum, injective,
                         left_regular_module, recollement_report, regular_module,
                         run_example, simple, stratifying_ideal_check,
@@ -26,18 +27,19 @@ def _verdicts():
         for field in (None, GF(101)):
             rep = run_example(name, field=field)
             out.append((name, rep.passed, tuple((c.name, c.passed) for c in rep.checks)))
-    for rad2 in (False, True):
-        alg = linear_algebra(3, rad2, GF(101) if rad2 else QQ)
+    for n, rad2 in ((3, False), (3, True), (4, True)):
+        alg = linear_algebra(n, rad2, GF(101) if rad2 else QQ)
         dual = direct_sum([injective(alg, v) for v in alg.vertices])
         out.append(tilting_summary(tilting_module_check(regular_module(alg))))
         out.append(tilting_summary(tilting_module_check(dual)))
-        for v in ("2", "3"):
+        for v in (str(n - 1), str(n)):
             s_v = simple(alg, v)
             n_mod, _, cert = bongartz_complement(s_v)
             rep = recollement_report(direct_sum([n_mod, s_v]))
             out.append((n_mod.dim_vector(), tilting_summary(cert),
                         rep.localization.reflection_method, rep.orthogonality_ok,
-                        rep.t2_exceptional, rep.t2_matches_ru, rep.corollary_zero))
+                        rep.t2_exceptional, rep.t2_matches_ru, rep.corollary_zero,
+                        rep.localization.evidence.reason))
     for name in ("a2", "kron2", "cycle2", "triple3"):
         for field in (None, GF(3), GF(101)):
             alg = fixture_algebra(name, field)
@@ -68,10 +70,6 @@ def test_trusted_sites_pass_the_full_checks(monkeypatch):
         built.append(cls)
         return ModuleMap(source, target, mats)
 
-    def validating_ring(cls, field, dim, labels, mult, unit):
-        built.append(cls)
-        return SCRing(field, dim, labels, mult, unit)
-
     def validating_left(cls, algebra, dim, act):
         built.append(cls)
         return LeftModule(algebra, dim, act)
@@ -86,7 +84,6 @@ def test_trusted_sites_pass_the_full_checks(monkeypatch):
 
     monkeypatch.setattr(Representation, "_trusted", classmethod(validating_rep))
     monkeypatch.setattr(ModuleMap, "_trusted", classmethod(validating_map))
-    monkeypatch.setattr(SCRing, "_trusted", classmethod(validating_ring))
     monkeypatch.setattr(LeftModule, "_trusted", classmethod(validating_left))
     for name, mod in list(sys.modules.items()):
         if (name.startswith("quivertilt")
@@ -94,5 +91,4 @@ def test_trusted_sites_pass_the_full_checks(monkeypatch):
             monkeypatch.setattr(mod, "opposite_algebra", verified_opposite)
     assert _verdicts() == expected
     assert built.count(Representation) > 1000 and built.count(ModuleMap) > 1000
-    assert built.count(SCRing) >= 8
     assert built.count(LeftModule) >= 24 and built.count("opposite") >= 12

@@ -12,10 +12,11 @@ from dataclasses import dataclass, field as _dc_field
 
 from .algebra import Algebra
 from .errors import ConsistencyError, DimensionMismatch, InputError
-from .linalg import Matrix, quotient_basis, row_space, solve_linear_system, solve_right_kernel
+from .linalg import Matrix, row_space, solve_linear_system, solve_right_kernel
 from .modules import (ModuleMap, Representation, _assemble_block_map, _same_module, identity_map,
                       quotient, submodule_from_rows, zero_map)
-from .homology import (DEFAULT_RESOLUTION_BOUND, ProjSum, Resolution, _gen_rows, _precompose_matrix,
+from .homology import (DEFAULT_RESOLUTION_BOUND, ProjSum, Resolution, _class_coords,
+                       _cocycles_mod_coboundaries, _gen_rows, _precompose_matrix,
                        _same_gen_rows, _split_gen_vector, gen_coords, hom_from_gens, min_resolution,
                        proj_sum)
 
@@ -352,16 +353,7 @@ class DerivedHomSpace:
         """Coordinates of the homotopy class of f in the chosen basis."""
         if self.dim == 0:
             return ()
-        Z = self._data["Z"]
-        proj = self._data["proj"]
-        layout = self._data["layout"]
-        flat = _flatten_chain(f, layout)
-        fld = Z.field
-        c = Matrix(fld, 1, Z.cols, (flat,))
-        yv, _ = solve_linear_system(Z, c)
-        if yv is None:
-            raise ConsistencyError("chain map outside the chain-map space")
-        return yv.mul(proj).entries[0]
+        return _class_coords(self._data, _flatten_chain(f, self._data["layout"]))
 
     def combo(self, coeffs) -> ChainMap:
         out = zero_chain_map(self.x, self.target)
@@ -458,16 +450,9 @@ def derived_hom(x: PerfectComplex, y: PerfectComplex, n: int) -> DerivedHomSpace
                        _precompose_matrix(x.diffs[j], x.terms[j], x.terms[i], yt[j].rep), fld.add)
     B = row_space(Matrix(fld, h_total, total, tuple(tuple(r) for r in brows))) if h_total \
         else Matrix.zeros(fld, 0, total)
-    Y, _ = solve_linear_system(Z, B)
-    if Y is None:
-        raise ConsistencyError("null-homotopic maps escaped the chain-map space")
-    section, proj = quotient_basis(Y, Z.rows)
-    space = DerivedHomSpace(x, y, n, section.rows)
-    space._data["Z"] = Z
-    space._data["proj"] = proj
-    space._data["layout"] = layout
-    space._data["section"] = section
-    return space
+    data = {"layout": layout}
+    section = data["section"] = _cocycles_mod_coboundaries(Z, B, data)
+    return DerivedHomSpace(x, y, n, section.rows, _data=data)
 
 
 def cohomology(x: PerfectComplex, n: int) -> Representation:

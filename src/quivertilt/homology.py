@@ -16,8 +16,9 @@ from .errors import BoundExceeded, ConsistencyError, InputError
 from .linalg import (Matrix, quotient_basis, rank, row_space, rref, solve_linear_system,
                      solve_right_kernel)
 from .modules import (HomSpace, ModuleMap, Representation, _assemble_block_map, _block_maps,
-                      _flatten_map, decompose, direct_sum, direct_sum_with_maps, hom_space,
-                      identity_map, image, quotient, submodule_from_rows, zero_map)
+                      _endo_radical, _entry_count, _flatten_map, decompose, direct_sum,
+                      direct_sum_with_maps, hom_space, identity_map, image, quotient,
+                      submodule_from_rows, zero_map)
 
 DEFAULT_RESOLUTION_BOUND = 32
 
@@ -326,15 +327,30 @@ class ExtSpace:
     def class_coords(self, f: ModuleMap) -> tuple:
         if self.dim == 0:
             return ()
-        Z = self._data["Z"]
-        proj = self._data["proj"]
-        psum = self.resolution.terms[self.degree]
-        fld = psum.algebra.field
-        c = Matrix(fld, 1, Z.cols, (gen_coords(psum, f),))
-        y, _ = solve_linear_system(Z, c)
-        if y is None:
-            raise ConsistencyError("map is not a cocycle")
-        return y.mul(proj).entries[0]
+        return _class_coords(self._data, gen_coords(self.resolution.terms[self.degree], f))
+
+
+def _cocycles_mod_coboundaries(Z: Matrix, B: Matrix, data: dict) -> Matrix:
+    """Section of span(Z) / span(B), coset representatives in Z's
+    coordinates: B, which must lie in span(Z), is solved in those
+    coordinates and the quotient taken there.  Z and the quotient map are
+    stored in data for _class_coords."""
+    Y, _ = solve_linear_system(Z, B)
+    if Y is None:
+        raise ConsistencyError("coboundaries escaped the cocycle space")
+    section, data["proj"] = quotient_basis(Y, Z.rows)
+    data["Z"] = Z
+    return section
+
+
+def _class_coords(data: dict, flat) -> tuple:
+    """Coordinates of the class of the cocycle with coordinates flat, in
+    the quotient basis _cocycles_mod_coboundaries stored in data."""
+    Z = data["Z"]
+    y, _ = solve_linear_system(Z, Matrix(Z.field, 1, Z.cols, (flat,)))
+    if y is None:
+        raise ConsistencyError("not a cocycle")
+    return y.mul(data["proj"]).entries[0]
 
 
 def ext(degree: int, m: Representation, n: Representation,
@@ -364,21 +380,11 @@ def ext(degree: int, m: Representation, n: Representation,
         B = row_space(_precompose_matrix(res.diffs[degree - 1], pk, res.terms[degree - 1], n))
     else:
         B = Matrix.zeros(fld, 0, nvars)
-    # express B inside Z and take the quotient
-    Y, _ = solve_linear_system(Z, B)
-    if Y is None:
-        raise ConsistencyError("coboundaries escaped the cocycle space")
-    section, proj = quotient_basis(Y, Z.rows)
-    reps = section.mul(Z)
-    classes = []
-    for r in range(reps.rows):
-        images = _split_gen_vector(pk, n, reps.entries[r])
-        cocycle = hom_from_gens(pk, n, images)
-        classes.append(ExtClass(res, degree, n, cocycle))
-    space = ExtSpace(res, degree, n, reps.rows, tuple(classes))
-    space._data["Z"] = Z
-    space._data["proj"] = proj
-    return space
+    data = {}
+    reps = _cocycles_mod_coboundaries(Z, B, data).mul(Z)
+    classes = tuple(ExtClass(res, degree, n, hom_from_gens(pk, n, _split_gen_vector(pk, n, row)))
+                    for row in reps.entries)
+    return ExtSpace(res, degree, n, reps.rows, classes, _data=data)
 
 
 def _split_gen_vector(psum: ProjSum, n: Representation, flat):
@@ -674,50 +680,21 @@ def connecting_class(ses: ShortExact, space: ExtSpace) -> tuple:
 
 
 def _resolution_power(res: Resolution, k: int) -> Resolution:
-    """Direct sum of k copies of a resolution (resolving m^k)."""
+    """Direct sum of k copies of a resolution (resolving m^k).  proj_sum of
+    the generators repeated k times lays each vertex out as k consecutive
+    copies of the single term, as direct_sum does, so every map is block
+    diagonal."""
     alg = res.module.algebra
-    msum, _, _ = direct_sum_with_maps([res.module] * k)
+    msum = direct_sum([res.module] * k)
     terms = [proj_sum(alg, t.gens * k) for t in res.terms]
-    diffs = []
-    for i, d in enumerate(res.diffs):
-        src_new, tgt_new = terms[i + 1], terms[i]
-        images = []
-        for copy in range(k):
-            for j, (v, row_idx) in enumerate(res.terms[i + 1].gen_pos):
-                row = d.mats[v].entries[row_idx]
-                # embed into the copy-th block of tgt_new
-                images.append(_embed_block(res.terms[i], tgt_new, copy, v, row))
-        diffs.append(hom_from_gens(src_new, tgt_new.rep, images))
-    aug_images = []
-    for copy in range(k):
-        for j, (v, row_idx) in enumerate(res.terms[0].gen_pos):
-            row = res.augment.mats[v].entries[row_idx]
-            aug_images.append(_embed_module_block(res.module, msum, copy, v, row))
-    augment = hom_from_gens(terms[0], msum, aug_images)
+
+    def power(d: ModuleMap, src: Representation, tgt: Representation) -> ModuleMap:
+        blocks = [[d if a == b else None for b in range(k)] for a in range(k)]
+        return _assemble_block_map(src, tgt, blocks, [d.source] * k, [d.target] * k)
+
+    diffs = [power(d, terms[i + 1].rep, terms[i].rep) for i, d in enumerate(res.diffs)]
+    augment = power(res.augment, terms[0].rep, msum)
     return Resolution(msum, tuple(terms), tuple(diffs), augment, res.complete)
-
-
-def _embed_block(tgt_single: ProjSum, tgt_new: ProjSum, copy: int, v, row):
-    """Row vector over tgt_single.rep at vertex v, embedded in copy-th block
-    of tgt_new (whose gens are tgt_single.gens repeated)."""
-    fld = tgt_single.algebra.field
-    out = [fld.zero()] * tgt_new.rep.dims[v]
-    base = len(tgt_single.gens) * copy
-    idx_map = {}
-    for pos, (j, i) in enumerate(tgt_new.layout[v]):
-        idx_map[(j, i)] = pos
-    for pos, (j, i) in enumerate(tgt_single.layout[v]):
-        out[idx_map[(j + base, i)]] = row[pos]
-    return tuple(out)
-
-
-def _embed_module_block(single: Representation, total: Representation, copy: int, v, row):
-    fld = single.algebra.field
-    out = [fld.zero()] * total.dims[v]
-    off = single.dims[v] * copy
-    for i, c in enumerate(row):
-        out[off + i] = c
-    return tuple(out)
 
 
 def universal_extension(m: Representation, x: Representation,
@@ -821,63 +798,53 @@ def _end_generating_classes(m, space, end: HomSpace):
 
 
 def left_add_approximation(x: Representation, t: Representation):
-    """Minimal left add(t)-approximation of x.
+    """Minimal left add(t)-approximation of x (Auslander–Smalø).
 
-    Returns (f, summand_tags) where f: x -> T0 is the approximation, T0 the
-    direct sum of the tagged indecomposable summands of t, and every
-    morphism x -> t' with t' in add(t) factors through f.
+    Returns (f, summand_tags): f: x -> T0, T0 the direct sum of the tagged
+    factors T_j of decompose(t), and every map x -> t' in add(t) factors
+    through f.  T0 has one copy of T_j per Hom(x, T_j) basis map
+    independent modulo rad(x, T_j) and the earlier kept maps.
 
-    The canonical map has one copy c of T_{j_c} for each basis map
-    b_c: x -> T_{j_c}.  Since Hom(T0, T_j) = ⊕_c Hom(T_{j_c}, T_j), a map
-    x -> T_j factors through f exactly when it lies in the span of the
-    composites b_c then h, h in Hom(T_{j_c}, T_j), over the copies in T0.
-    So f is an approximation when these rows span Hom(x, T_j) for every j;
-    each Hom(T_i, T_j) and each composite is computed once.  Minimality is
-    certified by this span test after every attempted removal of a copy.
-    The test is monotone in the kept copies (removing one only shrinks the
-    spans), so a removal refused against some kept set stays refused
-    against every smaller one, and a single pass from the last copy to the
-    first leaves a set from which no copy can be removed.
+    - The T_j are pairwise non-isomorphic indecomposables, so
+      rad(T_i, T_j) = Hom(T_i, T_j) for i != j, and
+      rad(x, T_j) = Σ_i Hom(x, T_i)·rad(T_i, T_j).
+    - rad(add t) is nilpotent, so maps generating each Hom(x, T_j) modulo
+      rad(x, T_j) generate it: f is an approximation.
+    - The kept maps are independent modulo the radical: f is minimal.
+
+    Checked: the kept copies' composites with each Hom(T_i, T_j) span
+    every Hom(x, T_j).
     """
     fld = x.algebra.field
     factors = [fac for fac, _ in decompose(t)]
     hom_bases = [hom_space(x, fac) for fac in factors]
     between = [[hom_space(a, b) for b in factors] for a in factors]
-    copies = [(j, b) for j, hs in enumerate(hom_bases) for b in hs.basis]
-    # through[c][j]: flattened composites b_c then h, h in Hom(T_{j_c}, T_j)
-    through = [[[_flatten_map(b.compose(h)) for h in between[jc][j].basis]
-                for j in range(len(factors))]
-               for jc, b in copies]
 
-    def spans(kept) -> bool:
-        for j, hs in enumerate(hom_bases):
-            if hs.dim == 0:
-                continue
-            rows = [r for c in kept for r in through[c][j]]
-            if len(rows) < hs.dim:
-                return False
-            if rank(Matrix(fld, len(rows), len(rows[0]), tuple(rows))) != hs.dim:
-                return False
-        return True
+    def composites(i, j, maps) -> list:
+        return [_flatten_map(b.compose(h)) for b in maps for h in between[i][j].basis]
 
-    kept = list(range(len(copies)))
-    if not spans(kept):
-        raise ConsistencyError("canonical map is not a left approximation")
-    for idx in range(len(copies) - 1, -1, -1):
-        trial = [c for c in kept if c != idx]
-        if spans(trial):
-            kept = trial
-    return _assemble_approx(x, factors, [copies[c] for c in kept])
+    def stacked(j, rows) -> Matrix:
+        return Matrix(fld, len(rows), _entry_count(x, factors[j]), tuple(rows))
 
-
-def _assemble_approx(x, factors, copies):
-    alg = x.algebra
+    copies = []
+    for j, hs in enumerate(hom_bases):
+        if hs.dim == 0:
+            continue
+        # rad(x, T_j), then the basis: keep the basis rows independent of those above
+        rad = [r for i, hi in enumerate(hom_bases) if i != j for r in composites(i, j, hi.basis)]
+        if between[j][j].dim > 1:
+            rad += [_flatten_map(b.compose(r)) for b in hs.basis for r in _endo_radical(factors[j])]
+        _, pivots = rref(stacked(j, rad + [_flatten_map(b) for b in hs.basis]).transpose())
+        copies += [(j, hs.basis[p - len(rad)]) for p in pivots if p >= len(rad)]
+    for j, hs in enumerate(hom_bases):
+        if hs.dim == 0:
+            continue
+        rows = [r for i in range(len(factors))
+                for r in composites(i, j, [b for jc, b in copies if jc == i])]
+        if rank(stacked(j, rows)) != hs.dim:
+            raise ConsistencyError("minimal map is not a left approximation")
     if not copies:
-        z = zero_module(alg)
-        return zero_map(x, z), ()
+        return zero_map(x, zero_module(x.algebra)), ()
     summands = [factors[j] for j, _ in copies]
-    total, incls, _ = direct_sum_with_maps(summands)
-    f = zero_map(x, total)
-    for (j, b), inc in zip(copies, incls):
-        f = f.add(b.compose(inc))
+    f = _assemble_block_map(x, direct_sum(summands), [[b for _, b in copies]], [x], summands)
     return f, tuple(j for j, _ in copies)

@@ -673,32 +673,37 @@ def _trace_form_valid(m: Representation) -> bool:
     return fld.kind != "prime-field" or fld.characteristic > m.total_dim
 
 
-def _endo_radical_dim(m: Representation, hs: HomSpace) -> int:
-    """dim of End(m)/rad End(m) via the trace form (Dickson).
+def _endo_radical(m: Representation) -> tuple:
+    """Basis of rad End(m), memoized in m's cache: () for a brick, and
+    otherwise the kernel of Dickson's trace form tr(ab) on End(m).
 
-    Valid in characteristic 0 and over F_p with p > total dimension of m;
-    smaller primes are rejected.
+    The trace form is valid in characteristic 0 and over F_p with p > dim m;
+    a non-brick over a smaller prime raises InputError.
     """
+    rad = m._caches.get("radical")
+    if rad is not None:
+        return rad
     fld = m.algebra.field
-    n = m.total_dim
-    if not _trace_form_valid(m):
+    hs = hom_space(m, m)
+    if hs.dim == 1:
+        rad = ()
+    elif not _trace_form_valid(m):
         raise InputError(
-            f"endomorphism radical over GF({fld.characteristic}) with module dimension {n} "
-            "is outside the supported range (need p > dim)")
-    mats = [b.total_matrix() for b in hs.basis]
-    gram = []
-    for a in mats:
-        row = []
-        for b in mats:
-            prod = a.mul(b)
+            f"endomorphism radical over GF({fld.characteristic}) with module dimension "
+            f"{m.total_dim} is outside the supported range (need p > dim)")
+    else:
+        def trace(f: ModuleMap):
             tr = fld.zero()
-            for i in range(prod.rows):
-                tr = fld.add(tr, prod.entries[i][i])
-            row.append(tr)
-        gram.append(tuple(row))
-    g = Matrix(fld, len(mats), len(mats), tuple(gram))
-    rad_dim = len(mats) - rank(g)
-    return hs.dim - rad_dim
+            for v, d in m.dims.items():
+                for i in range(d):
+                    tr = fld.add(tr, f.mats[v].entries[i][i])
+            return tr
+
+        gram = tuple(tuple(trace(a.compose(b)) for b in hs.basis) for a in hs.basis)
+        ker = solve_right_kernel(Matrix(fld, hs.dim, hs.dim, gram))
+        rad = tuple(hs.combo(row) for row in ker.entries)
+    m._caches["radical"] = rad
+    return rad
 
 
 def _further_candidates(hs: HomSpace):
@@ -774,13 +779,13 @@ def _split_summands(m: Representation):
     if hs.dim == 1:
         return [(m, identity_map(m), identity_map(m))]
     split = _first_split(m, hs.basis)
-    if split is None and _trace_form_valid(m) and _endo_radical_dim(m, hs) == 1:
+    if split is None and _trace_form_valid(m) and hs.dim - len(_endo_radical(m)) == 1:
         return [(m, identity_map(m), identity_map(m))]
     if split is None:
         split = _first_split(m, _further_candidates(hs))
     if split is None:
         if not _trace_form_valid(m):
-            _endo_radical_dim(m, hs)  # p <= dim: the trace form raises InputError
+            _endo_radical(m)  # p <= dim: the trace form raises InputError
         raise ConsistencyError(
             "could not certify indecomposability: End/rad has dimension > 1 "
             "but no Fitting split was found")

@@ -21,7 +21,7 @@ of A/AeA over A; no corner ring and no opposite algebra is built.
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, regular_module, zero_module
+from .algebra import Algebra, regular_module
 from .complexes import (ChainMap, PerfectComplex, cohomology, derived_hom,
                         hom_window, is_exceptional, mapping_cone,
                         resolve_to_complex, shift_chain_map,
@@ -426,22 +426,24 @@ def universal_localization(seq: ShortExact, max_steps: int = 16,
     eta = seq.incl.compose(proj)
     # reflection cross-check
     q, _, method = reflect_regular(alg, t1, max_steps, bound)
-    concentrated = all(cohomology(q, n).total_dim == 0
-                       for n in (range(q.lo, q.hi + 1) if not q.is_zero_complex() else [])
-                       if n != 0)
-    matches = False
-    if concentrated:
-        h0 = cohomology(q, 0) if not q.is_zero_complex() else zero_module(alg)
-        matches = is_isomorphic(h0, ru)
-        if not matches:
-            raise ConsistencyError(
-                "trace quotient and reflection of R disagree: internal inconsistency")
+    h0 = _concentrated_h0(q)
+    matches = h0 is not None
+    if matches and not is_isomorphic(h0, ru):
+        raise ConsistencyError(
+            "trace quotient and reflection of R disagree: internal inconsistency")
     lam = end_ring_presentation(ru, eta)
     dec = decompose(ru)
     evidence = ring_evidence(ru)
     epi = homological_epi_check(eta, lam, hom_epi_degree, bound)
     return LocalizationReport(seq, ru, tuple(dec), lam, eta, method, matches,
                               epi, evidence)
+
+
+def _concentrated_h0(q: PerfectComplex):
+    """H^0(q) when q has no cohomology in any other degree, else None."""
+    if any(cohomology(q, n).total_dim for n in range(q.lo, q.hi + 1) if n != 0):
+        return None
+    return cohomology(q, 0)
 
 
 def _trace_quotient(t1: Representation, t0: Representation):
@@ -701,11 +703,8 @@ def recollement_report(t: Representation, max_steps: int = 16,
     t2_exc = is_exceptional(q)
     t2_matches = None
     if t2_exc:
-        h = cohomology(q, 0) if not q.is_zero_complex() else zero_module(alg)
-        conc = all(cohomology(q, n).total_dim == 0
-                   for n in (range(q.lo, q.hi + 1) if not q.is_zero_complex() else [])
-                   if n != 0)
-        t2_matches = conc and is_isomorphic(h, loc.ru_module)
+        h0 = _concentrated_h0(q)
+        t2_matches = h0 is not None and is_isomorphic(h0, loc.ru_module)
         if not t2_matches:
             raise ConsistencyError("exceptional q(R) does not match R_U")
     cor_zero = hom_space(t1, t0).dim == 0

@@ -476,7 +476,7 @@ def reference_summands(m, seed=0):
     from quivertilt.errors import ConsistencyError
     from quivertilt.linalg import rank
     from quivertilt.linalg import Matrix, solve_linear_system
-    from quivertilt.modules import (ModuleMap, _endo_radical_dim, hom_space, identity_map,
+    from quivertilt.modules import (ModuleMap, _endo_radical, hom_space, identity_map,
                                     image, kernel)
 
     def split_projection(part_incl, other_incl):
@@ -536,7 +536,7 @@ def reference_summands(m, seed=0):
             for fac, sub_incl, sub_proj in reference_summands(part_incl.source, seed):
                 out.append((fac, sub_incl.compose(part_incl), part_proj.compose(sub_proj)))
         return out
-    if _endo_radical_dim(m, hs) == 1:
+    if hs.dim - len(_endo_radical(m)) == 1:
         return [(m, identity_map(m), identity_map(m))]
     raise ConsistencyError("no Fitting split found and End/rad has dimension > 1")
 

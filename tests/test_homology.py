@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from quivertilt import (GF, BoundExceeded, InputError, Representation, injective,
+from quivertilt import (GF, BoundExceeded, ConsistencyError, InputError, Representation, injective,
                         opposite_algebra, projective, regular_module, simple,
                         zero_module)
 from quivertilt.formats import fixture_algebra
@@ -653,8 +653,9 @@ def _rebased(m):
 def _approx_cases():
     """(x, t) pairs: the T's of the approximation tests above and of the
     worked examples, then T = R, T = D(A) and Bongartz's N ⊕ S_v on A_3 and
-    A_4, hereditary over Q and radical-square-zero over GF(101), each also
-    approximating R in another basis."""
+    A_4, hereditary over Q and radical-square-zero over GF(101), and T = R
+    and T = D(A) on hereditary A_5 over Q and radical-square-zero A_5 and
+    A_6 over GF(101), each also approximating R in another basis."""
     from conftest import linear_algebra
     from quivertilt import GF, QQ
     from quivertilt.formats import fixture_algebra
@@ -688,6 +689,13 @@ def _approx_cases():
                              (f"N+S{v}", bongartz(simple(alg, str(v))))):
                 cases += [(f"{name}/R/{tname}", r, t),
                           (f"{name}/rebased R/{tname}", _rebased(r), t)]
+    for n, rad2, fld in ((5, False, QQ), (5, True, GF(101)), (6, True, GF(101))):
+        alg = linear_algebra(n, rad2, fld)
+        r = regular_module(alg)
+        name = f"A{n}/{'rad2' if rad2 else 'hered'}"
+        for tname, t in (("R", r), ("DA", direct_sum([injective(alg, w) for w in alg.vertices]))):
+            cases += [(f"{name}/R/{tname}", r, t),
+                      (f"{name}/rebased R/{tname}", _rebased(r), t)]
     return cases
 
 
@@ -702,25 +710,73 @@ def test_approximation_matches_greedy_reference():
         assert f.target.arrow_mats == ref_f.target.arrow_mats, name
 
 
+def test_approximation_cases_reach_a_factor_with_a_radical():
+    """Some factor T_j has dim End(T_j) > 1, so the rows b·r with r in
+    rad End(T_j) take part in the selection."""
+    assert any(hom_space(fac, fac).dim > 1
+               for _, _, t in _approx_cases() for fac, _ in decompose(t))
+
+
+def test_dropping_any_kept_copy_fails_the_span_certificate(monkeypatch):
+    """The kept basis maps of each factor are the trailing pivots of its
+    selection; dropping any one of them must make the span check raise."""
+    import quivertilt.homology as homology
+    from quivertilt.linalg import rref
+    cases = [c for c in _approx_cases() if c[0].split("/")[0] in ("cycle2", "triple3", "A4")]
+    for name, x, t in cases:
+        _, tags = left_add_approximation(x, t)
+        # one selection per factor j with Hom(x, T_j) != 0, in order
+        order = [j for j, (fac, _) in enumerate(decompose(t)) if hom_space(x, fac).dim]
+        for drop in range(len(tags)):
+            calls = []
+
+            def dropping(m):
+                reduced, pivots = rref(m)
+                j = order[len(calls)]
+                calls.append(j)
+                mine = [c for c, tag in enumerate(tags) if tag == j]
+                if drop in mine:
+                    pos = len(pivots) - len(mine) + mine.index(drop)
+                    pivots = pivots[:pos] + pivots[pos + 1:]
+                return reduced, pivots
+
+            monkeypatch.setattr(homology, "rref", dropping)
+            with pytest.raises(ConsistencyError):
+                left_add_approximation(x, t)
+            monkeypatch.undo()
+            assert calls, name
+
+
 def test_approximation_solves_each_hom_space_once(monkeypatch):
     """With t's decomposition cached, the approximation solves Hom(x, T_j)
-    and Hom(T_i, T_j) once each: m + m^2 solves for m factors, none per
-    removal trial."""
+    and Hom(T_i, T_j) once each: m + m^2 solves for m factors.  It runs at
+    most two eliminations per factor, the selection and the span check,
+    whatever the number of copies."""
     import quivertilt.homology as homology
     import quivertilt.modules as modules
     from conftest import linear_algebra
+    from quivertilt.linalg import rref
     alg = linear_algebra(4)
     r = regular_module(alg)
     m = len(decompose(r))
-    calls = []
+    calls, elims = [], []
 
     def counting(a, b):
         calls.append((a, b))
         return hom_space(a, b)
 
+    def counted(fn):
+        def wrapped(mat):
+            elims.append(fn)
+            return fn(mat)
+        return wrapped
+
     monkeypatch.setattr(homology, "hom_space", counting)
     monkeypatch.setattr(modules, "hom_space", counting)
+    monkeypatch.setattr(homology, "rref", counted(rref))
+    monkeypatch.setattr(homology, "rank", counted(rank))
     f, tags = left_add_approximation(r, r)
     assert m == 4
     assert len(calls) == m + m * m
+    assert elims.count(rref) <= m and elims.count(rank) <= m
     assert f.is_isomorphism() and len(tags) == 4

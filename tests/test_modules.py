@@ -232,6 +232,48 @@ def test_local_module_over_a_small_prime_still_needs_the_trace_form():
         indecomposable_summands(m)
 
 
+def _non_brick_factors():
+    """Factors with dim End > 1 of the regular modules and D(A) of the
+    fixtures and of hereditary and radical-square-zero A_3 and A_4, over Q
+    and GF(101)."""
+    from conftest import linear_algebra
+    algebras = []
+    for field in (QQ, GF(101)):
+        algebras += [fixture_algebra(n, None if field == QQ else field)
+                     for n in ("a2", "kron2", "cycle2", "triple3")]
+        algebras += [linear_algebra(n, rad2, field) for n in (3, 4) for rad2 in (False, True)]
+    out = []
+    for alg in algebras:
+        for m in (regular_module(alg), direct_sum([injective(alg, v) for v in alg.vertices])):
+            out += [fac for fac, _ in decompose(m) if hom_space(fac, fac).dim > 1]
+    return out
+
+
+def test_endo_radical_is_nilpotent_with_a_one_dimensional_top():
+    from quivertilt.modules import _endo_radical
+    factors = _non_brick_factors()
+    assert len(factors) >= 6  # cycle2 and triple3 have them, over both fields
+    for m in factors:
+        rad = _endo_radical(m)
+        assert hom_space(m, m).dim - len(rad) == 1
+        assert _endo_radical(m) is rad
+        for r in rad:
+            power = r
+            for _ in range(m.total_dim - 1):
+                power = power.compose(r)
+            assert power.is_zero()
+    assert _endo_radical(simple(fixture_algebra("a2"), "1")) == ()
+
+
+def test_endo_radical_needs_a_prime_above_the_dimension():
+    from quivertilt.modules import _endo_radical
+    s1 = simple(fixture_algebra("a2", GF(3)), "1")
+    m = direct_sum([s1, s1, s1])
+    assert m.total_dim == 3 and hom_space(m, m).dim == 9
+    with pytest.raises(InputError):
+        _endo_radical(m)
+
+
 def test_in_add_of(cycle2):
     p2, s2 = projective(cycle2, "2"), simple(cycle2, "2")
     t = direct_sum([p2, s2])

@@ -12,13 +12,12 @@ from dataclasses import dataclass, field as _dc_field
 
 from .algebra import Algebra
 from .errors import ConsistencyError, DimensionMismatch, InputError
-from .linalg import Matrix, row_space, solve_linear_system, solve_right_kernel
+from .linalg import row_space, solve_linear_system, solve_right_kernel
 from .modules import (ModuleMap, Representation, _assemble_block_map, _same_module, identity_map,
                       quotient, submodule_from_rows, zero_map)
-from .homology import (DEFAULT_RESOLUTION_BOUND, ProjSum, Resolution, _class_coords,
-                       _cocycles_mod_coboundaries, _gen_rows, _precompose_matrix,
-                       _same_gen_rows, _split_gen_vector, gen_coords, hom_from_gens, min_resolution,
-                       proj_sum)
+from .homology import (DEFAULT_RESOLUTION_BOUND, Resolution, _class_coords, _gen_rows,
+                       _hom_cohomology, _same_gen_rows, _split_gen_vector, gen_coords,
+                       hom_from_gens, min_resolution, proj_sum)
 
 
 @dataclass(frozen=True)
@@ -291,24 +290,6 @@ def hom_window(x: PerfectComplex, y: PerfectComplex):
     return range(y.lo - x.hi, y.hi - x.lo + 1)
 
 
-def _add_block(out, r0: int, c0: int, m: Matrix, op):
-    """out[r0 + r][c0 + c] = op(out[r0 + r][c0 + c], m[r][c]) for the
-    nonzero entries of m."""
-    for r, row in enumerate(m.entries):
-        for c, a in enumerate(row):
-            if a:
-                out[r0 + r][c0 + c] = op(out[r0 + r][c0 + c], a)
-
-
-def _add_postcompose(out, r0: int, c0: int, psum: ProjSum, g: ModuleMap, op):
-    """Combine at (r0, c0), through op, the matrix of Hom(psum, g),
-    coords(f then g) = coords(f) * M: block diagonal, g's matrix at each
-    generator's vertex."""
-    for v in psum.gens:
-        _add_block(out, r0, c0, g.mats[v], op)
-        r0, c0 = r0 + g.mats[v].rows, c0 + g.mats[v].cols
-
-
 @dataclass(frozen=True)
 class DerivedHomSpace:
     """Hom_D(x, y[n]): chain maps x -> y[n] modulo null-homotopic maps."""
@@ -372,87 +353,16 @@ def _flatten_chain(f: ChainMap, layout) -> tuple:
 
 
 def derived_hom(x: PerfectComplex, y: PerfectComplex, n: int) -> DerivedHomSpace:
-    """Exact dimension and representatives of Hom_D(x, y[n]).
-
-    y[n]^i is y^{i+n} with differential (-1)^n d_y, so y's terms are read
-    at i + n and the sign is folded into the d_y blocks: no shifted complex
-    is built here (``DerivedHomSpace.target`` builds it for representatives)."""
-    alg = x.algebra
-    fld = alg.field
+    """Exact dimension and representatives of Hom_D(x, y[n]): H^n of the
+    Hom complex of x and y's term modules (homology._hom_cohomology), as x
+    is a bounded complex of projectives.  A cocycle of degree n is a chain
+    map x -> y[n]: its chain condition is δⁿ up to the sign (−1)ⁿ of
+    y[n]'s differential.  No shifted complex is built here
+    (``DerivedHomSpace.target`` builds it for representatives)."""
     if n not in hom_window(x, y):
         return DerivedHomSpace(x, y, n, 0)
-    yt, yd = {i - n: t for i, t in y.terms.items()}, {i - n: d for i, d in y.diffs.items()}
-    d_op = fld.add if n % 2 == 0 else fld.sub
-    # variable layout: degrees i where x^i and y[n]^i both exist
-    layout = []
-    offsets = {}
-    total = 0
-    for i in sorted(x.terms):
-        if i in yt:
-            d = x.terms[i].hom_dim(yt[i].rep)
-            layout.append((i, d))
-            offsets[i] = total
-            total += d
-    if total == 0:
-        return DerivedHomSpace(x, y, n, 0)
-
-    # chain condition rows: for each i, f^i d_{y[n]}^i - d_x^i f^{i+1} = 0
-    con_layout = []
-    con_total = 0
-    for i in sorted(set(x.terms)):
-        if (i + 1) in yt and i in x.terms:
-            w = x.terms[i].hom_dim(yt[i + 1].rep)
-            if w:
-                con_layout.append((i, w))
-                con_total += w
-    con_off = {}
-    acc = 0
-    for i, w in con_layout:
-        con_off[i] = acc
-        acc += w
-    rows = [[fld.zero()] * con_total for _ in range(total)]
-    for (i, vdim) in layout:
-        if i in con_off and i in yd:
-            _add_postcompose(rows, offsets[i], con_off[i], x.terms[i], yd[i], d_op)
-    for (i, vdim) in layout:
-        # f^{i} appears in the constraint at degree i-1 via d_x^{i-1} f^i
-        j = i - 1
-        if j in con_off and j in x.diffs:
-            _add_block(rows, offsets[i], con_off[j],
-                       _precompose_matrix(x.diffs[j], x.terms[j], x.terms[i], yt[i].rep), fld.sub)
-    if con_total:
-        sysm = Matrix(fld, total, con_total, tuple(tuple(r) for r in rows))
-        Z = solve_right_kernel(sysm)  # rows v with v * sysm = 0
-    else:
-        Z = Matrix.identity(fld, total)
-
-    # homotopy boundaries: h with h^i: x^i -> y[n]^{i-1};
-    # boundary(h)^i = h^i d_{y[n]}^{i-1} + d_x^i h^{i+1}
-    h_layout = []
-    h_off = {}
-    h_total = 0
-    for i in sorted(x.terms):
-        if (i - 1) in yt:
-            d = x.terms[i].hom_dim(yt[i - 1].rep)
-            if d:
-                h_layout.append((i, d))
-                h_off[i] = h_total
-                h_total += d
-    brows = [[fld.zero()] * total for _ in range(h_total)]
-    for (i, hdim) in h_layout:
-        # h^i then d_{y[n]}^{i-1}: lands in component at degree i
-        if i in offsets and (i - 1) in yd:
-            _add_postcompose(brows, h_off[i], offsets[i], x.terms[i], yd[i - 1], d_op)
-        # d_x^{i-1} then h^i: component at degree i-1
-        j = i - 1
-        if j in offsets and j in x.diffs:
-            _add_block(brows, h_off[i], offsets[j],
-                       _precompose_matrix(x.diffs[j], x.terms[j], x.terms[i], yt[j].rep), fld.add)
-    B = row_space(Matrix(fld, h_total, total, tuple(tuple(r) for r in brows))) if h_total \
-        else Matrix.zeros(fld, 0, total)
-    data = {"layout": layout}
-    section = data["section"] = _cocycles_mod_coboundaries(Z, B, data)
-    return DerivedHomSpace(x, y, n, section.rows, _data=data)
+    data = _hom_cohomology(x.terms, x.diffs, {i: t.rep for i, t in y.terms.items()}, y.diffs, n)
+    return DerivedHomSpace(x, y, n, data["section"].rows, _data=data)
 
 
 def cohomology(x: PerfectComplex, n: int) -> Representation:

@@ -114,30 +114,34 @@ def gen_coords(psum: ProjSum, f: ModuleMap) -> tuple:
     return tuple(out)
 
 
-def _precompose_matrix(d: ModuleMap, psrc: ProjSum, ptgt: ProjSum, n: Representation) -> Matrix:
+def _precompose_matrix(d: ModuleMap, psrc: ProjSum, ptgt: ProjSum, n: Representation,
+                       out=None, r0: int = 0, c0: int = 0, op=None) -> Matrix | None:
     """Matrix of Hom(d, n): coords(d then f) = coords(f) * M, where
-    d: psrc -> ptgt and f in Hom(ptgt, n)."""
-    alg = psrc.algebra
-    fld = alg.field
-    rows_dim = ptgt.hom_dim(n)
-    cols_dim = psrc.hom_dim(n)
+    d: psrc -> ptgt and f in Hom(ptgt, n).  Given the row lists ``out``,
+    M is combined into them at (r0, c0) through ``op`` instead and no
+    matrix is built: _hom_differential writes its blocks so."""
+    fld = psrc.algebra.field
+    build = out is None
+    if build:
+        out = [[fld.zero()] * psrc.hom_dim(n) for _ in range(ptgt.hom_dim(n))]
+        op = fld.add
     tgt_off = ptgt.hom_offsets(n)
     src_off = psrc.hom_offsets(n)
-    out = [[fld.zero()] * cols_dim for _ in range(rows_dim)]
     for jp, (u, row_idx) in enumerate(psrc.gen_pos):
         drow = d.mats[u].entries[row_idx]  # vector in ptgt.rep at vertex u
         for pos, (j, i) in enumerate(ptgt.layout[u]):
             c = drow[pos]
             if not c:
                 continue
-            act = n.basis_action(i)  # n.dims[gens[j]] x n.dims[u]
-            for r in range(act.rows):
-                for s in range(act.cols):
-                    if act.entries[r][s]:
-                        out[tgt_off[j] + r][src_off[jp] + s] = fld.add(
-                            out[tgt_off[j] + r][src_off[jp] + s],
-                            fld.mul(c, act.entries[r][s]))
-    return Matrix(fld, rows_dim, cols_dim, tuple(tuple(r) for r in out))
+            # n.basis_action(i) is n.dims[gens[j]] x n.dims[u]
+            for r, arow in enumerate(n.basis_action(i).entries, r0 + tgt_off[j]):
+                orow = out[r]
+                for s, a in enumerate(arow, c0 + src_off[jp]):
+                    if a:
+                        orow[s] = op(orow[s], fld.mul(c, a))
+    if build:
+        return Matrix(fld, len(out), psrc.hom_dim(n), tuple(map(tuple, out)))
+    return None
 
 
 # -- projective covers and minimal resolutions -----------------------------------
@@ -297,37 +301,62 @@ def global_dimension(alg: Algebra, bound: int = DEFAULT_RESOLUTION_BOUND):
     return worst
 
 
-# -- Ext -------------------------------------------------------------------------
+# -- the Hom complex ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtClass:
-    resolution: Resolution
-    degree: int
-    target: Representation
-    cocycle: ModuleMap  # terms[degree] -> target, vanishing on im d_{degree+1}
+def _hom_differential(xt: dict, xd: dict, yt: dict, yd: dict, n: int):
+    """(layout, δ) for the differential δⁿ: Hom^n -> Hom^{n+1} of the total
+    Hom complex, Hom^n = ⊕_i Hom(x^i, y^{i+n}) and
+    δ(f) = f·d_y − (−1)ⁿ d_x·f, composites written diagrammatically
+    (Weibel, *An Introduction to Homological Algebra*, §2.7).
+
+    x is a complex of projective sums (xt: degree -> ProjSum, xd: degree
+    i -> map x^i -> x^{i+1}) and y one of modules (yt: degree ->
+    Representation, yd likewise).  layout lists (i, xt[i].hom_dim(y^{i+n}))
+    over the degrees i where both terms exist, in increasing i and zero
+    widths included; f^i is its generator coordinates (gen_coords) there,
+    and coords(δf) = coords(f) * δ.  The block of f^i then d_y is d_y's
+    matrix at each generator's vertex down the diagonal; the block of d_x
+    then f^i is _precompose_matrix, written in place."""
+    fld = next(iter(yt.values())).algebra.field
+
+    rows, roff, coff, nrows, ncols = [], {}, {}, 0, 0
+    for i in sorted(xt):
+        if i + n in yt:
+            w = xt[i].hom_dim(yt[i + n])
+            rows.append((i, w))
+            roff[i], nrows = nrows, nrows + w
+        if i + n + 1 in yt:
+            coff[i], ncols = ncols, ncols + xt[i].hom_dim(yt[i + n + 1])
+    out = [[fld.zero()] * ncols for _ in range(nrows)]
+    op = fld.sub if n % 2 == 0 else fld.add
+    for i, _ in rows:
+        g = yd.get(i + n)
+        if g is not None:
+            r0, c0 = roff[i], coff[i]
+            for v in xt[i].gens:
+                for r, grow in enumerate(g.mats[v].entries, r0):
+                    out[r][c0:c0 + len(grow)] = grow
+                r0, c0 = r0 + g.mats[v].rows, c0 + g.mats[v].cols
+        d = xd.get(i - 1)
+        if d is not None:
+            _precompose_matrix(d, xt[i - 1], xt[i], yt[i + n], out, roff[i], coff[i - 1], op)
+    return rows, Matrix(fld, nrows, ncols, tuple(map(tuple, out)))
 
 
-@dataclass(frozen=True)
-class ExtSpace:
-    """Ext^k(m, n) with chosen cocycle representatives.
-
-    Coordinates: a cocycle map f: P_k -> n is a generator-coordinate vector;
-    class_coords projects it to the chosen basis of cocycles mod
-    coboundaries.
-    """
-
-    resolution: Resolution
-    degree: int
-    target: Representation
-    dim: int
-    classes: tuple  # of ExtClass
-    _data: dict = _dc_field(default_factory=dict, compare=False, repr=False)
-
-    def class_coords(self, f: ModuleMap) -> tuple:
-        if self.dim == 0:
-            return ()
-        return _class_coords(self._data, gen_coords(self.resolution.terms[self.degree], f))
+def _hom_cohomology(xt: dict, xd: dict, yt: dict, yd: dict, n: int) -> dict:
+    """H^n = ker δⁿ / im δⁿ⁻¹ of the Hom complex of _hom_differential: the
+    layout of Hom^n, the cocycle basis Z and the quotient map of
+    _cocycles_mod_coboundaries, and the section, whose rows times Z are
+    cocycles representing a basis of H^n (0 x 0 when Hom^n = 0)."""
+    layout, delta = _hom_differential(xt, xd, yt, yd, n)
+    data = {"layout": layout}
+    if not delta.rows:
+        data["section"] = data["Z"] = Matrix.zeros(delta.field, 0, 0)
+        return data
+    _, prev = _hom_differential(xt, xd, yt, yd, n - 1)
+    data["section"] = _cocycles_mod_coboundaries(solve_right_kernel(delta), row_space(prev), data)
+    return data
 
 
 def _cocycles_mod_coboundaries(Z: Matrix, B: Matrix, data: dict) -> Matrix:
@@ -353,38 +382,69 @@ def _class_coords(data: dict, flat) -> tuple:
     return y.mul(data["proj"]).entries[0]
 
 
+# -- Ext -------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ExtClass:
+    resolution: Resolution
+    degree: int
+    target: Representation
+    cocycle: ModuleMap  # terms[degree] -> target, vanishing on im d_{degree+1}
+
+
+@dataclass(frozen=True)
+class ExtSpace:
+    """Ext^k(m, n) with chosen cocycle representatives.
+
+    Coordinates: a cocycle map f: P_k -> n is a generator-coordinate vector;
+    class_coords projects it to the chosen basis of cocycles mod
+    coboundaries.
+    """
+
+    resolution: Resolution
+    degree: int
+    target: Representation
+    dim: int
+    _data: dict = _dc_field(default_factory=dict, compare=False, repr=False)
+
+    @property
+    def classes(self) -> tuple:
+        """One ExtClass per basis class, built on first use: most callers
+        read only dim."""
+        if self.dim == 0:
+            return ()
+        classes = self._data.get("classes")
+        if classes is None:
+            pk, n = self.resolution.terms[self.degree], self.target
+            classes = self._data["classes"] = tuple(
+                ExtClass(self.resolution, self.degree, n,
+                         hom_from_gens(pk, n, _split_gen_vector(pk, n, row)))
+                for row in self._data["section"].mul(self._data["Z"]).entries)
+        return classes
+
+    def class_coords(self, f: ModuleMap) -> tuple:
+        if self.dim == 0:
+            return ()
+        return _class_coords(self._data, gen_coords(self.resolution.terms[self.degree], f))
+
+
 def ext(degree: int, m: Representation, n: Representation,
         bound: int = DEFAULT_RESOLUTION_BOUND, resolution: Resolution | None = None) -> ExtSpace:
-    """Ext^degree(m, n) from a minimal resolution of m."""
+    """Ext^degree(m, n) = H^degree of Hom(P, n), P the minimal resolution of
+    m in degrees -length..0 and n in degree 0 (_hom_cohomology)."""
     if degree < 0:
         raise InputError("ext degree must be >= 0")
     if degree + 1 > bound:
         raise BoundExceeded(f"ext degree {degree} beyond resolution bound {bound}")
-    fld = m.algebra.field
     if resolution is None or (resolution.length < degree + 1 and not resolution.complete):
         resolution = min_resolution(m, degree + 1, require_finite=False)
     res = resolution
-    if degree > res.length:
-        return ExtSpace(res, degree, n, 0, ())
-    pk = res.terms[degree]
-    nvars = pk.hom_dim(n)
-    if nvars == 0:
-        return ExtSpace(res, degree, n, 0, ())
-    # cocycles: kernel of precomposition with d_{degree+1}
-    if degree < res.length:
-        Z = solve_right_kernel(_precompose_matrix(res.diffs[degree], res.terms[degree + 1], pk, n))
-    else:
-        Z = Matrix.identity(fld, nvars)
-    # coboundaries: image of precomposition with d_degree
-    if degree >= 1:
-        B = row_space(_precompose_matrix(res.diffs[degree - 1], pk, res.terms[degree - 1], n))
-    else:
-        B = Matrix.zeros(fld, 0, nvars)
-    data = {}
-    reps = _cocycles_mod_coboundaries(Z, B, data).mul(Z)
-    classes = tuple(ExtClass(res, degree, n, hom_from_gens(pk, n, _split_gen_vector(pk, n, row)))
-                    for row in reps.entries)
-    return ExtSpace(res, degree, n, reps.rows, classes, _data=data)
+    if degree > res.length or res.terms[degree].hom_dim(n) == 0:
+        return ExtSpace(res, degree, n, 0)  # Hom^degree = 0: no δ to build
+    data = _hom_cohomology({-k: t for k, t in enumerate(res.terms)},
+                           {-k - 1: d for k, d in enumerate(res.diffs)}, {0: n}, {}, degree)
+    return ExtSpace(res, degree, n, data["section"].rows, _data=data)
 
 
 def _split_gen_vector(psum: ProjSum, n: Representation, flat):
@@ -649,30 +709,29 @@ def _left_divide(a: Matrix, b: Matrix) -> Matrix:
     return x.transpose()
 
 
+def _lift(psum: ProjSum, f: ModuleMap, g: ModuleMap) -> ModuleMap:
+    """h: psum -> g.source with h then g = f, for f out of the projective
+    sum: each generator row of f solved against g at its vertex.  Any
+    images define h, and h then g agrees with f on the generators, so
+    everywhere."""
+    fld = psum.algebra.field
+    images = []
+    for v, r in psum.gen_pos:
+        row = Matrix(fld, 1, g.target.dims[v], (f.mats[v].entries[r],))
+        x, _ = solve_linear_system(g.mats[v], row)
+        if x is None:
+            raise ConsistencyError("map out of a projective sum does not lift")
+        images.append(x.entries[0])
+    return hom_from_gens(psum, g.source, images)
+
+
 def connecting_class(ses: ShortExact, space: ExtSpace) -> tuple:
     """Class coordinates of the connecting cocycle of a short exact sequence
     0 -> n -> E -> m -> 0 against Ext^1(m, n) computed from `space`."""
     res = space.resolution
-    alg = ses.mid.algebra
-    p0 = res.terms[0]
-    # lift the augmentation through E
-    images = []
-    for (v, row_idx) in p0.gen_pos:
-        aug_row = Matrix(alg.field, 1, ses.right.dims[v], (res.augment.mats[v].entries[row_idx],))
-        x, _ = solve_linear_system(ses.proj.mats[v], aug_row)
-        if x is None:
-            raise ConsistencyError("augmentation does not lift through the extension")
-        images.append(x.entries[0])
-    sigma = hom_from_gens(p0, ses.mid, images)
-    d1 = res.diffs[0]
-    comp = d1.compose(sigma)  # lands in the image of n
-    psi_mats = {}
-    for v in alg.vertices:
-        x, _ = solve_linear_system(ses.incl.mats[v], comp.mats[v])
-        if x is None:
-            raise ConsistencyError("connecting map does not factor through the kernel")
-        psi_mats[v] = x
-    psi = ModuleMap(res.terms[1].rep, ses.left, psi_mats)
+    # sigma lifts the augmentation through E; d1 then sigma lands in n
+    sigma = _lift(res.terms[0], res.augment, ses.proj)
+    psi = _lift(res.terms[1], res.diffs[0].compose(sigma), ses.incl)
     return space.class_coords(psi)
 
 
@@ -735,34 +794,12 @@ def universal_extension(m: Representation, x: Representation,
 def _end_generating_classes(m, space, end: HomSpace):
     """Greedy End(m)-generating set of Ext^1(m, x) (acting by precomposition)."""
     res = space.resolution
-    alg = m.algebra
-    fld = alg.field
-    # lift each End basis element phi to phi_1 on P_1
+    fld = m.algebra.field
+    # lift each End basis element phi to phi_0 on P_0, then to phi_1 on P_1
     lifted = []
     for phi in end.basis:
-        p0, p1 = res.terms[0], res.terms[1]
-        # phi_0 with phi_0 then augment = augment then phi
-        images0 = []
-        for (v, row_idx) in p0.gen_pos:
-            tgt_row = Matrix(fld, 1, m.dims[v],
-                             (res.augment.compose(phi).mats[v].entries[row_idx],))
-            xx, _ = solve_linear_system(res.augment.mats[v], tgt_row)
-            if xx is None:
-                raise ConsistencyError("endomorphism lift failed at P0")
-            images0.append(xx.entries[0])
-        phi0 = hom_from_gens(p0, p0.rep, images0)
-        # phi_1 with phi_1 then d1 = d1 then phi_0
-        d1 = res.diffs[0]
-        images1 = []
-        for (v, row_idx) in p1.gen_pos:
-            tgt_row = Matrix(fld, 1, p0.rep.dims[v],
-                             (d1.compose(phi0).mats[v].entries[row_idx],))
-            xx, _ = solve_linear_system(d1.mats[v], tgt_row)
-            if xx is None:
-                raise ConsistencyError("endomorphism lift failed at P1")
-            images1.append(xx.entries[0])
-        phi1 = hom_from_gens(p1, p1.rep, images1)
-        lifted.append(phi1)
+        phi0 = _lift(res.terms[0], res.augment.compose(phi), res.augment)
+        lifted.append(_lift(res.terms[1], res.diffs[0].compose(phi0), res.diffs[0]))
 
     gens = []
     span = Matrix.zeros(fld, 0, space.dim)

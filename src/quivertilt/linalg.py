@@ -490,6 +490,8 @@ def rank(m: Matrix) -> int:
 
 def row_space(m: Matrix) -> Matrix:
     """Canonical basis (rref rows) of the row span."""
+    if not m.rows:
+        return m
     work, pivots, _ = _eliminate(m, False)
     return _rows_matrix(m.field, m.cols, work[:len(pivots)])
 

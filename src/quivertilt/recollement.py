@@ -3,9 +3,10 @@ structure, homological-epimorphism and stratifying-ideal checks, and the
 recollement report assembled from a tilting module.
 
 The ring of a universal localization is S = End(R_U), used through
-lambda: R -> S as End(R_U) coordinates on the algebra basis, checked on
-generator pairs.  S itself is certified by matrix units when it is a
-matrix ring over the base field; no structure-constant table is formed.
+lambda: R -> S as End(R_U) coordinates on the algebra basis, checked
+through the reflection property of eta: R -> R_U.  S itself is certified
+by matrix units when it is a matrix ring over the base field; no
+structure-constant table is formed.
 
 The reflection of a complex M at an exceptional object T1 is computed two
 ways: a one-shot cone construction when End(T1) is one-dimensional (the
@@ -269,6 +270,18 @@ def _combination(fld, row, vectors, zero: tuple) -> tuple:
     return out
 
 
+def _eta_then_end(eta: ModuleMap, ends) -> Matrix:
+    """Rows eta then b over the basis b of ends = End(eta.target), checked
+    independent: f -> eta then f is injective, part of the reflection
+    property.  One elimination."""
+    fld = eta.source.algebra.field
+    rows = [_flatten_map(eta.compose(b)) for b in ends.basis]
+    rows_m = Matrix(fld, len(rows), len(_flatten_map(eta)), tuple(rows))
+    if solve_right_kernel(rows_m).rows != 0:
+        raise ConsistencyError("reflection property violated: Hom(eta, m) has a kernel")
+    return rows_m
+
+
 def end_ring_presentation(m: Representation, eta: ModuleMap) -> tuple:
     """The algebra homomorphism lambda: A -> End(m), solved from the
     reflection property of eta: R -> m, on the algebra basis.
@@ -281,20 +294,14 @@ def end_ring_presentation(m: Representation, eta: ModuleMap) -> tuple:
     first), so lambda(ab) = lambda(a) lambda(b); ``lambda_left_module``
     checks it."""
     alg = m.algebra
-    fld = alg.field
     ends = hom_space(m, m)
     if m.total_dim and ends.dim == 0:
         raise ConsistencyError("endomorphism ring of a nonzero module is zero")
-    rows = [_flatten_map(eta.compose(b)) for b in ends.basis]
-    width = len(_flatten_map(eta))
-    rows_m = Matrix(fld, len(rows), width, tuple(rows))
-    if solve_right_kernel(rows_m).rows != 0:
-        raise ConsistencyError(
-            "reflection property violated: Hom(eta, m) has a kernel")
+    rows_m = _eta_then_end(eta, ends)
     targets = [_flatten_map(f) for f in left_multiples(eta)]
     # one elimination of rows_m for every basis element; the solution is
     # unique, as rows_m has no kernel
-    x, _ = solve_linear_system(rows_m, Matrix(fld, alg.dim, width, tuple(targets)))
+    x, _ = solve_linear_system(rows_m, Matrix(alg.field, alg.dim, rows_m.cols, tuple(targets)))
     if x is None:
         raise ConsistencyError(
             "reflection property violated: left multiplication does not factor")
@@ -306,46 +313,28 @@ def lambda_left_module(eta: ModuleMap, lam) -> LeftModule:
     given on the algebra basis in the coordinates of hom_space(m, m), as
     ``end_ring_presentation`` solves it from eta: R -> m.
 
-    Checked: lambda(1) = 1; (left multiplication by g) then eta = eta then
-    lambda(g) for every generator g (vertex idempotent or arrow); and
-    lambda(g b) = lambda(g) lambda(b) for every generator g and basis
-    element b.  The last is enough for every pair, by induction on the
-    length of the first factor in the certified suffix-closed basis: for
-    p = a p', lambda(p y) = lambda(a) lambda(p' y)
-    = lambda(a) lambda(p') lambda(y) = lambda(p) lambda(y).  With the
-    second, and f -> eta then f injective, lambda is the homomorphism of
-    the reflection property.  In row convention lambda(u) acts as act[u]
-    and act[g b] = act[b] act[g], so all the pairs of one g are one product
-    of the stacked act[b] by act[g]."""
+    Checked: f -> eta then f is injective on End(m), and
+    (left multiplication by b) then eta = eta then lambda(b) for every
+    basis element b, both on the rows of _eta_then_end.  That makes lambda
+    a unital ring homomorphism.  Write L_a for left multiplication by a
+    and compose as functions; then
+    eta∘L_ab = eta∘L_a∘L_b = lambda(a)∘eta∘L_b = lambda(a)lambda(b)∘eta,
+    while eta∘L_ab = lambda(ab)∘eta, and eta∘L_1 = eta = lambda(1)∘eta.
+    Injectivity gives lambda(ab) = lambda(a)lambda(b) and lambda(1) = id.
+    In row convention lambda(u) acts as act[u]."""
     m = eta.target
     alg = m.algebra
     fld = alg.field
     ends = hom_space(m, m)
     if len(lam) != alg.dim or any(len(c) != ends.dim for c in lam):
         raise InputError("lambda must give End(m) coordinates for every algebra basis element")
-    n = m.total_dim
-    maps = [ends.combo(c) for c in lam]
-    act = tuple(f.total_matrix() for f in maps)
-    flat = [_flat(a.entries) for a in act]
-    zero = (fld.zero(),) * (n * n)
-    if _combination(fld, alg.unit(), flat, zero) != _flat(Matrix.identity(fld, n).entries):
-        raise ConsistencyError("lambda does not preserve the unit")
-    stacked = block_matrix(fld, [[a] for a in act])
-    gens = [alg.vertex_idempotent(v) for v in alg.vertices]
-    gens += [alg.basis_index_of_arrow(name) for name, _, _ in alg.quiver.arrows]
-    through_eta = left_multiples(eta)
-    for g in gens:
-        if through_eta[g].mats != eta.compose(maps[g]).mats:
-            raise ConsistencyError("lambda does not satisfy the reflection property")
-        products = _flat(stacked.mul(act[g]).entries)
-        if any(products[b * n * n:(b + 1) * n * n] != _combination(fld, alg.mult[(g, b)], flat, zero)
-               for b in range(alg.dim)):
-            raise ConsistencyError("lambda is not multiplicative")
-    return LeftModule._trusted(alg, n, act)
-
-
-def _flat(rows) -> tuple:
-    return tuple(x for row in rows for x in row)
+    rows_m = _eta_then_end(eta, ends)
+    # eta then lambda(b) is linear in lambda(b): row b of lam * rows_m
+    through = Matrix(fld, alg.dim, ends.dim, tuple(map(tuple, lam))).mul(rows_m)
+    if through.entries != tuple(_flatten_map(f) for f in left_multiples(eta)):
+        raise ConsistencyError("lambda does not satisfy the reflection property")
+    return LeftModule._trusted(alg, m.total_dim,
+                               tuple(ends.combo(c).total_matrix() for c in lam))
 
 
 @dataclass(frozen=True)
@@ -412,7 +401,7 @@ def universal_localization(seq: ShortExact, max_steps: int = 16,
     the reflection of R whenever that reflection has cohomology concentrated
     in degree zero; a mismatch aborts loudly.  The ring is S = End(R_U):
     lambda: R -> S is solved from the reflection property of eta: R -> R_U
-    (``end_ring_presentation``) and checked on generator pairs when R_U is
+    (``end_ring_presentation``) and checked against eta when R_U is
     made a left module for the Tor side of the homological-epimorphism test
     (``lambda_left_module``), and S is certified a matrix ring over the
     base field by matrix units, or given a reason why not

@@ -21,7 +21,7 @@ from .complexes import (ChainMap, DerivedHomSpace, PerfectComplex,
 from .errors import ConsistencyError, InputError
 from .homology import (DEFAULT_RESOLUTION_BOUND, ShortExact, ext_dim,
                        left_add_approximation, proj_dim, universal_extension)
-from .linalg import Matrix, row_space
+from .linalg import Matrix, rank
 from .modules import Representation, cokernel, decompose, direct_sum, in_add_of
 
 
@@ -81,21 +81,9 @@ def criterion_map_surjective(pair: ExceptionalPair, alpha: ChainMap) -> bool:
     """Is End(T2) ⊕ End(T1[1]) -> Hom(T2, T1[1]), (f, g) -> alpha∘f + g∘alpha,
     surjective?  (Composition written diagrammatically: alpha∘f = f then
     alpha.)"""
-    space = pair.ext_space
-    if space.dim == 0:
-        return True
-    fld = pair.t1.algebra.field
-    rows = []
-    end2 = derived_hom(pair.t2, pair.t2, 0)
-    for f in end2.reps:
-        rows.append(space.class_coords(f.compose(alpha)))
-    end1 = derived_hom(pair.t1, pair.t1, 0)
-    for g in end1.reps:
-        rows.append(space.class_coords(alpha.compose(shift_chain_map(g, 1))))
-    if not rows:
-        return False
-    m = Matrix(fld, len(rows), space.dim, tuple(rows))
-    return row_space(m).rows == space.dim
+    return _spans(pair.ext_space, lambda: (
+        [f.compose(alpha) for f in derived_hom(pair.t2, pair.t2, 0).reps]
+        + [alpha.compose(shift_chain_map(g, 1)) for g in derived_hom(pair.t1, pair.t1, 0).reps]))
 
 
 def cone_exceptionality(pair: ExceptionalPair, alpha: ChainMap):
@@ -147,33 +135,26 @@ def is_left_universal(alpha: ChainMap) -> bool:
     (endomorphism of M) then alpha, i.e. End(M) -> Hom(M, N) induced by
     alpha is surjective in the homotopy category."""
     src = alpha.source
-    target_space = _ambient_space(alpha)
-    if target_space.dim == 0:
-        return True
-    rows = [target_space.class_coords(f.compose(alpha))
-            for f in derived_hom(src, src, 0).reps]
-    fld = src.algebra.field
-    m = Matrix(fld, len(rows), target_space.dim, tuple(rows))
-    return row_space(m).rows == target_space.dim
+    return _spans(derived_hom(src, alpha.target, 0),
+                  lambda: [f.compose(alpha) for f in derived_hom(src, src, 0).reps])
 
 
 def is_right_universal(beta: ChainMap) -> bool:
     """beta: M -> N is right-universal when every map M -> N factors as
     beta then (endomorphism of N)."""
     tgt = beta.target
-    target_space = _ambient_space(beta)
-    if target_space.dim == 0:
+    return _spans(derived_hom(beta.source, tgt, 0),
+                  lambda: [beta.compose(g) for g in derived_hom(tgt, tgt, 0).reps])
+
+
+def _spans(space: DerivedHomSpace, maps) -> bool:
+    """Whether the classes of the chain maps maps() returns span space:
+    True for a zero space, where maps is not called, and False for an
+    empty list otherwise."""
+    if space.dim == 0:
         return True
-    rows = [target_space.class_coords(beta.compose(g))
-            for g in derived_hom(tgt, tgt, 0).reps]
-    fld = tgt.algebra.field
-    m = Matrix(fld, len(rows), target_space.dim, tuple(rows))
-    return row_space(m).rows == target_space.dim
-
-
-def _ambient_space(f: ChainMap) -> DerivedHomSpace:
-    """Hom space containing f, with f's target taken verbatim (shift 0)."""
-    return derived_hom(f.source, f.target, 0)
+    rows = [space.class_coords(f) for f in maps()]
+    return rank(Matrix(space.x.algebra.field, len(rows), space.dim, tuple(rows))) == space.dim
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import quivertilt
 from quivertilt import GF, QQ, build_algebra, Quiver, RelationPoly, TiltingCertificate
 from quivertilt.formats import fixture_algebra
 
@@ -48,3 +52,42 @@ def tilting_summary(cert):
     if isinstance(cert, TiltingCertificate):
         return ("certified", len(cert.factors))
     return ("failure", tuple(code for code, _ in cert.reasons))
+
+
+def construction_inventory(is_site) -> set:
+    """(file, function) of every package function or method whose own body
+    makes a call whose callee node passes ``is_site``.  Lambdas and
+    comprehensions count for the function they sit in, a nested function
+    for itself, as in ``site_of``."""
+    found = set()
+
+    def visit(node, path, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif owner and isinstance(node, ast.Call) and is_site(node.func):
+            found.add((path, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, owner)
+
+    for path in sorted(Path(quivertilt.__file__).resolve().parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), str(path), None)
+    return found
+
+
+def site_of(code) -> tuple:
+    """(file, function) of the code object of a running frame, the function
+    being the innermost named one: a lambda or a comprehension has code
+    of its own."""
+    names = [n for n in code.co_qualname.split(".") if not n.startswith("<")]
+    return (str(Path(code.co_filename).resolve()), names[-1] if names else None)
+
+
+def calls_name(name):
+    """is_site for construction_inventory: a call of ``name(...)``."""
+    return lambda func: isinstance(func, ast.Name) and func.id == name
+
+
+def calls_trusted(cls):
+    """is_site for construction_inventory: a call of ``cls._trusted(...)``."""
+    return lambda func: (isinstance(func, ast.Attribute) and func.attr == "_trusted"
+                         and isinstance(func.value, ast.Name) and func.value.id == cls.__name__)

@@ -11,7 +11,8 @@ from quivertilt.complexes import (ChainMap, PerfectComplex, cohomology, derived_
                                   zero_chain_map, zero_complex)
 from quivertilt.formats import fixture_algebra
 from quivertilt.errors import ConsistencyError, DimensionMismatch
-from quivertilt.homology import _split_gen_vector, ext_dim, gen_coords, hom_from_gens, proj_sum
+from quivertilt.homology import (_hom_differential, _split_gen_vector, ext_dim, gen_coords,
+                                 hom_from_gens, proj_sum)
 from quivertilt.linalg import Matrix, row_space
 from quivertilt.modules import ModuleMap, Representation, direct_sum, is_isomorphic
 from oracles import reference_triangle
@@ -275,6 +276,28 @@ def _full_commutes(f):
         if any(lhs.mats[v] != rhs.mats[v] for v in x.algebra.vertices):
             return False
     return True
+
+
+def test_hom_complex_differential_squares_to_zero():
+    """δⁿ⁺¹·δⁿ = 0 in the Hom complex of every pair of resolved simple,
+    projective and injective modules of the fixtures, over Q and GF(101),
+    in every degree of the window and the one below it; the layouts of
+    adjacent differentials agree."""
+    nonzero = 0
+    for name, fld in itertools.product(("a2", "kron2", "cycle2", "triple3"), (None, GF(101))):
+        alg = fixture_algebra(name, fld)
+        cs = [resolve_to_complex(build(alg, v)) for build in (simple, projective, injective)
+              for v in alg.vertices]
+        for x, y in itertools.product(cs, repeat=2):
+            yt = {i: t.rep for i, t in y.terms.items()}
+            window = hom_window(x, y)
+            deltas = [_hom_differential(x.terms, x.diffs, yt, y.diffs, n)
+                      for n in range(window.start - 1, window.stop + 1)]
+            for (_, d0), (layout, d1) in zip(deltas, deltas[1:]):
+                assert d0.cols == sum(w for _, w in layout) == d1.rows
+                assert d0.mul(d1).is_zero()
+                nonzero += not (d0.is_zero() or d1.is_zero())
+    assert nonzero > 50
 
 
 def test_dd_certificate_rejects_what_the_full_check_rejects():

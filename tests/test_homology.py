@@ -331,6 +331,47 @@ def test_ext_matrices_equal_the_per_coordinate_construction(name, field):
     assert compared
 
 
+def test_ext_dim_builds_no_classes(all_algebras, monkeypatch):
+    """ext(k, m, n).dim alone calls hom_from_gens zero times; the class
+    representatives are built on first use, once."""
+    import quivertilt.homology as homology_mod
+    mods = [build(alg, v) for alg in all_algebras.values() for v in alg.vertices
+            for build in (simple, injective)]
+    for m in mods:  # resolutions cover their generators through hom_from_gens
+        min_resolution(m, 3, require_finite=False)
+    calls = []
+    real = homology_mod.hom_from_gens
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(homology_mod, "hom_from_gens", counting)
+    spaces = [ext(k, m, n) for m in mods for n in mods if m.algebra is n.algebra
+              for k in range(3)]
+    assert sum(s.dim for s in spaces) > 20 and calls == []
+    space = next(s for s in spaces if s.dim)
+    assert len(space.classes) == space.dim == len(calls)
+    assert space.classes is space.classes
+
+
+@pytest.mark.parametrize("field", [None, GF(101)], ids=["Q", "GF101"])
+@pytest.mark.parametrize("name, copies", [("a2", 1), ("kron2", 2)])
+def test_universal_extension_over_a_non_brick_takes_an_end_generating_set(name, copies, field):
+    """m = S_1 ⊕ S_1 has End(m) = M_2(K), so Ext^1(m, S_2) (dimension 2 over
+    a2, 4 over kron2) is generated over End(m) by fewer classes: 1 and 2.
+    The universal extension 0 -> S_2 -> N -> m^copies -> 0 lifts each
+    endomorphism of m to the resolution to find them, and N is the
+    injective hull I_2 of S_2 plus one copy of S_1 per generator."""
+    alg = fixture_algebra(name, field)
+    s1, s2 = simple(alg, "1"), simple(alg, "2")
+    m = direct_sum([s1, s1])
+    n_mod, ses = universal_extension(m, s2)
+    assert ext_dim(1, m, s2) == 2 * copies
+    assert ses.right.total_dim == copies * m.total_dim and ses.left is s2
+    assert is_isomorphic(n_mod, direct_sum([injective(alg, "2")] + [s1] * copies))
+
+
 def test_euler_characteristic_on_short_exact_sequences(cycle2):
     """Alternating sum of Ext dims over a short exact sequence vanishes."""
     p2 = projective(cycle2, "2")

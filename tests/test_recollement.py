@@ -275,6 +275,30 @@ def test_changed_lambda_entry_on_an_arrow_is_rejected(bongartz_localizations):
     assert mutated > 0
 
 
+def test_changed_lambda_entry_on_an_idempotent_or_a_longer_path_is_rejected(
+        bongartz_localizations):
+    """Changing any one End(R_U) coordinate of lambda on a vertex idempotent
+    or on a path of length two or more is rejected as well: the reflection
+    property is checked on every basis element."""
+    mutated = {"idempotent": 0, "longer path": 0}
+    for _, loc in bongartz_localizations:
+        alg = loc.ru_module.algebra
+        fld = alg.field
+        arrows = {alg.basis_index_of_arrow(name) for name, _, _ in alg.quiver.arrows}
+        idempotents = {alg.vertex_idempotent(v) for v in alg.vertices}
+        for b in range(alg.dim):
+            if b in arrows:
+                continue
+            for k in range(len(loc.lam[b])):
+                lam = list(loc.lam)
+                lam[b] = tuple(fld.add(x, fld.one()) if t == k else x
+                               for t, x in enumerate(lam[b]))
+                with pytest.raises(ConsistencyError):
+                    lambda_left_module(loc.eta, tuple(lam))
+                mutated["idempotent" if b in idempotents else "longer path"] += 1
+    assert all(mutated.values()), mutated
+
+
 def test_localization_splits_r_u_along_t0_parts(triple3, monkeypatch):
     """R_U is the direct sum of the nonzero quotients T0_c / τ(T1, T0_c) of
     T0's recorded parts, one quotient object per distinct part object, so a

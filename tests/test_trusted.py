@@ -18,7 +18,7 @@ from quivertilt import (GF, QQ, LeftModule, ModuleMap, Representation,
                         tilting_module_check)
 from quivertilt.formats import fixture_algebra
 from quivertilt.homology import left_module_from_op_rep, tor_dims_range
-from conftest import linear_algebra, tilting_summary
+from conftest import calls_trusted, construction_inventory, linear_algebra, site_of, tilting_summary
 
 
 def _verdicts():
@@ -60,14 +60,14 @@ def _verdicts():
 
 def test_trusted_sites_pass_the_full_checks(monkeypatch):
     expected = _verdicts()
-    built, sites = [], set()
+    built, reps, maps = [], set(), set()
 
     def validating_rep(cls, algebra, dims, arrow_mats):
-        sites.add((cls, sys._getframe(1).f_code))
+        reps.add(site_of(sys._getframe(1).f_code))
         return Representation(algebra, dims, arrow_mats)
 
     def validating_map(cls, source, target, mats):
-        sites.add((cls, sys._getframe(1).f_code))
+        maps.add(site_of(sys._getframe(1).f_code))
         return ModuleMap(source, target, mats)
 
     def validating_left(cls, algebra, dim, act):
@@ -90,9 +90,11 @@ def test_trusted_sites_pass_the_full_checks(monkeypatch):
                 and getattr(mod, "opposite_algebra", None) is real_opposite):
             monkeypatch.setattr(mod, "opposite_algebra", verified_opposite)
     assert _verdicts() == expected
-    # floors on the distinct functions that built a trusted module or map,
-    # which do not move when the same verdicts take less work (7 and 15
-    # while left_add_approximation still summed its map with ModuleMap.add)
-    assert sum(cls is Representation for cls, _ in sites) >= 7
-    assert sum(cls is ModuleMap for cls, _ in sites) >= 14
+    # floors on the share of the package functions calling
+    # Representation._trusted( and ModuleMap._trusted( that built one (7 of
+    # 7 and 14 of 17 when they were set), which do not move when the same
+    # verdicts take less work or when functions merge
+    for cls, reached, floor in ((Representation, reps, 1.0), (ModuleMap, maps, 0.75)):
+        inventory = construction_inventory(calls_trusted(cls))
+        assert len(reached & inventory) >= floor * len(inventory) > 0, cls
     assert built.count(LeftModule) >= 24 and built.count("opposite") >= 12

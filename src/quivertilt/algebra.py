@@ -453,8 +453,7 @@ class Algebra:
                     cache[word[0]] = i
             self._caches["aidx"] = cache
         if name not in cache:
-            # the arrow itself lies in the ideal (possible with non-monomial
-            # relations? admissibility forbids it, but keep a clear error)
+            # relation terms have length >= 2, so every arrow is a basis path
             raise InputError(f"arrow {name!r} is not a residue basis element")
         return cache[name]
 
@@ -496,16 +495,31 @@ class Algebra:
 
 
 def projective(alg: Algebra, v) -> "Representation":
-    """P_v = e_v * A as a representation: basis paths starting at v."""
-    from .modules import Representation
-    idxs = alg.paths_from(v)
-    return _module_from_paths(alg, idxs, dual=False)
+    """P_v = e_v * A: the basis paths starting at v, grouped by where they
+    end, arrows acting by right multiplication (``modules.proj_sum``)."""
+    from .modules import proj_sum
+    return proj_sum(alg, (v,)).rep
 
 
 def injective(alg: Algebra, v) -> "Representation":
-    """I_v = dual of A * e_v, with transposed action."""
-    idxs = alg.paths_to(v)
-    return _module_from_paths(alg, idxs, dual=True)
+    """I_v = D(A * e_v): the dual basis of the paths ending at v, grouped by
+    where they start.  An arrow a: s -> t acts as the transpose of left
+    multiplication p -> a * p from the paths starting at t to those
+    starting at s."""
+    from .modules import Representation
+    fld = alg.field
+    zero = fld.zero()
+    by_source = {w: [i for i in alg.paths_to(v) if alg.path_source(i) == w]
+                 for w in alg.vertices}
+    mats = {}
+    for name, s, t in alg.quiver.arrows:
+        a = alg.basis_index_of_arrow(name)
+        products = [dict(alg.mult[(a, p)]) for p in by_source[t]]
+        mats[name] = Matrix(fld, len(by_source[s]), len(by_source[t]),
+                            tuple(tuple(ap.get(k, zero) for ap in products)
+                                  for k in by_source[s]))
+    # the dual of a left module of the verified algebra: valid by construction
+    return Representation._trusted(alg, {w: len(by_source[w]) for w in alg.vertices}, mats)
 
 
 def simple(alg: Algebra, v) -> "Representation":
@@ -526,70 +540,13 @@ def zero_module(alg: Algebra) -> "Representation":
 
 
 def regular_module(alg: Algebra) -> "Representation":
-    """The algebra as a right module over itself, ⊕_v P_v in vertex order,
-    memoized in the algebra's cache: every caller gets the same parts P_v."""
+    """The algebra as a right module over itself: the ``direct_sum`` of the
+    P_v in vertex order, on the basis of ``proj_sum_layout(alg, alg.vertices)``.
+    Memoized in the algebra's cache: every caller gets the same parts P_v."""
     from .modules import direct_sum
     if "regular" not in alg._caches:
         alg._caches["regular"] = direct_sum([projective(alg, v) for v in alg.vertices])
     return alg._caches["regular"]
-
-
-def _module_from_paths(alg: Algebra, idxs, dual: bool):
-    """Right module on the span of the given basis paths (must be closed
-    under right multiplication for dual=False, left multiplication for
-    dual=True)."""
-    from .modules import Representation
-    fld = alg.field
-    if not dual:
-        by_vertex = {v: [i for i in idxs if alg.path_target(i) == v] for v in alg.vertices}
-    else:
-        by_vertex = {v: [i for i in idxs if alg.path_source(i) == v] for v in alg.vertices}
-    pos = {v: {i: k for k, i in enumerate(by_vertex[v])} for v in alg.vertices}
-    dims = {v: len(by_vertex[v]) for v in alg.vertices}
-    mats = {}
-    for name, s, t in alg.quiver.arrows:
-        if not (dims[s] and dims[t]):
-            mats[name] = Matrix.zeros(fld, dims[s], dims[t])
-            continue
-        if not dual:
-            # right multiplication by the arrow: paths ending at s -> ending at t
-            ai = None
-            try:
-                ai = alg.basis_index_of_arrow(name)
-            except InputError:
-                ai = None
-            rows = []
-            for i in by_vertex[s]:
-                row = [fld.zero()] * dims[t]
-                if ai is not None:
-                    for k, c in alg.mult[(i, ai)]:
-                        row[pos[t][k]] = c
-                rows.append(tuple(row))
-            mats[name] = Matrix(fld, dims[s], dims[t], tuple(rows))
-        else:
-            # dual of left multiplication: transpose of (paths ending here:
-            # left-multiply by arrow maps paths from t ... ) For I_v the
-            # matrix at arrow (s -> t) sends the dual basis at s to the dual
-            # basis at t via the transpose of a * (-) : span(paths t -> v) ->
-            # span(paths s -> v).
-            ai = None
-            try:
-                ai = alg.basis_index_of_arrow(name)
-            except InputError:
-                ai = None
-            # left mult matrix L: rows indexed by paths starting at t,
-            # columns by paths starting at s (a * p starts at s)
-            rows = []
-            for i in by_vertex[t]:
-                row = [fld.zero()] * dims[s]
-                if ai is not None:
-                    for k, c in alg.mult[(ai, i)]:
-                        row[pos[s][k]] = c
-                rows.append(tuple(row))
-            L = Matrix(fld, dims[t], dims[s], tuple(rows))
-            mats[name] = L.transpose()
-    # multiplication in the verified algebra: valid by construction
-    return Representation._trusted(alg, dims, mats)
 
 
 def opposite_algebra(alg: Algebra) -> Algebra:

@@ -1,9 +1,10 @@
 """Projective covers, minimal resolutions, Ext and Tor, extension
 realization, universal extensions and left add-approximations.
 
-Resolutions are built from tagged projective sums: a term knows the list of
-vertices its generators sit at, which makes Hom out of it free data (a map
-from ⊕P_v is determined by arbitrary images of the generators).  Ext is
+Resolutions are built from projective sums (``modules.proj_sum``): a term
+knows the list of vertices its generators sit at, which makes Hom out of it
+free data (a map from ⊕P_v is determined by arbitrary images of the
+generators).  Ext is
 computed from a resolution of the first argument only.  Tor tensors the same
 resolution with a left module Y through e_vA ⊗_A Y ≅ e_vY, so each term
 P_k ⊗_A Y is a sum of vertex components of Y.
@@ -15,74 +16,15 @@ from .algebra import Algebra, zero_module
 from .errors import BoundExceeded, ConsistencyError, InputError
 from .linalg import (Matrix, quotient_basis, rank, row_space, rref, solve_linear_system,
                      solve_right_kernel)
-from .modules import (HomSpace, ModuleMap, Representation, _assemble_block_map, _block_maps,
-                      _endo_radical, _entry_count, _flatten_map, decompose, direct_sum,
-                      direct_sum_with_maps, hom_space, identity_map, image, quotient,
-                      submodule_from_rows, zero_map)
+from .modules import (HomSpace, ModuleMap, ProjSum, Representation, _assemble_block_map,
+                      _block_maps, _endo_radical, _entry_count, _flatten_map, decompose,
+                      direct_sum, direct_sum_with_maps, hom_space, identity_map, image,
+                      proj_sum, quotient, submodule_from_rows, zero_map)
 
 DEFAULT_RESOLUTION_BOUND = 32
 
 
-# -- tagged projective sums ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProjSum:
-    """⊕_j P_{gens[j]} with a deterministic basis layout.
-
-    The basis of the underlying representation at vertex w is the list of
-    pairs (j, path) over generators j and basis paths gens[j] -> w, in
-    generator-major order.
-    """
-
-    algebra: Algebra
-    gens: tuple
-    rep: Representation
-    layout: dict    # vertex -> tuple of (generator index, algebra basis index)
-    gen_pos: tuple  # generator j -> (vertex, row index at that vertex)
-
-    @property
-    def rank(self) -> int:
-        return len(self.gens)
-
-    def hom_dim(self, n: Representation) -> int:
-        return sum(n.dims[v] for v in self.gens)
-
-    def hom_offsets(self, n: Representation):
-        off, acc = [], 0
-        for v in self.gens:
-            off.append(acc)
-            acc += n.dims[v]
-        return off
-
-
-def proj_sum(alg: Algebra, gens) -> ProjSum:
-    gens = tuple(gens)
-    fld = alg.field
-    entries = {w: [] for w in alg.vertices}
-    for j, v in enumerate(gens):
-        for i in alg.paths_from(v):
-            entries[alg.path_target(i)].append((j, i))
-    layout = {w: tuple(e) for w, e in entries.items()}
-    pos = {e: k for w in alg.vertices for k, e in enumerate(layout[w])}
-    dims = {w: len(layout[w]) for w in alg.vertices}
-    mats = {}
-    for name, s, t in alg.quiver.arrows:
-        ai = alg.basis_index_of_arrow(name)
-        rows = []
-        for (j, i) in layout[s]:
-            row = [fld.zero()] * dims[t]
-            for k, c in alg.mult[(i, ai)]:
-                row[pos[(j, k)]] = c
-            rows.append(tuple(row))
-        mats[name] = Matrix(fld, dims[s], dims[t], tuple(rows))
-    # right multiplication by arrows on paths: valid by the verified algebra
-    rep = Representation._trusted(alg, dims, mats)
-    gen_pos = []
-    for j, v in enumerate(gens):
-        idem = alg.vertex_idempotent(v)
-        gen_pos.append((v, pos[(j, idem)]))
-    return ProjSum(alg, gens, rep, layout, tuple(gen_pos))
+# -- maps out of projective sums ------------------------------------------------
 
 
 def hom_from_gens(psum: ProjSum, n: Representation, images) -> ModuleMap:
@@ -761,8 +703,10 @@ def universal_extension(m: Representation, x: Representation,
     """Universal extension 0 -> x -> N -> m^k -> 0 killing Ext^1(m, x).
 
     k is dim_K Ext^1(m, x) when End(m) is one-dimensional; otherwise a
-    greedy End(m)-generating set of Ext^1(m, x) is used.  The defining
-    post-condition Ext^1(m, N) = 0 is asserted.
+    greedy End(m)-generating set of Ext^1(m, x) is used.  The
+    post-condition Ext^1(m, N) = 0 is asserted.  It needs Ext^1(m, m) = 0,
+    as in Bongartz's construction: the sequence embeds Ext^1(m, N) in
+    Ext^1(m, m)^k.  When it fails, a nonzero Ext^1(m, m) raises InputError.
     """
     space = ext(1, m, x, bound)
     if space.dim == 0:
@@ -785,8 +729,9 @@ def universal_extension(m: Representation, x: Representation,
     cls = ExtClass(res_k, 1, x, cocycle)
     ses = realize_extension(cls)
     n_mod = ses.mid
-    check = ext(1, m, n_mod, bound)
-    if check.dim != 0:
+    if ext_dim(1, m, n_mod, bound, resolution=space.resolution):
+        if ext_dim(1, m, m, bound, resolution=space.resolution):
+            raise InputError("universal extension needs Ext^1(m, m) = 0")
         raise ConsistencyError("universal extension failed to kill Ext^1(m, -)")
     return n_mod, ses
 

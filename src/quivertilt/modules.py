@@ -509,6 +509,70 @@ def _assemble_block_map(src: Representation, tgt: Representation, blocks, src_re
     return ModuleMap._trusted(src, tgt, mats)
 
 
+# -- projective sums -------------------------------------------------------------
+
+
+def proj_sum_layout(alg: Algebra, gens) -> dict:
+    """Basis of ⊕_j P_{gens[j]} at each vertex w: the pairs (j, i) of a
+    generator j and a basis path i from gens[j] to w, generator-major.  The
+    regular module has the layout of gens = alg.vertices."""
+    entries = {w: [] for w in alg.vertices}
+    for j, v in enumerate(gens):
+        for i in alg.paths_from(v):
+            entries[alg.path_target(i)].append((j, i))
+    return {w: tuple(e) for w, e in entries.items()}
+
+
+@dataclass(frozen=True)
+class ProjSum:
+    """⊕_j P_{gens[j]} on the basis of ``proj_sum_layout``.  A map out of
+    it is free data: any images of the generators define one."""
+
+    algebra: Algebra
+    gens: tuple
+    rep: Representation
+    layout: dict    # vertex -> tuple of (generator index, algebra basis index)
+    gen_pos: tuple  # generator j -> (vertex, row index at that vertex)
+
+    @property
+    def rank(self) -> int:
+        return len(self.gens)
+
+    def hom_dim(self, n: Representation) -> int:
+        return sum(n.dims[v] for v in self.gens)
+
+    def hom_offsets(self, n: Representation):
+        off, acc = [], 0
+        for v in self.gens:
+            off.append(acc)
+            acc += n.dims[v]
+        return off
+
+
+def proj_sum(alg: Algebra, gens) -> ProjSum:
+    """⊕_j P_{gens[j]} with P_v = e_v A: an arrow a sends (j, p) to p·a in
+    copy j.  Every projective module is built here."""
+    gens = tuple(gens)
+    fld = alg.field
+    layout = proj_sum_layout(alg, gens)
+    pos = {e: k for w in alg.vertices for k, e in enumerate(layout[w])}
+    dims = {w: len(layout[w]) for w in alg.vertices}
+    mats = {}
+    for name, s, t in alg.quiver.arrows:
+        ai = alg.basis_index_of_arrow(name)
+        rows = []
+        for (j, i) in layout[s]:
+            row = [fld.zero()] * dims[t]
+            for k, c in alg.mult[(i, ai)]:
+                row[pos[(j, k)]] = c
+            rows.append(tuple(row))
+        mats[name] = Matrix(fld, dims[s], dims[t], tuple(rows))
+    # right multiplication by arrows on paths: valid by the verified algebra
+    rep = Representation._trusted(alg, dims, mats)
+    gen_pos = tuple((v, pos[(j, alg.vertex_idempotent(v))]) for j, v in enumerate(gens))
+    return ProjSum(alg, gens, rep, layout, gen_pos)
+
+
 # -- trace, radical, socle, top -------------------------------------------------
 
 

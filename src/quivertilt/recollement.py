@@ -13,7 +13,10 @@ ways: a one-shot cone construction when End(T1) is one-dimensional (the
 brick fast path), and an iterative degree-descending construction that
 stops when every Hom(T1, M_n[i]) vanishes — a finite stabilization standing
 in for the homotopy colimit.  Failure to stabilize within the step budget
-is an explicit error, never a truncated answer.
+is an explicit error, never a truncated answer.  R is reflected at one
+copy of each isomorphism class of T1's summands, so T1 = X^n with X a brick
+takes the brick path.  R is read in the layout of ⊕_v P_v
+(``modules.proj_sum_layout``).
 
 The stratifying-ideal check reads every number it reports, the corner
 multiplication Ae ⊗_{eAe} eA -> AeA included, off one minimal resolution
@@ -36,7 +39,7 @@ from .linalg import (Matrix, block_matrix, quotient_basis, row_space,
 from .modules import (ModuleMap, Representation, _assemble_block_map, _flatten_map,
                       _invertible_map, cokernel, decompose, direct_sum, hom_space,
                       identity_map, in_add_of, indecomposable_summands, is_isomorphic,
-                      quotient, submodule_from_rows, top, trace_submodule)
+                      proj_sum_layout, quotient, submodule_from_rows, top, trace_submodule)
 
 
 # -- perpendicular categories -----------------------------------------------------
@@ -217,24 +220,21 @@ def reflect(t1: PerfectComplex, m: PerfectComplex, max_steps: int = 16):
 def reflect_regular(alg: Algebra, t1_module: Representation,
                     max_steps: int = 16, bound: int = DEFAULT_RESOLUTION_BOUND):
     """Reflection of the regular module at resolve(t1_module), routed as in
-    reflect.  Returns (q(R), map, method)."""
+    reflect.  Returns (q(R), map, method).  The reflection depends only on
+    add T1, so when an isomorphism class repeats in decompose(T1), R is
+    reflected at one copy of each class; otherwise, or when decompose raises
+    InputError (small primes), at T1 itself."""
+    try:
+        classes = decompose(t1_module)
+    except InputError:
+        classes = ()
+    if any(mult > 1 for _, mult in classes):
+        t1_module = direct_sum([fac for fac, _ in classes])
     rc = resolve_to_complex(regular_module(alg), bound)
     return reflect(resolve_to_complex(t1_module, bound), rc, max_steps)
 
 
 # -- universal localization --------------------------------------------------------
-
-
-def regular_basis_tables(alg: Algebra):
-    """Row order of the regular module at each vertex: algebra basis indices
-    of the paths ending there, grouped by starting vertex.  A function of
-    the basis alone, memoized in the algebra's cache."""
-    tables = alg._caches.get("regular_rows")
-    if tables is None:
-        tables = alg._caches["regular_rows"] = {
-            w: tuple(i for v in alg.vertices for i in alg.paths_from(v) if alg.path_target(i) == w)
-            for w in alg.vertices}
-    return tables
 
 
 def left_multiples(f: ModuleMap) -> list:
@@ -244,16 +244,16 @@ def left_multiples(f: ModuleMap) -> list:
     read off f's rows; no multiplication map is built."""
     alg = f.source.algebra
     fld = alg.field
-    tables = regular_basis_tables(alg)
+    layout = proj_sum_layout(alg, alg.vertices)
     row_of = {k: f.mats[w].entries[pos] for w in alg.vertices
-              for pos, k in enumerate(tables[w])}
+              for pos, (_, k) in enumerate(layout[w])}
     zero_rows = {w: (fld.zero(),) * f.target.dims[w] for w in alg.vertices}
     # left multiplication by b_i is a right-module map of R, so its
     # composite with the natural f is natural
     return [ModuleMap._trusted(f.source, f.target, {
-        w: Matrix(fld, len(tables[w]), f.target.dims[w],
+        w: Matrix(fld, len(layout[w]), f.target.dims[w],
                   tuple(_combination(fld, alg.mult[(i, p)], row_of, zero_rows[w])
-                        for p in tables[w]))
+                        for _, p in layout[w]))
         for w in alg.vertices}) for i in range(alg.dim)]
 
 
@@ -351,19 +351,21 @@ class HomEpiReport:
 
 def homological_epi_check(eta: ModuleMap, lam, max_degree: int = 6,
                           bound: int = DEFAULT_RESOLUTION_BOUND) -> HomEpiReport:
-    """Primary test Ext^i_R(S, S) = 0 for 1 <= i <= max_degree, with S the
-    target of eta: R -> S; secondary test Tor^R_i(S, S) = 0 with the left
-    structure through lambda (End(S) coordinates on the algebra basis, as
-    ``end_ring_presentation`` returns them).  Both reported; the verdict
-    follows the Ext side."""
+    """Primary test Ext^i_R(S, S) = 0 for i >= 1, with S the target of
+    eta: R -> S; secondary test Tor^R_i(S, S) = 0 with the left structure
+    through lambda (End(S) coordinates on the algebra basis, as
+    ``end_ring_presentation`` returns them).  Both are reported for
+    1 <= i <= max_degree; the verdict follows the Ext side and reads every
+    degree up to pd S, which the complete minimal resolution of S gives,
+    also past max_degree."""
     ru = eta.target
     res = min_resolution(ru, bound)
-    ext_dims = tuple(ext_dim(i, ru, ru, bound, resolution=res)
-                     for i in range(1, max_degree + 1))
+    ext_all = tuple(ext_dim(i, ru, ru, bound, resolution=res)
+                    for i in range(1, max(max_degree, res.length) + 1))
     left = lambda_left_module(eta, lam)
     tor_all = tor_dims_range(ru, left, max_degree, bound, resolution=res)
     tor_dims = tor_all[1:]
-    return HomEpiReport(ext_dims, tor_dims, all(d == 0 for d in ext_dims))
+    return HomEpiReport(ext_all[:max_degree], tor_dims, not any(ext_all))
 
 
 @dataclass(frozen=True)
@@ -639,8 +641,8 @@ def _quotient_by_vertex_ideal(alg: Algebra, products) -> Representation:
     where it ends."""
     r = regular_module(alg)
     fld = alg.field
-    tables = regular_basis_tables(alg)
-    pos = {w: {b: k for k, b in enumerate(tables[w])} for w in alg.vertices}
+    pos = {w: {i: k for k, (_, i) in enumerate(layout)}
+           for w, layout in proj_sum_layout(alg, alg.vertices).items()}
     rows = {w: [] for w in alg.vertices}
     for w, prod in products:
         row = [fld.zero()] * r.dims[w]

@@ -32,7 +32,9 @@ over the whole target that pushing out only over the recorded parts the
 cocycle touches replaced, and reference_ring_presentation, End(R_U) as a
 structure-constant ring (SCRing, which left the package with it) with
 lambda checked on all basis pairs and the two-sided ideal scan, which
-matrix units and the generator-pair check of lambda replaced.
+matrix units and the generator-pair check of lambda replaced, and
+reference_module_from_paths, the construction of P_v and I_v from basis
+paths that proj_sum and the transpose of left multiplication replaced.
 """
 
 from dataclasses import dataclass
@@ -415,7 +417,7 @@ def reference_triangle(alpha):
     checks is triangle_from_map's cone-and-shift construction against
     this direct one.  Returns (T, incl, proj)."""
     from quivertilt.complexes import ChainMap, PerfectComplex, shift
-    from quivertilt.homology import proj_sum
+    from quivertilt.modules import proj_sum
     from quivertilt.linalg import Matrix, block_matrix
     from quivertilt.modules import ModuleMap, identity_map
 
@@ -710,8 +712,8 @@ def reference_ring_presentation(m, eta):
     two-sided ideal."""
     from quivertilt.errors import ConsistencyError
     from quivertilt.linalg import Matrix, solve_linear_system
-    from quivertilt.modules import ModuleMap, _flatten_map, hom_space, identity_map
-    from quivertilt.recollement import regular_basis_tables
+    from quivertilt.modules import (ModuleMap, _flatten_map, hom_space, identity_map,
+                                    proj_sum_layout)
 
     alg = m.algebra
     fld = alg.field
@@ -720,7 +722,8 @@ def reference_ring_presentation(m, eta):
         """Left multiplication by an algebra element on the regular module,
         as a checked right-module map."""
         mats = {}
-        for w, rows_idx in regular_basis_tables(alg).items():
+        for w, layout in proj_sum_layout(alg, alg.vertices).items():
+            rows_idx = [i for _, i in layout]
             pos = {b: k for k, b in enumerate(rows_idx)}
             out = [[fld.zero()] * len(rows_idx) for _ in rows_idx]
             for rpos, p in enumerate(rows_idx):
@@ -1025,9 +1028,9 @@ def reference_min_resolution(m, max_len):
     radical) and lifts a basis of the top back into it as the generator
     images.  Built on the library's modules, as the resolution it checks."""
     from quivertilt.errors import ConsistencyError
-    from quivertilt.homology import Resolution, hom_from_gens, proj_sum
+    from quivertilt.homology import Resolution, hom_from_gens
     from quivertilt.linalg import Matrix, solve_linear_system, solve_right_kernel
-    from quivertilt.modules import submodule_from_rows, top, zero_map
+    from quivertilt.modules import proj_sum, submodule_from_rows, top, zero_map
 
     alg = m.algebra
 
@@ -1066,9 +1069,10 @@ def reference_realize_extension(c):
     """Middle term of a degree-one extension class as the pushout of the
     syzygy inclusion along the cocycle, over the whole target, whatever
     parts it records.  Returns (mid, incl, proj)."""
-    from quivertilt.homology import _left_divide, proj_sum
+    from quivertilt.homology import _left_divide
     from quivertilt.linalg import Matrix
-    from quivertilt.modules import ModuleMap, direct_sum_with_maps, image, quotient, zero_map
+    from quivertilt.modules import (ModuleMap, direct_sum_with_maps, image, proj_sum, quotient,
+                                    zero_map)
 
     res, n = c.resolution, c.target
     m, alg = res.module, n.algebra
@@ -1085,3 +1089,53 @@ def reference_realize_extension(c):
            for v in alg.vertices}
     proj = ModuleMap(e_rep, m, {v: _left_divide(to_e.mats[v], big[v]) for v in alg.vertices})
     return e_rep, incls[0].compose(to_e), proj
+
+
+def reference_module_from_paths(alg, idxs, dual: bool):
+    """Right module on the span of the given basis paths, the construction
+    of P_v (the paths starting at v, dual=False) and I_v (the dual of the
+    paths ending at v, dual=True) that proj_sum and the transpose of left
+    multiplication replaced.  Built through the checked Representation
+    constructor."""
+    from quivertilt.errors import InputError
+    from quivertilt.linalg import Matrix
+    from quivertilt.modules import Representation
+
+    fld = alg.field
+    if not dual:
+        by_vertex = {v: [i for i in idxs if alg.path_target(i) == v] for v in alg.vertices}
+    else:
+        by_vertex = {v: [i for i in idxs if alg.path_source(i) == v] for v in alg.vertices}
+    pos = {v: {i: k for k, i in enumerate(by_vertex[v])} for v in alg.vertices}
+    dims = {v: len(by_vertex[v]) for v in alg.vertices}
+    mats = {}
+    for name, s, t in alg.quiver.arrows:
+        if not (dims[s] and dims[t]):
+            mats[name] = Matrix.zeros(fld, dims[s], dims[t])
+            continue
+        try:
+            ai = alg.basis_index_of_arrow(name)
+        except InputError:
+            ai = None
+        if not dual:
+            # right multiplication by the arrow: paths ending at s -> ending at t
+            rows = []
+            for i in by_vertex[s]:
+                row = [fld.zero()] * dims[t]
+                if ai is not None:
+                    for k, c in alg.mult[(i, ai)]:
+                        row[pos[t][k]] = c
+                rows.append(tuple(row))
+            mats[name] = Matrix(fld, dims[s], dims[t], tuple(rows))
+        else:
+            # the transpose of left multiplication a * (-) from the paths
+            # starting at t to the paths starting at s
+            rows = []
+            for i in by_vertex[t]:
+                row = [fld.zero()] * dims[s]
+                if ai is not None:
+                    for k, c in alg.mult[(ai, i)]:
+                        row[pos[s][k]] = c
+                rows.append(tuple(row))
+            mats[name] = Matrix(fld, dims[t], dims[s], tuple(rows)).transpose()
+    return Representation(alg, dims, mats)

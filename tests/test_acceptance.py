@@ -250,8 +250,7 @@ def _invariant_regression(field):
 
     # homotopy invariance of derived Hom
     from quivertilt.complexes import PerfectComplex, direct_sum_complexes
-    from quivertilt.homology import proj_sum
-    from quivertilt.modules import identity_map
+    from quivertilt.modules import identity_map, proj_sum
     p = proj_sum(alg, ("1",))
     q = proj_sum(alg, ("1",))
     contractible = PerfectComplex(alg, {0: p, 1: q}, {0: identity_map(p.rep)})

@@ -6,9 +6,9 @@ from quivertilt import (GF, QQ, BoundExceeded, ConsistencyError, InputError, Qui
                         tilting_module_check)
 from quivertilt.algebra import Algebra
 from quivertilt.formats import fixture_algebra
-from quivertilt.modules import hom_space, is_isomorphic
+from quivertilt.modules import direct_sum, hom_space, is_isomorphic, proj_sum, proj_sum_layout
 from conftest import linear_algebra, tilting_summary
-from oracles import reference_verify_algebra
+from oracles import reference_module_from_paths, reference_verify_algebra
 
 
 def test_a2_basis(a2):
@@ -237,3 +237,38 @@ def test_a12_builds_and_certifies_its_regular_module():
     alg = linear_algebra(12)
     assert alg.dim == 78
     assert tilting_summary(tilting_module_check(regular_module(alg))) == ("certified", 12)
+
+
+def _exact(rep):
+    """Dims and arrow matrices of a representation, each entry with its type."""
+    return (rep.dims, {name: (m.rows, m.cols, tuple((type(x), x) for r in m.entries for x in r))
+                       for name, m in rep.arrow_mats.items()})
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=str)
+def test_standard_modules_equal_the_path_construction(field):
+    """projective, injective and regular_module equal the construction from
+    basis paths that proj_sum and the transpose of left multiplication
+    replaced, entry for entry; the regular module records the P_v as its
+    parts and is laid out as proj_sum_layout(alg, alg.vertices), the paths
+    grouped by starting vertex, and so is every projective sum."""
+    algebras = [fixture_algebra(name, None if field == QQ else field)
+                for name in ("a2", "kron2", "cycle2", "triple3")]
+    algebras += [linear_algebra(n, rad2, field) for n in range(2, 6) for rad2 in (False, True)]
+    for alg in algebras:
+        ps = {v: reference_module_from_paths(alg, alg.paths_from(v), dual=False)
+              for v in alg.vertices}
+        for v in alg.vertices:
+            assert _exact(projective(alg, v)) == _exact(ps[v])
+            assert _exact(injective(alg, v)) == _exact(
+                reference_module_from_paths(alg, alg.paths_to(v), dual=True))
+        r = regular_module(alg)
+        assert _exact(r) == _exact(direct_sum([ps[v] for v in alg.vertices]))
+        assert [_exact(part) for part in r._caches["parts"]] == [
+            _exact(ps[v]) for v in alg.vertices]
+        gens = alg.vertices[::-1] + alg.vertices[:1]
+        assert proj_sum_layout(alg, alg.vertices) == {
+            w: tuple((j, i) for j, v in enumerate(alg.vertices)
+                     for i in alg.paths_from(v) if alg.path_target(i) == w)
+            for w in alg.vertices}
+        assert _exact(proj_sum(alg, gens).rep) == _exact(direct_sum([ps[v] for v in gens]))

@@ -12,9 +12,9 @@ from quivertilt.complexes import (ChainMap, PerfectComplex, cohomology, derived_
 from quivertilt.formats import fixture_algebra
 from quivertilt.errors import ConsistencyError, DimensionMismatch
 from quivertilt.homology import (_hom_differential, _split_gen_vector, ext_dim, gen_coords,
-                                 hom_from_gens, proj_sum)
+                                 hom_from_gens)
 from quivertilt.linalg import Matrix, row_space
-from quivertilt.modules import ModuleMap, Representation, direct_sum, is_isomorphic
+from quivertilt.modules import ModuleMap, Representation, direct_sum, is_isomorphic, proj_sum
 from oracles import reference_triangle
 
 

@@ -372,6 +372,19 @@ def test_universal_extension_over_a_non_brick_takes_an_end_generating_set(name, 
     assert is_isomorphic(n_mod, direct_sum([injective(alg, "2")] + [s1] * copies))
 
 
+def test_universal_extension_names_its_precondition(a2):
+    """Ext^1(m, N) embeds in Ext^1(m, m)^k, so the post-condition fails only
+    when Ext^1(m, m) != 0; over a2 each of these m has Ext^1(m, m) = 1 and
+    is refused with InputError."""
+    s1, s2, p2 = simple(a2, "1"), simple(a2, "2"), projective(a2, "2")
+    for parts, x in (((s1, s2), s2), ((s1, s2), p2), ((s1, p2), p2),
+                     ((s1, p2), regular_module(a2))):
+        m = direct_sum(parts)
+        assert ext_dim(1, m, m) == 1
+        with pytest.raises(InputError, match=r"Ext\^1\(m, m\) = 0"):
+            universal_extension(m, x)
+
+
 def test_euler_characteristic_on_short_exact_sequences(cycle2):
     """Alternating sum of Ext dims over a short exact sequence vanishes."""
     p2 = projective(cycle2, "2")

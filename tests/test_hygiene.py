@@ -27,20 +27,32 @@ ARITHMETIC_MODULES = ("linalg", "algebra", "modules", "homology", "complexes",
 
 
 def unused_imports(source: str) -> list:
-    """(line, name) of each name bound by an import, at any depth, that no
-    expression of the module reads; an attribute chain reads its root."""
-    tree = ast.parse(source)
-    imported = {}
-    for node in ast.walk(tree):
+    """(line, name) of each name bound by an import that its scope never
+    reads: a module-level import is read by any expression of the module,
+    an import inside a function only by an expression of that function
+    (nested functions included).  An attribute chain reads its root."""
+    found = set()
+
+    def reads(scope) -> set:
+        return {node.id for node in ast.walk(scope)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+    def visit(node, scope, imported):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope, imported = node, {}
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                if alias.name == "*":
-                    continue
-                bound = alias.asname or alias.name.split(".")[0]
-                imported.setdefault(bound, node.lineno)
-    used = {node.id for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return sorted((line, name) for name, line in imported.items() if name not in used)
+                if alias.name != "*":
+                    imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, imported)
+        if node is scope:
+            used = reads(scope)
+            found.update((line, name) for name, line in imported.items() if name not in used)
+
+    tree = ast.parse(source)
+    visit(tree, tree, {})
+    return sorted(found)
 
 
 def unused_parameters(source: str) -> list:
@@ -74,6 +86,10 @@ def test_unused_import_detector_sees_plain_and_aliased_names():
     src = ("import os\nfrom a import b, c as d\nfrom e import f\n"
            "def g():\n    from h import i\n    return f(os.sep)\n")
     assert unused_imports(src) == [(2, "b"), (2, "d"), (5, "i")]
+    # a function-level import that only another function reads is unused
+    src = ("def g():\n    from h import i\n    return 1\n"
+           "def k():\n    from h import i\n    def n():\n        return i\n    return n\n")
+    assert unused_imports(src) == [(2, "i")]
 
 
 def test_no_unused_imports_in_package_modules():

@@ -351,14 +351,18 @@ def test_hom_epi_cycle2(cycle2_localization):
     assert epi.agree
 
 
-def test_hom_epi_triple3(triple3):
+def triple3_tilting(triple3):
+    """The tilting module T0 ⊕ T1 of the triple3 example, T0 the left
+    add(P_1 ⊕ P_2 ⊕ S_1)-approximation of R and T1 its cokernel."""
     r = regular_module(triple3)
     tchar = direct_sum([projective(triple3, "1"), projective(triple3, "2"),
                         simple(triple3, "1")])
     f, _ = left_add_approximation(r, tchar)
-    t1_mod, cproj = cokernel(f)
-    tilt = direct_sum([f.target, t1_mod])
-    cert = tilting_module_check(tilt)
+    return direct_sum([f.target, cokernel(f)[0]])
+
+
+def test_hom_epi_triple3(triple3):
+    cert = tilting_module_check(triple3_tilting(triple3))
     loc = universal_localization(cert.sequence)
     assert not loc.hom_epi.is_homological_epi
     assert loc.hom_epi.ext_dims[0] == 0     # degree 1 vanishes
@@ -370,6 +374,19 @@ def test_hom_epi_triple3(triple3):
     p2 = projective(triple3, "2")
     x, _ = quotient(p2, socle(p2)[1])
     assert is_isomorphic(loc.ru_module, direct_sum([s1, x, x]))
+
+
+def test_hom_epi_verdict_reads_past_the_reported_degrees(triple3):
+    """At hom_epi_degree=1 only Ext^1(R_U, R_U) = 0 is reported, but the
+    verdict reads the whole minimal resolution of R_U (pd 4), so
+    Ext^2 = 6 still makes it NO."""
+    tilt = triple3_tilting(triple3)
+    loc = universal_localization(tilting_module_check(tilt).sequence, hom_epi_degree=1)
+    assert proj_dim(loc.ru_module) == 4
+    assert loc.hom_epi.ext_dims == (0,) and len(loc.hom_epi.tor_dims) == 1
+    assert not loc.hom_epi.is_homological_epi
+    rep = recollement_report(tilt, hom_epi_degree=1)
+    assert not rep.localization.hom_epi.is_homological_epi
 
 
 # -- stratifying ideals ---------------------------------------------------------------

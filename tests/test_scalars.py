@@ -4,12 +4,14 @@ constructor that rejects floats and integral Fractions must give the same
 verdicts over Q: a stray ``/`` or an arithmetic path that skipped the
 canonical form would raise here."""
 
+import signal
 import sys
 from fractions import Fraction
 
 from quivertilt import (QQ, Matrix, bongartz_complement, decompose,
-                        direct_sum, hom_space, injective, projective, regular_module,
-                        run_example, simple, tilting_module_check, universal_localization)
+                        direct_sum, hom_space, injective, projective, recollement_report,
+                        regular_module, run_example, simple, tilting_module_check,
+                        universal_localization)
 from quivertilt.formats import parse_algebra_text
 from conftest import calls_name, construction_inventory, linear_algebra, site_of, tilting_summary
 
@@ -86,3 +88,30 @@ def test_every_matrix_entry_is_a_canonical_rational(monkeypatch):
     inventory = construction_inventory(calls_name("Matrix"))
     assert len(sites & inventory) >= 0.65 * len(inventory) > 0
     assert built["with_fractions"] > 0
+
+
+def test_square_reflects_at_one_copy_of_a_repeated_summand():
+    """The Bongartz complements of S_2 and S_3 over SQUARE have T1 = S_v²,
+    whose End has dimension 4; R is reflected at one copy of S_v, a brick.
+    The reports for v = 2, 3, 4 must all finish within 2 s (the iterative
+    route at S_v² had not finished after 40 s)."""
+
+    def expire(signum, frame):
+        raise TimeoutError("SQUARE recollement reports took over 2 s")
+
+    alg = parse_algebra_text(SQUARE)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        for v in alg.vertices[1:]:
+            s_v = simple(alg, v)
+            n_mod, _, _ = bongartz_complement(s_v)
+            rep = recollement_report(direct_sum([n_mod, s_v]))
+            assert [(f.dim_vector(), k) for f, k in decompose(rep.t1)] == (
+                [(s_v.dim_vector(), 2)] if v in ("2", "3") else [])
+            loc = rep.localization
+            assert loc.reflection_method == "brick" and loc.reflection_matches
+            assert rep.orthogonality_ok and rep.t2_matches_ru
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

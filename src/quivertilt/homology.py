@@ -4,10 +4,13 @@ realization, universal extensions and left add-approximations.
 Resolutions are built from projective sums (``modules.proj_sum``): a term
 knows the list of vertices its generators sit at, which makes Hom out of it
 free data (a map from ⊕P_v is determined by arbitrary images of the
-generators).  Ext is
-computed from a resolution of the first argument only.  Tor tensors the same
-resolution with a left module Y through e_vA ⊗_A Y ≅ e_vY, so each term
-P_k ⊗_A Y is a sum of vertex components of Y.
+generators).  Ext is computed from a resolution of the first argument
+only.  Tor tensors the same resolution with a left module Y through
+e_vA ⊗_A Y ≅ e_vY, so each term P_k ⊗_A Y is a sum of vertex components of
+Y.  The minimal left add(T)-approximation of ⊕_k P_{v_k} is chosen one
+vertex at a time: by Yoneda Hom(P_v, T_j) = (T_j)_v, its radical is
+(U_j)_v with U_j the sum of the images of the radical maps of add T into
+T_j, and the copies of T_j kept at v_k are a basis of (T_j/U_j)_{v_k}.
 """
 
 from dataclasses import dataclass, field as _dc_field
@@ -17,9 +20,9 @@ from .errors import BoundExceeded, ConsistencyError, InputError
 from .linalg import (Matrix, quotient_basis, rank, row_space, rref, solve_linear_system,
                      solve_right_kernel)
 from .modules import (HomSpace, ModuleMap, ProjSum, Representation, _assemble_block_map,
-                      _block_maps, _endo_radical, _entry_count, _flatten_map, decompose,
-                      direct_sum, direct_sum_with_maps, hom_space, identity_map, image,
-                      proj_sum, quotient, submodule_from_rows, zero_map)
+                      _block_maps, _endo_radical, decompose, direct_sum, direct_sum_with_maps,
+                      hom_space, identity_map, image, proj_sum, quotient, submodule_from_rows,
+                      zero_map)
 
 DEFAULT_RESOLUTION_BOUND = 32
 
@@ -39,11 +42,9 @@ def hom_from_gens(psum: ProjSum, n: Representation, images) -> ModuleMap:
                 for (v, img) in zip(psum.gens, images)]
     mats = {}
     for w in alg.vertices:
-        rows = []
-        for (j, i) in psum.layout[w]:
-            act = n.basis_action(i)  # n.dims[gens[j]] x n.dims[w]
-            rows.append(img_rows[j].mul(act).entries[0])
-        mats[w] = Matrix(fld, len(rows), n.dims[w], tuple(rows))
+        # n.basis_action(i) is n.dims[gens[j]] x n.dims[w]
+        rows = tuple(img_rows[j].mul(n.basis_action(i)).entries[0] for j, i in psum.layout[w])
+        mats[w] = Matrix(fld, len(rows), n.dims[w], rows)
     return ModuleMap._trusted(psum.rep, n, mats)
 
 
@@ -468,11 +469,9 @@ def left_module_from_op_rep(alg: Algebra, op_rep: Representation) -> LeftModule:
     op_alg = op_rep.algebra
     if op_alg.dim != alg.dim:
         raise InputError("opposite representation has mismatched dimension")
-    act = []
-    for i in range(alg.dim):
-        act.append(_total_action(op_rep, i))
+    act = tuple(_total_action(op_rep, i) for i in range(alg.dim))
     # a representation of the verified A^op is a left A-module
-    return LeftModule._trusted(alg, op_rep.total_dim, tuple(act))
+    return LeftModule._trusted(alg, op_rep.total_dim, act)
 
 
 def _total_action(rep: Representation, i: int) -> Matrix:
@@ -713,18 +712,13 @@ def universal_extension(m: Representation, x: Representation,
         return x, ShortExact(x, x, zero_module(m.algebra), identity_map(x),
                              zero_map(x, zero_module(m.algebra)))
     end = hom_space(m, m)
-    if end.dim == 1:
-        gens = list(space.classes)
-    else:
-        gens = _end_generating_classes(m, space, end)
+    gens = list(space.classes) if end.dim == 1 else _end_generating_classes(m, space, end)
     k = len(gens)
     res_k = _resolution_power(space.resolution, k)
     p1 = res_k.terms[1]
     # stacked cocycle on P1^k
-    images = []
-    for copy in range(k):
-        for (v, row_idx) in space.resolution.terms[1].gen_pos:
-            images.append(gens[copy].cocycle.mats[v].entries[row_idx])
+    images = [g.cocycle.mats[v].entries[r] for g in gens
+              for v, r in space.resolution.terms[1].gen_pos]
     cocycle = hom_from_gens(p1, x, images)
     cls = ExtClass(res_k, 1, x, cocycle)
     ses = realize_extension(cls)
@@ -750,10 +744,7 @@ def _end_generating_classes(m, space, end: HomSpace):
     span = Matrix.zeros(fld, 0, space.dim)
 
     def in_span(row: Matrix) -> bool:
-        if span.rows == 0:
-            return row.is_zero()
-        sol, _ = solve_linear_system(span, row)
-        return sol is not None
+        return solve_linear_system(span, row)[0] is not None
 
     for cls in space.classes:
         coords = Matrix(fld, 1, space.dim, (space.class_coords(cls.cocycle),))
@@ -780,53 +771,65 @@ def _end_generating_classes(m, space, end: HomSpace):
 
 
 def left_add_approximation(x: Representation, t: Representation):
-    """Minimal left add(t)-approximation of x (Auslander–Smalø).
+    """Minimal left add(t)-approximation of a projective x (Auslander–Smalø),
+    one vertex at a time; a non-projective x raises InputError.
 
     Returns (f, summand_tags): f: x -> T0, T0 the direct sum of the tagged
     factors T_j of decompose(t), and every map x -> t' in add(t) factors
-    through f.  T0 has one copy of T_j per Hom(x, T_j) basis map
-    independent modulo rad(x, T_j) and the earlier kept maps.
+    through f.  x = ⊕_k P_{v_k} through the cover of its memoized minimal
+    resolution, and by Yoneda a map P_v -> T_j is the image of e_v, a
+    vector of (T_j)_v; composing it with h: T_i -> T_j multiplies by h.mats[v].
 
-    - The T_j are pairwise non-isomorphic indecomposables, so
-      rad(T_i, T_j) = Hom(T_i, T_j) for i != j, and
-      rad(x, T_j) = Σ_i Hom(x, T_i)·rad(T_i, T_j).
-    - rad(add t) is nilpotent, so maps generating each Hom(x, T_j) modulo
-      rad(x, T_j) generate it: f is an approximation.
-    - The kept maps are independent modulo the radical: f is minimal.
+    - The T_j are pairwise non-isomorphic indecomposables, so the radical
+      maps into T_j are Hom(T_i, T_j) for i != j and rad End(T_j).  With
+      U_j the sum of their images, rad(P_v, T_j) = (U_j)_v.
+    - Hom(x, T_j) and its radical split over the generators, so T0 has one
+      copy of T_j per generator k and unit vector c of (T_j)_{v_k}
+      independent modulo (U_j)_{v_k} and the earlier units: the copy's map
+      sends generator k to c and the others to 0.
+    - rad(add t) is nilpotent, so maps generating each Hom(P_v, T_j) modulo
+      the radical generate it: f is an approximation.  The kept maps are
+      independent modulo the radical: f is minimal.
 
-    Checked: the kept copies' composites with each Hom(T_i, T_j) span
-    every Hom(x, T_j).
+    Checked: at each generator vertex v, the rows c of h.mats[v] over the
+    kept units c of each T_i and h ∈ Hom(T_i, T_j) span (T_j)_v.
     """
-    fld = x.algebra.field
+    alg, fld = x.algebra, x.algebra.field
+    res = min_resolution(x, 0, require_finite=False)
+    if not res.complete:
+        raise InputError("left add-approximation needs a projective module")
+    p0, cover = res.terms[0], res.augment
     factors = [fac for fac, _ in decompose(t)]
-    hom_bases = [hom_space(x, fac) for fac in factors]
     between = [[hom_space(a, b) for b in factors] for a in factors]
-
-    def composites(i, j, maps) -> list:
-        return [_flatten_map(b.compose(h)) for b in maps for h in between[i][j].basis]
-
-    def stacked(j, rows) -> Matrix:
-        return Matrix(fld, len(rows), _entry_count(x, factors[j]), tuple(rows))
-
-    copies = []
-    for j, hs in enumerate(hom_bases):
-        if hs.dim == 0:
-            continue
-        # rad(x, T_j), then the basis: keep the basis rows independent of those above
-        rad = [r for i, hi in enumerate(hom_bases) if i != j for r in composites(i, j, hi.basis)]
-        if between[j][j].dim > 1:
-            rad += [_flatten_map(b.compose(r)) for b in hs.basis for r in _endo_radical(factors[j])]
-        _, pivots = rref(stacked(j, rad + [_flatten_map(b) for b in hs.basis]).transpose())
-        copies += [(j, hs.basis[p - len(rad)]) for p in pivots if p >= len(rad)]
-    for j, hs in enumerate(hom_bases):
-        if hs.dim == 0:
-            continue
-        rows = [r for i in range(len(factors))
-                for r in composites(i, j, [b for jc, b in copies if jc == i])]
-        if rank(stacked(j, rows)) != hs.dim:
-            raise ConsistencyError("minimal map is not a left approximation")
+    rad = [[h for i, hs in enumerate(between) if i != j for h in hs[j].basis]
+           + list(_endo_radical(fac) if between[j][j].dim > 1 else ())
+           for j, fac in enumerate(factors)]
+    keep = {}  # (j, v) -> the kept unit vectors of (T_j)_v
+    for v in dict.fromkeys(p0.gens):
+        for j, d in enumerate(fac.dims[v] for fac in factors):
+            # (U_j)_v, then the units: keep the units independent of the rows above
+            rows = tuple(r for h in rad[j] for r in h.mats[v].entries)
+            pivots = rref(Matrix(fld, len(rows), d, rows).vstack(Matrix.identity(fld, d))
+                          .transpose())[1] if d else ()
+            keep[j, v] = tuple(p - len(rows) for p in pivots if p >= len(rows))
+        for j, d in enumerate(fac.dims[v] for fac in factors):
+            rows = tuple(h.mats[v].entries[c] for i, hs in enumerate(between)
+                         for c in keep[i, v] for h in hs[j].basis)
+            if d and rank(Matrix(fld, len(rows), d, rows)) != d:
+                raise ConsistencyError("minimal map is not a left approximation")
+    copies = [(j, k, c) for j in range(len(factors))
+              for k, v in enumerate(p0.gens) for c in keep[j, v]]
     if not copies:
-        return zero_map(x, zero_module(x.algebra)), ()
-    summands = [factors[j] for j, _ in copies]
-    f = _assemble_block_map(x, direct_sum(summands), [[b for _, b in copies]], [x], summands)
-    return f, tuple(j for j, _ in copies)
+        return zero_map(x, zero_module(alg)), ()
+    t0 = direct_sum([factors[j] for j, _, _ in copies])
+    mats = {}
+    for w in alg.vertices:
+        # row (k, i): row c of T_j's action of path i in each copy (j, k, c)
+        rows = tuple(tuple(e for j, kc, c in copies
+                           for e in (factors[j].basis_action(i).entries[c] if kc == k
+                                     else (fld.zero(),) * factors[j].dims[w]))
+                     for k, i in p0.layout[w])
+        mats[w] = Matrix(fld, len(rows), t0.dims[w], rows)
+        if cover.mats[w] != Matrix.identity(fld, x.dims[w]):  # ⊕_k P_{v_k} in another basis
+            mats[w] = _left_divide(cover.mats[w], mats[w])
+    return ModuleMap._trusted(x, t0, mats), tuple(j for j, _, _ in copies)

@@ -281,11 +281,9 @@ def _unflatten_map(m: Representation, n: Representation, flat) -> ModuleMap:
         if not (r and c):
             mats[v] = Matrix.zeros(fld, r, c)
             continue
-        rows = []
-        for i in range(r):
-            rows.append(tuple(flat[pos:pos + c]))
-            pos += c
-        mats[v] = Matrix(fld, r, c, tuple(rows))
+        mats[v] = Matrix(fld, r, c, tuple(tuple(flat[pos + i * c:pos + (i + 1) * c])
+                                          for i in range(r)))
+        pos += r * c
     return ModuleMap._trusted(m, n, mats)
 
 
@@ -807,8 +805,10 @@ def indecomposable_summands(m: Representation):
 
 def _through_parts(pairs):
     """The summands of each part of a split, carried into the whole along
-    the part's (inclusion, projection)."""
-    return [(fac, sub_incl.compose(incl), proj.compose(sub_proj))
+    the part's (inclusion, projection).  A part that is its own only
+    summand has two identities as its pair, and keeps the part's."""
+    return [(fac, incl, proj) if fac is incl.source
+            else (fac, sub_incl.compose(incl), proj.compose(sub_proj))
             for incl, proj in pairs
             for fac, sub_incl, sub_proj in indecomposable_summands(incl.source)]
 
@@ -884,7 +884,4 @@ def in_add_of(x: Representation, t: Representation) -> bool:
     if x.total_dim == 0:
         return True
     t_factors = [f for f, _ in decompose(t)]
-    for fac, _ in decompose(x):
-        if not any(is_isomorphic(fac, tf) for tf in t_factors):
-            return False
-    return True
+    return all(any(is_isomorphic(fac, tf) for tf in t_factors) for fac, _ in decompose(x))

@@ -34,7 +34,10 @@ structure-constant ring (SCRing, which left the package with it) with
 lambda checked on all basis pairs and the two-sided ideal scan, which
 matrix units and the generator-pair check of lambda replaced, and
 reference_module_from_paths, the construction of P_v and I_v from basis
-paths that proj_sum and the transpose of left multiplication replaced.
+paths that proj_sum and the transpose of left multiplication replaced, and
+reference_split_along_parts, the summands of a split composed with each
+part's split pair even where that pair is two identities, which keeping a
+part's own pair replaced.
 """
 
 from dataclasses import dataclass
@@ -351,22 +354,39 @@ def oracle_corner_tor1_dim(alg, vertices):
 
 
 def reference_left_approximation(x, t):
-    """Minimal left add(t)-approximation by the plain greedy loop: assemble
-    the canonical map, then repeatedly drop the last copy whose removal
-    still leaves a left approximation, re-assembling T0 and re-solving
-    Hom(T0, T_j) on every trial and restarting after each removal.
+    """Minimal left add(t)-approximation of a projective x by the plain
+    greedy loop: assemble the canonical map, then repeatedly drop the last
+    copy whose removal still leaves a left approximation, re-assembling T0
+    and re-solving Hom(T0, T_j) on every trial and restarting after each
+    removal.  The candidate maps x -> T_j are the generator basis: through
+    the inverse of x's projective cover ⊕_k P_{v_k} -> x, generator k goes
+    to unit vector c of (T_j)_{v_k} and the other generators to 0, in the
+    order (j, k, c).
 
     Unlike the functions above it uses the library's Hom solver and
-    elimination; what it checks is the library's one-pass span test
-    against this direct search.
+    elimination; what it checks is the library's per-vertex selection and
+    span test against this direct search.
     """
+    from quivertilt.homology import hom_from_gens, projective_cover
     from quivertilt.linalg import Matrix, solve_linear_system
-    from quivertilt.modules import (_flatten_map, decompose, direct_sum_with_maps,
+    from quivertilt.modules import (ModuleMap, _flatten_map, decompose, direct_sum_with_maps,
                                     hom_space, zero_map)
     from quivertilt.algebra import zero_module
 
     factors = [fac for fac, _ in decompose(t)]
     hom_bases = [hom_space(x, fac) for fac in factors]
+    fld = x.algebra.field
+    p0, cover = projective_cover(x)
+    inverse = {}
+    for v in x.algebra.vertices:
+        inv, _ = solve_linear_system(cover.mats[v], Matrix.identity(fld, x.dims[v]))
+        inverse[v] = inv
+    back = ModuleMap(x, p0.rep, inverse)
+
+    def unit_map(j, k, c):
+        images = [[fld.zero()] * factors[j].dims[v] for v in p0.gens]
+        images[k][c] = fld.one()
+        return back.compose(hom_from_gens(p0, factors[j], images))
 
     def assemble(copies):
         if not copies:
@@ -378,7 +398,6 @@ def reference_left_approximation(x, t):
         return f, tuple(j for j, _ in copies)
 
     def is_approximation(f):
-        fld = x.algebra.field
         for j, hs in enumerate(hom_bases):
             if hs.dim == 0:
                 continue
@@ -393,7 +412,8 @@ def reference_left_approximation(x, t):
                     return False
         return True
 
-    copies = [(j, b) for j, hs in enumerate(hom_bases) for b in hs.basis]
+    copies = [(j, unit_map(j, k, c)) for j in range(len(factors))
+              for k, v in enumerate(p0.gens) for c in range(factors[j].dims[v])]
     f, tags = assemble(copies)
     assert is_approximation(f), "canonical map is not a left approximation"
     changed = True
@@ -541,6 +561,34 @@ def reference_summands(m, seed=0):
     if hs.dim - len(_endo_radical(m)) == 1:
         return [(m, identity_map(m), identity_map(m))]
     raise ConsistencyError("no Fitting split found and End/rad has dimension > 1")
+
+
+def reference_split_along_parts(m):
+    """indecomposable_summands(m) by the composing route: the summands of
+    each part of a split, from this function again, carried into m by
+    composing them with the part's inclusion and projection, also when the
+    part is its own only summand and its split pair is two identities.
+    The parts are the recorded parts of a direct sum, or else the kernel
+    and image of the library's first Fitting split; a module with one
+    summand is the library's (m, id, id).
+
+    It uses the library's split and Fitting search; what it checks is that
+    keeping a part's own pair in place of the composites changes no entry.
+    """
+    from quivertilt.modules import (_block_maps, _first_split, _further_candidates,
+                                    _split_projections, hom_space, indecomposable_summands)
+    if "parts" in m._caches:
+        pairs = zip(*_block_maps(m))
+    else:
+        summands = indecomposable_summands(m)
+        if len(summands) == 1:
+            return summands
+        hs = hom_space(m, m)
+        k_incl, i_incl = _first_split(m, hs.basis) or _first_split(m, _further_candidates(hs))
+        pairs = zip((k_incl, i_incl), _split_projections(m, k_incl, i_incl))
+    return [(fac, sub_incl.compose(incl), proj.compose(sub_proj))
+            for incl, proj in pairs
+            for fac, sub_incl, sub_proj in reference_split_along_parts(incl.source)]
 
 
 def reference_is_isomorphic(m, n, seed=0):

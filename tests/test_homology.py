@@ -706,7 +706,8 @@ def _rebased(m):
 
 def _approx_cases():
     """(x, t) pairs: the T's of the approximation tests above and of the
-    worked examples, then T = R, T = D(A) and Bongartz's N ⊕ S_v on A_3 and
+    worked examples, R over cycle2 against P2 alone, whose radical End(P2)
+    reaches a generator, then T = R, T = D(A) and Bongartz's N ⊕ S_v on A_3 and
     A_4, hereditary over Q and radical-square-zero over GF(101), and T = R
     and T = D(A) on hereditary A_5 over Q and radical-square-zero A_5 and
     A_6 over GF(101), each also approximating R in another basis."""
@@ -725,7 +726,8 @@ def _approx_cases():
         t = direct_sum([projective(c, "2"), simple(c, "2")])
         cases += [(f"cycle2/{fld}/R", regular_module(c), t),
                   (f"cycle2/{fld}/rebased R", _rebased(regular_module(c)), t),
-                  (f"cycle2/{fld}/P2", projective(c, "2"), t)]
+                  (f"cycle2/{fld}/P2", projective(c, "2"), t),
+                  (f"cycle2/{fld}/R to P2", regular_module(c), projective(c, "2"))]
         tr = fixture_algebra("triple3", fld)
         cases.append((f"triple3/{fld}/R", regular_module(tr),
                       direct_sum([projective(tr, "1"), projective(tr, "2"), simple(tr, "1")])))
@@ -764,48 +766,108 @@ def test_approximation_matches_greedy_reference():
         assert f.target.arrow_mats == ref_f.target.arrow_mats, name
 
 
+def _radical_images(t):
+    """(T_j, images) for each factor T_j of decompose(t): images(v) gives
+    the rows at v of every h in Hom(T_i, T_j), i != j, then those of every
+    r in rad End(T_j); together they span (U_j)_v."""
+    from quivertilt.modules import _endo_radical
+    factors = [fac for fac, _ in decompose(t)]
+    for j, fac in enumerate(factors):
+        others = [h for i, o in enumerate(factors) if i != j for h in hom_space(o, fac).basis]
+
+        def images(v, others=others, fac=fac):
+            return ([r for h in others for r in h.mats[v].entries],
+                    [r for h in _endo_radical(fac) for r in h.mats[v].entries])
+        yield fac, images
+
+
+def test_approximation_multiplicities_are_the_tops_modulo_radical_maps():
+    """T_j occurs in T0 Σ_k dim (T_j/U_j)_{v_k} times, over the generators
+    v_k of x."""
+    from oracles import oracle_rank
+    for name, x, t in _approx_cases():
+        _, tags = left_add_approximation(x, t)
+        char = x.algebra.field.characteristic
+        for j, (fac, images) in enumerate(_radical_images(t)):
+            expected = sum(fac.dims[v] - oracle_rank(sum(images(v), []), char)
+                           for v in projective_cover(x)[0].gens)
+            assert tags.count(j) == expected, (name, j)
+
+
+@pytest.mark.parametrize("field", [None, GF(101)], ids=["Q", "GF101"])
+def test_approximation_rejects_a_non_projective_module(field):
+    """Only a projective x is approximated; S_1 over a2 and S_2 over cycle2
+    are not projective."""
+    for alg_name, v in (("a2", "1"), ("cycle2", "2")):
+        alg = fixture_algebra(alg_name, field)
+        with pytest.raises(InputError, match="projective"):
+            left_add_approximation(simple(alg, v), regular_module(alg))
+
+
 def test_approximation_cases_reach_a_factor_with_a_radical():
-    """Some factor T_j has dim End(T_j) > 1, so the rows b·r with r in
-    rad End(T_j) take part in the selection."""
-    assert any(hom_space(fac, fac).dim > 1
-               for _, _, t in _approx_cases() for fac, _ in decompose(t))
+    """Some factor T_j has a radical End(T_j) whose image at a generator
+    vertex v of x is not inside the images of the Hom(T_i, T_j), i != j, so
+    the rows r.mats[v] with r in rad End(T_j) change the selection."""
+    from oracles import oracle_rank
+
+    def reaches(x, t):
+        char = x.algebra.field.characteristic
+        return any(oracle_rank(others + rad, char) > oracle_rank(others, char)
+                   for _, images in _radical_images(t)
+                   for others, rad in map(images, projective_cover(x)[0].gens))
+
+    assert any(reaches(x, t) for _, x, t in _approx_cases())
 
 
 def test_dropping_any_kept_copy_fails_the_span_certificate(monkeypatch):
-    """The kept basis maps of each factor are the trailing pivots of its
-    selection; dropping any one of them must make the span check raise."""
+    """Each (factor, vertex) selection keeps the unit vectors at the trailing
+    pivots of its elimination, those past the rows of (U_j)_v; dropping any
+    one of them from its selection must make the span check raise."""
     import quivertilt.homology as homology
     from quivertilt.linalg import rref
+
+    def kept(m, pivots):
+        # m is the transpose of [rows of (U_j)_v; identity]: the units are its last m.rows columns
+        return [p for p in pivots if p >= m.cols - m.rows]
+
     cases = [c for c in _approx_cases() if c[0].split("/")[0] in ("cycle2", "triple3", "A4")]
     for name, x, t in cases:
-        _, tags = left_add_approximation(x, t)
-        # one selection per factor j with Hom(x, T_j) != 0, in order
-        order = [j for j, (fac, _) in enumerate(decompose(t)) if hom_space(x, fac).dim]
-        for drop in range(len(tags)):
-            calls = []
+        left_add_approximation(x, t)  # x's resolution is cached from here on
+        sizes = []
 
-            def dropping(m):
-                reduced, pivots = rref(m)
-                j = order[len(calls)]
-                calls.append(j)
-                mine = [c for c, tag in enumerate(tags) if tag == j]
-                if drop in mine:
-                    pos = len(pivots) - len(mine) + mine.index(drop)
-                    pivots = pivots[:pos] + pivots[pos + 1:]
-                return reduced, pivots
+        def recording(m):
+            reduced, pivots = rref(m)
+            sizes.append(len(kept(m, pivots)))
+            return reduced, pivots
 
-            monkeypatch.setattr(homology, "rref", dropping)
-            with pytest.raises(ConsistencyError):
-                left_add_approximation(x, t)
-            monkeypatch.undo()
-            assert calls, name
+        monkeypatch.setattr(homology, "rref", recording)
+        left_add_approximation(x, t)
+        monkeypatch.undo()
+        assert sum(sizes), name
+        for call, size in enumerate(sizes):
+            for drop in range(size):
+                seen = []
+
+                def dropping(m):
+                    reduced, pivots = rref(m)
+                    if len(seen) == call:
+                        gone = kept(m, pivots)[drop]
+                        pivots = [p for p in pivots if p != gone]
+                    seen.append(m)
+                    return reduced, pivots
+
+                monkeypatch.setattr(homology, "rref", dropping)
+                with pytest.raises(ConsistencyError):
+                    left_add_approximation(x, t)
+                monkeypatch.undo()
 
 
 def test_approximation_solves_each_hom_space_once(monkeypatch):
-    """With t's decomposition cached, the approximation solves Hom(x, T_j)
-    and Hom(T_i, T_j) once each: m + m^2 solves for m factors.  It runs at
-    most two eliminations per factor, the selection and the span check,
-    whatever the number of copies."""
+    """With t's decomposition and x's resolution cached, the approximation
+    solves Hom(T_i, T_j) once each, m^2 solves for m factors, and never a
+    Hom out of x.  It runs two eliminations per factor T_j and vertex v
+    with (T_j)_v != 0, the selection and the span check, whatever the
+    number of copies."""
     import quivertilt.homology as homology
     import quivertilt.modules as modules
     from conftest import linear_algebra
@@ -813,6 +875,7 @@ def test_approximation_solves_each_hom_space_once(monkeypatch):
     alg = linear_algebra(4)
     r = regular_module(alg)
     m = len(decompose(r))
+    min_resolution(r)
     calls, elims = [], []
 
     def counting(a, b):
@@ -831,6 +894,7 @@ def test_approximation_solves_each_hom_space_once(monkeypatch):
     monkeypatch.setattr(homology, "rank", counted(rank))
     f, tags = left_add_approximation(r, r)
     assert m == 4
-    assert len(calls) == m + m * m
-    assert elims.count(rref) <= m and elims.count(rank) <= m
+    assert len(calls) == m * m and all(a is not r for a, _ in calls)
+    pairs = sum(1 for fac, _ in decompose(r) for v in alg.vertices if fac.dims[v])
+    assert elims.count(rref) == elims.count(rank) == pairs == 10
     assert f.is_isomorphism() and len(tags) == 4

@@ -22,10 +22,11 @@ import quivertilt.modules as modules
 from quivertilt import (GF, QQ, ModuleMap, Representation, bongartz_complement,
                         direct_sum, injective, projective, regular_module,
                         run_example, simple, tilting_module_check)
+from quivertilt.homology import universal_extension
 from quivertilt.formats import fixture_algebra
 from quivertilt.linalg import Matrix
 from conftest import linear_algebra
-from oracles import reference_summands
+from oracles import reference_split_along_parts, reference_summands
 
 
 def _decomposed_modules(monkeypatch, run):
@@ -195,3 +196,24 @@ def test_part_without_recorded_parts_takes_the_fitting_path(monkeypatch, field):
     assert parts[2][0] is s1
     assert _summary(parts) == _summary(_expected_summands(m))
     _assert_split_pairs(m, parts)
+
+
+@pytest.mark.parametrize("rad2", [False, True], ids=["hered-Q", "rad2-GF101"])
+def test_part_that_is_its_own_summand_keeps_its_pair(rad2):
+    """Keeping the pair of a part that is its own only summand changes no
+    entry: on R, D(A) and Bongartz's N ⊕ S_v of A_3-A_5, and on a sum with
+    a Fitting-split part, the summands equal the composing reference's."""
+    mods = []
+    for n in (3, 4, 5):
+        alg = linear_algebra(n, rad2, GF(101) if rad2 else QQ)
+        mods += [regular_module(alg), direct_sum([injective(alg, v) for v in alg.vertices])]
+        for v in alg.vertices:
+            n_mod, _ = universal_extension(simple(alg, v), regular_module(alg))
+            mods.append(direct_sum([n_mod, simple(alg, v)]))
+    x_y = _kronecker_units_module(GF(101) if rad2 else None)
+    mods.append(direct_sum([x_y, simple(x_y.algebra, "1")]))
+    for m in mods:
+        parts = modules.indecomposable_summands(m)
+        expected = reference_split_along_parts(m)
+        assert [fac for fac, _, _ in parts] == [fac for fac, _, _ in expected]
+        assert _summary(parts) == _summary(expected)

@@ -6,18 +6,24 @@ resolve_to_complex.  Hom in the homotopy category of projectives computes
 derived Hom, so no calculus of fractions is needed.  Differentials raise
 degree; the shift sign is d_{x[n]} = (-1)^n d_x, and the cone of f has
 differential [[-d_src, f], [0, d_tgt]].
+
+Dimensions come from ranks: dim Hom_D(x, y[n]) from the two differentials
+of the Hom complex at degree n, and dim H^n(x) from those of x.  Chain-map
+representatives are built only when a caller first asks for them.  A
+complex carries a cache, as a module does: Hom_D(x, x[n]) is memoized
+there, and the recollement layer keeps H^0 of a reflection there.
 """
 
 from dataclasses import dataclass, field as _dc_field
 
 from .algebra import Algebra
 from .errors import ConsistencyError, DimensionMismatch, InputError
-from .linalg import row_space, solve_linear_system, solve_right_kernel
+from .linalg import rank, row_space, solve_linear_system, solve_right_kernel
 from .modules import (ModuleMap, Representation, _assemble_block_map, _same_module, identity_map,
                       proj_sum, quotient, submodule_from_rows, zero_map)
 from .homology import (DEFAULT_RESOLUTION_BOUND, Resolution, _class_coords, _gen_rows,
-                       _hom_cohomology, _same_gen_rows, _split_gen_vector, gen_coords,
-                       hom_from_gens, min_resolution)
+                       _hom_basis, _hom_cohomology, _same_gen_rows, _split_gen_vector,
+                       gen_coords, hom_from_gens, min_resolution)
 
 
 @dataclass(frozen=True)
@@ -30,6 +36,7 @@ class PerfectComplex:
     algebra: Algebra
     terms: dict   # degree -> ProjSum (only nonzero degrees present)
     diffs: dict   # degree n -> ModuleMap terms[n] -> terms[n+1]
+    _caches: dict = _dc_field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         for n, t in self.terms.items():
@@ -317,8 +324,9 @@ class DerivedHomSpace:
         reps = self._data.get("reps")
         if reps is None:
             x, sy = self.x, self.target
+            data = _hom_basis(self._data)
             reps = []
-            for row in self._data["section"].mul(self._data["Z"]).entries:
+            for row in data["section"].mul(data["Z"]).entries:
                 comps = {}
                 pos = 0
                 for (i, vdim) in self._data["layout"]:
@@ -357,12 +365,18 @@ def derived_hom(x: PerfectComplex, y: PerfectComplex, n: int) -> DerivedHomSpace
     Hom complex of x and y's term modules (homology._hom_cohomology), as x
     is a bounded complex of projectives.  A cocycle of degree n is a chain
     map x -> y[n]: its chain condition is δⁿ up to the sign (−1)ⁿ of
-    y[n]'s differential.  No shifted complex is built here
-    (``DerivedHomSpace.target`` builds it for representatives)."""
+    y[n]'s differential.  The dimension comes from two ranks; neither the
+    representatives nor the shifted complex they map into is built here
+    (``DerivedHomSpace.reps`` builds both on first use).  Hom_D(x, x[n]) is
+    memoized in x's cache, as End(m) is for modules."""
+    memo = x._caches.setdefault("derived_end", {}) if y is x else {}
+    if n in memo:
+        return memo[n]
     if n not in hom_window(x, y):
         return DerivedHomSpace(x, y, n, 0)
     data = _hom_cohomology(x.terms, x.diffs, {i: t.rep for i, t in y.terms.items()}, y.diffs, n)
-    return DerivedHomSpace(x, y, n, data["section"].rows, _data=data)
+    memo[n] = DerivedHomSpace(x, y, n, data["dim"], _data=data)
+    return memo[n]
 
 
 def cohomology(x: PerfectComplex, n: int) -> Representation:
@@ -385,6 +399,15 @@ def cohomology(x: PerfectComplex, n: int) -> Representation:
     img_sub, img_incl = submodule_from_rows(ker, img_rows)
     h, _ = quotient(ker, img_incl)
     return h
+
+
+def _cohomology_dims(x: PerfectComplex) -> dict:
+    """dim H^n(x) for every degree n of x: Σ_v dim x^n_v − rank d^n_v −
+    rank d^{n-1}_v, one rank per differential and vertex and no module
+    built (``cohomology`` builds H^n)."""
+    ranks = {n: sum(rank(d.mats[v]) for v in x.algebra.vertices) for n, d in x.diffs.items()}
+    return {n: t.rep.total_dim - ranks.get(n, 0) - ranks.get(n - 1, 0)
+            for n, t in x.terms.items()}
 
 
 def is_exceptional(x: PerfectComplex) -> bool:

@@ -5,7 +5,9 @@ Resolutions are built from projective sums (``modules.proj_sum``): a term
 knows the list of vertices its generators sit at, which makes Hom out of it
 free data (a map from ⊕P_v is determined by arbitrary images of the
 generators).  Ext is computed from a resolution of the first argument
-only.  Tor tensors the same resolution with a left module Y through
+only, as H^n of a Hom complex whose dimension is read off the ranks of its
+two differentials; cocycle classes are built only when a caller first asks
+for them.  Tor tensors the same resolution with a left module Y through
 e_vA ⊗_A Y ≅ e_vY, so each term P_k ⊗_A Y is a sum of vertex components of
 Y.  The minimal left add(T)-approximation of ⊕_k P_{v_k} is chosen one
 vertex at a time: by Yoneda Hom(P_v, T_j) = (T_j)_v, its radical is
@@ -288,37 +290,48 @@ def _hom_differential(xt: dict, xd: dict, yt: dict, yd: dict, n: int):
 
 
 def _hom_cohomology(xt: dict, xd: dict, yt: dict, yd: dict, n: int) -> dict:
-    """H^n = ker δⁿ / im δⁿ⁻¹ of the Hom complex of _hom_differential: the
-    layout of Hom^n, the cocycle basis Z and the quotient map of
-    _cocycles_mod_coboundaries, and the section, whose rows times Z are
-    cocycles representing a basis of H^n (0 x 0 when Hom^n = 0)."""
+    """H^n = ker δⁿ / im δⁿ⁻¹ of the Hom complex of _hom_differential, by
+    ranks: the layout of Hom^n, δⁿ, δⁿ⁻¹ and dim H^n (_hom_dim).  No basis
+    is built here; _hom_basis builds one from these on first use."""
     layout, delta = _hom_differential(xt, xd, yt, yd, n)
-    data = {"layout": layout}
-    if not delta.rows:
-        data["section"] = data["Z"] = Matrix.zeros(delta.field, 0, 0)
-        return data
-    _, prev = _hom_differential(xt, xd, yt, yd, n - 1)
-    data["section"] = _cocycles_mod_coboundaries(solve_right_kernel(delta), row_space(prev), data)
+    data = {"layout": layout, "delta": delta, "dim": 0}
+    if delta.rows:
+        _, data["prev"] = _hom_differential(xt, xd, yt, yd, n - 1)
+        data["dim"] = _hom_dim(delta, data["prev"])
     return data
 
 
-def _cocycles_mod_coboundaries(Z: Matrix, B: Matrix, data: dict) -> Matrix:
-    """Section of span(Z) / span(B), coset representatives in Z's
-    coordinates: B, which must lie in span(Z), is solved in those
-    coordinates and the quotient taken there.  Z and the quotient map are
-    stored in data for _class_coords."""
-    Y, _ = solve_linear_system(Z, B)
-    if Y is None:
-        raise ConsistencyError("coboundaries escaped the cocycle space")
-    section, data["proj"] = quotient_basis(Y, Z.rows)
-    data["Z"] = Z
-    return section
+def _hom_dim(delta: Matrix, prev: Matrix) -> int:
+    """dim Hom^n − rank δⁿ − rank δⁿ⁻¹, after checking δⁿ⁻¹δⁿ = 0: two
+    eliminations without a transform and one product."""
+    if not prev.mul(delta).is_zero():
+        raise ConsistencyError("the Hom complex has δⁿ⁻¹δⁿ != 0")
+    return delta.rows - rank(delta) - rank(prev)
+
+
+def _hom_basis(data: dict) -> dict:
+    """data of _hom_cohomology with a basis of H^n added on first use: the
+    cocycle basis Z, the section of span(Z) / span(B), B the coboundaries
+    solved in Z's coordinates, whose rows times Z are cocycles representing
+    a basis of H^n, and the quotient map for _class_coords.  Checked: the
+    section has data["dim"] rows."""
+    if "section" not in data:
+        Z = solve_right_kernel(data["delta"])
+        Y, _ = solve_linear_system(Z, row_space(data["prev"]))
+        if Y is None:
+            raise ConsistencyError("coboundaries escaped the cocycle space")
+        section, proj = quotient_basis(Y, Z.rows)
+        if section.rows != data["dim"]:
+            raise ConsistencyError(
+                f"H^n has a basis of {section.rows}, but its ranks give dimension {data['dim']}")
+        data.update(Z=Z, proj=proj, section=section)
+    return data
 
 
 def _class_coords(data: dict, flat) -> tuple:
     """Coordinates of the class of the cocycle with coordinates flat, in
-    the quotient basis _cocycles_mod_coboundaries stored in data."""
-    Z = data["Z"]
+    the quotient basis _hom_basis stores in data."""
+    Z = _hom_basis(data)["Z"]
     y, _ = solve_linear_system(Z, Matrix(Z.field, 1, Z.cols, (flat,)))
     if y is None:
         raise ConsistencyError("not a cocycle")
@@ -360,10 +373,11 @@ class ExtSpace:
         classes = self._data.get("classes")
         if classes is None:
             pk, n = self.resolution.terms[self.degree], self.target
+            data = _hom_basis(self._data)
             classes = self._data["classes"] = tuple(
                 ExtClass(self.resolution, self.degree, n,
                          hom_from_gens(pk, n, _split_gen_vector(pk, n, row)))
-                for row in self._data["section"].mul(self._data["Z"]).entries)
+                for row in data["section"].mul(data["Z"]).entries)
         return classes
 
     def class_coords(self, f: ModuleMap) -> tuple:
@@ -375,7 +389,8 @@ class ExtSpace:
 def ext(degree: int, m: Representation, n: Representation,
         bound: int = DEFAULT_RESOLUTION_BOUND, resolution: Resolution | None = None) -> ExtSpace:
     """Ext^degree(m, n) = H^degree of Hom(P, n), P the minimal resolution of
-    m in degrees -length..0 and n in degree 0 (_hom_cohomology)."""
+    m in degrees -length..0 and n in degree 0 (_hom_cohomology): the
+    dimension from two ranks, the classes on first use."""
     if degree < 0:
         raise InputError("ext degree must be >= 0")
     if degree + 1 > bound:
@@ -387,7 +402,7 @@ def ext(degree: int, m: Representation, n: Representation,
         return ExtSpace(res, degree, n, 0)  # Hom^degree = 0: no δ to build
     data = _hom_cohomology({-k: t for k, t in enumerate(res.terms)},
                            {-k - 1: d for k, d in enumerate(res.diffs)}, {0: n}, {}, degree)
-    return ExtSpace(res, degree, n, data["section"].rows, _data=data)
+    return ExtSpace(res, degree, n, data["dim"], _data=data)
 
 
 def _split_gen_vector(psum: ProjSum, n: Representation, flat):

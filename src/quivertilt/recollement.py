@@ -16,7 +16,9 @@ in for the homotopy colimit.  Failure to stabilize within the step budget
 is an explicit error, never a truncated answer.  R is reflected at one
 copy of each isomorphism class of T1's summands, so T1 = X^n with X a brick
 takes the brick path.  R is read in the layout of ⊕_v P_v
-(``modules.proj_sum_layout``).
+(``modules.proj_sum_layout``).  q(R) is computed once per T1 object and
+memoized there, H^0(q(R)) once per q(R), and lambda's linear system once
+per eta; the localization and the recollement report share all three.
 
 The stratifying-ideal check reads every number it reports, the corner
 multiplication Ae ⊗_{eAe} eA -> AeA included, off one minimal resolution
@@ -26,8 +28,8 @@ of A/AeA over A; no corner ring and no opposite algebra is built.
 from dataclasses import dataclass
 
 from .algebra import Algebra, regular_module
-from .complexes import (ChainMap, PerfectComplex, cohomology, derived_hom,
-                        hom_window, is_exceptional, mapping_cone,
+from .complexes import (ChainMap, PerfectComplex, _cohomology_dims, cohomology,
+                        derived_hom, hom_window, is_exceptional, mapping_cone,
                         resolve_to_complex, shift_chain_map,
                         stack_to_common_target)
 from .errors import BoundExceeded, ConsistencyError, InputError
@@ -223,15 +225,20 @@ def reflect_regular(alg: Algebra, t1_module: Representation,
     reflect.  Returns (q(R), map, method).  The reflection depends only on
     add T1, so when an isomorphism class repeats in decompose(T1), R is
     reflected at one copy of each class; otherwise, or when decompose raises
-    InputError (small primes), at T1 itself."""
-    try:
-        classes = decompose(t1_module)
-    except InputError:
-        classes = ()
-    if any(mult > 1 for _, mult in classes):
-        t1_module = direct_sum([fac for fac, _ in classes])
-    rc = resolve_to_complex(regular_module(alg), bound)
-    return reflect(resolve_to_complex(t1_module, bound), rc, max_steps)
+    InputError (small primes), at T1 itself.  The result is memoized in
+    t1_module's cache per (max_steps, bound), so q(R) is computed once per
+    T1 object and every caller shares the same complex."""
+    memo = t1_module._caches.setdefault("reflect_regular", {})
+    if (max_steps, bound) not in memo:
+        try:
+            classes = decompose(t1_module)
+        except InputError:
+            classes = ()
+        t1 = direct_sum([fac for fac, _ in classes]) if any(
+            mult > 1 for _, mult in classes) else t1_module
+        rc = resolve_to_complex(regular_module(alg), bound)
+        memo[max_steps, bound] = reflect(resolve_to_complex(t1, bound), rc, max_steps)
+    return memo[max_steps, bound]
 
 
 # -- universal localization --------------------------------------------------------
@@ -270,16 +277,23 @@ def _combination(fld, row, vectors, zero: tuple) -> tuple:
     return out
 
 
-def _eta_then_end(eta: ModuleMap, ends) -> Matrix:
-    """Rows eta then b over the basis b of ends = End(eta.target), checked
-    independent: f -> eta then f is injective, part of the reflection
-    property.  One elimination."""
-    fld = eta.source.algebra.field
-    rows = [_flatten_map(eta.compose(b)) for b in ends.basis]
-    rows_m = Matrix(fld, len(rows), len(_flatten_map(eta)), tuple(rows))
-    if solve_right_kernel(rows_m).rows != 0:
-        raise ConsistencyError("reflection property violated: Hom(eta, m) has a kernel")
-    return rows_m
+def _lambda_system(eta: ModuleMap) -> tuple:
+    """(rows, targets) of lambda's linear system for eta: R -> m: the rows
+    eta then b over the basis b of End(m), checked independent (f -> eta
+    then f is injective, part of the reflection property; one
+    elimination), and the flattened left multiples of eta.  Memoized in
+    m's cache for this very eta object."""
+    m = eta.target
+    hit = m._caches.get("lambda_system")
+    if hit is None or hit[0] is not eta:
+        fld = eta.source.algebra.field
+        rows = [_flatten_map(eta.compose(b)) for b in hom_space(m, m).basis]
+        rows_m = Matrix(fld, len(rows), len(_flatten_map(eta)), tuple(rows))
+        if solve_right_kernel(rows_m).rows != 0:
+            raise ConsistencyError("reflection property violated: Hom(eta, m) has a kernel")
+        hit = m._caches["lambda_system"] = (
+            eta, rows_m, tuple(_flatten_map(f) for f in left_multiples(eta)))
+    return hit[1], hit[2]
 
 
 def end_ring_presentation(m: Representation, eta: ModuleMap) -> tuple:
@@ -294,14 +308,12 @@ def end_ring_presentation(m: Representation, eta: ModuleMap) -> tuple:
     first), so lambda(ab) = lambda(a) lambda(b); ``lambda_left_module``
     checks it."""
     alg = m.algebra
-    ends = hom_space(m, m)
-    if m.total_dim and ends.dim == 0:
+    if m.total_dim and hom_space(m, m).dim == 0:
         raise ConsistencyError("endomorphism ring of a nonzero module is zero")
-    rows_m = _eta_then_end(eta, ends)
-    targets = [_flatten_map(f) for f in left_multiples(eta)]
+    rows_m, targets = _lambda_system(eta)
     # one elimination of rows_m for every basis element; the solution is
     # unique, as rows_m has no kernel
-    x, _ = solve_linear_system(rows_m, Matrix(alg.field, alg.dim, rows_m.cols, tuple(targets)))
+    x, _ = solve_linear_system(rows_m, Matrix(alg.field, alg.dim, rows_m.cols, targets))
     if x is None:
         raise ConsistencyError(
             "reflection property violated: left multiplication does not factor")
@@ -315,7 +327,8 @@ def lambda_left_module(eta: ModuleMap, lam) -> LeftModule:
 
     Checked: f -> eta then f is injective on End(m), and
     (left multiplication by b) then eta = eta then lambda(b) for every
-    basis element b, both on the rows of _eta_then_end.  That makes lambda
+    basis element b, both on the system of _lambda_system, which
+    ``end_ring_presentation`` built for the same eta.  That makes lambda
     a unital ring homomorphism.  Write L_a for left multiplication by a
     and compose as functions; then
     eta∘L_ab = eta∘L_a∘L_b = lambda(a)∘eta∘L_b = lambda(a)lambda(b)∘eta,
@@ -328,10 +341,10 @@ def lambda_left_module(eta: ModuleMap, lam) -> LeftModule:
     ends = hom_space(m, m)
     if len(lam) != alg.dim or any(len(c) != ends.dim for c in lam):
         raise InputError("lambda must give End(m) coordinates for every algebra basis element")
-    rows_m = _eta_then_end(eta, ends)
+    rows_m, targets = _lambda_system(eta)
     # eta then lambda(b) is linear in lambda(b): row b of lam * rows_m
     through = Matrix(fld, alg.dim, ends.dim, tuple(map(tuple, lam))).mul(rows_m)
-    if through.entries != tuple(_flatten_map(f) for f in left_multiples(eta)):
+    if through.entries != targets:
         raise ConsistencyError("lambda does not satisfy the reflection property")
     return LeftModule._trusted(alg, m.total_dim,
                                tuple(ends.combo(c).total_matrix() for c in lam))
@@ -431,10 +444,13 @@ def universal_localization(seq: ShortExact, max_steps: int = 16,
 
 
 def _concentrated_h0(q: PerfectComplex):
-    """H^0(q) when q has no cohomology in any other degree, else None."""
-    if any(cohomology(q, n).total_dim for n in range(q.lo, q.hi + 1) if n != 0):
-        return None
-    return cohomology(q, 0)
+    """H^0(q) when q has no cohomology in any other degree, else None,
+    memoized in q's cache.  The other degrees are read off ranks
+    (_cohomology_dims); only H^0 is built as a module."""
+    if "h0" not in q._caches:
+        off = any(d for n, d in _cohomology_dims(q).items() if n != 0)
+        q._caches["h0"] = None if off else cohomology(q, 0)
+    return q._caches["h0"]
 
 
 def _trace_quotient(t1: Representation, t0: Representation):

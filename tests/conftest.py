@@ -46,6 +46,18 @@ def linear_algebra(n, rad2=False, field=QQ):
     return build_algebra(q, rels, field)
 
 
+def complex_hom_args(x, y):
+    """The Hom complex of derived_hom(x, y, ·), as the arguments of
+    homology._hom_differential before the degree."""
+    return x.terms, x.diffs, {i: t.rep for i, t in y.terms.items()}, y.diffs
+
+
+def resolution_hom_args(res, n):
+    """The Hom complex of ext(·, res.module, n), as complex_hom_args."""
+    return ({-k: t for k, t in enumerate(res.terms)},
+            {-k - 1: d for k, d in enumerate(res.diffs)}, {0: n}, {})
+
+
 def tilting_summary(cert):
     """A tilting verdict as ("certified", number of factors) or ("failure",
     reason codes)."""

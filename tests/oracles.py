@@ -37,7 +37,10 @@ reference_module_from_paths, the construction of P_v and I_v from basis
 paths that proj_sum and the transpose of left multiplication replaced, and
 reference_split_along_parts, the summands of a split composed with each
 part's split pair even where that pair is two identities, which keeping a
-part's own pair replaced.
+part's own pair replaced, and reference_hom_cohomology_dim, the dimension
+of H^n of the Hom complex as the number of cocycle classes modulo
+coboundaries, built with the library's elimination, which reading the
+dimension off the ranks of the two differentials replaced.
 """
 
 from dataclasses import dataclass
@@ -1187,3 +1190,22 @@ def reference_module_from_paths(alg, idxs, dual: bool):
                 rows.append(tuple(row))
             mats[name] = Matrix(fld, dims[t], dims[s], tuple(rows)).transpose()
     return Representation(alg, dims, mats)
+
+
+def reference_hom_cohomology_dim(xt, xd, yt, yd, n) -> int:
+    """dim H^n of the Hom complex of homology._hom_differential, counted as
+    a basis of cocycles modulo coboundaries: the cocycles Z = ker δⁿ, the
+    coboundaries im δⁿ⁻¹ solved in Z's coordinates, and the quotient there.
+    It uses the library's elimination; it checks the rank route."""
+    from quivertilt.homology import _hom_differential
+    from quivertilt.linalg import quotient_basis, row_space, solve_linear_system, solve_right_kernel
+
+    _, delta = _hom_differential(xt, xd, yt, yd, n)
+    if not delta.rows:
+        return 0
+    _, prev = _hom_differential(xt, xd, yt, yd, n - 1)
+    cocycles = solve_right_kernel(delta)
+    coords, _ = solve_linear_system(cocycles, row_space(prev))
+    assert coords is not None, "coboundaries escaped the cocycle space"
+    section, _ = quotient_basis(coords, cocycles.rows)
+    return section.rows

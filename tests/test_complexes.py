@@ -412,3 +412,29 @@ def test_combo_of_zero_coefficients_is_the_zero_map_into_the_shift(cycle2):
         f = space.combo((0,) * space.dim)
         assert f.is_zero() and f.source is x, n
         assert f.target == shift(y, n), n
+
+
+def test_brick_reflection_builds_the_degree_zero_pair_of_end_once(cycle2, monkeypatch):
+    """reflect asks for End_D(T1), reflection_brick asks again and
+    is_exceptional sweeps the other degrees.  Hom_D(T1, T1[n]) is memoized
+    in T1's cache, so the δ pair of degree 0, δ⁰ then δ⁻¹, is built once."""
+    import quivertilt.homology
+    from quivertilt.recollement import reflect
+
+    t1 = resolve_to_complex(simple(cycle2, "2"))
+    real = quivertilt.homology._hom_differential
+    degrees = []
+
+    def counted(xt, xd, yt, yd, n):
+        if xt is t1.terms and yd is t1.diffs:
+            degrees.append(n)
+        return real(xt, xd, yt, yd, n)
+
+    monkeypatch.setattr(quivertilt.homology, "_hom_differential", counted)
+    _, _, method = reflect(t1, resolve_to_complex(regular_module(cycle2)))
+    assert method == "brick"
+    assert list(zip(degrees, degrees[1:])).count((0, -1)) == 1
+    assert derived_hom(t1, t1, 0) is derived_hom(t1, t1, 0)
+    assert derived_hom(t1, shift(t1, 0), 0) is derived_hom(t1, t1, 0)
+    assert derived_hom(t1, resolve_to_complex(simple(cycle2, "2")), 0) is not \
+        derived_hom(t1, t1, 0)

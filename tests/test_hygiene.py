@@ -6,7 +6,10 @@ underscore) one somewhere in ``src/``, the arithmetic modules contain
 no true division, and no package module imports ``random`` or has a
 function parameter named ``seed``: every verdict is deterministic.  Every
 operation the benchmark's tracer times by name pattern matches a package
-function, so a rename cannot silently zero a per-layer metric.
+function, so a rename cannot silently zero a per-layer metric.  Every
+string key the package writes into a ``_caches`` dict is read somewhere in
+the package, and every key it reads is written somewhere, so neither a
+dead cache nor a mistyped memo key goes unnoticed.
 
 Checked with the standard-library ``ast`` module only.  ``__init__.py`` is
 exempt from the import check, because its imports are the package's
@@ -301,6 +304,54 @@ def test_stratifying_check_builds_no_opposite_algebra(monkeypatch):
     assert calls == []
     quivertilt.algebra.opposite_algebra(alg)
     assert len(calls) == 1
+
+
+def cache_keys(source: str) -> tuple:
+    """(written, read): the string keys of ``<object>._caches`` dicts the
+    source writes and reads.  ``c[key] = …`` writes and ``c[key]``,
+    ``c.get(key)`` and ``key in c`` read; ``c.setdefault(key, …)`` does
+    both.  Keys that are not string constants are not seen."""
+    written, read = set(), set()
+
+    def is_caches(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_caches"
+
+    def key(node):
+        return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+            else None
+
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and is_caches(node.value) and key(node.slice):
+            (written if isinstance(node.ctx, ast.Store) else read).add(key(node.slice))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and is_caches(node.func.value) and node.args and key(node.args[0])):
+            if node.func.attr in ("get", "setdefault"):
+                read.add(key(node.args[0]))
+            if node.func.attr == "setdefault":
+                written.add(key(node.args[0]))
+        elif (isinstance(node, ast.Compare) and key(node.left)
+              and any(is_caches(c) for c in node.comparators)):
+            read.add(key(node.left))
+    return written, read
+
+
+def test_cache_key_detector_sees_every_kind_of_access():
+    src = ("m._caches['a'] = 1\nx = m._caches['b']\ny = n._caches.get('c', 0)\n"
+           "z = self._caches.setdefault('d', {})\nif 'e' not in m._caches:\n    pass\n"
+           "m._caches[key] = 2\nother['f'] = 3\nw = m.caches.get('g')\n")
+    assert cache_keys(src) == ({"a", "d"}, {"b", "c", "d", "e"})
+
+
+def test_every_cache_key_is_both_written_and_read():
+    written, read = set(), set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        w, r = cache_keys(path.read_text())
+        written |= w
+        read |= r
+    assert {"end", "resolution", "reflect_regular", "derived_end", "h0",
+            "lambda_system"} <= written
+    assert not written - read, f"cache keys written but never read: {sorted(written - read)}"
+    assert not read - written, f"cache keys read but never written: {sorted(read - written)}"
 
 
 # Package modules from the bottom layer up; formats sits below verify,

@@ -12,25 +12,41 @@ import quivertilt
 from quivertilt import (GF, QQ, BoundExceeded, ConsistencyError, InputError, Matrix,
                         ModuleMap, Representation, bongartz_complement, injective,
                         modules, projective, regular_module, simple)
-from quivertilt.complexes import (cohomology, derived_hom, hom_window,
+from quivertilt.complexes import (_cohomology_dims, cohomology, derived_hom, hom_window,
                                   resolve_to_complex, shift)
-from quivertilt.homology import ext_dim, left_add_approximation, proj_dim
+from quivertilt.homology import ext, ext_dim, left_add_approximation, proj_dim
 from quivertilt.modules import (cokernel, direct_sum, identity_map,
                                 is_isomorphic, quotient, socle,
                                 trace_submodule)
-from quivertilt.recollement import (_quotient_by_vertex_ideal, _vertex_ideal_products,
-                                    check_matrix_units, lambda_left_module,
+from quivertilt.recollement import (_concentrated_h0, _quotient_by_vertex_ideal,
+                                    _vertex_ideal_products, check_matrix_units,
+                                    end_ring_presentation, lambda_left_module,
                                     perp_complex_membership, perp_membership,
-                                    recollement_report, reflection_brick,
+                                    recollement_report, reflect_regular, reflection_brick,
                                     reflection_iterative,
                                     stratifying_ideal_check,
                                     universal_localization)
 from quivertilt.formats import fixture_algebra
 from quivertilt.tilting import TiltingCertificate, tilting_module_check
-from conftest import linear_algebra
+from conftest import complex_hom_args, linear_algebra, resolution_hom_args
 from oracles import (oracle_corner_ideal_dim, oracle_corner_tensor_dim,
                      oracle_corner_tor1_dim, reference_corner_tor_dims,
-                     reference_ring_presentation, reference_stratifying_verdict)
+                     reference_hom_cohomology_dim, reference_ring_presentation,
+                     reference_stratifying_verdict)
+
+
+def counting(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that records each call's arguments
+    in the returned list."""
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 # -- perpendicular categories ---------------------------------------------------
@@ -297,6 +313,99 @@ def test_changed_lambda_entry_on_an_idempotent_or_a_longer_path_is_rejected(
                     lambda_left_module(loc.eta, tuple(lam))
                 mutated["idempotent" if b in idempotents else "longer path"] += 1
     assert all(mutated.values()), mutated
+
+
+def test_lambda_system_is_built_again_for_another_eta(cycle2_localization, monkeypatch):
+    """eta' = eta then alpha, alpha a non-identity automorphism of R_U, is
+    another reflection of R into the same R_U.  It gets its own linear
+    system and its own lambda, and neither lambda passes against the other
+    eta."""
+    loc = cycle2_localization
+    ru, eta = loc.ru_module, loc.eta
+    units = loc.evidence.units
+    assert len(units) == 2
+    alpha = identity_map(ru).add(units[0][1])  # unipotent, so invertible
+    eta2 = eta.compose(alpha)
+    builds = counting(monkeypatch, quivertilt.recollement, "left_multiples")
+    lam2 = end_ring_presentation(ru, eta2)
+    lambda_left_module(eta2, lam2)
+    assert len(builds) == 1 and builds[0][0] is eta2
+    assert lam2 != loc.lam
+    with pytest.raises(ConsistencyError):
+        lambda_left_module(eta2, loc.lam)
+    with pytest.raises(ConsistencyError):
+        lambda_left_module(eta, lam2)
+    lambda_left_module(eta, loc.lam)
+    assert len(builds) == 2 and builds[1][0] is eta
+
+
+def test_localization_dimensions_from_ranks_match_the_reference(bongartz_localizations,
+                                                                 triple3):
+    """On every localization, and on triple3's q(R), which is not
+    concentrated in degree 0: Ext(R_U, R_U) and the derived Homs the report
+    sweeps have as many classes as their ranks say and as the cocycle count
+    gives, and the rank route of _concentrated_h0 agrees with the
+    cohomology modules of q(R)."""
+    r = regular_module(triple3)
+    f, _ = left_add_approximation(r, direct_sum([projective(triple3, "1"),
+                                                 projective(triple3, "2"), simple(triple3, "1")]))
+    t1_triple3, _ = cokernel(f)
+    cases = [(loc.ru_module, loc.sequence.right) for _, loc in bongartz_localizations]
+    cases.append((None, t1_triple3))
+    non_concentrated = 0
+    for ru, t1 in cases:
+        if ru is not None:
+            for i in range(3):
+                space = ext(i, ru, ru)
+                ref = reference_hom_cohomology_dim(*resolution_hom_args(space.resolution, ru), i)
+                assert space.dim == len(space.classes) == ref
+        q, _, _ = reflect_regular(t1.algebra, t1)
+        t1c = resolve_to_complex(t1)
+        for x, y in ((t1c, q), (q, q)):
+            for n in hom_window(x, y):
+                space = derived_hom(x, y, n)
+                ref = reference_hom_cohomology_dim(*complex_hom_args(x, y), n)
+                assert space.dim == len(space.reps) == ref
+        dims = _cohomology_dims(q)
+        assert all(dims.get(n, 0) == cohomology(q, n).total_dim
+                   for n in range(q.lo, q.hi + 1))
+        h0 = _concentrated_h0(q)
+        assert (h0 is None) == any(d for n, d in dims.items() if n != 0)
+        assert h0 is None or is_isomorphic(h0, ru)
+        non_concentrated += h0 is None
+    assert non_concentrated >= 1 and _concentrated_h0(q) is None
+
+
+def test_recollement_report_reflects_r_once_per_t1(cycle2, monkeypatch):
+    """universal_localization and the report both ask for q(R) at T1; the
+    second ask is answered from T1's cache, so one brick reflection runs,
+    and the report's T2 is the complex the localization checked."""
+    a3 = linear_algebra(3, rad2=True, field=GF(101))
+    n_mod, _, _ = bongartz_complement(simple(a3, "2"))
+    for t in (direct_sum([projective(cycle2, "2"), simple(cycle2, "2")]),
+              direct_sum([n_mod, simple(a3, "2")])):
+        asks = counting(monkeypatch, quivertilt.recollement, "reflect_regular")
+        runs = counting(monkeypatch, quivertilt.recollement, "reflection_brick")
+        rep = recollement_report(t)
+        assert len(asks) == 2 and len(runs) == 1
+        assert asks[0][1] is asks[1][1] is rep.t1
+        assert reflect_regular(t.algebra, rep.t1)[0] is rep.t2
+        monkeypatch.undo()
+
+
+def test_reflect_regular_is_memoized_per_t1_object(cycle2):
+    t1 = simple(cycle2, "2")
+    first = reflect_regular(cycle2, t1)
+    assert reflect_regular(cycle2, t1) is first
+    assert _concentrated_h0(first[0]) is _concentrated_h0(first[0])
+    fresh = Representation(cycle2, dict(t1.dims), dict(t1.arrow_mats))
+    assert fresh == t1 and fresh is not t1
+    again = reflect_regular(cycle2, fresh)
+    assert again[0] is not first[0] and again[2] == first[2] == "brick"
+    assert is_isomorphic(_concentrated_h0(again[0]), _concentrated_h0(first[0]))
+    # another step or resolution budget is another entry
+    other = reflect_regular(cycle2, t1, max_steps=4)
+    assert other is not first and other[2] == first[2]
 
 
 def test_localization_splits_r_u_along_t0_parts(triple3, monkeypatch):

@@ -111,9 +111,17 @@ def resolve_to_complex(m: Representation, bound: int = DEFAULT_RESOLUTION_BOUND,
 
 
 def shift(x: PerfectComplex, n: int) -> PerfectComplex:
-    """x[n]^i = x^{i+n} with differential (-1)^n d."""
+    """x[n]^i = x^{i+n} with differential (-1)^n d, memoized in x's cache
+    per n, so each differential is negated once per odd shift of x."""
     if n == 0:
         return x
+    memo = x._caches.setdefault("shift", {})
+    if n not in memo:
+        memo[n] = _shift(x, n)
+    return memo[n]
+
+
+def _shift(x: PerfectComplex, n: int) -> PerfectComplex:
     terms = {i - n: t for i, t in x.terms.items()}
     sign = 1 if n % 2 == 0 else -1
     diffs = {}

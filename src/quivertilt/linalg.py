@@ -485,6 +485,8 @@ def rref(m: Matrix):
 
 
 def rank(m: Matrix) -> int:
+    if not (m.rows and m.cols):
+        return 0
     return len(_eliminate(m, False)[1])
 
 

@@ -19,6 +19,10 @@ takes the brick path.  R is read in the layout of ⊕_v P_v
 (``modules.proj_sum_layout``).  q(R) is computed once per T1 object and
 memoized there, H^0(q(R)) once per q(R), and lambda's linear system once
 per eta; the localization and the recollement report share all three.
+The report certifies its module through ``tilting_module_check``, which
+returns the stored certificate of an equal sum of the same parts (so after
+``bongartz_complement(M)`` the report on ``direct_sum([N, M])`` reuses its
+T0 and T1), and reads the H^0 match off the localization.
 
 The stratifying-ideal check reads every number it reports, the corner
 multiplication Ae ⊗_{eAe} eA -> AeA included, off one minimal resolution
@@ -695,7 +699,9 @@ def recollement_report(t: Representation, max_steps: int = 16,
                        bound: int = DEFAULT_RESOLUTION_BOUND,
                        hom_epi_degree: int = 6) -> RecollementReport:
     """Assemble the recollement witness data of a tilting module of
-    projective dimension at most one."""
+    projective dimension at most one.  The certificate is the stored one
+    of an equal sum of the same parts when there is one; T2 = q(R) is the
+    localization's, so its H^0 match with R_U is the localization's."""
     from .tilting import TiltingFailure, tilting_module_check
     cert = tilting_module_check(t, bound)
     if isinstance(cert, TiltingFailure):
@@ -708,12 +714,10 @@ def recollement_report(t: Representation, max_steps: int = 16,
     # Hom_D(T1[n], T2) = Hom_D(T1, T2[-n]): sweep the whole window
     ortho = all(derived_hom(t1c, q, k).dim == 0 for k in hom_window(t1c, q))
     t2_exc = is_exceptional(q)
-    t2_matches = None
-    if t2_exc:
-        h0 = _concentrated_h0(q)
-        t2_matches = h0 is not None and is_isomorphic(h0, loc.ru_module)
-        if not t2_matches:
-            raise ConsistencyError("exceptional q(R) does not match R_U")
+    # q is the localization's q(R), whose H^0 it already matched with R_U
+    t2_matches = loc.reflection_matches if t2_exc else None
+    if t2_exc and not t2_matches:
+        raise ConsistencyError("exceptional q(R) does not match R_U")
     cor_zero = hom_space(t1, t0).dim == 0
     equivalent = None
     if cor_zero:

@@ -7,9 +7,18 @@ From a map alpha: T2 -> T1[1] the triangle T1 -> T -> T2 -> T1[1] is
 realized as a complex, and exceptionality of T is equivalent to
 surjectivity of End(T2) ⊕ End(T1[1]) -> Hom(T2, T1[1]); both routes are
 always computed and compared.
+
+A tilting-module verdict is a function of the module's recorded
+``direct_sum`` parts, in order, and the resolution bound, so
+``tilting_module_check`` memoizes it under that key in the first part's
+cache ("tilting"); a module with no recorded parts is its own single
+part.  No global table is kept: an entry lives exactly as long as the
+first part, and the ids in its key stay valid because the stored verdict's
+module holds the parts.  ``bongartz_complement(M)`` and a later
+``recollement_report(direct_sum([N, M]))`` thus share one certificate.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .algebra import regular_module, simple
 from .complexes import (ChainMap, DerivedHomSpace, PerfectComplex,
@@ -243,7 +252,23 @@ def tilting_module_check(t: Representation, bound: int = DEFAULT_RESOLUTION_BOUN
     Ext^1(T, -) commutes with direct sums.  The third condition is built
     constructively from the minimal left add(T)-approximation of the
     regular module and verified: injective with cokernel in add(T).
+
+    The verdict is memoized per (ids of t's recorded ``direct_sum`` parts,
+    in order, bound), or (id of t, bound) for a module with no recorded
+    parts, in the first part's cache under "tilting".  An equal sum of the
+    same parts gets the stored verdict with ``module`` set to itself.  The
+    entry lives as long as the first part, and its verdict's module holds
+    every part, so no id in its key is reused while it lives.
     """
+    parts = t._caches.get("parts", (t,))
+    memo = parts[0]._caches.setdefault("tilting", {})
+    key = (tuple(map(id, parts)), bound)
+    if key not in memo:
+        memo[key] = _certify(t, bound)
+    return memo[key] if memo[key].module is t else replace(memo[key], module=t)
+
+
+def _certify(t: Representation, bound: int):
     alg = t.algebra
     reasons = []
     pd = proj_dim(t, bound)

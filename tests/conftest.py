@@ -46,6 +46,20 @@ def linear_algebra(n, rad2=False, field=QQ):
     return build_algebra(q, rels, field)
 
 
+def counting(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that records each call's arguments
+    in the returned list."""
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def complex_hom_args(x, y):
     """The Hom complex of derived_hom(x, y, ·), as the arguments of
     homology._hom_differential before the degree."""

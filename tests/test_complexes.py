@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from quivertilt import GF, injective, projective, regular_module, simple
-from quivertilt.complexes import (ChainMap, PerfectComplex, cohomology, derived_hom,
+from quivertilt.complexes import (ChainMap, PerfectComplex, _shift, cohomology, derived_hom,
                                   direct_sum_complexes, hom_window,
                                   identity_chain_map, is_exceptional,
                                   mapping_cone, resolve_to_complex, shift,
@@ -50,6 +50,18 @@ def test_shift_squares_to_identity_data(cycle2):
     assert sorted(back.terms) == sorted(c.terms)
     for n in c.diffs:
         assert back.diffs[n].mats == c.diffs[n].mats
+
+
+def test_shift_is_memoized_per_degree(cycle2):
+    c = resolve_to_complex(simple(cycle2, "2"))
+    for n in (1, -1, 2):
+        s = shift(c, n)
+        assert shift(c, n) is s
+        fresh = _shift(c, n)
+        assert fresh is not s and s.terms == fresh.terms
+        assert {i: d.mats for i, d in s.diffs.items()} == \
+            {i: d.mats for i, d in fresh.diffs.items()}
+    assert shift(c, 0) is c and shift(c, 1) is not shift(c, -1)
 
 
 def test_cone_of_identity_is_contractible(cycle2):

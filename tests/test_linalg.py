@@ -416,6 +416,16 @@ def test_empty_shape_elimination_equals_general_path(m):
     assert m.take_rows([]) == Matrix(m.field, 0, m.cols) == m.take_rows(range(0))
 
 
+@pytest.mark.parametrize("fld", [QQ, GF(2)])
+def test_rank_of_an_empty_shape_takes_no_elimination(fld, monkeypatch):
+    import quivertilt.linalg
+    calls = []
+    monkeypatch.setattr(quivertilt.linalg, "_eliminate", lambda *args: calls.append(args))
+    for shape in ((0, 0), (0, 3), (3, 0)):
+        assert rank(Matrix.zeros(fld, *shape)) == 0
+    assert calls == []
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_empty_shape_solve_and_quotient_equal_oracles(data):

@@ -28,25 +28,11 @@ from quivertilt.recollement import (_concentrated_h0, _quotient_by_vertex_ideal,
                                     universal_localization)
 from quivertilt.formats import fixture_algebra
 from quivertilt.tilting import TiltingCertificate, tilting_module_check
-from conftest import complex_hom_args, linear_algebra, resolution_hom_args
+from conftest import complex_hom_args, counting, linear_algebra, resolution_hom_args
 from oracles import (oracle_corner_ideal_dim, oracle_corner_tensor_dim,
                      oracle_corner_tor1_dim, reference_corner_tor_dims,
                      reference_hom_cohomology_dim, reference_ring_presentation,
                      reference_stratifying_verdict)
-
-
-def counting(monkeypatch, module, name) -> list:
-    """Replace module.name by a wrapper that records each call's arguments
-    in the returned list."""
-    real = getattr(module, name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 # -- perpendicular categories ---------------------------------------------------
@@ -208,10 +194,10 @@ def test_localization_lambda_is_a_ring_epimorphism(cycle2, cycle2_localization):
 
 
 @pytest.fixture(scope="module")
-def bongartz_localizations():
-    """(label, localization) of every Bongartz-complement tilting module
-    N ⊕ S_v with pd S_v <= 1: cycle2, triple3 and a2 over Q and GF(101),
-    hereditary and radical-square-zero A_3..A_5 over Q."""
+def bongartz_sums():
+    """(label, N ⊕ S_v) of every Bongartz-complement tilting module with
+    pd S_v <= 1: cycle2, triple3 and a2 over Q and GF(101), hereditary and
+    radical-square-zero A_3..A_5 over Q."""
     algebras = [(f"{name}/{field or 'Q'}", fixture_algebra(name, field))
                 for name in ("cycle2", "triple3", "a2") for field in (None, GF(101))]
     algebras += [(f"A{n}{'-rad2' if rad2 else ''}", linear_algebra(n, rad2))
@@ -220,12 +206,20 @@ def bongartz_localizations():
     for label, alg in algebras:
         for v in alg.vertices:
             s = simple(alg, v)
-            if proj_dim(s) > 1:
-                continue
-            n_mod, _, _ = bongartz_complement(s)
-            cert = tilting_module_check(direct_sum([n_mod, s]))
-            assert isinstance(cert, TiltingCertificate), (label, v)
-            out.append((f"{label}/S{v}", universal_localization(cert.sequence)))
+            if proj_dim(s) <= 1:
+                n_mod, _, _ = bongartz_complement(s)
+                out.append((f"{label}/S{v}", direct_sum([n_mod, s])))
+    return out
+
+
+@pytest.fixture(scope="module")
+def bongartz_localizations(bongartz_sums):
+    """(label, localization) of each of bongartz_sums."""
+    out = []
+    for label, t in bongartz_sums:
+        cert = tilting_module_check(t)
+        assert isinstance(cert, TiltingCertificate), label
+        out.append((label, universal_localization(cert.sequence)))
     return out
 
 
@@ -391,6 +385,31 @@ def test_recollement_report_reflects_r_once_per_t1(cycle2, monkeypatch):
         assert asks[0][1] is asks[1][1] is rep.t1
         assert reflect_regular(t.algebra, rep.t1)[0] is rep.t2
         monkeypatch.undo()
+
+
+def test_report_reads_the_h0_match_off_the_localization(bongartz_sums):
+    """T2 = q(R) is the localization's, so the report's H^0 match is the
+    localization's; it equals H^0(q(R)) ≅ R_U decided again."""
+    assert len(bongartz_sums) == 24
+    for label, t in bongartz_sums:
+        rep = recollement_report(t)
+        h0 = _concentrated_h0(rep.t2)
+        again = (h0 is not None and is_isomorphic(h0, rep.localization.ru_module)
+                 if rep.t2_exceptional else None)
+        assert rep.t2_matches_ru == again, label
+        if rep.t2_exceptional:
+            assert rep.t2_matches_ru == rep.localization.reflection_matches, label
+
+
+def test_recollement_report_decides_one_isomorphism(monkeypatch):
+    """On rad² A_3, the report's only isomorphism test of its own is the
+    localization's H^0(q(R)) ≅ R_U."""
+    a3 = linear_algebra(3, rad2=True, field=GF(101))
+    s = simple(a3, "2")
+    n_mod, _, _ = bongartz_complement(s)
+    isos = counting(monkeypatch, quivertilt.recollement, "is_isomorphic")
+    rep = recollement_report(direct_sum([n_mod, s]))
+    assert rep.t2_matches_ru and len(isos) == 1
 
 
 def test_reflect_regular_is_memoized_per_t1_object(cycle2):

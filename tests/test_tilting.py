@@ -1,19 +1,25 @@
+import gc
 import random
+import weakref
 
 import pytest
 
-from quivertilt import (InputError, injective, projective, regular_module,
-                        simple)
+import quivertilt
+from quivertilt import (GF, QQ, InputError, Representation, injective, projective,
+                        regular_module, simple)
 from quivertilt.complexes import (cohomology, derived_hom,
                                   direct_sum_complexes, is_exceptional,
                                   resolve_to_complex, shift, zero_chain_map)
 from quivertilt.modules import (decompose, direct_sum, hom_space,
                                 is_isomorphic, quotient, socle)
-from quivertilt.tilting import (TiltingCertificate, TiltingFailure,
+from quivertilt.homology import DEFAULT_RESOLUTION_BOUND, proj_dim, universal_extension
+from quivertilt.tilting import (TiltingCertificate, TiltingFailure, _certify,
                                 bongartz_complement, check_A1_A2,
                                 cone_exceptionality, construct_tilting,
+                                criterion_map_surjective,
                                 left_universal_map, right_universal_map,
                                 tilting_module_check)
+from conftest import counting, linear_algebra, tilting_summary
 
 
 # -- pair checks ------------------------------------------------------------
@@ -59,6 +65,7 @@ def test_cone_over_basis_class(cycle2):
     alpha = rep.pair.ext_space.reps[0]
     T, direct, criterion = cone_exceptionality(rep.pair, alpha)
     assert direct and criterion
+    assert criterion_map_surjective(rep.pair, alpha)  # again, through the shift memo
     assert is_isomorphic(cohomology(T, 0), injective(cycle2, "2"))
 
 
@@ -68,6 +75,7 @@ def test_cone_over_zero_map_not_exceptional(cycle2):
     z = zero_chain_map(rep.pair.t2, shift(rep.pair.t1, 1))
     T, direct, criterion = cone_exceptionality(rep.pair, z)
     assert not direct and not criterion
+    assert not criterion_map_surjective(rep.pair, z)
 
 
 def test_cone_trivial_when_no_extensions(a2):
@@ -302,6 +310,91 @@ def test_bongartz_cycle2_s2(cycle2):
 def test_bongartz_rejects_bad_input(cycle2):
     with pytest.raises(InputError):
         bongartz_complement(simple(cycle2, "1"))  # pd 2
+
+
+# -- memoized certification -------------------------------------------------------
+
+MEMO_ALGEBRAS = [(True, GF(101)), (False, QQ)]  # (rad2, field) of A_4
+
+
+def complement_and_simple(rad2, field):
+    """(N, S_3) over A_4, N from 0 -> R -> N -> S_3^k -> 0, uncertified."""
+    alg = linear_algebra(4, rad2, field)
+    s = simple(alg, "3")
+    return universal_extension(s, regular_module(alg))[0], s
+
+
+def verdict(cert) -> tuple:
+    """What a tilting verdict says, object identities and bases aside."""
+    return (tilting_summary(cert), cert.pd, cert.ext1_dim, cert.coker_ext_dim,
+            cert.sequence.mid.dim_vector(), cert.sequence.right.dim_vector())
+
+
+@pytest.mark.parametrize("rad2, field", MEMO_ALGEBRAS)
+def test_equal_sums_of_the_same_parts_are_certified_once(rad2, field, monkeypatch):
+    n_mod, s = complement_and_simple(rad2, field)
+    runs = counting(monkeypatch, quivertilt.tilting, "left_add_approximation")
+    first, second = direct_sum([n_mod, s]), direct_sum([n_mod, s])
+    a, b = tilting_module_check(first), tilting_module_check(second)
+    assert len(runs) == 1 and isinstance(a, TiltingCertificate)
+    assert a.module is first and b.module is second
+    assert b.sequence is a.sequence and b.factors is a.factors and b == a
+    assert tilting_module_check(first) is a
+
+
+@pytest.mark.parametrize("rad2, field", MEMO_ALGEBRAS)
+def test_another_order_bound_or_part_object_is_certified_anew(rad2, field, monkeypatch):
+    n_mod, s = complement_and_simple(rad2, field)
+    """Each sum below shares its first part, and so the memo's cache, with
+    a sum certified before it."""
+    first = tilting_module_check(direct_sum([n_mod, s]))
+    tilting_module_check(direct_sum([n_mod, s, n_mod]))
+    runs = counting(monkeypatch, quivertilt.tilting, "left_add_approximation")
+    fresh_s = Representation(s.algebra, dict(s.dims), dict(s.arrow_mats))
+    others = [tilting_module_check(direct_sum([s, n_mod])),
+              tilting_module_check(direct_sum([n_mod, n_mod, s])),
+              tilting_module_check(direct_sum([n_mod, s]), DEFAULT_RESOLUTION_BOUND - 1),
+              tilting_module_check(direct_sum([n_mod, fresh_s]))]
+    assert len(runs) == 4
+    for other in others:
+        assert verdict(other) == verdict(first)
+        assert is_isomorphic(other.sequence.mid, first.sequence.mid)
+        assert is_isomorphic(other.sequence.right, first.sequence.right)
+
+
+def test_the_memo_lives_as_long_as_the_first_part():
+    alg = linear_algebra(4, rad2=True, field=GF(101))
+    s = simple(alg, "3")
+
+    def certify():
+        n_mod, _ = universal_extension(s, regular_module(alg))
+        t = direct_sum([n_mod, s])
+        cert = tilting_module_check(t)
+        assert tilting_module_check(direct_sum([n_mod, s])).sequence is cert.sequence
+        return weakref.ref(n_mod), weakref.ref(t), weakref.ref(cert)
+
+    refs = certify()
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
+    assert "tilting" not in s._caches
+
+
+def test_memoized_certificates_equal_unmemoized_checks(all_algebras):
+    """On the fixtures and A_3..A_5: R, and each Bongartz sum N ⊕ S_v asked
+    for again after bongartz_complement certified it."""
+    algebras = list(all_algebras.values()) + [linear_algebra(n, rad2)
+                                              for n in (3, 4, 5) for rad2 in (False, True)]
+    for alg in algebras:
+        cases = [regular_module(alg)]
+        for v in alg.vertices:
+            s = simple(alg, v)
+            if proj_dim(s) <= 1:
+                n_mod, _, _ = bongartz_complement(s)
+                cases.append(direct_sum([n_mod, s]))
+        for t in cases:
+            memo = tilting_module_check(t)
+            assert memo.module is t
+            assert memo == _certify(t, DEFAULT_RESOLUTION_BOUND)
 
 
 # -- small prime fields ------------------------------------------------------------

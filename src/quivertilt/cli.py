@@ -212,7 +212,7 @@ def cmd_reflect(args):
         t1c = resolve_to_complex(t1, args.max_resolution)
         q, _, method = reflect(t1c, mc, args.max_steps)
     else:
-        q, _, method = reflect_regular(alg, t1, args.max_steps, args.max_resolution)
+        q, _, method = reflect_regular(t1, args.max_steps, args.max_resolution)
     hs = {n: cohomology(q, n).dim_vector() for n in
           (range(q.lo, q.hi + 1) if not q.is_zero_complex() else [])}
     lines = [f"reflection ({method}): degrees [{q.lo}, {q.hi}]" if not q.is_zero_complex()
@@ -243,8 +243,8 @@ def cmd_localize(args):
              f"reflection method {loc.reflection_method}, matches trace quotient: "
              f"{loc.reflection_matches}",
              f"homological epimorphism: {'YES' if loc.hom_epi.is_homological_epi else 'NO'}",
-             f"End(R_U) = M_{len(ev.units)}(K), matrix units checked" if ev.reason is None
-             else f"End(R_U) not certified a matrix ring over K: {ev.reason}"]
+             f"End(R_U) = M_{len(ev.to_x)}(K), split pair R_U ≅ X^{len(ev.to_x)} checked"
+             if ev.reason is None else f"End(R_U) not certified a matrix ring over K: {ev.reason}"]
     report = {"command": "localize", "ru_dims": loc.ru_module.dim_vector(),
               "ring_dim": ev.dim, "decomposition": dec,
               "reflection_method": loc.reflection_method,
@@ -253,7 +253,7 @@ def cmd_localize(args):
               "ext_dims": list(loc.hom_epi.ext_dims),
               "tor_dims": list(loc.hom_epi.tor_dims),
               "ring_evidence": {"dim": ev.dim,
-                                "matrix_size": None if ev.reason else len(ev.units),
+                                "matrix_size": None if ev.reason else len(ev.to_x),
                                 "reason": ev.reason}}
     _emit(args, report, lines)
     return 0

@@ -5,8 +5,8 @@ recollement report assembled from a tilting module.
 The ring of a universal localization is S = End(R_U), used through
 lambda: R -> S as End(R_U) coordinates on the algebra basis, checked
 through the reflection property of eta: R -> R_U.  S itself is certified
-by matrix units when it is a matrix ring over the base field; no
-structure-constant table is formed.
+a matrix ring M_n(K) over the base field by a split pair R_U ≅ X^n for a
+brick X; no matrix unit and no structure-constant table is formed.
 
 The reflection of a complex M at an exceptional object T1 is computed two
 ways: a one-shot cone construction when End(T1) is one-dimensional (the
@@ -40,11 +40,11 @@ from .errors import BoundExceeded, ConsistencyError, InputError
 from .homology import (DEFAULT_RESOLUTION_BOUND, LeftModule, ShortExact,
                        ext_dim, min_resolution,
                        proj_dim, tor_dims_range)
-from .linalg import (Matrix, block_matrix, quotient_basis, row_space,
+from .linalg import (Matrix, quotient_basis, row_space,
                      solve_linear_system, solve_right_kernel)
 from .modules import (ModuleMap, Representation, _assemble_block_map, _flatten_map,
-                      _invertible_map, cokernel, decompose, direct_sum, hom_space,
-                      identity_map, in_add_of, indecomposable_summands, is_isomorphic,
+                      _invertible_map, _same_module, cokernel, decompose, direct_sum,
+                      hom_space, identity_map, in_add_of, indecomposable_summands, is_isomorphic,
                       proj_sum_layout, quotient, submodule_from_rows, top, trace_submodule)
 
 
@@ -223,15 +223,16 @@ def reflect(t1: PerfectComplex, m: PerfectComplex, max_steps: int = 16):
     return q, mp, "iterative"
 
 
-def reflect_regular(alg: Algebra, t1_module: Representation,
-                    max_steps: int = 16, bound: int = DEFAULT_RESOLUTION_BOUND):
-    """Reflection of the regular module at resolve(t1_module), routed as in
-    reflect.  Returns (q(R), map, method).  The reflection depends only on
-    add T1, so when an isomorphism class repeats in decompose(T1), R is
-    reflected at one copy of each class; otherwise, or when decompose raises
-    InputError (small primes), at T1 itself.  The result is memoized in
-    t1_module's cache per (max_steps, bound), so q(R) is computed once per
-    T1 object and every caller shares the same complex."""
+def reflect_regular(t1_module: Representation, max_steps: int = 16,
+                    bound: int = DEFAULT_RESOLUTION_BOUND):
+    """Reflection of the regular module of t1_module's algebra at
+    resolve(t1_module), routed as in reflect.  Returns (q(R), map, method).
+    The reflection depends only on add T1, so when an isomorphism class
+    repeats in decompose(T1), R is reflected at one copy of each class;
+    otherwise, or when decompose raises InputError (small primes), at T1
+    itself.  The result is memoized in t1_module's cache per
+    (max_steps, bound), so q(R) is computed once per T1 object and every
+    caller shares the same complex."""
     memo = t1_module._caches.setdefault("reflect_regular", {})
     if (max_steps, bound) not in memo:
         try:
@@ -240,7 +241,7 @@ def reflect_regular(alg: Algebra, t1_module: Representation,
             classes = ()
         t1 = direct_sum([fac for fac, _ in classes]) if any(
             mult > 1 for _, mult in classes) else t1_module
-        rc = resolve_to_complex(regular_module(alg), bound)
+        rc = resolve_to_complex(regular_module(t1_module.algebra), bound)
         memo[max_steps, bound] = reflect(resolve_to_complex(t1, bound), rc, max_steps)
     return memo[max_steps, bound]
 
@@ -389,13 +390,13 @@ def homological_epi_check(eta: ModuleMap, lam, max_degree: int = 6,
 class RingEvidence:
     """End(R_U) as a matrix ring M_n(K), or why it is not certified one.
 
-    ``units[i][j]`` is the matrix unit e_ij: R_U -> R_U.  With products
-    taken in diagrammatic order (``e.compose(f)``, e first), they satisfy
-    e_ij e_kl = δ_jk e_il and Σ e_ii = id, and dim End(R_U) = n²; so they
-    form a basis of End(R_U) with the multiplication table of M_n(K)."""
+    to_x[i]: R_U -> X and from_x[i]: X -> R_U split R_U as X^n for a brick
+    X (``check_split_pair``); the matrix unit e_ij is to_x[i] then
+    from_x[j] in diagrammatic order (``a.compose(b)``, a first)."""
     dim: int             # dim End(R_U)
-    units: tuple         # n x n grid of matrix units; () when reason is set
-    reason: str | None   # why no units: several isomorphism classes, or dim End X > 1
+    to_x: tuple          # n maps R_U -> X; () when reason is set
+    from_x: tuple        # n maps X -> R_U; () when reason is set
+    reason: str | None   # why no pair: several isomorphism classes, or dim End X > 1
 
 
 @dataclass(frozen=True)
@@ -412,8 +413,7 @@ class LocalizationReport:
 
 
 def universal_localization(seq: ShortExact, max_steps: int = 16,
-                           bound: int = DEFAULT_RESOLUTION_BOUND,
-                           hom_epi_degree: int = 6) -> LocalizationReport:
+                           bound: int = DEFAULT_RESOLUTION_BOUND) -> LocalizationReport:
     """Localization data from a (T3)-style sequence 0 -> R -> T0 -> T1 -> 0.
 
     R_U = T0 / trace of T1 in T0 (``_trace_quotient``), cross-checked against
@@ -423,7 +423,7 @@ def universal_localization(seq: ShortExact, max_steps: int = 16,
     (``end_ring_presentation``) and checked against eta when R_U is
     made a left module for the Tor side of the homological-epimorphism test
     (``lambda_left_module``), and S is certified a matrix ring over the
-    base field by matrix units, or given a reason why not
+    base field by a split pair R_U ≅ X^n, or given a reason why not
     (``ring_evidence``).  No structure constants of S are formed."""
     alg = seq.left.algebra
     r = regular_module(alg)
@@ -433,7 +433,7 @@ def universal_localization(seq: ShortExact, max_steps: int = 16,
     ru, proj = _trace_quotient(t1, t0)
     eta = seq.incl.compose(proj)
     # reflection cross-check
-    q, _, method = reflect_regular(alg, t1, max_steps, bound)
+    q, _, method = reflect_regular(t1, max_steps, bound)
     h0 = _concentrated_h0(q)
     matches = h0 is not None
     if matches and not is_isomorphic(h0, ru):
@@ -442,7 +442,7 @@ def universal_localization(seq: ShortExact, max_steps: int = 16,
     lam = end_ring_presentation(ru, eta)
     dec = decompose(ru)
     evidence = ring_evidence(ru)
-    epi = homological_epi_check(eta, lam, hom_epi_degree, bound)
+    epi = homological_epi_check(eta, lam, bound=bound)
     return LocalizationReport(seq, ru, tuple(dec), lam, eta, method, matches,
                               epi, evidence)
 
@@ -487,24 +487,25 @@ def _trace_quotient(t1: Representation, t0: Representation):
 
 
 def ring_evidence(ru: Representation) -> RingEvidence:
-    """Matrix units of End(R_U), or the reason there are none.
+    """A split pair R_U ≅ X^n showing End(R_U) ≅ M_n(K), or the reason
+    there is none.
 
     End(R_U) is simple artinian exactly when R_U ≅ X^n for one
     indecomposable X whose End is a division ring, and then
-    End(R_U) ≅ M_n(End X): M_n(K) for a brick X.  The units come from the
+    End(R_U) ≅ M_n(End X): M_n(K) for a brick X.  The pair comes from the
     Krull-Schmidt split R_U = X_1 ⊕ ... ⊕ X_n with isomorphisms
-    φ_i: X_i -> X (X the first summand): e_ij = proj_i φ_i φ_j⁻¹ incl_j in
-    diagrammatic order, checked by ``check_matrix_units``.  Otherwise the
-    reason says which condition fails: more than one isomorphism class, or
-    dim End X > 1 (End X is larger than K, so End(R_U) is not M_n(K))."""
+    φ_i: X_i -> X (X the first summand): to_x[i] = proj_i φ_i and
+    from_x[i] = φ_i⁻¹ incl_i, checked by ``check_split_pair``.  Otherwise
+    the reason says which condition fails: more than one isomorphism class,
+    or dim End X > 1 (End X is larger than K, so End(R_U) is not M_n(K))."""
     ends = hom_space(ru, ru)
     groups = decompose(ru)
     if len(groups) > 1:
-        return RingEvidence(ends.dim, (), f"{len(groups)} isomorphism classes of summands")
+        return RingEvidence(ends.dim, (), (), f"{len(groups)} isomorphism classes of summands")
     summands = indecomposable_summands(ru)
     x = summands[0][0] if summands else ru
     if hom_space(x, x).dim > 1:
-        return RingEvidence(ends.dim, (), f"dim End X = {hom_space(x, x).dim} > 1")
+        return RingEvidence(ends.dim, (), (), f"dim End X = {hom_space(x, x).dim} > 1")
     to_x, from_x = [], []
     for fac, incl, proj in summands:
         phi = identity_map(x) if fac is x else _invertible_map(hom_space(fac, x))
@@ -512,9 +513,8 @@ def ring_evidence(ru: Representation) -> RingEvidence:
             raise ConsistencyError("summands of one isomorphism class are not isomorphic")
         to_x.append(proj.compose(phi))
         from_x.append((phi if fac is x else _inverse_map(phi)).compose(incl))
-    units = tuple(tuple(a.compose(b) for b in from_x) for a in to_x)
-    check_matrix_units(ru, units)
-    return RingEvidence(ends.dim, units, None)
+    check_split_pair(ru, to_x, from_x)
+    return RingEvidence(ends.dim, tuple(to_x), tuple(from_x), None)
 
 
 def _inverse_map(f: ModuleMap) -> ModuleMap:
@@ -530,33 +530,33 @@ def _inverse_map(f: ModuleMap) -> ModuleMap:
     return ModuleMap._trusted(f.target, f.source, mats)
 
 
-def check_matrix_units(m: Representation, units):
-    """Raise ConsistencyError unless ``units`` is an n x n grid of matrix
-    units of End(m) ≅ M_n(K): e_ij e_kl = δ_jk e_il in diagrammatic order,
-    Σ e_ii = id and dim End(m) = n².  All products come from one product of
-    the stacked e_ij by the e_kl side by side, as total matrices."""
+def check_split_pair(m: Representation, to_x, from_x):
+    """Raise ConsistencyError unless to_x[i]: m -> X and from_x[i]: X -> m,
+    n each (else InputError), are natural maps with dim m_v = n · dim X_v
+    at every vertex v, Σ_i to_x[i] then from_x[i] = id_m (n products per
+    vertex) and dim End(m) = n².  That is enough: the stacked map
+    T: m -> X^n then has a right inverse and is square at every vertex, so
+    it is an isomorphism and from_x[j] then to_x[k] = δ_jk id_X; and
+    End(m) ≅ M_n(End X) of dimension n² forces End X = K."""
+    n = len(to_x)
+    if len(from_x) != n:
+        raise InputError(f"{n} maps to X but {len(from_x)} maps from X")
+    x = to_x[0].target if n else m  # with n = 0 the dimension check says m = 0
+    for f, src, tgt in [(f, m, x) for f in to_x] + [(g, x, m) for g in from_x]:
+        if not (_same_module(f.source, src) and _same_module(f.target, tgt)):
+            raise ConsistencyError("split pair maps do not run between m and one X")
+        ModuleMap(src, tgt, f.mats)  # naturality, checked again
     fld = m.algebra.field
-    n, size = len(units), m.total_dim
-    if any(len(row) != n for row in units):
-        raise InputError("matrix units must form a square grid")
+    for v in m.algebra.vertices:
+        if m.dims[v] != n * x.dims[v]:
+            raise ConsistencyError(f"dim m_{v} = {m.dims[v]}, not {n} · dim X_{v}")
+        total = Matrix.zeros(fld, m.dims[v], m.dims[v])
+        for f, g in zip(to_x, from_x):
+            total = total.add(f.mats[v].mul(g.mats[v]))
+        if total != Matrix.identity(fld, m.dims[v]):
+            raise ConsistencyError(f"the split pair does not sum to the identity at {v}")
     if hom_space(m, m).dim != n * n:
-        raise ConsistencyError(f"dim End = {hom_space(m, m).dim}, not {n}² for {n} units")
-    mats = [[e.total_matrix() for e in row] for row in units]
-    total = Matrix.zeros(fld, size, size)
-    for i in range(n):
-        total = total.add(mats[i][i])
-    if total != Matrix.identity(fld, size):
-        raise ConsistencyError("the diagonal matrix units do not sum to the identity")
-    if not n:
-        return
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    zero = Matrix.zeros(fld, size, size)
-    stacked = block_matrix(fld, [[mats[i][j]] for i, j in pairs])
-    wide = block_matrix(fld, [[mats[k][l] for k, l in pairs]])
-    expected = block_matrix(fld, [[mats[i][l] if j == k else zero for k, l in pairs]
-                                  for i, j in pairs])
-    if stacked.mul(wide) != expected:
-        raise ConsistencyError("e_ij e_kl = δ_jk e_il fails")
+        raise ConsistencyError(f"dim End = {hom_space(m, m).dim}, not {n}² for {n} copies of X")
 
 
 # -- stratifying ideals ------------------------------------------------------------
@@ -696,8 +696,7 @@ class RecollementReport:
 
 
 def recollement_report(t: Representation, max_steps: int = 16,
-                       bound: int = DEFAULT_RESOLUTION_BOUND,
-                       hom_epi_degree: int = 6) -> RecollementReport:
+                       bound: int = DEFAULT_RESOLUTION_BOUND) -> RecollementReport:
     """Assemble the recollement witness data of a tilting module of
     projective dimension at most one.  The certificate is the stored one
     of an equal sum of the same parts when there is one; T2 = q(R) is the
@@ -706,10 +705,9 @@ def recollement_report(t: Representation, max_steps: int = 16,
     cert = tilting_module_check(t, bound)
     if isinstance(cert, TiltingFailure):
         raise InputError(f"not a tilting module: {cert.reasons}")
-    alg = t.algebra
     t0, t1 = cert.sequence.mid, cert.sequence.right
-    loc = universal_localization(cert.sequence, max_steps, bound, hom_epi_degree)
-    q, _, _ = reflect_regular(alg, t1, max_steps, bound)
+    loc = universal_localization(cert.sequence, max_steps, bound)
+    q, _, _ = reflect_regular(t1, max_steps, bound)
     t1c = resolve_to_complex(t1, bound)
     # Hom_D(T1[n], T2) = Hom_D(T1, T2[-n]): sweep the whole window
     ortho = all(derived_hom(t1c, q, k).dim == 0 for k in hom_window(t1c, q))

@@ -73,9 +73,9 @@ def verify_cycle2(field: FieldSpec | None = None) -> ExampleReport:
               f"R_U dims {loc.ru_module.dim_vector()}")
         ev = loc.evidence
         check("End(R_U) is a 2x2 matrix ring over the base field "
-              "(checked matrix units e_ij e_kl = δ_jk e_il, Σ e_ii = 1, dim 4)",
-              ev.reason is None and len(ev.units) == 2 and ev.dim == 4,
-              f"dim {ev.dim}, {len(ev.units)}x{len(ev.units)} units, reason {ev.reason}")
+              "(checked split pair R_U ≅ X², Σ to_x[i] from_x[i] = 1, dim 4)",
+              ev.reason is None and len(ev.to_x) == 2 and ev.dim == 4,
+              f"dim {ev.dim}, {len(ev.to_x)} copies of X, reason {ev.reason}")
         check("homological epimorphism: Ext^i(R_U, R_U) = 0 for i = 1..6",
               loc.hom_epi.is_homological_epi and len(loc.hom_epi.ext_dims) == 6,
               f"ext dims {loc.hom_epi.ext_dims}, tor dims {loc.hom_epi.tor_dims}")

@@ -32,7 +32,7 @@ over the whole target that pushing out only over the recorded parts the
 cocycle touches replaced, and reference_ring_presentation, End(R_U) as a
 structure-constant ring (SCRing, which left the package with it) with
 lambda checked on all basis pairs and the two-sided ideal scan, which
-matrix units and the generator-pair check of lambda replaced, and
+the split pair R_U ≅ X^n and the generator-pair check of lambda replaced, and
 reference_module_from_paths, the construction of P_v and I_v from basis
 paths that proj_sum and the transpose of left multiplication replaced, and
 reference_split_along_parts, the summands of a split composed with each
@@ -755,11 +755,11 @@ class ReferenceRing:
 
 def reference_ring_presentation(m, eta):
     """End(m) as a structure-constant ring with lambda: A -> End(m) solved
-    from the reflection property of eta: R -> m, the route that matrix
-    units and the generator-pair check of lambda replaced: the d² table of
-    products f_j∘f_i of the hom_space(m, m) basis, lambda checked unital
-    and multiplicative on all dim(A)² basis pairs through that table, and
-    the scan that each basis element generates the whole ring as a
+    from the reflection property of eta: R -> m, the route that the split
+    pair m ≅ X^n and the generator-pair check of lambda replaced: the d²
+    table of products f_j∘f_i of the hom_space(m, m) basis, lambda checked
+    unital and multiplicative on all dim(A)² basis pairs through that table,
+    and the scan that each basis element generates the whole ring as a
     two-sided ideal."""
     from quivertilt.errors import ConsistencyError
     from quivertilt.linalg import Matrix, solve_linear_system

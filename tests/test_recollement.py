@@ -19,13 +19,12 @@ from quivertilt.modules import (cokernel, direct_sum, identity_map,
                                 is_isomorphic, quotient, socle,
                                 trace_submodule)
 from quivertilt.recollement import (_concentrated_h0, _quotient_by_vertex_ideal,
-                                    _vertex_ideal_products, check_matrix_units,
-                                    end_ring_presentation, lambda_left_module,
-                                    perp_complex_membership, perp_membership,
-                                    recollement_report, reflect_regular, reflection_brick,
-                                    reflection_iterative,
-                                    stratifying_ideal_check,
-                                    universal_localization)
+                                    _vertex_ideal_products, check_split_pair,
+                                    end_ring_presentation, homological_epi_check,
+                                    lambda_left_module, perp_complex_membership,
+                                    perp_membership, recollement_report, reflect_regular,
+                                    reflection_brick, reflection_iterative, ring_evidence,
+                                    stratifying_ideal_check, universal_localization)
 from quivertilt.formats import fixture_algebra
 from quivertilt.tilting import TiltingCertificate, tilting_module_check
 from conftest import complex_hom_args, counting, linear_algebra, resolution_hom_args
@@ -168,13 +167,19 @@ def test_localization_module(cycle2, cycle2_localization):
 
 
 def test_localization_ring_structure(cycle2_localization):
-    """End(R_U) ≅ M_2(K) for R_U ≅ I1²: four checked matrix units, e_11 and
-    e_22 orthogonal idempotents summing to the identity."""
+    """End(R_U) ≅ M_2(K) for R_U ≅ I1²: a checked split pair R_U ≅ X².  As
+    consequences, from_x[j] then to_x[k] is δ_jk id_X, and of the matrix
+    units e_ij = to_x[i] then from_x[j], e_11 and e_22 are orthogonal
+    idempotents summing to the identity."""
     loc = cycle2_localization
     ev = loc.evidence
-    assert ev.dim == 4 and ev.reason is None and len(ev.units) == 2
-    check_matrix_units(loc.ru_module, ev.units)
-    (e11, e12), (e21, e22) = ev.units
+    assert ev.dim == 4 and ev.reason is None and len(ev.to_x) == len(ev.from_x) == 2
+    check_split_pair(loc.ru_module, ev.to_x, ev.from_x)
+    x = ev.to_x[0].target
+    for j, k in itertools.product(range(2), repeat=2):
+        back = ev.from_x[j].compose(ev.to_x[k])
+        assert back.mats == identity_map(x).mats if j == k else back.is_zero()
+    (e11, e12), (e21, e22) = [[a.compose(b) for b in ev.from_x] for a in ev.to_x]
     assert e11.compose(e22).is_zero() and e22.compose(e11).is_zero()
     assert e12.compose(e21).mats == e11.mats and e21.compose(e12).mats == e22.mats
     assert e11.add(e22).mats == identity_map(loc.ru_module).mats
@@ -226,10 +231,10 @@ def bongartz_localizations(bongartz_sums):
 def test_localization_ring_matches_structure_constant_reference(bongartz_localizations):
     """On every Bongartz-complement localization, lambda equals the one the
     structure-constant reference solves and checks on all basis pairs, and
-    End(R_U) gets matrix units exactly when the reference's two-sided ideal
+    End(R_U) gets a split pair exactly when the reference's two-sided ideal
     scan finds every basis element generating the whole ring."""
     assert len(bongartz_localizations) == 24
-    with_units = 0
+    with_pair = 0
     for label, loc in bongartz_localizations:
         ref = reference_ring_presentation(loc.ru_module, loc.eta)
         ev = loc.evidence
@@ -237,19 +242,70 @@ def test_localization_ring_matches_structure_constant_reference(bongartz_localiz
         assert ev.dim == ref.ring.dim, label
         assert (ev.reason is None) == ref.ideal_scan_full, label
         if ev.reason is None:
-            assert len(ev.units) ** 2 == ev.dim, label
-            with_units += 1
-    assert with_units == 4
+            assert len(ev.to_x) ** 2 == ev.dim, label
+            with_pair += 1
+    assert with_pair == 4
 
 
-def test_changed_matrix_unit_entry_is_rejected(bongartz_localizations):
-    """Changing any one entry of any one e_ij breaks the checked relations."""
+@pytest.fixture(scope="module")
+def unrecorded_i1_squared(cycle2):
+    """I1 ⊕ I1 over cycle2 conjugated by an invertible matrix at each
+    vertex and built afresh, so it records no parts and decomposes into
+    two distinct, isomorphic summand objects."""
+    fld = cycle2.field
+    s = direct_sum([injective(cycle2, "1")] * 2)
+    assert s.dims == {"1": 2, "2": 2}
+    g = {"1": Matrix.from_rows(fld, [[1, 1], [0, 1]]),
+         "2": Matrix.from_rows(fld, [[2, 1], [1, 1]])}
+    g_inv = {"1": Matrix.from_rows(fld, [[1, -1], [0, 1]]),
+             "2": Matrix.from_rows(fld, [[1, -1], [-1, 2]])}
+    # x -> x g is an isomorphism onto s from the module with arrows g A g⁻¹
+    m = Representation(cycle2, dict(s.dims), {
+        name: g[src].mul(s.arrow_mats[name]).mul(g_inv[tgt])
+        for name, src, tgt in cycle2.quiver.arrows})
+    ModuleMap(m, s, g)
+    assert "parts" not in m._caches
+    return m
+
+
+def test_split_pair_of_distinct_isomorphic_summands(unrecorded_i1_squared, monkeypatch):
+    """With no recorded parts, R_U ≅ I1² splits into two summand objects,
+    so the second copy's isomorphism to X is inverted; the pair passes."""
+    inverses = counting(monkeypatch, quivertilt.recollement, "_inverse_map")
+    ev = ring_evidence(unrecorded_i1_squared)
+    assert ev.reason is None and ev.dim == 4 and len(ev.to_x) == 2
+    assert len(inverses) == 1
+    check_split_pair(unrecorded_i1_squared, ev.to_x, ev.from_x)
+
+
+def test_split_pair_of_p1_to_the_eighth():
+    """R_U = P_1⁸ over hereditary A_8: End is M_8(K), dim 64."""
+    m = direct_sum([projective(linear_algebra(8), "1")] * 8)
+    ev = ring_evidence(m)
+    assert ev.reason is None and ev.dim == 64 and len(ev.to_x) == len(ev.from_x) == 8
+    check_split_pair(m, ev.to_x, ev.from_x)
+
+
+def test_changed_matrix_unit_entry_is_rejected(bongartz_localizations,
+                                                unrecorded_i1_squared):
+    """Changing any one entry of any one of the 2n maps of a split pair is
+    rejected: on the pair-carrying Bongartz localizations and on a module
+    with no recorded parts.  The matrix units are built from these maps.
+    Doubling one map keeps it natural; the sum to the identity rejects it."""
+    cases = [(loc.ru_module, loc.evidence) for _, loc in bongartz_localizations
+             if loc.evidence.reason is None]
+    cases.append((unrecorded_i1_squared, ring_evidence(unrecorded_i1_squared)))
+    assert len(cases) == 5
     mutated = 0
-    for _, loc in bongartz_localizations:
-        units = loc.evidence.units
-        for i, j in itertools.product(range(len(units)), repeat=2):
-            e = units[i][j]
+    for m, ev in cases:
+        pair = [list(ev.to_x), list(ev.from_x)]
+        for side, i in itertools.product(range(2), range(len(ev.to_x))):
+            e = pair[side][i]
             fld = e.source.algebra.field
+            doubled = [list(pair[0]), list(pair[1])]
+            doubled[side][i] = e.scale(fld.coerce(2))
+            with pytest.raises(ConsistencyError, match="identity"):
+                check_split_pair(m, *doubled)
             for v, mat in e.mats.items():
                 for r, c in itertools.product(range(mat.rows), range(mat.cols)):
                     entries = [list(row) for row in mat.entries]
@@ -257,12 +313,47 @@ def test_changed_matrix_unit_entry_is_rejected(bongartz_localizations):
                     changed = ModuleMap._trusted(e.source, e.target, {
                         **e.mats, v: Matrix(fld, mat.rows, mat.cols,
                                             tuple(tuple(row) for row in entries))})
-                    grid = [list(row) for row in units]
-                    grid[i][j] = changed
+                    maps = [list(pair[0]), list(pair[1])]
+                    maps[side][i] = changed
                     with pytest.raises(ConsistencyError):
-                        check_matrix_units(loc.ru_module, grid)
+                        check_split_pair(m, *maps)
                     mutated += 1
     assert mutated > 0
+
+
+def test_split_pair_needs_n_copies_of_x_at_every_vertex(a2):
+    """m = X = S_1 ⊕ S_1 with to_x = from_x = [id, 0]: the maps are
+    natural, sum to id_m, and dim End(m) = 4 = 2², but m is not X², which
+    only the dimension count at each vertex sees.  As one copy of itself,
+    m passes every check but dim End(m) = 1².  A count of maps from X
+    other than that of maps to X is malformed input."""
+    x = direct_sum([simple(a2, "1")] * 2)
+    ident, zero = identity_map(x), identity_map(x).scale(a2.field.zero())
+    with pytest.raises(ConsistencyError, match="dim m_"):
+        check_split_pair(x, [ident, zero], [ident, zero])
+    with pytest.raises(ConsistencyError, match="dim End"):
+        check_split_pair(x, [ident], [ident])
+    with pytest.raises(InputError):
+        check_split_pair(x, [ident, zero], [ident])
+
+
+def test_split_pair_twisted_by_a_map_that_is_not_natural_is_rejected(cycle2_localization):
+    """Doubling R_U at vertex 1 is invertible at every vertex but is not a
+    module map, as an arrow of I1 between the vertices is nonzero.
+    Twisting the pair by it keeps every dimension and the sum to the
+    identity; only the naturality check rejects it."""
+    ru, ev = cycle2_localization.ru_module, cycle2_localization.evidence
+    fld = ru.algebra.field
+    sigma = {v: Matrix.identity(fld, ru.dims[v]).scale(fld.coerce(2 if v == "1" else 1))
+             for v in ru.algebra.vertices}
+    sigma_inv = {v: Matrix.identity(fld, ru.dims[v]).scale(fld.coerce("1/2" if v == "1" else 1))
+                 for v in ru.algebra.vertices}
+    to_x = [ModuleMap._trusted(ru, f.target, {v: sigma[v].mul(f.mats[v]) for v in f.mats})
+            for f in ev.to_x]
+    from_x = [ModuleMap._trusted(g.source, ru, {v: g.mats[v].mul(sigma_inv[v]) for v in g.mats})
+              for g in ev.from_x]
+    with pytest.raises(ConsistencyError, match="not natural"):
+        check_split_pair(ru, to_x, from_x)
 
 
 def test_changed_lambda_entry_on_an_arrow_is_rejected(bongartz_localizations):
@@ -316,9 +407,9 @@ def test_lambda_system_is_built_again_for_another_eta(cycle2_localization, monke
     eta."""
     loc = cycle2_localization
     ru, eta = loc.ru_module, loc.eta
-    units = loc.evidence.units
-    assert len(units) == 2
-    alpha = identity_map(ru).add(units[0][1])  # unipotent, so invertible
+    to_x, from_x = loc.evidence.to_x, loc.evidence.from_x
+    assert len(to_x) == 2
+    alpha = identity_map(ru).add(to_x[0].compose(from_x[1]))  # unipotent, so invertible
     eta2 = eta.compose(alpha)
     builds = counting(monkeypatch, quivertilt.recollement, "left_multiples")
     lam2 = end_ring_presentation(ru, eta2)
@@ -353,7 +444,7 @@ def test_localization_dimensions_from_ranks_match_the_reference(bongartz_localiz
                 space = ext(i, ru, ru)
                 ref = reference_hom_cohomology_dim(*resolution_hom_args(space.resolution, ru), i)
                 assert space.dim == len(space.classes) == ref
-        q, _, _ = reflect_regular(t1.algebra, t1)
+        q, _, _ = reflect_regular(t1)
         t1c = resolve_to_complex(t1)
         for x, y in ((t1c, q), (q, q)):
             for n in hom_window(x, y):
@@ -382,8 +473,8 @@ def test_recollement_report_reflects_r_once_per_t1(cycle2, monkeypatch):
         runs = counting(monkeypatch, quivertilt.recollement, "reflection_brick")
         rep = recollement_report(t)
         assert len(asks) == 2 and len(runs) == 1
-        assert asks[0][1] is asks[1][1] is rep.t1
-        assert reflect_regular(t.algebra, rep.t1)[0] is rep.t2
+        assert asks[0][0] is asks[1][0] is rep.t1
+        assert reflect_regular(rep.t1)[0] is rep.t2
         monkeypatch.undo()
 
 
@@ -414,16 +505,17 @@ def test_recollement_report_decides_one_isomorphism(monkeypatch):
 
 def test_reflect_regular_is_memoized_per_t1_object(cycle2):
     t1 = simple(cycle2, "2")
-    first = reflect_regular(cycle2, t1)
-    assert reflect_regular(cycle2, t1) is first
+    first = reflect_regular(t1)
+    assert first[0].algebra is cycle2
+    assert reflect_regular(t1) is first
     assert _concentrated_h0(first[0]) is _concentrated_h0(first[0])
     fresh = Representation(cycle2, dict(t1.dims), dict(t1.arrow_mats))
     assert fresh == t1 and fresh is not t1
-    again = reflect_regular(cycle2, fresh)
+    again = reflect_regular(fresh)
     assert again[0] is not first[0] and again[2] == first[2] == "brick"
     assert is_isomorphic(_concentrated_h0(again[0]), _concentrated_h0(first[0]))
     # another step or resolution budget is another entry
-    other = reflect_regular(cycle2, t1, max_steps=4)
+    other = reflect_regular(t1, max_steps=4)
     assert other is not first and other[2] == first[2]
 
 
@@ -505,16 +597,14 @@ def test_hom_epi_triple3(triple3):
 
 
 def test_hom_epi_verdict_reads_past_the_reported_degrees(triple3):
-    """At hom_epi_degree=1 only Ext^1(R_U, R_U) = 0 is reported, but the
+    """At max_degree=1 only Ext^1(R_U, R_U) = 0 is reported, but the
     verdict reads the whole minimal resolution of R_U (pd 4), so
     Ext^2 = 6 still makes it NO."""
-    tilt = triple3_tilting(triple3)
-    loc = universal_localization(tilting_module_check(tilt).sequence, hom_epi_degree=1)
+    loc = universal_localization(tilting_module_check(triple3_tilting(triple3)).sequence)
     assert proj_dim(loc.ru_module) == 4
-    assert loc.hom_epi.ext_dims == (0,) and len(loc.hom_epi.tor_dims) == 1
-    assert not loc.hom_epi.is_homological_epi
-    rep = recollement_report(tilt, hom_epi_degree=1)
-    assert not rep.localization.hom_epi.is_homological_epi
+    epi = homological_epi_check(loc.eta, loc.lam, 1)
+    assert epi.ext_dims == (0,) and len(epi.tor_dims) == 1
+    assert not epi.is_homological_epi
 
 
 # -- stratifying ideals ---------------------------------------------------------------

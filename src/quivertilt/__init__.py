@@ -23,8 +23,8 @@ from .linalg import (GF, QQ, FieldSpec, Matrix, intersect_subspaces,
                      solve_right_kernel, sum_subspaces)
 from .modules import (HomSpace, ModuleMap, Representation, cokernel,
                       decompose, direct_sum, hom_space, image, in_add_of,
-                      is_isomorphic, kernel, quotient, radical, socle, top,
-                      trace_submodule)
+                      is_isomorphic, kernel, quotient, radical,
+                      right_add_approximation, socle, top, trace_submodule)
 from .recollement import (HomEpiReport, LocalizationReport, RecollementReport,
                           StratifyingReport, homological_epi_check,
                           perp_complex_membership, perp_membership,

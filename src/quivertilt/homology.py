@@ -13,14 +13,18 @@ Y.  The minimal left add(T)-approximation of ⊕_k P_{v_k} is chosen one
 vertex at a time: by Yoneda Hom(P_v, T_j) = (T_j)_v, its radical is
 (U_j)_v with U_j the sum of the images of the radical maps of add T into
 T_j, and the copies of T_j kept at v_k are a basis of (T_j/U_j)_{v_k}.
+One selection, the rows independent modulo a span and the rows before
+them (``linalg.independent_rows``), picks the generators of a projective
+cover, these copies, and the maps kept by the minimal right
+approximation (``modules.right_add_approximation``).
 """
 
 from dataclasses import dataclass, field as _dc_field
 
 from .algebra import Algebra, zero_module
 from .errors import BoundExceeded, ConsistencyError, InputError
-from .linalg import (Matrix, quotient_basis, rank, row_space, rref, solve_linear_system,
-                     solve_right_kernel)
+from .linalg import (Matrix, independent_rows, quotient_basis, rank, row_space,
+                     solve_linear_system, solve_right_kernel)
 from .modules import (HomSpace, ModuleMap, ProjSum, Representation, _assemble_block_map,
                       _block_maps, _endo_radical, decompose, direct_sum, direct_sum_with_maps,
                       hom_space, identity_map, image, proj_sum, quotient, submodule_from_rows,
@@ -114,14 +118,9 @@ def _cover(m: Representation, rows: dict):
         for name, v, t in alg.quiver.arrows:
             if t == w and rows[v].rows:
                 stack = stack.vstack(rows[v].mul(m.arrow_mats[name]))
-        first = stack.rows
-        stack = stack.vstack(rows[w])
-        # pivot columns of the transpose: each row independent of those above
-        _, pivots = rref(stack.transpose())
-        for p in pivots:
-            if p >= first:
-                gens.append(w)
-                images.append(stack.entries[p])
+        for k in independent_rows(stack, rows[w]):
+            gens.append(w)
+            images.append(rows[w].entries[k])
     psum = proj_sum(alg, gens)
     d = hom_from_gens(psum, m, images)
     if any(rank(d.mats[v]) != rows[v].rows for v in alg.vertices):
@@ -822,11 +821,10 @@ def left_add_approximation(x: Representation, t: Representation):
     keep = {}  # (j, v) -> the kept unit vectors of (T_j)_v
     for v in dict.fromkeys(p0.gens):
         for j, d in enumerate(fac.dims[v] for fac in factors):
-            # (U_j)_v, then the units: keep the units independent of the rows above
+            # the units independent modulo (U_j)_v
             rows = tuple(r for h in rad[j] for r in h.mats[v].entries)
-            pivots = rref(Matrix(fld, len(rows), d, rows).vstack(Matrix.identity(fld, d))
-                          .transpose())[1] if d else ()
-            keep[j, v] = tuple(p - len(rows) for p in pivots if p >= len(rows))
+            keep[j, v] = independent_rows(Matrix(fld, len(rows), d, rows),
+                                          Matrix.identity(fld, d))
         for j, d in enumerate(fac.dims[v] for fac in factors):
             rows = tuple(h.mats[v].entries[c] for i, hs in enumerate(between)
                          for c in keep[i, v] for h in hs[j].basis)

@@ -24,9 +24,9 @@ entries of the rows it combines, instead of dispatching every element
 operation through ``FieldSpec``.  Only ``solve_right_kernel`` and
 ``solve_linear_system`` (and what is built on them) carry the transform
 T with T*m = R through the elimination; ``rref``, ``rank``, ``row_space``,
-``sum_subspaces`` and ``quotient_basis`` reduce the matrix alone.  The
-elimination works on row lists, and each caller builds only the matrices
-it returns.
+``sum_subspaces``, ``quotient_basis`` and ``independent_rows`` reduce the
+matrix alone.  The elimination works on row lists, and each caller builds
+only the matrices it returns.
 
 Most matrices of a computation are tiny or empty (per-vertex blocks of
 small modules), so they are made cheap without skipping any check:
@@ -482,6 +482,14 @@ def rref(m: Matrix):
     """(R, pivots) without the transform."""
     R, pivots, _ = _rref_with_transform(m, with_transform=False)
     return R, pivots
+
+
+def independent_rows(above: Matrix, rows: Matrix) -> tuple:
+    """Indices of the rows of ``rows`` independent modulo the span of
+    ``above`` and of the rows before them: the pivot columns of the
+    transpose of [above; rows] past above's rows, in one elimination."""
+    first = above.rows
+    return tuple(p - first for p in rref(above.vstack(rows).transpose())[1] if p >= first)
 
 
 def rank(m: Matrix) -> int:

@@ -3,6 +3,11 @@
 A representation assigns a vector space dimension to every vertex and a
 matrix to every arrow; module elements are row vectors per vertex and an
 arrow s -> t acts by right multiplication with a dims(s) x dims(t) matrix.
+
+Membership in add(T) is decided by the minimal right add(T)-approximation
+(``right_add_approximation``): x is in add(T) exactly when it is an
+isomorphism, so x is never decomposed; the Krull-Schmidt decomposition
+(``decompose``) is read off T alone.
 """
 
 import itertools
@@ -10,8 +15,9 @@ from dataclasses import dataclass, field as _dc_field
 
 from .algebra import Algebra
 from .errors import ConsistencyError, DimensionMismatch, InputError
-from .linalg import (Matrix, block_matrix, intersect_subspaces, quotient_basis, rank,
-                     row_space, solve_linear_system, solve_right_kernel, sum_subspaces)
+from .linalg import (Matrix, block_matrix, independent_rows, intersect_subspaces,
+                     quotient_basis, rank, row_space, solve_linear_system, solve_right_kernel,
+                     sum_subspaces)
 
 
 @dataclass(frozen=True)
@@ -712,23 +718,6 @@ def _fitting_split(m: Representation, f: ModuleMap):
     return ker_incl, img_incl
 
 
-def _split_projections(m: Representation, k_incl: ModuleMap, i_incl: ModuleMap):
-    """Projections of m = ker ⊕ im onto each part along the other, read off
-    one solve of id_m = x * [k_incl; i_incl] per vertex."""
-    alg = m.algebra
-    fld = alg.field
-    k_mats, i_mats = {}, {}
-    for v in alg.vertices:
-        stacked = k_incl.mats[v].vstack(i_incl.mats[v])
-        x, _ = solve_linear_system(stacked, Matrix.identity(fld, m.dims[v]))
-        if x is None:
-            raise ConsistencyError("split projection failed")
-        k = k_incl.source.dims[v]
-        k_mats[v] = x.take_cols(range(k))
-        i_mats[v] = x.take_cols(range(k, m.dims[v]))
-    return ModuleMap(m, k_incl.source, k_mats), ModuleMap(m, i_incl.source, i_mats)
-
-
 def _trace_form_valid(m: Representation) -> bool:
     """Dickson's trace form computes rad End(m) when p = 0 or p > dim m."""
     fld = m.algebra.field
@@ -853,9 +842,11 @@ def _split_summands(m: Representation):
         raise ConsistencyError(
             "could not certify indecomposability: End/rad has dimension > 1 "
             "but no Fitting split was found")
-    k_incl, i_incl = split
-    k_proj, i_proj = _split_projections(m, k_incl, i_incl)
-    return _through_parts(((k_incl, k_proj), (i_incl, i_proj)))
+    # the projections of m = ker ⊕ im: the inverse of ker ⊕ im -> m, then the block projections
+    pair = direct_sum([incl.source for incl in split])
+    inv = _inverse_map(_assemble_block_map(pair, m, [[incl] for incl in split],
+                                           pair._caches["parts"], [m]))
+    return _through_parts(zip(split, (inv.compose(p) for p in _block_maps(pair)[1])))
 
 
 def decompose(m: Representation):
@@ -878,10 +869,58 @@ def decompose(m: Representation):
     return list(m._caches["decompose"])
 
 
+def _inverse_map(f: ModuleMap) -> ModuleMap:
+    """The inverse of an isomorphism, one solve per vertex."""
+    fld = f.source.algebra.field
+    mats = {v: solve_linear_system(mat, Matrix.identity(fld, mat.rows))[0]
+            for v, mat in f.mats.items()}
+    if any(x is None for x in mats.values()):
+        raise ConsistencyError("map is not invertible")
+    # the inverse of a natural isomorphism is natural
+    return ModuleMap._trusted(f.target, f.source, mats)
+
+
+def right_add_approximation(x: Representation, t: Representation):
+    """Minimal right add(t)-approximation g: ⊕_j T_j^{m_j} -> x
+    (Auslander–Smalø), or None when Hom(t, x) = 0.
+
+    The T_j are the factors of decompose(t): pairwise non-isomorphic, each
+    with End(T_j)/rad = K (a brick, or certified local by the trace form).
+    So the radical maps into x from T_j are Σ_{i≠j} Hom(T_j, T_i)·Hom(T_i, x)
+    + rad End(T_j)·Hom(T_j, x), and g keeps the basis maps of Hom(T_j, x)
+    independent modulo them and the maps kept before, one elimination per
+    factor.  Hom(T_j, T_i) is solved only for factors with Hom(T_i, x) ≠ 0.
+    The kept maps generate Hom(T_j, x) modulo the nilpotent radical of
+    add t, so g is an approximation, and they are independent modulo it,
+    so g is minimal.  The source of g is the direct_sum of the kept copies,
+    which records the factor objects of decompose(t) as its parts."""
+    factors = [fac for fac, _ in decompose(t)]
+    into = [hom_space(fac, x) for fac in factors]
+    live = [j for j, hs in enumerate(into) if hs.dim]
+    kept = []
+    for j in live:
+        fac, hs = factors[j], into[j]
+        rad = [h.compose(g) for i in live
+               for h in (_endo_radical(fac) if i == j else hom_space(fac, factors[i]).basis)
+               for g in into[i].basis]
+        above, rows = (Matrix(x.algebra.field, len(maps), _entry_count(fac, x),
+                              tuple(map(_flatten_map, maps))) for maps in (rad, hs.basis))
+        kept += [hs.basis[k] for k in independent_rows(above, rows)]
+    if not kept:
+        return None
+    src = direct_sum([g.source for g in kept])
+    return _assemble_block_map(src, x, [[g] for g in kept], src._caches["parts"], [x])
+
+
 def in_add_of(x: Representation, t: Representation) -> bool:
     """Is x isomorphic to a direct summand of a finite sum of copies of t?
-    Checked through Krull-Schmidt factor matching."""
+
+    Exactly when x = 0 or its minimal right add(t)-approximation g is an
+    isomorphism: for x in add t the identity of x is a minimal right
+    approximation, minimal approximations are unique up to isomorphism,
+    so g is one too; and an isomorphism g puts x in add t.  Checking g is
+    one rank per vertex; x is never decomposed."""
     if x.total_dim == 0:
         return True
-    t_factors = [f for f, _ in decompose(t)]
-    return all(any(is_isomorphic(fac, tf) for tf in t_factors) for fac, _ in decompose(x))
+    g = right_add_approximation(x, t)
+    return g is not None and g.is_isomorphism()

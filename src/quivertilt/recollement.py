@@ -17,8 +17,10 @@ is an explicit error, never a truncated answer.  R is reflected at one
 copy of each isomorphism class of T1's summands, so T1 = X^n with X a brick
 takes the brick path.  R is read in the layout of ⊕_v P_v
 (``modules.proj_sum_layout``).  q(R) is computed once per T1 object and
-memoized there, H^0(q(R)) once per q(R), and lambda's linear system once
-per eta; the localization and the recollement report share all three.
+memoized there, and lambda's linear system once per eta; the localization
+and the recollement report share both.  T1 comes from a tilting
+certificate as a recorded direct sum of factors of T, so its isomorphism
+classes are read off its parts.
 The report certifies its module through ``tilting_module_check``, which
 returns the stored certificate of an equal sum of the same parts (so after
 ``bongartz_complement(M)`` the report on ``direct_sum([N, M])`` reuses its
@@ -33,8 +35,8 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, regular_module
 from .complexes import (ChainMap, PerfectComplex, _cohomology_dims, cohomology,
-                        derived_hom, hom_window, is_exceptional, mapping_cone,
-                        resolve_to_complex, shift_chain_map,
+                        derived_hom, hom_window, identity_chain_map, is_exceptional,
+                        mapping_cone, resolve_to_complex, shift_chain_map,
                         stack_to_common_target)
 from .errors import BoundExceeded, ConsistencyError, InputError
 from .homology import (DEFAULT_RESOLUTION_BOUND, LeftModule, ShortExact,
@@ -43,9 +45,10 @@ from .homology import (DEFAULT_RESOLUTION_BOUND, LeftModule, ShortExact,
 from .linalg import (Matrix, quotient_basis, row_space,
                      solve_linear_system, solve_right_kernel)
 from .modules import (ModuleMap, Representation, _assemble_block_map, _flatten_map,
-                      _invertible_map, _same_module, cokernel, decompose, direct_sum,
-                      hom_space, identity_map, in_add_of, indecomposable_summands, is_isomorphic,
-                      proj_sum_layout, quotient, submodule_from_rows, top, trace_submodule)
+                      _inverse_map, _invertible_map, _same_module, cokernel, decompose,
+                      direct_sum, hom_space, identity_map, indecomposable_summands,
+                      is_isomorphic, match_decomposition, proj_sum_layout, quotient,
+                      submodule_from_rows, top, trace_submodule)
 
 
 # -- perpendicular categories -----------------------------------------------------
@@ -113,7 +116,6 @@ def reflection_brick(t1: PerfectComplex, m: PerfectComplex):
     Requires End_D(t1) one-dimensional and t1 exceptional; post-verified:
     Hom(t1, q(m)[i]) = 0 for all i."""
     if t1.is_zero_complex():
-        from .complexes import identity_chain_map
         return m, identity_chain_map(m)
     if derived_hom(t1, t1, 0).dim != 1:
         raise InputError("brick reflection needs a one-dimensional endomorphism ring")
@@ -125,7 +127,6 @@ def reflection_brick(t1: PerfectComplex, m: PerfectComplex):
         for f in space.reps:
             parts.append(shift_chain_map(f, -i))  # t1[-i] -> m
     if not parts:
-        from .complexes import identity_chain_map
         return m, identity_chain_map(m)
     alpha = stack_to_common_target(parts)
     cone, incl, _ = mapping_cone(alpha)
@@ -157,7 +158,6 @@ def reflection_iterative(t1: PerfectComplex, m: PerfectComplex, max_steps: int =
     does not stabilize within max_steps."""
     if not t1.is_zero_complex() and not is_exceptional(t1):
         raise InputError("iterative reflection needs an exceptional object")
-    from .complexes import identity_chain_map
     current = m
     total_map = identity_chain_map(m)
     steps = []
@@ -448,13 +448,11 @@ def universal_localization(seq: ShortExact, max_steps: int = 16,
 
 
 def _concentrated_h0(q: PerfectComplex):
-    """H^0(q) when q has no cohomology in any other degree, else None,
-    memoized in q's cache.  The other degrees are read off ranks
-    (_cohomology_dims); only H^0 is built as a module."""
-    if "h0" not in q._caches:
-        off = any(d for n, d in _cohomology_dims(q).items() if n != 0)
-        q._caches["h0"] = None if off else cohomology(q, 0)
-    return q._caches["h0"]
+    """H^0(q) when q has no cohomology in any other degree, else None.
+    The other degrees are read off ranks (_cohomology_dims); only H^0 is
+    built as a module."""
+    off = any(d for n, d in _cohomology_dims(q).items() if n != 0)
+    return None if off else cohomology(q, 0)
 
 
 def _trace_quotient(t1: Representation, t0: Representation):
@@ -515,19 +513,6 @@ def ring_evidence(ru: Representation) -> RingEvidence:
         from_x.append((phi if fac is x else _inverse_map(phi)).compose(incl))
     check_split_pair(ru, to_x, from_x)
     return RingEvidence(ends.dim, tuple(to_x), tuple(from_x), None)
-
-
-def _inverse_map(f: ModuleMap) -> ModuleMap:
-    """The inverse of an isomorphism, one solve per vertex."""
-    fld = f.source.algebra.field
-    mats = {}
-    for v, mat in f.mats.items():
-        x, _ = solve_linear_system(mat, Matrix.identity(fld, mat.rows))
-        if x is None:
-            raise ConsistencyError("map is not invertible")
-        mats[v] = x
-    # the inverse of a natural isomorphism is natural
-    return ModuleMap._trusted(f.target, f.source, mats)
 
 
 def check_split_pair(m: Representation, to_x, from_x):
@@ -720,6 +705,8 @@ def recollement_report(t: Representation, max_steps: int = 16,
     equivalent = None
     if cor_zero:
         t_prime = direct_sum([loc.ru_module, cokernel(loc.eta)[0]])
-        equivalent = in_add_of(t, t_prime) and in_add_of(t_prime, t)
+        # add T = add T' exactly when both have the same isomorphism classes of summands
+        equivalent = match_decomposition(*([(fac, 1) for fac, _ in decompose(m)]
+                                           for m in (t, t_prime)))
     return RecollementReport(cert, t1, q, loc, ortho, t2_exc, t2_matches,
                              cor_zero, equivalent)

@@ -16,6 +16,9 @@ part.  No global table is kept: an entry lives exactly as long as the
 first part, and the ids in its key stay valid because the stored verdict's
 module holds the parts.  ``bongartz_complement(M)`` and a later
 ``recollement_report(direct_sum([N, M]))`` thus share one certificate.
+A certificate's T1 is the source of the minimal right
+add(T)-approximation of the cokernel, a recorded direct sum of factors of
+T, so its summands are never searched for.
 """
 
 from dataclasses import dataclass, replace
@@ -26,12 +29,13 @@ from .complexes import (ChainMap, DerivedHomSpace, PerfectComplex,
                         is_exceptional, resolve_to_complex, shift,
                         shift_chain_map, stack_to_common_source,
                         stack_to_common_target, triangle_from_map,
-                        zero_chain_map)
+                        zero_chain_map, zero_complex)
 from .errors import ConsistencyError, InputError
 from .homology import (DEFAULT_RESOLUTION_BOUND, ShortExact, ext_dim,
                        left_add_approximation, proj_dim, universal_extension)
 from .linalg import Matrix, rank
-from .modules import Representation, cokernel, decompose, direct_sum, in_add_of
+from .modules import (Representation, _inverse_map, cokernel, decompose, direct_sum,
+                      right_add_approximation)
 
 
 @dataclass(frozen=True)
@@ -118,7 +122,6 @@ def left_universal_map(t2: PerfectComplex, t1: PerfectComplex):
     m = space.dim
     st1 = shift(t1, 1)
     if m == 0:
-        from .complexes import zero_complex
         return zero_chain_map(zero_complex(t2.algebra), st1), 0
     alpha = stack_to_common_target(list(space.reps))
     if not is_left_universal(alpha):
@@ -131,7 +134,6 @@ def right_universal_map(t2: PerfectComplex, t1: PerfectComplex):
     space = derived_hom(t2, t1, 1)
     m = space.dim
     if m == 0:
-        from .complexes import zero_complex
         return zero_chain_map(t2, zero_complex(t2.algebra)), 0
     beta = stack_to_common_source(list(space.reps))
     if not is_right_universal(beta):
@@ -231,7 +233,7 @@ class TiltingCertificate:
     module: Representation
     pd: int
     ext1_dim: int
-    sequence: ShortExact          # 0 -> R -> T0 -> T1 -> 0
+    sequence: ShortExact          # 0 -> R -> T0 -> T1 -> 0, T1 a direct_sum of factors
     t0_tags: tuple                # indices into factors for T0's summands
     factors: tuple                # indecomposable factors of the module
     coker_ext_dim: int            # Ext^1(T, T1) (generation sanity)
@@ -251,7 +253,13 @@ def tilting_module_check(t: Representation, bound: int = DEFAULT_RESOLUTION_BOUN
     because T is finitely generated over a finite-dimensional algebra, so
     Ext^1(T, -) commutes with direct sums.  The third condition is built
     constructively from the minimal left add(T)-approximation of the
-    regular module and verified: injective with cokernel in add(T).
+    regular module and verified: injective with cokernel in add(T).  The
+    cokernel is in add(T) exactly when its minimal right
+    add(T)-approximation g is an isomorphism, and then T1 is g's source,
+    the direct_sum of factors of decompose(T) that g records, with the
+    sequence's projection followed by g⁻¹: T1 arrives split, and no
+    summand of it is searched for.  For T1 = 0 the sequence ends at the
+    zero cokernel.
 
     The verdict is memoized per (ids of t's recorded ``direct_sum`` parts,
     in order, bound), or (id of t, bound) for a module with no recorded
@@ -282,13 +290,14 @@ def _certify(t: Representation, bound: int):
     r = regular_module(alg)
     f, tags = left_add_approximation(r, t)
     if not f.is_injective():
-        reasons.append(("approx", "left add(T)-approximation of the regular module "
-                                  "is not injective (T does not generate)"))
-        return TiltingFailure(t, tuple(reasons))
+        return TiltingFailure(t, (("approx", "left add(T)-approximation of the regular "
+                                             "module is not injective (T does not generate)"),))
     coker, cproj = cokernel(f)
-    if not in_add_of(coker, t):
-        reasons.append(("coker", "cokernel of the approximation is not in add(T)"))
-        return TiltingFailure(t, tuple(reasons))
+    g = right_add_approximation(coker, t)
+    if g is not None and g.is_isomorphism():
+        coker, cproj = g.source, cproj.compose(_inverse_map(g))
+    elif coker.total_dim:
+        return TiltingFailure(t, (("coker", "cokernel of the approximation is not in add(T)"),))
     seq = ShortExact(r, f.target, coker, f, cproj)
     factors = tuple(fac for fac, _ in decompose(t))
     coker_ext = ext_dim(1, t, coker, bound)

@@ -40,7 +40,10 @@ part's split pair even where that pair is two identities, which keeping a
 part's own pair replaced, and reference_hom_cohomology_dim, the dimension
 of H^n of the Hom complex as the number of cocycle classes modulo
 coboundaries, built with the library's elimination, which reading the
-dimension off the ranks of the two differentials replaced.
+dimension off the ranks of the two differentials replaced, and
+reference_in_add_of, add(T) membership by decomposing x and matching its
+factors with those of T, which the minimal right add(T)-approximation
+replaced.
 """
 
 from dataclasses import dataclass
@@ -500,20 +503,10 @@ def reference_summands(m, seed=0):
     import random
     from quivertilt.errors import ConsistencyError
     from quivertilt.linalg import rank
-    from quivertilt.linalg import Matrix, solve_linear_system
-    from quivertilt.modules import (ModuleMap, _endo_radical, hom_space, identity_map,
-                                    image, kernel)
+    from quivertilt.modules import _endo_radical, hom_space, identity_map, image, kernel
 
     def split_projection(part_incl, other_incl):
-        # solve id_m = x * [part; other] per vertex, take the part columns
-        mats = {}
-        for v in m.algebra.vertices:
-            stacked = part_incl.mats[v].vstack(other_incl.mats[v])
-            x, _ = solve_linear_system(stacked, Matrix.identity(m.algebra.field, m.dims[v]))
-            if x is None:
-                raise ConsistencyError("split projection failed")
-            mats[v] = x.take_cols(range(part_incl.source.dims[v]))
-        return ModuleMap(m, part_incl.source, mats)
+        return reference_split_projection(m, part_incl, other_incl)
 
     def fitting_split(f):
         n = m.total_dim
@@ -566,6 +559,23 @@ def reference_summands(m, seed=0):
     raise ConsistencyError("no Fitting split found and End/rad has dimension > 1")
 
 
+def reference_split_projection(m, part_incl, other_incl):
+    """Projection of m = part ⊕ other onto the part along the other: solve
+    id_m = x * [part; other] per vertex and take the part columns.  The
+    result is checked natural."""
+    from quivertilt.errors import ConsistencyError
+    from quivertilt.linalg import Matrix, solve_linear_system
+    from quivertilt.modules import ModuleMap
+    mats = {}
+    for v in m.algebra.vertices:
+        stacked = part_incl.mats[v].vstack(other_incl.mats[v])
+        x, _ = solve_linear_system(stacked, Matrix.identity(m.algebra.field, m.dims[v]))
+        if x is None:
+            raise ConsistencyError("split projection failed")
+        mats[v] = x.take_cols(range(part_incl.source.dims[v]))
+    return ModuleMap(m, part_incl.source, mats)
+
+
 def reference_split_along_parts(m):
     """indecomposable_summands(m) by the composing route: the summands of
     each part of a split, from this function again, carried into m by
@@ -579,7 +589,7 @@ def reference_split_along_parts(m):
     keeping a part's own pair in place of the composites changes no entry.
     """
     from quivertilt.modules import (_block_maps, _first_split, _further_candidates,
-                                    _split_projections, hom_space, indecomposable_summands)
+                                    hom_space, indecomposable_summands)
     if "parts" in m._caches:
         pairs = zip(*_block_maps(m))
     else:
@@ -588,10 +598,25 @@ def reference_split_along_parts(m):
             return summands
         hs = hom_space(m, m)
         k_incl, i_incl = _first_split(m, hs.basis) or _first_split(m, _further_candidates(hs))
-        pairs = zip((k_incl, i_incl), _split_projections(m, k_incl, i_incl))
+        pairs = zip((k_incl, i_incl), (reference_split_projection(m, k_incl, i_incl),
+                                       reference_split_projection(m, i_incl, k_incl)))
     return [(fac, sub_incl.compose(incl), proj.compose(sub_proj))
             for incl, proj in pairs
             for fac, sub_incl, sub_proj in reference_split_along_parts(incl.source)]
+
+
+def reference_in_add_of(x, t):
+    """Is x in add(t)?  Krull-Schmidt matching: every factor of decompose(x)
+    is isomorphic to a factor of decompose(t).
+
+    It uses the library's decomposition and exact isomorphism test; what it
+    checks is that deciding by the minimal right approximation changes no
+    verdict."""
+    from quivertilt.modules import decompose, is_isomorphic
+    if x.total_dim == 0:
+        return True
+    t_factors = [f for f, _ in decompose(t)]
+    return all(any(is_isomorphic(fac, tf) for tf in t_factors) for fac, _ in decompose(x))
 
 
 def reference_is_isomorphic(m, n, seed=0):

@@ -348,7 +348,7 @@ def test_every_cache_key_is_both_written_and_read():
         w, r = cache_keys(path.read_text())
         written |= w
         read |= r
-    assert {"end", "resolution", "reflect_regular", "derived_end", "h0",
+    assert {"end", "resolution", "reflect_regular", "derived_end",
             "lambda_system"} <= written
     assert not written - read, f"cache keys written but never read: {sorted(written - read)}"
     assert not read - written, f"cache keys read but never written: {sorted(read - written)}"

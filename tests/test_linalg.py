@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quivertilt.linalg import (GF, QQ, FieldSpec, Matrix, _eliminate, _mul_entries,
-                               _rref_with_transform, block_matrix, intersect_subspaces,
-                               quotient_basis, rank, rref, row_space,
+                               _rref_with_transform, block_matrix, independent_rows,
+                               intersect_subspaces, quotient_basis, rank, rref, row_space,
                                solve_linear_system, solve_right_kernel,
                                sum_subspaces)
 from quivertilt.errors import DimensionMismatch, InputError
@@ -233,6 +233,31 @@ def test_rref_equals_transform_kernel_and_transform_reduces(m):
     assert T.rows == T.cols == m.rows
     assert T.mul(m) == R
     assert rank(T) == m.rows
+
+
+@st.composite
+def stacked_pair(draw):
+    """(above, rows) over one field with the same number of columns."""
+    fld = draw(st.sampled_from(FIELDS))
+    cols = draw(dims)
+    return draw(field_matrix(fld, cols=cols)), draw(field_matrix(fld, cols=cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_pair())
+@example((Matrix.zeros(QQ, 2, 0), Matrix.zeros(QQ, 3, 0)))
+def test_independent_rows_are_those_that_raise_the_rank(pair):
+    """Row i is kept exactly when it raises the oracle rank of the rows of
+    above and the rows of rows before it."""
+    above, rows = pair
+    char = above.field.characteristic
+    kept = independent_rows(above, rows)
+    before = [list(r) for r in above.entries]
+    for i, row in enumerate(rows.entries):
+        grows = oracle_rank(before + [list(row)], char) > oracle_rank(before, char)
+        assert (i in kept) == grows
+        before.append(list(row))
+    assert list(kept) == sorted(kept)
 
 
 @settings(max_examples=150, deadline=None)

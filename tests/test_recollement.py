@@ -14,7 +14,7 @@ from quivertilt import (GF, QQ, BoundExceeded, ConsistencyError, InputError, Mat
                         modules, projective, regular_module, simple)
 from quivertilt.complexes import (_cohomology_dims, cohomology, derived_hom, hom_window,
                                   resolve_to_complex, shift)
-from quivertilt.homology import ext, ext_dim, left_add_approximation, proj_dim
+from quivertilt.homology import ShortExact, ext, ext_dim, left_add_approximation, proj_dim
 from quivertilt.modules import (cokernel, direct_sum, identity_map,
                                 is_isomorphic, quotient, socle,
                                 trace_submodule)
@@ -22,9 +22,10 @@ from quivertilt.recollement import (_concentrated_h0, _quotient_by_vertex_ideal,
                                     _vertex_ideal_products, check_split_pair,
                                     end_ring_presentation, homological_epi_check,
                                     lambda_left_module, perp_complex_membership,
-                                    perp_membership, recollement_report, reflect_regular,
-                                    reflection_brick, reflection_iterative, ring_evidence,
-                                    stratifying_ideal_check, universal_localization)
+                                    perp_membership, recollement_report, reflect,
+                                    reflect_regular, reflection_brick, reflection_iterative,
+                                    ring_evidence, stratifying_ideal_check,
+                                    universal_localization)
 from quivertilt.formats import fixture_algebra
 from quivertilt.tilting import TiltingCertificate, tilting_module_check
 from conftest import complex_hom_args, counting, linear_algebra, resolution_hom_args
@@ -143,6 +144,22 @@ def test_reflection_did_not_stabilize_error(cycle2):
     rr = resolve_to_complex(regular_module(cycle2))
     with pytest.raises(BoundExceeded):
         reflection_iterative(rs2, rr, max_steps=1)
+
+
+def test_reflect_takes_the_iterative_route_at_a_non_brick(cycle2, monkeypatch):
+    """T1 = P_2 over cycle2 is exceptional with dim End_D(T1) = 2, so reflect
+    and reflect_regular take the iterative route; at max_steps = 2 it raises
+    BoundExceeded, and no complex is returned or memoized."""
+    import quivertilt.recollement as recollement
+    p2 = projective(cycle2, "2")
+    t1 = resolve_to_complex(p2)
+    assert derived_hom(t1, t1, 0).dim == 2
+    iterative = counting(monkeypatch, recollement, "reflection_iterative")
+    with pytest.raises(BoundExceeded):
+        reflect(t1, resolve_to_complex(regular_module(cycle2)), max_steps=2)
+    with pytest.raises(BoundExceeded):
+        reflect_regular(p2, 2)
+    assert len(iterative) == 2 and p2._caches["reflect_regular"] == {}
 
 
 # -- universal localization ---------------------------------------------------------
@@ -508,7 +525,6 @@ def test_reflect_regular_is_memoized_per_t1_object(cycle2):
     first = reflect_regular(t1)
     assert first[0].algebra is cycle2
     assert reflect_regular(t1) is first
-    assert _concentrated_h0(first[0]) is _concentrated_h0(first[0])
     fresh = Representation(cycle2, dict(t1.dims), dict(t1.arrow_mats))
     assert fresh == t1 and fresh is not t1
     again = reflect_regular(fresh)
@@ -552,6 +568,29 @@ def test_localization_splits_r_u_along_t0_parts(triple3, monkeypatch):
     fresh = Representation(triple3, ru.dims, ru.arrow_mats)
     assert len(modules.indecomposable_summands(fresh)) == 3
     assert in_localization < len(tried)
+
+
+@pytest.mark.parametrize("name", ["cycle2", "a2"])
+def test_trace_quotient_of_a_t0_with_no_parts(name, cycle2, a2):
+    """A T0 with no recorded parts is divided as a whole.  Rebuilding the
+    certificate's T0 as a plain Representation, for cycle2's P_2 ⊕ S_2 and
+    a2's Bongartz sum N ⊕ S_1, gives an R_U isomorphic to the parts
+    route's, with the same homological-epimorphism verdict."""
+    if name == "cycle2":
+        seq = tilting_module_check(direct_sum([projective(cycle2, "2"),
+                                               simple(cycle2, "2")])).sequence
+    else:
+        seq = bongartz_complement(simple(a2, "1"))[2].sequence
+    r, t0, t1 = seq.left, seq.mid, seq.right
+    whole_t0 = Representation(t0.algebra, dict(t0.dims), dict(t0.arrow_mats))
+    assert "parts" in t0._caches and "parts" not in whole_t0._caches
+    whole = universal_localization(ShortExact(r, whole_t0, t1,
+                                              ModuleMap(r, whole_t0, seq.incl.mats),
+                                              ModuleMap(whole_t0, t1, seq.proj.mats)))
+    by_parts = universal_localization(seq)
+    assert "parts" not in whole.ru_module._caches and "parts" in by_parts.ru_module._caches
+    assert is_isomorphic(whole.ru_module, by_parts.ru_module)
+    assert whole.hom_epi == by_parts.hom_epi
 
 
 def test_localization_regular_tilting_is_identity_like(cycle2):

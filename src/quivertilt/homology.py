@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as _dc_field
 
 from .algebra import Algebra, zero_module
 from .errors import BoundExceeded, ConsistencyError, InputError
-from .linalg import (Matrix, independent_rows, quotient_basis, rank, row_space,
+from .linalg import (Matrix, independent_rows, quotient_basis, rank, row_space, row_times,
                      solve_linear_system, solve_right_kernel)
 from .modules import (HomSpace, ModuleMap, ProjSum, Representation, _assemble_block_map,
                       _block_maps, _endo_radical, decompose, direct_sum, direct_sum_with_maps,
@@ -39,17 +39,17 @@ DEFAULT_RESOLUTION_BOUND = 32
 def hom_from_gens(psum: ProjSum, n: Representation, images) -> ModuleMap:
     """Module map ⊕P_{v_j} -> n with prescribed generator images (row
     vectors of length n.dims[v_j]).  Any images define a module map, as
-    ⊕P_{v_j} is free on its generators."""
+    ⊕P_{v_j} is free on its generators (Yoneda: Hom(P_v, n) = n_v).  The
+    row of basis element (j, i) is images[j] times the action of the path
+    i, one ``row_times`` each; no 1 x n matrix is built."""
     alg = psum.algebra
     if n.algebra is not alg:
         raise InputError("module map between different algebras")
     fld = alg.field
-    img_rows = [Matrix(fld, 1, n.dims[v], (tuple(img),))
-                for (v, img) in zip(psum.gens, images)]
     mats = {}
     for w in alg.vertices:
         # n.basis_action(i) is n.dims[gens[j]] x n.dims[w]
-        rows = tuple(img_rows[j].mul(n.basis_action(i)).entries[0] for j, i in psum.layout[w])
+        rows = tuple(row_times(images[j], n.basis_action(i)) for j, i in psum.layout[w])
         mats[w] = Matrix(fld, len(rows), n.dims[w], rows)
     return ModuleMap._trusted(psum.rep, n, mats)
 
@@ -134,15 +134,13 @@ def _gen_rows(psum: ProjSum, f: ModuleMap | None, g: ModuleMap | None) -> tuple 
     projective sum is zero exactly when it kills the generators."""
     if f is None or g is None:
         return None
-    fld = psum.algebra.field
-    return tuple(Matrix(fld, 1, f.target.dims[v], (f.mats[v].entries[r],)).mul(g.mats[v])
-                 for v, r in psum.gen_pos)
+    return tuple(row_times(f.mats[v].entries[r], g.mats[v]) for v, r in psum.gen_pos)
 
 
 def _same_gen_rows(a: tuple | None, b: tuple | None) -> bool:
     """Whether two results of _gen_rows agree, None being zero rows."""
     if a is None or b is None:
-        return all(r.is_zero() for r in (a or b or ()))
+        return not any(x for r in (a or b or ()) for x in r)
     return a == b
 
 

@@ -42,6 +42,11 @@ small modules), so they are made cheap without skipping any check:
   the identity as transform (so its kernel is everything and it solves
   only zero right-hand sides), and ``take_rows`` of no rows is the shared
   0 x c zero.
+- A product with a shared identity is the other operand itself.  The
+  shared identities are told apart by object identity (their ids are
+  recorded when they are built), never by scanning entries.
+- ``row_times(row, m)`` is the vector row*m as a tuple, summing only
+  products of nonzero entries; no 1 x n matrix is built for it.
 """
 
 from dataclasses import FrozenInstanceError, dataclass
@@ -227,6 +232,10 @@ class Matrix:
             raise DimensionMismatch(f"({self.rows}x{self.cols}) * ({other.rows}x{other.cols})")
         if not (self.rows and self.cols and other.cols):
             return _zeros(self.field, self.rows, other.cols)
+        if id(self) in _shared_identity_ids:
+            return other
+        if id(other) in _shared_identity_ids:
+            return self
         return Matrix(self.field, self.rows, other.cols,
                       _mul_entries(self.field, self.entries, other.entries, other.cols))
 
@@ -313,6 +322,7 @@ _set_field, _set_rows, _set_cols, _set_entries = (Matrix.__dict__[name].__set__
 _SHARED_SIDE = 32
 _shared_zeros = {}
 _shared_identities = {}
+_shared_identity_ids = set()  # ids of the objects in _shared_identities
 
 
 def _zeros(fld: FieldSpec, rows: int, cols: int) -> Matrix:
@@ -333,22 +343,8 @@ def _identity(fld: FieldSpec, n: int) -> Matrix:
         m = Matrix(fld, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
         if n <= _SHARED_SIDE:
             _shared_identities[key] = m
+            _shared_identity_ids.add(id(m))
     return m
-
-
-def block_matrix(fld: FieldSpec, grid) -> Matrix:
-    """Assemble a matrix from a 2d grid of blocks (each a Matrix), row by
-    row of the result: the blocks of a grid row share their row count, and
-    every grid row has the same total column count."""
-    grid = [brow for brow in grid if brow]
-    if not grid:
-        return Matrix.zeros(fld, 0, 0)
-    cols = sum(b.cols for b in grid[0])
-    if any(b.rows != brow[0].rows for brow in grid for b in brow) \
-            or any(sum(b.cols for b in brow) != cols for brow in grid):
-        raise DimensionMismatch("block grid shape mismatch")
-    return Matrix(fld, sum(brow[0].rows for brow in grid), cols,
-                  tuple(sum(parts, ()) for brow in grid for parts in zip(*(b.entries for b in brow))))
 
 
 # -- row arithmetic and elimination ----------------------------------------
@@ -373,6 +369,26 @@ def _mul_entries(fld: FieldSpec, rows, other, cols: int) -> tuple:
         p = fld.characteristic
         return tuple(tuple([x % p for x in acc]) for acc in out)
     return tuple(tuple([x if x.__class__ is int else _q(x) for x in acc]) for acc in out)
+
+
+def row_times(row, m: Matrix) -> tuple:
+    """The vector row*m as a tuple, summing only products of nonzero
+    entries; over GF(p) each entry is reduced once, after its sum."""
+    if len(row) != m.rows:
+        raise DimensionMismatch(f"(1x{len(row)}) * ({m.rows}x{m.cols})")
+    if id(m) in _shared_identity_ids:
+        return tuple(row)
+    fld = m.field
+    acc = [fld.zero()] * m.cols
+    for a, r in zip(row, m.entries):
+        if a:
+            for j, b in enumerate(r):
+                if b:
+                    acc[j] += a * b
+    if fld.kind == "prime-field":
+        p = fld.characteristic
+        return tuple([x % p for x in acc])
+    return tuple([x if x.__class__ is int else _q(x) for x in acc])
 
 
 def _row_ops(fld: FieldSpec):

@@ -8,6 +8,14 @@ Membership in add(T) is decided by the minimal right add(T)-approximation
 (``right_add_approximation``): x is in add(T) exactly when it is an
 isomorphism, so x is never decomposed; the Krull-Schmidt decomposition
 (``decompose``) is read off T alone.
+
+``decompose`` and ``is_isomorphic`` read only the indecomposable factors
+(``summand_factors``): a recorded ``direct_sum`` lists its parts' factors
+and builds no map.  Split pairs (inclusion, projection) are built only
+where a caller reads them: by ``indecomposable_summands``, which
+``recollement.ring_evidence`` asks for, and by the Fitting branch of
+``_split_summands``, which needs its split to carry the summands of ker
+and im into the module.
 """
 
 import itertools
@@ -15,7 +23,7 @@ from dataclasses import dataclass, field as _dc_field
 
 from .algebra import Algebra
 from .errors import ConsistencyError, DimensionMismatch, InputError
-from .linalg import (Matrix, block_matrix, independent_rows, intersect_subspaces,
+from .linalg import (Matrix, independent_rows, intersect_subspaces,
                      quotient_basis, rank, row_space, solve_linear_system, solve_right_kernel,
                      sum_subspaces)
 
@@ -501,15 +509,30 @@ def _assemble_block_map(src: Representation, tgt: Representation, blocks, src_re
     source part to the j-th target part (None = zero).  Part basis layouts
     concatenate in order inside src/tgt, as direct_sum and proj_sum lay
     them out, so their arrow matrices are block diagonal and a grid of
-    natural maps between the parts is natural."""
+    natural maps between the parts is natural.  Each vertex's rows are
+    written directly: a block must have the shape of its two parts
+    (DimensionMismatch), and the parts must add up to src and tgt
+    (ConsistencyError)."""
     fld = src.algebra.field
-    mats = {v: block_matrix(fld, [[b.mats[v] if b is not None
-                                   else Matrix.zeros(fld, srep.dims[v], trep.dims[v])
-                                   for b, trep in zip(row, tgt_reps)]
-                                  for row, srep in zip(blocks, src_reps)])
-            for v in src.algebra.vertices}
-    if any((mats[v].rows, mats[v].cols) != (src.dims[v], tgt.dims[v]) for v in mats):
-        raise ConsistencyError("block assembly shape mismatch")
+    zero = fld.zero()
+    mats = {}
+    for v in src.algebra.vertices:
+        rows = []
+        for row, srep in zip(blocks, src_reps):
+            d = srep.dims[v]
+            cells = []
+            for b, trep in zip(row, tgt_reps):
+                if b is None:
+                    cells.append(((zero,) * trep.dims[v],) * d)
+                elif (b.mats[v].rows, b.mats[v].cols) != (d, trep.dims[v]):
+                    raise DimensionMismatch(f"vertex {v}: block shape does not match its parts")
+                else:
+                    cells.append(b.mats[v].entries)
+            rows += [sum((c[r] for c in cells), ()) for r in range(d)]
+        if len(rows) != src.dims[v] or sum(t.dims[v] for t in tgt_reps) != tgt.dims[v]:
+            raise ConsistencyError("block assembly shape mismatch")
+        mats[v] = (Matrix(fld, src.dims[v], tgt.dims[v], tuple(rows)) if rows and tgt.dims[v]
+                   else Matrix.zeros(fld, src.dims[v], tgt.dims[v]))
     return ModuleMap._trusted(src, tgt, mats)
 
 
@@ -658,7 +681,7 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
         return True
     if not hs.dim == hom_space(m, m).dim == hom_space(n, n).dim:
         return False
-    if len(indecomposable_summands(m)) == 1:
+    if len(summand_factors(m)) == 1:
         return False
     return match_decomposition(decompose(m), decompose(n))
 
@@ -785,11 +808,24 @@ def indecomposable_summands(m: Representation):
     ``_split_summands``.
 
     The list is memoized in the module's cache, so a module is split once
-    however often it is asked about (``decompose`` groups this list); each
-    call returns a fresh list."""
+    however often it is asked about; each call returns a fresh list.
+    ``decompose`` groups the factors alone (``summand_factors``), which
+    for a recorded sum builds no pair."""
     if "summands" not in m._caches:
         m._caches["summands"] = tuple(_split_summands(m))
     return list(m._caches["summands"])
+
+
+def summand_factors(m: Representation) -> list:
+    """The factors of ``indecomposable_summands(m)``, the same objects in
+    the same order, without their split pairs: a module built by
+    ``direct_sum`` lists the factors of its recorded parts in order and
+    builds no map.  Only the callers that read split pairs build them:
+    ``recollement.ring_evidence`` and the Fitting branch of
+    ``_split_summands``."""
+    if "parts" in m._caches:
+        return [fac for part in m._caches["parts"] for fac in summand_factors(part)]
+    return [fac for fac, _, _ in indecomposable_summands(m)]
 
 
 def _through_parts(pairs):
@@ -857,7 +893,7 @@ def decompose(m: Representation):
     each call returns a fresh list."""
     if "decompose" not in m._caches:
         groups = []
-        for fac, _, _ in indecomposable_summands(m):
+        for fac in summand_factors(m):
             for g in groups:
                 if g[0].dims == fac.dims and is_isomorphic(g[0], fac):
                     g[1] += 1

@@ -4,9 +4,14 @@ recollement report assembled from a tilting module.
 
 The ring of a universal localization is S = End(R_U), used through
 lambda: R -> S as End(R_U) coordinates on the algebra basis, checked
-through the reflection property of eta: R -> R_U.  S itself is certified
-a matrix ring M_n(K) over the base field by a split pair R_U ≅ X^n for a
-brick X; no matrix unit and no structure-constant table is formed.
+through the reflection property of eta: R -> R_U.  lambda's linear system
+is set up in the generator coordinates of R = ⊕_v e_vA: by Yoneda,
+Hom(e_vA, X) = X_v, so a map out of R is fixed by its rows at the
+generators e_v, and two maps out of R that agree there are equal.  The
+system has Σ_v dim (R_U)_v columns, and its solution and its checks are
+those of the whole maps.  S itself is certified a matrix ring M_n(K)
+over the base field by a split pair R_U ≅ X^n for a brick X; no matrix
+unit and no structure-constant table is formed.
 
 The reflection of a complex M at an exceptional object T1 is computed two
 ways: a one-shot cone construction when End(T1) is one-dimensional (the
@@ -42,9 +47,9 @@ from .errors import BoundExceeded, ConsistencyError, InputError
 from .homology import (DEFAULT_RESOLUTION_BOUND, LeftModule, ShortExact,
                        ext_dim, min_resolution,
                        proj_dim, tor_dims_range)
-from .linalg import (Matrix, quotient_basis, row_space,
+from .linalg import (Matrix, quotient_basis, row_space, row_times,
                      solve_linear_system, solve_right_kernel)
-from .modules import (ModuleMap, Representation, _assemble_block_map, _flatten_map,
+from .modules import (ModuleMap, Representation, _assemble_block_map,
                       _inverse_map, _invertible_map, _same_module, cokernel, decompose,
                       direct_sum, hom_space, identity_map, indecomposable_summands,
                       is_isomorphic, match_decomposition, proj_sum_layout, quotient,
@@ -249,24 +254,25 @@ def reflect_regular(t1_module: Representation, max_steps: int = 16,
 # -- universal localization --------------------------------------------------------
 
 
+def _rows_by_basis(f: ModuleMap) -> dict:
+    """For f: R -> X on the regular module, its row at each algebra basis
+    element b_k, read off the layout of ⊕_v P_v."""
+    layout = proj_sum_layout(f.source.algebra, f.source.algebra.vertices)
+    return {k: f.mats[w].entries[pos] for w, lay in layout.items()
+            for pos, (_, k) in enumerate(lay)}
+
+
 def left_multiples(f: ModuleMap) -> list:
     """For f: R -> X on the regular module, the maps (left multiplication
-    by b_i) then f, one for each basis element b_i.  Row p of the i-th at
-    vertex w is f at b_i b_p, which ends at w as b_p does, so each map is
-    read off f's rows; no multiplication map is built."""
+    by b_i) then f, one for each basis element b_i, as their rows at the
+    generators e_v of R, concatenated in vertex order.  The row at e_v is
+    f(b_i e_v), a combination of f's rows; no map is built."""
     alg = f.source.algebra
     fld = alg.field
-    layout = proj_sum_layout(alg, alg.vertices)
-    row_of = {k: f.mats[w].entries[pos] for w in alg.vertices
-              for pos, (_, k) in enumerate(layout[w])}
-    zero_rows = {w: (fld.zero(),) * f.target.dims[w] for w in alg.vertices}
-    # left multiplication by b_i is a right-module map of R, so its
-    # composite with the natural f is natural
-    return [ModuleMap._trusted(f.source, f.target, {
-        w: Matrix(fld, len(layout[w]), f.target.dims[w],
-                  tuple(_combination(fld, alg.mult[(i, p)], row_of, zero_rows[w])
-                        for _, p in layout[w]))
-        for w in alg.vertices}) for i in range(alg.dim)]
+    row_of = _rows_by_basis(f)
+    gens = [(alg.vertex_idempotent(v), (fld.zero(),) * f.target.dims[v]) for v in alg.vertices]
+    return [sum((_combination(fld, alg.mult[(i, e)], row_of, zero) for e, zero in gens), ())
+            for i in range(alg.dim)]
 
 
 def _combination(fld, row, vectors, zero: tuple) -> tuple:
@@ -283,21 +289,29 @@ def _combination(fld, row, vectors, zero: tuple) -> tuple:
 
 
 def _lambda_system(eta: ModuleMap) -> tuple:
-    """(rows, targets) of lambda's linear system for eta: R -> m: the rows
-    eta then b over the basis b of End(m), checked independent (f -> eta
-    then f is injective, part of the reflection property; one
-    elimination), and the flattened left multiples of eta.  Memoized in
-    m's cache for this very eta object."""
+    """(rows, targets) of lambda's linear system for eta: R -> m, in the
+    generator coordinates of R = ⊕_v e_vA: the rows of eta then b at the
+    generators e_v, row_times(eta(e_v), b_v), over the basis b of End(m),
+    checked independent (f -> eta then f is injective, part of the
+    reflection property; one elimination), and the generator rows of the
+    left multiples of eta.  The system has Σ_v dim m_v columns.  By
+    Yoneda, Hom(R, m) = ⊕_v m_v: a map out of R is fixed by the images of
+    the e_v, so two maps out of R that agree on the generators are equal,
+    and the injectivity and every equation hold in these coordinates
+    exactly when they hold for the whole maps.  Memoized in m's cache for
+    this very eta object."""
     m = eta.target
     hit = m._caches.get("lambda_system")
     if hit is None or hit[0] is not eta:
-        fld = eta.source.algebra.field
-        rows = [_flatten_map(eta.compose(b)) for b in hom_space(m, m).basis]
-        rows_m = Matrix(fld, len(rows), len(_flatten_map(eta)), tuple(rows))
+        alg = eta.source.algebra
+        row_of = _rows_by_basis(eta)
+        at_gens = [(row_of[alg.vertex_idempotent(v)], v) for v in alg.vertices]
+        rows = [sum((row_times(r, b.mats[v]) for r, v in at_gens), ())
+                for b in hom_space(m, m).basis]
+        rows_m = Matrix(alg.field, len(rows), m.total_dim, tuple(rows))
         if solve_right_kernel(rows_m).rows != 0:
             raise ConsistencyError("reflection property violated: Hom(eta, m) has a kernel")
-        hit = m._caches["lambda_system"] = (
-            eta, rows_m, tuple(_flatten_map(f) for f in left_multiples(eta)))
+        hit = m._caches["lambda_system"] = (eta, rows_m, tuple(left_multiples(eta)))
     return hit[1], hit[2]
 
 
@@ -333,7 +347,10 @@ def lambda_left_module(eta: ModuleMap, lam) -> LeftModule:
     Checked: f -> eta then f is injective on End(m), and
     (left multiplication by b) then eta = eta then lambda(b) for every
     basis element b, both on the system of _lambda_system, which
-    ``end_ring_presentation`` built for the same eta.  That makes lambda
+    ``end_ring_presentation`` built for the same eta.  The system reads
+    both sides at the generators e_v of R only, which is exact: two maps
+    out of the free module R that agree on its generators are equal.
+    That makes lambda
     a unital ring homomorphism.  Write L_a for left multiplication by a
     and compose as functions; then
     eta∘L_ab = eta∘L_a∘L_b = lambda(a)∘eta∘L_b = lambda(a)lambda(b)∘eta,

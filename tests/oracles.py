@@ -43,7 +43,10 @@ coboundaries, built with the library's elimination, which reading the
 dimension off the ranks of the two differentials replaced, and
 reference_in_add_of, add(T) membership by decomposing x and matching its
 factors with those of T, which the minimal right add(T)-approximation
-replaced.
+replaced, and reference_lambda_system, lambda's linear system in the full
+coordinates of Hom(R, R_U), which reading maps out of R at its generators
+replaced, and block_matrix, the grid assembly of a matrix from blocks
+that writing each vertex's rows directly replaced.
 """
 
 from dataclasses import dataclass
@@ -88,6 +91,26 @@ def oracle_matmul(a, b, cols):
     """Product of list-of-lists matrices a (r x k) and b (k x cols) over Q."""
     return [[sum((Fraction(x) * Fraction(row[j]) for x, row in zip(r, b)), Fraction(0))
              for j in range(cols)] for r in a]
+
+
+def block_matrix(fld, grid):
+    """Assemble a matrix from a 2d grid of blocks (each a Matrix), row by
+    row of the result: the blocks of a grid row share their row count, and
+    every grid row has the same total column count.  The library's
+    grid assembly before _assemble_block_map wrote each vertex's rows
+    directly; the references below build their block maps with it."""
+    from quivertilt.errors import DimensionMismatch
+    from quivertilt.linalg import Matrix
+
+    grid = [brow for brow in grid if brow]
+    if not grid:
+        return Matrix.zeros(fld, 0, 0)
+    cols = sum(b.cols for b in grid[0])
+    if any(b.rows != brow[0].rows for brow in grid for b in brow) \
+            or any(sum(b.cols for b in brow) != cols for brow in grid):
+        raise DimensionMismatch("block grid shape mismatch")
+    return Matrix(fld, sum(brow[0].rows for brow in grid), cols,
+                  tuple(sum(parts, ()) for brow in grid for parts in zip(*(b.entries for b in brow))))
 
 
 def reference_quotient_projection(fld, R, pivots, n):
@@ -444,7 +467,7 @@ def reference_triangle(alpha):
     this direct one.  Returns (T, incl, proj)."""
     from quivertilt.complexes import ChainMap, PerfectComplex, shift
     from quivertilt.modules import proj_sum
-    from quivertilt.linalg import Matrix, block_matrix
+    from quivertilt.linalg import Matrix
     from quivertilt.modules import ModuleMap, identity_map
 
     def assemble(src, tgt, blocks, src_reps, tgt_reps):
@@ -847,6 +870,39 @@ def reference_ring_presentation(m, eta):
     return ReferenceRing(ring, lam, scan)
 
 
+def reference_lambda_system(eta):
+    """(rows, targets) of lambda's linear system for eta: R -> m in the full
+    coordinates of Hom(R, m), every map flattened over all of R
+    (Σ_w dim R_w · dim m_w columns), the route that reading maps out of R
+    at its generators e_v replaced: rows are eta then b over the basis b
+    of End(m), targets the maps (left multiplication by b_i) then eta,
+    each read off eta's rows and built as a checked module map."""
+    from quivertilt.linalg import Matrix
+    from quivertilt.modules import ModuleMap, _flatten_map, hom_space, proj_sum_layout
+
+    m = eta.target
+    alg = m.algebra
+    fld = alg.field
+    layout = proj_sum_layout(alg, alg.vertices)
+    row_of = {k: eta.mats[w].entries[pos] for w in alg.vertices
+              for pos, (_, k) in enumerate(layout[w])}
+
+    def combination(sparse, w):
+        out = (fld.zero(),) * m.dims[w]
+        for k, c in sparse:
+            out = tuple(fld.add(a, fld.mul(c, b)) for a, b in zip(out, row_of[k]))
+        return out
+
+    targets = [_flatten_map(ModuleMap(eta.source, m, {
+        w: Matrix(fld, len(layout[w]), m.dims[w],
+                  tuple(combination(alg.mult[(i, p)], w) for _, p in layout[w]))
+        for w in alg.vertices})) for i in range(alg.dim)]
+    rows = [_flatten_map(eta.compose(b)) for b in hom_space(m, m).basis]
+    width = len(_flatten_map(eta))
+    return (Matrix(fld, len(rows), width, tuple(rows)),
+            Matrix(fld, alg.dim, width, tuple(targets)))
+
+
 def reference_corner_ring(alg, vertices):
     """(eAe as a checked structure-constant ring, its algebra basis indices)
     for e the sum of the given vertex idempotents."""
@@ -908,7 +964,7 @@ def reference_sc_tor_dims(ring, x_dim, x_act, y_dim, y_act, max_degree):
     ring of triple3 at vertices 1, 2 it takes about 1 GB at max_degree 1 and
     still ends inconclusive.
     """
-    from quivertilt.linalg import (Matrix, block_matrix, rank, row_space, solve_linear_system,
+    from quivertilt.linalg import (Matrix, rank, row_space, solve_linear_system,
                                    solve_right_kernel)
 
     fld = ring.field

@@ -7,14 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quivertilt.linalg import (GF, QQ, FieldSpec, Matrix, _eliminate, _mul_entries,
-                               _rref_with_transform, block_matrix, independent_rows,
+                               _rref_with_transform, independent_rows,
                                intersect_subspaces, quotient_basis, rank, rref, row_space,
-                               solve_linear_system, solve_right_kernel,
+                               row_times, solve_linear_system, solve_right_kernel,
                                sum_subspaces)
 from quivertilt.errors import DimensionMismatch, InputError
 
-from oracles import (oracle_left_kernel, oracle_matmul, oracle_rank, oracle_solve,
-                     reference_quotient_projection)
+from oracles import (block_matrix, oracle_left_kernel, oracle_matmul, oracle_rank,
+                     oracle_solve, reference_quotient_projection)
 
 
 def M(field, rows):
@@ -294,6 +294,53 @@ def test_solve_recovers_a_product_over_every_field(pair):
     assert x is not None and x.mul(a) == b
     assert kernel.rows == a.rows - rank(a)
     assert kernel.mul(a).is_zero()
+
+
+@st.composite
+def row_and_matrix(draw):
+    """(row, m) over one field with row*m defined."""
+    fld = draw(st.sampled_from(FIELDS))
+    m = draw(field_matrix(fld))
+    return tuple(fld.coerce(draw(field_entries(fld))) for _ in range(m.rows)), m
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_and_matrix())
+@example(((0, 0), Matrix.zeros(GF(2), 2, 3)))
+@example(((1, 2), Matrix.zeros(QQ, 2, 0)))
+@example(((), Matrix.zeros(GF(101), 0, 4)))
+@example(((2, 0, 1), Matrix.identity(GF(3), 3)))
+def test_row_times_is_the_product_of_a_one_row_matrix(pair):
+    row, m = pair
+    assert row_times(row, m) == Matrix(m.field, 1, m.rows, (row,)).mul(m).entries[0]
+    with pytest.raises(DimensionMismatch):
+        row_times(row + (m.field.one(),), m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_shared_identity_factor_gives_back_the_other_operand(data):
+    fld = data.draw(st.sampled_from(FIELDS))
+    n, k = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    ident = Matrix.identity(fld, n)
+    assert ident is Matrix.identity(fld, n)
+    b, c = data.draw(field_matrix(fld, n, k)), data.draw(field_matrix(fld, k, n))
+    assert ident.mul(b) is b and c.mul(ident) is c
+    with pytest.raises(DimensionMismatch):
+        ident.mul(Matrix.zeros(fld, n + 1, 1))
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=str)
+def test_an_identity_too_large_to_share_still_multiplies(fld):
+    big = Matrix.identity(fld, 33)
+    assert big is not Matrix.identity(fld, 33)
+    b = Matrix.from_rows(fld, [[(i * j + i) % 7 - 3 for j in range(33)] for i in range(33)])
+    assert big.mul(b) == b == b.mul(big) and big.mul(b) is not b
+    assert row_times(b.entries[5], big) == b.entries[5]
+    expected = oracle_matmul(b.entries, big.entries, 33)
+    if fld != QQ:
+        expected = [[int(x) % fld.characteristic for x in r] for r in expected]
+    assert [list(r) for r in b.mul(big).entries] == expected
 
 
 def assert_canonical(*matrices):

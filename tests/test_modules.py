@@ -1,13 +1,14 @@
 import pytest
 
-from quivertilt import (GF, QQ, DimensionMismatch, InputError, injective,
-                        projective, regular_module, simple)
+from quivertilt import (GF, QQ, ConsistencyError, DimensionMismatch, InputError, Matrix,
+                        ModuleMap, injective, projective, regular_module, simple)
 from quivertilt.formats import fixture_algebra
-from quivertilt.modules import (cokernel, decompose, direct_sum,
+from quivertilt.modules import (_assemble_block_map, cokernel, decompose, direct_sum,
                                 direct_sum_with_maps, hom_space, identity_map,
                                 image, in_add_of, indecomposable_summands,
                                 is_isomorphic, kernel, quotient, radical, socle,
                                 top, trace_submodule, zero_map)
+from oracles import block_matrix
 
 
 def test_hom_s2_p2(cycle2):
@@ -342,3 +343,36 @@ def test_basis_action_is_the_path_matrix_of_every_basis_path():
             for i, (_, word) in enumerate(alg.basis):
                 if word:
                     assert m.basis_action(i) == m.path_matrix(word), (alg, word)
+
+
+@pytest.mark.parametrize("field", [None, GF(3)], ids=["Q", "GF3"])
+def test_block_assembly_writes_the_grid_and_checks_every_shape(field):
+    """_assemble_block_map writes a grid of maps between recorded parts as
+    the stacked blocks (oracles.block_matrix, zeros for None), and the map
+    is natural.  A block whose shape is not that of its two parts raises
+    DimensionMismatch; parts that do not add up to the source or to the
+    target raise ConsistencyError."""
+    alg = fixture_algebra("cycle2", field)
+    fld = alg.field
+    p1, p2, i1, s2 = (projective(alg, "1"), projective(alg, "2"), injective(alg, "1"),
+                      simple(alg, "2"))
+    src_reps, tgt_reps = [p1, s2, p2], [i1, p1, p2]
+    src, tgt = direct_sum(src_reps), direct_sum(tgt_reps)
+    blocks = [[hom_space(s, t).basis[-1] if hom_space(s, t).dim else None for t in tgt_reps]
+              for s in src_reps]
+    blocks[1][1] = None
+    assert sum(b is not None for row in blocks for b in row) >= 4
+    f = _assemble_block_map(src, tgt, blocks, src_reps, tgt_reps)
+    ModuleMap(src, tgt, f.mats)
+    for v in alg.vertices:
+        assert f.mats[v] == block_matrix(fld, [
+            [b.mats[v] if b is not None else Matrix.zeros(fld, s.dims[v], t.dims[v])
+             for b, t in zip(row, tgt_reps)] for row, s in zip(blocks, src_reps)])
+    misplaced = [row[:] for row in blocks]
+    misplaced[0][0] = identity_map(s2)
+    with pytest.raises(DimensionMismatch):
+        _assemble_block_map(src, tgt, misplaced, src_reps, tgt_reps)
+    with pytest.raises(ConsistencyError):
+        _assemble_block_map(src, tgt, blocks[:2], src_reps[:2], tgt_reps)
+    with pytest.raises(ConsistencyError):
+        _assemble_block_map(src, tgt, [row[:2] for row in blocks], src_reps, tgt_reps[:2])

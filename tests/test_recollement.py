@@ -15,10 +15,11 @@ from quivertilt import (GF, QQ, BoundExceeded, ConsistencyError, InputError, Mat
 from quivertilt.complexes import (_cohomology_dims, cohomology, derived_hom, hom_window,
                                   resolve_to_complex, shift)
 from quivertilt.homology import ShortExact, ext, ext_dim, left_add_approximation, proj_dim
+from quivertilt.linalg import row_space, solve_linear_system
 from quivertilt.modules import (cokernel, direct_sum, identity_map,
-                                is_isomorphic, quotient, socle,
+                                is_isomorphic, proj_sum_layout, quotient, socle,
                                 trace_submodule)
-from quivertilt.recollement import (_concentrated_h0, _quotient_by_vertex_ideal,
+from quivertilt.recollement import (_concentrated_h0, _lambda_system, _quotient_by_vertex_ideal,
                                     _vertex_ideal_products, check_split_pair,
                                     end_ring_presentation, homological_epi_check,
                                     lambda_left_module, perp_complex_membership,
@@ -31,7 +32,8 @@ from quivertilt.tilting import TiltingCertificate, tilting_module_check
 from conftest import complex_hom_args, counting, linear_algebra, resolution_hom_args
 from oracles import (oracle_corner_ideal_dim, oracle_corner_tensor_dim,
                      oracle_corner_tor1_dim, reference_corner_tor_dims,
-                     reference_hom_cohomology_dim, reference_ring_presentation,
+                     reference_hom_cohomology_dim, reference_lambda_system,
+                     reference_ring_presentation,
                      reference_stratifying_verdict)
 
 
@@ -208,7 +210,6 @@ def test_localization_lambda_is_a_ring_epimorphism(cycle2, cycle2_localization):
     epimorphism: S ⊗_R S has the dimension of S."""
     loc = cycle2_localization
     from quivertilt.homology import tor_dim
-    from quivertilt.linalg import row_space
     rows = Matrix(cycle2.field, cycle2.dim, loc.evidence.dim, tuple(loc.lam))
     assert row_space(rows).rows == 3
     left = lambda_left_module(loc.eta, loc.lam)
@@ -439,6 +440,79 @@ def test_lambda_system_is_built_again_for_another_eta(cycle2_localization, monke
         lambda_left_module(eta, lam2)
     lambda_left_module(eta, loc.lam)
     assert len(builds) == 2 and builds[1][0] is eta
+
+
+def test_eta_that_does_not_separate_endomorphisms_is_rejected(cycle2_localization):
+    """The zero map R -> R_U, and eta followed by the idempotent e_11 of
+    End(R_U) ≅ M_2(K), each send a nonzero endomorphism f to zero under
+    f -> eta then f, so the injectivity check of lambda's system, read at
+    the generators of R, rejects them."""
+    loc = cycle2_localization
+    ru, eta = loc.ru_module, loc.eta
+    e11 = loc.evidence.to_x[0].compose(loc.evidence.from_x[0])
+    for bad in (eta.scale(ru.algebra.field.zero()), eta.compose(e11)):
+        with pytest.raises(ConsistencyError, match="kernel"):
+            end_ring_presentation(ru, bad)
+
+
+@pytest.fixture(scope="module")
+def generator_coordinate_localizations():
+    """(label, localization) of every Bongartz-complement tilting module
+    N ⊕ S_v with pd S_v <= 1 over cycle2, triple3 and a2 over Q, GF(101)
+    and GF(5), and of the recollement reports on N ⊕ S_v, v = n-1, n, over
+    radical-square-zero A_3..A_6 over GF(101), the reports of the
+    an-rad2-gf101 benchmark workload."""
+    out = []
+    for name in ("cycle2", "triple3", "a2"):
+        for field in (None, GF(101), GF(5)):
+            alg = fixture_algebra(name, field)
+            for v in alg.vertices:
+                s = simple(alg, v)
+                if proj_dim(s) <= 1:
+                    n_mod, _, _ = bongartz_complement(s)
+                    cert = tilting_module_check(direct_sum([n_mod, s]))
+                    out.append((f"{name}/{alg.field}/S{v}", universal_localization(cert.sequence)))
+    for n in (3, 4, 5, 6):
+        alg = linear_algebra(n, True, GF(101))
+        for v in (str(n - 1), str(n)):
+            n_mod, _, _ = bongartz_complement(simple(alg, v))
+            rep = recollement_report(direct_sum([n_mod, simple(alg, v)]))
+            out.append((f"rad2-A{n}/S{v}", rep.localization))
+    return out
+
+
+def _generator_columns(eta):
+    """Columns of the rows at the generators e_v of R among the columns of
+    a map R -> m flattened over all of R (modules._flatten_map)."""
+    alg, m = eta.source.algebra, eta.target
+    layout = proj_sum_layout(alg, alg.vertices)
+    cols, off = [], 0
+    for v in alg.vertices:
+        pos = [i for _, i in layout[v]].index(alg.vertex_idempotent(v))
+        cols += range(off + pos * m.dims[v], off + (pos + 1) * m.dims[v])
+        off += len(layout[v]) * m.dims[v]
+    return cols
+
+
+def test_lambda_at_the_generators_is_the_full_coordinate_lambda(
+        generator_coordinate_localizations):
+    """lambda's system read at the generators e_v of R is the system in
+    the full coordinates of Hom(R, R_U) (oracles.reference_lambda_system)
+    restricted to the generator columns, the full rows are independent,
+    and end_ring_presentation returns the lambda the full system solves
+    to: maps out of R that agree on the generators are equal."""
+    assert len(generator_coordinate_localizations) == 17
+    for label, loc in generator_coordinate_localizations:
+        ru, eta = loc.ru_module, loc.eta
+        rows, targets = reference_lambda_system(eta)
+        x, _ = solve_linear_system(rows, targets)
+        assert x is not None and row_space(rows).rows == rows.rows, label
+        assert end_ring_presentation(ru, eta) == x.entries == loc.lam, label
+        cols = _generator_columns(eta)
+        gen_rows, gen_targets = _lambda_system(eta)
+        assert gen_rows == rows.take_cols(cols), label
+        assert gen_targets == targets.take_cols(cols).entries, label
+        assert gen_rows.cols == ru.total_dim, label
 
 
 def test_localization_dimensions_from_ranks_match_the_reference(bongartz_localizations,

@@ -22,7 +22,7 @@ import quivertilt.modules as modules
 from quivertilt import (GF, QQ, ModuleMap, Representation, bongartz_complement,
                         direct_sum, injective, projective, regular_module,
                         run_example, simple, tilting_module_check)
-from quivertilt.homology import universal_extension
+from quivertilt.homology import left_add_approximation, universal_extension
 from quivertilt.formats import fixture_algebra
 from quivertilt.linalg import Matrix
 from conftest import linear_algebra
@@ -217,3 +217,43 @@ def test_part_that_is_its_own_summand_keeps_its_pair(rad2):
         expected = reference_split_along_parts(m)
         assert [fac for fac, _, _ in parts] == [fac for fac, _, _ in expected]
         assert _summary(parts) == _summary(expected)
+
+
+def _nested_sums(field):
+    """Bongartz's N ⊕ S_3 over rad² A_4, with N the recorded sum of the
+    universal extension's parts, and triple3's T0 ⊕ T1, with T0 the
+    recorded sum of its left add(P1 ⊕ P2 ⊕ S1)-approximation and T1 a
+    cokernel with no recorded parts."""
+    alg = linear_algebra(4, True, field or QQ)
+    s3 = simple(alg, "3")
+    n_mod, _, _ = bongartz_complement(s3)
+    triple3 = fixture_algebra("triple3", field)
+    t = direct_sum([projective(triple3, "1"), projective(triple3, "2"), simple(triple3, "1")])
+    f, _ = left_add_approximation(regular_module(triple3), t)
+    t1, _ = modules.cokernel(f)
+    assert "parts" in n_mod._caches and "parts" in f.target._caches and "parts" not in t1._caches
+    return [direct_sum([n_mod, s3]), direct_sum([f.target, t1])]
+
+
+@pytest.mark.parametrize("field", [None, GF(101)], ids=["Q", "GF101"])
+def test_summand_factors_are_the_summands_factors_and_decompose_builds_no_pair(
+        monkeypatch, field):
+    """summand_factors gives the factor objects of indecomposable_summands,
+    in order, on nested recorded sums and on a module with no recorded
+    parts; decompose of a recorded sum builds no block map."""
+    sums = _nested_sums(field)
+    block_maps = []
+    real = modules._block_maps
+    monkeypatch.setattr(modules, "_block_maps", lambda m: block_maps.append(m) or real(m))
+    for m in sums:
+        groups = modules.decompose(m)
+        assert block_maps == []
+        factors = modules.summand_factors(m)
+        summands = modules.indecomposable_summands(m)
+        assert len(factors) == len(summands) == sum(k for _, k in groups)
+        assert all(fac is s for fac, (s, _, _) in zip(factors, summands))
+        block_maps.clear()
+    x_y = _kronecker_units_module(field)
+    factors = modules.summand_factors(x_y)
+    assert [fac.dim_vector() for fac in factors] == [(1, 1), (1, 1)]
+    assert all(fac is s for fac, (s, _, _) in zip(factors, modules.indecomposable_summands(x_y)))

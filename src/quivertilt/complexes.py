@@ -11,7 +11,7 @@ Dimensions come from ranks: dim Hom_D(x, y[n]) from the two differentials
 of the Hom complex at degree n, and dim H^n(x) from those of x.  Chain-map
 representatives are built only when a caller first asks for them.  A
 complex carries a cache, as a module does: Hom_D(x, x[n]) is memoized
-there, and the recollement layer keeps H^0 of a reflection there.
+there.
 """
 
 from dataclasses import dataclass, field as _dc_field

@@ -806,13 +806,18 @@ def left_add_approximation(x: Representation, t: Representation):
     Checked: at each generator vertex v, the rows c of h.mats[v] over the
     kept units c of each T_i and h ∈ Hom(T_i, T_j) span (T_j)_v.
     """
+    factors = [fac for fac, _ in decompose(t)]
+    return _left_approximation(x, factors, [[hom_space(a, b) for b in factors] for a in factors])
+
+
+def _left_approximation(x: Representation, factors: list, between: list):
+    """left_add_approximation of x by the factors of decompose(t), given
+    the table between[i][j] = Hom(T_i, T_j) of them."""
     alg, fld = x.algebra, x.algebra.field
     res = min_resolution(x, 0, require_finite=False)
     if not res.complete:
         raise InputError("left add-approximation needs a projective module")
     p0, cover = res.terms[0], res.augment
-    factors = [fac for fac, _ in decompose(t)]
-    between = [[hom_space(a, b) for b in factors] for a in factors]
     rad = [[h for i, hs in enumerate(between) if i != j for h in hs[j].basis]
            + list(_endo_radical(fac) if between[j][j].dim > 1 else ())
            for j, fac in enumerate(factors)]

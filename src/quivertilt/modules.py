@@ -931,13 +931,19 @@ def right_add_approximation(x: Representation, t: Representation):
     so g is minimal.  The source of g is the direct_sum of the kept copies,
     which records the factor objects of decompose(t) as its parts."""
     factors = [fac for fac, _ in decompose(t)]
+    return _right_approximation(x, factors, lambda j, i: hom_space(factors[j], factors[i]))
+
+
+def _right_approximation(x: Representation, factors: list, between):
+    """right_add_approximation of x by the factors of decompose(t), with
+    between(j, i) giving Hom(T_j, T_i), asked for live factors i != j only."""
     into = [hom_space(fac, x) for fac in factors]
     live = [j for j, hs in enumerate(into) if hs.dim]
     kept = []
     for j in live:
         fac, hs = factors[j], into[j]
         rad = [h.compose(g) for i in live
-               for h in (_endo_radical(fac) if i == j else hom_space(fac, factors[i]).basis)
+               for h in (_endo_radical(fac) if i == j else between(j, i).basis)
                for g in into[i].basis]
         above, rows = (Matrix(x.algebra.field, len(maps), _entry_count(fac, x),
                               tuple(map(_flatten_map, maps))) for maps in (rad, hs.basis))

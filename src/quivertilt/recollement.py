@@ -26,16 +26,28 @@ memoized there, and lambda's linear system once per eta; the localization
 and the recollement report share both.  T1 comes from a tilting
 certificate as a recorded direct sum of factors of T, so its isomorphism
 classes are read off its parts.
+The trace quotient R_U and the reflection mu: R -> q(R) are both
+reflections of R into the perpendicular category of T1 (Geigle-Lenzing),
+so they are compared by the one chain map psi: q(R) -> R_U with
+mu then psi = eta, solved in the generator coordinates of q(R)^0 and
+asserted unique modulo coboundaries (``comparison_map``).  q(R) matches
+R_U when its cohomology sits in degree 0 and psi^0 maps ker d^0 onto R_U
+at every vertex with dim H^0 = dim R_U, read off ranks: no H^0 module is
+built and no isomorphism searched for.
 The report certifies its module through ``tilting_module_check``, which
 returns the stored certificate of an equal sum of the same parts (so after
 ``bongartz_complement(M)`` the report on ``direct_sum([N, M])`` reuses its
-T0 and T1), and reads the H^0 match off the localization.
+T0 and T1), reads the H^0 match off the localization, and reads the
+orthogonality of T1 and q(R) off the sweep the memoized reflection made.
+The left module R_U through lambda, for Tor, builds each action matrix
+on first read.
 
 The stratifying-ideal check reads every number it reports, the corner
 multiplication Ae ⊗_{eAe} eA -> AeA included, off one minimal resolution
 of A/AeA over A; no corner ring and no opposite algebra is built.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .algebra import Algebra, regular_module
@@ -44,15 +56,16 @@ from .complexes import (ChainMap, PerfectComplex, _cohomology_dims, cohomology,
                         mapping_cone, resolve_to_complex, shift_chain_map,
                         stack_to_common_target)
 from .errors import BoundExceeded, ConsistencyError, InputError
-from .homology import (DEFAULT_RESOLUTION_BOUND, LeftModule, ShortExact,
-                       ext_dim, min_resolution,
+from .homology import (DEFAULT_RESOLUTION_BOUND, LeftModule, ShortExact, _gen_rows,
+                       _hom_differential, _precompose_matrix, _same_gen_rows,
+                       _split_gen_vector, ext_dim, hom_from_gens, min_resolution,
                        proj_dim, tor_dims_range)
-from .linalg import (Matrix, quotient_basis, row_space, row_times,
+from .linalg import (Matrix, quotient_basis, rank, row_space, row_times,
                      solve_linear_system, solve_right_kernel)
 from .modules import (ModuleMap, Representation, _assemble_block_map,
                       _inverse_map, _invertible_map, _same_module, cokernel, decompose,
                       direct_sum, hom_space, identity_map, indecomposable_summands,
-                      is_isomorphic, match_decomposition, proj_sum_layout, quotient,
+                      match_decomposition, proj_sum, proj_sum_layout, quotient,
                       submodule_from_rows, top, trace_submodule)
 
 
@@ -356,7 +369,8 @@ def lambda_left_module(eta: ModuleMap, lam) -> LeftModule:
     eta∘L_ab = eta∘L_a∘L_b = lambda(a)∘eta∘L_b = lambda(a)lambda(b)∘eta,
     while eta∘L_ab = lambda(ab)∘eta, and eta∘L_1 = eta = lambda(1)∘eta.
     Injectivity gives lambda(ab) = lambda(a)lambda(b) and lambda(1) = id.
-    In row convention lambda(u) acts as act[u]."""
+    In row convention lambda(u) acts as act[u], built on first read
+    (``ActionsOnRead``)."""
     m = eta.target
     alg = m.algebra
     fld = alg.field
@@ -368,8 +382,24 @@ def lambda_left_module(eta: ModuleMap, lam) -> LeftModule:
     through = Matrix(fld, alg.dim, ends.dim, tuple(map(tuple, lam))).mul(rows_m)
     if through.entries != targets:
         raise ConsistencyError("lambda does not satisfy the reflection property")
-    return LeftModule._trusted(alg, m.total_dim,
-                               tuple(ends.combo(c).total_matrix() for c in lam))
+    return LeftModule._trusted(alg, m.total_dim, ActionsOnRead(ends, lam))
+
+
+class ActionsOnRead(Sequence):
+    """act[u] = lambda(b_u) as a total matrix, for u = 0 .. len(lam) - 1,
+    each built the first time it is read and kept in ``built``: Tor reads
+    only the idempotents and the paths in its resolution's differentials."""
+
+    def __init__(self, ends, lam):
+        self._ends, self._lam, self.built = ends, lam, {}
+
+    def __len__(self):
+        return len(self._lam)
+
+    def __getitem__(self, u):
+        if u not in self.built:
+            self.built[u] = self._ends.combo(self._lam[u]).total_matrix()
+        return self.built[u]
 
 
 @dataclass(frozen=True)
@@ -424,7 +454,8 @@ class LocalizationReport:
     lam: tuple                   # lambda: A -> End(R_U), End(R_U) coordinates per basis element
     eta: ModuleMap               # R -> R_U, the reflection of R
     reflection_method: str
-    reflection_matches: bool
+    comparison: ModuleMap        # psi^0: q(R)^0 -> R_U, mu then psi = eta (comparison_map)
+    reflection_matches: bool     # q(R) concentrated in degree 0, psi^0 inducing H^0 ≅ R_U
     hom_epi: HomEpiReport
     evidence: RingEvidence
 
@@ -434,8 +465,12 @@ def universal_localization(seq: ShortExact, max_steps: int = 16,
     """Localization data from a (T3)-style sequence 0 -> R -> T0 -> T1 -> 0.
 
     R_U = T0 / trace of T1 in T0 (``_trace_quotient``), cross-checked against
-    the reflection of R whenever that reflection has cohomology concentrated
-    in degree zero; a mismatch aborts loudly.  The ring is S = End(R_U):
+    the reflection mu: R -> q(R) of R at T1 by the comparison map
+    psi: q(R) -> R_U with mu then psi = eta (``comparison_map``), which the
+    report carries as the witness.  When q(R) has cohomology in degree zero
+    only, psi must induce H^0(q(R)) ≅ R_U (``_h0_matches``); a mismatch
+    aborts loudly.  No H^0 module is built and no isomorphism is searched
+    for.  The ring is S = End(R_U):
     lambda: R -> S is solved from the reflection property of eta: R -> R_U
     (``end_ring_presentation``) and checked against eta when R_U is
     made a left module for the Tor side of the homological-epimorphism test
@@ -450,26 +485,95 @@ def universal_localization(seq: ShortExact, max_steps: int = 16,
     ru, proj = _trace_quotient(t1, t0)
     eta = seq.incl.compose(proj)
     # reflection cross-check
-    q, _, method = reflect_regular(t1, max_steps, bound)
-    h0 = _concentrated_h0(q)
-    matches = h0 is not None
-    if matches and not is_isomorphic(h0, ru):
-        raise ConsistencyError(
-            "trace quotient and reflection of R disagree: internal inconsistency")
+    q, mu, method = reflect_regular(t1, max_steps, bound)
+    psi = comparison_map(q, mu, eta)
+    matches = _h0_matches(q, psi)
     lam = end_ring_presentation(ru, eta)
     dec = decompose(ru)
     evidence = ring_evidence(ru)
     epi = homological_epi_check(eta, lam, bound=bound)
-    return LocalizationReport(seq, ru, tuple(dec), lam, eta, method, matches,
+    return LocalizationReport(seq, ru, tuple(dec), lam, eta, method, psi, matches,
                               epi, evidence)
 
 
-def _concentrated_h0(q: PerfectComplex):
-    """H^0(q) when q has no cohomology in any other degree, else None.
-    The other degrees are read off ranks (_cohomology_dims); only H^0 is
-    built as a module."""
-    off = any(d for n, d in _cohomology_dims(q).items() if n != 0)
-    return None if off else cohomology(q, 0)
+def comparison_map(q: PerfectComplex, mu: ChainMap, eta: ModuleMap) -> ModuleMap:
+    """psi^0: q^0 -> m, m = eta.target, the degree-0 part of the chain map
+    psi: q -> m (m in degree 0) with mu then psi = eta, for the reflection
+    mu: R -> q of the regular module R (``reflect_regular``) and eta a map
+    out of R.
+
+    When m lies in the perpendicular category of the object q(R) was
+    reflected at, mu and eta are both reflections of R into it
+    (Geigle-Lenzing), so psi exists and is unique up to homotopy.  A chain
+    map q -> m is a psi^0 with d^{-1} then psi^0 = 0, the cocycle condition
+    δ⁰ of the Hom complex of q and m (``_hom_differential``), and
+    mu then psi = eta reads mu^0 then psi^0 = (cover of R) then eta
+    (``_precompose_matrix``).  Both are one ``solve_linear_system`` in the
+    generator coordinates of q^0.  Asserted, as the reflection property:
+    a solution exists, and its kernel has rank δ⁻¹, so psi^0 is unique
+    modulo coboundaries.  The solution is checked (``check_comparison``)."""
+    alg = q.algebra
+    fld = alg.field
+    m = eta.target
+    p0 = mu.source.terms[0]
+    q0 = q.terms[0] if 0 in q.terms else proj_sum(alg, ())
+    _, delta = _hom_differential(q.terms, q.diffs, {0: m}, {}, 0)
+    mu0 = mu.comps.get(0)
+    over_r = (_precompose_matrix(mu0, p0, q0, m) if mu0 is not None
+              else Matrix.zeros(fld, q0.hom_dim(m), p0.hom_dim(m)))
+    target = (fld.zero(),) * delta.cols + sum(_gen_rows(p0, _cover_of_r(alg), eta), ())
+    x, kernel = solve_linear_system(delta.hstack(over_r), Matrix(fld, 1, len(target), (target,)))
+    if x is None:
+        raise ConsistencyError("reflection property violated: eta does not factor through q(R)")
+    _, prev = _hom_differential(q.terms, q.diffs, {0: m}, {}, -1)
+    if kernel.rows != rank(prev):
+        raise ConsistencyError("reflection property violated: the comparison map is not unique")
+    psi = hom_from_gens(q0, m, _split_gen_vector(q0, m, x.entries[0]))
+    check_comparison(q, mu, eta, psi)
+    return psi
+
+
+def _cover_of_r(alg: Algebra) -> ModuleMap:
+    """The cover P_0 -> R of the regular module, from its memoized
+    resolution: the one q(R) was reflected from."""
+    return min_resolution(regular_module(alg), 0).augment
+
+
+def check_comparison(q: PerfectComplex, mu: ChainMap, eta: ModuleMap, psi: ModuleMap):
+    """Raise ConsistencyError unless psi: q^0 -> eta.target is a cocycle,
+    d^{-1} then psi = 0, with mu^0 then psi = (cover of R) then eta: the two
+    conditions ``comparison_map`` solves, read at the generators of q^{-1}
+    and of the cover (``_gen_rows``).  Maps out of projective sums that
+    agree on the generators are equal."""
+    p0 = mu.source.terms[0]
+    if -1 in q.terms and not _same_gen_rows(_gen_rows(q.terms[-1], q.diffs.get(-1), psi), None):
+        raise ConsistencyError("the comparison map is not a cocycle")
+    if not _same_gen_rows(_gen_rows(p0, mu.comps.get(0), psi),
+                          _gen_rows(p0, _cover_of_r(q.algebra), eta)):
+        raise ConsistencyError("the comparison map does not carry the reflection to eta")
+
+
+def _h0_matches(q: PerfectComplex, psi: ModuleMap) -> bool:
+    """Whether q has cohomology in degree 0 only; then psi^0 must induce
+    an isomorphism H^0(q) -> m = psi.target, and ConsistencyError says it
+    does not.
+
+    psi^0 kills im d^{-1}, being a cocycle, so it induces H^0(q) -> m, and
+    that map is bijective exactly when dim H^0 = dim m and psi^0 maps
+    ker d^0_v onto m_v at every vertex v: onto at each vertex with equal
+    totals leaves no vertex with room for a kernel.  dim H^n comes from
+    ranks (``_cohomology_dims``); no H^0 module is built."""
+    dims = _cohomology_dims(q)
+    if any(d for n, d in dims.items() if n != 0):
+        return False
+    m = psi.target
+    d0 = q.diffs.get(0)
+    if dims.get(0, 0) != m.total_dim or any(
+            rank(psi.mats[v] if d0 is None else solve_right_kernel(d0.mats[v]).mul(psi.mats[v]))
+            != m.dims[v] for v in q.algebra.vertices):
+        raise ConsistencyError(
+            "trace quotient and reflection of R disagree: internal inconsistency")
+    return True
 
 
 def _trace_quotient(t1: Representation, t0: Representation):
@@ -702,7 +806,16 @@ def recollement_report(t: Representation, max_steps: int = 16,
     """Assemble the recollement witness data of a tilting module of
     projective dimension at most one.  The certificate is the stored one
     of an equal sum of the same parts when there is one; T2 = q(R) is the
-    localization's, so its H^0 match with R_U is the localization's."""
+    localization's, so its H^0 match with R_U, decided by the comparison
+    map, is the localization's.
+
+    The orthogonality Hom_D(T1[n], T2) = Hom_D(T1, T2[-n]) = 0 for all n
+    is the sweep the memoized reflection already made over the whole
+    window of resolve(T1) and q(R): ``reflect_regular`` returns q(R) only
+    after every Hom_D(T1', q(R)[k]) in it vanished (``_verify_killed`` on
+    the brick route, the stopping test on the iterative one), with
+    add T1' = add T1 and the same projective dimension, so the same window,
+    and raises otherwise.  It is not swept again."""
     from .tilting import TiltingFailure, tilting_module_check
     cert = tilting_module_check(t, bound)
     if isinstance(cert, TiltingFailure):
@@ -710,9 +823,7 @@ def recollement_report(t: Representation, max_steps: int = 16,
     t0, t1 = cert.sequence.mid, cert.sequence.right
     loc = universal_localization(cert.sequence, max_steps, bound)
     q, _, _ = reflect_regular(t1, max_steps, bound)
-    t1c = resolve_to_complex(t1, bound)
-    # Hom_D(T1[n], T2) = Hom_D(T1, T2[-n]): sweep the whole window
-    ortho = all(derived_hom(t1c, q, k).dim == 0 for k in hom_window(t1c, q))
+    ortho = True  # reflect_regular swept it and would have raised
     t2_exc = is_exceptional(q)
     # q is the localization's q(R), whose H^0 it already matched with R_U
     t2_matches = loc.reflection_matches if t2_exc else None

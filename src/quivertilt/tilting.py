@@ -18,7 +18,10 @@ module holds the parts.  ``bongartz_complement(M)`` and a later
 ``recollement_report(direct_sum([N, M]))`` thus share one certificate.
 A certificate's T1 is the source of the minimal right
 add(T)-approximation of the cokernel, a recorded direct sum of factors of
-T, so its summands are never searched for.
+T, so its summands are never searched for.  Within one certification the
+table of Hom(T_i, T_j) between the factors of T is solved once, for the
+left approximation of R, and read again by the right approximation of
+the cokernel.
 """
 
 from dataclasses import dataclass, replace
@@ -31,11 +34,11 @@ from .complexes import (ChainMap, DerivedHomSpace, PerfectComplex,
                         stack_to_common_target, triangle_from_map,
                         zero_chain_map, zero_complex)
 from .errors import ConsistencyError, InputError
-from .homology import (DEFAULT_RESOLUTION_BOUND, ShortExact, ext_dim,
-                       left_add_approximation, proj_dim, universal_extension)
+from .homology import (DEFAULT_RESOLUTION_BOUND, ShortExact, _left_approximation, ext_dim,
+                       proj_dim, universal_extension)
 from .linalg import Matrix, rank
-from .modules import (Representation, _inverse_map, cokernel, decompose, direct_sum,
-                      right_add_approximation)
+from .modules import (Representation, _inverse_map, _right_approximation, cokernel,
+                      decompose, direct_sum, hom_space)
 
 
 @dataclass(frozen=True)
@@ -288,22 +291,24 @@ def _certify(t: Representation, bound: int):
     if reasons:
         return TiltingFailure(t, tuple(reasons))
     r = regular_module(alg)
-    f, tags = left_add_approximation(r, t)
+    factors = [fac for fac, _ in decompose(t)]
+    # Hom(T_i, T_j) between the factors, solved once for both approximations
+    between = [[hom_space(a, b) for b in factors] for a in factors]
+    f, tags = _left_approximation(r, factors, between)
     if not f.is_injective():
         return TiltingFailure(t, (("approx", "left add(T)-approximation of the regular "
                                              "module is not injective (T does not generate)"),))
     coker, cproj = cokernel(f)
-    g = right_add_approximation(coker, t)
+    g = _right_approximation(coker, factors, lambda j, i: between[j][i])
     if g is not None and g.is_isomorphism():
         coker, cproj = g.source, cproj.compose(_inverse_map(g))
     elif coker.total_dim:
         return TiltingFailure(t, (("coker", "cokernel of the approximation is not in add(T)"),))
     seq = ShortExact(r, f.target, coker, f, cproj)
-    factors = tuple(fac for fac, _ in decompose(t))
     coker_ext = ext_dim(1, t, coker, bound)
     if coker_ext:
         raise ConsistencyError("Ext^1(T, coker) nonzero for a certified tilting module")
-    return TiltingCertificate(t, pd, e1, seq, tags, factors, coker_ext)
+    return TiltingCertificate(t, pd, e1, seq, tags, tuple(factors), coker_ext)
 
 
 def bongartz_complement(m: Representation, bound: int = DEFAULT_RESOLUTION_BOUND):

@@ -46,7 +46,10 @@ factors with those of T, which the minimal right add(T)-approximation
 replaced, and reference_lambda_system, lambda's linear system in the full
 coordinates of Hom(R, R_U), which reading maps out of R at its generators
 replaced, and block_matrix, the grid assembly of a matrix from blocks
-that writing each vertex's rows directly replaced.
+that writing each vertex's rows directly replaced, and
+reference_concentrated_h0 with reference_h0_match, H^0(q(R)) built as a
+module and matched with R_U by the library's exact isomorphism test,
+which the comparison map psi: q(R) -> R_U replaced.
 """
 
 from dataclasses import dataclass
@@ -640,6 +643,24 @@ def reference_in_add_of(x, t):
         return True
     t_factors = [f for f, _ in decompose(t)]
     return all(any(is_isomorphic(fac, tf) for tf in t_factors) for fac, _ in decompose(x))
+
+
+def reference_concentrated_h0(q):
+    """H^0(q) when q has no cohomology in any other degree, else None.
+    The other degrees are read off ranks (_cohomology_dims); only H^0 is
+    built as a module."""
+    from quivertilt.complexes import _cohomology_dims, cohomology
+    off = any(d for n, d in _cohomology_dims(q).items() if n != 0)
+    return None if off else cohomology(q, 0)
+
+
+def reference_h0_match(q, ru) -> bool:
+    """Is q concentrated in degree 0 with H^0(q) ≅ ru?  H^0 is built as a
+    module and matched by the library's exact isomorphism test, the route
+    the comparison map replaced in universal_localization."""
+    from quivertilt.modules import is_isomorphic
+    h0 = reference_concentrated_h0(q)
+    return h0 is not None and is_isomorphic(h0, ru)
 
 
 def reference_is_isomorphic(m, n, seed=0):

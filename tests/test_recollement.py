@@ -19,8 +19,9 @@ from quivertilt.linalg import row_space, solve_linear_system
 from quivertilt.modules import (cokernel, direct_sum, identity_map,
                                 is_isomorphic, proj_sum_layout, quotient, socle,
                                 trace_submodule)
-from quivertilt.recollement import (_concentrated_h0, _lambda_system, _quotient_by_vertex_ideal,
-                                    _vertex_ideal_products, check_split_pair,
+from quivertilt.recollement import (_h0_matches, _lambda_system, _quotient_by_vertex_ideal,
+                                    _vertex_ideal_products, check_comparison,
+                                    check_split_pair, comparison_map,
                                     end_ring_presentation, homological_epi_check,
                                     lambda_left_module, perp_complex_membership,
                                     perp_membership, recollement_report, reflect,
@@ -31,7 +32,8 @@ from quivertilt.formats import fixture_algebra
 from quivertilt.tilting import TiltingCertificate, tilting_module_check
 from conftest import complex_hom_args, counting, linear_algebra, resolution_hom_args
 from oracles import (oracle_corner_ideal_dim, oracle_corner_tensor_dim,
-                     oracle_corner_tor1_dim, reference_corner_tor_dims,
+                     oracle_corner_tor1_dim, reference_concentrated_h0,
+                     reference_corner_tor_dims, reference_h0_match,
                      reference_hom_cohomology_dim, reference_lambda_system,
                      reference_ring_presentation,
                      reference_stratifying_verdict)
@@ -520,8 +522,8 @@ def test_localization_dimensions_from_ranks_match_the_reference(bongartz_localiz
     """On every localization, and on triple3's q(R), which is not
     concentrated in degree 0: Ext(R_U, R_U) and the derived Homs the report
     sweeps have as many classes as their ranks say and as the cocycle count
-    gives, and the rank route of _concentrated_h0 agrees with the
-    cohomology modules of q(R)."""
+    gives, and the ranks of _cohomology_dims agree with the cohomology
+    modules of q(R)."""
     r = regular_module(triple3)
     f, _ = left_add_approximation(r, direct_sum([projective(triple3, "1"),
                                                  projective(triple3, "2"), simple(triple3, "1")]))
@@ -545,11 +547,11 @@ def test_localization_dimensions_from_ranks_match_the_reference(bongartz_localiz
         dims = _cohomology_dims(q)
         assert all(dims.get(n, 0) == cohomology(q, n).total_dim
                    for n in range(q.lo, q.hi + 1))
-        h0 = _concentrated_h0(q)
+        h0 = reference_concentrated_h0(q)
         assert (h0 is None) == any(d for n, d in dims.items() if n != 0)
         assert h0 is None or is_isomorphic(h0, ru)
         non_concentrated += h0 is None
-    assert non_concentrated >= 1 and _concentrated_h0(q) is None
+    assert non_concentrated >= 1 and reference_concentrated_h0(q) is None
 
 
 def test_recollement_report_reflects_r_once_per_t1(cycle2, monkeypatch):
@@ -571,27 +573,147 @@ def test_recollement_report_reflects_r_once_per_t1(cycle2, monkeypatch):
 
 def test_report_reads_the_h0_match_off_the_localization(bongartz_sums):
     """T2 = q(R) is the localization's, so the report's H^0 match is the
-    localization's; it equals H^0(q(R)) ≅ R_U decided again."""
+    localization's; it equals H^0(q(R)) ≅ R_U decided again by building
+    H^0 and testing isomorphism."""
     assert len(bongartz_sums) == 24
     for label, t in bongartz_sums:
         rep = recollement_report(t)
-        h0 = _concentrated_h0(rep.t2)
-        again = (h0 is not None and is_isomorphic(h0, rep.localization.ru_module)
+        again = (reference_h0_match(rep.t2, rep.localization.ru_module)
                  if rep.t2_exceptional else None)
         assert rep.t2_matches_ru == again, label
         if rep.t2_exceptional:
             assert rep.t2_matches_ru == rep.localization.reflection_matches, label
 
 
-def test_recollement_report_decides_one_isomorphism(monkeypatch):
-    """On rad² A_3, the report's only isomorphism test of its own is the
-    localization's H^0(q(R)) ≅ R_U."""
+def test_recollement_report_decides_no_isomorphism(monkeypatch):
+    """On rad² A_3, the localization and the report test no isomorphism of
+    their own: H^0(q(R)) ≅ R_U is decided by the comparison map.  The only
+    isomorphism tests run inside ``decompose``, grouping the factors of a
+    module with recorded parts, and every module decomposed has them."""
     a3 = linear_algebra(3, rad2=True, field=GF(101))
     s = simple(a3, "2")
     n_mod, _, _ = bongartz_complement(s)
-    isos = counting(monkeypatch, quivertilt.recollement, "is_isomorphic")
+    assert not hasattr(quivertilt.recollement, "is_isomorphic")
+    splitting, outside, splits = [], [], []
+    real_decompose, real_iso = quivertilt.recollement.decompose, modules.is_isomorphic
+
+    def decompose(m):
+        splits.append(m)
+        splitting.append(m)
+        try:
+            return real_decompose(m)
+        finally:
+            splitting.pop()
+
+    def is_isomorphic(m, n):
+        if not splitting:
+            outside.append((m, n))
+        return real_iso(m, n)
+
+    monkeypatch.setattr(quivertilt.recollement, "decompose", decompose)
+    monkeypatch.setattr(modules, "is_isomorphic", is_isomorphic)
     rep = recollement_report(direct_sum([n_mod, s]))
-    assert rep.t2_matches_ru and len(isos) == 1
+    assert rep.t2_matches_ru and rep.localization.reflection_matches
+    assert outside == []
+    assert splits and all("parts" in m._caches for m in splits)
+
+
+@pytest.fixture(scope="module")
+def example_localizations():
+    """(label, localization) of the worked examples' tilting modules over
+    Q, GF(101) and GF(5): cycle2's P_2 ⊕ S_2, triple3's T0 ⊕ T1, whose
+    q(R) is not concentrated in degree 0, and a2's Bongartz sum N ⊕ S_1."""
+    out = []
+    for field in (None, GF(101), GF(5)):
+        cycle2, triple3, a2 = (fixture_algebra(name, field)
+                               for name in ("cycle2", "triple3", "a2"))
+        n_mod, _, _ = bongartz_complement(simple(a2, "1"))
+        for name, t in (("cycle2", direct_sum([projective(cycle2, "2"), simple(cycle2, "2")])),
+                        ("triple3", triple3_tilting(triple3)),
+                        ("a2", direct_sum([n_mod, simple(a2, "1")]))):
+            cert = tilting_module_check(t)
+            assert isinstance(cert, TiltingCertificate), (name, field)
+            out.append((f"{name}/{field or 'Q'}", universal_localization(cert.sequence)))
+    return out
+
+
+def test_comparison_verdict_matches_the_h0_reference(bongartz_localizations,
+                                                     example_localizations):
+    """The H^0 match decided by the comparison map psi: q(R) -> R_U equals
+    the one decided by building H^0(q(R)) and testing isomorphism, on
+    every Bongartz-complement localization and on the worked examples over
+    three fields; both verdicts occur."""
+    verdicts = []
+    for label, loc in bongartz_localizations + example_localizations:
+        q, _, _ = reflect_regular(loc.sequence.right)
+        assert loc.comparison.source is q.terms[0].rep, label
+        assert loc.comparison.target is loc.ru_module, label
+        assert loc.reflection_matches == reference_h0_match(q, loc.ru_module), label
+        verdicts.append(loc.reflection_matches)
+    assert len(verdicts) == 33 and True in verdicts and False in verdicts
+
+
+def test_changed_comparison_entry_is_rejected(bongartz_localizations, example_localizations):
+    """psi^0 is unique (q(R) has no term in degree 1, so there are no
+    coboundaries), and changing any one of its generator coordinates
+    breaks the cocycle condition or mu then psi = eta."""
+    from quivertilt.homology import _split_gen_vector, gen_coords, hom_from_gens
+    changed = 0
+    for label, loc in bongartz_localizations + example_localizations:
+        q, mu, _ = reflect_regular(loc.sequence.right)
+        assert 1 not in q.terms, label
+        check_comparison(q, mu, loc.eta, loc.comparison)
+        q0, ru, fld = q.terms[0], loc.ru_module, loc.ru_module.algebra.field
+        coords = gen_coords(q0, loc.comparison)
+        for k in range(len(coords)):
+            bent = list(coords)
+            bent[k] = fld.add(bent[k], fld.one())
+            psi = hom_from_gens(q0, ru, _split_gen_vector(q0, ru, bent))
+            with pytest.raises(ConsistencyError):
+                check_comparison(q, mu, loc.eta, psi)
+            changed += 1
+    assert changed >= 33
+
+
+def test_comparison_with_a_wrong_target_never_matches(bongartz_localizations,
+                                                      example_localizations):
+    """Handed T0 in place of R_U, with eta composed to match (the inclusion
+    R -> T0), the comparison raises or reports no match: T0 is not in the
+    perpendicular category when it is larger than R_U."""
+    wrong = 0
+    for label, loc in bongartz_localizations + example_localizations:
+        seq = loc.sequence
+        if seq.mid.total_dim == loc.ru_module.total_dim:
+            continue
+        q, mu, _ = reflect_regular(seq.right)
+        try:
+            matched = _h0_matches(q, comparison_map(q, mu, seq.incl))
+        except ConsistencyError:
+            matched = False
+        assert not matched, label
+        wrong += 1
+    assert wrong >= 10
+
+
+def test_tor_reads_fewer_actions_than_the_algebra_has():
+    """On the rad² A_4 report, Tor_i(R_U, R_U) through lambda reads the
+    actions of the idempotents and of the paths in the resolution's
+    differentials only, and gets the dimensions of the dense left module
+    built and checked on every basis element."""
+    from quivertilt.homology import LeftModule, tor_dims_range
+    a4 = linear_algebra(4, rad2=True, field=GF(101))
+    s = simple(a4, "3")
+    n_mod, _, _ = bongartz_complement(s)
+    loc = recollement_report(direct_sum([n_mod, s])).localization
+    left = lambda_left_module(loc.eta, loc.lam)
+    assert not left.act.built
+    dims = tor_dims_range(loc.ru_module, left, 6)
+    assert 0 < len(left.act.built) < a4.dim == len(left.act)
+    ends = modules.hom_space(loc.ru_module, loc.ru_module)
+    dense = LeftModule(a4, loc.ru_module.total_dim,
+                       tuple(ends.combo(c).total_matrix() for c in loc.lam))
+    assert tuple(left.act) == dense.act
+    assert dims == tor_dims_range(loc.ru_module, dense, 6)
 
 
 def test_reflect_regular_is_memoized_per_t1_object(cycle2):
@@ -603,7 +725,8 @@ def test_reflect_regular_is_memoized_per_t1_object(cycle2):
     assert fresh == t1 and fresh is not t1
     again = reflect_regular(fresh)
     assert again[0] is not first[0] and again[2] == first[2] == "brick"
-    assert is_isomorphic(_concentrated_h0(again[0]), _concentrated_h0(first[0]))
+    assert is_isomorphic(reference_concentrated_h0(again[0]),
+                         reference_concentrated_h0(first[0]))
     # another step or resolution budget is another entry
     other = reflect_regular(t1, max_steps=4)
     assert other is not first and other[2] == first[2]

@@ -333,7 +333,7 @@ def verdict(cert) -> tuple:
 @pytest.mark.parametrize("rad2, field", MEMO_ALGEBRAS)
 def test_equal_sums_of_the_same_parts_are_certified_once(rad2, field, monkeypatch):
     n_mod, s = complement_and_simple(rad2, field)
-    runs = counting(monkeypatch, quivertilt.tilting, "left_add_approximation")
+    runs = counting(monkeypatch, quivertilt.tilting, "_left_approximation")
     first, second = direct_sum([n_mod, s]), direct_sum([n_mod, s])
     a, b = tilting_module_check(first), tilting_module_check(second)
     assert len(runs) == 1 and isinstance(a, TiltingCertificate)
@@ -349,7 +349,7 @@ def test_another_order_bound_or_part_object_is_certified_anew(rad2, field, monke
     a sum certified before it."""
     first = tilting_module_check(direct_sum([n_mod, s]))
     tilting_module_check(direct_sum([n_mod, s, n_mod]))
-    runs = counting(monkeypatch, quivertilt.tilting, "left_add_approximation")
+    runs = counting(monkeypatch, quivertilt.tilting, "_left_approximation")
     fresh_s = Representation(s.algebra, dict(s.dims), dict(s.arrow_mats))
     others = [tilting_module_check(direct_sum([s, n_mod])),
               tilting_module_check(direct_sum([n_mod, n_mod, s])),

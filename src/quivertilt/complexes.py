@@ -353,6 +353,9 @@ class DerivedHomSpace:
         return _class_coords(self._data, _flatten_chain(f, self._data["layout"]))
 
     def combo(self, coeffs) -> ChainMap:
+        if len(coeffs) != self.dim:
+            raise InputError(f"{len(coeffs)} coefficients for a derived Hom space of "
+                             f"dimension {self.dim}")
         out = zero_chain_map(self.x, self.target)
         for c, r in zip(coeffs, self.reps):
             if c:

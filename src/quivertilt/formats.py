@@ -140,15 +140,23 @@ def _parse_algebra_lines(text: str):
     return field, Quiver(tuple(vertices), tuple(arrows)), relations
 
 
-def _algebra_text(path: Path) -> str:
-    if not path.exists():
-        raise InputError(f"no such algebra file: {path}")
-    return path.read_text()
+def _read_text(path: Path, kind: str) -> str:
+    """The UTF-8 text of an input file; InputError names the path, and
+    for a byte that is not UTF-8 the line it is on."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise InputError(f"no such {kind} file: {path}") from None
+    except OSError as exc:
+        raise InputError(f"cannot read {kind} file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        line = exc.object[:exc.start].count(b"\n") + 1
+        raise InputError(f"{kind} file {path}, line {line}: not UTF-8 text") from None
 
 
 def load_algebra(path, field_override: FieldSpec | None = None,
                  max_path_len: int = 64) -> Algebra:
-    return parse_algebra_text(_algebra_text(Path(path)), field_override, max_path_len)
+    return parse_algebra_text(_read_text(Path(path), "algebra"), field_override, max_path_len)
 
 
 def _parse_matrix_literal(text: str, field: FieldSpec, rows: int, cols: int) -> Matrix:
@@ -182,6 +190,8 @@ def parse_module_text(text: str, algebra: Algebra | None = None,
         head, _, rest = line.partition(" ")
         head = head.lower()
         if head == "algebra":
+            if not rest.strip():
+                raise InputError("the algebra line names no file")
             p = Path(rest.strip())
             if base_dir is not None and not p.is_absolute():
                 p = base_dir / p
@@ -189,7 +199,7 @@ def parse_module_text(text: str, algebra: Algebra | None = None,
                 alg = load_algebra(p, field_override)
             else:
                 # a supplied algebra must have the quiver the file was written for
-                _, named, _ = _parse_algebra_lines(_algebra_text(p))
+                _, named, _ = _parse_algebra_lines(_read_text(p, "algebra"))
                 if (set(named.vertices) != set(alg.quiver.vertices)
                         or named.arrow_map() != alg.quiver.arrow_map()):
                     raise InputError(f"module file is written for {p}, whose quiver "
@@ -231,9 +241,7 @@ def parse_module_text(text: str, algebra: Algebra | None = None,
 def load_module(path, algebra: Algebra | None = None,
                 field_override: FieldSpec | None = None) -> Representation:
     p = Path(path)
-    if not p.exists():
-        raise InputError(f"no such module file: {p}")
-    return parse_module_text(p.read_text(), algebra, p.parent, field_override)
+    return parse_module_text(_read_text(p, "module"), algebra, p.parent, field_override)
 
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"

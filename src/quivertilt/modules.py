@@ -9,13 +9,12 @@ Membership in add(T) is decided by the minimal right add(T)-approximation
 isomorphism, so x is never decomposed; the Krull-Schmidt decomposition
 (``decompose``) is read off T alone.
 
-``decompose`` and ``is_isomorphic`` read only the indecomposable factors
-(``summand_factors``): a recorded ``direct_sum`` lists its parts' factors
-and builds no map.  Split pairs (inclusion, projection) are built only
-where a caller reads them: by ``indecomposable_summands``, which
-``recollement.ring_evidence`` asks for, and by the Fitting branch of
-``_split_summands``, which needs its split to carry the summands of ker
-and im into the module.
+The Krull-Schmidt split (``summand_factors``) is a list of indecomposable
+factor modules and nothing else: a recorded ``direct_sum`` lists its parts'
+factors, and a Fitting split lists those of ker(f^N) and im(f^N); no
+inclusion or projection is built.  ``decompose`` groups the factors by
+``_same_class``, an exact test for indecomposables, so it never reaches
+``is_isomorphic``.
 """
 
 import itertools
@@ -242,6 +241,8 @@ class HomSpace:
         return len(self.basis)
 
     def combo(self, coeffs) -> ModuleMap:
+        if len(coeffs) != self.dim:
+            raise InputError(f"{len(coeffs)} coefficients for a Hom space of dimension {self.dim}")
         fld = self.source.algebra.field
         grids = {v: [[fld.zero()] * self.target.dims[v]
                      for _ in range(self.source.dims[v])]
@@ -441,7 +442,8 @@ def cokernel(f: ModuleMap):
 def direct_sum(summands):
     """Block-diagonal direct sum.  The summands are recorded, in order, in
     the sum's cache under "parts", so that its split pairs can be rebuilt
-    (``_block_maps``) and its indecomposable summands read off the parts."""
+    (``_block_maps``) and its factors (``summand_factors``) read off the
+    parts."""
     summands = tuple(summands)
     if not summands:
         raise InputError("direct_sum of nothing (pass a zero module explicitly)")
@@ -666,7 +668,8 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
       proper subspace phi∘rad End(m), which cannot hold a basis of
       Hom(m, n).  No basis element is invertible, so m and n are not
       isomorphic;
-    - otherwise the Krull-Schmidt groupings of m and n are compared.
+    - otherwise the Krull-Schmidt groupings of m and n are compared
+      (``match_decomposition``).
     """
     if m.algebra is not n.algebra:
         raise InputError("is_isomorphic across different algebras")
@@ -700,16 +703,25 @@ def _invertible_map(hs: HomSpace):
                  if all(rank(f.mats[v]) == d for v, d in dims.items())), None)
 
 
+def _same_class(x: Representation, y: Representation) -> bool:
+    """Are the indecomposables x and y isomorphic?  Exactly when x is y or
+    some element of the Hom(x, y) basis is an isomorphism, as End(x) is
+    local (the argument of ``is_isomorphic``); no combination of the basis
+    is tried."""
+    return x is y or (x.dims == y.dims
+                      and any(f.is_isomorphism() for f in hom_space(x, y).basis))
+
+
 def match_decomposition(dec, other) -> bool:
     """Do two Krull-Schmidt groupings [(indecomposable, multiplicity)], each
     of pairwise non-isomorphic factors, list isomorphic factors with equal
-    multiplicities, in any order?"""
+    multiplicities, in any order?  Factors are compared by ``_same_class``."""
     if len(dec) != len(other):
         return False
     unmatched = list(other)
     for fac, mult in dec:
         for i, (fac2, mult2) in enumerate(unmatched):
-            if mult == mult2 and is_isomorphic(fac, fac2):
+            if mult == mult2 and _same_class(fac, fac2):
                 del unmatched[i]
                 break
         else:
@@ -718,7 +730,7 @@ def match_decomposition(dec, other) -> bool:
 
 
 def _fitting_split(m: Representation, f: ModuleMap):
-    """Try to split m = ker(f^N) ⊕ im(f^N).  Returns (k_incl, i_incl) or None."""
+    """Try to split m = ker(f^N) ⊕ im(f^N).  Returns (ker, im) or None."""
     n = m.total_dim
     power = f
     steps = 1
@@ -738,7 +750,7 @@ def _fitting_split(m: Representation, f: ModuleMap):
         stacked = ker_incl.mats[v].vstack(img_incl.mats[v])
         if rank(stacked) != m.dims[v]:
             return None
-    return ker_incl, img_incl
+    return ker_rep, img_rep
 
 
 def _trace_form_valid(m: Representation) -> bool:
@@ -797,59 +809,30 @@ def _first_split(m: Representation, candidates):
     return None
 
 
-def indecomposable_summands(m: Representation):
-    """Full list of indecomposable direct summands, each with a split pair
-    (factor, inclusion, projection) satisfying incl then proj = identity.
-
-    A module built by ``direct_sum`` is split along its recorded parts: its
-    summands are those of each part in order, carried into m by the part's
-    block inclusion and projection (Krull-Schmidt), so no End(m) is solved.
-    Any other module takes the brick test and Fitting search of
-    ``_split_summands``.
-
-    The list is memoized in the module's cache, so a module is split once
-    however often it is asked about; each call returns a fresh list.
-    ``decompose`` groups the factors alone (``summand_factors``), which
-    for a recorded sum builds no pair."""
-    if "summands" not in m._caches:
-        m._caches["summands"] = tuple(_split_summands(m))
-    return list(m._caches["summands"])
-
-
 def summand_factors(m: Representation) -> list:
-    """The factors of ``indecomposable_summands(m)``, the same objects in
-    the same order, without their split pairs: a module built by
-    ``direct_sum`` lists the factors of its recorded parts in order and
-    builds no map.  Only the callers that read split pairs build them:
-    ``recollement.ring_evidence`` and the Fitting branch of
-    ``_split_summands``."""
-    if "parts" in m._caches:
-        return [fac for part in m._caches["parts"] for fac in summand_factors(part)]
-    return [fac for fac, _, _ in indecomposable_summands(m)]
-
-
-def _through_parts(pairs):
-    """The summands of each part of a split, carried into the whole along
-    the part's (inclusion, projection).  A part that is its own only
-    summand has two identities as its pair, and keeps the part's."""
-    return [(fac, incl, proj) if fac is incl.source
-            else (fac, sub_incl.compose(incl), proj.compose(sub_proj))
-            for incl, proj in pairs
-            for fac, sub_incl, sub_proj in indecomposable_summands(incl.source)]
+    """The indecomposable direct summands of m, in order, memoized in m's
+    cache; each call returns a fresh list.  A module built by
+    ``direct_sum`` lists the factors of its recorded parts, so no End(m) is
+    solved; any other module is split by ``_split_summands``."""
+    if "factors" not in m._caches:
+        if "parts" in m._caches:
+            factors = [fac for part in m._caches["parts"] for fac in summand_factors(part)]
+        else:
+            factors = _split_summands(m)
+        m._caches["factors"] = tuple(factors)
+    return list(m._caches["factors"])
 
 
 def _split_summands(m: Representation):
-    """The summands of ``indecomposable_summands``, computed.
+    """The factors of ``summand_factors`` for a module with no recorded
+    parts.  The steps, in order:
 
-    The steps, in order:
-
-    0. A direct sum with recorded parts is split along them; each part is
-       certified by its own split.
     1. A module with dim End = 1 (a brick) has End = K, a local ring, so it
        is certified indecomposable in every characteristic before any
        search.
     2. Each Hom basis element is tried as a Fitting splitter; the first
-       that splits m = ker(f^N) ⊕ im(f^N) wins.
+       that splits m = ker(f^N) ⊕ im(f^N) wins, and m's factors are those
+       of ker(f^N) and then those of im(f^N), taken as modules.
     3. When none does and the trace form applies (p = 0 or p > dim), a
        module with dim End/rad = 1 has a local End ring, whose elements are
        all units or nilpotent, so no further candidate could split: it is
@@ -862,14 +845,12 @@ def _split_summands(m: Representation):
     """
     if m.total_dim == 0:
         return []
-    if "parts" in m._caches:
-        return _through_parts(zip(*_block_maps(m)))
     hs = hom_space(m, m)
     if hs.dim == 1:
-        return [(m, identity_map(m), identity_map(m))]
+        return [m]
     split = _first_split(m, hs.basis)
     if split is None and _trace_form_valid(m) and hs.dim - len(_endo_radical(m)) == 1:
-        return [(m, identity_map(m), identity_map(m))]
+        return [m]
     if split is None:
         split = _first_split(m, _further_candidates(hs))
     if split is None:
@@ -878,24 +859,22 @@ def _split_summands(m: Representation):
         raise ConsistencyError(
             "could not certify indecomposability: End/rad has dimension > 1 "
             "but no Fitting split was found")
-    # the projections of m = ker ⊕ im: the inverse of ker ⊕ im -> m, then the block projections
-    pair = direct_sum([incl.source for incl in split])
-    inv = _inverse_map(_assemble_block_map(pair, m, [[incl] for incl in split],
-                                           pair._caches["parts"], [m]))
-    return _through_parts(zip(split, (inv.compose(p) for p in _block_maps(pair)[1])))
+    return [fac for part in split for fac in summand_factors(part)]
 
 
 def decompose(m: Representation):
     """Krull-Schmidt decomposition as a list of (indecomposable, multiplicity),
     grouped up to isomorphism, ordered by decreasing total dimension.
 
-    The grouping is memoized in the module's cache, as the split list is;
-    each call returns a fresh list."""
+    The factors of ``summand_factors`` are grouped in order by
+    ``_same_class``, each group keeping its first factor.  The grouping is
+    memoized in the module's cache, as the factor list is; each call
+    returns a fresh list."""
     if "decompose" not in m._caches:
         groups = []
         for fac in summand_factors(m):
             for g in groups:
-                if g[0].dims == fac.dims and is_isomorphic(g[0], fac):
+                if _same_class(g[0], fac):
                     g[1] += 1
                     break
             else:

@@ -10,8 +10,9 @@ Hom(e_vA, X) = X_v, so a map out of R is fixed by its rows at the
 generators e_v, and two maps out of R that agree there are equal.  The
 system has Σ_v dim (R_U)_v columns, and its solution and its checks are
 those of the whole maps.  S itself is certified a matrix ring M_n(K)
-over the base field by a split pair R_U ≅ X^n for a brick X; no matrix
-unit and no structure-constant table is formed.
+over the base field by a split pair R_U ≅ X^n for a brick X, read off the
+minimal right add(X)-approximation X^n -> R_U; no matrix unit, no
+structure-constant table and no Krull-Schmidt split pair is formed.
 
 The reflection of a complex M at an exceptional object T1 is computed two
 ways: a one-shot cone construction when End(T1) is one-dimensional (the
@@ -62,10 +63,10 @@ from .homology import (DEFAULT_RESOLUTION_BOUND, LeftModule, ShortExact, _gen_ro
                        proj_dim, tor_dims_range)
 from .linalg import (Matrix, quotient_basis, rank, row_space, row_times,
                      solve_linear_system, solve_right_kernel)
-from .modules import (ModuleMap, Representation, _assemble_block_map,
-                      _inverse_map, _invertible_map, _same_module, cokernel, decompose,
-                      direct_sum, hom_space, identity_map, indecomposable_summands,
-                      match_decomposition, proj_sum, proj_sum_layout, quotient,
+from .modules import (ModuleMap, Representation, _assemble_block_map, _block_maps,
+                      _inverse_map, _same_module, cokernel, decompose, direct_sum,
+                      hom_space, identity_map, match_decomposition, proj_sum,
+                      proj_sum_layout, quotient, right_add_approximation,
                       submodule_from_rows, top, trace_submodule)
 
 
@@ -438,8 +439,10 @@ class RingEvidence:
     """End(R_U) as a matrix ring M_n(K), or why it is not certified one.
 
     to_x[i]: R_U -> X and from_x[i]: X -> R_U split R_U as X^n for a brick
-    X (``check_split_pair``); the matrix unit e_ij is to_x[i] then
-    from_x[j] in diagrammatic order (``a.compose(b)``, a first)."""
+    X (``check_split_pair``), read off the right add(X)-approximation
+    g: X^n -> R_U as g⁻¹ then proj_i and incl_i then g; the matrix unit
+    e_ij is to_x[i] then from_x[j] in diagrammatic order (``a.compose(b)``,
+    a first)."""
     dim: int             # dim End(R_U)
     to_x: tuple          # n maps R_U -> X; () when reason is set
     from_x: tuple        # n maps X -> R_U; () when reason is set
@@ -611,27 +614,29 @@ def ring_evidence(ru: Representation) -> RingEvidence:
 
     End(R_U) is simple artinian exactly when R_U ≅ X^n for one
     indecomposable X whose End is a division ring, and then
-    End(R_U) ≅ M_n(End X): M_n(K) for a brick X.  The pair comes from the
-    Krull-Schmidt split R_U = X_1 ⊕ ... ⊕ X_n with isomorphisms
-    φ_i: X_i -> X (X the first summand): to_x[i] = proj_i φ_i and
-    from_x[i] = φ_i⁻¹ incl_i, checked by ``check_split_pair``.  Otherwise
-    the reason says which condition fails: more than one isomorphism class,
-    or dim End X > 1 (End X is larger than K, so End(R_U) is not M_n(K))."""
+    End(R_U) ≅ M_n(End X): M_n(K) for a brick X.  The pair is read off the
+    minimal right add(X)-approximation g: X^n -> R_U
+    (``right_add_approximation``), an isomorphism when R_U ∈ add X:
+    from_x[i] = incl_i g and to_x[i] = g⁻¹ proj_i, with incl_i and proj_i
+    the block maps of X^n, checked by ``check_split_pair``.  Otherwise the
+    reason says which condition fails: more than one isomorphism class, or
+    dim End X > 1 (End X is larger than K, so End(R_U) is not M_n(K))."""
     ends = hom_space(ru, ru)
     groups = decompose(ru)
     if len(groups) > 1:
         return RingEvidence(ends.dim, (), (), f"{len(groups)} isomorphism classes of summands")
-    summands = indecomposable_summands(ru)
-    x = summands[0][0] if summands else ru
+    if not groups:  # R_U = 0 = X^0
+        return RingEvidence(ends.dim, (), (), None)
+    x = groups[0][0]
     if hom_space(x, x).dim > 1:
         return RingEvidence(ends.dim, (), (), f"dim End X = {hom_space(x, x).dim} > 1")
-    to_x, from_x = [], []
-    for fac, incl, proj in summands:
-        phi = identity_map(x) if fac is x else _invertible_map(hom_space(fac, x))
-        if phi is None:
-            raise ConsistencyError("summands of one isomorphism class are not isomorphic")
-        to_x.append(proj.compose(phi))
-        from_x.append((phi if fac is x else _inverse_map(phi)).compose(incl))
+    g = right_add_approximation(ru, x)
+    if g is None or not g.is_isomorphism():
+        raise ConsistencyError("the add(X)-approximation of R_U is not an isomorphism")
+    inv = _inverse_map(g)
+    incls, projs = _block_maps(g.source)
+    to_x = [inv.compose(p) for p in projs]
+    from_x = [i.compose(g) for i in incls]
     check_split_pair(ru, to_x, from_x)
     return RingEvidence(ends.dim, tuple(to_x), tuple(from_x), None)
 

@@ -35,9 +35,7 @@ lambda checked on all basis pairs and the two-sided ideal scan, which
 the split pair R_U ≅ X^n and the generator-pair check of lambda replaced, and
 reference_module_from_paths, the construction of P_v and I_v from basis
 paths that proj_sum and the transpose of left multiplication replaced, and
-reference_split_along_parts, the summands of a split composed with each
-part's split pair even where that pair is two identities, which keeping a
-part's own pair replaced, and reference_hom_cohomology_dim, the dimension
+reference_hom_cohomology_dim, the dimension
 of H^n of the Hom complex as the number of cocycle classes modulo
 coboundaries, built with the library's elimination, which reading the
 dimension off the ranks of the two differentials replaced, and
@@ -600,35 +598,6 @@ def reference_split_projection(m, part_incl, other_incl):
             raise ConsistencyError("split projection failed")
         mats[v] = x.take_cols(range(part_incl.source.dims[v]))
     return ModuleMap(m, part_incl.source, mats)
-
-
-def reference_split_along_parts(m):
-    """indecomposable_summands(m) by the composing route: the summands of
-    each part of a split, from this function again, carried into m by
-    composing them with the part's inclusion and projection, also when the
-    part is its own only summand and its split pair is two identities.
-    The parts are the recorded parts of a direct sum, or else the kernel
-    and image of the library's first Fitting split; a module with one
-    summand is the library's (m, id, id).
-
-    It uses the library's split and Fitting search; what it checks is that
-    keeping a part's own pair in place of the composites changes no entry.
-    """
-    from quivertilt.modules import (_block_maps, _first_split, _further_candidates,
-                                    hom_space, indecomposable_summands)
-    if "parts" in m._caches:
-        pairs = zip(*_block_maps(m))
-    else:
-        summands = indecomposable_summands(m)
-        if len(summands) == 1:
-            return summands
-        hs = hom_space(m, m)
-        k_incl, i_incl = _first_split(m, hs.basis) or _first_split(m, _further_candidates(hs))
-        pairs = zip((k_incl, i_incl), (reference_split_projection(m, k_incl, i_incl),
-                                       reference_split_projection(m, i_incl, k_incl)))
-    return [(fac, sub_incl.compose(incl), proj.compose(sub_proj))
-            for incl, proj in pairs
-            for fac, sub_incl, sub_proj in reference_split_along_parts(incl.source)]
 
 
 def reference_in_add_of(x, t):

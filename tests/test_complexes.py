@@ -10,7 +10,7 @@ from quivertilt.complexes import (ChainMap, PerfectComplex, _shift, cohomology, 
                                   shift_chain_map, triangle_from_map,
                                   zero_chain_map, zero_complex)
 from quivertilt.formats import fixture_algebra
-from quivertilt.errors import ConsistencyError, DimensionMismatch
+from quivertilt.errors import ConsistencyError, DimensionMismatch, InputError
 from quivertilt.homology import (_hom_differential, _split_gen_vector, ext_dim, gen_coords,
                                  hom_from_gens)
 from quivertilt.linalg import Matrix, row_space
@@ -424,6 +424,16 @@ def test_combo_of_zero_coefficients_is_the_zero_map_into_the_shift(cycle2):
         f = space.combo((0,) * space.dim)
         assert f.is_zero() and f.source is x, n
         assert f.target == shift(y, n), n
+
+
+@pytest.mark.parametrize("coeffs", [[1], [1, 5, 7]])
+def test_combo_rejects_a_wrong_number_of_coefficients(cycle2, coeffs):
+    # End_D(P2) has dimension 2; zip would silently drop or ignore coefficients
+    x = resolve_to_complex(projective(cycle2, "2"))
+    space = derived_hom(x, x, 0)
+    assert space.dim == 2
+    with pytest.raises(InputError, match="coefficients"):
+        space.combo(coeffs)
 
 
 def test_brick_reflection_builds_the_degree_zero_pair_of_end_once(cycle2, monkeypatch):

@@ -326,3 +326,41 @@ def test_cli_localize_json_deterministic(tmp_path):
     assert main(["localize", ALG, P2, S2, "--json", str(out1)]) == 0
     assert main(["localize", ALG, P2, S2, "--json", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# -- unreadable input files -----------------------------------------------------
+
+
+def test_directory_as_algebra_file_is_an_input_error(tmp_path, capsys):
+    with pytest.raises(InputError, match="Is a directory"):
+        load_algebra(tmp_path)
+    assert main(["info", str(tmp_path)]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_directory_as_module_file_is_an_input_error(tmp_path, capsys):
+    with pytest.raises(InputError, match="Is a directory"):
+        load_module(tmp_path)
+    assert main(["hom", ALG, str(tmp_path), str(tmp_path)]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["algebra", "algebra   "])
+def test_module_algebra_line_naming_no_file_is_an_input_error(tmp_path, capsys, line):
+    # an empty path would resolve to the module file's own directory
+    bad = tmp_path / "bad.mod"
+    bad.write_text(f"{line}\ndim 1=1\n")
+    for alg in (None, fixture_algebra("cycle2")):
+        with pytest.raises(InputError, match="algebra line names no file"):
+            load_module(bad, alg)
+    assert main(["hom", ALG, str(bad), str(bad)]) == 2
+    assert "algebra line names no file" in capsys.readouterr().err
+
+
+def test_algebra_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.alg"
+    bad.write_bytes(b"field Q\nvertex 1\n\xff\n")
+    with pytest.raises(InputError, match="line 3: not UTF-8"):
+        load_algebra(bad)
+    assert main(["info", str(bad)]) == 2
+    assert f"{bad}, line 3" in capsys.readouterr().err

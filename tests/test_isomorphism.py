@@ -32,10 +32,10 @@ def _kronecker(alg, a, b):
 
 
 def _counting_branches(monkeypatch):
-    """Record, in order, each request for a summand list ('indecomposable')
+    """Record, in order, each request for a factor list ('indecomposable')
     and each match of two Krull-Schmidt groupings ('krull-schmidt')."""
     seen = []
-    summands, match = modules.indecomposable_summands, modules.match_decomposition
+    summands, match = modules.summand_factors, modules.match_decomposition
 
     def counting_summands(m):
         seen.append("indecomposable")
@@ -45,7 +45,7 @@ def _counting_branches(monkeypatch):
         seen.append("krull-schmidt")
         return match(dec, other)
 
-    monkeypatch.setattr(modules, "indecomposable_summands", counting_summands)
+    monkeypatch.setattr(modules, "summand_factors", counting_summands)
     monkeypatch.setattr(modules, "match_decomposition", counting_match)
     return seen
 
@@ -97,11 +97,11 @@ def test_self_extension_of_a_band_is_not_the_square_of_the_band(field):
     assert not is_isomorphic(ext, square)
     assert not is_isomorphic(square, ext)
     if field is None or field.characteristic > ext.total_dim:
-        assert len(modules.indecomposable_summands(ext)) == 1
+        assert len(modules.summand_factors(ext)) == 1
     else:
         # p <= dim: the trace form cannot certify End(ext) local
         with pytest.raises(InputError):
-            modules.indecomposable_summands(ext)
+            modules.summand_factors(ext)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -171,4 +171,4 @@ def test_decompose_certifies_a_module_whose_end_is_a_field_extension(field):
     # bands at b = 10 and b = -10
     m = _kronecker(fixture_algebra("kron2", field), ((1, 0), (0, 1)), ((0, -1), (1, 0)))
     parts = 2 if field is not None and field.characteristic == 101 else 1
-    assert len(modules.indecomposable_summands(m)) == parts
+    assert len(modules.summand_factors(m)) == parts

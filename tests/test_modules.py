@@ -5,9 +5,9 @@ from quivertilt import (GF, QQ, ConsistencyError, DimensionMismatch, InputError,
 from quivertilt.formats import fixture_algebra
 from quivertilt.modules import (_assemble_block_map, cokernel, decompose, direct_sum,
                                 direct_sum_with_maps, hom_space, identity_map,
-                                image, in_add_of, indecomposable_summands,
-                                is_isomorphic, kernel, quotient, radical, socle,
-                                top, trace_submodule, zero_map)
+                                image, in_add_of, is_isomorphic, kernel, quotient,
+                                radical, socle, summand_factors, top, trace_submodule,
+                                zero_map)
 from oracles import block_matrix
 
 
@@ -26,6 +26,16 @@ def test_identity_lies_in_end(cycle2):
         idm = identity_map(m)
         coords = hs.coords(idm)
         assert hs.combo(coords).mats == idm.mats
+
+
+@pytest.mark.parametrize("coeffs", [[1], [1, 5, 7]])
+def test_combo_rejects_a_wrong_number_of_coefficients(cycle2, coeffs):
+    # End(P2) has dimension 2; zip would silently drop or ignore coefficients
+    p2 = projective(cycle2, "2")
+    hs = hom_space(p2, p2)
+    assert hs.dim == 2
+    with pytest.raises(InputError, match="coefficients"):
+        hs.combo(coeffs)
 
 
 def test_kernel_of_identity_is_zero(cycle2):
@@ -219,9 +229,9 @@ def test_local_module_is_certified_after_the_basis_candidates(monkeypatch, name,
         return real(mod, f)
 
     monkeypatch.setattr(modules, "_fitting_split", counting)
-    [(fac, incl, proj)] = indecomposable_summands(m)
+    [fac] = summand_factors(m)
     assert len(tried) <= end_dim
-    assert fac is m and incl.mats == proj.mats == identity_map(m).mats
+    assert fac is m
 
 
 def test_local_module_over_a_small_prime_still_needs_the_trace_form():
@@ -230,7 +240,7 @@ def test_local_module_over_a_small_prime_still_needs_the_trace_form():
     m = projective(fixture_algebra("cycle2", GF(2)), "2")
     assert hom_space(m, m).dim == 2
     with pytest.raises(InputError):
-        indecomposable_summands(m)
+        summand_factors(m)
 
 
 def _non_brick_factors():

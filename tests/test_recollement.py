@@ -289,8 +289,9 @@ def unrecorded_i1_squared(cycle2):
 
 
 def test_split_pair_of_distinct_isomorphic_summands(unrecorded_i1_squared, monkeypatch):
-    """With no recorded parts, R_U ≅ I1² splits into two summand objects,
-    so the second copy's isomorphism to X is inverted; the pair passes."""
+    """With no recorded parts, R_U ≅ I1² splits into two distinct factor
+    objects; the approximation I1² -> R_U by the first is inverted once,
+    and the pair passes."""
     inverses = counting(monkeypatch, quivertilt.recollement, "_inverse_map")
     ev = ring_evidence(unrecorded_i1_squared)
     assert ev.reason is None and ev.dim == 4 and len(ev.to_x) == 2
@@ -304,6 +305,61 @@ def test_split_pair_of_p1_to_the_eighth():
     ev = ring_evidence(m)
     assert ev.reason is None and ev.dim == 64 and len(ev.to_x) == len(ev.from_x) == 8
     check_split_pair(m, ev.to_x, ev.from_x)
+
+
+def test_split_pair_is_read_off_the_right_approximation(cycle2_localization):
+    """ring_evidence reads its pair off the minimal right
+    add(X)-approximation g: X^n -> R_U: from_x[i] = incl_i then g and
+    to_x[i] = g⁻¹ then proj_i.  The pair passes check_split_pair on
+    cycle2's R_U ≅ I1² and on P_1^n over hereditary A_n for n = 4 and 8;
+    adding 1 to one entry of from_x[0] makes it fail."""
+    cases = [(cycle2_localization.ru_module, 2)]
+    cases += [(direct_sum([projective(linear_algebra(n), "1")] * n), n) for n in (4, 8)]
+    for m, n in cases:
+        ev = ring_evidence(m)
+        assert ev.reason is None and ev.dim == n * n and len(ev.from_x) == n
+        check_split_pair(m, ev.to_x, ev.from_x)
+        x = ev.to_x[0].target
+        g = modules.right_add_approximation(m, x)
+        incls, projs = modules._block_maps(g.source)
+        assert [f.mats for f in ev.from_x] == [i.compose(g).mats for i in incls]
+        assert [g.compose(f).mats for f in ev.to_x] == [p.mats for p in projs]
+        f = ev.from_x[0]
+        fld = m.algebra.field
+        v = next(v for v in m.algebra.vertices if x.dims[v])
+        entries = [list(row) for row in f.mats[v].entries]
+        entries[0][0] = fld.add(entries[0][0], fld.one())
+        changed = ModuleMap._trusted(f.source, f.target, {
+            **f.mats, v: Matrix(fld, f.mats[v].rows, f.mats[v].cols,
+                                tuple(tuple(row) for row in entries))})
+        with pytest.raises(ConsistencyError):
+            check_split_pair(m, ev.to_x, (changed,) + ev.from_x[1:])
+
+
+def test_ring_evidence_rejects_an_approximation_that_is_not_an_isomorphism(
+        cycle2_localization, monkeypatch):
+    """An approximation X^n -> R_U that is missing, or is not an
+    isomorphism (here one copy of X only), raises ConsistencyError."""
+    ru = cycle2_localization.ru_module
+    real = modules.right_add_approximation
+
+    def one_copy(m, x):
+        g = real(m, x)
+        return modules._block_maps(g.source)[0][0].compose(g)
+
+    for fake in (lambda m, x: None, one_copy):
+        monkeypatch.setattr(quivertilt.recollement, "right_add_approximation", fake)
+        with pytest.raises(ConsistencyError, match="approximation"):
+            ring_evidence(ru)
+
+
+def test_triple3_ring_evidence_names_two_classes(triple3):
+    """triple3's R_U has two isomorphism classes of summands, so End(R_U)
+    is not a matrix ring over K and no pair is built."""
+    loc = universal_localization(tilting_module_check(triple3_tilting(triple3)).sequence)
+    ev = loc.evidence
+    assert ev.reason == "2 isomorphism classes of summands"
+    assert ev.dim == 7 and ev.to_x == ev.from_x == ()
 
 
 def test_changed_matrix_unit_entry_is_rejected(bongartz_localizations,
@@ -586,36 +642,24 @@ def test_report_reads_the_h0_match_off_the_localization(bongartz_sums):
 
 
 def test_recollement_report_decides_no_isomorphism(monkeypatch):
-    """On rad² A_3, the localization and the report test no isomorphism of
-    their own: H^0(q(R)) ≅ R_U is decided by the comparison map.  The only
-    isomorphism tests run inside ``decompose``, grouping the factors of a
-    module with recorded parts, and every module decomposed has them."""
+    """On rad² A_3, the localization and the report run no general
+    isomorphism test: H^0(q(R)) ≅ R_U is decided by the comparison map,
+    ``decompose`` groups factors by their own exact test, and the split
+    pair of R_U comes from the right approximation.  is_isomorphic raises
+    if asked; every module decomposed has recorded parts."""
     a3 = linear_algebra(3, rad2=True, field=GF(101))
     s = simple(a3, "2")
     n_mod, _, _ = bongartz_complement(s)
     assert not hasattr(quivertilt.recollement, "is_isomorphic")
-    splitting, outside, splits = [], [], []
-    real_decompose, real_iso = quivertilt.recollement.decompose, modules.is_isomorphic
-
-    def decompose(m):
-        splits.append(m)
-        splitting.append(m)
-        try:
-            return real_decompose(m)
-        finally:
-            splitting.pop()
+    splits = counting(monkeypatch, quivertilt.recollement, "decompose")
 
     def is_isomorphic(m, n):
-        if not splitting:
-            outside.append((m, n))
-        return real_iso(m, n)
+        raise AssertionError("is_isomorphic on the report path")
 
-    monkeypatch.setattr(quivertilt.recollement, "decompose", decompose)
     monkeypatch.setattr(modules, "is_isomorphic", is_isomorphic)
     rep = recollement_report(direct_sum([n_mod, s]))
     assert rep.t2_matches_ru and rep.localization.reflection_matches
-    assert outside == []
-    assert splits and all("parts" in m._caches for m in splits)
+    assert splits and all("parts" in m._caches for (m,) in splits)
 
 
 @pytest.fixture(scope="module")
@@ -763,7 +807,7 @@ def test_localization_splits_r_u_along_t0_parts(triple3, monkeypatch):
     assert any(a is b for a, b in itertools.combinations(ru_parts, 2))
     tried.clear()
     fresh = Representation(triple3, ru.dims, ru.arrow_mats)
-    assert len(modules.indecomposable_summands(fresh)) == 3
+    assert len(modules.summand_factors(fresh)) == 3
     assert in_localization < len(tried)
 
 

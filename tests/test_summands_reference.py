@@ -1,32 +1,28 @@
-"""indecomposable_summands splits a module built by ``direct_sum`` along its
+"""summand_factors splits a module built by ``direct_sum`` along its
 recorded parts, and any other module by a Fitting search that certifies a
 local End ring right after the Hom basis candidates and rejects units and
 nilpotents before it builds any submodule.
 
 On every module that ``decompose`` is asked about in the worked examples
 and in the tilting and Bongartz verdicts on A_3, and on a module whose Hom
-basis holds only units:
-
-- a module without recorded parts splits exactly as the plain Fitting
-  search in ``oracles.reference_summands``;
-- a direct sum splits into the reference summands of each part in order,
-  carried into the sum by the block maps of ``direct_sum_with_maps``;
-- by either route, each factor's inclusion then projection is its
-  identity, and the idempotents are orthogonal and sum to the identity."""
+basis holds only units, the factors (dimensions, arrow matrices and order)
+are those of the plain Fitting search in ``oracles.reference_summands``:
+for a module without recorded parts, its own; for a direct sum, those of
+each part in order."""
 
 import sys
 
 import pytest
 
 import quivertilt.modules as modules
-from quivertilt import (GF, QQ, ModuleMap, Representation, bongartz_complement,
+from quivertilt import (GF, QQ, Representation, bongartz_complement,
                         direct_sum, injective, projective, regular_module,
                         run_example, simple, tilting_module_check)
-from quivertilt.homology import left_add_approximation, universal_extension
+from quivertilt.homology import left_add_approximation
 from quivertilt.formats import fixture_algebra
 from quivertilt.linalg import Matrix
 from conftest import linear_algebra
-from oracles import reference_split_along_parts, reference_summands
+from oracles import reference_summands
 
 
 def _decomposed_modules(monkeypatch, run):
@@ -47,48 +43,24 @@ def _decomposed_modules(monkeypatch, run):
     return list(seen.values())
 
 
-def _summary(parts):
-    return [(fac.dims, fac.arrow_mats, incl.mats, proj.mats) for fac, incl, proj in parts]
+def _summary(factors):
+    return [(fac.dims, fac.arrow_mats) for fac in factors]
 
 
-def _expected_summands(m):
-    """reference_summands(m) for a module without recorded parts; for a
-    direct sum, the expected summands of each part in order, composed with
-    the part's block maps from a fresh direct_sum_with_maps, re-pointed at m."""
+def _expected_factors(m):
+    """The factors of reference_summands(m) for a module without recorded
+    parts; for a direct sum, the expected factors of each part in order."""
     parts = m._caches.get("parts")
     if parts is None:
-        return reference_summands(m)
-    _, incls, projs = modules.direct_sum_with_maps(parts)
-    out = []
-    for part, incl, proj in zip(parts, incls, projs):
-        incl, proj = ModuleMap(part, m, incl.mats), ModuleMap(m, part, proj.mats)
-        for fac, sub_incl, sub_proj in _expected_summands(part):
-            out.append((fac, sub_incl.compose(incl), proj.compose(sub_proj)))
-    return out
-
-
-def _assert_split_pairs(m, parts):
-    """Structural check, independent of either route: incl_i then proj_i is
-    id on factor i, the idempotents e_i = proj_i then incl_i of m are
-    orthogonal, and they sum to id_m."""
-    for fac, incl, proj in parts:
-        assert incl.compose(proj).mats == modules.identity_map(fac).mats
-    idems = [proj.compose(incl) for _, incl, proj in parts]
-    total = modules.zero_map(m, m)
-    for i, e in enumerate(idems):
-        for j, f in enumerate(idems):
-            assert e.compose(f).mats == (e.mats if i == j else modules.zero_map(m, m).mats)
-        total = total.add(e)
-    assert total.mats == modules.identity_map(m).mats
+        return [fac for fac, _, _ in reference_summands(m)]
+    return [fac for part in parts for fac in _expected_factors(part)]
 
 
 def _assert_matches_reference(mods):
     assert mods
     assert any("parts" in m._caches for m in mods)
     for m in mods:
-        parts = modules.indecomposable_summands(m)
-        assert _summary(parts) == _summary(_expected_summands(m))
-        _assert_split_pairs(m, parts)
+        assert _summary(modules.summand_factors(m)) == _summary(_expected_factors(m))
 
 
 @pytest.mark.parametrize("field", [None, GF(101)], ids=["Q", "GF101"])
@@ -96,6 +68,27 @@ def _assert_matches_reference(mods):
 def test_worked_examples_split_as_the_reference(monkeypatch, name, field):
     mods = _decomposed_modules(monkeypatch, lambda: run_example(name, field=field))
     _assert_matches_reference(mods)
+
+
+@pytest.mark.parametrize("field", [None, GF(101)], ids=["Q", "GF101"])
+def test_worked_examples_decompose_without_is_isomorphic(monkeypatch, field):
+    """decompose groups factors by its own exact test: with is_isomorphic
+    made to raise, the worked examples still pass, and every module they
+    decompose is grouped."""
+    def is_isomorphic(m, n):
+        raise AssertionError("decompose reached is_isomorphic")
+
+    monkeypatch.setattr(modules, "is_isomorphic", is_isomorphic)
+    for name in ("cycle2", "triple3", "a2-bongartz"):
+        reports = []
+        mods = _decomposed_modules(monkeypatch,
+                                   lambda: reports.append(run_example(name, field=field)))
+        # _decomposed_modules undoes every patch when it returns
+        monkeypatch.setattr(modules, "is_isomorphic", is_isomorphic)
+        assert reports[0].passed and mods, name
+        for m in mods:
+            groups = modules.decompose(m)
+            assert sum(k for _, k in groups) == len(modules.summand_factors(m))
 
 
 @pytest.mark.parametrize("rad2", [False, True], ids=["A3-Q", "rad2-A3-GF101"])
@@ -132,10 +125,9 @@ def test_module_whose_hom_basis_holds_only_units_splits_as_the_reference(field):
     m = _kronecker_units_module(field)
     assert all(modules._fitting_split(m, f) is None
                for f in modules.hom_space(m, m).basis)
-    parts = modules.indecomposable_summands(m)
-    assert [fac.dim_vector() for fac, _, _ in parts] == [(1, 1), (1, 1)]
-    assert _summary(parts) == _summary(reference_summands(m))
-    _assert_split_pairs(m, parts)
+    factors = modules.summand_factors(m)
+    assert [fac.dim_vector() for fac in factors] == [(1, 1), (1, 1)]
+    assert _summary(factors) == _summary(_expected_factors(m))
 
 
 def _end_solves(monkeypatch):
@@ -164,7 +156,7 @@ def test_direct_sums_are_split_without_solving_their_end(monkeypatch, field):
     for m in sums:
         modules.decompose(m)
         assert id(m) not in solved
-        _assert_split_pairs(m, modules.indecomposable_summands(m))
+        assert _summary(modules.summand_factors(m)) == _summary(_expected_factors(m))
 
 
 @pytest.mark.parametrize("field", [None, GF(101)], ids=["Q", "GF101"])
@@ -174,12 +166,10 @@ def test_nested_sum_splits_into_its_innermost_parts(monkeypatch, field):
     inner = direct_sum([p1, s2])
     m = direct_sum([inner, i1])
     solved = _end_solves(monkeypatch)
-    parts = modules.indecomposable_summands(m)
-    assert [fac for fac, _, _ in parts] == [p1, s2, i1]
-    assert all(fac is part for (fac, _, _), part in zip(parts, (p1, s2, i1)))
+    factors = modules.summand_factors(m)
+    assert len(factors) == 3
+    assert all(fac is part for fac, part in zip(factors, (p1, s2, i1)))
     assert id(m) not in solved and id(inner) not in solved
-    assert _summary(parts) == _summary(_expected_summands(m))
-    _assert_split_pairs(m, parts)
     assert [(fac.dim_vector(), k) for fac, k in modules.decompose(m)] == \
         [((1, 1), 1), ((0, 1), 1), ((1, 0), 1)]
 
@@ -190,33 +180,11 @@ def test_part_without_recorded_parts_takes_the_fitting_path(monkeypatch, field):
     s1 = simple(x_y.algebra, "1")
     m = direct_sum([x_y, s1])
     solved = _end_solves(monkeypatch)
-    parts = modules.indecomposable_summands(m)
+    factors = modules.summand_factors(m)
     assert id(x_y) in solved and id(m) not in solved
-    assert [fac.dim_vector() for fac, _, _ in parts] == [(1, 1), (1, 1), (1, 0)]
-    assert parts[2][0] is s1
-    assert _summary(parts) == _summary(_expected_summands(m))
-    _assert_split_pairs(m, parts)
-
-
-@pytest.mark.parametrize("rad2", [False, True], ids=["hered-Q", "rad2-GF101"])
-def test_part_that_is_its_own_summand_keeps_its_pair(rad2):
-    """Keeping the pair of a part that is its own only summand changes no
-    entry: on R, D(A) and Bongartz's N ⊕ S_v of A_3-A_5, and on a sum with
-    a Fitting-split part, the summands equal the composing reference's."""
-    mods = []
-    for n in (3, 4, 5):
-        alg = linear_algebra(n, rad2, GF(101) if rad2 else QQ)
-        mods += [regular_module(alg), direct_sum([injective(alg, v) for v in alg.vertices])]
-        for v in alg.vertices:
-            n_mod, _ = universal_extension(simple(alg, v), regular_module(alg))
-            mods.append(direct_sum([n_mod, simple(alg, v)]))
-    x_y = _kronecker_units_module(GF(101) if rad2 else None)
-    mods.append(direct_sum([x_y, simple(x_y.algebra, "1")]))
-    for m in mods:
-        parts = modules.indecomposable_summands(m)
-        expected = reference_split_along_parts(m)
-        assert [fac for fac, _, _ in parts] == [fac for fac, _, _ in expected]
-        assert _summary(parts) == _summary(expected)
+    assert [fac.dim_vector() for fac in factors] == [(1, 1), (1, 1), (1, 0)]
+    assert factors[2] is s1
+    assert _summary(factors) == _summary(_expected_factors(m))
 
 
 def _nested_sums(field):
@@ -238,9 +206,11 @@ def _nested_sums(field):
 @pytest.mark.parametrize("field", [None, GF(101)], ids=["Q", "GF101"])
 def test_summand_factors_are_the_summands_factors_and_decompose_builds_no_pair(
         monkeypatch, field):
-    """summand_factors gives the factor objects of indecomposable_summands,
-    in order, on nested recorded sums and on a module with no recorded
-    parts; decompose of a recorded sum builds no block map."""
+    """summand_factors of a nested recorded sum are the factor objects of
+    its parts' summands, in order, and decompose of it builds no block map;
+    decompose's multiplicities count the factors.  A module with no
+    recorded parts lists the factors of its Fitting split, memoized: each
+    call returns a fresh list of the same objects."""
     sums = _nested_sums(field)
     block_maps = []
     real = modules._block_maps
@@ -249,11 +219,12 @@ def test_summand_factors_are_the_summands_factors_and_decompose_builds_no_pair(
         groups = modules.decompose(m)
         assert block_maps == []
         factors = modules.summand_factors(m)
-        summands = modules.indecomposable_summands(m)
-        assert len(factors) == len(summands) == sum(k for _, k in groups)
-        assert all(fac is s for fac, (s, _, _) in zip(factors, summands))
-        block_maps.clear()
+        parts_factors = [fac for part in m._caches["parts"]
+                         for fac in modules.summand_factors(part)]
+        assert len(factors) == len(parts_factors) == sum(k for _, k in groups)
+        assert all(fac is s for fac, s in zip(factors, parts_factors))
     x_y = _kronecker_units_module(field)
     factors = modules.summand_factors(x_y)
     assert [fac.dim_vector() for fac in factors] == [(1, 1), (1, 1)]
-    assert all(fac is s for fac, (s, _, _) in zip(factors, modules.indecomposable_summands(x_y)))
+    again = modules.summand_factors(x_y)
+    assert again is not factors and all(fac is s for fac, s in zip(factors, again))

@@ -16,17 +16,30 @@ rejects floats, and the only division is ``FieldSpec.inv``, which builds
 the inverse from numerator and denominator; no ``/`` operator is used, so
 no arithmetic here can produce a float.
 
-Row operations are specialised per field: each elimination and each matrix
-product picks its arithmetic once from the field (one ``% p`` per entry
-over GF(p); over Q, an integral Fraction result is turned back into an
-int, and int arithmetic needs no check) and touches only the nonzero
+Row operations are specialised per field: the arithmetic is picked once
+per field and shared by every elimination (one ``% p`` per entry over
+GF(p); over Q, an integral Fraction result is turned back into an int,
+and int arithmetic needs no check), and it touches only the nonzero
 entries of the rows it combines, instead of dispatching every element
-operation through ``FieldSpec``.  Only ``solve_right_kernel`` and
-``solve_linear_system`` (and what is built on them) carry the transform
-T with T*m = R through the elimination; ``rref``, ``rank``, ``row_space``,
-``sum_subspaces``, ``quotient_basis`` and ``independent_rows`` reduce the
-matrix alone.  The elimination works on row lists, and each caller builds
-only the matrices it returns.
+operation through ``FieldSpec``.  Operands over different fields raise
+``InputError``.
+
+Each routine eliminates once and computes only what it returns:
+
+- ``solve_linear_system`` alone carries the transform T with T*m = R
+  through the elimination, since it needs a particular solution.
+- ``solve_right_kernel`` and ``solve_null_space`` read the kernel off the
+  free columns of one RREF, with no transform; ``solve_right_kernel``
+  eliminates the columns of m as row lists, so no transpose is built.
+- ``rref``, ``rank``, ``row_space``, ``sum_subspaces`` and
+  ``quotient_basis`` reduce the matrix alone.
+- ``independent_rows`` reduces each row against the echelon rows kept so
+  far, with no stacked matrix, transpose or RREF.
+- ``rref_coordinates`` reads coordinates in an RREF basis at its pivot
+  columns and checks them with one product, with no elimination.
+
+The elimination works on row lists, and each caller builds only the
+matrices it returns.
 
 Most matrices of a computation are tiny or empty (per-vertex blocks of
 small modules), so they are made cheap without skipping any check:
@@ -42,6 +55,7 @@ small modules), so they are made cheap without skipping any check:
   the identity as transform (so its kernel is everything and it solves
   only zero right-hand sides), and ``take_rows`` of no rows is the shared
   0 x c zero.
+- The rank of a matrix with one row or one column is a nonzero test.
 - A product with a shared identity is the other operand itself.  The
   shared identities are told apart by object identity (their ids are
   recorded when they are built), never by scanning entries.
@@ -228,6 +242,7 @@ class Matrix:
     # -- basic algebra -------------------------------------------------------
 
     def mul(self, other: "Matrix") -> "Matrix":
+        _check_fields(self, other, "mul")
         if self.cols != other.rows:
             raise DimensionMismatch(f"({self.rows}x{self.cols}) * ({other.rows}x{other.cols})")
         if not (self.rows and self.cols and other.cols):
@@ -240,6 +255,7 @@ class Matrix:
                       _mul_entries(self.field, self.entries, other.entries, other.cols))
 
     def add(self, other: "Matrix") -> "Matrix":
+        _check_fields(self, other, "add")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix addition shape mismatch")
         f = self.field.add
@@ -247,6 +263,7 @@ class Matrix:
                       tuple(tuple(f(a, b) for a, b in zip(r, s)) for r, s in zip(self.entries, other.entries)))
 
     def sub(self, other: "Matrix") -> "Matrix":
+        _check_fields(self, other, "sub")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix subtraction shape mismatch")
         f = self.field.sub
@@ -269,12 +286,14 @@ class Matrix:
                       else tuple(() for _ in range(self.cols)) if self.cols else ())
 
     def hstack(self, other: "Matrix") -> "Matrix":
+        _check_fields(self, other, "hstack")
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
         return Matrix(self.field, self.rows, self.cols + other.cols,
                       tuple(r + s for r, s in zip(self.entries, other.entries)))
 
     def vstack(self, other: "Matrix") -> "Matrix":
+        _check_fields(self, other, "vstack")
         if self.cols != other.cols:
             raise DimensionMismatch("vstack column mismatch")
         rows = self.rows + other.rows
@@ -309,6 +328,13 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field})"
+
+
+def _check_fields(a: Matrix, b: Matrix, op: str):
+    """Raise InputError unless a and b are over the same field (a field is
+    determined by its characteristic)."""
+    if a.field.characteristic != b.field.characteristic:
+        raise InputError(f"{op}: a matrix over {a.field} with one over {b.field}")
 
 
 # Slot setters: __init__ writes the slots past the raising __setattr__.
@@ -391,8 +417,11 @@ def row_times(row, m: Matrix) -> tuple:
     return tuple([x if x.__class__ is int else _q(x) for x in acc])
 
 
+_ROW_OPS = {}  # characteristic -> (scale, axpy)
+
+
 def _row_ops(fld: FieldSpec):
-    """Row operations of the field, picked once per elimination.
+    """Row operations of the field, built once per field and shared.
 
     scale(c, row) returns c*row; axpy(row, c, nz) subtracts c times a pivot
     row from row in place, where nz lists the pivot row's nonzero
@@ -400,6 +429,9 @@ def _row_ops(fld: FieldSpec):
     since a - c*0 == a in both fields.  Over Q a result is put back into
     canonical form only when a Fraction took part: int arithmetic gives
     ints."""
+    ops = _ROW_OPS.get(fld.characteristic)
+    if ops is not None:
+        return ops
     if fld.kind == "prime-field":
         p = fld.characteristic
 
@@ -417,33 +449,32 @@ def _row_ops(fld: FieldSpec):
             for j, b in nz:
                 x = row[j] - c * b
                 row[j] = x if x.__class__ is int else _q(x)
-    return scale, axpy
+    ops = _ROW_OPS[fld.characteristic] = (scale, axpy)
+    return ops
 
 
-def _nonzeros(row) -> list:
-    return [(j, x) for j, x in enumerate(row) if x]
-
-
-def _eliminate(m: Matrix, with_transform: bool):
-    """Gauss-Jordan elimination of m on row lists.  Returns (work, pivots,
+def _eliminate(fld: FieldSpec, rows, cols: int, with_transform: bool):
+    """Gauss-Jordan elimination of the given rows (sequences of length
+    cols, any iterable of them) on row lists.  Returns (work, pivots,
     trans): the rows of the reduced row echelon form R, its pivot columns,
     and, with ``with_transform``, the rows of an invertible T with T*m = R
-    (otherwise None).  Rows of T below the pivot rows span the left kernel
-    of m.  Callers build only the matrices they return."""
-    fld = m.field
+    for m the matrix of the rows (otherwise None).  Callers build only the
+    matrices they return."""
     scale, axpy = _row_ops(fld)
-    zero, one = fld.zero(), fld.one()
-    work = [list(r) for r in m.entries]
+    one = fld.one()
+    work = [list(r) for r in rows]
+    n = len(work)
     trans = None
     if with_transform:
-        trans = [[zero] * m.rows for _ in range(m.rows)]
-        for i in range(m.rows):
+        zero = fld.zero()
+        trans = [[zero] * n for _ in range(n)]
+        for i in range(n):
             trans[i][i] = one
     pivots = []
     pr = 0
-    for pc in range(m.cols):
+    for pc in range(cols):
         sel = None
-        for i in range(pr, m.rows):
+        for i in range(pr, n):
             if work[i][pc]:
                 sel = i
                 break
@@ -454,13 +485,15 @@ def _eliminate(m: Matrix, with_transform: bool):
         if piv != one:
             iv = fld.inv(piv)
             work[pr] = scale(iv, work[pr])
-        work_nz = _nonzeros(work[pr])
+        # every row from pr on is zero before column pc
+        row = work[pr]
+        work_nz = [(j, row[j]) for j in range(pc, cols) if row[j]]
         if with_transform:
             trans[pr], trans[sel] = trans[sel], trans[pr]
             if piv != one:
                 trans[pr] = scale(iv, trans[pr])
-            trans_nz = _nonzeros(trans[pr])
-        for i in range(m.rows):
+            trans_nz = [(j, x) for j, x in enumerate(trans[pr]) if x]
+        for i in range(n):
             if i != pr and work[i][pc]:
                 c = work[i][pc]
                 axpy(work[i], c, work_nz)
@@ -468,7 +501,7 @@ def _eliminate(m: Matrix, with_transform: bool):
                     axpy(trans[i], c, trans_nz)
         pivots.append(pc)
         pr += 1
-        if pr == m.rows:
+        if pr == n:
             break
     return work, tuple(pivots), trans
 
@@ -488,7 +521,7 @@ def _rref_with_transform(m: Matrix, with_transform: bool = True):
     fld = m.field
     if not (m.rows and m.cols):
         return m, (), _identity(fld, m.rows) if with_transform else None
-    work, pivots, trans = _eliminate(m, with_transform)
+    work, pivots, trans = _eliminate(fld, m.entries, m.cols, with_transform)
     R = _rows_matrix(fld, m.cols, work)
     T = _rows_matrix(fld, m.rows, trans) if with_transform else None
     return R, pivots, T
@@ -502,41 +535,138 @@ def rref(m: Matrix):
 
 def independent_rows(above: Matrix, rows: Matrix) -> tuple:
     """Indices of the rows of ``rows`` independent modulo the span of
-    ``above`` and of the rows before them: the pivot columns of the
-    transpose of [above; rows] past above's rows, in one elimination."""
-    first = above.rows
-    return tuple(p - first for p in rref(above.vstack(rows).transpose())[1] if p >= first)
+    ``above`` and of the rows before them.
+
+    Each row of [above; rows], in order, is reduced against the normalized
+    echelon rows kept so far, taken in the order they were kept (each is
+    zero at the pivots of those before it, so one sweep clears every
+    pivot); a nonzero residual is normalized and kept, and its index is
+    returned when the row is one of ``rows``.  These are the pivot columns
+    of the transpose of [above; rows] past above's rows; no matrix is
+    built, and once the kept rows span K^n every later row is dependent."""
+    _check_fields(above, rows, "independent_rows")
+    if above.cols != rows.cols:
+        raise DimensionMismatch("independent_rows column mismatch")
+    fld = rows.field
+    scale, axpy = _row_ops(fld)
+    one, cols, first = fld.one(), rows.cols, above.rows
+    echelon = []  # (pivot column, nonzero (column, value) pairs), pivot entry one
+    kept = []
+    for i, row in enumerate(above.entries + rows.entries):
+        if len(echelon) == cols:
+            break
+        residual = list(row)
+        for pc, nz in echelon:
+            c = residual[pc]
+            if c:
+                axpy(residual, c, nz)
+        pc = next((j for j, x in enumerate(residual) if x), None)
+        if pc is None:
+            continue
+        if residual[pc] != one:
+            residual = scale(fld.inv(residual[pc]), residual)
+        echelon.append((pc, [(j, residual[j]) for j in range(pc, cols) if residual[j]]))
+        if i >= first:
+            kept.append(i - first)
+    return tuple(kept)
 
 
 def rank(m: Matrix) -> int:
+    """Rank of m; a matrix with one row or one column has rank 1 exactly
+    when it is nonzero, with no elimination."""
     if not (m.rows and m.cols):
         return 0
-    return len(_eliminate(m, False)[1])
+    if m.rows == 1 or m.cols == 1:
+        return 0 if m.is_zero() else 1
+    return len(_eliminate(m.field, m.entries, m.cols, False)[1])
 
 
 def row_space(m: Matrix) -> Matrix:
     """Canonical basis (rref rows) of the row span."""
     if not m.rows:
         return m
-    work, pivots, _ = _eliminate(m, False)
+    work, pivots, _ = _eliminate(m.field, m.entries, m.cols, False)
     return _rows_matrix(m.field, m.cols, work[:len(pivots)])
+
+
+def _null_space(fld: FieldSpec, eqs, n: int) -> Matrix:
+    """Basis of {x in K^n : e . x = 0 for every equation row e of eqs},
+    read off the free columns of R = rref(eqs) with no transform: for each
+    free column f in increasing order, the row with 1 at f, -R[k][f] at the
+    pivot column of each row k of R, and 0 elsewhere."""
+    work, pivots, _ = _eliminate(fld, eqs, n, False)
+    if not pivots:
+        return _identity(fld, n)
+    pivot_set = set(pivots)
+    free = [f for f in range(n) if f not in pivot_set]
+    if not free:
+        return _zeros(fld, 0, n)
+    neg, zero, one = fld.neg, fld.zero(), fld.one()
+    basis = []
+    for f in free:
+        v = [zero] * n
+        v[f] = one
+        for k, pc in enumerate(pivots):
+            if work[k][f]:
+                v[pc] = neg(work[k][f])
+        basis.append(tuple(v))
+    return Matrix(fld, len(free), n, tuple(basis))
+
+
+def solve_null_space(eqs: Matrix) -> Matrix:
+    """Basis of {x : eqs * x^T = 0}, one basis vector per row: the
+    solutions of the homogeneous system whose equations are the rows of
+    eqs, in one elimination of eqs with no transform.
+
+    Row count is cols(eqs) - rank(eqs); the rows are linearly independent.
+    The basis is the free-column basis of rref(eqs) (one row per non-pivot
+    column f, with 1 at f and 0 at every other non-pivot column), so which
+    basis comes out depends on the order of the unknowns, not only on the
+    solution space."""
+    return _null_space(eqs.field, eqs.entries, eqs.cols)
 
 
 def solve_right_kernel(m: Matrix) -> Matrix:
     """Basis of {v : v*m = 0}, one basis vector per row.
 
-    Row count is rows(m) - rank(m); the rows are linearly independent.
+    These are the solutions of the equations m^T, whose rows (the columns
+    of m) are eliminated as row lists with no transform and no transposed
+    Matrix; the basis is the free-column basis of rref(m^T), as in
+    ``solve_null_space``.  Row count is rows(m) - rank(m); the rows are
+    linearly independent.  The span is determined by m, the basis is not:
+    every basis built from it (Hom bases, Ext cocycle representatives,
+    resolution differentials) is basis-dependent, while dimensions and
+    verdicts are not.
     """
-    if not (m.rows and m.cols):
-        return _identity(m.field, m.rows)
-    _, pivots, trans = _eliminate(m, True)
-    return _rows_matrix(m.field, m.rows, trans[len(pivots):])
+    return _null_space(m.field, zip(*m.entries), m.rows)
+
+
+def rref_coordinates(basis: Matrix, b: Matrix):
+    """x with x*basis = b, or None when some row of b is not in the row
+    span of basis.  ``basis`` must be the nonzero rows of a reduced row
+    echelon form, as ``row_space`` returns them.
+
+    Row k of such a basis is the only one nonzero at its pivot column,
+    where it is 1, so x is b read at the pivot columns; x is accepted only
+    if x*basis == b, one product and no elimination."""
+    _check_fields(basis, b, "rref_coordinates")
+    if basis.cols != b.cols:
+        raise DimensionMismatch("rref_coordinates: cols(basis) != cols(b)")
+    fld = basis.field
+    pivots = [next(j for j, x in enumerate(r) if x) for r in basis.entries]
+    x = tuple(tuple([r[j] for j in pivots]) for r in b.entries)
+    if _mul_entries(fld, x, basis.entries, basis.cols) != b.entries:
+        return None
+    if not (b.rows and basis.rows):
+        return _zeros(fld, b.rows, basis.rows)
+    return Matrix(fld, b.rows, basis.rows, x)
 
 
 def solve_linear_system(a: Matrix, b: Matrix):
     """Find x with x*a = b.  Returns (x, kernel) where x is one particular
     solution (or None when unsolvable) and kernel is a basis of
     {v : v*a = 0}.  Requires cols(a) = cols(b)."""
+    _check_fields(a, b, "solve_linear_system")
     if a.cols != b.cols:
         raise DimensionMismatch("solve_linear_system: cols(a) != cols(b)")
     fld = a.field
@@ -544,9 +674,9 @@ def solve_linear_system(a: Matrix, b: Matrix):
         # every v*a is zero: b must be zero, and x = 0 is a solution
         kernel = _identity(fld, a.rows)
         return (_zeros(fld, b.rows, a.rows) if b.is_zero() else None), kernel
-    work, pivots, trans = _eliminate(a, True)
+    work, pivots, trans = _eliminate(fld, a.entries, a.cols, True)
     _, axpy = _row_ops(fld)
-    pivot_nz = [_nonzeros(work[k]) for k in range(len(pivots))]
+    pivot_nz = [[(j, x) for j, x in enumerate(work[k]) if x] for k in range(len(pivots))]
     kernel = _rows_matrix(fld, a.rows, trans[len(pivots):])
     zero = fld.zero()
     coeff_rows = []
@@ -581,7 +711,7 @@ def quotient_basis(sub: Matrix, ambient_dim: int):
     if not (sub.rows and sub.cols):
         ident = _identity(fld, ambient_dim)
         return ident, ident
-    work, pivots, _ = _eliminate(sub, False)
+    work, pivots, _ = _eliminate(fld, sub.entries, sub.cols, False)
     pivot_set = set(pivots)
     free = [j for j in range(ambient_dim) if j not in pivot_set]
     zero, one = fld.zero(), fld.one()

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field as _dc_field
 from .algebra import Algebra
 from .errors import ConsistencyError, DimensionMismatch, InputError
 from .linalg import (Matrix, independent_rows, intersect_subspaces,
-                     quotient_basis, rank, row_space, solve_linear_system, solve_right_kernel,
-                     sum_subspaces)
+                     quotient_basis, rank, row_space, rref_coordinates, solve_linear_system,
+                     solve_null_space, solve_right_kernel, sum_subspaces)
 
 
 @dataclass(frozen=True)
@@ -320,6 +320,14 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
 
 
 def _solve_hom_space(m: Representation, n: Representation) -> HomSpace:
+    """Hom(m, n) as the solutions of the naturality system T_s·B = A·T_t,
+    one equation per arrow a: s -> t and entry (i, j), with A and B the
+    matrices of a on m and n and the unknowns the entries of the T_v laid
+    out as ``_flatten_map``.  The equations go to ``solve_null_space`` as
+    they are, so one elimination with no transform or transpose solves
+    them.  The basis returned is the free-column basis of the reduced
+    system, ordered by the unknowns: every output read off individual basis
+    maps depends on that choice, while dim Hom does not."""
     alg = m.algebra
     fld = alg.field
     nvars = _entry_count(m, n)
@@ -352,11 +360,7 @@ def _solve_hom_space(m: Representation, n: Representation) -> HomSpace:
                         row[idx] = fld.sub(row[idx], A.entries[i][k])
                 if any(row):
                     rows.append(tuple(row))
-    if rows:
-        sys_m = Matrix(fld, len(rows), nvars, tuple(rows)).transpose()
-        ker = solve_right_kernel(sys_m)
-    else:
-        ker = Matrix.identity(fld, nvars)
+    ker = solve_null_space(Matrix(fld, len(rows), nvars, tuple(rows)))
     basis = tuple(_unflatten_map(m, n, r) for r in ker.entries)
     return HomSpace(m, n, basis)
 
@@ -367,7 +371,12 @@ def _solve_hom_space(m: Representation, n: Representation) -> HomSpace:
 def submodule_from_rows(m: Representation, rows_per_vertex: dict):
     """Subrepresentation spanned by the given rows (must be action-stable).
 
-    Returns (sub, inclusion).  Rows are echelonized per vertex first.
+    Returns (sub, inclusion).  Rows are echelonized per vertex first, so the
+    basis at each vertex is the RREF of the span (``row_space``) and does
+    not depend on the rows given, only on their span; each arrow matrix is
+    read off that basis by ``rref_coordinates``, one product per arrow and
+    no elimination.  Raises ConsistencyError when the span is not
+    action-stable.
     """
     alg = m.algebra
     fld = alg.field
@@ -377,7 +386,7 @@ def submodule_from_rows(m: Representation, rows_per_vertex: dict):
     mats = {}
     for name, s, t in alg.quiver.arrows:
         img = basis[s].mul(m.arrow_mats[name])
-        x, _ = solve_linear_system(basis[t], img)
+        x = rref_coordinates(basis[t], img)
         if x is None:
             raise ConsistencyError("rows do not span an action-stable subspace")
         mats[name] = x
@@ -401,7 +410,8 @@ def image(f: ModuleMap):
     img, incl = submodule_from_rows(f.target, rows)
     proj_mats = {}
     for v in alg.vertices:
-        x, _ = solve_linear_system(incl.mats[v], f.mats[v])
+        # incl.mats[v] is the RREF basis that submodule_from_rows built
+        x = rref_coordinates(incl.mats[v], f.mats[v])
         if x is None:
             raise ConsistencyError("image projection failed")
         proj_mats[v] = x

@@ -47,7 +47,11 @@ replaced, and block_matrix, the grid assembly of a matrix from blocks
 that writing each vertex's rows directly replaced, and
 reference_concentrated_h0 with reference_h0_match, H^0(q(R)) built as a
 module and matched with R_U by the library's exact isomorphism test,
-which the comparison map psi: q(R) -> R_U replaced.
+which the comparison map psi: q(R) -> R_U replaced, and
+reference_independent_rows, the pivot columns of one rref of the stacked
+transpose, which reducing each row against the echelon rows kept so far
+replaced.  oracle_rank and oracle_left_kernel also work over a prime
+field when given its characteristic.
 """
 
 from dataclasses import dataclass
@@ -172,14 +176,17 @@ def oracle_solve(rows, target):
     return coeff
 
 
-def oracle_left_kernel(rows):
-    """Basis of {v : v @ rows = 0} by eliminating an augmented identity."""
+def oracle_left_kernel(rows, char=0):
+    """Basis of {v : v @ rows = 0} by eliminating an augmented identity,
+    over Q, or over F_char when a prime characteristic is given (entries
+    are then integers)."""
     n = len(rows)
     if n == 0:
         return []
     width = len(rows[0])
-    aug = [[Fraction(x) for x in rows[i]] +
-           [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
+    num = (lambda x: int(x) % char) if char else Fraction
+    aug = [[num(x) for x in rows[i]] + [num(1 if j == i else 0) for j in range(n)]
+           for i in range(n)]
     rank = 0
     for c in range(width):
         piv = None
@@ -191,13 +198,29 @@ def oracle_left_kernel(rows):
             continue
         aug[rank], aug[piv] = aug[piv], aug[rank]
         pv = aug[rank][c]
-        aug[rank] = [x / pv for x in aug[rank]]
+        if char:
+            inv = pow(pv, -1, char)
+            aug[rank] = [x * inv % char for x in aug[rank]]
+        else:
+            aug[rank] = [x / pv for x in aug[rank]]
         for r in range(n):
             if r != rank and aug[r][c]:
                 f = aug[r][c]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[rank])]
+                if char:
+                    aug[r] = [a % char for a in aug[r]]
         rank += 1
     return [row[width:] for row in aug[rank:]]
+
+
+def reference_independent_rows(above, rows):
+    """independent_rows as the pivot columns of the transpose of
+    [above; rows] past above's rows, in one rref of the stacked transpose:
+    the definition that reducing each row against the echelon rows kept so
+    far replaced."""
+    from quivertilt.linalg import rref
+    first = above.rows
+    return tuple(p - first for p in rref(above.vstack(rows).transpose())[1] if p >= first)
 
 
 def oracle_tensor_dim(dim_x, dim_y, right_acts, left_acts, char=0):
@@ -513,7 +536,7 @@ def reference_triangle(alpha):
 
 
 def reference_summands(m, seed=0):
-    """Indecomposable summands (factor, inclusion, projection) by the plain
+    """Indecomposable summands (factor modules, in order) by the plain
     Fitting search: the Hom basis, sums and differences of pairs among its
     first eight elements, then 48 combinations drawn from Random(seed),
     each splitting m = ker(f^N) ⊕ im(f^N) through the library's kernel and
@@ -527,10 +550,7 @@ def reference_summands(m, seed=0):
     import random
     from quivertilt.errors import ConsistencyError
     from quivertilt.linalg import rank
-    from quivertilt.modules import _endo_radical, hom_space, identity_map, image, kernel
-
-    def split_projection(part_incl, other_incl):
-        return reference_split_projection(m, part_incl, other_incl)
+    from quivertilt.modules import _endo_radical, hom_space, image, kernel
 
     def fitting_split(f):
         n = m.total_dim
@@ -546,7 +566,7 @@ def reference_summands(m, seed=0):
         for v in m.algebra.vertices:
             if rank(ker_incl.mats[v].vstack(img_incl.mats[v])) != m.dims[v]:
                 return None
-        return ker_incl, img_incl
+        return ker_rep, img_rep
 
     def candidates(hs):
         yield from hs.basis
@@ -566,38 +586,14 @@ def reference_summands(m, seed=0):
         return []
     hs = hom_space(m, m)
     if hs.dim == 1:
-        return [(m, identity_map(m), identity_map(m))]
+        return [m]
     for f in candidates(hs):
         split = fitting_split(f)
-        if split is None:
-            continue
-        k_incl, i_incl = split
-        out = []
-        for part_incl, other_incl in ((k_incl, i_incl), (i_incl, k_incl)):
-            part_proj = split_projection(part_incl, other_incl)
-            for fac, sub_incl, sub_proj in reference_summands(part_incl.source, seed):
-                out.append((fac, sub_incl.compose(part_incl), part_proj.compose(sub_proj)))
-        return out
+        if split is not None:
+            return [fac for part in split for fac in reference_summands(part, seed)]
     if hs.dim - len(_endo_radical(m)) == 1:
-        return [(m, identity_map(m), identity_map(m))]
+        return [m]
     raise ConsistencyError("no Fitting split found and End/rad has dimension > 1")
-
-
-def reference_split_projection(m, part_incl, other_incl):
-    """Projection of m = part ⊕ other onto the part along the other: solve
-    id_m = x * [part; other] per vertex and take the part columns.  The
-    result is checked natural."""
-    from quivertilt.errors import ConsistencyError
-    from quivertilt.linalg import Matrix, solve_linear_system
-    from quivertilt.modules import ModuleMap
-    mats = {}
-    for v in m.algebra.vertices:
-        stacked = part_incl.mats[v].vstack(other_incl.mats[v])
-        x, _ = solve_linear_system(stacked, Matrix.identity(m.algebra.field, m.dims[v]))
-        if x is None:
-            raise ConsistencyError("split projection failed")
-        mats[v] = x.take_cols(range(part_incl.source.dims[v]))
-    return ModuleMap(m, part_incl.source, mats)
 
 
 def reference_in_add_of(x, t):

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from quivertilt.linalg import (GF, QQ, FieldSpec, Matrix, _eliminate, _mul_entries,
                                _rref_with_transform, independent_rows,
-                               intersect_subspaces, quotient_basis, rank, rref, row_space,
-                               row_times, solve_linear_system, solve_right_kernel,
-                               sum_subspaces)
+                               intersect_subspaces, quotient_basis, rank, rref,
+                               rref_coordinates, row_space, row_times, solve_linear_system,
+                               solve_null_space, solve_right_kernel, sum_subspaces)
 from quivertilt.errors import DimensionMismatch, InputError
 
 from oracles import (block_matrix, oracle_left_kernel, oracle_matmul, oracle_rank,
-                     oracle_solve, reference_quotient_projection)
+                     oracle_solve, reference_independent_rows, reference_quotient_projection)
 
 
 def M(field, rows):
@@ -476,7 +476,7 @@ def test_empty_shape_product_equals_oracle(pair):
 @settings(max_examples=100, deadline=None)
 @given(empty_shaped())
 def test_empty_shape_elimination_equals_general_path(m):
-    work, pivots, trans = _eliminate(m, True)
+    work, pivots, trans = _eliminate(m.field, m.entries, m.cols, True)
     R, fast_pivots, T = _rref_with_transform(m)
     assert fast_pivots == pivots == () and oracle_rank(as_lists(m)) == 0
     assert R == m == Matrix(m.field, m.rows, m.cols, tuple(map(tuple, work)))
@@ -527,3 +527,84 @@ def test_block_matrix_matches_stacking_and_rejects_ragged_grids():
     for ragged in ([[a, c]], [[a, b], [c]], [[a], [Matrix.zeros(QQ, 0, 3)]]):
         with pytest.raises(DimensionMismatch):
             block_matrix(QQ, ragged)
+
+
+# -- kernels by free columns, selection by reduction, RREF coordinates ----------
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrix())
+@example(Matrix.zeros(GF(2), 0, 3))
+@example(Matrix.zeros(GF(3), 3, 0))
+@example(Matrix.zeros(QQ, 0, 0))
+@example(Matrix.from_rows(GF(101), [[1, 2], [2, 4], [0, 0]]))
+def test_kernels_are_independent_annihilators_spanning_the_oracle_kernel(m):
+    """solve_right_kernel(m) and solve_null_space(m^T) give rows(m) - rank(m)
+    independent rows v with v*m = 0 that span the oracle's left kernel."""
+    char = m.field.characteristic
+    oracle = oracle_left_kernel(as_lists(m), char)
+    for kernel in (solve_right_kernel(m), solve_null_space(m.transpose())):
+        assert (kernel.rows, kernel.cols) == (m.rows - oracle_rank(as_lists(m), char), m.rows)
+        assert kernel.mul(m).is_zero()
+        assert oracle_rank(as_lists(kernel), char) == kernel.rows == len(oracle)
+        assert oracle_rank(as_lists(kernel) + oracle, char) == len(oracle)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_pair())
+@example((Matrix.zeros(QQ, 2, 0), Matrix.zeros(QQ, 3, 0)))
+@example((Matrix.zeros(GF(2), 0, 3), Matrix.zeros(GF(2), 0, 3)))
+@example((Matrix.from_rows(GF(3), [[1, 1, 0], [0, 1, 1]]),
+          Matrix.from_rows(GF(3), [[1, 2, 1], [1, 0, 2], [0, 0, 1], [1, 1, 1]])))
+@example((Matrix.identity(QQ, 2), Matrix.from_rows(QQ, [[1, 1], [0, 3]])))
+def test_independent_rows_equal_the_transpose_reference(pair):
+    above, rows = pair
+    assert independent_rows(above, rows) == reference_independent_rows(above, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rref_coordinates_equal_solve_on_row_space_bases(data):
+    """On a row_space basis, rref_coordinates gives solve_linear_system's x
+    (unique, the basis rows being independent), and None for a b with a row
+    off the span."""
+    m = data.draw(field_matrix())
+    fld, basis = m.field, row_space(m)
+    b = data.draw(field_matrix(fld, cols=basis.rows)).mul(basis)
+    x = rref_coordinates(basis, b)
+    assert x is not None and x == solve_linear_system(basis, b)[0]
+    assert x.mul(basis) == b
+    extra = b.vstack(data.draw(field_matrix(fld, rows=1, cols=m.cols)))
+    in_span = oracle_rank(as_lists(basis) + as_lists(extra), fld.characteristic) == basis.rows
+    got = rref_coordinates(basis, extra)
+    assert (got is not None) == in_span
+    assert got == solve_linear_system(basis, extra)[0]
+
+
+def test_rref_coordinates_reject_a_row_off_the_span():
+    basis = row_space(M(GF(5), [[1, 2, 0], [2, 4, 1]]))
+    assert rref_coordinates(basis, M(GF(5), [[0, 1, 0]])) is None
+    assert rref_coordinates(basis, M(GF(5), [[3, 1, 4]])) == M(GF(5), [[3, 4]])
+    assert rref_coordinates(Matrix.zeros(QQ, 0, 2), M(QQ, [[0, 1]])) is None
+    assert rref_coordinates(Matrix.zeros(QQ, 0, 2), Matrix.zeros(QQ, 3, 2)) == Matrix.zeros(QQ, 3, 0)
+
+
+HALF_Q = Matrix(QQ, 1, 2, ((Fraction(1, 2), 3),))
+ROW_GF5 = Matrix(GF(5), 1, 2, ((4, 4),))
+COL_GF5 = Matrix(GF(5), 2, 1, ((4,), (4,)))
+
+
+@pytest.mark.parametrize("op", [
+    lambda: HALF_Q.mul(COL_GF5),
+    lambda: HALF_Q.add(ROW_GF5),
+    lambda: HALF_Q.sub(ROW_GF5),
+    lambda: HALF_Q.hstack(COL_GF5.take_rows([0])),
+    lambda: HALF_Q.vstack(ROW_GF5),
+    lambda: solve_linear_system(ROW_GF5, HALF_Q),
+    lambda: independent_rows(HALF_Q, ROW_GF5),
+    lambda: rref_coordinates(row_space(ROW_GF5), HALF_Q),
+], ids=["mul", "add", "sub", "hstack", "vstack", "solve_linear_system", "independent_rows",
+        "rref_coordinates"])
+def test_mixed_field_operands_raise_input_error(op):
+    with pytest.raises(InputError, match="GF\\(5\\)"):
+        op()

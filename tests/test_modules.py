@@ -386,3 +386,31 @@ def test_block_assembly_writes_the_grid_and_checks_every_shape(field):
         _assemble_block_map(src, tgt, blocks[:2], src_reps[:2], tgt_reps)
     with pytest.raises(ConsistencyError):
         _assemble_block_map(src, tgt, [row[:2] for row in blocks], src_reps, tgt_reps[:2])
+
+
+@pytest.mark.parametrize("name", ["cycle2", "triple3", "a2"])
+def test_no_kernel_only_caller_carries_a_transform(monkeypatch, name):
+    """hom_space, min_resolution, kernel and submodule_from_rows eliminate
+    only without a transform: kernels come off the free columns of one RREF,
+    generators from independent_rows, and coordinates in an RREF basis off
+    its pivot columns."""
+    import quivertilt.linalg
+    from quivertilt.homology import min_resolution
+    from quivertilt.modules import submodule_from_rows
+    real = quivertilt.linalg._eliminate
+    flags = []
+
+    def recording(*args):
+        flags.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(quivertilt.linalg, "_eliminate", recording)
+    alg = fixture_algebra(name)
+    mods = [make(alg, v) for make in (projective, simple, injective) for v in alg.vertices]
+    for m in mods:
+        min_resolution(m, 4, require_finite=False)
+        for n in mods:
+            for f in hom_space(m, n).basis:
+                kernel(f)
+                submodule_from_rows(n, f.mats)
+    assert flags and not any(flags)

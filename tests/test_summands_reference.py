@@ -52,7 +52,7 @@ def _expected_factors(m):
     parts; for a direct sum, the expected factors of each part in order."""
     parts = m._caches.get("parts")
     if parts is None:
-        return [fac for fac, _, _ in reference_summands(m)]
+        return reference_summands(m)
     return [fac for part in parts for fac in _expected_factors(part)]
 
 

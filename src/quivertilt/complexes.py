@@ -19,11 +19,12 @@ from dataclasses import dataclass, field as _dc_field
 from .algebra import Algebra
 from .errors import ConsistencyError, DimensionMismatch, InputError
 from .linalg import rank, row_space, solve_linear_system, solve_right_kernel
-from .modules import (ModuleMap, Representation, _assemble_block_map, _same_module, identity_map,
-                      proj_sum, quotient, submodule_from_rows, zero_map)
+from .modules import (ModuleMap, Representation, _assemble_block_map, _same_module,
+                      hom_from_gens, identity_map, proj_sum, quotient, submodule_from_rows,
+                      zero_map)
 from .homology import (DEFAULT_RESOLUTION_BOUND, Resolution, _class_coords, _gen_rows,
                        _hom_basis, _hom_cohomology, _same_gen_rows, _split_gen_vector,
-                       gen_coords, hom_from_gens, min_resolution)
+                       gen_coords, min_resolution)
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,14 @@ realization, universal extensions and left add-approximations.
 Resolutions are built from projective sums (``modules.proj_sum``): a term
 knows the list of vertices its generators sit at, which makes Hom out of it
 free data (a map from ⊕P_v is determined by arbitrary images of the
-generators).  Ext is computed from a resolution of the first argument
-only, as H^n of a Hom complex whose dimension is read off the ranks of its
-two differentials; cocycle classes are built only when a caller first asks
-for them.  Tor tensors the same resolution with a left module Y through
-e_vA ⊗_A Y ≅ e_vY, so each term P_k ⊗_A Y is a sum of vertex components of
-Y.  The minimal left add(T)-approximation of ⊕_k P_{v_k} is chosen one
+generators).  Each cover hands the kernels of its map to the next step,
+so a resolution eliminates each vertex of each term once, and the pushout
+that realizes an extension is one cokernel.  Ext is computed from a
+resolution of the first argument only, as H^n of a Hom complex whose
+dimension is read off the ranks of its two differentials; cocycle classes
+are built only when a caller first asks for them.  Tor tensors the same
+resolution with a left module Y through e_vA ⊗_A Y ≅ e_vY, so each term
+P_k ⊗_A Y is a sum of vertex components of Y.  The minimal left add(T)-approximation of ⊕_k P_{v_k} is chosen one
 vertex at a time: by Yoneda Hom(P_v, T_j) = (T_j)_v, its radical is
 (U_j)_v with U_j the sum of the images of the radical maps of add T into
 T_j, and the copies of T_j kept at v_k are a basis of (T_j/U_j)_{v_k}.
@@ -26,32 +28,14 @@ from .errors import BoundExceeded, ConsistencyError, InputError
 from .linalg import (Matrix, independent_rows, quotient_basis, rank, row_space, row_times,
                      solve_linear_system, solve_right_kernel)
 from .modules import (HomSpace, ModuleMap, ProjSum, Representation, _assemble_block_map,
-                      _block_maps, _endo_radical, decompose, direct_sum, direct_sum_with_maps,
-                      hom_space, identity_map, image, proj_sum, quotient, submodule_from_rows,
-                      zero_map)
+                      _block_maps, _endo_radical, _quotient, decompose,
+                      direct_sum, hom_from_gens, hom_space, identity_map, proj_sum,
+                      submodule_from_rows, zero_map)
 
 DEFAULT_RESOLUTION_BOUND = 32
 
 
 # -- maps out of projective sums ------------------------------------------------
-
-
-def hom_from_gens(psum: ProjSum, n: Representation, images) -> ModuleMap:
-    """Module map ⊕P_{v_j} -> n with prescribed generator images (row
-    vectors of length n.dims[v_j]).  Any images define a module map, as
-    ⊕P_{v_j} is free on its generators (Yoneda: Hom(P_v, n) = n_v).  The
-    row of basis element (j, i) is images[j] times the action of the path
-    i, one ``row_times`` each; no 1 x n matrix is built."""
-    alg = psum.algebra
-    if n.algebra is not alg:
-        raise InputError("module map between different algebras")
-    fld = alg.field
-    mats = {}
-    for w in alg.vertices:
-        # n.basis_action(i) is n.dims[gens[j]] x n.dims[w]
-        rows = tuple(row_times(images[j], n.basis_action(i)) for j, i in psum.layout[w])
-        mats[w] = Matrix(fld, len(rows), n.dims[w], rows)
-    return ModuleMap._trusted(psum.rep, n, mats)
 
 
 def gen_coords(psum: ProjSum, f: ModuleMap) -> tuple:
@@ -101,14 +85,23 @@ def projective_cover(m: Representation):
     in rad P.  The cover of all of m, by _cover."""
     if m.total_dim == 0:
         raise InputError("projective cover of the zero module")
-    return _cover(m, {v: Matrix.identity(m.algebra.field, m.dims[v]) for v in m.algebra.vertices})
+    psum, epi, _ = _cover(m, {v: Matrix.identity(m.algebra.field, m.dims[v])
+                              for v in m.algebra.vertices})
+    return psum, epi
 
 
 def _cover(m: Representation, rows: dict):
-    """(P, d) with d: P -> m the projective cover of the submodule K of m
-    with basis rows[v] at each vertex v, in m's coordinates.  rad K at w is
-    the sum of K_v * a over the arrows a: v -> w; the generators at w are
-    the rows of K_w independent modulo it.  Checked: rank d_v = dim K_v."""
+    """(P, d, ker) with d: P -> m the projective cover of the submodule K of
+    m with basis rows[v] at each vertex v, in m's coordinates, and ker[v] =
+    solve_right_kernel(d_v), the rows of the next step.  rad K at w is the
+    sum of K_v * a over the arrows a: v -> w; the generators at w are the
+    rows of K_w independent modulo it.
+
+    Each d_v is eliminated once, for its kernel: the onto check reads
+    dim P_v - dim ker d_v = dim K_v, which is rank d_v = dim K_v by
+    rank-nullity.  The kernel basis is the free-column basis of that
+    elimination, so the next term's generator images depend on it, while
+    the terms' generator vertices do not."""
     alg = m.algebra
     gens, images = [], []
     for w in alg.vertices:
@@ -123,9 +116,10 @@ def _cover(m: Representation, rows: dict):
             images.append(rows[w].entries[k])
     psum = proj_sum(alg, gens)
     d = hom_from_gens(psum, m, images)
-    if any(rank(d.mats[v]) != rows[v].rows for v in alg.vertices):
+    ker = {v: solve_right_kernel(d.mats[v]) for v in alg.vertices}
+    if any(psum.rep.dims[v] - ker[v].rows != rows[v].rows for v in alg.vertices):
         raise ConsistencyError("projective cover map is not onto its submodule")
-    return psum, d
+    return psum, d, ker
 
 
 def _gen_rows(psum: ProjSum, f: ModuleMap | None, g: ModuleMap | None) -> tuple | None:
@@ -189,24 +183,25 @@ def min_resolution(m: Representation, max_len: int = DEFAULT_RESOLUTION_BOUND,
 def _resolve(m: Representation, max_len: int) -> Resolution:
     """Minimal resolution of m up to the term P_max_len.  Each kernel
     K = ker d_{k-1} is covered inside P_{k-1}, as row bases (_cover); no
-    kernel module is built.  Checked: K lies in rad P_{k-1}, d_k maps onto
-    K, and d_k∘d_{k-1} = 0 on the generators of P_k: so the resolution is
-    minimal and exact."""
+    kernel module is built.  The kernels are those _cover computed for its
+    onto check, so each vertex of each term is eliminated once.  Checked:
+    K lies in rad P_{k-1}, d_k maps onto K, and d_k∘d_{k-1} = 0 on the
+    generators of P_k: so the resolution is minimal and exact."""
     alg = m.algebra
     if m.total_dim == 0:
         empty = proj_sum(alg, ())
         return Resolution(m, (empty,), (), zero_map(empty.rep, m), True)
-    p0, augment = projective_cover(m)
+    p0, augment, ker = _cover(m, {v: Matrix.identity(alg.field, m.dims[v])
+                                  for v in alg.vertices})
     terms, diffs = [p0], []
     prev = augment
     while True:
-        ker = {v: solve_right_kernel(prev.mats[v]) for v in alg.vertices}
         if all(r.rows == 0 for r in ker.values()):
             return Resolution(m, tuple(terms), tuple(diffs), augment, True)
         if len(diffs) == max_len:
             return Resolution(m, tuple(terms), tuple(diffs), augment, False)
         _assert_in_radical(terms[-1], ker)
-        pk, d = _cover(terms[-1].rep, ker)
+        pk, d, ker = _cover(terms[-1].rep, ker)
         if not _same_gen_rows(_gen_rows(pk, d, prev), None):
             raise ConsistencyError("resolution: d∘d != 0")
         diffs.append(d)
@@ -631,35 +626,47 @@ def realize_extension(c: ExtClass) -> ShortExact:
 
 
 def _pushout(res: Resolution, cocycle: ModuleMap):
-    """(E, n -> E, E -> m): the pushout of the syzygy inclusion of m's
-    resolution along a cocycle P_1 -> n."""
+    """(E, n -> E, E -> m): the pushout of the syzygy inclusion Ω -> P_0 of
+    m's resolution along a cocycle c: P_1 -> n, as one cokernel: E is
+    (n ⊕ P_0) / im ψ with ψ = (-c, d_1): P_1 -> n ⊕ P_0, built from its
+    generator images (``hom_from_gens``).
+
+    P_1 maps onto Ω, so im ψ is the graph {(-φ(y), y) : y ∈ Ω} of the map
+    φ: Ω -> n that c factors through.  Its RREF basis at each vertex is the
+    one elimination of the pushout (``row_space`` in submodule_from_rows);
+    the quotient reads its pivots, and E's basis is the free coordinates of
+    that RREF, so E depends on the span only.  E -> m descends from
+    (0, augment): at each vertex it is section_v · (0; augment_v), the
+    unique solution, since the projection onto E is onto.
+
+    Checked: c∘d_2 = 0 on the generators of P_2, so that c vanishes on
+    ker d_1 = im d_2 and φ exists; a resolution that neither reaches P_2
+    nor is complete raises InputError.  E -> m is validated as a ModuleMap,
+    and ShortExact (in realize_extension) checks exactness."""
     m, n = res.module, cocycle.target
     alg = m.algebra
-    d1 = res.diffs[0] if res.length >= 1 else zero_map(proj_sum(alg, ()).rep, res.terms[0].rep)
-    omega, om_incl, om_proj = image(d1)
-    # factor the cocycle through omega: cocycle = om_proj then phi
-    phi = ModuleMap(omega, n, {v: _left_divide(om_proj.mats[v], cocycle.mats[v])
-                               for v in alg.vertices})
-    # pushout of (omega -> P0) along phi
-    total, incls, projs = direct_sum_with_maps([n, res.terms[0].rep])
-    graph = ModuleMap(omega, total,
-                      {v: phi.mats[v].neg().hstack(om_incl.mats[v]) for v in alg.vertices})
-    _, gincl = submodule_from_rows(total, graph.mats)
-    e_rep, to_e = quotient(total, gincl)
-    # projection E -> m descends from (0, augment)
-    big = ModuleMap(total, m,
-                    {v: Matrix.zeros(alg.field, n.dims[v], m.dims[v]).vstack(res.augment.mats[v])
-                     for v in alg.vertices})
-    proj_mats = {v: _left_divide(to_e.mats[v], big.mats[v]) for v in alg.vertices}
-    return e_rep, incls[0].compose(to_e), ModuleMap(e_rep, m, proj_mats)
-
-
-def _left_divide(a: Matrix, b: Matrix) -> Matrix:
-    """Solve a * x = b for x (a has full column-relevant rank on the left)."""
-    x, _ = solve_linear_system(a.transpose(), b.transpose())
-    if x is None:
-        raise ConsistencyError("left division failed")
-    return x.transpose()
+    fld = alg.field
+    if res.length >= 2:
+        if not _same_gen_rows(_gen_rows(res.terms[2], res.diffs[1], cocycle), None):
+            raise ConsistencyError("cocycle does not vanish on the image of d_2")
+    elif not res.complete:
+        raise InputError("the pushout needs the resolution through P_2")
+    p1 = res.terms[1] if res.length >= 1 else proj_sum(alg, ())
+    total = direct_sum([n, res.terms[0].rep])
+    neg = fld.neg
+    psi = hom_from_gens(p1, total, [tuple(neg(x) for x in cocycle.mats[v].entries[r])
+                                    + res.diffs[0].mats[v].entries[r] for v, r in p1.gen_pos])
+    _, gincl = submodule_from_rows(total, psi.mats)
+    e_rep, to_e, sections = _quotient(total, gincl)
+    # n -> n ⊕ P_0 -> E: the first dim n_v rows of the projection
+    incl = ModuleMap._trusted(n, e_rep, {v: to_e.mats[v].take_rows(range(n.dims[v]))
+                                         for v in alg.vertices})
+    proj = ModuleMap(e_rep, m, {
+        v: Matrix(fld, sections[v].rows, m.dims[v],
+                  tuple(row_times(s[n.dims[v]:], res.augment.mats[v])
+                        for s in sections[v].entries))
+        for v in alg.vertices})
+    return e_rep, incl, proj
 
 
 def _lift(psum: ProjSum, f: ModuleMap, g: ModuleMap) -> ModuleMap:
@@ -714,7 +721,9 @@ def universal_extension(m: Representation, x: Representation,
     """Universal extension 0 -> x -> N -> m^k -> 0 killing Ext^1(m, x).
 
     k is dim_K Ext^1(m, x) when End(m) is one-dimensional; otherwise a
-    greedy End(m)-generating set of Ext^1(m, x) is used.  The
+    greedy End(m)-generating set of Ext^1(m, x) is used.  For k = 1 the
+    class is realized on m's own resolution, so the right term is m itself;
+    for k > 1 it is the direct_sum of k copies of m.  The
     post-condition Ext^1(m, N) = 0 is asserted.  It needs Ext^1(m, m) = 0,
     as in Bongartz's construction: the sequence embeds Ext^1(m, N) in
     Ext^1(m, m)^k.  When it fails, a nonzero Ext^1(m, m) raises InputError.
@@ -725,14 +734,14 @@ def universal_extension(m: Representation, x: Representation,
                              zero_map(x, zero_module(m.algebra)))
     end = hom_space(m, m)
     gens = list(space.classes) if end.dim == 1 else _end_generating_classes(m, space, end)
-    k = len(gens)
-    res_k = _resolution_power(space.resolution, k)
-    p1 = res_k.terms[1]
-    # stacked cocycle on P1^k
-    images = [g.cocycle.mats[v].entries[r] for g in gens
-              for v, r in space.resolution.terms[1].gen_pos]
-    cocycle = hom_from_gens(p1, x, images)
-    cls = ExtClass(res_k, 1, x, cocycle)
+    if len(gens) == 1:
+        cls = gens[0]
+    else:
+        res_k = _resolution_power(space.resolution, len(gens))
+        # stacked cocycle on P1^k
+        images = [g.cocycle.mats[v].entries[r] for g in gens
+                  for v, r in space.resolution.terms[1].gen_pos]
+        cls = ExtClass(res_k, 1, x, hom_from_gens(res_k.terms[1], x, images))
     ses = realize_extension(cls)
     n_mod = ses.mid
     if ext_dim(1, m, n_mod, bound, resolution=space.resolution):
@@ -846,6 +855,8 @@ def _left_approximation(x: Representation, factors: list, between: list):
                                      else (fld.zero(),) * factors[j].dims[w]))
                      for k, i in p0.layout[w])
         mats[w] = Matrix(fld, len(rows), t0.dims[w], rows)
-        if cover.mats[w] != Matrix.identity(fld, x.dims[w]):  # ⊕_k P_{v_k} in another basis
-            mats[w] = _left_divide(cover.mats[w], mats[w])
+        ident = Matrix.identity(fld, x.dims[w])
+        if cover.mats[w] != ident:  # ⊕_k P_{v_k} in another basis: rebase by cover⁻¹
+            inverse, _ = solve_linear_system(cover.mats[w], ident)
+            mats[w] = inverse.mul(mats[w])
     return ModuleMap._trusted(x, t0, mats), tuple(j for j, _, _ in copies)

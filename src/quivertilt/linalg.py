@@ -32,7 +32,9 @@ Each routine eliminates once and computes only what it returns:
   free columns of one RREF, with no transform; ``solve_right_kernel``
   eliminates the columns of m as row lists, so no transpose is built.
 - ``rref``, ``rank``, ``row_space``, ``sum_subspaces`` and
-  ``quotient_basis`` reduce the matrix alone.
+  ``quotient_basis`` reduce the matrix alone.  Input already in echelon
+  form is not reduced again: ``rank`` counts the nonzero rows of a row
+  echelon form, and ``quotient_basis`` reads the pivots of an RREF basis.
 - ``independent_rows`` reduces each row against the echelon rows kept so
   far, with no stacked matrix, transpose or RREF.
 - ``rref_coordinates`` reads coordinates in an RREF basis at its pivot
@@ -571,13 +573,61 @@ def independent_rows(above: Matrix, rows: Matrix) -> tuple:
     return tuple(kept)
 
 
+def _leading_column(row):
+    """Index of the first nonzero entry of row, or None for a zero row."""
+    for j, x in enumerate(row):
+        if x:
+            return j
+    return None
+
+
+def _echelon_rank(rows):
+    """The number of nonzero rows when their leading columns strictly
+    increase (a row echelon form, zero rows anywhere), else None.  Such
+    rows are independent, so the count is the rank."""
+    last, count = -1, 0
+    for r in rows:
+        lead = _leading_column(r)
+        if lead is None:
+            continue
+        if lead <= last:
+            return None
+        last, count = lead, count + 1
+    return count
+
+
+def _rref_pivots(rows, one):
+    """The pivot columns of rows that are the nonzero rows of a reduced row
+    echelon form (each row nonzero with leading entry one, leading columns
+    strictly increasing, every other row zero at each leading column),
+    else None.  Rows below a row lead past its leading column, so only the
+    rows above are checked there."""
+    pivots = []
+    for r in rows:
+        lead = _leading_column(r)
+        if lead is None or r[lead] != one or (pivots and lead <= pivots[-1]):
+            return None
+        pivots.append(lead)
+    for k, pc in enumerate(pivots):
+        if any(rows[i][pc] for i in range(k)):
+            return None
+    return tuple(pivots)
+
+
 def rank(m: Matrix) -> int:
-    """Rank of m; a matrix with one row or one column has rank 1 exactly
-    when it is nonzero, with no elimination."""
+    """Rank of m, with one elimination at most.  Two exact tests come
+    first and need none: a matrix with one row or one column has rank 1
+    exactly when it is nonzero, and a matrix in row echelon form (nonzero
+    rows with strictly increasing leading columns, such as the RREF bases
+    of ``row_space`` and ``submodule_from_rows``) has the count of its
+    nonzero rows.  Any other matrix is eliminated."""
     if not (m.rows and m.cols):
         return 0
     if m.rows == 1 or m.cols == 1:
         return 0 if m.is_zero() else 1
+    r = _echelon_rank(m.entries)
+    if r is not None:
+        return r
     return len(_eliminate(m.field, m.entries, m.cols, False)[1])
 
 
@@ -653,7 +703,7 @@ def rref_coordinates(basis: Matrix, b: Matrix):
     if basis.cols != b.cols:
         raise DimensionMismatch("rref_coordinates: cols(basis) != cols(b)")
     fld = basis.field
-    pivots = [next(j for j, x in enumerate(r) if x) for r in basis.entries]
+    pivots = [_leading_column(r) for r in basis.entries]
     x = tuple(tuple([r[j] for j in pivots]) for r in b.entries)
     if _mul_entries(fld, x, basis.entries, basis.cols) != b.entries:
         return None
@@ -704,6 +754,12 @@ def quotient_basis(sub: Matrix, ambient_dim: int):
     of the q coordinates that are not pivots of `sub`; projection is the
     n x q matrix of the quotient map in coordinates.  Identities:
     section*projection = I_q and sub*projection = 0.
+
+    A ``sub`` that is already the nonzero rows of an RREF (checked: unit
+    pivots, pivot columns otherwise zero), as ``row_space`` returns it, is
+    not eliminated again: its pivots are read off.  Any other ``sub`` is
+    eliminated once.  Both give the same RREF of the span, so the section
+    and projection depend on the span of ``sub`` only.
     """
     fld = sub.field
     if sub.cols != ambient_dim:
@@ -711,7 +767,9 @@ def quotient_basis(sub: Matrix, ambient_dim: int):
     if not (sub.rows and sub.cols):
         ident = _identity(fld, ambient_dim)
         return ident, ident
-    work, pivots, _ = _eliminate(fld, sub.entries, sub.cols, False)
+    work, pivots = sub.entries, _rref_pivots(sub.entries, fld.one())
+    if pivots is None:
+        work, pivots, _ = _eliminate(fld, sub.entries, sub.cols, False)
     pivot_set = set(pivots)
     free = [j for j in range(ambient_dim) if j not in pivot_set]
     zero, one = fld.zero(), fld.one()

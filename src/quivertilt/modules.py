@@ -4,6 +4,10 @@ A representation assigns a vector space dimension to every vertex and a
 matrix to every arrow; module elements are row vectors per vertex and an
 arrow s -> t acts by right multiplication with a dims(s) x dims(t) matrix.
 
+Hom out of a module built by ``proj_sum`` is read off its generators by
+Yoneda (``hom_from_gens``); any other Hom space solves the naturality
+system.
+
 Membership in add(T) is decided by the minimal right add(T)-approximation
 (``right_add_approximation``): x is in add(T) exactly when it is an
 isomorphism, so x is never decomposed; the Krull-Schmidt decomposition
@@ -22,9 +26,9 @@ from dataclasses import dataclass, field as _dc_field
 
 from .algebra import Algebra
 from .errors import ConsistencyError, DimensionMismatch, InputError
-from .linalg import (Matrix, independent_rows, intersect_subspaces,
-                     quotient_basis, rank, row_space, rref_coordinates, solve_linear_system,
-                     solve_null_space, solve_right_kernel, sum_subspaces)
+from .linalg import (Matrix, _null_space, independent_rows, intersect_subspaces,
+                     quotient_basis, rank, row_space, row_times, rref_coordinates,
+                     solve_linear_system, solve_right_kernel, sum_subspaces)
 
 
 @dataclass(frozen=True)
@@ -33,6 +37,11 @@ class Representation:
     dims: dict  # vertex -> dimension
     arrow_mats: dict  # arrow name -> Matrix dims(s) x dims(t)
     _caches: dict = _dc_field(default_factory=dict, compare=False, repr=False)
+    # (gens, layout, gen_pos) of the projective sum proj_sum built this
+    # module as, else None (the class default, which _trusted leaves in
+    # place): a field, not a cache entry, and no ProjSum, which would hold
+    # the module
+    _proj_sum: tuple = _dc_field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         alg = self.algebra
@@ -303,7 +312,16 @@ def _unflatten_map(m: Representation, n: Representation, flat) -> ModuleMap:
 
 
 def hom_space(m: Representation, n: Representation) -> HomSpace:
-    """Solve the naturality system; exact basis of Hom(m, n).
+    """Exact basis of Hom(m, n).
+
+    Out of a module built by ``proj_sum`` the basis is read off by Yoneda,
+    Hom(⊕_j P_{v_j}, n) = ⊕_j n_{v_j}: one map per generator j and unit
+    vector of n_{v_j}, in that order, each sending generator j to the unit
+    vector and the others to 0 (``hom_from_gens``), with no elimination:
+    Hom through a presentation with no relations (P_1 = 0).  Any other m
+    solves the naturality system (``_solve_hom_space``).  The two routes
+    span the same space but give different bases: every output read off
+    individual basis maps depends on the route, while dim Hom does not.
 
     End(m), asked for with n the same object as m, is memoized in m's
     cache; a HomSpace is immutable, so every caller may share it.  Other
@@ -312,22 +330,42 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
     if m.algebra is not n.algebra:
         raise InputError("hom_space across different algebras")
     if n is not m:
-        return _solve_hom_space(m, n)
+        return _hom_space(m, n)
     hs = m._caches.get("end")
     if hs is None:
-        hs = m._caches["end"] = _solve_hom_space(m, m)
+        hs = m._caches["end"] = _hom_space(m, m)
     return hs
+
+
+def _hom_space(m: Representation, n: Representation) -> HomSpace:
+    """Hom(m, n) by Yoneda when m is marked by ``proj_sum``, else by
+    ``_solve_hom_space``."""
+    if m._proj_sum is None:
+        return _solve_hom_space(m, n)
+    gens, layout, gen_pos = m._proj_sum
+    psum = ProjSum(m.algebra, gens, m, layout, gen_pos)
+    fld = m.algebra.field
+    zero, one = fld.zero(), fld.one()
+    zeros = [(zero,) * n.dims[v] for v in gens]
+    basis = []
+    for j, v in enumerate(gens):
+        for k in range(n.dims[v]):
+            images = list(zeros)
+            images[j] = tuple(one if c == k else zero for c in range(n.dims[v]))
+            basis.append(hom_from_gens(psum, n, images))
+    return HomSpace(m, n, tuple(basis))
 
 
 def _solve_hom_space(m: Representation, n: Representation) -> HomSpace:
     """Hom(m, n) as the solutions of the naturality system T_s·B = A·T_t,
     one equation per arrow a: s -> t and entry (i, j), with A and B the
     matrices of a on m and n and the unknowns the entries of the T_v laid
-    out as ``_flatten_map``.  The equations go to ``solve_null_space`` as
-    they are, so one elimination with no transform or transpose solves
-    them.  The basis returned is the free-column basis of the reduced
-    system, ordered by the unknowns: every output read off individual basis
-    maps depends on that choice, while dim Hom does not."""
+    out as ``_flatten_map``.  The nonzero equations, built as lists, go to
+    the null-space routine as they are: one elimination with no transform,
+    transpose or intermediate matrix solves them.  The basis returned is
+    the free-column basis of the reduced system, ordered by the unknowns:
+    every output read off individual basis maps depends on that choice,
+    while dim Hom does not."""
     alg = m.algebra
     fld = alg.field
     nvars = _entry_count(m, n)
@@ -343,24 +381,27 @@ def _solve_hom_space(m: Representation, n: Representation) -> HomSpace:
     rows = []
     zero = fld.zero()
     for name, s, t in alg.quiver.arrows:
-        A = m.arrow_mats[name]      # dims_m(s) x dims_m(t)
-        B = n.arrow_mats[name]      # dims_n(s) x dims_n(t)
+        A = m.arrow_mats[name].entries      # dims_m(s) x dims_m(t)
+        B = n.arrow_mats[name].entries      # dims_n(s) x dims_n(t)
+        ns, nt = n.dims[s], n.dims[t]
         # constraint: T_s * B - A * T_t = 0, one equation per (i, j)
         for i in range(m.dims[s]):
-            for j in range(n.dims[t]):
+            arow = A[i]
+            for j in range(nt):
                 row = [zero] * nvars
                 # (T_s * B)[i][j] = sum_k T_s[i][k] B[k][j]
-                for k in range(n.dims[s]):
-                    if B.entries[k][j]:
-                        row[var_off[s] + i * n.dims[s] + k] = B.entries[k][j]
+                base = var_off[s] + i * ns
+                for k in range(ns):
+                    if B[k][j]:
+                        row[base + k] = B[k][j]
                 # -(A * T_t)[i][j] = -sum_k A[i][k] T_t[k][j]
-                for k in range(m.dims[t]):
-                    if A.entries[i][k]:
-                        idx = var_off[t] + k * n.dims[t] + j
-                        row[idx] = fld.sub(row[idx], A.entries[i][k])
+                for k, a in enumerate(arow):
+                    if a:
+                        idx = var_off[t] + k * nt + j
+                        row[idx] = fld.sub(row[idx], a)
                 if any(row):
-                    rows.append(tuple(row))
-    ker = solve_null_space(Matrix(fld, len(rows), nvars, tuple(rows)))
+                    rows.append(row)
+    ker = _null_space(fld, rows, nvars)
     basis = tuple(_unflatten_map(m, n, r) for r in ker.entries)
     return HomSpace(m, n, basis)
 
@@ -422,16 +463,26 @@ def image(f: ModuleMap):
 
 def quotient(m: Representation, sub_incl: ModuleMap):
     """(m/sub, projection).  sub_incl must be an injective map into m."""
+    q, proj, _ = _quotient(m, sub_incl)
+    return q, proj
+
+
+def _quotient(m: Representation, sub_incl: ModuleMap):
+    """(m/sub, projection, sections): ``quotient`` with the section of
+    ``quotient_basis`` at each vertex, a right inverse of the projection.
+
+    An inclusion whose matrices are RREF bases, as ``submodule_from_rows``
+    builds them, is eliminated nowhere here: its injectivity check reads
+    the rank off the leading columns and ``quotient_basis`` reads the
+    pivots."""
     if not _same_module(sub_incl.target, m):
         raise InputError("quotient: inclusion does not land in the module")
     if not sub_incl.is_injective():
         raise InputError("quotient by a non-injective map")
     alg = m.algebra
-    fld = alg.field
     sections, projs = {}, {}
     for v in alg.vertices:
-        sec, proj = quotient_basis(sub_incl.mats[v], m.dims[v])
-        sections[v], projs[v] = sec, proj
+        sections[v], projs[v] = quotient_basis(sub_incl.mats[v], m.dims[v])
     dims = {v: sections[v].rows for v in alg.vertices}
     mats = {}
     for name, s, t in alg.quiver.arrows:
@@ -440,11 +491,12 @@ def quotient(m: Representation, sub_incl: ModuleMap):
     # action descends to the quotient and the projection is natural
     q = Representation._trusted(alg, dims, mats)
     proj_map = ModuleMap._trusted(m, q, {v: projs[v] for v in alg.vertices})
-    return q, proj_map
+    return q, proj_map, sections
 
 
 def cokernel(f: ModuleMap):
-    """(coker, projection target -> coker)."""
+    """(coker, projection target -> coker): the quotient by the RREF basis
+    of the image, so each vertex is eliminated once, in ``row_space``."""
     _, incl = submodule_from_rows(f.target, f.mats)
     return quotient(f.target, incl)
 
@@ -478,14 +530,6 @@ def direct_sum(summands):
     total = Representation._trusted(alg, dims, mats)
     total._caches["parts"] = summands
     return total
-
-
-def direct_sum_with_maps(summands):
-    """(sum, inclusions, projections): the direct sum and the split pair of
-    each summand, in order."""
-    total = direct_sum(summands)
-    incls, projs = _block_maps(total)
-    return total, incls, projs
 
 
 def _block_maps(total: Representation):
@@ -609,7 +653,27 @@ def proj_sum(alg: Algebra, gens) -> ProjSum:
     # right multiplication by arrows on paths: valid by the verified algebra
     rep = Representation._trusted(alg, dims, mats)
     gen_pos = tuple((v, pos[(j, alg.vertex_idempotent(v))]) for j, v in enumerate(gens))
+    # the mark hom_space reads; it holds no ProjSum, which would hold rep
+    object.__setattr__(rep, "_proj_sum", (gens, layout, gen_pos))
     return ProjSum(alg, gens, rep, layout, gen_pos)
+
+
+def hom_from_gens(psum: ProjSum, n: Representation, images) -> ModuleMap:
+    """Module map ⊕P_{v_j} -> n with prescribed generator images (row
+    vectors of length n.dims[v_j]).  Any images define a module map, as
+    ⊕P_{v_j} is free on its generators (Yoneda: Hom(P_v, n) = n_v).  The
+    row of basis element (j, i) is images[j] times the action of the path
+    i, one ``row_times`` each; no 1 x n matrix is built."""
+    alg = psum.algebra
+    if n.algebra is not alg:
+        raise InputError("module map between different algebras")
+    fld = alg.field
+    mats = {}
+    for w in alg.vertices:
+        # n.basis_action(i) is n.dims[gens[j]] x n.dims[w]
+        rows = tuple(row_times(images[j], n.basis_action(i)) for j, i in psum.layout[w])
+        mats[w] = Matrix(fld, len(rows), n.dims[w], rows)
+    return ModuleMap._trusted(psum.rep, n, mats)
 
 
 # -- trace, radical, socle, top -------------------------------------------------

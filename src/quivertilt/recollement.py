@@ -59,13 +59,13 @@ from .complexes import (ChainMap, PerfectComplex, _cohomology_dims, cohomology,
 from .errors import BoundExceeded, ConsistencyError, InputError
 from .homology import (DEFAULT_RESOLUTION_BOUND, LeftModule, ShortExact, _gen_rows,
                        _hom_differential, _precompose_matrix, _same_gen_rows,
-                       _split_gen_vector, ext_dim, hom_from_gens, min_resolution,
-                       proj_dim, tor_dims_range)
+                       _split_gen_vector, ext_dim, min_resolution, proj_dim,
+                       tor_dims_range)
 from .linalg import (Matrix, quotient_basis, rank, row_space, row_times,
                      solve_linear_system, solve_right_kernel)
 from .modules import (ModuleMap, Representation, _assemble_block_map, _block_maps,
                       _inverse_map, _same_module, cokernel, decompose, direct_sum,
-                      hom_space, identity_map, match_decomposition, proj_sum,
+                      hom_from_gens, hom_space, identity_map, match_decomposition, proj_sum,
                       proj_sum_layout, quotient, right_add_approximation,
                       submodule_from_rows, top, trace_submodule)
 

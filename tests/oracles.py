@@ -29,7 +29,12 @@ reference_min_resolution, the resolution that built each kernel as a
 module and covered it through its top, which covering each kernel inside
 the previous term replaced, and reference_realize_extension, the pushout
 over the whole target that pushing out only over the recorded parts the
-cocycle touches replaced, and reference_ring_presentation, End(R_U) as a
+cocycle touches replaced (it factors the cocycle through the syzygy by
+left division through transposes, the route that taking one cokernel of
+(-c, d_1) replaced), and reference_hom_space, the naturality solve that
+reading Hom out of a projective sum off its generators replaced there, and
+direct_sum_with_maps, a direct sum with the split pair of each summand,
+which left the package with that pushout, and reference_ring_presentation, End(R_U) as a
 structure-constant ring (SCRing, which left the package with it) with
 lambda checked on all basis pairs and the two-sided ideal scan, which
 the split pair R_U ≅ X^n and the generator-pair check of lambda replaced, and
@@ -116,6 +121,17 @@ def block_matrix(fld, grid):
         raise DimensionMismatch("block grid shape mismatch")
     return Matrix(fld, sum(brow[0].rows for brow in grid), cols,
                   tuple(sum(parts, ()) for brow in grid for parts in zip(*(b.entries for b in brow))))
+
+
+def direct_sum_with_maps(summands):
+    """(sum, inclusions, projections): the direct sum and the split pair of
+    each summand, in order.  The package's own copy went when the pushout,
+    its last caller there, became one cokernel."""
+    from quivertilt.modules import _block_maps, direct_sum
+
+    total = direct_sum(summands)
+    incls, projs = _block_maps(total)
+    return total, incls, projs
 
 
 def reference_quotient_projection(fld, R, pivots, n):
@@ -422,8 +438,7 @@ def reference_left_approximation(x, t):
     """
     from quivertilt.homology import hom_from_gens, projective_cover
     from quivertilt.linalg import Matrix, solve_linear_system
-    from quivertilt.modules import (ModuleMap, _flatten_map, decompose, direct_sum_with_maps,
-                                    hom_space, zero_map)
+    from quivertilt.modules import ModuleMap, _flatten_map, decompose, hom_space, zero_map
     from quivertilt.algebra import zero_module
 
     factors = [fac for fac, _ in decompose(t)]
@@ -1187,10 +1202,16 @@ def reference_realize_extension(c):
     """Middle term of a degree-one extension class as the pushout of the
     syzygy inclusion along the cocycle, over the whole target, whatever
     parts it records.  Returns (mid, incl, proj)."""
-    from quivertilt.homology import _left_divide
-    from quivertilt.linalg import Matrix
-    from quivertilt.modules import (ModuleMap, direct_sum_with_maps, image, proj_sum, quotient,
-                                    zero_map)
+    from quivertilt.errors import ConsistencyError
+    from quivertilt.linalg import Matrix, solve_linear_system
+    from quivertilt.modules import ModuleMap, image, proj_sum, quotient, zero_map
+
+    def _left_divide(a, b):
+        # a * x = b, through the transposes
+        x, _ = solve_linear_system(a.transpose(), b.transpose())
+        if x is None:
+            raise ConsistencyError("left division failed")
+        return x.transpose()
 
     res, n = c.resolution, c.target
     m, alg = res.module, n.algebra
@@ -1207,6 +1228,42 @@ def reference_realize_extension(c):
            for v in alg.vertices}
     proj = ModuleMap(e_rep, m, {v: _left_divide(to_e.mats[v], big[v]) for v in alg.vertices})
     return e_rep, incls[0].compose(to_e), proj
+
+
+def reference_hom_space(m, n):
+    """Hom(m, n) as the solutions of the naturality system T_s·B = A·T_t,
+    one dense equation per arrow a: s -> t and entry (i, j), solved in one
+    equations Matrix: the solve that hom_space ran for every module before
+    it read Hom out of a projective sum off the generators."""
+    from quivertilt.linalg import Matrix, solve_null_space
+    from quivertilt.modules import HomSpace, _entry_count, _unflatten_map
+
+    alg = m.algebra
+    fld = alg.field
+    nvars = _entry_count(m, n)
+    if nvars == 0:
+        return HomSpace(m, n, ())
+    var_off, pos = {}, 0
+    for v in alg.vertices:
+        var_off[v] = pos
+        pos += m.dims[v] * n.dims[v]
+    rows = []
+    for name, s, t in alg.quiver.arrows:
+        A, B = m.arrow_mats[name], n.arrow_mats[name]
+        for i in range(m.dims[s]):
+            for j in range(n.dims[t]):
+                row = [fld.zero()] * nvars
+                for k in range(n.dims[s]):
+                    if B.entries[k][j]:
+                        row[var_off[s] + i * n.dims[s] + k] = B.entries[k][j]
+                for k in range(m.dims[t]):
+                    if A.entries[i][k]:
+                        idx = var_off[t] + k * n.dims[t] + j
+                        row[idx] = fld.sub(row[idx], A.entries[i][k])
+                if any(row):
+                    rows.append(tuple(row))
+    ker = solve_null_space(Matrix(fld, len(rows), nvars, tuple(rows)))
+    return HomSpace(m, n, tuple(_unflatten_map(m, n, r) for r in ker.entries))
 
 
 def reference_module_from_paths(alg, idxs, dual: bool):

@@ -119,3 +119,110 @@ def test_regular_modules_are_memoized_per_algebra(cycle2):
     assert regular_module(cycle2) is regular_module(cycle2)
     assert left_regular_module(cycle2) is left_regular_module(cycle2)
     assert regular_module(linear_algebra(3)) is not regular_module(linear_algebra(3))
+
+
+FIELDS = {"Q": None, "GF101": GF(101), "GF5": GF(5)}
+
+
+def _fixture_classes(fld):
+    """Every basis class of Ext^1 between the simples, injectives and
+    projectives of the four fixtures over the field."""
+    from quivertilt import injective, projective
+    for name in ("a2", "kron2", "cycle2", "triple3"):
+        alg = fixture_algebra(name, fld)
+        mods = [build(alg, v) for v in alg.vertices for build in (simple, injective, projective)]
+        for m in mods:
+            for n in mods:
+                yield from ext(1, m, n).classes
+
+
+def _bongartz_classes(fld, monkeypatch):
+    """The class each universal extension 0 -> R -> N -> S_v^k -> 0 over
+    hereditary A_3..A_5 realizes."""
+    import quivertilt.homology as homology
+    from quivertilt.homology import universal_extension
+    classes = []
+
+    def recording(c):
+        classes.append(c)
+        return realize_extension(c)
+
+    monkeypatch.setattr(homology, "realize_extension", recording)
+    for n in (3, 4, 5):
+        alg = linear_algebra(n, field=fld or QQ)
+        for v in alg.vertices:
+            universal_extension(simple(alg, v), regular_module(alg))
+    monkeypatch.undo()
+    return classes
+
+
+@pytest.mark.parametrize("field", list(FIELDS))
+def test_pushout_is_the_reference_pushout_entry_for_entry(field, monkeypatch):
+    """The cokernel of (-c, d_1) gives the reference pushout's middle term,
+    inclusion and projection matrix for matrix."""
+    from quivertilt.homology import _pushout
+    fld = FIELDS[field]
+    classes = list(_fixture_classes(fld)) + _bongartz_classes(fld, monkeypatch)
+    assert len(classes) > 30
+    for cls in classes:
+        mid, incl, proj = _pushout(cls.resolution, cls.cocycle)
+        ref_mid, ref_incl, ref_proj = reference_realize_extension(cls)
+        assert (mid.dims, mid.arrow_mats) == (ref_mid.dims, ref_mid.arrow_mats)
+        assert incl.mats == ref_incl.mats and proj.mats == ref_proj.mats
+        assert incl.source is cls.target and proj.target is cls.resolution.module
+
+
+def _rad2_classes(fld):
+    """The basis classes of Ext^1(S_v, ⊕ simples ⊕ projectives) over
+    rad-square-zero A_4 and A_5, whose resolutions are long and whose
+    target has arrows acting nontrivially."""
+    from quivertilt import projective
+    for n in (4, 5):
+        alg = linear_algebra(n, True, fld or QQ)
+        target = direct_sum([build(alg, v) for build in (simple, projective)
+                             for v in alg.vertices])
+        for v in alg.vertices:
+            yield from ext(1, simple(alg, v), target).classes
+
+
+@pytest.mark.parametrize("field", list(FIELDS))
+def test_a_cocycle_that_does_not_vanish_on_the_second_syzygy_is_rejected(field):
+    """Changing one generator image of a cocycle so that c∘d_2 != 0 fails
+    the cocycle check, in _pushout and in realize_extension; a change that
+    keeps c∘d_2 = 0 is still a cocycle and pushes out."""
+    from quivertilt import ConsistencyError
+    from quivertilt.homology import _pushout, _split_gen_vector, gen_coords
+    from quivertilt.modules import hom_from_gens
+    rejected = kept = 0
+    fld = FIELDS[field]
+    for cls in list(_fixture_classes(fld)) + list(_rad2_classes(fld)):
+        res, n = cls.resolution, cls.target
+        if res.length < 2:
+            continue
+        p1 = res.terms[1]
+        flat = list(gen_coords(p1, cls.cocycle))
+        for i in range(len(flat)):
+            changed = flat[:i] + [n.algebra.field.add(flat[i], 1)] + flat[i + 1:]
+            c = hom_from_gens(p1, n, _split_gen_vector(p1, n, changed))
+            bad = ExtClass(res, 1, n, c)
+            if res.diffs[1].compose(c).is_zero():
+                _pushout(res, c)
+                kept += 1
+                continue
+            for realize in (lambda: _pushout(res, c), lambda: realize_extension(bad)):
+                with pytest.raises(ConsistencyError, match="cocycle"):
+                    realize()
+            rejected += 1
+    assert rejected >= 5 and kept
+
+
+def test_a_pushout_needs_the_resolution_through_the_second_term(cycle2):
+    """An incomplete resolution that stops at P_1 cannot show c∘d_2 = 0."""
+    from quivertilt import InputError
+    from quivertilt.homology import Resolution, _pushout, min_resolution
+    cls = next(c for c in ext(1, simple(cycle2, "1"), simple(cycle2, "2")).classes)
+    res = min_resolution(simple(cycle2, "1"), 1, require_finite=False)
+    assert res.length == 1 and not res.complete
+    short = Resolution(res.module, res.terms, res.diffs, res.augment, False)
+    with pytest.raises(InputError, match="P_2"):
+        _pushout(short, cls.cocycle)

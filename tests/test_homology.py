@@ -149,6 +149,53 @@ def test_module_is_resolved_once(cycle2, monkeypatch):
     assert len(covers) == len(min_resolution(t).terms) == 2
 
 
+def test_resolution_eliminates_each_vertex_once_per_term(monkeypatch):
+    """Each term's cover hands its kernels on as the next step's rows, so
+    a resolution calls _eliminate once per vertex and term: for the onto
+    check and the next kernel alike."""
+    import quivertilt.linalg as linalg
+    calls = []
+    real = linalg._eliminate
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    checked = 0
+    for name, m in _reference_route_modules():
+        calls.clear()
+        res = min_resolution(m, 6, require_finite=False)
+        assert len(calls) == len(res.terms) * len(m.algebra.vertices), name
+        checked += len(res.terms) > 1
+    assert checked > 30
+
+
+def test_cover_of_rows_that_are_not_a_submodule_is_not_onto(a2):
+    """_cover's onto check, dim P_v - dim ker d_v = dim K_v, rejects the top
+    of P_1 taken alone: its cover maps onto all of P_1."""
+    import quivertilt.homology as homology
+    p1 = projective(a2, "1")
+    assert p1.dims == {"1": 1, "2": 1}
+    with pytest.raises(ConsistencyError, match="not onto"):
+        homology._cover(p1, {"1": Matrix.identity(a2.field, 1), "2": Matrix.zeros(a2.field, 0, 1)})
+
+
+def test_universal_extension_of_one_class_keeps_m_as_its_right_term(cycle2, a2, kron2):
+    """With k = 1 the class is realized on m's own resolution, so the right
+    term is m itself; with k = 2 it is the direct sum of two copies of m."""
+    for alg, v in ((cycle2, "2"), (a2, "1")):
+        m, r = simple(alg, v), regular_module(alg)
+        assert ext_dim(1, m, r) == 1
+        _, ses = universal_extension(m, r)
+        assert ses.right is m and ses.proj.target is m
+    s1, s2 = simple(kron2, "1"), simple(kron2, "2")
+    assert ext_dim(1, s1, s2) == 2
+    _, ses = universal_extension(s1, s2)
+    parts = ses.right._caches["parts"]
+    assert len(parts) == 2 and all(p is s1 for p in parts)
+
+
 def test_cached_resolution_answers_shorter_and_longer_requests(triple3):
     m = simple(triple3, "3")
     full = min_resolution(m)

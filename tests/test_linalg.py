@@ -608,3 +608,79 @@ COL_GF5 = Matrix(GF(5), 2, 1, ((4,), (4,)))
 def test_mixed_field_operands_raise_input_error(op):
     with pytest.raises(InputError, match="GF\\(5\\)"):
         op()
+
+
+# -- echelon input is not eliminated again ---------------------------------------
+
+
+@st.composite
+def echelon_variant(draw):
+    """(kind, matrix): the RREF basis R of a drawn matrix, or R changed in
+    one of the ways that keep or break the echelon forms rank and
+    quotient_basis read without elimination."""
+    m = draw(field_matrix())
+    fld, R = m.field, row_space(m)
+    rows = [list(r) for r in R.entries]
+    kind = draw(st.sampled_from(["rref", "scaled", "above", "zero rows", "repeated",
+                                 "swapped"]))
+    if kind == "scaled":  # echelon, not reduced unless every scalar is one
+        rows = [[fld.mul(c, x) for x in r]
+                for c, r in zip(draw(st.lists(st.integers(1, 3), min_size=len(rows),
+                                              max_size=len(rows))), rows)]
+    elif kind == "above" and len(rows) > 1:  # echelon, nonzero above a pivot
+        i = draw(st.integers(0, len(rows) - 2))
+        rows[i] = [fld.add(a, b) for a, b in zip(rows[i], rows[-1])]
+    elif kind == "zero rows":
+        for _ in range(draw(st.integers(1, 2))):
+            rows.insert(draw(st.integers(0, len(rows))), [fld.zero()] * R.cols)
+    elif kind == "repeated" and rows:  # two equal leading columns
+        i = draw(st.integers(0, len(rows) - 1))
+        rows.insert(i, list(rows[i]))
+    elif kind == "swapped" and len(rows) > 1:
+        i = draw(st.integers(0, len(rows) - 2))
+        rows[i], rows[i + 1] = rows[i + 1], rows[i]
+    return kind, Matrix(fld, len(rows), R.cols, tuple(map(tuple, rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(echelon_variant())
+@example(("rref", Matrix.zeros(GF(2), 0, 3)))
+@example(("zero rows", Matrix.zeros(GF(3), 2, 3)))
+@example(("rref", Matrix.zeros(QQ, 0, 0)))
+@example(("repeated", Matrix.from_rows(GF(101), [[0, 1, 5], [0, 1, 5], [0, 0, 0]])))
+@example(("above", Matrix.from_rows(QQ, [[1, 0, 2], [0, 1, 1]]).add(
+    Matrix.from_rows(QQ, [[0, 1, 1], [0, 0, 0]]))))
+@example(("scaled", Matrix.from_rows(GF(3), [[2, 0], [0, 1]])))
+def test_rank_and_quotient_basis_of_echelon_input_equal_the_eliminating_path(case):
+    """rank and quotient_basis on RREF bases, echelon forms and near misses
+    equal the elimination of the same rows: the rank of rref, the unit
+    vectors of its free columns and the reference projection."""
+    _, sub = case
+    fld, n = sub.field, sub.cols
+    R, pivots = rref(sub)
+    assert rank(sub) == len(pivots) == oracle_rank(as_lists(sub), fld.characteristic)
+    section, proj = quotient_basis(sub, n)
+    free = [j for j in range(n) if j not in pivots]
+    assert list(section.entries) == [tuple(1 if j == c else 0 for j in range(n)) for c in free]
+    assert list(proj.entries) == reference_quotient_projection(fld, R, pivots, n)
+
+
+def test_echelon_input_takes_no_elimination(monkeypatch):
+    """An RREF basis goes through rank and quotient_basis with no call of
+    _eliminate; a row echelon form through rank; any other matrix is
+    eliminated once."""
+    import quivertilt.linalg as linalg
+    calls = []
+    real = linalg._eliminate
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    basis = M(GF(5), [[1, 2, 0, 3], [0, 0, 1, 4]])
+    assert rank(basis) == 2 and quotient_basis(basis, 4)[0].rows == 2 and calls == []
+    echelon = M(QQ, [[2, 1, 0], [0, 0, 0], [0, 3, 1]])
+    assert rank(echelon) == 2 and calls == []
+    assert quotient_basis(echelon, 3)[0].rows == 1 and len(calls) == 1
+    assert rank(M(QQ, [[0, 1], [1, 0]])) == 2 and len(calls) == 2

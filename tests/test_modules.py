@@ -4,11 +4,10 @@ from quivertilt import (GF, QQ, ConsistencyError, DimensionMismatch, InputError,
                         ModuleMap, injective, projective, regular_module, simple)
 from quivertilt.formats import fixture_algebra
 from quivertilt.modules import (_assemble_block_map, cokernel, decompose, direct_sum,
-                                direct_sum_with_maps, hom_space, identity_map,
-                                image, in_add_of, is_isomorphic, kernel, quotient,
-                                radical, socle, summand_factors, top, trace_submodule,
-                                zero_map)
-from oracles import block_matrix
+                                hom_space, identity_map, image, in_add_of, is_isomorphic,
+                                kernel, quotient, radical, socle, summand_factors, top,
+                                trace_submodule, zero_map)
+from oracles import block_matrix, direct_sum_with_maps
 
 
 def test_hom_s2_p2(cycle2):
@@ -317,13 +316,13 @@ def test_decompose_is_memoized_per_module(monkeypatch):
 def test_endomorphism_space_is_memoized_per_module(monkeypatch, cycle2):
     import quivertilt.modules as modules
     solves = []
-    solve = modules._solve_hom_space
+    solve = modules._hom_space
 
     def counting(a, b):
         solves.append((a, b))
         return solve(a, b)
 
-    monkeypatch.setattr(modules, "_solve_hom_space", counting)
+    monkeypatch.setattr(modules, "_hom_space", counting)
     p2, i1 = projective(cycle2, "2"), injective(cycle2, "1")
     end = hom_space(p2, p2)
     assert hom_space(p2, p2) is end and end.dim == 2 and len(solves) == 1
@@ -414,3 +413,82 @@ def test_no_kernel_only_caller_carries_a_transform(monkeypatch, name):
                 kernel(f)
                 submodule_from_rows(n, f.mats)
     assert flags and not any(flags)
+
+
+def _projective_sums(alg):
+    """Every projective sum the library builds for the algebra's simples and
+    injectives (their resolution terms), each P_v, and ⊕ P_v twice over."""
+    from quivertilt.homology import min_resolution
+    from quivertilt.modules import proj_sum
+    sums = [proj_sum(alg, (v,)) for v in alg.vertices] + [proj_sum(alg, alg.vertices * 2)]
+    for v in alg.vertices:
+        for m in (simple(alg, v), injective(alg, v)):
+            sums += min_resolution(m, 4, require_finite=False).terms
+    return sums
+
+
+@pytest.mark.parametrize("field", [None, GF(101), GF(5)], ids=["Q", "GF101", "GF5"])
+@pytest.mark.parametrize("name", ["a2", "kron2", "cycle2", "triple3"])
+def test_hom_out_of_a_projective_sum_spans_the_naturality_solution(name, field):
+    """Hom(⊕P_{v_j}, n) read off the generators has the dimension and the
+    span of the naturality solve (oracles.reference_hom_space), for every
+    projective sum of the fixture and targets its simples, injectives,
+    projectives, the regular module and the sum itself."""
+    from quivertilt.modules import _flatten_map
+    from oracles import oracle_rank, reference_hom_space
+
+    alg = fixture_algebra(name, field)
+    char = alg.field.characteristic
+    targets = [build(alg, v) for v in alg.vertices for build in (simple, injective, projective)]
+    targets.append(regular_module(alg))
+    checked = 0
+    for psum in _projective_sums(alg):
+        for n in targets + [psum.rep]:
+            got, ref = hom_space(psum.rep, n), reference_hom_space(psum.rep, n)
+            assert got.dim == ref.dim == sum(n.dims[v] for v in psum.gens)
+            rows = [list(_flatten_map(f)) for f in got.basis]
+            assert oracle_rank(rows, char) == got.dim
+            rows += [list(_flatten_map(f)) for f in ref.basis]
+            assert oracle_rank(rows, char) == ref.dim
+            assert all(f.source is psum.rep and f.target is n for f in got.basis)
+            checked += ref.dim > 0
+    assert checked > 20
+
+
+def test_hom_out_of_a_projective_sum_solves_nothing(monkeypatch, triple3):
+    """The Yoneda route calls neither the naturality solve nor _eliminate,
+    and its maps are natural."""
+    import quivertilt.linalg as linalg
+    import quivertilt.modules as modules
+    from conftest import counting
+    from quivertilt.modules import proj_sum
+
+    solves = counting(monkeypatch, modules, "_solve_hom_space")
+    elims = counting(monkeypatch, linalg, "_eliminate")
+    psum = proj_sum(triple3, ("1", "3", "1"))
+    hs = hom_space(psum.rep, injective(triple3, "3"))
+    assert hs.dim == 2 * injective(triple3, "3").dims["1"] + injective(triple3, "3").dims["3"]
+    assert solves == [] and elims == []
+    for f in hs.basis:
+        ModuleMap(f.source, f.target, f.mats)
+    hom_space(simple(triple3, "1"), psum.rep)  # not out of a projective sum: solved
+    assert len(solves) == 1
+
+
+def test_a_projective_sum_frees_its_module_without_the_collector():
+    """The mark proj_sum leaves on its module holds no ProjSum, so the
+    module and its sum form no reference cycle."""
+    import gc
+    import weakref
+
+    from quivertilt.modules import proj_sum
+    alg = fixture_algebra("cycle2")
+    gc.disable()
+    try:
+        psum = proj_sum(alg, ("1", "2", "2"))
+        rep = weakref.ref(psum.rep)
+        assert rep()._proj_sum[0] is psum.gens
+        del psum
+        assert rep() is None
+    finally:
+        gc.enable()

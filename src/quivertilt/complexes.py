@@ -5,7 +5,8 @@ Only complexes of projectives are values here; modules enter through
 resolve_to_complex.  Hom in the homotopy category of projectives computes
 derived Hom, so no calculus of fractions is needed.  Differentials raise
 degree; the shift sign is d_{x[n]} = (-1)^n d_x, and the cone of f has
-differential [[-d_src, f], [0, d_tgt]].
+differential [[-d_src, f], [0, d_tgt]].  ``mapping_cone`` builds the
+projection of the cone on top of ``_cone``, which reflections use alone.
 
 Dimensions come from ranks: dim Hom_D(x, y[n]) from the two differentials
 of the Hom complex at degree n, and dim H^n(x) from those of x.  Chain-map
@@ -22,9 +23,9 @@ from .linalg import rank, row_space, solve_linear_system, solve_right_kernel
 from .modules import (ModuleMap, Representation, _assemble_block_map, _same_module,
                       hom_from_gens, identity_map, proj_sum, quotient, submodule_from_rows,
                       zero_map)
-from .homology import (DEFAULT_RESOLUTION_BOUND, Resolution, _class_coords, _gen_rows,
-                       _hom_basis, _hom_cohomology, _same_gen_rows, _split_gen_vector,
-                       gen_coords, min_resolution)
+from .homology import (DEFAULT_RESOLUTION_BOUND, Resolution, _check_resolution_of,
+                       _class_coords, _gen_rows, _hom_basis, _hom_cohomology, _same_gen_rows,
+                       _split_gen_vector, gen_coords, min_resolution)
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,8 @@ def zero_complex(alg: Algebra) -> PerfectComplex:
 def resolve_to_complex(m: Representation, bound: int = DEFAULT_RESOLUTION_BOUND,
                        resolution: Resolution | None = None) -> PerfectComplex:
     """Minimal resolution placed in degrees [-pd, 0]; cohomology is m in
-    degree 0."""
+    degree 0.  A resolution given must be one of m (InputError)."""
+    _check_resolution_of(resolution, m)
     if m.total_dim == 0:
         return zero_complex(m.algebra)
     res = resolution if resolution is not None else min_resolution(m, bound)
@@ -239,7 +241,26 @@ def mapping_cone(f: ChainMap):
     """(cone, incl: target -> cone, proj: cone -> source[1]).
 
     cone^n = src^{n+1} ⊕ tgt^n with differential [[-d_src, f], [0, d_tgt]].
+    The cone and its inclusion are ``_cone``'s; the projection is built on
+    top of them.
     """
+    x = f.source
+    cone, incl = _cone(f)
+    sx = shift(x, 1)
+    proj_comps = {}
+    for n in cone.terms:
+        if n in sx.terms:
+            proj_comps[n] = _assemble_block_map(
+                cone.terms[n].rep, sx.terms[n].rep,
+                [[identity_map(x.term_rep(n + 1))], [None]],
+                [x.term_rep(n + 1), f.target.term_rep(n)], [x.term_rep(n + 1)])
+    proj = ChainMap(cone, sx, proj_comps)
+    return cone, incl, proj
+
+
+def _cone(f: ChainMap):
+    """(cone, incl: target -> cone) of ``mapping_cone``, without the
+    projection, for callers that do not read it."""
     x, y = f.source, f.target
     alg = x.algebra
     degrees = sorted(set(i - 1 for i in x.terms) | set(y.terms))
@@ -261,7 +282,6 @@ def mapping_cone(f: ChainMap):
         if not d.is_zero():
             diffs[n] = d
     cone = PerfectComplex(alg, terms, diffs)
-    # structural maps
     incl_comps = {}
     for n in y.terms:
         if n in cone.terms:
@@ -269,17 +289,7 @@ def mapping_cone(f: ChainMap):
                 y.term_rep(n), cone.terms[n].rep,
                 [[None, identity_map(y.term_rep(n))]],
                 [y.term_rep(n)], [x.term_rep(n + 1), y.term_rep(n)])
-    incl = ChainMap(y, cone, incl_comps)
-    sx = shift(x, 1)
-    proj_comps = {}
-    for n in cone.terms:
-        if n in sx.terms:
-            proj_comps[n] = _assemble_block_map(
-                cone.terms[n].rep, sx.terms[n].rep,
-                [[identity_map(x.term_rep(n + 1))], [None]],
-                [x.term_rep(n + 1), y.term_rep(n)], [x.term_rep(n + 1)])
-    proj = ChainMap(cone, sx, proj_comps)
-    return cone, incl, proj
+    return cone, ChainMap(y, cone, incl_comps)
 
 
 def triangle_from_map(alpha: ChainMap):

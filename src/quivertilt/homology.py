@@ -5,11 +5,15 @@ Resolutions are built from projective sums (``modules.proj_sum``): a term
 knows the list of vertices its generators sit at, which makes Hom out of it
 free data (a map from ⊕P_v is determined by arbitrary images of the
 generators).  Each cover hands the kernels of its map to the next step,
-so a resolution eliminates each vertex of each term once, and the pushout
-that realizes an extension is one cokernel.  Ext is computed from a
-resolution of the first argument only, as H^n of a Hom complex whose
-dimension is read off the ranks of its two differentials; cocycle classes
-are built only when a caller first asks for them.  Tor tensors the same
+so a resolution eliminates each vertex of each term once; a direct sum of
+one recorded part is resolved by its part, whose terms it shares.  The
+pushout that realizes an extension is one quotient by the rows of a map
+(``modules._quotient_by_rows``), with no graph submodule.  A resolution
+handed to Ext, Tor or ``resolve_to_complex`` must be one of the module
+asked about.  Ext is computed from a resolution of the first argument
+only, as H^n of a Hom complex whose dimension is read off the ranks of its
+two differentials; cocycle classes are built only when a caller first asks
+for them.  Tor tensors the same
 resolution with a left module Y through e_vA ⊗_A Y ≅ e_vY, so each term
 P_k ⊗_A Y is a sum of vertex components of Y.  The minimal left add(T)-approximation of ⊕_k P_{v_k} is chosen one
 vertex at a time: by Yoneda Hom(P_v, T_j) = (T_j)_v, its radical is
@@ -28,9 +32,9 @@ from .errors import BoundExceeded, ConsistencyError, InputError
 from .linalg import (Matrix, independent_rows, quotient_basis, rank, row_space, row_times,
                      solve_linear_system, solve_right_kernel)
 from .modules import (HomSpace, ModuleMap, ProjSum, Representation, _assemble_block_map,
-                      _block_maps, _endo_radical, _quotient, decompose,
+                      _block_maps, _endo_radical, _quotient_by_rows, _same_module, decompose,
                       direct_sum, hom_from_gens, hom_space, identity_map, proj_sum,
-                      submodule_from_rows, zero_map)
+                      zero_map)
 
 DEFAULT_RESOLUTION_BOUND = 32
 
@@ -107,11 +111,10 @@ def _cover(m: Representation, rows: dict):
     for w in alg.vertices:
         if not rows[w].rows:
             continue
-        stack = Matrix.zeros(alg.field, 0, m.dims[w])
-        for name, v, t in alg.quiver.arrows:
-            if t == w and rows[v].rows:
-                stack = stack.vstack(rows[v].mul(m.arrow_mats[name]))
-        for k in independent_rows(stack, rows[w]):
+        # the rows of K_v * a over the arrows a: v -> w, as row tuples
+        stack = tuple(row_times(r, m.arrow_mats[name])
+                      for name, v, t in alg.quiver.arrows if t == w for r in rows[v].entries)
+        for k in independent_rows(Matrix(alg.field, len(stack), m.dims[w], stack), rows[w]):
             gens.append(w)
             images.append(rows[w].entries[k])
     psum = proj_sum(alg, gens)
@@ -167,10 +170,24 @@ def min_resolution(m: Representation, max_len: int = DEFAULT_RESOLUTION_BOUND,
     The longest resolution built for m is kept in m's cache.  A request it
     covers (it is complete or at least max_len long) is answered from it
     with exactly what a fresh resolution would give; a longer one resolves
-    m again and replaces it."""
+    m again and replaces it.
+
+    A ``direct_sum`` of exactly one recorded part has the part's dims and
+    arrow matrices, so it is resolved by its part: the terms and
+    differentials are those of the part's memoized resolution, shared, and
+    only the augmentation is re-targeted to the sum."""
     res = m._caches.get("resolution")
     if res is None or not (res.complete or res.length >= max_len):
-        res = m._caches["resolution"] = _resolve(m, max_len)
+        parts = m._caches.get("parts", ())
+        if len(parts) == 1:
+            min_resolution(parts[0], max_len, require_finite=False)
+            pres = parts[0]._caches["resolution"]  # the part's longest, covering max_len
+            res = Resolution(m, pres.terms, pres.diffs,
+                             ModuleMap._trusted(pres.augment.source, m, pres.augment.mats),
+                             pres.complete)
+        else:
+            res = _resolve(m, max_len)
+        m._caches["resolution"] = res
     if res.complete and res.length <= max_len:
         return res
     if require_finite:
@@ -215,6 +232,13 @@ def _assert_in_radical(psum: ProjSum, ker: dict):
         for r in ker[v].entries:
             if r[row_idx]:
                 raise ConsistencyError("resolution is not minimal: kernel meets the generators")
+
+
+def _check_resolution_of(res: Resolution | None, m: Representation):
+    """InputError unless res is None or a resolution of m (``_same_module``):
+    a resolution handed in by a caller answers for its own module."""
+    if res is not None and not _same_module(res.module, m):
+        raise InputError("the resolution given is not a resolution of the module")
 
 
 def proj_dim(m: Representation, bound: int = DEFAULT_RESOLUTION_BOUND):
@@ -387,6 +411,7 @@ def ext(degree: int, m: Representation, n: Representation,
         raise InputError("ext degree must be >= 0")
     if degree + 1 > bound:
         raise BoundExceeded(f"ext degree {degree} beyond resolution bound {bound}")
+    _check_resolution_of(resolution, m)
     if resolution is None or (resolution.length < degree + 1 and not resolution.complete):
         resolution = min_resolution(m, degree + 1, require_finite=False)
     res = resolution
@@ -511,6 +536,7 @@ def tor_dims_range(x: Representation, y: LeftModule, max_degree: int,
         raise InputError("tor degree must be >= 0")
     if max_degree + 1 > bound:
         raise BoundExceeded(f"tor degree {max_degree} beyond resolution bound {bound}")
+    _check_resolution_of(resolution, x)
     res = resolution
     if res is None or (not res.complete and res.length < max_degree + 1):
         res = min_resolution(x, max_degree + 1, require_finite=False)
@@ -633,11 +659,12 @@ def _pushout(res: Resolution, cocycle: ModuleMap):
 
     P_1 maps onto Ω, so im ψ is the graph {(-φ(y), y) : y ∈ Ω} of the map
     φ: Ω -> n that c factors through.  Its RREF basis at each vertex is the
-    one elimination of the pushout (``row_space`` in submodule_from_rows);
-    the quotient reads its pivots, and E's basis is the free coordinates of
-    that RREF, so E depends on the span only.  E -> m descends from
-    (0, augment): at each vertex it is section_v · (0; augment_v), the
-    unique solution, since the projection onto E is onto.
+    one elimination of the pushout (``row_space`` in _quotient_by_rows,
+    which builds no graph module); the quotient reads its pivots, and E's
+    basis is the free coordinates of that RREF, so E depends on the span
+    only.  E -> m descends from (0, augment): at each vertex it is
+    section_v · (0; augment_v), the unique solution, since the projection
+    onto E is onto.
 
     Checked: c∘d_2 = 0 on the generators of P_2, so that c vanishes on
     ker d_1 = im d_2 and φ exists; a resolution that neither reaches P_2
@@ -656,8 +683,7 @@ def _pushout(res: Resolution, cocycle: ModuleMap):
     neg = fld.neg
     psi = hom_from_gens(p1, total, [tuple(neg(x) for x in cocycle.mats[v].entries[r])
                                     + res.diffs[0].mats[v].entries[r] for v, r in p1.gen_pos])
-    _, gincl = submodule_from_rows(total, psi.mats)
-    e_rep, to_e, sections = _quotient(total, gincl)
+    e_rep, to_e, sections = _quotient_by_rows(total, psi.mats)
     # n -> n ⊕ P_0 -> E: the first dim n_v rows of the projection
     incl = ModuleMap._trusted(n, e_rep, {v: to_e.mats[v].take_rows(range(n.dims[v]))
                                          for v in alg.vertices})

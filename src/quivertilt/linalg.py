@@ -632,8 +632,10 @@ def rank(m: Matrix) -> int:
 
 
 def row_space(m: Matrix) -> Matrix:
-    """Canonical basis (rref rows) of the row span."""
-    if not m.rows:
+    """Canonical basis (rref rows) of the row span.  A matrix that already
+    is the nonzero rows of an RREF (checked as in ``quotient_basis``) is
+    that basis and is returned as it is; any other is eliminated once."""
+    if not m.rows or _rref_pivots(m.entries, m.field.one()) is not None:
         return m
     work, pivots, _ = _eliminate(m.field, m.entries, m.cols, False)
     return _rows_matrix(m.field, m.cols, work[:len(pivots)])

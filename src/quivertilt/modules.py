@@ -19,6 +19,14 @@ factors, and a Fitting split lists those of ker(f^N) and im(f^N); no
 inclusion or projection is built.  ``decompose`` groups the factors by
 ``_same_class``, an exact test for indecomposables, so it never reaches
 ``is_isomorphic``.
+
+A quotient by a span of rows (``cokernel``, ``quotient``, and the pushout,
+trace quotient and A/AeA elsewhere) takes one ``row_space`` per vertex and
+reads the quotient off that RREF (``_quotient_by_rows``): no submodule,
+inclusion or coordinates of the span are built, and the action-stability
+check comes out of the same product per arrow that gives the quotient's
+arrow matrix.  The minimal right approximation builds its radical rows
+h·g one row of h at a time (``row_times``), composing no map.
 """
 
 import itertools
@@ -26,9 +34,10 @@ from dataclasses import dataclass, field as _dc_field
 
 from .algebra import Algebra
 from .errors import ConsistencyError, DimensionMismatch, InputError
-from .linalg import (Matrix, _null_space, independent_rows, intersect_subspaces,
-                     quotient_basis, rank, row_space, row_times, rref_coordinates,
-                     solve_linear_system, solve_right_kernel, sum_subspaces)
+from .linalg import (Matrix, _mul_entries, _null_space, independent_rows,
+                     intersect_subspaces, quotient_basis, rank, row_space, row_times,
+                     rref_coordinates, solve_linear_system, solve_right_kernel,
+                     sum_subspaces)
 
 
 @dataclass(frozen=True)
@@ -462,43 +471,60 @@ def image(f: ModuleMap):
 
 
 def quotient(m: Representation, sub_incl: ModuleMap):
-    """(m/sub, projection).  sub_incl must be an injective map into m."""
-    q, proj, _ = _quotient(m, sub_incl)
-    return q, proj
+    """(m/sub, projection).  sub_incl must be an injective map into m.
 
-
-def _quotient(m: Representation, sub_incl: ModuleMap):
-    """(m/sub, projection, sections): ``quotient`` with the section of
-    ``quotient_basis`` at each vertex, a right inverse of the projection.
-
-    An inclusion whose matrices are RREF bases, as ``submodule_from_rows``
-    builds them, is eliminated nowhere here: its injectivity check reads
-    the rank off the leading columns and ``quotient_basis`` reads the
-    pivots."""
+    The quotient by the rows of sub_incl (``_quotient_by_rows``): an
+    inclusion whose matrices are RREF bases, as ``submodule_from_rows``
+    builds them, is eliminated nowhere here, since its injectivity check,
+    ``row_space`` and ``quotient_basis`` read such a basis as it is."""
     if not _same_module(sub_incl.target, m):
         raise InputError("quotient: inclusion does not land in the module")
     if not sub_incl.is_injective():
         raise InputError("quotient by a non-injective map")
+    q, proj, _ = _quotient_by_rows(m, sub_incl.mats)
+    return q, proj
+
+
+def _quotient_by_rows(m: Representation, rows_per_vertex: dict):
+    """(m/sub, projection, sections) for the submodule sub of m spanned by
+    rows_per_vertex[v] at each vertex v, in m's coordinates.  One
+    ``row_space`` (RREF) per vertex is handed to ``quotient_basis``, which
+    reads its pivots; sections[v] is quotient_basis's section, a right
+    inverse of the projection.  No submodule, inclusion or coordinates of
+    sub are built, and the quotient depends on the span of the rows only.
+
+    Checked: the span is action-stable.  For each arrow a: s -> t one
+    product [section_s; basis_s]·A·proj_t is formed.  Its top rows are the
+    quotient's arrow matrix; its bottom rows vanish exactly when
+    basis_s·A ⊆ span basis_t = ker proj_t, else ConsistencyError."""
     alg = m.algebra
-    sections, projs = {}, {}
+    fld = alg.field
+    bases, sections, projs = {}, {}, {}
     for v in alg.vertices:
-        sections[v], projs[v] = quotient_basis(sub_incl.mats[v], m.dims[v])
+        bases[v] = row_space(rows_per_vertex[v])
+        sections[v], projs[v] = quotient_basis(bases[v], m.dims[v])
     dims = {v: sections[v].rows for v in alg.vertices}
     mats = {}
     for name, s, t in alg.quiver.arrows:
-        mats[name] = sections[s].mul(m.arrow_mats[name]).mul(projs[t])
-    # the image of a natural injective map into m is a submodule, so the
-    # action descends to the quotient and the projection is natural
+        a = m.arrow_mats[name]
+        prod = _mul_entries(fld, _mul_entries(fld, sections[s].entries + bases[s].entries,
+                                              a.entries, a.cols),
+                            projs[t].entries, dims[t])
+        if any(any(r) for r in prod[dims[s]:]):
+            raise ConsistencyError("rows do not span an action-stable subspace")
+        mats[name] = Matrix(fld, dims[s], dims[t], prod[:dims[s]])
+    # the span is a submodule, so the action descends to the quotient and
+    # the projection is natural
     q = Representation._trusted(alg, dims, mats)
-    proj_map = ModuleMap._trusted(m, q, {v: projs[v] for v in alg.vertices})
-    return q, proj_map, sections
+    return q, ModuleMap._trusted(m, q, projs), sections
 
 
 def cokernel(f: ModuleMap):
-    """(coker, projection target -> coker): the quotient by the RREF basis
-    of the image, so each vertex is eliminated once, in ``row_space``."""
-    _, incl = submodule_from_rows(f.target, f.mats)
-    return quotient(f.target, incl)
+    """(coker, projection target -> coker): the quotient by the rows of f
+    (``_quotient_by_rows``), so each vertex is eliminated once, in
+    ``row_space``, and no image module is built."""
+    q, proj, _ = _quotient_by_rows(f.target, f.mats)
+    return q, proj
 
 
 def direct_sum(summands):
@@ -584,7 +610,7 @@ def _assemble_block_map(src: Representation, tgt: Representation, blocks, src_re
                     raise DimensionMismatch(f"vertex {v}: block shape does not match its parts")
                 else:
                     cells.append(b.mats[v].entries)
-            rows += [sum((c[r] for c in cells), ()) for r in range(d)]
+            rows += [tuple(itertools.chain.from_iterable(c[r] for c in cells)) for r in range(d)]
         if len(rows) != src.dims[v] or sum(t.dims[v] for t in tgt_reps) != tgt.dims[v]:
             raise ConsistencyError("block assembly shape mismatch")
         mats[v] = (Matrix(fld, src.dims[v], tgt.dims[v], tuple(rows)) if rows and tgt.dims[v]
@@ -681,18 +707,23 @@ def hom_from_gens(psum: ProjSum, n: Representation, images) -> ModuleMap:
 
 def trace_submodule(gen: Representation, target: Representation) -> ModuleMap:
     """Inclusion of the trace of gen in target: the sum of images of all
-    morphisms gen -> target."""
+    morphisms gen -> target, spanned by the rows of a Hom basis
+    (``_trace_rows``)."""
     if gen.algebra is not target.algebra:
         raise InputError("trace across different algebras")
-    alg = gen.algebra
-    fld = alg.field
-    hs = hom_space(gen, target)
-    rows = {v: Matrix.zeros(fld, 0, target.dims[v]) for v in alg.vertices}
-    for f in hs.basis:
-        for v in alg.vertices:
-            rows[v] = sum_subspaces(rows[v], row_space(f.mats[v]))
-    _, incl = submodule_from_rows(target, rows)
+    _, incl = submodule_from_rows(target, _trace_rows(hom_space(gen, target)))
     return incl
+
+
+def _trace_rows(hs: HomSpace) -> dict:
+    """The rows of every basis map of hs at each vertex, stacked in one
+    matrix: their span is the trace of hs.source in hs.target."""
+    fld, dims = hs.target.algebra.field, hs.target.dims
+    out = {}
+    for v in hs.target.algebra.vertices:
+        rows = tuple(r for f in hs.basis for r in f.mats[v].entries)
+        out[v] = Matrix(fld, len(rows), dims[v], rows)
+    return out
 
 
 def radical(m: Representation):
@@ -990,16 +1021,22 @@ def right_add_approximation(x: Representation, t: Representation):
 def _right_approximation(x: Representation, factors: list, between):
     """right_add_approximation of x by the factors of decompose(t), with
     between(j, i) giving Hom(T_j, T_i), asked for live factors i != j only."""
+    fld, verts = x.algebra.field, x.algebra.vertices
     into = [hom_space(fac, x) for fac in factors]
     live = [j for j, hs in enumerate(into) if hs.dim]
     kept = []
     for j in live:
         fac, hs = factors[j], into[j]
-        rad = [h.compose(g) for i in live
-               for h in (_endo_radical(fac) if i == j else between(j, i).basis)
-               for g in into[i].basis]
-        above, rows = (Matrix(x.algebra.field, len(maps), _entry_count(fac, x),
-                              tuple(map(_flatten_map, maps))) for maps in (rad, hs.basis))
+        # the flattened radical map h then g, vertex by vertex, one row of
+        # h_v times g_v at a time: no composite map is built
+        rad = tuple(tuple(itertools.chain.from_iterable(
+                        row_times(r, g.mats[v]) for v in verts for r in h.mats[v].entries))
+                    for i in live
+                    for h in (_endo_radical(fac) if i == j else between(j, i).basis)
+                    for g in into[i].basis)
+        width = _entry_count(fac, x)
+        above = Matrix(fld, len(rad), width, rad)
+        rows = Matrix(fld, hs.dim, width, tuple(map(_flatten_map, hs.basis)))
         kept += [hs.basis[k] for k in independent_rows(above, rows)]
     if not kept:
         return None

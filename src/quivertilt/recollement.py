@@ -27,6 +27,10 @@ memoized there, and lambda's linear system once per eta; the localization
 and the recollement report share both.  T1 comes from a tilting
 certificate as a recorded direct sum of factors of T, so its isomorphism
 classes are read off its parts.
+R_U is T0 divided by the stacked rows of a Hom(T1, T0_c) basis, one
+``row_space`` per vertex and part and no trace submodule; the reflection
+builds the cone and its inclusion only (``complexes._cone``), since no
+caller reads the cone's projection.
 The trace quotient R_U and the reflection mu: R -> q(R) are both
 reflections of R into the perpendicular category of T1 (Geigle-Lenzing),
 so they are compared by the one chain map psi: q(R) -> R_U with
@@ -41,21 +45,21 @@ returns the stored certificate of an equal sum of the same parts (so after
 T0 and T1), reads the H^0 match off the localization, and reads the
 orthogonality of T1 and q(R) off the sweep the memoized reflection made.
 The left module R_U through lambda, for Tor, builds each action matrix
-on first read.
+on first read, straight from lambda's coordinates and the End basis.
 
 The stratifying-ideal check reads every number it reports, the corner
 multiplication Ae ⊗_{eAe} eA -> AeA included, off one minimal resolution
 of A/AeA over A; no corner ring and no opposite algebra is built.
 """
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .algebra import Algebra, regular_module
-from .complexes import (ChainMap, PerfectComplex, _cohomology_dims, cohomology,
+from .complexes import (ChainMap, PerfectComplex, _cohomology_dims, _cone, cohomology,
                         derived_hom, hom_window, identity_chain_map, is_exceptional,
-                        mapping_cone, resolve_to_complex, shift_chain_map,
-                        stack_to_common_target)
+                        resolve_to_complex, shift_chain_map, stack_to_common_target)
 from .errors import BoundExceeded, ConsistencyError, InputError
 from .homology import (DEFAULT_RESOLUTION_BOUND, LeftModule, ShortExact, _gen_rows,
                        _hom_differential, _precompose_matrix, _same_gen_rows,
@@ -64,10 +68,10 @@ from .homology import (DEFAULT_RESOLUTION_BOUND, LeftModule, ShortExact, _gen_ro
 from .linalg import (Matrix, quotient_basis, rank, row_space, row_times,
                      solve_linear_system, solve_right_kernel)
 from .modules import (ModuleMap, Representation, _assemble_block_map, _block_maps,
-                      _inverse_map, _same_module, cokernel, decompose, direct_sum,
-                      hom_from_gens, hom_space, identity_map, match_decomposition, proj_sum,
-                      proj_sum_layout, quotient, right_add_approximation,
-                      submodule_from_rows, top, trace_submodule)
+                      _inverse_map, _quotient_by_rows, _same_module, _trace_rows, cokernel,
+                      decompose, direct_sum, hom_from_gens, hom_space, identity_map,
+                      match_decomposition, proj_sum, proj_sum_layout, right_add_approximation,
+                      top)
 
 
 # -- perpendicular categories -----------------------------------------------------
@@ -133,7 +137,9 @@ def reflection_brick(t1: PerfectComplex, m: PerfectComplex):
     ⊕_i t1[-i]^{n_i} -> m collecting a basis of every Hom(t1, m[i]).
 
     Requires End_D(t1) one-dimensional and t1 exceptional; post-verified:
-    Hom(t1, q(m)[i]) = 0 for all i."""
+    Hom(t1, q(m)[i]) = 0 for all i.  Returns (q(m), m -> q(m)): the cone
+    and its inclusion from ``complexes._cone``, which builds no projection
+    onto the shifted source."""
     if t1.is_zero_complex():
         return m, identity_chain_map(m)
     if derived_hom(t1, t1, 0).dim != 1:
@@ -147,8 +153,7 @@ def reflection_brick(t1: PerfectComplex, m: PerfectComplex):
             parts.append(shift_chain_map(f, -i))  # t1[-i] -> m
     if not parts:
         return m, identity_chain_map(m)
-    alpha = stack_to_common_target(parts)
-    cone, incl, _ = mapping_cone(alpha)
+    cone, incl = _cone(stack_to_common_target(parts))
     _verify_killed(t1, cone)
     return cone, incl
 
@@ -173,8 +178,9 @@ def reflection_iterative(t1: PerfectComplex, m: PerfectComplex, max_steps: int =
 
     Each step verifies that the top degree is gone, that lower degrees map
     isomorphically (injectively at the boundary), and that the new map is
-    built from shifts of t1 only.  Raises BoundExceeded when the process
-    does not stabilize within max_steps."""
+    built from shifts of t1 only.  Each step's cone and inclusion come from
+    ``complexes._cone``, with no projection.  Raises BoundExceeded when the
+    process does not stabilize within max_steps."""
     if not t1.is_zero_complex() and not is_exceptional(t1):
         raise InputError("iterative reflection needs an exceptional object")
     current = m
@@ -190,8 +196,7 @@ def reflection_iterative(t1: PerfectComplex, m: PerfectComplex, max_steps: int =
         top = max(live)
         space = derived_hom(t1, current, top)
         parts = [shift_chain_map(f, -top) for f in space.reps]
-        alpha = stack_to_common_target(parts)
-        nxt, sigma, _ = mapping_cone(alpha)
+        nxt, sigma = _cone(stack_to_common_target(parts))
         _verify_step(t1, current, nxt, sigma, top)
         steps.append(ReflectionStep(top, space.dim))
         total_map = total_map.compose(sigma)
@@ -285,7 +290,8 @@ def left_multiples(f: ModuleMap) -> list:
     fld = alg.field
     row_of = _rows_by_basis(f)
     gens = [(alg.vertex_idempotent(v), (fld.zero(),) * f.target.dims[v]) for v in alg.vertices]
-    return [sum((_combination(fld, alg.mult[(i, e)], row_of, zero) for e, zero in gens), ())
+    return [tuple(itertools.chain.from_iterable(
+                _combination(fld, alg.mult[(i, e)], row_of, zero) for e, zero in gens))
             for i in range(alg.dim)]
 
 
@@ -320,7 +326,7 @@ def _lambda_system(eta: ModuleMap) -> tuple:
         alg = eta.source.algebra
         row_of = _rows_by_basis(eta)
         at_gens = [(row_of[alg.vertex_idempotent(v)], v) for v in alg.vertices]
-        rows = [sum((row_times(r, b.mats[v]) for r, v in at_gens), ())
+        rows = [tuple(itertools.chain.from_iterable(row_times(r, b.mats[v]) for r, v in at_gens))
                 for b in hom_space(m, m).basis]
         rows_m = Matrix(alg.field, len(rows), m.total_dim, tuple(rows))
         if solve_right_kernel(rows_m).rows != 0:
@@ -399,8 +405,27 @@ class ActionsOnRead(Sequence):
 
     def __getitem__(self, u):
         if u not in self.built:
-            self.built[u] = self._ends.combo(self._lam[u]).total_matrix()
+            self.built[u] = self._total(self._lam[u])
         return self.built[u]
+
+    def _total(self, coeffs) -> Matrix:
+        """Σ_k coeffs[k] · basis[k] written straight into the block-diagonal
+        total matrix, vertex blocks at m's offsets; no map is built."""
+        m = self._ends.source
+        fld = m.algebra.field
+        add, mul = fld.add, fld.mul
+        off, n = m.offsets(), m.total_dim
+        out = [[fld.zero()] * n for _ in range(n)]
+        for c, b in zip(coeffs, self._ends.basis):
+            if not c:
+                continue
+            for v, mat in b.mats.items():
+                o = off[v]
+                for orow, brow in zip(out[o:o + mat.rows], mat.entries):
+                    for j, x in enumerate(brow, o):
+                        if x:
+                            orow[j] = add(orow[j], mul(c, x))
+        return Matrix(fld, n, n, tuple(map(tuple, out)))
 
 
 @dataclass(frozen=True)
@@ -586,26 +611,36 @@ def _trace_quotient(t1: Representation, t0: Representation):
     every f: T1 -> T0 has image inside ⊕_c im(f_c), and each inclusion of an
     f_c into T0 is itself a map from T1, so τ(T1, T0) = ⊕_c τ(T1, T0_c).
     Hence T0/τ = ⊕_c T0_c/τ(T1, T0_c), and the projection is block diagonal.
-    Each distinct part object is divided once, so copies share one quotient
-    object with its cached End and split, and a part with τ(T1, T0_c) = 0
-    is its own quotient, keeping the caches it already has.  The quotient
-    is the direct_sum of the nonzero ones, and records them as its parts.
-    A T0 with no recorded parts, or whose parts all vanish, is divided as
-    a whole."""
+    Each distinct part object is divided once (``_divide_by_trace``), so
+    copies share one quotient object with its cached End and split, and a
+    part with τ(T1, T0_c) = 0 is its own quotient, keeping the caches it
+    already has.  The quotient is the direct_sum of the nonzero ones, and
+    records them as its parts.  A T0 with no recorded parts, or whose parts
+    all vanish, is divided as a whole."""
     parts = t0._caches.get("parts", ())
     divided = {}
     for part in parts:
         if id(part) not in divided:
-            tau = trace_submodule(t1, part)
-            divided[id(part)] = (quotient(part, tau) if tau.source.total_dim
-                                 else (part, identity_map(part)))
+            divided[id(part)] = _divide_by_trace(t1, part)
     pieces = [divided[id(part)] for part in parts]
     kept = [c for c, (q, _) in enumerate(pieces) if q.total_dim]
     if not kept:
-        return quotient(t0, trace_submodule(t1, t0))
+        return _divide_by_trace(t1, t0)
     ru = direct_sum([pieces[c][0] for c in kept])
     blocks = [[pieces[c][1] if c == k else None for k in kept] for c in range(len(parts))]
     return ru, _assemble_block_map(t0, ru, blocks, parts, ru._caches["parts"])
+
+
+def _divide_by_trace(t1: Representation, m: Representation):
+    """(m / τ(t1, m), projection): the quotient by the stacked rows of a
+    Hom(t1, m) basis (``_trace_rows``), one ``row_space`` per vertex and
+    no trace submodule.  With Hom(t1, m) = 0 the trace is 0, and m is its
+    own quotient."""
+    hs = hom_space(t1, m)
+    if not hs.dim:
+        return m, identity_map(m)
+    q, proj, _ = _quotient_by_rows(m, _trace_rows(hs))
+    return q, proj
 
 
 def ring_evidence(ru: Representation) -> RingEvidence:
@@ -780,9 +815,8 @@ def _quotient_by_vertex_ideal(alg: Algebra, products) -> Representation:
         for k, c in prod:
             row[pos[w][k]] = c
         rows[w].append(tuple(row))
-    _, incl = submodule_from_rows(
+    b, _, _ = _quotient_by_rows(
         r, {w: Matrix(fld, len(rows[w]), r.dims[w], tuple(rows[w])) for w in alg.vertices})
-    b, _ = quotient(r, incl)
     return b
 
 

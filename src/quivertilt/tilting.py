@@ -210,10 +210,11 @@ def construct_tilting(pair: ExceptionalPair) -> ConstructedTilting:
     first_ok = is_exceptional(first)
     second_ok = is_exceptional(second)
     evidence = {}
+    # each simple is built and resolved once, for both outputs
+    simples = {v: resolve_to_complex(simple(alg, v)) for v in alg.vertices}
     for name, out in (("first", first), ("second", second)):
         ev = {}
-        for v in alg.vertices:
-            sv = resolve_to_complex(simple(alg, v))
+        for v, sv in simples.items():
             hit = None
             for n in hom_window(out, sv):
                 d = derived_hom(out, sv, n).dim

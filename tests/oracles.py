@@ -55,7 +55,13 @@ module and matched with R_U by the library's exact isomorphism test,
 which the comparison map psi: q(R) -> R_U replaced, and
 reference_independent_rows, the pivot columns of one rref of the stacked
 transpose, which reducing each row against the echelon rows kept so far
-replaced.  oracle_rank and oracle_left_kernel also work over a prime
+replaced, and reference_quotient_by_rows, a quotient through the
+submodule its rows span, which reading it off one RREF per vertex
+replaced, reference_actions, the left actions of R_U as total matrices of
+combo maps, which writing them straight from lambda replaced, and
+reference_radical_rows, the flattened composites h then g, which building
+each row of h times g replaced.  unstable_rows changes one entry of a
+span's rows so that it is no longer action-stable.  oracle_rank and oracle_left_kernel also work over a prime
 field when given its characteristic.
 """
 
@@ -1333,3 +1339,81 @@ def reference_hom_cohomology_dim(xt, xd, yt, yd, n) -> int:
     assert coords is not None, "coboundaries escaped the cocycle space"
     section, _ = quotient_basis(coords, cocycles.rows)
     return section.rows
+
+
+def reference_quotient_by_rows(m, rows):
+    """(m/sub, projection, sections) through the submodule the rows span:
+    ``submodule_from_rows`` (with its per-arrow ``rref_coordinates``
+    check), then ``quotient_basis`` of the inclusion at each vertex and
+    section·A·projection at each arrow, the two-step route that
+    ``modules._quotient_by_rows`` replaced."""
+    from quivertilt.linalg import quotient_basis
+    from quivertilt.modules import ModuleMap, Representation, submodule_from_rows
+
+    alg = m.algebra
+    _, incl = submodule_from_rows(m, rows)
+    sections, projs = {}, {}
+    for v in alg.vertices:
+        sections[v], projs[v] = quotient_basis(incl.mats[v], m.dims[v])
+    q = Representation(alg, {v: sections[v].rows for v in alg.vertices},
+                       {name: sections[s].mul(m.arrow_mats[name]).mul(projs[t])
+                        for name, s, t in alg.quiver.arrows})
+    return q, ModuleMap(m, q, projs), sections
+
+
+def unstable_rows(m, rows):
+    """rows (vertex -> Matrix in m's coordinates) with one entry raised by
+    one, the first in vertex, row and column order whose change leaves a
+    span that is not action-stable: some arrow a: s -> t moves a row at s
+    out of the span at t, by oracle_rank.  None when no such entry exists
+    (for instance when the rows span every vertex that an arrow reaches)."""
+    from quivertilt.linalg import Matrix
+
+    alg = m.algebra
+    fld = alg.field
+    char = fld.characteristic
+
+    def stable(rs):
+        for name, s, t in alg.quiver.arrows:
+            img = oracle_matmul(rs[s].entries, m.arrow_mats[name].entries, m.dims[t])
+            base = [list(r) for r in rs[t].entries]
+            if oracle_rank(base + img, char) != oracle_rank(base, char):
+                return False
+        return True
+
+    for v in alg.vertices:
+        mat = rows[v]
+        for i in range(mat.rows):
+            for j in range(mat.cols):
+                grid = [list(r) for r in mat.entries]
+                grid[i][j] = fld.add(grid[i][j], fld.one())
+                changed = dict(rows)
+                changed[v] = Matrix(fld, mat.rows, mat.cols, tuple(map(tuple, grid)))
+                if not stable(changed):
+                    return changed
+    return None
+
+
+def reference_actions(ends, lam):
+    """act[u] = lambda(b_u) as the total matrix of the combination of the
+    End basis, one ``HomSpace.combo`` map per basis element: the route that
+    ``recollement.ActionsOnRead`` writing the total matrix straight from
+    lambda's coordinates replaced."""
+    return [ends.combo(c).total_matrix() for c in lam]
+
+
+def reference_radical_rows(x, factors, between):
+    """For each factor T_j with Hom(T_j, x) != 0, in order, the flattened
+    composites h then g (``_flatten_map(h.compose(g))``) over the live
+    factors i, h in rad End(T_j) for i = j and in between(j, i) otherwise,
+    and g in Hom(T_i, x): the rows ``modules._right_approximation`` hands
+    ``independent_rows`` as the span to be independent of, built there
+    without composing maps."""
+    from quivertilt.modules import _endo_radical, _flatten_map, hom_space
+
+    into = [hom_space(fac, x) for fac in factors]
+    live = [j for j, hs in enumerate(into) if hs.dim]
+    return [tuple(_flatten_map(h.compose(g)) for i in live
+                  for h in (_endo_radical(factors[j]) if i == j else between(j, i).basis)
+                  for g in into[i].basis)
+            for j in live]

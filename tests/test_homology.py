@@ -18,6 +18,7 @@ from quivertilt.modules import (cokernel, decompose, direct_sum, hom_space,
 from quivertilt.recollement import (_quotient_by_vertex_ideal, _vertex_ideal_products,
                                     lambda_left_module, universal_localization)
 from quivertilt.tilting import TiltingCertificate, tilting_module_check
+from conftest import counting
 from oracles import (oracle_tensor_dim, reference_corner_ring, reference_ext_matrices,
                      reference_min_resolution, reference_sc_tor_dims, reference_tor_dims)
 
@@ -169,6 +170,87 @@ def test_resolution_eliminates_each_vertex_once_per_term(monkeypatch):
         assert len(calls) == len(res.terms) * len(m.algebra.vertices), name
         checked += len(res.terms) > 1
     assert checked > 30
+
+
+def test_cover_stacks_the_arrow_images_without_vstack(all_algebras, monkeypatch):
+    """_cover hands independent_rows the images of K under the arrows into
+    w as one matrix of row tuples: resolving the fixture simples and
+    injectives stacks no matrix."""
+    def no_vstack(self, other):
+        raise AssertionError("vstack during a resolution")
+
+    monkeypatch.setattr(Matrix, "vstack", no_vstack)
+    resolved = 0
+    for name, make in _fixture_simples_and_injectives(all_algebras):
+        resolved += len(min_resolution(make(), 8, require_finite=False).terms)
+    assert resolved > 40
+
+
+@pytest.mark.parametrize("field", [None, GF(101)], ids=["Q", "GF101"])
+def test_a_one_part_sum_is_resolved_by_its_part(field, monkeypatch):
+    """min_resolution of direct_sum([m]) shares m's memoized terms and
+    differentials, re-targets the augmentation to the sum, and equals a
+    fresh resolution of the sum; bounds and incomplete prefixes behave as
+    for m, and a nested one-part sum resolves nothing either."""
+    import quivertilt.homology as homology
+    resolved = counting(monkeypatch, homology, "_resolve")
+    checked = 0
+    for name in ("a2", "kron2", "cycle2", "triple3"):
+        alg = fixture_algebra(name, field)
+        for v in alg.vertices:
+            for part in (simple(alg, v), injective(alg, v)):
+                res_part = min_resolution(part, 8, require_finite=False)
+                resolved.clear()
+                total = direct_sum([part])
+                res = min_resolution(total, 8, require_finite=False)
+                assert not resolved
+                assert res.module is total and res.complete == res_part.complete
+                assert len(res.terms) == len(res_part.terms)
+                assert all(a is b for a, b in zip(res.terms + res.diffs,
+                                                  res_part.terms + res_part.diffs))
+                assert res.augment.target is total
+                assert res.augment.source is res_part.augment.source
+                assert res.augment.mats == res_part.augment.mats
+                fresh = homology._resolve(total, 8)
+                assert [t.gens for t in fresh.terms] == [t.gens for t in res.terms]
+                assert [d.mats for d in fresh.diffs] == [d.mats for d in res.diffs]
+                assert fresh.augment.mats == res.augment.mats
+                nested = direct_sum([total])
+                resolved.clear()
+                assert min_resolution(nested, 8, require_finite=False).terms == res.terms
+                assert not resolved
+                if res.length:
+                    short = direct_sum([part])
+                    with pytest.raises(BoundExceeded):
+                        min_resolution(short, res.length - 1)
+                    prefix = min_resolution(short, res.length - 1, require_finite=False)
+                    assert not prefix.complete and prefix.length == res.length - 1
+                    assert all(a is b for a, b in zip(prefix.terms, res_part.terms))
+                    checked += 1
+    assert checked > 10
+
+
+def test_a_resolution_of_another_module_is_rejected(cycle2):
+    """ext, ext_dim, tor_dims_range and resolve_to_complex answer for the
+    module they are asked about: a resolution of another module raises
+    InputError, one of an equal module object is used."""
+    from quivertilt.complexes import resolve_to_complex
+    s2, i1 = simple(cycle2, "2"), injective(cycle2, "1")
+    other = min_resolution(s2)
+    calls = [lambda: ext(1, i1, s2, resolution=other),
+             lambda: ext_dim(1, i1, s2, resolution=other),
+             lambda: tor_dims_range(i1, left_regular_module(cycle2), 2, resolution=other),
+             lambda: resolve_to_complex(i1, resolution=other)]
+    for call in calls:
+        with pytest.raises(InputError, match="not a resolution of the module"):
+            call()
+    assert ext_dim(1, i1, s2) == 1
+    equal = Representation(cycle2, dict(i1.dims), dict(i1.arrow_mats))
+    own = min_resolution(equal)
+    assert ext_dim(1, i1, s2, resolution=own) == 1
+    assert tor_dims_range(i1, left_regular_module(cycle2), 2, resolution=own) \
+        == tor_dims_range(i1, left_regular_module(cycle2), 2)
+    assert resolve_to_complex(i1, resolution=own).terms == resolve_to_complex(i1).terms
 
 
 def test_cover_of_rows_that_are_not_a_submodule_is_not_onto(a2):
@@ -811,6 +893,33 @@ def test_approximation_matches_greedy_reference():
         assert f.mats == ref_f.mats, name
         assert f.target.dims == ref_f.target.dims, name
         assert f.target.arrow_mats == ref_f.target.arrow_mats, name
+
+
+def test_right_approximation_rows_are_the_flattened_composites(monkeypatch):
+    """The rows that _right_approximation hands independent_rows as the
+    radical span, built one row of h_v times g_v at a time, equal the
+    flattened composites h then g (``oracles.reference_radical_rows``), in
+    order, on every approximation case."""
+    import quivertilt.modules as modules
+    from quivertilt.linalg import independent_rows
+    from quivertilt.modules import right_add_approximation
+    from oracles import reference_radical_rows
+    nonempty = 0
+    for name, x, t in _approx_cases():
+        factors = [fac for fac, _ in decompose(t)]
+        seen = []
+
+        def recording(above, rows):
+            seen.append(above.entries)
+            return independent_rows(above, rows)
+
+        monkeypatch.setattr(modules, "independent_rows", recording)
+        right_add_approximation(x, t)
+        monkeypatch.undo()
+        assert seen == reference_radical_rows(
+            x, factors, lambda j, i: hom_space(factors[j], factors[i])), name
+        nonempty += any(seen)
+    assert nonempty > 20
 
 
 def _radical_images(t):

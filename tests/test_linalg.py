@@ -652,13 +652,15 @@ def echelon_variant(draw):
     Matrix.from_rows(QQ, [[0, 1, 1], [0, 0, 0]]))))
 @example(("scaled", Matrix.from_rows(GF(3), [[2, 0], [0, 1]])))
 def test_rank_and_quotient_basis_of_echelon_input_equal_the_eliminating_path(case):
-    """rank and quotient_basis on RREF bases, echelon forms and near misses
-    equal the elimination of the same rows: the rank of rref, the unit
-    vectors of its free columns and the reference projection."""
+    """rank, row_space and quotient_basis on RREF bases, echelon forms and
+    near misses equal the elimination of the same rows: the rank of rref,
+    its nonzero rows, the unit vectors of its free columns and the
+    reference projection."""
     _, sub = case
     fld, n = sub.field, sub.cols
     R, pivots = rref(sub)
     assert rank(sub) == len(pivots) == oracle_rank(as_lists(sub), fld.characteristic)
+    assert row_space(sub).entries == R.entries[:len(pivots)]
     section, proj = quotient_basis(sub, n)
     free = [j for j in range(n) if j not in pivots]
     assert list(section.entries) == [tuple(1 if j == c else 0 for j in range(n)) for c in free]
@@ -666,9 +668,9 @@ def test_rank_and_quotient_basis_of_echelon_input_equal_the_eliminating_path(cas
 
 
 def test_echelon_input_takes_no_elimination(monkeypatch):
-    """An RREF basis goes through rank and quotient_basis with no call of
-    _eliminate; a row echelon form through rank; any other matrix is
-    eliminated once."""
+    """An RREF basis goes through rank, row_space and quotient_basis with
+    no call of _eliminate; a row echelon form through rank; any other
+    matrix is eliminated once."""
     import quivertilt.linalg as linalg
     calls = []
     real = linalg._eliminate
@@ -680,6 +682,7 @@ def test_echelon_input_takes_no_elimination(monkeypatch):
     monkeypatch.setattr(linalg, "_eliminate", counting)
     basis = M(GF(5), [[1, 2, 0, 3], [0, 0, 1, 4]])
     assert rank(basis) == 2 and quotient_basis(basis, 4)[0].rows == 2 and calls == []
+    assert row_space(basis) is basis and calls == []
     echelon = M(QQ, [[2, 1, 0], [0, 0, 0], [0, 3, 1]])
     assert rank(echelon) == 2 and calls == []
     assert quotient_basis(echelon, 3)[0].rows == 1 and len(calls) == 1

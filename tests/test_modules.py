@@ -492,3 +492,116 @@ def test_a_projective_sum_frees_its_module_without_the_collector():
         assert rep() is None
     finally:
         gc.enable()
+
+
+def _quotient_sites(field):
+    """(label, run) for each caller of ``modules._quotient_by_rows``, on
+    the fixtures over the given field: a cokernel, ``quotient``, the
+    pushout of an extension, the trace quotient of a localization and
+    A/AeA of the stratifying check.  The tilting sequence the trace
+    quotient divides is certified here, so that run() reaches no other
+    quotient first."""
+    from quivertilt.homology import left_add_approximation, universal_extension
+    from quivertilt.recollement import (_quotient_by_vertex_ideal, _trace_quotient,
+                                        _vertex_ideal_products)
+    from quivertilt.tilting import tilting_module_check
+    cycle2 = fixture_algebra("cycle2", field)
+    t = direct_sum([projective(cycle2, "2"), simple(cycle2, "2")])
+    seq = tilting_module_check(t).sequence
+    return [
+        ("cokernel", lambda: cokernel(left_add_approximation(regular_module(cycle2), t)[0])),
+        ("quotient", lambda: quotient(projective(cycle2, "2"),
+                                      socle(projective(cycle2, "2"))[1])),
+        ("pushout", lambda: universal_extension(simple(cycle2, "2"), regular_module(cycle2))),
+        ("trace quotient", lambda: _trace_quotient(seq.right, seq.mid)),
+        ("vertex ideal", lambda: _quotient_by_vertex_ideal(
+            cycle2, list(_vertex_ideal_products(cycle2, ["1"])))),
+    ]
+
+
+def _patch_quotient_by_rows(monkeypatch, wrapper):
+    import quivertilt.homology as homology
+    import quivertilt.modules as modules
+    import quivertilt.recollement as recollement
+    real = modules._quotient_by_rows
+    for mod in (modules, homology, recollement):
+        monkeypatch.setattr(mod, "_quotient_by_rows", lambda m, rows: wrapper(real, m, rows))
+
+
+@pytest.mark.parametrize("field", [None, GF(101), GF(5)], ids=["Q", "GF101", "GF5"])
+def test_quotient_by_rows_equals_the_submodule_route_at_every_site(monkeypatch, field):
+    """Every quotient the package takes by rows (a cokernel, quotient, the
+    pushout, the trace quotient, A/AeA) equals the quotient through the
+    submodule the rows span (``oracles.reference_quotient_by_rows``): the
+    same dims, arrow matrices, projection and sections."""
+    from oracles import reference_quotient_by_rows
+    seen = []
+
+    def recording(real, m, rows):
+        out = real(m, rows)
+        seen.append((m, rows, out))
+        return out
+
+    sites = _quotient_sites(field)
+    _patch_quotient_by_rows(monkeypatch, recording)
+    for label, run in sites:
+        seen.clear()
+        run()
+        assert seen, label
+        for m, rows, (q, proj, sections) in seen:
+            ref_q, ref_proj, ref_sections = reference_quotient_by_rows(m, rows)
+            assert (q.dims, q.arrow_mats) == (ref_q.dims, ref_q.arrow_mats), label
+            assert proj.mats == ref_proj.mats and sections == ref_sections, label
+
+
+@pytest.mark.parametrize("field", [None, GF(101), GF(5)], ids=["Q", "GF101", "GF5"])
+def test_every_quotient_by_rows_site_rejects_rows_that_are_not_a_submodule(
+        monkeypatch, field):
+    """With one entry of the rows changed so that their span is not
+    action-stable (``oracles.unstable_rows``), at the first call of each
+    site where one entry can do so, every site raises ConsistencyError:
+    the check of [section_s; basis_s]·A·proj_t stays on each route."""
+    from oracles import unstable_rows
+    changed = []
+
+    def changing(real, m, rows):
+        bent = unstable_rows(m, rows)
+        if bent is None:
+            return real(m, rows)
+        changed.append(m)
+        return real(m, bent)
+
+    sites = _quotient_sites(field)
+    _patch_quotient_by_rows(monkeypatch, changing)
+    for label, run in sites:
+        changed.clear()
+        with pytest.raises(ConsistencyError, match="action-stable"):
+            run()
+        assert len(changed) == 1, label
+
+
+def test_quotient_by_rows_rejects_a_changed_arrow(cycle2):
+    """The socle of P_2 over cycle2 is a submodule, but not of P_2 with one
+    arrow entry raised by one where that moves the socle out of itself
+    (by oracle_rank); every such change raises ConsistencyError."""
+    from quivertilt.modules import Representation, _quotient_by_rows
+    from oracles import oracle_matmul, oracle_rank
+    p2 = projective(cycle2, "2")
+    soc = socle(p2)[1].mats
+    _quotient_by_rows(p2, soc)
+    rejected = 0
+    for name, s, t in cycle2.quiver.arrows:
+        a = p2.arrow_mats[name]
+        for i in range(a.rows):
+            for j in range(a.cols):
+                grid = [list(r) for r in a.entries]
+                grid[i][j] += 1
+                changed = dict(p2.arrow_mats)
+                changed[name] = Matrix(a.field, a.rows, a.cols, tuple(map(tuple, grid)))
+                base = [list(r) for r in soc[t].entries]
+                img = oracle_matmul(soc[s].entries, grid, a.cols)
+                if oracle_rank(base + img) > oracle_rank(base):
+                    with pytest.raises(ConsistencyError, match="action-stable"):
+                        _quotient_by_rows(Representation._trusted(cycle2, p2.dims, changed), soc)
+                    rejected += 1
+    assert rejected

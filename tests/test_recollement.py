@@ -143,6 +143,38 @@ def test_reflection_iterative_triple3(triple3):
     assert is_isomorphic(cohomology(q, 0), ru)
 
 
+def test_brick_reflection_builds_no_cone_projection(cycle2, a2, monkeypatch):
+    """reflection_brick returns the cone and inclusion of mapping_cone(alpha)
+    for the canonical map alpha it collects, and builds no chain map out
+    of that cone: the projection onto alpha's source is never formed."""
+    import quivertilt.complexes as complexes
+    from quivertilt.complexes import mapping_cone, shift_chain_map, stack_to_common_target
+    built = []
+    post_init = complexes.ChainMap.__post_init__
+
+    def recording(self):
+        built.append(self)
+        post_init(self)
+
+    for alg, t1m in [(cycle2, simple(cycle2, "2")), (a2, simple(a2, "1")),
+                     (linear_algebra(4, True, GF(101)), None)]:
+        if t1m is None:
+            s = simple(alg, "3")
+            n_mod, _, _ = bongartz_complement(s)
+            t1m = tilting_module_check(direct_sum([n_mod, s])).sequence.right
+        t1, rr = resolve_to_complex(t1m), resolve_to_complex(regular_module(alg))
+        monkeypatch.setattr(complexes.ChainMap, "__post_init__", recording)
+        built.clear()
+        cone, incl = reflection_brick(t1, rr)
+        monkeypatch.undo()
+        assert cone is not rr and built
+        assert not any(f.source is cone for f in built)
+        alpha = stack_to_common_target([shift_chain_map(f, -i) for i in hom_window(t1, rr)
+                                        for f in derived_hom(t1, rr, i).reps])
+        ref_cone, ref_incl, _ = mapping_cone(alpha)
+        assert (cone, incl) == (ref_cone, ref_incl)
+
+
 def test_reflection_did_not_stabilize_error(cycle2):
     rs2 = resolve_to_complex(simple(cycle2, "2"))
     rr = resolve_to_complex(regular_module(cycle2))
@@ -758,6 +790,23 @@ def test_tor_reads_fewer_actions_than_the_algebra_has():
                        tuple(ends.combo(c).total_matrix() for c in loc.lam))
     assert tuple(left.act) == dense.act
     assert dims == tor_dims_range(loc.ru_module, dense, 6)
+
+
+def test_actions_on_read_equal_the_combo_total_matrices(bongartz_localizations,
+                                                       cycle2_localization):
+    """Every act[u] of the left module R_U through lambda, written straight
+    from lambda's coordinates, equals the total matrix of the combination
+    of the End basis (``oracles.reference_actions``); so do the actions of
+    coefficient vectors with entries other than 0 and 1."""
+    from quivertilt.recollement import ActionsOnRead
+    from oracles import reference_actions
+    for label, loc in bongartz_localizations + [("cycle2", cycle2_localization)]:
+        left = lambda_left_module(loc.eta, loc.lam)
+        ends = modules.hom_space(loc.ru_module, loc.ru_module)
+        assert list(left.act) == reference_actions(ends, loc.lam), label
+        fld = loc.ru_module.algebra.field
+        others = [tuple(fld.coerce(i * k + 2) for i in range(ends.dim)) for k in range(3)]
+        assert list(ActionsOnRead(ends, others)) == reference_actions(ends, others), label
 
 
 def test_reflect_regular_is_memoized_per_t1_object(cycle2):

@@ -171,6 +171,21 @@ def test_construct_tilting_cycle2(cycle2):
             assert v in built.generation_evidence[name]
 
 
+def test_construct_tilting_resolves_each_simple_once(cycle2, monkeypatch):
+    """The generation evidence of both outputs reads one resolution of each
+    simple: cycle2 builds and resolves its two simples once each."""
+    import quivertilt.homology as homology
+    import quivertilt.tilting as tilting
+    rep = check_A1_A2(resolve_to_complex(simple(cycle2, "2")),
+                      resolve_to_complex(injective(cycle2, "1")))
+    simples = counting(monkeypatch, tilting, "simple")
+    resolved = counting(monkeypatch, homology, "_resolve")
+    built = construct_tilting(rep.pair)
+    assert len(simples) == len(cycle2.vertices) == 2
+    assert sum(1 for m, _ in resolved if m.total_dim == 1) == 2
+    assert set(built.generation_evidence) == {"first", "second"}
+
+
 def test_construct_tilting_m_zero(cycle2):
     p1 = resolve_to_complex(projective(cycle2, "1"))
     p2 = resolve_to_complex(projective(cycle2, "2"))

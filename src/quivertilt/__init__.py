@@ -9,7 +9,7 @@ from .algebra import (Algebra, Quiver, RelationPoly, build_algebra, injective,
 from .complexes import (ChainMap, PerfectComplex, cohomology, derived_hom,
                         direct_sum_complexes, hom_window, is_exceptional,
                         mapping_cone, resolve_to_complex, shift,
-                        triangle_from_map, zero_complex)
+                        triangle_from_map, universal_triangle, zero_complex)
 from .errors import (BoundExceeded, ConsistencyError, DimensionMismatch,
                      InputError, QuivertiltError)
 from .homology import (ExtClass, ExtSpace, LeftModule, Resolution, ShortExact,
@@ -33,8 +33,7 @@ from .recollement import (HomEpiReport, LocalizationReport, RecollementReport,
                           universal_localization)
 from .tilting import (ExceptionalPair, TiltingCertificate, TiltingFailure,
                       bongartz_complement, check_A1_A2, cone_exceptionality,
-                      construct_tilting, left_universal_map,
-                      right_universal_map, tilting_module_check)
+                      construct_tilting, tilting_module_check)
 from .verify import run_example
 
 __version__ = "0.1.0"

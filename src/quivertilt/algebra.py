@@ -533,10 +533,13 @@ def simple(alg: Algebra, v) -> "Representation":
 
 
 def zero_module(alg: Algebra) -> "Representation":
+    """The zero module, memoized in the algebra's cache as the regular
+    module is: every caller gets the same object."""
     from .modules import Representation
-    dims = {w: 0 for w in alg.vertices}
-    mats = {name: Matrix.zeros(alg.field, 0, 0) for name, _, _ in alg.quiver.arrows}
-    return Representation._trusted(alg, dims, mats)
+    if "zero" not in alg._caches:
+        mats = {name: Matrix.zeros(alg.field, 0, 0) for name, _, _ in alg.quiver.arrows}
+        alg._caches["zero"] = Representation._trusted(alg, {w: 0 for w in alg.vertices}, mats)
+    return alg._caches["zero"]
 
 
 def regular_module(alg: Algebra) -> "Representation":

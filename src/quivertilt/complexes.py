@@ -1,12 +1,17 @@
 """Perfect complexes: bounded cochain complexes of projectives, shifts,
-mapping cones, chain maps modulo homotopy, derived Hom.
+mapping cones, chain maps modulo homotopy, derived Hom, universal
+triangles.
 
 Only complexes of projectives are values here; modules enter through
 resolve_to_complex.  Hom in the homotopy category of projectives computes
 derived Hom, so no calculus of fractions is needed.  Differentials raise
 degree; the shift sign is d_{x[n]} = (-1)^n d_x, and the cone of f has
 differential [[-d_src, f], [0, d_tgt]].  ``mapping_cone`` builds the
-projection of the cone on top of ``_cone``, which reflections use alone.
+projection on top of ``_cone`` and ``_cone_inclusion``.
+
+``universal_triangle`` alone stacks derived Hom bases into a map and cones
+it: the left or right mutation at an exceptional object (Gorodentsev-
+Rudakov; Bondal), checked by the degrees it kills.
 
 Dimensions come from ranks: dim Hom_D(x, y[n]) from the two differentials
 of the Hom complex at degree n, and dim H^n(x) from those of x.  Chain-map
@@ -17,7 +22,7 @@ there.
 
 from dataclasses import dataclass, field as _dc_field
 
-from .algebra import Algebra
+from .algebra import Algebra, zero_module
 from .errors import ConsistencyError, DimensionMismatch, InputError
 from .linalg import rank, row_space, solve_linear_system, solve_right_kernel
 from .modules import (ModuleMap, Representation, _assemble_block_map, _same_module,
@@ -69,7 +74,7 @@ class PerfectComplex:
         t = self.terms.get(n)
         if t is not None:
             return t.rep
-        return _zero_rep(self.algebra)
+        return zero_module(self.algebra)
 
     def diff(self, n: int) -> ModuleMap:
         d = self.diffs.get(n)
@@ -82,11 +87,6 @@ class PerfectComplex:
             return "PerfectComplex(0)"
         parts = [f"{n}:{self.terms[n].gens}" for n in sorted(self.terms)]
         return "PerfectComplex(" + ", ".join(parts) + ")"
-
-
-def _zero_rep(alg: Algebra) -> Representation:
-    from .algebra import zero_module
-    return zero_module(alg)
 
 
 def zero_complex(alg: Algebra) -> PerfectComplex:
@@ -134,14 +134,16 @@ def _shift(x: PerfectComplex, n: int) -> PerfectComplex:
 
 
 def direct_sum_complexes(parts, algebra: Algebra | None = None) -> PerfectComplex:
+    """Degreewise direct sum of complexes over one algebra (InputError
+    otherwise); the algebra must be given when there are no parts."""
+    alg = algebra if algebra is not None else (parts[0].algebra if parts else None)
+    if alg is None:
+        raise InputError("direct sum of zero complexes needs the algebra")
+    if any(p.algebra is not alg for p in parts):
+        raise InputError("direct sum of complexes over different algebras")
     live = [p for p in parts if not p.is_zero_complex()]
     if not live:
-        if algebra is None and parts:
-            algebra = parts[0].algebra
-        if algebra is None:
-            raise InputError("direct sum of zero complexes needs the algebra")
-        return zero_complex(algebra)
-    alg = live[0].algebra
+        return zero_complex(alg)
     degrees = sorted({n for p in live for n in p.terms})
     terms = {}
     for n in degrees:
@@ -240,12 +242,12 @@ def shift_chain_map(f: ChainMap, n: int) -> ChainMap:
 def mapping_cone(f: ChainMap):
     """(cone, incl: target -> cone, proj: cone -> source[1]).
 
-    cone^n = src^{n+1} ⊕ tgt^n with differential [[-d_src, f], [0, d_tgt]].
-    The cone and its inclusion are ``_cone``'s; the projection is built on
-    top of them.
+    cone^n = src^{n+1} ⊕ tgt^n with differential [[-d_src, f], [0, d_tgt]],
+    built by ``_cone`` and ``_cone_inclusion`` for callers that need less.
     """
     x = f.source
-    cone, incl = _cone(f)
+    cone = _cone(f)
+    incl = _cone_inclusion(f, cone)
     sx = shift(x, 1)
     proj_comps = {}
     for n in cone.terms:
@@ -258,9 +260,8 @@ def mapping_cone(f: ChainMap):
     return cone, incl, proj
 
 
-def _cone(f: ChainMap):
-    """(cone, incl: target -> cone) of ``mapping_cone``, without the
-    projection, for callers that do not read it."""
+def _cone(f: ChainMap) -> PerfectComplex:
+    """The cone of ``mapping_cone``, without its maps."""
     x, y = f.source, f.target
     alg = x.algebra
     degrees = sorted(set(i - 1 for i in x.terms) | set(y.terms))
@@ -281,7 +282,12 @@ def _cone(f: ChainMap):
         d = _assemble_block_map(terms[n].rep, terms[n + 1].rep, blocks, src_reps, tgt_reps)
         if not d.is_zero():
             diffs[n] = d
-    cone = PerfectComplex(alg, terms, diffs)
+    return PerfectComplex(alg, terms, diffs)
+
+
+def _cone_inclusion(f: ChainMap, cone: PerfectComplex) -> ChainMap:
+    """The inclusion f.target -> cone of ``mapping_cone``; cone = _cone(f)."""
+    x, y = f.source, f.target
     incl_comps = {}
     for n in y.terms:
         if n in cone.terms:
@@ -289,7 +295,7 @@ def _cone(f: ChainMap):
                 y.term_rep(n), cone.terms[n].rep,
                 [[None, identity_map(y.term_rep(n))]],
                 [y.term_rep(n)], [x.term_rep(n + 1), y.term_rep(n)])
-    return cone, ChainMap(y, cone, incl_comps)
+    return ChainMap(y, cone, incl_comps)
 
 
 def triangle_from_map(alpha: ChainMap):
@@ -391,6 +397,8 @@ def derived_hom(x: PerfectComplex, y: PerfectComplex, n: int) -> DerivedHomSpace
     representatives nor the shifted complex they map into is built here
     (``DerivedHomSpace.reps`` builds both on first use).  Hom_D(x, x[n]) is
     memoized in x's cache, as End(m) is for modules."""
+    if x.algebra is not y.algebra:
+        raise InputError("derived Hom between complexes over different algebras")
     memo = x._caches.setdefault("derived_end", {}) if y is x else {}
     if n in memo:
         return memo[n]
@@ -405,7 +413,7 @@ def cohomology(x: PerfectComplex, n: int) -> Representation:
     """H^n(x) = ker(d^n) / im(d^{n-1}) as a representation."""
     alg = x.algebra
     if n not in x.terms:
-        return _zero_rep(alg)
+        return zero_module(alg)
     dn = x.diff(n)
     ker_rows = {v: solve_right_kernel(dn.mats[v]) for v in alg.vertices}
     ker, ker_incl = submodule_from_rows(x.term_rep(n), ker_rows)
@@ -434,12 +442,7 @@ def _cohomology_dims(x: PerfectComplex) -> dict:
 
 def is_exceptional(x: PerfectComplex) -> bool:
     """No self-maps in nonzero degrees, over the full finite window."""
-    for n in hom_window(x, x):
-        if n == 0:
-            continue
-        if derived_hom(x, x, n).dim != 0:
-            return False
-    return True
+    return not any(derived_hom(x, x, n).dim for n in hom_window(x, x) if n)
 
 
 def stack_to_common_target(maps) -> ChainMap:
@@ -478,3 +481,51 @@ def stack_to_common_source(maps) -> ChainMap:
             if not comp.is_zero():
                 comps[n] = comp
     return ChainMap(x, tgt, comps)
+
+
+# -- universal triangles ----------------------------------------------------------
+
+
+def universal_triangle(spaces, side: str):
+    """The universal triangle over the basis of each Hom_D(x, y[n]) in
+    ``spaces`` (one x, one y), stacked space by space in the given order.
+    "left", x exceptional: (L, incl: y -> L), L = cone(⊕_n x[-n]^{dim_n} -> y).
+    "right", y exceptional: R = cone(x -> ⊕_n y[n]^{dim_n})[-1], no map.
+    Anything else raises InputError; an empty stack gives y (with id), resp. x.
+
+    Checked (ConsistencyError): Hom_D(x, L[n]) = 0, resp. Hom_D(R, y[n]) = 0,
+    at each space's degree n.  By the triangle's long exact sequence, as
+    Hom_D(x, x[k]) = 0 for k != 0, Hom_D(x, L[n]) is the cokernel of
+    End_D(x)^{dim_n} -> Hom_D(x, y[n]) beside the kernel of
+    End_D(x)^{dim_{n+1}} -> Hom_D(x, y[n+1]) (on the right dually, with
+    End_D(y)): for one degree universality, the End-span; for several also
+    End-independence, which a basis has over a brick."""
+    if side not in ("left", "right"):
+        raise InputError(f"universal triangle side {side!r} is neither 'left' nor 'right'")
+    if not spaces:
+        raise InputError("universal triangle of no spaces")
+    x, y = spaces[0].x, spaces[0].y
+    if any(s.x is not x or s.y is not y for s in spaces):
+        raise InputError("universal triangle of spaces between different complexes")
+    if x.algebra is not y.algebra:
+        raise InputError("universal triangle between complexes over different algebras")
+    if not is_exceptional(x if side == "left" else y):
+        raise InputError(f"{side} universal triangle needs an exceptional "
+                         f"{'source' if side == 'left' else 'target'}")
+    stacked = [(s.n, f) for s in spaces for f in s.reps]
+    if side == "right":
+        out = shift(_cone(stack_to_common_source([f for _, f in stacked])), -1) if stacked else x
+        left_over = [(s.n, derived_hom(out, y, s.n).dim) for s in spaces]
+    else:
+        if stacked:
+            alpha = stack_to_common_target([shift_chain_map(f, -n) for n, f in stacked])
+            cone = _cone(alpha)
+            out = (cone, _cone_inclusion(alpha, cone))
+        else:
+            out = (y, identity_chain_map(y))
+        left_over = [(s.n, derived_hom(x, out[0], s.n).dim) for s in spaces]
+    for n, d in left_over:
+        if d:
+            raise ConsistencyError(f"{side} universal triangle leaves Hom in degree {n} "
+                                   f"of dim {d}")
+    return out

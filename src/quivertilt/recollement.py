@@ -28,9 +28,9 @@ and the recollement report share both.  T1 comes from a tilting
 certificate as a recorded direct sum of factors of T, so its isomorphism
 classes are read off its parts.
 R_U is T0 divided by the stacked rows of a Hom(T1, T0_c) basis, one
-``row_space`` per vertex and part and no trace submodule; the reflection
-builds the cone and its inclusion only (``complexes._cone``), since no
-caller reads the cone's projection.
+``row_space`` per vertex and part and no trace submodule.  Both reflection
+routes are left ``complexes.universal_triangle``s at T1: the brick route one
+over the whole window, each iterative step one at its top degree.
 The trace quotient R_U and the reflection mu: R -> q(R) are both
 reflections of R into the perpendicular category of T1 (Geigle-Lenzing),
 so they are compared by the one chain map psi: q(R) -> R_U with
@@ -57,9 +57,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .algebra import Algebra, regular_module
-from .complexes import (ChainMap, PerfectComplex, _cohomology_dims, _cone, cohomology,
-                        derived_hom, hom_window, identity_chain_map, is_exceptional,
-                        resolve_to_complex, shift_chain_map, stack_to_common_target)
+from .complexes import (ChainMap, PerfectComplex, _cohomology_dims, cohomology, derived_hom,
+                        hom_window, identity_chain_map, is_exceptional, resolve_to_complex,
+                        shift_chain_map, universal_triangle)
 from .errors import BoundExceeded, ConsistencyError, InputError
 from .homology import (DEFAULT_RESOLUTION_BOUND, LeftModule, ShortExact, _gen_rows,
                        _hom_differential, _precompose_matrix, _same_gen_rows,
@@ -133,36 +133,26 @@ def perp_complex_membership(m: Representation, y: PerfectComplex,
 
 
 def reflection_brick(t1: PerfectComplex, m: PerfectComplex):
-    """Y-reflection of m at a brick t1: the cone over the canonical map
-    ⊕_i t1[-i]^{n_i} -> m collecting a basis of every Hom(t1, m[i]).
+    """Y-reflection of m at a brick t1: the left universal triangle over a
+    basis of every Hom(t1, m[i]) of the window, i.e. the cone over the
+    canonical map ⊕_i t1[-i]^{n_i} -> m.
 
     Requires End_D(t1) one-dimensional and t1 exceptional; post-verified:
-    Hom(t1, q(m)[i]) = 0 for all i.  Returns (q(m), m -> q(m)): the cone
-    and its inclusion from ``complexes._cone``, which builds no projection
-    onto the shifted source."""
+    Hom(t1, q(m)[i]) = 0 for all i, the window's degrees by the triangle's
+    own check and the rest of the cone's window here.  Returns (q(m),
+    m -> q(m))."""
     if t1.is_zero_complex():
         return m, identity_chain_map(m)
     if derived_hom(t1, t1, 0).dim != 1:
         raise InputError("brick reflection needs a one-dimensional endomorphism ring")
-    if not is_exceptional(t1):
-        raise InputError("brick reflection needs an exceptional object")
-    parts = []
-    for i in hom_window(t1, m):
-        space = derived_hom(t1, m, i)
-        for f in space.reps:
-            parts.append(shift_chain_map(f, -i))  # t1[-i] -> m
-    if not parts:
-        return m, identity_chain_map(m)
-    cone, incl = _cone(stack_to_common_target(parts))
-    _verify_killed(t1, cone)
-    return cone, incl
-
-
-def _verify_killed(t1: PerfectComplex, q: PerfectComplex):
-    for i in hom_window(t1, q):
-        d = derived_hom(t1, q, i).dim
+    # a zero m has an empty window; its zero degree-0 space still names t1 and m
+    window = hom_window(t1, m) or range(1)
+    cone, incl = universal_triangle([derived_hom(t1, m, i) for i in window], "left")
+    for i in hom_window(t1, cone):
+        d = 0 if i in window else derived_hom(t1, cone, i).dim
         if d:
             raise ConsistencyError(f"reflection failed: Hom(T1, q(M)[{i}]) has dim {d}")
+    return cone, incl
 
 
 @dataclass(frozen=True)
@@ -176,27 +166,25 @@ def reflection_iterative(t1: PerfectComplex, m: PerfectComplex, max_steps: int =
     Hom(t1, M_n[·]) with a universal triangle, per the degree-descending
     construction; stops when every degree vanishes.
 
-    Each step verifies that the top degree is gone, that lower degrees map
-    isomorphically (injectively at the boundary), and that the new map is
-    built from shifts of t1 only.  Each step's cone and inclusion come from
-    ``complexes._cone``, with no projection.  Raises BoundExceeded when the
-    process does not stabilize within max_steps."""
-    if not t1.is_zero_complex() and not is_exceptional(t1):
+    Each step is the left universal triangle at the top degree, which
+    checks that degree is gone; ``_verify_step`` checks the rest of the
+    step's contract.  Raises BoundExceeded when the process does not
+    stabilize within max_steps."""
+    if not is_exceptional(t1):
         raise InputError("iterative reflection needs an exceptional object")
     current = m
     total_map = identity_chain_map(m)
     steps = []
     for step in range(max_steps + 1):
-        dims = {i: derived_hom(t1, current, i).dim for i in hom_window(t1, current)}
-        live = {i: d for i, d in dims.items() if d}
+        live = [s for s in (derived_hom(t1, current, i) for i in hom_window(t1, current))
+                if s.dim]
         if not live:
             return current, total_map, tuple(steps)
         if step == max_steps:
             break
-        top = max(live)
-        space = derived_hom(t1, current, top)
-        parts = [shift_chain_map(f, -top) for f in space.reps]
-        nxt, sigma = _cone(stack_to_common_target(parts))
+        space = live[-1]  # the window ascends: the top degree
+        top = space.n
+        nxt, sigma = universal_triangle([space], "left")
         _verify_step(t1, current, nxt, sigma, top)
         steps.append(ReflectionStep(top, space.dim))
         total_map = total_map.compose(sigma)
@@ -205,10 +193,11 @@ def reflection_iterative(t1: PerfectComplex, m: PerfectComplex, max_steps: int =
 
 
 def _verify_step(t1, before, after, sigma: ChainMap, top: int):
-    """Degree-descending step contract: degree `top` is killed, degrees
+    """Degree-descending step contract: no degree above `top` appears (the
+    step's universal triangle checked `top` itself is killed), degrees
     below top-1 are untouched, degree top-1 embeds."""
     for i in hom_window(t1, after):
-        if i >= top:
+        if i > top:
             if derived_hom(t1, after, i).dim:
                 raise ConsistencyError(f"degree {i} survived the reflection step at {top}")
     window = set(hom_window(t1, before)) | set(hom_window(t1, after))
@@ -851,8 +840,8 @@ def recollement_report(t: Representation, max_steps: int = 16,
     The orthogonality Hom_D(T1[n], T2) = Hom_D(T1, T2[-n]) = 0 for all n
     is the sweep the memoized reflection already made over the whole
     window of resolve(T1) and q(R): ``reflect_regular`` returns q(R) only
-    after every Hom_D(T1', q(R)[k]) in it vanished (``_verify_killed`` on
-    the brick route, the stopping test on the iterative one), with
+    after every Hom_D(T1', q(R)[k]) in it vanished (the post-condition of
+    ``reflection_brick``, the stopping test of ``reflection_iterative``), with
     add T1' = add T1 and the same projective dimension, so the same window,
     and raises otherwise.  It is not swept again."""
     from .tilting import TiltingFailure, tilting_module_check

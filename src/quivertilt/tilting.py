@@ -6,7 +6,10 @@ with Hom(T1, T2[k]) = 0 for all k and Hom(T2, T1[k]) = 0 outside {0, 1}.
 From a map alpha: T2 -> T1[1] the triangle T1 -> T -> T2 -> T1[1] is
 realized as a complex, and exceptionality of T is equivalent to
 surjectivity of End(T2) ⊕ End(T1[1]) -> Hom(T2, T1[1]); both routes are
-always computed and compared.
+always computed and compared.  The tilting construction's two triangles,
+T1 -> C1 -> T2^m -> T1[1] and T1^m -> C2 -> T2 -> T1[1]^m, are the left and
+right ``complexes.universal_triangle`` over the one space Hom(T2, T1[1])
+that ``check_A1_A2`` solved.
 
 A tilting-module verdict is a function of the module's recorded
 ``direct_sum`` parts, in order, and the resolution bound, so
@@ -27,12 +30,10 @@ the cokernel.
 from dataclasses import dataclass, replace
 
 from .algebra import regular_module, simple
-from .complexes import (ChainMap, DerivedHomSpace, PerfectComplex,
-                        derived_hom, direct_sum_complexes, hom_window,
-                        is_exceptional, resolve_to_complex, shift,
-                        shift_chain_map, stack_to_common_source,
-                        stack_to_common_target, triangle_from_map,
-                        zero_chain_map, zero_complex)
+from .complexes import (ChainMap, DerivedHomSpace, PerfectComplex, derived_hom,
+                        direct_sum_complexes, hom_window, is_exceptional,
+                        resolve_to_complex, shift_chain_map, triangle_from_map,
+                        universal_triangle)
 from .errors import ConsistencyError, InputError
 from .homology import (DEFAULT_RESOLUTION_BOUND, ShortExact, _left_approximation, ext_dim,
                        proj_dim, universal_extension)
@@ -117,50 +118,6 @@ def cone_exceptionality(pair: ExceptionalPair, alpha: ChainMap):
     return T, direct, criterion
 
 
-def left_universal_map(t2: PerfectComplex, t1: PerfectComplex):
-    """Canonical map alpha: t2^{⊕m} -> t1[1] over a basis of Hom(t2, t1[1]);
-    verified left-universal (every map t2^{⊕m} -> t1[1] factors through it
-    via an endomorphism of the source)."""
-    space = derived_hom(t2, t1, 1)
-    m = space.dim
-    st1 = shift(t1, 1)
-    if m == 0:
-        return zero_chain_map(zero_complex(t2.algebra), st1), 0
-    alpha = stack_to_common_target(list(space.reps))
-    if not is_left_universal(alpha):
-        raise ConsistencyError("canonical stacked map is not left-universal")
-    return alpha, m
-
-
-def right_universal_map(t2: PerfectComplex, t1: PerfectComplex):
-    """Canonical map beta: t2 -> t1[1]^{⊕m}; verified right-universal."""
-    space = derived_hom(t2, t1, 1)
-    m = space.dim
-    if m == 0:
-        return zero_chain_map(t2, zero_complex(t2.algebra)), 0
-    beta = stack_to_common_source(list(space.reps))
-    if not is_right_universal(beta):
-        raise ConsistencyError("canonical stacked map is not right-universal")
-    return beta, m
-
-
-def is_left_universal(alpha: ChainMap) -> bool:
-    """alpha: M -> N is left-universal when every map M -> N factors as
-    (endomorphism of M) then alpha, i.e. End(M) -> Hom(M, N) induced by
-    alpha is surjective in the homotopy category."""
-    src = alpha.source
-    return _spans(derived_hom(src, alpha.target, 0),
-                  lambda: [f.compose(alpha) for f in derived_hom(src, src, 0).reps])
-
-
-def is_right_universal(beta: ChainMap) -> bool:
-    """beta: M -> N is right-universal when every map M -> N factors as
-    beta then (endomorphism of N)."""
-    tgt = beta.target
-    return _spans(derived_hom(beta.source, tgt, 0),
-                  lambda: [beta.compose(g) for g in derived_hom(tgt, tgt, 0).reps])
-
-
 def _spans(space: DerivedHomSpace, maps) -> bool:
     """Whether the classes of the chain maps maps() returns span space:
     True for a zero space, where maps is not called, and False for an
@@ -175,8 +132,8 @@ def _spans(space: DerivedHomSpace, maps) -> bool:
 class ConstructedTilting:
     """Output of the two-triangle tilting construction.
 
-    first = C1 ⊕ T2 from the left-universal triangle
-    T1 -> C1 -> T2^{⊕m} -> T1[1]; second = T1 ⊕ C2 from the right-universal
+    first = C1 ⊕ T2 from the left universal triangle
+    T1 -> C1 -> T2^{⊕m} -> T1[1]; second = T1 ⊕ C2 from the right universal
     triangle T1^{⊕m} -> C2 -> T2 -> T1[1]^{⊕m}.
     """
 
@@ -192,21 +149,16 @@ class ConstructedTilting:
 def construct_tilting(pair: ExceptionalPair) -> ConstructedTilting:
     """Both tilting objects of the finite-dimensional construction, with
     exceptionality certificates and the structural generation evidence (a
-    nonzero derived Hom into every simple)."""
+    nonzero derived Hom into every simple).  C1 and C2 are the left and
+    right universal triangles over the pair's Hom(T2, T1[1]); for m = 0
+    both outputs are the one complex T1 ⊕ T2."""
     t1, t2 = pair.t1, pair.t2
     alg = t1.algebra
-    alpha, m = left_universal_map(t2, t1)
-    if m == 0:
-        first = direct_sum_complexes([t1, t2], alg)
-        second = first
-    else:
-        c1, _, _ = triangle_from_map(alpha)
-        first = direct_sum_complexes([c1, t2], alg)
-        beta, m2 = right_universal_map(t2, t1)
-        if m2 != m:
-            raise ConsistencyError("left/right universal multiplicities disagree")
-        c2, _, _ = triangle_from_map(beta)
-        second = direct_sum_complexes([t1, c2], alg)
+    m = pair.ext_dim
+    c1, _ = universal_triangle([pair.ext_space], "left")
+    first = direct_sum_complexes([c1, t2], alg)
+    second = first if m == 0 else direct_sum_complexes(
+        [t1, universal_triangle([pair.ext_space], "right")], alg)
     first_ok = is_exceptional(first)
     second_ok = is_exceptional(second)
     evidence = {}

@@ -60,7 +60,9 @@ submodule its rows span, which reading it off one RREF per vertex
 replaced, reference_actions, the left actions of R_U as total matrices of
 combo maps, which writing them straight from lambda replaced, and
 reference_radical_rows, the flattened composites h then g, which building
-each row of h times g replaced.  unstable_rows changes one entry of a
+each row of h times g replaced, and reference_is_left_universal with
+reference_is_right_universal, the End-span universality of a stacked map,
+which the kill check of complexes.universal_triangle replaced.  unstable_rows changes one entry of a
 span's rows so that it is no longer action-stable.  oracle_rank and oracle_left_kernel also work over a prime
 field when given its characteristic.
 """
@@ -554,6 +556,27 @@ def reference_triangle(alpha):
                                         [t2.term_rep(n), t1.term_rep(n)], [t2.term_rep(n)])
                             for n in T.terms if n in t2.terms})
     return T, incl, proj
+
+
+def reference_is_left_universal(alpha) -> bool:
+    """alpha: M -> N is left-universal when every map M -> N factors as
+    (endomorphism of M) then alpha, i.e. End(M) -> Hom(M, N) induced by
+    alpha is surjective in the homotopy category."""
+    from quivertilt.complexes import derived_hom
+    from quivertilt.tilting import _spans
+    src = alpha.source
+    return _spans(derived_hom(src, alpha.target, 0),
+                  lambda: [f.compose(alpha) for f in derived_hom(src, src, 0).reps])
+
+
+def reference_is_right_universal(beta) -> bool:
+    """beta: M -> N is right-universal when every map M -> N factors as
+    beta then (endomorphism of N)."""
+    from quivertilt.complexes import derived_hom
+    from quivertilt.tilting import _spans
+    tgt = beta.target
+    return _spans(derived_hom(beta.source, tgt, 0),
+                  lambda: [beta.compose(g) for g in derived_hom(tgt, tgt, 0).reps])
 
 
 def reference_summands(m, seed=0):

@@ -460,3 +460,44 @@ def test_brick_reflection_builds_the_degree_zero_pair_of_end_once(cycle2, monkey
     assert derived_hom(t1, shift(t1, 0), 0) is derived_hom(t1, t1, 0)
     assert derived_hom(t1, resolve_to_complex(simple(cycle2, "2")), 0) is not \
         derived_hom(t1, t1, 0)
+
+
+def test_complexes_over_different_algebras_are_rejected(cycle2, a2):
+    """derived_hom, direct_sum_complexes, check_A1_A2, reflection_brick and
+    universal_triangle take hom_space's policy: complexes over two algebra
+    objects raise InputError, also over the same quiver with another field."""
+    from quivertilt.recollement import reflection_brick
+    from quivertilt.tilting import check_A1_A2
+    from quivertilt.complexes import universal_triangle
+    s2 = resolve_to_complex(simple(cycle2, "2"))
+    i1 = resolve_to_complex(injective(cycle2, "1"))
+    others = [resolve_to_complex(simple(a2, "1")),
+              resolve_to_complex(simple(fixture_algebra("cycle2", GF(101)), "2"))]
+    for other in others:
+        for x, y in ((s2, other), (other, s2)):
+            with pytest.raises(InputError, match="different algebras"):
+                derived_hom(x, y, 0)
+            with pytest.raises(InputError, match="different algebras"):
+                direct_sum_complexes([x, y])
+            with pytest.raises(InputError, match="different algebras"):
+                check_A1_A2(x, y)
+            with pytest.raises(InputError, match="different algebras"):
+                reflection_brick(x, y)
+        with pytest.raises(InputError, match="different algebras"):
+            direct_sum_complexes([zero_complex(other.algebra)], cycle2)
+    space = derived_hom(i1, s2, 1)
+    foreign = type(space)(others[0], s2, 1, space.dim, _data=space._data)
+    with pytest.raises(InputError, match="different algebras"):
+        universal_triangle([foreign], "left")
+
+
+def test_absent_degrees_share_one_zero_module(cycle2):
+    """term_rep of every absent degree, cohomology outside the terms and
+    zero_module itself return the algebra's one zero module."""
+    from quivertilt import zero_module
+    c = resolve_to_complex(simple(cycle2, "2"))
+    z = c.term_rep(5)
+    assert z.total_dim == 0
+    assert c.term_rep(7) is z is zero_module(cycle2) is cohomology(c, 3)
+    assert c.diff(4).source is c.diff(4).target is z
+    assert zero_module(fixture_algebra("cycle2")) is not z

@@ -289,6 +289,26 @@ def test_cli_recollement(capsys):
     assert "T2 exceptional: True" in out
 
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("field", ["Q", "GF(101)", "GF(5)"])
+@pytest.mark.parametrize("name, argv", [
+    ("construct-tilting-S2-I1", ["construct-tilting", ALG, S2, I1]),
+    ("reflect-S2", ["reflect", ALG, S2]),
+    ("reflect-S2-I1", ["reflect", ALG, S2, I1]),
+    ("recollement-P2-S2", ["recollement", ALG, P2, S2])])
+def test_cli_json_reports_match_the_golden_files(tmp_path, capsys, name, argv, field):
+    """The --json reports of construct-tilting, reflect and recollement on
+    the cycle2 fixtures are byte-identical to the ones recorded in
+    tests/golden, before the universal triangles were one primitive."""
+    out = tmp_path / "report.json"
+    assert main(argv + ["--field", field, "--json", str(out)]) == 0
+    capsys.readouterr()
+    tag = field.replace("(", "").replace(")", "")
+    assert out.read_bytes() == (GOLDEN_DIR / f"{name}-{tag}.json").read_bytes()
+
+
 def test_cli_verify_examples_exit_zero():
     assert main(["verify-example", "a2-bongartz"]) == 0
 

@@ -9,7 +9,9 @@ operation the benchmark's tracer times by name pattern matches a package
 function, so a rename cannot silently zero a per-layer metric.  Every
 string key the package writes into a ``_caches`` dict is read somewhere in
 the package, and every key it reads is written somewhere, so neither a
-dead cache nor a mistyped memo key goes unnoticed.
+dead cache nor a mistyped memo key goes unnoticed.  Only ``complexes``
+calls the cone and stacking helpers, so every stacked universal map is
+built by ``complexes.universal_triangle``.
 
 Checked with the standard-library ``ast`` module only.  ``__init__.py`` is
 exempt from the import check, because its imports are the package's
@@ -408,3 +410,37 @@ def test_every_traced_operation_matches_a_package_function():
     unmatched = [op for op, pattern in {**tracing.COUNTED, **tracing.OPS}.items()
                  if not any(re.fullmatch(pattern, name) for name in names)]
     assert not unmatched, f"traced operations matching no package function: {unmatched}"
+
+
+def called_names(source: str, names) -> list:
+    """(line, name) of each call of a function in ``names``, by plain name
+    or as an attribute (``complexes._cone(...)``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) \
+                else None
+            if name in names:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+CONE_HELPERS = ("_cone", "_cone_inclusion", "stack_to_common_target", "stack_to_common_source")
+
+
+def test_call_detector_sees_plain_and_attribute_calls():
+    src = ("from .complexes import _cone\nimport quivertilt.complexes as c\n"
+           "x = _cone(f)\ny = c.stack_to_common_source([g])\nz = _cone\n"
+           "w = other(stack_to_common_target)\n")
+    assert called_names(src, CONE_HELPERS) == [(3, "_cone"), (4, "stack_to_common_source")]
+
+
+def test_only_complexes_stacks_and_cones():
+    """Every stacked universal map in the package is built by
+    complexes.universal_triangle: no other package module calls _cone,
+    _cone_inclusion or stack_to_common_target/source."""
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(PACKAGE_DIR.glob("*.py")) if path.name != "complexes.py"
+             for line, name in called_names(path.read_text(), CONE_HELPERS)]
+    assert not found, "cone or stacking helper called outside complexes.py:\n" + "\n".join(found)

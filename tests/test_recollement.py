@@ -175,6 +175,25 @@ def test_brick_reflection_builds_no_cone_projection(cycle2, a2, monkeypatch):
         assert (cone, incl) == (ref_cone, ref_incl)
 
 
+def test_brick_reflection_checks_every_degree_of_the_cone_window_once(cycle2, a2, monkeypatch):
+    """reflection_brick's post-condition Hom(T1, q(M)[i]) = 0 covers the
+    cone's whole window: the universal triangle asks the degrees of M's
+    window, and reflection_brick only the rest, so no degree is solved
+    twice and none is left out."""
+    import quivertilt.complexes as complexes
+    import quivertilt.recollement as recollement
+    for alg, t1m in [(cycle2, simple(cycle2, "2")), (a2, simple(a2, "1")),
+                     (a2, projective(a2, "2"))]:
+        t1, rr = resolve_to_complex(t1m), resolve_to_complex(regular_module(alg))
+        by_triangle = counting(monkeypatch, complexes, "derived_hom")
+        by_reflection = counting(monkeypatch, recollement, "derived_hom")
+        cone, _ = reflection_brick(t1, rr)
+        monkeypatch.undo()
+        degrees = sorted(n for x, y, n in by_triangle + by_reflection if x is t1 and y is cone)
+        assert degrees == list(hom_window(t1, cone))
+        assert set(hom_window(t1, rr)) < set(degrees)
+
+
 def test_reflection_did_not_stabilize_error(cycle2):
     rs2 = resolve_to_complex(simple(cycle2, "2"))
     rr = resolve_to_complex(regular_module(cycle2))

@@ -7,19 +7,22 @@ import pytest
 import quivertilt
 from quivertilt import (GF, QQ, InputError, Representation, injective, projective,
                         regular_module, simple)
-from quivertilt.complexes import (cohomology, derived_hom,
+from quivertilt.complexes import (DerivedHomSpace, cohomology, derived_hom,
                                   direct_sum_complexes, is_exceptional,
-                                  resolve_to_complex, shift, zero_chain_map)
+                                  resolve_to_complex, shift, stack_to_common_source,
+                                  stack_to_common_target, triangle_from_map,
+                                  universal_triangle, zero_chain_map)
+from quivertilt.errors import ConsistencyError
+from quivertilt.formats import fixture_algebra
 from quivertilt.modules import (decompose, direct_sum, hom_space,
                                 is_isomorphic, quotient, socle)
 from quivertilt.homology import DEFAULT_RESOLUTION_BOUND, proj_dim, universal_extension
 from quivertilt.tilting import (TiltingCertificate, TiltingFailure, _certify,
                                 bongartz_complement, check_A1_A2,
                                 cone_exceptionality, construct_tilting,
-                                criterion_map_surjective,
-                                left_universal_map, right_universal_map,
-                                tilting_module_check)
+                                criterion_map_surjective, tilting_module_check)
 from conftest import counting, linear_algebra, tilting_summary
+from oracles import reference_is_left_universal, reference_is_right_universal
 
 
 # -- pair checks ------------------------------------------------------------
@@ -137,19 +140,180 @@ def test_criterion_agreement_sweep(a2, kron2, cycle2):
 def test_universal_maps_multiplicity(cycle2, a2):
     t1 = resolve_to_complex(simple(cycle2, "2"))
     t2 = resolve_to_complex(injective(cycle2, "1"))
-    alpha, m = left_universal_map(t2, t1)
-    beta, m2 = right_universal_map(t2, t1)
-    assert m == m2 == 1
+    space = derived_hom(t2, t1, 1)
+    assert space.dim == 1
+    c1, incl = universal_triangle([space], "left")
+    c2 = universal_triangle([space], "right")
+    # y -> L starts at T1[1][-1], whose terms are T1's
+    assert incl.source.terms == t1.terms and incl.target is c1
+    # C1 and C2 carry T1 and T2 once each, beside the one copy of the other
+    for c in (c1, c2):
+        assert sorted(v for t in c.terms.values() for v in t.gens) == \
+            sorted(v for x in (t1, t2) for t in x.terms.values() for v in t.gens)
     t1a = resolve_to_complex(projective(a2, "2"))
     t2a = resolve_to_complex(simple(a2, "1"))
-    _, ma = left_universal_map(t2a, t1a)
-    assert ma == 1
+    assert derived_hom(t2a, t1a, 1).dim == 1
+    universal_triangle([derived_hom(t2a, t1a, 1)], "left")
 
 
 def test_universal_maps_zero_case(cycle2):
     p = resolve_to_complex(projective(cycle2, "1"))
-    alpha, m = left_universal_map(p, p)
-    assert m == 0 and alpha.is_zero()
+    space = derived_hom(p, p, 1)
+    assert space.dim == 0
+    cone, incl = universal_triangle([space], "left")
+    assert cone is p and incl.source is incl.target is p
+    assert universal_triangle([space], "right") is p
+
+
+def _with_reps(space, reps):
+    """space with its basis replaced by reps: the mutations the kill check
+    must catch.  dim stays the space's."""
+    return DerivedHomSpace(space.x, space.y, space.n, space.dim,
+                           _data={**space._data, "reps": tuple(reps)})
+
+
+def _rep_variants(space):
+    """(name, reps): the basis, the basis without its last class, with its
+    last class replaced by its first (dim >= 2), and with its last class
+    replaced by the sum of all (still a basis)."""
+    reps = space.reps
+    out = [("basis", reps), ("dropped", reps[:-1])]
+    if len(reps) >= 2:
+        out.append(("repeated", reps[:-1] + reps[:1]))
+        total = reps[0]
+        for f in reps[1:]:
+            total = total.add(f)
+        out.append(("summed", reps[:-1] + (total,)))
+    return out
+
+
+def _kills(space, side) -> bool:
+    try:
+        universal_triangle([space], side)
+    except ConsistencyError:
+        return False
+    return True
+
+
+def _fixture_pairs():
+    """The fixture pairs (S2, I1), (S2, I1 ⊕ I1) over cycle2 and (P2, S1) over
+    a2, each over Q, GF(101) and GF(5)."""
+    out = []
+    for field in (None, GF(101), GF(5)):
+        c, a = fixture_algebra("cycle2", field), fixture_algebra("a2", field)
+        i1 = injective(c, "1")
+        for t1, t2 in ((simple(c, "2"), i1), (simple(c, "2"), direct_sum([i1, i1])),
+                       (projective(a, "2"), simple(a, "1"))):
+            rep = check_A1_A2(resolve_to_complex(t1), resolve_to_complex(t2))
+            assert rep.ok
+            out.append(rep.pair)
+    return out
+
+
+def test_kill_check_agrees_with_the_end_span_oracle(a2, kron2, cycle2):
+    """On every pair check_A1_A2 accepts in the random pool over a2, kron2
+    and cycle2, and on the fixture pairs over Q, GF(101) and GF(5),
+    universal_triangle on Hom(T2, T1[1]) passes its kill check exactly when
+    the stacked map is left- (right-) universal by the End-span oracle, for
+    the basis and for each mutation of it.  An empty stack with a nonzero
+    space is never universal."""
+    pairs = _fixture_pairs()
+    for alg in (a2, kron2, cycle2):
+        pool = _random_pair_pool(alg)
+        pairs += [rep.pair for t1 in pool for t2 in pool
+                  for rep in [check_A1_A2(t1, t2)] if rep.ok]
+    compared = failing = 0
+    for pair in pairs:
+        for _, reps in _rep_variants(pair.ext_space):
+            space = _with_reps(pair.ext_space, reps)
+            if not reps:
+                assert _kills(space, "left") == _kills(space, "right") == (space.dim == 0)
+                continue
+            left = reference_is_left_universal(stack_to_common_target(list(reps)))
+            right = reference_is_right_universal(stack_to_common_source(list(reps)))
+            assert _kills(space, "left") == left
+            assert _kills(space, "right") == right
+            compared += 1
+            failing += (not left) + (not right)
+    assert compared >= 30 and failing >= 4
+
+
+def test_a_dropped_or_repeated_class_is_not_universal():
+    """Over the brick T1 = S2 of cycle2 with T2 = I1 ⊕ I1 (Hom(T2, T1[1]) of
+    dim 2), the right triangle of a basis missing a class or repeating one
+    raises ConsistencyError, and so does the left triangle at the brick
+    T2 = I1 of every class removed, over Q, GF(101) and GF(5)."""
+    for pair in _fixture_pairs():
+        space = pair.ext_space
+        if space.dim == 2:
+            for name, reps in _rep_variants(space):
+                if name in ("dropped", "repeated"):
+                    with pytest.raises(ConsistencyError, match="degree 1"):
+                        universal_triangle([_with_reps(space, reps)], "right")
+        elif derived_hom(pair.t2, pair.t2, 0).dim == 1:
+            with pytest.raises(ConsistencyError, match="degree 1"):
+                universal_triangle([_with_reps(space, ())], "left")
+
+
+def test_universal_triangle_needs_an_exceptional_object(triple3, cycle2):
+    """x on the left and y on the right must be exceptional (InputError);
+    the side must be named, the spaces given and share their ends."""
+    from quivertilt.modules import quotient, socle
+    p2 = projective(triple3, "2")
+    x = quotient(p2, socle(p2)[1])[0]
+    bad = resolve_to_complex(direct_sum([simple(triple3, "1"), x, x]))
+    assert not is_exceptional(bad)
+    good = resolve_to_complex(simple(triple3, "1"))
+    assert is_exceptional(good)
+    with pytest.raises(InputError, match="exceptional"):
+        universal_triangle([derived_hom(bad, good, 0)], "left")
+    with pytest.raises(InputError, match="exceptional"):
+        universal_triangle([derived_hom(good, bad, 0)], "right")
+    universal_triangle([derived_hom(good, bad, 0)], "left")
+    universal_triangle([derived_hom(bad, good, 0)], "right")
+    s2 = resolve_to_complex(simple(cycle2, "2"))
+    i1 = resolve_to_complex(injective(cycle2, "1"))
+    with pytest.raises(InputError, match="side"):
+        universal_triangle([derived_hom(i1, s2, 1)], "middle")
+    with pytest.raises(InputError, match="no spaces"):
+        universal_triangle([], "left")
+    with pytest.raises(InputError, match="different complexes"):
+        universal_triangle([derived_hom(i1, s2, 1), derived_hom(s2, s2, 1)], "left")
+
+
+def test_right_triangle_is_the_shifted_cone_of_the_stacked_map(monkeypatch):
+    """The right triangle is triangle_from_map's T of the stacked map,
+    term for term and matrix for matrix, and builds no chain map but that
+    stacked map; the left one has the terms of triangle_from_map's T of
+    the stacked map alpha: T2^m -> T1[1] and its differentials up to the
+    sign of alpha's block."""
+    import quivertilt.complexes as complexes
+    post_init = complexes.ChainMap.__post_init__
+    built = []
+
+    def recording(self):
+        built.append(self)
+        post_init(self)
+
+    for pair in _fixture_pairs():
+        reps = list(pair.ext_space.reps)
+        monkeypatch.setattr(complexes.ChainMap, "__post_init__", recording)
+        built.clear()
+        c2 = universal_triangle([pair.ext_space], "right")
+        monkeypatch.undo()
+        assert len(built) == 1 and built[0].source is pair.t2
+        ref, _, _ = triangle_from_map(stack_to_common_source(reps))
+        assert {n: t.gens for n, t in c2.terms.items()} == \
+            {n: t.gens for n, t in ref.terms.items()}
+        assert {n: d.mats for n, d in c2.diffs.items()} == \
+            {n: d.mats for n, d in ref.diffs.items()}
+        c1, _ = universal_triangle([pair.ext_space], "left")
+        ref, _, _ = triangle_from_map(stack_to_common_target(reps))
+        assert {n: t.gens for n, t in c1.terms.items()} == \
+            {n: t.gens for n, t in ref.terms.items()}
+        assert is_exceptional(c1) == is_exceptional(ref)
+        for n in c1.terms:
+            assert cohomology(c1, n).dim_vector() == cohomology(ref, n).dim_vector()
 
 
 # -- construct_tilting -----------------------------------------------------------
@@ -184,6 +348,22 @@ def test_construct_tilting_resolves_each_simple_once(cycle2, monkeypatch):
     assert len(simples) == len(cycle2.vertices) == 2
     assert sum(1 for m, _ in resolved if m.total_dim == 1) == 2
     assert set(built.generation_evidence) == {"first", "second"}
+
+
+def test_construct_tilting_solves_the_pair_space_only_in_the_pair_check(monkeypatch):
+    """Hom(T2, T1[1]) is solved once, by check_A1_A2; both of
+    construct_tilting's triangles stack the pair's ext_space."""
+    import quivertilt.complexes as complexes
+    for pair in _fixture_pairs():
+        t1, t2 = pair.t1, pair.t2
+        solves = counting(monkeypatch, complexes, "_hom_cohomology")
+        rep = check_A1_A2(t1, t2)
+        between = [a for a in solves if a[0] is t2.terms and a[3] is t1.diffs]
+        assert [a[4] for a in between].count(1) == 1
+        solves.clear()
+        construct_tilting(rep.pair)
+        assert not any(a[0] is t2.terms and a[3] is t1.diffs for a in solves)
+        monkeypatch.undo()
 
 
 def test_construct_tilting_m_zero(cycle2):

@@ -264,6 +264,24 @@ def _fresh_rules(elim: _Eliminator):
     return fresh
 
 
+def _memo(obj, key, compute, keep=None):
+    """The value memoized in obj's cache under key: the stored one unless
+    ``keep`` rejects it, else ``compute()``, stored and returned.  A compute
+    that raises stores nothing.  A key is a string or a tuple whose first
+    element is a string, its namespace.  The one place that reads or
+    writes a ``_caches`` dict."""
+    caches = obj._caches
+    try:  # one lookup on a hit: a tuple key is hashed again on every lookup
+        value = caches[key]
+    except KeyError:
+        pass
+    else:
+        if keep is None or keep(value):
+            return value
+    value = caches[key] = compute()
+    return value
+
+
 @dataclass(frozen=True)
 class Algebra:
     """A finite-dimensional path algebra with relations.
@@ -394,26 +412,21 @@ class Algebra:
         return self.quiver.vertices
 
     def vertex_index(self, v) -> int:
-        cache = self._caches.setdefault("vidx", {v_: i for i, v_ in enumerate(self.quiver.vertices)})
-        if v not in cache:
+        index = _memo(self, "vidx", lambda: {v_: i for i, v_ in enumerate(self.quiver.vertices)})
+        if v not in index:
             raise InputError(f"unknown vertex {v!r}")
-        return cache[v]
+        return index[v]
 
     def vertex_idempotent(self, v) -> int:
         """Basis index of e_v."""
-        cache = self._caches.get("idem")
-        if cache is None:
-            cache = {}
-            for i, (src, word) in enumerate(self.basis):
-                if not word:
-                    cache[src] = i
-            self._caches["idem"] = cache
-        if v not in cache:
+        idem = _memo(self, "idem", lambda: {src: i for i, (src, word) in enumerate(self.basis)
+                                            if not word})
+        if v not in idem:
             raise InputError(f"unknown vertex {v!r}")
-        return cache[v]
+        return idem[v]
 
     def arrow_endpoints(self, name):
-        amap = self._caches.setdefault("amap", self.quiver.arrow_map())
+        amap = _memo(self, "amap", self.quiver.arrow_map)
         if name not in amap:
             raise InputError(f"unknown arrow {name!r}")
         return amap[name]
@@ -436,26 +449,19 @@ class Algebra:
     def suffix_index(self, i: int):
         """Basis index of p' for basis path i = a * p' of length >= 1 (None
         when p' is not a basis path, which _verify rejects)."""
-        table = self._caches.get("suffix")
-        if table is None:
+        def compute():
             index = {p: k for k, p in enumerate(self.basis)}
-            table = self._caches["suffix"] = tuple(
-                index.get((self.arrow_endpoints(word[0])[1], word[1:])) if word else None
-                for _, word in self.basis)
-        return table[i]
+            return tuple(index.get((self.arrow_endpoints(word[0])[1], word[1:])) if word else None
+                         for _, word in self.basis)
+        return _memo(self, "suffix", compute)[i]
 
     def basis_index_of_arrow(self, name) -> int:
-        cache = self._caches.get("aidx")
-        if cache is None:
-            cache = {}
-            for i, (src, word) in enumerate(self.basis):
-                if len(word) == 1:
-                    cache[word[0]] = i
-            self._caches["aidx"] = cache
-        if name not in cache:
+        aidx = _memo(self, "aidx", lambda: {word[0]: i for i, (_, word) in enumerate(self.basis)
+                                            if len(word) == 1})
+        if name not in aidx:
             # relation terms have length >= 2, so every arrow is a basis path
             raise InputError(f"arrow {name!r} is not a residue basis element")
-        return cache[name]
+        return aidx[name]
 
     def unit(self) -> tuple:
         """Sparse row of the unit, the sum of the vertex idempotents."""
@@ -473,18 +479,16 @@ class Algebra:
 
     def paths_from(self, v) -> tuple:
         """Basis indices of paths starting at v, in basis order."""
-        key = ("from", v)
-        if key not in self._caches:
+        def compute():
             self.vertex_index(v)
-            self._caches[key] = tuple(i for i in range(self.dim) if self.path_source(i) == v)
-        return self._caches[key]
+            return tuple(i for i in range(self.dim) if self.path_source(i) == v)
+        return _memo(self, ("from", v), compute)
 
     def paths_to(self, v) -> tuple:
-        key = ("to", v)
-        if key not in self._caches:
+        def compute():
             self.vertex_index(v)
-            self._caches[key] = tuple(i for i in range(self.dim) if self.path_target(i) == v)
-        return self._caches[key]
+            return tuple(i for i in range(self.dim) if self.path_target(i) == v)
+        return _memo(self, ("to", v), compute)
 
     def __repr__(self):
         return (f"Algebra(dim={self.dim}, vertices={list(self.vertices)}, "
@@ -536,10 +540,9 @@ def zero_module(alg: Algebra) -> "Representation":
     """The zero module, memoized in the algebra's cache as the regular
     module is: every caller gets the same object."""
     from .modules import Representation
-    if "zero" not in alg._caches:
-        mats = {name: Matrix.zeros(alg.field, 0, 0) for name, _, _ in alg.quiver.arrows}
-        alg._caches["zero"] = Representation._trusted(alg, {w: 0 for w in alg.vertices}, mats)
-    return alg._caches["zero"]
+    return _memo(alg, "zero", lambda: Representation._trusted(
+        alg, {w: 0 for w in alg.vertices},
+        {name: Matrix.zeros(alg.field, 0, 0) for name, _, _ in alg.quiver.arrows}))
 
 
 def regular_module(alg: Algebra) -> "Representation":
@@ -547,9 +550,7 @@ def regular_module(alg: Algebra) -> "Representation":
     P_v in vertex order, on the basis of ``proj_sum_layout(alg, alg.vertices)``.
     Memoized in the algebra's cache: every caller gets the same parts P_v."""
     from .modules import direct_sum
-    if "regular" not in alg._caches:
-        alg._caches["regular"] = direct_sum([projective(alg, v) for v in alg.vertices])
-    return alg._caches["regular"]
+    return _memo(alg, "regular", lambda: direct_sum([projective(alg, v) for v in alg.vertices]))
 
 
 def opposite_algebra(alg: Algebra) -> Algebra:

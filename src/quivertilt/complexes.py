@@ -16,13 +16,13 @@ Rudakov; Bondal), checked by the degrees it kills.
 Dimensions come from ranks: dim Hom_D(x, y[n]) from the two differentials
 of the Hom complex at degree n, and dim H^n(x) from those of x.  Chain-map
 representatives are built only when a caller first asks for them.  A
-complex carries a cache, as a module does: Hom_D(x, x[n]) is memoized
-there.
+complex carries a cache, as a module does: Hom_D(x, x[n]) and x[n] are
+memoized there (``algebra._memo``), and x[n] holds x as its shift by -n.
 """
 
 from dataclasses import dataclass, field as _dc_field
 
-from .algebra import Algebra, zero_module
+from .algebra import Algebra, _memo, zero_module
 from .errors import ConsistencyError, DimensionMismatch, InputError
 from .linalg import rank, row_space, solve_linear_system, solve_right_kernel
 from .modules import (ModuleMap, Representation, _assemble_block_map, _same_module,
@@ -115,13 +115,13 @@ def resolve_to_complex(m: Representation, bound: int = DEFAULT_RESOLUTION_BOUND,
 
 def shift(x: PerfectComplex, n: int) -> PerfectComplex:
     """x[n]^i = x^{i+n} with differential (-1)^n d, memoized in x's cache
-    per n, so each differential is negated once per odd shift of x."""
-    if n == 0:
-        return x
-    memo = x._caches.setdefault("shift", {})
-    if n not in memo:
-        memo[n] = _shift(x, n)
-    return memo[n]
+    per n, so each differential is negated once per odd shift of x; x[n]
+    holds x as its shift by -n, so shifting back returns x itself."""
+    def compute():
+        y = _shift(x, n)
+        _memo(y, ("shift", -n), lambda: x)
+        return y
+    return x if n == 0 else _memo(x, ("shift", n), compute)
 
 
 def _shift(x: PerfectComplex, n: int) -> PerfectComplex:
@@ -397,16 +397,15 @@ def derived_hom(x: PerfectComplex, y: PerfectComplex, n: int) -> DerivedHomSpace
     representatives nor the shifted complex they map into is built here
     (``DerivedHomSpace.reps`` builds both on first use).  Hom_D(x, x[n]) is
     memoized in x's cache, as End(m) is for modules."""
+    def compute():
+        if n not in hom_window(x, y):
+            return DerivedHomSpace(x, y, n, 0)
+        data = _hom_cohomology(x.terms, x.diffs, {i: t.rep for i, t in y.terms.items()},
+                               y.diffs, n)
+        return DerivedHomSpace(x, y, n, data["dim"], _data=data)
     if x.algebra is not y.algebra:
         raise InputError("derived Hom between complexes over different algebras")
-    memo = x._caches.setdefault("derived_end", {}) if y is x else {}
-    if n in memo:
-        return memo[n]
-    if n not in hom_window(x, y):
-        return DerivedHomSpace(x, y, n, 0)
-    data = _hom_cohomology(x.terms, x.diffs, {i: t.rep for i, t in y.terms.items()}, y.diffs, n)
-    memo[n] = DerivedHomSpace(x, y, n, data["dim"], _data=data)
-    return memo[n]
+    return _memo(x, ("derived_end", n), compute) if y is x else compute()
 
 
 def cohomology(x: PerfectComplex, n: int) -> Representation:

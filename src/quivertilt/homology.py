@@ -27,7 +27,7 @@ approximation (``modules.right_add_approximation``).
 
 from dataclasses import dataclass, field as _dc_field
 
-from .algebra import Algebra, zero_module
+from .algebra import Algebra, _memo, zero_module
 from .errors import BoundExceeded, ConsistencyError, InputError
 from .linalg import (Matrix, independent_rows, quotient_basis, rank, row_space, row_times,
                      solve_linear_system, solve_right_kernel)
@@ -170,24 +170,22 @@ def min_resolution(m: Representation, max_len: int = DEFAULT_RESOLUTION_BOUND,
     The longest resolution built for m is kept in m's cache.  A request it
     covers (it is complete or at least max_len long) is answered from it
     with exactly what a fresh resolution would give; a longer one resolves
-    m again and replaces it.
+    m again and replaces it.  A negative max_len raises InputError.
 
     A ``direct_sum`` of exactly one recorded part has the part's dims and
     arrow matrices, so it is resolved by its part: the terms and
     differentials are those of the part's memoized resolution, shared, and
     only the augmentation is re-targeted to the sum."""
-    res = m._caches.get("resolution")
-    if res is None or not (res.complete or res.length >= max_len):
-        parts = m._caches.get("parts", ())
-        if len(parts) == 1:
-            min_resolution(parts[0], max_len, require_finite=False)
-            pres = parts[0]._caches["resolution"]  # the part's longest, covering max_len
-            res = Resolution(m, pres.terms, pres.diffs,
-                             ModuleMap._trusted(pres.augment.source, m, pres.augment.mats),
-                             pres.complete)
-        else:
-            res = _resolve(m, max_len)
-        m._caches["resolution"] = res
+    def compute():
+        if len(m._parts) != 1:
+            return _resolve(m, max_len)
+        pres = min_resolution(m._parts[0], max_len, require_finite=False)
+        return Resolution(m, pres.terms, pres.diffs,
+                          ModuleMap._trusted(pres.augment.source, m, pres.augment.mats),
+                          pres.complete)
+    if max_len < 0:
+        raise InputError(f"resolution bound must be >= 0, got {max_len}")
+    res = _memo(m, "resolution", compute, keep=lambda res: res.complete or res.length >= max_len)
     if res.complete and res.length <= max_len:
         return res
     if require_finite:
@@ -409,6 +407,8 @@ def ext(degree: int, m: Representation, n: Representation,
     dimension from two ranks, the classes on first use."""
     if degree < 0:
         raise InputError("ext degree must be >= 0")
+    if bound < 0:
+        raise InputError(f"resolution bound must be >= 0, got {bound}")
     if degree + 1 > bound:
         raise BoundExceeded(f"ext degree {degree} beyond resolution bound {bound}")
     _check_resolution_of(resolution, m)
@@ -486,13 +486,13 @@ class LeftModule:
 def left_regular_module(alg: Algebra) -> LeftModule:
     """The algebra as a left module over itself, memoized in the algebra's
     cache (a LeftModule is immutable)."""
-    if "left_regular" not in alg._caches:
+    def compute():
         act = tuple(Matrix(alg.field, alg.dim, alg.dim,
                            tuple(alg.dense_row(alg.mult[(i, p)]) for p in range(alg.dim)))
                     for i in range(alg.dim))
         # left multiplication in the verified (associative, unital) algebra
-        alg._caches["left_regular"] = LeftModule._trusted(alg, alg.dim, act)
-    return alg._caches["left_regular"]
+        return LeftModule._trusted(alg, alg.dim, act)
+    return _memo(alg, "left_regular", compute)
 
 
 def left_module_from_op_rep(alg: Algebra, op_rep: Representation) -> LeftModule:
@@ -534,6 +534,8 @@ def tor_dims_range(x: Representation, y: LeftModule, max_degree: int,
     Σ_g dim e_{u_g}y - rank(d_k ⊗ id) - rank(d_{k+1} ⊗ id)."""
     if max_degree < 0:
         raise InputError("tor degree must be >= 0")
+    if bound < 0:
+        raise InputError(f"resolution bound must be >= 0, got {bound}")
     if max_degree + 1 > bound:
         raise BoundExceeded(f"tor degree {max_degree} beyond resolution bound {bound}")
     _check_resolution_of(resolution, x)
@@ -623,7 +625,7 @@ def realize_extension(c: ExtClass) -> ShortExact:
     if res.length < 1 and not c.cocycle.is_zero():
         # projective source: only the split extension exists
         raise ConsistencyError("nonzero cocycle over a projective module")
-    parts = n._caches.get("parts", (n,))
+    parts = n._parts or (n,)
     cols, off = [], dict.fromkeys(alg.vertices, 0)
     for part in parts:
         cols.append({v: range(off[v], off[v] + part.dims[v]) for v in alg.vertices})

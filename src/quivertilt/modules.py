@@ -32,7 +32,7 @@ h·g one row of h at a time (``row_times``), composing no map.
 import itertools
 from dataclasses import dataclass, field as _dc_field
 
-from .algebra import Algebra
+from .algebra import Algebra, _memo
 from .errors import ConsistencyError, DimensionMismatch, InputError
 from .linalg import (Matrix, _mul_entries, _null_space, independent_rows,
                      intersect_subspaces, quotient_basis, rank, row_space, row_times,
@@ -51,6 +51,9 @@ class Representation:
     # place): a field, not a cache entry, and no ProjSum, which would hold
     # the module
     _proj_sum: tuple = _dc_field(default=None, init=False, compare=False, repr=False)
+    # the summands direct_sum built this module from, in order, else () (the
+    # class default, which _trusted leaves in place): a record, not a memo
+    _parts: tuple = _dc_field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
         alg = self.algebra
@@ -97,17 +100,15 @@ class Representation:
         """Action matrix of basis path i, from dims(source) to dims(target).
         A path a * p' of length >= 2 acts as arrow_mats[a] times the action
         of its suffix p', a basis path in a certified algebra."""
-        cache = self._caches.setdefault("act", {})
-        if i not in cache:
+        def compute():
             alg = self.algebra
             src, word = alg.basis[i]
             if not word:
-                cache[i] = Matrix.identity(alg.field, self.dims[src])
-            elif len(word) == 1:
-                cache[i] = self.arrow_mats[word[0]]
-            else:
-                cache[i] = self.arrow_mats[word[0]].mul(self.basis_action(alg.suffix_index(i)))
-        return cache[i]
+                return Matrix.identity(alg.field, self.dims[src])
+            if len(word) == 1:
+                return self.arrow_mats[word[0]]
+            return self.arrow_mats[word[0]].mul(self.basis_action(alg.suffix_index(i)))
+        return _memo(self, ("act", i), compute)
 
     @property
     def total_dim(self) -> int:
@@ -121,13 +122,13 @@ class Representation:
 
     # offsets of each vertex block inside the flattened total space
     def offsets(self) -> dict:
-        if "off" not in self._caches:
+        def compute():
             off, acc = {}, 0
             for v in self.algebra.vertices:
                 off[v] = acc
                 acc += self.dims[v]
-            self._caches["off"] = off
-        return self._caches["off"]
+            return off
+        return _memo(self, "off", compute)
 
     def __repr__(self):
         return f"Representation(dims={self.dim_vector()})"
@@ -340,10 +341,7 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
         raise InputError("hom_space across different algebras")
     if n is not m:
         return _hom_space(m, n)
-    hs = m._caches.get("end")
-    if hs is None:
-        hs = m._caches["end"] = _hom_space(m, m)
-    return hs
+    return _memo(m, "end", lambda: _hom_space(m, m))
 
 
 def _hom_space(m: Representation, n: Representation) -> HomSpace:
@@ -528,8 +526,8 @@ def cokernel(f: ModuleMap):
 
 
 def direct_sum(summands):
-    """Block-diagonal direct sum.  The summands are recorded, in order, in
-    the sum's cache under "parts", so that its split pairs can be rebuilt
+    """Block-diagonal direct sum.  The summands are recorded, in order, as
+    the sum's ``_parts``, so that its split pairs can be rebuilt
     (``_block_maps``) and its factors (``summand_factors``) read off the
     parts."""
     summands = tuple(summands)
@@ -554,7 +552,7 @@ def direct_sum(summands):
             r0, c0 = r0 + m.rows, c0 + m.cols
         mats[name] = Matrix(fld, dims[s], dims[t], tuple(tuple(r) for r in out))
     total = Representation._trusted(alg, dims, mats)
-    total._caches["parts"] = summands
+    object.__setattr__(total, "_parts", summands)
     return total
 
 
@@ -564,7 +562,7 @@ def _block_maps(total: Representation):
     fld = alg.field
     start = {v: 0 for v in alg.vertices}
     incls, projs = [], []
-    for part in total._caches["parts"]:
+    for part in total._parts:
         imats, pmats = {}, {}
         for v in alg.vertices:
             d, n = part.dims[v], total.dims[v]
@@ -871,18 +869,16 @@ def _endo_radical(m: Representation) -> tuple:
     The trace form is valid in characteristic 0 and over F_p with p > dim m;
     a non-brick over a smaller prime raises InputError.
     """
-    rad = m._caches.get("radical")
-    if rad is not None:
-        return rad
-    fld = m.algebra.field
-    hs = hom_space(m, m)
-    if hs.dim == 1:
-        rad = ()
-    elif not _trace_form_valid(m):
-        raise InputError(
-            f"endomorphism radical over GF({fld.characteristic}) with module dimension "
-            f"{m.total_dim} is outside the supported range (need p > dim)")
-    else:
+    def compute():
+        fld = m.algebra.field
+        hs = hom_space(m, m)
+        if hs.dim == 1:
+            return ()
+        if not _trace_form_valid(m):
+            raise InputError(
+                f"endomorphism radical over GF({fld.characteristic}) with module dimension "
+                f"{m.total_dim} is outside the supported range (need p > dim)")
+
         def trace(f: ModuleMap):
             tr = fld.zero()
             for v, d in m.dims.items():
@@ -892,9 +888,8 @@ def _endo_radical(m: Representation) -> tuple:
 
         gram = tuple(tuple(trace(a.compose(b)) for b in hs.basis) for a in hs.basis)
         ker = solve_right_kernel(Matrix(fld, hs.dim, hs.dim, gram))
-        rad = tuple(hs.combo(row) for row in ker.entries)
-    m._caches["radical"] = rad
-    return rad
+        return tuple(hs.combo(row) for row in ker.entries)
+    return _memo(m, "radical", compute)
 
 
 def _further_candidates(hs: HomSpace):
@@ -919,13 +914,11 @@ def summand_factors(m: Representation) -> list:
     cache; each call returns a fresh list.  A module built by
     ``direct_sum`` lists the factors of its recorded parts, so no End(m) is
     solved; any other module is split by ``_split_summands``."""
-    if "factors" not in m._caches:
-        if "parts" in m._caches:
-            factors = [fac for part in m._caches["parts"] for fac in summand_factors(part)]
-        else:
-            factors = _split_summands(m)
-        m._caches["factors"] = tuple(factors)
-    return list(m._caches["factors"])
+    def compute():
+        if m._parts:
+            return tuple(fac for part in m._parts for fac in summand_factors(part))
+        return tuple(_split_summands(m))
+    return list(_memo(m, "factors", compute))
 
 
 def _split_summands(m: Representation):
@@ -975,7 +968,7 @@ def decompose(m: Representation):
     ``_same_class``, each group keeping its first factor.  The grouping is
     memoized in the module's cache, as the factor list is; each call
     returns a fresh list."""
-    if "decompose" not in m._caches:
+    def compute():
         groups = []
         for fac in summand_factors(m):
             for g in groups:
@@ -985,8 +978,8 @@ def decompose(m: Representation):
             else:
                 groups.append([fac, 1])
         groups.sort(key=lambda g: (-g[0].total_dim, g[0].dim_vector()))
-        m._caches["decompose"] = tuple((g[0], g[1]) for g in groups)
-    return list(m._caches["decompose"])
+        return tuple((g[0], g[1]) for g in groups)
+    return list(_memo(m, "decompose", compute))
 
 
 def _inverse_map(f: ModuleMap) -> ModuleMap:
@@ -1041,7 +1034,7 @@ def _right_approximation(x: Representation, factors: list, between):
     if not kept:
         return None
     src = direct_sum([g.source for g in kept])
-    return _assemble_block_map(src, x, [[g] for g in kept], src._caches["parts"], [x])
+    return _assemble_block_map(src, x, [[g] for g in kept], src._parts, [x])
 
 
 def in_add_of(x: Representation, t: Representation) -> bool:

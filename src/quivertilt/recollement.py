@@ -23,10 +23,10 @@ is an explicit error, never a truncated answer.  R is reflected at one
 copy of each isomorphism class of T1's summands, so T1 = X^n with X a brick
 takes the brick path.  R is read in the layout of ⊕_v P_v
 (``modules.proj_sum_layout``).  q(R) is computed once per T1 object and
-memoized there, and lambda's linear system once per eta; the localization
-and the recollement report share both.  T1 comes from a tilting
-certificate as a recorded direct sum of factors of T, so its isomorphism
-classes are read off its parts.
+memoized in its cache (``algebra._memo``), and lambda's linear system once
+per eta; the localization and the recollement report share both.  T1 comes
+from a tilting certificate as a recorded direct sum of factors of T, so its
+isomorphism classes are read off its parts.
 R_U is T0 divided by the stacked rows of a Hom(T1, T0_c) basis, one
 ``row_space`` per vertex and part and no trace submodule.  Both reflection
 routes are left ``complexes.universal_triangle``s at T1: the brick route one
@@ -56,7 +56,7 @@ import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .algebra import Algebra, regular_module
+from .algebra import Algebra, _memo, regular_module
 from .complexes import (ChainMap, PerfectComplex, _cohomology_dims, cohomology, derived_hom,
                         hom_window, identity_chain_map, is_exceptional, resolve_to_complex,
                         shift_chain_map, universal_triangle)
@@ -169,7 +169,9 @@ def reflection_iterative(t1: PerfectComplex, m: PerfectComplex, max_steps: int =
     Each step is the left universal triangle at the top degree, which
     checks that degree is gone; ``_verify_step`` checks the rest of the
     step's contract.  Raises BoundExceeded when the process does not
-    stabilize within max_steps."""
+    stabilize within max_steps, and InputError when max_steps is negative."""
+    if max_steps < 0:
+        raise InputError(f"step budget must be >= 0, got {max_steps}")
     if not is_exceptional(t1):
         raise InputError("iterative reflection needs an exceptional object")
     current = m
@@ -228,7 +230,10 @@ def _verify_step(t1, before, after, sigma: ChainMap, top: int):
 def reflect(t1: PerfectComplex, m: PerfectComplex, max_steps: int = 16):
     """Reflection of m at t1, taking the brick fast path when t1 is zero or
     End_D(t1) is one-dimensional and the iterative construction otherwise.
-    Returns (q(m), map, method) with method "brick" or "iterative"."""
+    Returns (q(m), map, method) with method "brick" or "iterative".  A
+    negative max_steps raises InputError on either path."""
+    if max_steps < 0:
+        raise InputError(f"step budget must be >= 0, got {max_steps}")
     if t1.is_zero_complex() or derived_hom(t1, t1, 0).dim == 1:
         q, mp = reflection_brick(t1, m)
         return q, mp, "brick"
@@ -246,8 +251,7 @@ def reflect_regular(t1_module: Representation, max_steps: int = 16,
     itself.  The result is memoized in t1_module's cache per
     (max_steps, bound), so q(R) is computed once per T1 object and every
     caller shares the same complex."""
-    memo = t1_module._caches.setdefault("reflect_regular", {})
-    if (max_steps, bound) not in memo:
+    def compute():
         try:
             classes = decompose(t1_module)
         except InputError:
@@ -255,8 +259,8 @@ def reflect_regular(t1_module: Representation, max_steps: int = 16,
         t1 = direct_sum([fac for fac, _ in classes]) if any(
             mult > 1 for _, mult in classes) else t1_module
         rc = resolve_to_complex(regular_module(t1_module.algebra), bound)
-        memo[max_steps, bound] = reflect(resolve_to_complex(t1, bound), rc, max_steps)
-    return memo[max_steps, bound]
+        return reflect(resolve_to_complex(t1, bound), rc, max_steps)
+    return _memo(t1_module, ("reflect_regular", max_steps, bound), compute)
 
 
 # -- universal localization --------------------------------------------------------
@@ -309,10 +313,8 @@ def _lambda_system(eta: ModuleMap) -> tuple:
     and the injectivity and every equation hold in these coordinates
     exactly when they hold for the whole maps.  Memoized in m's cache for
     this very eta object."""
-    m = eta.target
-    hit = m._caches.get("lambda_system")
-    if hit is None or hit[0] is not eta:
-        alg = eta.source.algebra
+    def compute():
+        m, alg = eta.target, eta.source.algebra
         row_of = _rows_by_basis(eta)
         at_gens = [(row_of[alg.vertex_idempotent(v)], v) for v in alg.vertices]
         rows = [tuple(itertools.chain.from_iterable(row_times(r, b.mats[v]) for r, v in at_gens))
@@ -320,7 +322,8 @@ def _lambda_system(eta: ModuleMap) -> tuple:
         rows_m = Matrix(alg.field, len(rows), m.total_dim, tuple(rows))
         if solve_right_kernel(rows_m).rows != 0:
             raise ConsistencyError("reflection property violated: Hom(eta, m) has a kernel")
-        hit = m._caches["lambda_system"] = (eta, rows_m, tuple(left_multiples(eta)))
+        return eta, rows_m, tuple(left_multiples(eta))
+    hit = _memo(eta.target, "lambda_system", compute, keep=lambda hit: hit[0] is eta)
     return hit[1], hit[2]
 
 
@@ -606,7 +609,7 @@ def _trace_quotient(t1: Representation, t0: Representation):
     already has.  The quotient is the direct_sum of the nonzero ones, and
     records them as its parts.  A T0 with no recorded parts, or whose parts
     all vanish, is divided as a whole."""
-    parts = t0._caches.get("parts", ())
+    parts = t0._parts
     divided = {}
     for part in parts:
         if id(part) not in divided:
@@ -617,7 +620,7 @@ def _trace_quotient(t1: Representation, t0: Representation):
         return _divide_by_trace(t1, t0)
     ru = direct_sum([pieces[c][0] for c in kept])
     blocks = [[pieces[c][1] if c == k else None for k in kept] for c in range(len(parts))]
-    return ru, _assemble_block_map(t0, ru, blocks, parts, ru._caches["parts"])
+    return ru, _assemble_block_map(t0, ru, blocks, parts, ru._parts)
 
 
 def _divide_by_trace(t1: Representation, m: Representation):

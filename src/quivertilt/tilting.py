@@ -13,11 +13,11 @@ that ``check_A1_A2`` solved.
 
 A tilting-module verdict is a function of the module's recorded
 ``direct_sum`` parts, in order, and the resolution bound, so
-``tilting_module_check`` memoizes it under that key in the first part's
-cache ("tilting"); a module with no recorded parts is its own single
-part.  No global table is kept: an entry lives exactly as long as the
-first part, and the ids in its key stay valid because the stored verdict's
-module holds the parts.  ``bongartz_complement(M)`` and a later
+``tilting_module_check`` memoizes it under ("tilting", part ids, bound) in
+the first part's cache (``algebra._memo``); a module with no recorded parts
+is its own single part.  No global table is kept: an entry lives exactly
+as long as the first part, and the ids in its key stay valid because the
+stored verdict's module holds the parts.  ``bongartz_complement(M)`` and a later
 ``recollement_report(direct_sum([N, M]))`` thus share one certificate.
 A certificate's T1 is the source of the minimal right
 add(T)-approximation of the cokernel, a recorded direct sum of factors of
@@ -29,7 +29,7 @@ the cokernel.
 
 from dataclasses import dataclass, replace
 
-from .algebra import regular_module, simple
+from .algebra import _memo, regular_module, simple
 from .complexes import (ChainMap, DerivedHomSpace, PerfectComplex, derived_hom,
                         direct_sum_complexes, hom_window, is_exceptional,
                         resolve_to_complex, shift_chain_map, triangle_from_map,
@@ -217,19 +217,17 @@ def tilting_module_check(t: Representation, bound: int = DEFAULT_RESOLUTION_BOUN
     summand of it is searched for.  For T1 = 0 the sequence ends at the
     zero cokernel.
 
-    The verdict is memoized per (ids of t's recorded ``direct_sum`` parts,
-    in order, bound), or (id of t, bound) for a module with no recorded
-    parts, in the first part's cache under "tilting".  An equal sum of the
+    The verdict is memoized in the first part's cache under ("tilting",
+    ids of t's recorded ``direct_sum`` parts in order, bound), with t its
+    own single part when it has no recorded parts.  An equal sum of the
     same parts gets the stored verdict with ``module`` set to itself.  The
     entry lives as long as the first part, and its verdict's module holds
     every part, so no id in its key is reused while it lives.
     """
-    parts = t._caches.get("parts", (t,))
-    memo = parts[0]._caches.setdefault("tilting", {})
-    key = (tuple(map(id, parts)), bound)
-    if key not in memo:
-        memo[key] = _certify(t, bound)
-    return memo[key] if memo[key].module is t else replace(memo[key], module=t)
+    parts = t._parts or (t,)
+    verdict = _memo(parts[0], ("tilting", tuple(map(id, parts)), bound),
+                    lambda: _certify(t, bound))
+    return verdict if verdict.module is t else replace(verdict, module=t)
 
 
 def _certify(t: Representation, bound: int):

@@ -60,6 +60,28 @@ def counting(monkeypatch, module, name) -> list:
     return calls
 
 
+def recording_shifts(monkeypatch) -> list:
+    """Wrap complexes._shift; the returned list gets (x, n, x[n]) for each
+    shifted complex it builds."""
+    import quivertilt.complexes as complexes
+    real, built = complexes._shift, []
+
+    def recording(x, n):
+        y = real(x, n)
+        built.append((x, n, y))
+        return y
+
+    monkeypatch.setattr(complexes, "_shift", recording)
+    return built
+
+
+def shifted_back(built) -> list:
+    """The (x, n) of each recorded shift that took a recorded shift
+    x = z[-n] back to z: a copy of z, which x holds."""
+    made = {id(y): n for _, n, y in built}
+    return [(x, n) for x, n, _ in built if made.get(id(x)) == -n]
+
+
 def complex_hom_args(x, y):
     """The Hom complex of derived_hom(x, y, ·), as the arguments of
     homology._hom_differential before the degree."""

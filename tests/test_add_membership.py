@@ -34,7 +34,7 @@ def assert_t1_is_split(cert):
     assert t1 is cert.sequence.proj.target
     if t1.total_dim == 0:
         return
-    parts = t1._caches["parts"]
+    parts = t1._parts
     assert all(any(part is fac for fac in cert.factors) for part in parts)
 
 

@@ -4,7 +4,7 @@ from quivertilt import (GF, QQ, BoundExceeded, ConsistencyError, InputError, Qui
                         RelationPoly, build_algebra, injective,
                         opposite_algebra, projective, regular_module, simple,
                         tilting_module_check)
-from quivertilt.algebra import Algebra
+from quivertilt.algebra import Algebra, _memo
 from quivertilt.formats import fixture_algebra
 from quivertilt.modules import direct_sum, hom_space, is_isomorphic, proj_sum, proj_sum_layout
 from conftest import linear_algebra, tilting_summary
@@ -264,7 +264,7 @@ def test_standard_modules_equal_the_path_construction(field):
                 reference_module_from_paths(alg, alg.paths_to(v), dual=True))
         r = regular_module(alg)
         assert _exact(r) == _exact(direct_sum([ps[v] for v in alg.vertices]))
-        assert [_exact(part) for part in r._caches["parts"]] == [
+        assert [_exact(part) for part in r._parts] == [
             _exact(ps[v]) for v in alg.vertices]
         gens = alg.vertices[::-1] + alg.vertices[:1]
         assert proj_sum_layout(alg, alg.vertices) == {
@@ -272,3 +272,44 @@ def test_standard_modules_equal_the_path_construction(field):
                      for i in alg.paths_from(v) if alg.path_target(i) == w)
             for w in alg.vertices}
         assert _exact(proj_sum(alg, gens).rep) == _exact(direct_sum([ps[v] for v in gens]))
+
+
+class _Cached:
+    def __init__(self):
+        self._caches = {}
+
+
+def test_memo_computes_once_per_key():
+    obj, runs = _Cached(), []
+
+    def compute():
+        runs.append(1)
+        return [len(runs)]
+
+    first = _memo(obj, "k", compute)
+    assert _memo(obj, "k", compute) is first and first == [1]
+    assert _memo(obj, ("k", 2), compute) == [2] and _memo(obj, ("k", 2), compute) == [2]
+    assert _memo(obj, "k", compute, keep=lambda v: True) is first
+    assert len(runs) == 2
+
+
+def test_memo_replaces_a_value_keep_rejects():
+    obj = _Cached()
+    assert _memo(obj, "k", lambda: 1) == 1
+    assert _memo(obj, "k", lambda: 5, keep=lambda v: v >= 3) == 5
+    assert _memo(obj, "k", lambda: 9) == 5
+    assert _memo(obj, "k", lambda: 9, keep=lambda v: v >= 3) == 5
+
+
+def test_memo_stores_nothing_when_compute_raises():
+    obj, runs = _Cached(), []
+
+    def failing():
+        runs.append(1)
+        raise BoundExceeded("budget")
+
+    for _ in range(2):
+        with pytest.raises(BoundExceeded):
+            _memo(obj, "k", failing)
+    assert len(runs) == 2
+    assert _memo(obj, "k", lambda: 3) == 3

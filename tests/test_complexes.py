@@ -64,6 +64,15 @@ def test_shift_is_memoized_per_degree(cycle2):
     assert shift(c, 0) is c and shift(c, 1) is not shift(c, -1)
 
 
+def test_shifting_back_returns_the_complex_itself(cycle2):
+    """y[n] holds y as its shift by -n: shifting back, also a chain map,
+    builds no copy of y."""
+    for n in (1, -1, 2, -2):
+        y = resolve_to_complex(simple(cycle2, "2"))
+        assert shift(shift(y, n), -n) is y
+        assert shift_chain_map(identity_chain_map(shift(y, n)), -n).source is y
+
+
 def test_cone_of_identity_is_contractible(cycle2):
     c = resolve_to_complex(simple(cycle2, "2"))
     cone, _, _ = mapping_cone(identity_chain_map(c))

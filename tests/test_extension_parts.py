@@ -32,7 +32,7 @@ ALGEBRAS = dict(_algebras())
 
 def _untouched(cocycle, target):
     """The recorded parts of target on whose block the cocycle vanishes."""
-    return [part for part, proj in zip(target._caches["parts"], _block_maps(target)[1])
+    return [part for part, proj in zip(target._parts, _block_maps(target)[1])
             if cocycle.compose(proj).is_zero()]
 
 
@@ -65,7 +65,7 @@ def test_bongartz_complement_matches_the_unsplit_pushout(name, monkeypatch):
         assert match_decomposition(decompose(n_mod), decompose(ref_mid)), (name, v)
         untouched = _untouched(cls.cocycle, r)
         assert untouched, (name, v)
-        recorded = n_mod._caches["parts"]
+        recorded = n_mod._parts
         assert all(any(q is p for q in recorded) for p in untouched), (name, v)
         assert len(recorded) == len(untouched) + 1, (name, v)
 
@@ -87,9 +87,9 @@ def test_zero_cocycle_records_every_part_of_the_target(cycle2):
     space = ext(1, simple(cycle2, "2"), r)
     res = space.resolution
     ses = realize_extension(ExtClass(res, 1, r, zero_map(res.terms[1].rep, r)))
-    parts = ses.mid._caches["parts"]
-    assert len(parts) == 3 and parts[1:] == r._caches["parts"]
-    assert all(a is b for a, b in zip(parts[1:], r._caches["parts"]))
+    parts = ses.mid._parts
+    assert len(parts) == 3 and parts[1:] == r._parts
+    assert all(a is b for a, b in zip(parts[1:], r._parts))
     assert is_isomorphic(parts[0], simple(cycle2, "2"))
     assert is_isomorphic(ses.mid, direct_sum([r, simple(cycle2, "2")]))
     assert connecting_class(ses, space) == (0,) * space.dim
@@ -109,7 +109,7 @@ def test_a_cocycle_touching_every_part_gives_the_unsplit_pushout(field):
     assert _untouched(cls.cocycle, target) == []
     ses = realize_extension(cls)
     ref_mid, ref_incl, ref_proj = reference_realize_extension(cls)
-    assert "parts" not in ses.mid._caches
+    assert not ses.mid._parts
     assert (ses.mid.dims, ses.mid.arrow_mats) == (ref_mid.dims, ref_mid.arrow_mats)
     assert ses.incl.mats == ref_incl.mats and ses.proj.mats == ref_proj.mats
     assert connecting_class(ses, space) == (1, 1)

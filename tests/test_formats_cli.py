@@ -317,6 +317,22 @@ def test_cli_input_error_exit_two(capsys):
     assert main(["info", "/nonexistent/file.alg"]) == 2
 
 
+def test_cli_negative_budgets_exit_two(tmp_path):
+    """K[x]/(x²) and its simple, of infinite projective dimension: a negative
+    resolution bound or step budget is malformed input, not a bound that
+    is never reached."""
+    alg = tmp_path / "dual.alg"
+    alg.write_text("field Q\nvertex 1\narrow x: 1 -> 1\nrelation x*x\n")
+    s = tmp_path / "S.mod"
+    s.write_text("dim 1=1\nmap x = [[0]]\n")
+    # well-formed files: a nonnegative bound is exceeded (exit 3)
+    assert main(["resolve", "--max-resolution", "2", str(alg), str(s)]) == 3
+    assert main(["resolve", "--max-resolution", "-1", str(alg), str(s)]) == 2
+    assert main(["gldim", "--max-resolution", "-1", str(alg)]) == 2
+    assert main(["ext", "-k", "0", "--max-resolution", "-1", str(alg), str(s), str(s)]) == 2
+    assert main(["reflect", "--max-steps", "-1", ALG, S2]) == 2
+
+
 def test_cli_field_override(capsys):
     assert main(["ext", "-k", "1", "--field", "GF(101)", ALG, I1, S2]) == 0
     assert "dim Ext^1 = 1" in capsys.readouterr().out

@@ -5,7 +5,7 @@ import pytest
 from quivertilt import (GF, BoundExceeded, ConsistencyError, InputError, Representation, injective,
                         opposite_algebra, projective, regular_module, simple,
                         zero_module)
-from quivertilt.formats import fixture_algebra
+from quivertilt.formats import fixture_algebra, parse_algebra_text
 from quivertilt.homology import (ExtClass, _precompose_matrix, connecting_class, ext, ext_dim,
                                  global_dimension, left_add_approximation,
                                  left_module_from_op_rep, left_regular_module,
@@ -230,6 +230,24 @@ def test_a_one_part_sum_is_resolved_by_its_part(field, monkeypatch):
     assert checked > 10
 
 
+DUAL_NUMBERS = "field Q\nvertex 1\narrow x: 1 -> 1\nrelation x*x\n"
+
+
+def test_a_negative_resolution_bound_is_rejected():
+    """K[x]/(x²): the simple has infinite projective dimension, so a bound
+    that no resolution length can reach would resolve forever; it raises
+    InputError wherever the bound is first read."""
+    alg = parse_algebra_text(DUAL_NUMBERS)
+    s = simple(alg, "1")
+    for call in (lambda: min_resolution(s, -1), lambda: min_resolution(s, -1, False),
+                 lambda: proj_dim(s, -1), lambda: global_dimension(alg, -1),
+                 lambda: ext(0, s, s, -1), lambda: ext_dim(1, s, s, -2),
+                 lambda: tor_dims_range(s, left_regular_module(alg), 0, -1)):
+        with pytest.raises(InputError, match="resolution bound must be >= 0"):
+            call()
+    assert min_resolution(s, 0, require_finite=False).length == 0
+
+
 def test_a_resolution_of_another_module_is_rejected(cycle2):
     """ext, ext_dim, tor_dims_range and resolve_to_complex answer for the
     module they are asked about: a resolution of another module raises
@@ -274,7 +292,7 @@ def test_universal_extension_of_one_class_keeps_m_as_its_right_term(cycle2, a2, 
     s1, s2 = simple(kron2, "1"), simple(kron2, "2")
     assert ext_dim(1, s1, s2) == 2
     _, ses = universal_extension(s1, s2)
-    parts = ses.right._caches["parts"]
+    parts = ses.right._parts
     assert len(parts) == 2 and all(p is s1 for p in parts)
 
 

@@ -7,9 +7,9 @@ no true division, and no package module imports ``random`` or has a
 function parameter named ``seed``: every verdict is deterministic.  Every
 operation the benchmark's tracer times by name pattern matches a package
 function, so a rename cannot silently zero a per-layer metric.  Every
-string key the package writes into a ``_caches`` dict is read somewhere in
-the package, and every key it reads is written somewhere, so neither a
-dead cache nor a mistyped memo key goes unnoticed.  Only ``complexes``
+per-object cache is read and written through ``algebra._memo`` alone, and
+each memo key namespace is used by one function, so two sites cannot
+share an entry by a mistyped key.  Only ``complexes``
 calls the cone and stacking helpers, so every stacked universal map is
 built by ``complexes.universal_triangle``.
 
@@ -308,52 +308,89 @@ def test_stratifying_check_builds_no_opposite_algebra(monkeypatch):
     assert len(calls) == 1
 
 
-def cache_keys(source: str) -> tuple:
-    """(written, read): the string keys of ``<object>._caches`` dicts the
-    source writes and reads.  ``c[key] = …`` writes and ``c[key]``,
-    ``c.get(key)`` and ``key in c`` read; ``c.setdefault(key, …)`` does
-    both.  Keys that are not string constants are not seen."""
-    written, read = set(), set()
-
-    def is_caches(node):
-        return isinstance(node, ast.Attribute) and node.attr == "_caches"
-
-    def key(node):
-        return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) \
-            else None
-
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Subscript) and is_caches(node.value) and key(node.slice):
-            (written if isinstance(node.ctx, ast.Store) else read).add(key(node.slice))
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and is_caches(node.func.value) and node.args and key(node.args[0])):
-            if node.func.attr in ("get", "setdefault"):
-                read.add(key(node.args[0]))
-            if node.func.attr == "setdefault":
-                written.add(key(node.args[0]))
-        elif (isinstance(node, ast.Compare) and key(node.left)
-              and any(is_caches(c) for c in node.comparators)):
-            read.add(key(node.left))
-    return written, read
+def scoped_nodes(source: str):
+    """(scope, node) for every node of the source: scope is the qualified
+    name of the outermost function or method around the node
+    ("Class.method"), the class name in a class body, and "" at module
+    level.  A nested function belongs to the function around it."""
+    stack, out = [("", ast.parse(source), False)], []
+    while stack:
+        scope, node, in_function = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            out.append((scope, child))
+            inner, function = scope, in_function
+            if not in_function and isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+                function = isinstance(child, ast.FunctionDef)
+            stack.append((inner, child, function))
+    return out
 
 
-def test_cache_key_detector_sees_every_kind_of_access():
-    src = ("m._caches['a'] = 1\nx = m._caches['b']\ny = n._caches.get('c', 0)\n"
-           "z = self._caches.setdefault('d', {})\nif 'e' not in m._caches:\n    pass\n"
-           "m._caches[key] = 2\nother['f'] = 3\nw = m.caches.get('g')\n")
-    assert cache_keys(src) == ({"a", "d"}, {"b", "c", "d", "e"})
+def cache_names(source: str) -> list:
+    """The sorted scopes that name ``_caches``: as an attribute, a plain name
+    (a field declaration) or the string "_caches"."""
+    return sorted({scope for scope, node in scoped_nodes(source)
+                   if (isinstance(node, ast.Attribute) and node.attr == "_caches")
+                   or (isinstance(node, ast.Name) and node.id == "_caches")
+                   or (isinstance(node, ast.Constant) and node.value == "_caches")})
 
 
-def test_every_cache_key_is_both_written_and_read():
-    written, read = set(), set()
+def memo_namespaces(source: str) -> list:
+    """Sorted (namespace, scope) of each ``_memo`` call: the namespace is the
+    positional key when it is a string constant, the first element of a
+    tuple key when that is one, and None otherwise."""
+    found = set()
+    for scope, node in scoped_nodes(source):
+        if isinstance(node, ast.Call) and "_memo" in (getattr(node.func, "id", None),
+                                                      getattr(node.func, "attr", None)):
+            key = node.args[1] if len(node.args) > 1 else None
+            if isinstance(key, ast.Tuple) and key.elts:
+                key = key.elts[0]
+            found.add((key.value if isinstance(key, ast.Constant)
+                       and isinstance(key.value, str) else None, scope))
+    return sorted(found, key=repr)
+
+
+def test_cache_detectors_see_every_kind_of_name_and_key():
+    src = ("class C:\n    _caches: dict = None\n\n"
+           "    def f(self):\n        return self._caches.get('a')\n\n"
+           "def g(o):\n    object.__setattr__(o, '_caches', {})\n\n"
+           "def h(o, n):\n    def inner():\n        return m._memo(o, ('b', n), f)\n"
+           "    return _memo(o, 'a', inner)\n\n"
+           "def k(o, key):\n    return _memo(o, key, f), other(o, 'c'), o.caches\n\n"
+           "def j(o):\n    return _memo(o, key='d', compute=f)\n")
+    assert cache_names(src) == ["C", "C.f", "g"]
+    assert memo_namespaces(src) == [("a", "h"), ("b", "h"), (None, "j"), (None, "k")]
+
+
+# Every place in src/ that names ``_caches``: the three field declarations,
+# Representation._trusted, which builds an object without __init__, and the
+# memo helper.
+CACHE_OWNERS = {("algebra", "Algebra"), ("modules", "Representation"),
+                ("complexes", "PerfectComplex"), ("modules", "Representation._trusted"),
+                ("algebra", "_memo")}
+
+
+def test_only_the_memo_helper_reads_or_writes_caches():
+    found = {(path.stem, scope) for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for scope in cache_names(path.read_text())}
+    assert found == CACHE_OWNERS, f"_caches named outside _memo: {sorted(found - CACHE_OWNERS)}"
+
+
+def test_each_memo_key_namespace_is_used_by_one_function():
+    """A namespace shared by two functions would let one read the other's
+    entries, as a mistyped key would; a key the check cannot name escapes
+    it, so every key has a namespace."""
+    sites = {}
     for path in sorted(PACKAGE_DIR.glob("*.py")):
-        w, r = cache_keys(path.read_text())
-        written |= w
-        read |= r
-    assert {"end", "resolution", "reflect_regular", "derived_end",
-            "lambda_system"} <= written
-    assert not written - read, f"cache keys written but never read: {sorted(written - read)}"
-    assert not read - written, f"cache keys read but never written: {sorted(read - written)}"
+        for namespace, scope in memo_namespaces(path.read_text()):
+            sites.setdefault(namespace, set()).add(f"{path.stem}.{scope}")
+    assert None not in sites, f"_memo keys without a namespace: {sites.get(None)}"
+    assert {"vidx", "idem", "amap", "suffix", "aidx", "from", "to", "zero", "regular", "act",
+            "off", "end", "radical", "factors", "decompose", "resolution", "left_regular",
+            "shift", "derived_end", "tilting", "reflect_regular", "lambda_system"} <= set(sites)
+    shared = {ns: sorted(s) for ns, s in sites.items() if len(s) > 1}
+    assert not shared, f"memo key namespaces used by more than one function: {shared}"
 
 
 # Package modules from the bottom layer up; formats sits below verify,

@@ -30,7 +30,8 @@ from quivertilt.recollement import (_h0_matches, _lambda_system, _quotient_by_ve
                                     universal_localization)
 from quivertilt.formats import fixture_algebra
 from quivertilt.tilting import TiltingCertificate, tilting_module_check
-from conftest import complex_hom_args, counting, linear_algebra, resolution_hom_args
+from conftest import (complex_hom_args, counting, linear_algebra, recording_shifts,
+                      resolution_hom_args, shifted_back)
 from oracles import (oracle_corner_ideal_dim, oracle_corner_tensor_dim,
                      oracle_corner_tor1_dim, reference_concentrated_h0,
                      reference_corner_tor_dims, reference_h0_match,
@@ -194,6 +195,27 @@ def test_brick_reflection_checks_every_degree_of_the_cone_window_once(cycle2, a2
         assert set(hom_window(t1, rr)) < set(degrees)
 
 
+def test_a_negative_step_budget_is_rejected(cycle2):
+    """reflect rejects a negative max_steps on the brick path too, and
+    reflection_iterative before its first step."""
+    rs2 = resolve_to_complex(simple(cycle2, "2"))
+    rr = resolve_to_complex(regular_module(cycle2))
+    for call in (lambda: reflect(rs2, rr, max_steps=-1),
+                 lambda: reflection_iterative(rs2, rr, max_steps=-1),
+                 lambda: reflect_regular(simple(cycle2, "2"), -1)):
+        with pytest.raises(InputError, match="step budget must be >= 0"):
+            call()
+
+
+def test_brick_reflection_builds_no_copy_of_a_shifted_complex(cycle2, monkeypatch):
+    """The classes of Hom(S2, R[n]) map into R[n], which holds R as its
+    shift by -n: reflecting R at S2 shifts no complex back into a copy."""
+    built = recording_shifts(monkeypatch)
+    reflection_brick(resolve_to_complex(simple(cycle2, "2")),
+                     resolve_to_complex(regular_module(cycle2)))
+    assert built and not shifted_back(built)
+
+
 def test_reflection_did_not_stabilize_error(cycle2):
     rs2 = resolve_to_complex(simple(cycle2, "2"))
     rr = resolve_to_complex(regular_module(cycle2))
@@ -212,9 +234,11 @@ def test_reflect_takes_the_iterative_route_at_a_non_brick(cycle2, monkeypatch):
     iterative = counting(monkeypatch, recollement, "reflection_iterative")
     with pytest.raises(BoundExceeded):
         reflect(t1, resolve_to_complex(regular_module(cycle2)), max_steps=2)
-    with pytest.raises(BoundExceeded):
-        reflect_regular(p2, 2)
-    assert len(iterative) == 2 and p2._caches["reflect_regular"] == {}
+    for _ in range(2):
+        with pytest.raises(BoundExceeded):
+            reflect_regular(p2, 2)
+    # the failed call memoized nothing: the second one reflects again
+    assert len(iterative) == 3
 
 
 # -- universal localization ---------------------------------------------------------
@@ -335,7 +359,7 @@ def unrecorded_i1_squared(cycle2):
         name: g[src].mul(s.arrow_mats[name]).mul(g_inv[tgt])
         for name, src, tgt in cycle2.quiver.arrows})
     ModuleMap(m, s, g)
-    assert "parts" not in m._caches
+    assert not m._parts
     return m
 
 
@@ -710,7 +734,7 @@ def test_recollement_report_decides_no_isomorphism(monkeypatch):
     monkeypatch.setattr(modules, "is_isomorphic", is_isomorphic)
     rep = recollement_report(direct_sum([n_mod, s]))
     assert rep.t2_matches_ru and rep.localization.reflection_matches
-    assert splits and all("parts" in m._caches for (m,) in splits)
+    assert splits and all(m._parts for (m,) in splits)
 
 
 @pytest.fixture(scope="module")
@@ -865,7 +889,7 @@ def test_localization_splits_r_u_along_t0_parts(triple3, monkeypatch):
     monkeypatch.setattr(modules, "_fitting_split", counting_split)
     ru = universal_localization(seq).ru_module
     in_localization = len(tried)
-    t0_parts, ru_parts = seq.mid._caches["parts"], ru._caches["parts"]
+    t0_parts, ru_parts = seq.mid._parts, ru._parts
     kept = [q for q in (quotient(part, trace_submodule(seq.right, part))[0]
                         for part in t0_parts) if q.total_dim]
     assert [q.dims for q in ru_parts] == [q.dims for q in kept]
@@ -892,12 +916,12 @@ def test_trace_quotient_of_a_t0_with_no_parts(name, cycle2, a2):
         seq = bongartz_complement(simple(a2, "1"))[2].sequence
     r, t0, t1 = seq.left, seq.mid, seq.right
     whole_t0 = Representation(t0.algebra, dict(t0.dims), dict(t0.arrow_mats))
-    assert "parts" in t0._caches and "parts" not in whole_t0._caches
+    assert t0._parts and not whole_t0._parts
     whole = universal_localization(ShortExact(r, whole_t0, t1,
                                               ModuleMap(r, whole_t0, seq.incl.mats),
                                               ModuleMap(whole_t0, t1, seq.proj.mats)))
     by_parts = universal_localization(seq)
-    assert "parts" not in whole.ru_module._caches and "parts" in by_parts.ru_module._caches
+    assert not whole.ru_module._parts and by_parts.ru_module._parts
     assert is_isomorphic(whole.ru_module, by_parts.ru_module)
     assert whole.hom_epi == by_parts.hom_epi
 

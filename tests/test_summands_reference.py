@@ -50,15 +50,15 @@ def _summary(factors):
 def _expected_factors(m):
     """The factors of reference_summands(m) for a module without recorded
     parts; for a direct sum, the expected factors of each part in order."""
-    parts = m._caches.get("parts")
-    if parts is None:
+    parts = m._parts
+    if not parts:
         return reference_summands(m)
     return [fac for part in parts for fac in _expected_factors(part)]
 
 
 def _assert_matches_reference(mods):
     assert mods
-    assert any("parts" in m._caches for m in mods)
+    assert any(m._parts for m in mods)
     for m in mods:
         assert _summary(modules.summand_factors(m)) == _summary(_expected_factors(m))
 
@@ -199,7 +199,7 @@ def _nested_sums(field):
     t = direct_sum([projective(triple3, "1"), projective(triple3, "2"), simple(triple3, "1")])
     f, _ = left_add_approximation(regular_module(triple3), t)
     t1, _ = modules.cokernel(f)
-    assert "parts" in n_mod._caches and "parts" in f.target._caches and "parts" not in t1._caches
+    assert n_mod._parts and f.target._parts and not t1._parts
     return [direct_sum([n_mod, s3]), direct_sum([f.target, t1])]
 
 
@@ -219,7 +219,7 @@ def test_summand_factors_are_the_summands_factors_and_decompose_builds_no_pair(
         groups = modules.decompose(m)
         assert block_maps == []
         factors = modules.summand_factors(m)
-        parts_factors = [fac for part in m._caches["parts"]
+        parts_factors = [fac for part in m._parts
                          for fac in modules.summand_factors(part)]
         assert len(factors) == len(parts_factors) == sum(k for _, k in groups)
         assert all(fac is s for fac, s in zip(factors, parts_factors))

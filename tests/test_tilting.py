@@ -21,7 +21,7 @@ from quivertilt.tilting import (TiltingCertificate, TiltingFailure, _certify,
                                 bongartz_complement, check_A1_A2,
                                 cone_exceptionality, construct_tilting,
                                 criterion_map_surjective, tilting_module_check)
-from conftest import counting, linear_algebra, tilting_summary
+from conftest import counting, linear_algebra, recording_shifts, shifted_back, tilting_summary
 from oracles import reference_is_left_universal, reference_is_right_universal
 
 
@@ -350,6 +350,18 @@ def test_construct_tilting_resolves_each_simple_once(cycle2, monkeypatch):
     assert set(built.generation_evidence) == {"first", "second"}
 
 
+def test_left_triangle_includes_the_pair_t1_itself(monkeypatch):
+    """The classes of Hom(T2, T1[1]) map into T1[1], which holds T1 as its
+    shift by -1: the left universal triangle's inclusion starts at T1, and
+    construct_tilting shifts no complex back into a copy."""
+    built = recording_shifts(monkeypatch)
+    for pair in _fixture_pairs():
+        _, incl = universal_triangle([pair.ext_space], "left")
+        assert incl.source is pair.t1
+        construct_tilting(pair)
+    assert built and not shifted_back(built)
+
+
 def test_construct_tilting_solves_the_pair_space_only_in_the_pair_check(monkeypatch):
     """Hom(T2, T1[1]) is solved once, by check_A1_A2; both of
     construct_tilting's triangles stack the pair's ext_space."""
@@ -557,9 +569,15 @@ def test_another_order_bound_or_part_object_is_certified_anew(rad2, field, monke
         assert is_isomorphic(other.sequence.right, first.sequence.right)
 
 
-def test_the_memo_lives_as_long_as_the_first_part():
+def test_the_memo_lives_as_long_as_the_first_part(monkeypatch):
+    """The verdict on N ⊕ S is memoized in N's cache: it dies with N, and
+    the sum of a new N with the same S is certified again."""
+    import quivertilt.tilting as tilting
     alg = linear_algebra(4, rad2=True, field=GF(101))
     s = simple(alg, "3")
+    runs, real = [], tilting._certify
+    # counts without holding the module, which would keep it alive
+    monkeypatch.setattr(tilting, "_certify", lambda t, bound: runs.append(1) or real(t, bound))
 
     def certify():
         n_mod, _ = universal_extension(s, regular_module(alg))
@@ -571,7 +589,9 @@ def test_the_memo_lives_as_long_as_the_first_part():
     refs = certify()
     gc.collect()
     assert [r() for r in refs] == [None, None, None]
-    assert "tilting" not in s._caches
+    assert len(runs) == 1
+    certify()
+    assert len(runs) == 2
 
 
 def test_memoized_certificates_equal_unmemoized_checks(all_algebras):

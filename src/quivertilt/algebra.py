@@ -9,8 +9,17 @@ Path composition is written LEFT-TO-RIGHT throughout: ``p * q`` means
 followed by arrow b.  Fixture files record this convention; it is the one
 under which the worked two-vertex cycle algebra has its projective at
 vertex 2 uniserial of length three with simple socle at vertex 2.
+
+An ``Algebra`` is built and certified once.  Its lookup tables (endpoints
+of each basis path, the vertex, idempotent, arrow and arrow-path indexes,
+the suffix and prefix of each path, the paths from and to each vertex) are
+fields, filled when it is constructed, so ``opposite_algebra`` and a
+hand-made table get them too.  The certificate (``Algebra._verify``) reads
+the table's grading by endpoints once and checks associativity only on
+the arrow triples the grading leaves nonzero.
 """
 
+import itertools
 from dataclasses import dataclass, field as _dc_field
 
 from .errors import BoundExceeded, ConsistencyError, InputError
@@ -133,8 +142,11 @@ def build_algebra(quiver: Quiver, relations, fld: FieldSpec, max_path_len: int =
     of relation instances under one-arrow extension on both sides, layer by
     layer; stop at the first length whose paths are all reducible.  Raises
     BoundExceeded when nonzero residue paths survive at max_path_len (the
-    ideal is then not visibly admissible within the bound).
+    ideal is then not visibly admissible within the bound), and InputError
+    for a negative max_path_len.
     """
+    if max_path_len < 0:
+        raise InputError(f"path length bound max_path_len must be >= 0, got {max_path_len}")
     relations = tuple(relations)
     for r in relations:
         r.validate(quiver)
@@ -291,8 +303,23 @@ class Algebra:
     increasing k, standing for sum_k c * basis[k]; a zero product is ().
     Every pair (i, j) has an entry.
 
-    The table is certified on generator triples (see _verify), not on all
-    dim^3 basis triples.
+    The lookup tables are fields, built once from the basis and the quiver
+    in __post_init__ and read by the accessors:
+
+    - ``_src``, ``_tgt``: the endpoints of each basis path (``_tgt`` is
+      None when the last arrow is not in the quiver);
+    - ``_vidx``, ``_idem``, ``_amap``, ``_aidx``: the position of each
+      vertex, the basis index of each e_v, the endpoints of each arrow and
+      the basis index of each arrow;
+    - ``_suffix``: for path i = a * p', the basis index of p', else None;
+    - ``_prefix``: for path i = p' * a, the basis index of p' when p' is a
+      basis path before i, else None (``modules.hom_from_gens`` reads the
+      rows of a map along it in basis order);
+    - ``_from``, ``_to``: the basis paths from and to each vertex, in basis
+      order.
+
+    Building them raises nothing on a malformed basis; _verify rejects it.
+    The table is certified by _verify, not on all dim^3 basis triples.
     """
 
     quiver: Quiver
@@ -302,6 +329,45 @@ class Algebra:
     mult: dict  # (i, j) -> sparse row of basis[i] * basis[j]
     max_path_len: int = 64
     _caches: dict = _dc_field(default_factory=dict, compare=False, repr=False)
+    _src: tuple = _dc_field(init=False, compare=False, repr=False)
+    _tgt: tuple = _dc_field(init=False, compare=False, repr=False)
+    _vidx: dict = _dc_field(init=False, compare=False, repr=False)
+    _idem: dict = _dc_field(init=False, compare=False, repr=False)
+    _amap: dict = _dc_field(init=False, compare=False, repr=False)
+    _aidx: dict = _dc_field(init=False, compare=False, repr=False)
+    _suffix: tuple = _dc_field(init=False, compare=False, repr=False)
+    _prefix: tuple = _dc_field(init=False, compare=False, repr=False)
+    _from: dict = _dc_field(init=False, compare=False, repr=False)
+    _to: dict = _dc_field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        vertices, basis = self.quiver.vertices, self.basis
+        amap = self.quiver.arrow_map()
+        index = {p: i for i, p in enumerate(basis)}
+        src = tuple(s for s, _ in basis)
+        tgt = tuple(amap.get(word[-1], (None, None))[1] if word else s for s, word in basis)
+        paths_from = {v: [] for v in vertices}
+        paths_to = {v: [] for v in vertices}
+        suffix, prefix = [], []
+        for i, (s, word) in enumerate(basis):
+            if s in paths_from:
+                paths_from[s].append(i)
+            if tgt[i] in paths_to:
+                paths_to[tgt[i]].append(i)
+            first = amap.get(word[0]) if word else None
+            suffix.append(None if first is None else index.get((first[1], word[1:])))
+            p = index.get((s, word[:-1])) if word else None
+            prefix.append(p if p is not None and p < i else None)
+        for name, value in (
+                ("_src", src), ("_tgt", tgt),
+                ("_vidx", {v: i for i, v in enumerate(vertices)}),
+                ("_idem", {s: i for i, (s, word) in enumerate(basis) if not word}),
+                ("_amap", amap),
+                ("_aidx", {word[0]: i for i, (_, word) in enumerate(basis) if len(word) == 1}),
+                ("_suffix", tuple(suffix)), ("_prefix", tuple(prefix)),
+                ("_from", {v: tuple(ps) for v, ps in paths_from.items()}),
+                ("_to", {v: tuple(ps) for v, ps in paths_to.items()})):
+            object.__setattr__(self, name, value)
 
     # -- construction --------------------------------------------------------
 
@@ -314,7 +380,7 @@ class Algebra:
         for j, (src, _) in enumerate(basis):
             starting[src].append(j)
 
-        mult = {(i, j): () for i in range(dim) for j in range(dim)}
+        mult = dict.fromkeys(itertools.product(range(dim), repeat=2), ())
         for i, (src, word) in enumerate(basis):
             end = amap[word[-1]][1] if word else src
             for j in starting[end]:
@@ -334,53 +400,81 @@ class Algebra:
         """Certify that the table is a unital associative algebra in which
         the relations vanish.
 
-        - The vertex idempotents are orthogonal idempotents summing to the
-          unit: e_{s(p)} * p = p = p * e_{t(p)}, and every other e_v kills p
-          on either side.
+        - Every basis path starts at a vertex and its word is made of
+          arrows of the quiver, and the vertex idempotents are orthogonal
+          idempotents summing to the unit: e_{s(p)} * p = p = p * e_{t(p)},
+          and every other e_v kills p on either side.
         - The basis is suffix-closed in the table: every path p of length
           >= 1 is a * p' with a its first arrow and p' a basis path.
-        - (g * b_j) * b_k = g * (b_j * b_k) for every generator g (vertex
-          idempotent or arrow) and all j, k.
+        - The table is graded by endpoints: every nonzero product
+          b_i * b_j has t(b_i) = s(b_j), and its support (its coefficients
+          summed per basis index, as _row_times sums them) lies in the
+          paths from s(b_i) to t(b_j).  One pass over the nonzero entries.
+        - (a * b_j) * b_k = a * (b_j * b_k) for every arrow a and all j, k
+          with s(b_j) = t(a) and s(b_k) = t(b_j).
 
-        The last two give associativity on all triples, by induction on the
-        length of the first factor: for b_i = a * b_i',
+        Then associativity holds on every generator triple (g, b_j, b_k),
+        g a vertex idempotent or an arrow.  Given the idempotent laws, the
+        triples (e_v, b_j, b_k) hold for every v exactly when the support
+        of b_j * b_k lies in the paths from s(b_j), which the grading says.
+        For an arrow a with s(b_j) != t(a) or s(b_k) != t(b_j), both sides
+        are 0 by the grading.  Associativity on all triples follows by
+        induction on the length of the first factor: for b_i = a * b_i',
         (b_i b_j) b_k = a ((b_i' b_j) b_k) = a (b_i' (b_j b_k)) = b_i (b_j b_k).
+        Conversely, associativity and the idempotent laws imply the grading:
+        b_i b_j = (b_i e_{t(b_i)}) b_j = b_i (e_{t(b_i)} b_j), and
+        e_v (b_i b_j) = (e_v b_i) b_j, (b_i b_j) e_w = b_i (b_j e_w).  So on
+        a basis of paths of the quiver this accepts exactly the tables that
+        the check of every generator triple accepts.
         """
-        fld = self.field
-        mult = self.mult
-        one = fld.one()
-        idems = {v: self.vertex_idempotent(v) for v in self.quiver.vertices}
+        fld, mult, basis = self.field, self.mult, self.basis
+        one, zero = fld.one(), fld.zero()
+        src, tgt, idem, paths_from = self._src, self._tgt, self._idem, self._from
+        if any(s not in paths_from or any(a not in self._amap for a in word)
+               for s, word in basis):
+            raise ConsistencyError("a residue basis path is not a path of the quiver")
+        if len(idem) != len(paths_from):
+            raise ConsistencyError(
+                "vertex idempotents are not orthogonal idempotents summing to 1")
+        itself = [((i, one),) for i in range(self.dim)]
         for i in range(self.dim):
-            itself = ((i, one),)
-            s, t = self.path_source(i), self.path_target(i)
-            for v, e in idems.items():
-                if (mult[(e, i)] != (itself if v == s else ())
-                        or mult[(i, e)] != (itself if v == t else ())):
+            s, t = src[i], tgt[i]
+            for v, e in idem.items():
+                if (mult[(e, i)] != (itself[i] if v == s else ())
+                        or mult[(i, e)] != (itself[i] if v == t else ())):
                     raise ConsistencyError(
                         "vertex idempotents are not orthogonal idempotents summing to 1")
-        index = {p: i for i, p in enumerate(self.basis)}
-        gens = list(idems.values())
-        for i, (src, word) in enumerate(self.basis):
+        index = {p: i for i, p in enumerate(basis)}
+        arrows = []
+        for i, (s, word) in enumerate(basis):
             if not word:
                 continue
-            a = index.get((src, word[:1]))
-            rest = self.suffix_index(i)
-            if a is None or rest is None or mult[(a, rest)] != ((i, one),):
+            a = index.get((s, word[:1]))
+            rest = self._suffix[i]
+            if a is None or rest is None or mult[(a, rest)] != itself[i]:
                 raise ConsistencyError("residue basis is not suffix-closed")
             if len(word) == 1:
-                gens.append(i)
-        # associativity on generator triples; a triple whose both sides are
-        # sums over empty rows is 0 = 0 and is skipped
-        nonzero_after = [[k for k in range(self.dim) if mult[(j, k)]] for j in range(self.dim)]
-        for g in gens:
-            for j in range(self.dim):
-                gj = mult[(g, j)]
-                ks = set(nonzero_after[j])
-                for m, _ in gj:
-                    ks.update(nonzero_after[m])
-                for k in ks:
-                    if (self._row_times(gj, k, right=True)
-                            != self._row_times(mult[(j, k)], g, right=False)):
+                arrows.append(i)
+        # the grading, on the nonzero entries only; the support is summed
+        # only when a listed index is off the grading
+        for (i, j), row in itertools.compress(mult.items(), mult.values()):
+            s, t = src[i], tgt[j]
+            if tgt[i] == src[j] and all(src[k] == s and tgt[k] == t for k, _ in row):
+                continue
+            summed = {}
+            for k, c in row:
+                summed[k] = fld.add(summed.get(k, zero), c)
+            support = [k for k, c in summed.items() if c]
+            if support and (tgt[i] != src[j]
+                            or any(src[k] != s or tgt[k] != t for k in support)):
+                raise ConsistencyError("structure constants are not graded by path endpoints")
+        # associativity on the arrow triples the grading leaves nonzero
+        for a in arrows:
+            for j in paths_from[tgt[a]]:
+                aj = mult[(a, j)]
+                for k in paths_from[tgt[j]]:
+                    if (self._row_times(aj, k, right=True)
+                            != self._row_times(mult[(j, k)], a, right=False)):
                         raise ConsistencyError("structure constants are not associative")
         # relations evaluate to zero
         for rel in self.relations:
@@ -412,31 +506,29 @@ class Algebra:
         return self.quiver.vertices
 
     def vertex_index(self, v) -> int:
-        index = _memo(self, "vidx", lambda: {v_: i for i, v_ in enumerate(self.quiver.vertices)})
-        if v not in index:
-            raise InputError(f"unknown vertex {v!r}")
-        return index[v]
+        try:
+            return self._vidx[v]
+        except KeyError:
+            raise InputError(f"unknown vertex {v!r}") from None
 
     def vertex_idempotent(self, v) -> int:
         """Basis index of e_v."""
-        idem = _memo(self, "idem", lambda: {src: i for i, (src, word) in enumerate(self.basis)
-                                            if not word})
-        if v not in idem:
-            raise InputError(f"unknown vertex {v!r}")
-        return idem[v]
+        try:
+            return self._idem[v]
+        except KeyError:
+            raise InputError(f"unknown vertex {v!r}") from None
 
     def arrow_endpoints(self, name):
-        amap = _memo(self, "amap", self.quiver.arrow_map)
-        if name not in amap:
-            raise InputError(f"unknown arrow {name!r}")
-        return amap[name]
+        try:
+            return self._amap[name]
+        except KeyError:
+            raise InputError(f"unknown arrow {name!r}") from None
 
     def path_source(self, i: int):
-        return self.basis[i][0]
+        return self._src[i]
 
     def path_target(self, i: int):
-        src, word = self.basis[i]
-        return self.arrow_endpoints(word[-1])[1] if word else src
+        return self._tgt[i]
 
     def path_in_basis(self, word) -> tuple:
         """Sparse row of the residue class of an arrow word (length >= 1)."""
@@ -449,19 +541,14 @@ class Algebra:
     def suffix_index(self, i: int):
         """Basis index of p' for basis path i = a * p' of length >= 1 (None
         when p' is not a basis path, which _verify rejects)."""
-        def compute():
-            index = {p: k for k, p in enumerate(self.basis)}
-            return tuple(index.get((self.arrow_endpoints(word[0])[1], word[1:])) if word else None
-                         for _, word in self.basis)
-        return _memo(self, "suffix", compute)[i]
+        return self._suffix[i]
 
     def basis_index_of_arrow(self, name) -> int:
-        aidx = _memo(self, "aidx", lambda: {word[0]: i for i, (_, word) in enumerate(self.basis)
-                                            if len(word) == 1})
-        if name not in aidx:
+        try:
+            return self._aidx[name]
+        except KeyError:
             # relation terms have length >= 2, so every arrow is a basis path
-            raise InputError(f"arrow {name!r} is not a residue basis element")
-        return aidx[name]
+            raise InputError(f"arrow {name!r} is not a residue basis element") from None
 
     def unit(self) -> tuple:
         """Sparse row of the unit, the sum of the vertex idempotents."""
@@ -479,16 +566,16 @@ class Algebra:
 
     def paths_from(self, v) -> tuple:
         """Basis indices of paths starting at v, in basis order."""
-        def compute():
-            self.vertex_index(v)
-            return tuple(i for i in range(self.dim) if self.path_source(i) == v)
-        return _memo(self, ("from", v), compute)
+        try:
+            return self._from[v]
+        except KeyError:
+            raise InputError(f"unknown vertex {v!r}") from None
 
     def paths_to(self, v) -> tuple:
-        def compute():
-            self.vertex_index(v)
-            return tuple(i for i in range(self.dim) if self.path_target(i) == v)
-        return _memo(self, ("to", v), compute)
+        try:
+            return self._to[v]
+        except KeyError:
+            raise InputError(f"unknown vertex {v!r}") from None
 
     def __repr__(self):
         return (f"Algebra(dim={self.dim}, vertices={list(self.vertices)}, "

@@ -5,8 +5,9 @@ matrix to every arrow; module elements are row vectors per vertex and an
 arrow s -> t acts by right multiplication with a dims(s) x dims(t) matrix.
 
 Hom out of a module built by ``proj_sum`` is read off its generators by
-Yoneda (``hom_from_gens``); any other Hom space solves the naturality
-system.
+Yoneda (``hom_from_gens``, which propagates the generator images along
+arrows, one arrow matrix per path); any other Hom space solves the
+naturality system.
 
 Membership in add(T) is decided by the minimal right add(T)-approximation
 (``right_add_approximation``): x is in add(T) exactly when it is an
@@ -687,16 +688,32 @@ def hom_from_gens(psum: ProjSum, n: Representation, images) -> ModuleMap:
     vectors of length n.dims[v_j]).  Any images define a module map, as
     ⊕P_{v_j} is free on its generators (Yoneda: Hom(P_v, n) = n_v).  The
     row of basis element (j, i) is images[j] times the action of the path
-    i, one ``row_times`` each; no 1 x n matrix is built."""
+    i.  It is propagated along arrows: the row of a path p'·a is the row of
+    p' times n's matrix of a, one ``row_times`` each, where p' is the
+    algebra's prefix index of the path; a path without one (a basis that
+    is not prefix-closed) takes images[j] times ``basis_action``.  No
+    1 x n matrix is built."""
     alg = psum.algebra
     if n.algebra is not alg:
         raise InputError("module map between different algebras")
     fld = alg.field
+    paths_from, prefix, basis, arrow_mats = alg._from, alg._prefix, alg.basis, n.arrow_mats
+    rows = {}
+    for j, v in enumerate(psum.gens):
+        image = images[j]
+        for i in paths_from[v]:
+            word, p = basis[i][1], prefix[i]
+            if not word:
+                # images[j] times the identity, as basis_action of e_v reads
+                rows[(j, i)] = row_times(image, Matrix.identity(fld, n.dims[v]))
+            elif p is not None:
+                rows[(j, i)] = row_times(rows[(j, p)], arrow_mats[word[-1]])
+            else:
+                rows[(j, i)] = row_times(image, n.basis_action(i))
     mats = {}
     for w in alg.vertices:
-        # n.basis_action(i) is n.dims[gens[j]] x n.dims[w]
-        rows = tuple(row_times(images[j], n.basis_action(i)) for j, i in psum.layout[w])
-        mats[w] = Matrix(fld, len(rows), n.dims[w], rows)
+        mats[w] = Matrix(fld, len(psum.layout[w]), n.dims[w],
+                         tuple(rows[e] for e in psum.layout[w]))
     return ModuleMap._trusted(psum.rep, n, mats)
 
 

@@ -46,6 +46,44 @@ def linear_algebra(n, rad2=False, field=QQ):
     return build_algebra(q, rels, field)
 
 
+def non_prefix_closed_algebra(field=QQ):
+    """KQ/(x*y - u*v) for 1 -x-> 2 -y-> 3 -z-> 4 and 1 -u-> 5 -v-> 3, on a
+    hand-made basis that is suffix-closed but not prefix-closed: the class
+    of x*y = u*v is written u*v, that of x*y*z = u*v*z is written x*y*z,
+    whose prefix x*y is then not a basis path.  The table is unverified."""
+    from quivertilt.algebra import Algebra
+
+    arrows = (("x", "1", "2"), ("y", "2", "3"), ("z", "3", "4"), ("u", "1", "5"),
+              ("v", "5", "3"))
+    q = Quiver(("1", "2", "3", "4", "5"), arrows)
+    rel = RelationPoly(((1, ("x", "y")), (-1, ("u", "v"))))
+    words = [(v, ()) for v in q.vertices] + [(s, (name,)) for name, s, _ in arrows]
+    words += [("2", ("y", "z")), ("5", ("v", "z")), ("1", ("u", "v")), ("1", ("x", "y", "z"))]
+    written = {("x", "y"): ("u", "v"), ("u", "v", "z"): ("x", "y", "z")}
+    index = {p: i for i, p in enumerate(words)}
+    amap = q.arrow_map()
+    one = field.one()
+    mult = {}
+    for i, (s, w) in enumerate(words):
+        end = amap[w[-1]][1] if w else s
+        for j, (s2, w2) in enumerate(words):
+            path = (s, written.get(w + w2, w + w2))
+            mult[(i, j)] = ((index[path], one),) if end == s2 and path in index else ()
+    return Algebra(q, (rel,), field, tuple(words), mult)
+
+
+def reordered_algebra(alg, order):
+    """alg's table on its basis listed in another order: basis[k] of the
+    result is alg.basis[order[k]].  The table is unverified."""
+    from quivertilt.algebra import Algebra
+
+    new = {old: k for k, old in enumerate(order)}
+    mult = {(new[i], new[j]): tuple(sorted((new[k], c) for k, c in row))
+            for (i, j), row in alg.mult.items()}
+    return Algebra(alg.quiver, alg.relations, alg.field,
+                   tuple(alg.basis[i] for i in order), mult, alg.max_path_len)
+
+
 def counting(monkeypatch, module, name) -> list:
     """Replace module.name by a wrapper that records each call's arguments
     in the returned list."""

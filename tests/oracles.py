@@ -62,7 +62,12 @@ combo maps, which writing them straight from lambda replaced, and
 reference_radical_rows, the flattened composites h then g, which building
 each row of h times g replaced, and reference_is_left_universal with
 reference_is_right_universal, the End-span universality of a stacked map,
-which the kill check of complexes.universal_triangle replaced.  unstable_rows changes one entry of a
+which the kill check of complexes.universal_triangle replaced, and
+reference_generator_certificate, the check of every generator triple that
+the graded certificate of Algebra._verify replaced, and
+reference_hom_from_gens, the rows of a map out of a projective sum as
+each generator image times the action of the path, which propagating the
+rows along arrows replaced.  unstable_rows changes one entry of a
 span's rows so that it is no longer action-stable.  oracle_rank and oracle_left_kernel also work over a prime
 field when given its characteristic.
 """
@@ -323,6 +328,75 @@ def reference_verify_algebra(alg):
                 vec = times(vec, index[(amap[a][0], (a,))], True)
             acc = [fld.add(x, fld.mul(fld.coerce(coeff), y)) for x, y in zip(acc, vec)]
         if any(acc):
+            return False
+    return True
+
+
+def reference_generator_certificate(alg) -> bool:
+    """Does the table pass the generator-triple certificate that the graded
+    certificate of Algebra._verify replaced?  The vertex idempotents are
+    orthogonal idempotents summing to the unit, the basis is suffix-closed
+    in the table, (g * b_j) * b_k = g * (b_j * b_k) for every vertex
+    idempotent or arrow g and all j, k (a triple whose both sides are sums
+    over empty rows is skipped), and the relations vanish.  A basis with an
+    arrow the quiver lacks, or without some vertex idempotent, is rejected,
+    as the accessors that certificate read raised on it."""
+    fld, mult, basis, dim = alg.field, alg.mult, alg.basis, alg.dim
+    one = fld.one()
+    amap = {name: (s, t) for name, s, t in alg.quiver.arrows}
+    index = {p: i for i, p in enumerate(basis)}
+    if any(a not in amap for _, word in basis for a in word):
+        return False
+    if any((v, ()) not in index for v in alg.quiver.vertices):
+        return False
+    idems = {v: index[(v, ())] for v in alg.quiver.vertices}
+    arrow_paths = {word[0]: i for i, (_, word) in enumerate(basis) if len(word) == 1}
+
+    def times(row, k, right):
+        acc = {}
+        for m, c in row:
+            for t, d in mult[(m, k) if right else (k, m)]:
+                acc[t] = fld.add(acc.get(t, fld.zero()), fld.mul(c, d))
+        return tuple(sorted((t, c) for t, c in acc.items() if c))
+
+    for i, (src, word) in enumerate(basis):
+        itself, tgt = ((i, one),), amap[word[-1]][1] if word else src
+        for v, e in idems.items():
+            if (mult[(e, i)] != (itself if v == src else ())
+                    or mult[(i, e)] != (itself if v == tgt else ())):
+                return False
+    gens = list(idems.values())
+    for i, (src, word) in enumerate(basis):
+        if not word:
+            continue
+        a = index.get((src, word[:1]))
+        rest = index.get((amap[word[0]][1], word[1:]))
+        if a is None or rest is None or mult[(a, rest)] != ((i, one),):
+            return False
+        if len(word) == 1:
+            gens.append(i)
+    nonzero_after = [[k for k in range(dim) if mult[(j, k)]] for j in range(dim)]
+    for g in gens:
+        for j in range(dim):
+            gj = mult[(g, j)]
+            ks = set(nonzero_after[j])
+            for m, _ in gj:
+                ks.update(nonzero_after[m])
+            for k in ks:
+                if times(gj, k, True) != times(mult[(j, k)], g, False):
+                    return False
+    for rel in alg.relations:
+        acc = {}
+        for coeff, word in rel.terms:
+            c = fld.coerce(coeff)
+            row = ((idems[amap[word[0]][0]], one),)
+            for a in word:
+                if a not in arrow_paths:
+                    return False
+                row = times(row, arrow_paths[a], True)
+            for k, x in row:
+                acc[k] = fld.add(acc.get(k, fld.zero()), fld.mul(c, x))
+        if any(acc.values()):
             return False
     return True
 
@@ -1293,6 +1367,22 @@ def reference_hom_space(m, n):
                     rows.append(tuple(row))
     ker = solve_null_space(Matrix(fld, len(rows), nvars, tuple(rows)))
     return HomSpace(m, n, tuple(_unflatten_map(m, n, r) for r in ker.entries))
+
+
+def reference_hom_from_gens(psum, n, images):
+    """The map out of the projective sum psum with the given generator
+    images, each row images[j] times the action of its path i on n
+    (``basis_action``): the formula hom_from_gens used before it propagated
+    the rows along arrows."""
+    from quivertilt.linalg import Matrix, row_times
+    from quivertilt.modules import ModuleMap
+
+    alg = psum.algebra
+    mats = {}
+    for w in alg.vertices:
+        rows = tuple(row_times(images[j], n.basis_action(i)) for j, i in psum.layout[w])
+        mats[w] = Matrix(alg.field, len(rows), n.dims[w], rows)
+    return ModuleMap(psum.rep, n, mats)
 
 
 def reference_module_from_paths(alg, idxs, dual: bool):

@@ -5,10 +5,12 @@ from quivertilt import (GF, QQ, BoundExceeded, ConsistencyError, InputError, Qui
                         opposite_algebra, projective, regular_module, simple,
                         tilting_module_check)
 from quivertilt.algebra import Algebra, _memo
-from quivertilt.formats import fixture_algebra
+from quivertilt.formats import fixture_algebra, parse_algebra_text
 from quivertilt.modules import direct_sum, hom_space, is_isomorphic, proj_sum, proj_sum_layout
-from conftest import linear_algebra, tilting_summary
-from oracles import reference_module_from_paths, reference_verify_algebra
+from conftest import (linear_algebra, non_prefix_closed_algebra, reordered_algebra,
+                      tilting_summary)
+from oracles import (reference_generator_certificate, reference_module_from_paths,
+                     reference_verify_algebra)
 
 
 def test_a2_basis(a2):
@@ -99,6 +101,23 @@ def test_non_admissible_input_is_rejected():
         build_algebra(q, [], QQ, max_path_len=12)
 
 
+def test_a_negative_path_length_bound_is_an_input_error():
+    # K[x]/(x^2): a budget of 0 is a budget too small, -1 is no budget
+    q = Quiver(("1",), (("x", "1", "1"),))
+    rels = [RelationPoly(((1, ("x", "x")),))]
+    text = "field Q\nvertex 1\narrow x: 1 -> 1\nrelation x*x\n"
+    assert parse_algebra_text(text).dim == build_algebra(q, rels, QQ).dim == 2
+    for bad in (-1, -5):
+        with pytest.raises(InputError, match="max_path_len"):
+            build_algebra(q, rels, QQ, max_path_len=bad)
+        with pytest.raises(InputError, match="max_path_len"):
+            parse_algebra_text(text, max_path_len=bad)
+    with pytest.raises(BoundExceeded):
+        build_algebra(q, rels, QQ, max_path_len=0)
+    with pytest.raises(BoundExceeded):
+        parse_algebra_text(text, max_path_len=0)
+
+
 def test_relation_validation():
     q = Quiver(("1", "2"), (("a", "1", "2"), ("b", "2", "1")))
     with pytest.raises(InputError):
@@ -172,15 +191,13 @@ def _rejected(alg) -> bool:
     return False
 
 
-@pytest.mark.parametrize("field", CORRUPTION_FIELDS, ids=["Q", "GF2", "GF3", "GF101"])
-def test_certificate_rejects_every_corruption_the_full_sweep_rejects(field):
-    # set each structure constant c of the four fixture tables to c + 1,
-    # c - 1 and 0, where these differ from c
-    tried = swept_out = 0
+def _corruptions(field):
+    """(fixture name, corrupted table, where) for each structure constant c
+    of the four fixture tables set to c + 1, c - 1 and 0, where these
+    differ from c."""
     for name in ("a2", "kron2", "cycle2", "triple3"):
         alg = fixture_algebra(name, field)
         fld = alg.field
-        assert reference_verify_algebra(alg) and not _rejected(alg)
         for (i, j), row in alg.mult.items():
             for k in range(alg.dim):
                 c = dict(row).get(k, fld.zero())
@@ -189,11 +206,21 @@ def test_certificate_rejects_every_corruption_the_full_sweep_rejects(field):
                     if value != c and value not in values:
                         values.append(value)
                 for value in values:
-                    bad = _with_constant(alg, i, j, k, value)
-                    tried += 1
-                    if not reference_verify_algebra(bad):
-                        swept_out += 1
-                        assert _rejected(bad), (name, alg.basis[i], alg.basis[j], alg.basis[k], value)
+                    yield name, _with_constant(alg, i, j, k, value), (
+                        alg.basis[i], alg.basis[j], alg.basis[k], value)
+
+
+@pytest.mark.parametrize("field", CORRUPTION_FIELDS, ids=["Q", "GF2", "GF3", "GF101"])
+def test_certificate_rejects_every_corruption_the_full_sweep_rejects(field):
+    tried = swept_out = 0
+    for name in ("a2", "kron2", "cycle2", "triple3"):
+        alg = fixture_algebra(name, field)
+        assert reference_verify_algebra(alg) and not _rejected(alg)
+    for name, bad, where in _corruptions(field):
+        tried += 1
+        if not reference_verify_algebra(bad):
+            swept_out += 1
+            assert _rejected(bad), (name,) + where
     # the full sweep accepts four rescalings, such as b * a = 2 * ba in
     # cycle2 (two over GF(2)): associative and unital, but ba is then not
     # the product of its first arrow and its suffix, which the certificate
@@ -224,6 +251,109 @@ def test_certificate_rejects_a_basis_that_is_not_suffix_closed():
     assert reference_verify_algebra(alg)
     with pytest.raises(ConsistencyError, match="not suffix-closed"):
         alg._verify()
+
+
+@pytest.mark.parametrize("field", CORRUPTION_FIELDS, ids=["Q", "GF2", "GF3", "GF101"])
+def test_graded_certificate_gives_the_generator_verdict_on_every_corruption(field):
+    """The graded certificate and the check of every generator triple it
+    replaced give the same verdict on every corrupted fixture table."""
+    tried = rejected = 0
+    for name, bad, where in _corruptions(field):
+        tried += 1
+        verdict = _rejected(bad)
+        rejected += verdict
+        assert verdict != reference_generator_certificate(bad), (name,) + where
+    assert (tried, rejected) == ((945, 945) if field == GF(2) else (1890, 1890))
+
+
+def test_graded_certificate_gives_the_generator_verdict_on_valid_tables(all_algebras):
+    tables = list(all_algebras.values()) + [fixture_algebra(name, GF(3)) for name in all_algebras]
+    tables += [linear_algebra(n, rad2) for n in range(3, 9) for rad2 in (False, True)]
+    tables += [opposite_algebra(alg) for alg in list(tables)]
+    tables.append(non_prefix_closed_algebra())
+    tables += [reordered_algebra(alg, range(alg.dim)[::-1]) for alg in list(tables)]
+    # off-grading entries whose coefficients sum to 0 are a zero product
+    for alg, row in ((all_algebras["a2"], ((2, 0),)), (linear_algebra(3), ((4, 1), (4, -1)))):
+        a = alg.basis_index_of_arrow(alg.quiver.arrows[0][0])
+        mult = dict(alg.mult)
+        mult[(a, a)] = row
+        tables.append(Algebra(alg.quiver, alg.relations, alg.field, alg.basis, mult))
+    for alg in tables:
+        assert reference_generator_certificate(alg)
+        alg._verify()
+
+
+@pytest.mark.parametrize("algebra, product, row", [
+    # a * a = a in A_2: t(a) = 2 is not s(a) = 1
+    (lambda: fixture_algebra("a2"), ("a", "a"), ("a",)),
+    # a1 * a1 = a2 in A_3: a2 starts at 2, not at s(a1) = 1
+    (lambda: linear_algebra(3), ("a1", "a1"), ("a2",)),
+])
+def test_a_table_that_breaks_only_the_grading_is_rejected(algebra, product, row):
+    """The product is one no arrow triple with s(b_j) = t(a) and s(b_k) =
+    t(b_j) reads and no suffix check uses, so only the grading sees it;
+    the generator-triple check sees it at (e_{s(a)}, a, a)."""
+    alg = algebra()
+    paths = [alg.basis_index_of_arrow(a) for a in product]
+    mult = dict(alg.mult)
+    mult[tuple(paths)] = tuple((alg.basis_index_of_arrow(a), 1) for a in row)
+    bad = Algebra(alg.quiver, alg.relations, alg.field, alg.basis, mult, alg.max_path_len)
+    with pytest.raises(ConsistencyError, match="graded"):
+        bad._verify()
+    assert not reference_generator_certificate(bad) and not reference_verify_algebra(bad)
+
+
+def test_a_basis_path_outside_the_quiver_is_rejected_by_the_certificate(a2):
+    """A malformed basis builds the tables without raising; _verify rejects
+    it: a path from a vertex the quiver lacks (which the unit, the sum of
+    the vertex idempotents, would kill) and a word with an unknown arrow."""
+    for path in (("3", ()), ("1", ("c",))):
+        basis = a2.basis + (path,)
+        mult = dict(a2.mult)
+        for k in range(len(basis)):
+            mult.setdefault((k, len(basis) - 1), ())
+            mult.setdefault((len(basis) - 1, k), ())
+        bad = Algebra(a2.quiver, a2.relations, a2.field, basis, mult)
+        with pytest.raises(ConsistencyError, match="not a path of the quiver"):
+            bad._verify()
+    # no e_3 for an isolated vertex 3: the unit misses it
+    q = Quiver(("1", "2", "3"), a2.quiver.arrows)
+    bad = Algebra(q, a2.relations, a2.field, a2.basis, a2.mult)
+    with pytest.raises(ConsistencyError, match="summing to 1"):
+        bad._verify()
+    assert not reference_generator_certificate(bad)
+
+
+def test_lookup_tables_are_fields_equal_to_their_definitions(all_algebras):
+    for alg in list(all_algebras.values()) + [non_prefix_closed_algebra()]:
+        for alg in (alg, opposite_algebra(alg), reordered_algebra(alg, range(alg.dim)[::-1])):
+            index = {p: i for i, p in enumerate(alg.basis)}
+            for i, (src, word) in enumerate(alg.basis):
+                tgt = alg.arrow_endpoints(word[-1])[1] if word else src
+                assert (alg.path_source(i), alg.path_target(i)) == (src, tgt)
+                assert alg.suffix_index(i) == (
+                    index.get((alg.arrow_endpoints(word[0])[1], word[1:])) if word else None)
+                prefix = index.get((src, word[:-1])) if word else None
+                assert alg._prefix[i] == (prefix if prefix is not None and prefix < i else None)
+            for v in alg.vertices:
+                assert alg.paths_from(v) == tuple(i for i in range(alg.dim)
+                                                  if alg.basis[i][0] == v)
+                assert alg.paths_to(v) == tuple(i for i in range(alg.dim)
+                                                if alg.path_target(i) == v)
+                assert alg.basis[alg.vertex_idempotent(v)] == (v, ())
+            for name, s, t in alg.quiver.arrows:
+                assert alg.basis[alg.basis_index_of_arrow(name)] == (s, (name,))
+            with pytest.raises(InputError):
+                alg.paths_from("nowhere")
+            with pytest.raises(InputError):
+                alg.paths_to("nowhere")
+            with pytest.raises(InputError):
+                alg.vertex_idempotent("nowhere")
+            with pytest.raises(InputError):
+                alg.arrow_endpoints("nowhere")
+            with pytest.raises(InputError):
+                alg.basis_index_of_arrow("nowhere")
+    assert None in non_prefix_closed_algebra()._prefix[10:]
 
 
 def test_opposite_tables_pass_the_certificate(all_algebras):

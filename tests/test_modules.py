@@ -1,13 +1,18 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from quivertilt import (GF, QQ, ConsistencyError, DimensionMismatch, InputError, Matrix,
-                        ModuleMap, injective, projective, regular_module, simple)
+                        ModuleMap, Representation, injective, projective, regular_module,
+                        simple)
 from quivertilt.formats import fixture_algebra
 from quivertilt.modules import (_assemble_block_map, cokernel, decompose, direct_sum,
-                                hom_space, identity_map, image, in_add_of, is_isomorphic,
-                                kernel, quotient, radical, socle, summand_factors, top,
-                                trace_submodule, zero_map)
-from oracles import block_matrix, direct_sum_with_maps
+                                hom_from_gens, hom_space, identity_map, image, in_add_of,
+                                is_isomorphic, kernel, proj_sum, quotient, radical, socle,
+                                summand_factors, top, trace_submodule, zero_map)
+from conftest import linear_algebra, non_prefix_closed_algebra, reordered_algebra
+from oracles import block_matrix, direct_sum_with_maps, reference_hom_from_gens
 
 
 def test_hom_s2_p2(cycle2):
@@ -605,3 +610,84 @@ def test_quotient_by_rows_rejects_a_changed_arrow(cycle2):
                         _quotient_by_rows(Representation._trusted(cycle2, p2.dims, changed), soc)
                     rejected += 1
     assert rejected
+
+
+def _typed(f):
+    """The shape and entries of each vertex matrix of a map, each entry with
+    its type."""
+    return {v: (m.rows, m.cols, tuple((type(x), x) for r in m.entries for x in r))
+            for v, m in f.mats.items()}
+
+
+def _conjugated(rep, rng):
+    """rep in a random basis: a product of elementary matrices E per vertex,
+    each arrow s -> t acting as E_s * A * E_t^-1; checked by the validating
+    constructor."""
+    alg, fld = rep.algebra, rep.algebra.field
+    change, inverse = {}, {}
+    for v, d in rep.dims.items():
+        e = e_inv = Matrix.identity(fld, d)
+        for _ in range(2 * d if d > 1 else 0):
+            r, c = rng.sample(range(d), 2)
+            x = fld.coerce(rng.randint(1, 2))
+            step = [list(row) for row in Matrix.identity(fld, d).entries]
+            back = [list(row) for row in step]
+            step[r][c], back[r][c] = x, fld.neg(x)
+            e = e.mul(Matrix(fld, d, d, tuple(map(tuple, step))))
+            e_inv = Matrix(fld, d, d, tuple(map(tuple, back))).mul(e_inv)
+        change[v], inverse[v] = e, e_inv
+    return Representation(alg, dict(rep.dims), {
+        name: change[s].mul(rep.arrow_mats[name]).mul(inverse[t])
+        for name, s, t in alg.quiver.arrows})
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_propagated_rows_equal_the_images_times_the_path_actions(field):
+    """hom_from_gens, which reads each row off its prefix's row and one
+    arrow matrix, equals images[j] times basis_action(i) entry for entry,
+    for seeded random images, on every fixture's projective sums and on A_n,
+    and on a suffix-closed basis that is not prefix-closed, where x*y*z has
+    no prefix row to start from, and on a basis listed longest path first,
+    where no path has its prefix before it."""
+    rng = random.Random(f"propagated rows/{field}")
+    algebras = [fixture_algebra(name, None if field == QQ else field)
+                for name in ("a2", "kron2", "cycle2", "triple3")]
+    algebras += [linear_algebra(n, rad2, field) for n in range(2, 6) for rad2 in (False, True)]
+    triple3 = algebras[3]
+    skewed = [non_prefix_closed_algebra(field),
+              reordered_algebra(triple3, range(triple3.dim)[::-1])]
+    for alg in skewed:
+        alg._verify()
+    algebras += skewed
+    compared = 0
+    for alg in algebras:
+        regular = regular_module(alg)
+        targets = [regular, _conjugated(regular, rng),
+                   _conjugated(direct_sum([injective(alg, v) for v in alg.vertices]), rng)]
+        gen_lists = [alg.vertices, alg.vertices[::-1] + alg.vertices[:1]]
+        gen_lists += [(v,) for v in alg.vertices]
+        for gens in gen_lists:
+            psum = proj_sum(alg, gens)
+            for n in targets:
+                images = [tuple(field.coerce(Fraction(rng.randint(-3, 3), rng.choice((1, 2))))
+                                for _ in range(n.dims[v])) for v in gens]
+                assert _typed(hom_from_gens(psum, n, images)) == _typed(
+                    reference_hom_from_gens(psum, n, images)), (alg, gens)
+                compared += 1
+    assert compared == 3 * sum(2 + len(alg.vertices) for alg in algebras)
+    # raw images, neither reduced nor in canonical form, are read as the
+    # identity action reads them, also past the shared identities' size
+    a2 = algebras[0]
+    for copies in (2, 40):
+        n = direct_sum([simple(a2, "1")] * copies)
+        raw = [Fraction(4, 2), -1, 4, 0] * (copies // 2)
+        images = [tuple(raw[:n.dims["1"]])]
+        psum = proj_sum(a2, ("1",))
+        assert _typed(hom_from_gens(psum, n, images)) == _typed(
+            reference_hom_from_gens(psum, n, images))
+    psum = proj_sum(skewed[1], skewed[1].vertices)
+    n = regular_module(skewed[1])
+    images = [(field.one(),) * (n.dims[v] + (v == psum.gens[-1])) for v in psum.gens]
+    for compute in (hom_from_gens, reference_hom_from_gens):
+        with pytest.raises(DimensionMismatch):
+            compute(psum, n, images)

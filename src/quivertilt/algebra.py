@@ -10,6 +10,13 @@ followed by arrow b.  Fixture files record this convention; it is the one
 under which the worked two-vertex cycle algebra has its projective at
 vertex 2 uniserial of length three with simple socle at vertex 2.
 
+``build_algebra`` reads the construction off the relations.  A monomial
+ideal (every relation a single path, up to a nonzero scalar) is built by
+path combinatorics: the basis is the paths that contain no relation word,
+and a product is a concatenation or zero.  Any other ideal goes through
+rounds of two-sided elimination.  On a monomial ideal the two give the
+same basis, in the same order, and the same table.
+
 An ``Algebra`` is built and certified once.  Its lookup tables (endpoints
 of each basis path, the vertex, idempotent, arrow and arrow-path indexes,
 the suffix and prefix of each path, the paths from and to each vertex) are
@@ -134,22 +141,123 @@ class _Eliminator:
 PATH_COUNT_CAP = 200_000
 
 
+def _rel_vector(rel: RelationPoly, amap: dict, fld: FieldSpec) -> dict:
+    """The relation as a vector in path coordinates: coefficients coerced,
+    equal paths summed, zeros dropped (a vanishing relation is {})."""
+    vec = {}
+    for coeff, word in rel.terms:
+        p = (amap[word[0]][0], tuple(word))
+        vec[p] = fld.add(vec.get(p, fld.zero()), fld.coerce(coeff))
+    return {p: c for p, c in vec.items() if c}
+
+
+def _survive_error(max_path_len: int) -> BoundExceeded:
+    return BoundExceeded(
+        f"nonzero residue paths survive at length {max_path_len}; "
+        "algebra not finite-dimensional within bound")
+
+
+def _cap_error() -> BoundExceeded:
+    return BoundExceeded(
+        f"path enumeration exceeded {PATH_COUNT_CAP} paths; "
+        "algebra not finite-dimensional within bound")
+
+
 def build_algebra(quiver: Quiver, relations, fld: FieldSpec, max_path_len: int = 64) -> "Algebra":
     """Quotient of the path algebra by the two-sided ideal the relations
     generate.
 
-    Basis computation: enumerate paths by increasing length; close the span
-    of relation instances under one-arrow extension on both sides, layer by
-    layer; stop at the first length whose paths are all reducible.  Raises
-    BoundExceeded when nonzero residue paths survive at max_path_len (the
-    ideal is then not visibly admissible within the bound), and InputError
-    for a negative max_path_len.
+    The construction is read off the relations.  Each becomes a vector in
+    path coordinates (``_rel_vector``); a relation that vanishes over fld
+    is no relation.  When every remaining vector has one term, the ideal is
+    monomial and ``_build_monomial`` builds the algebra by path
+    combinatorics; any other ideal (a binomial or commutativity relation)
+    goes through ``_build_by_elimination``.  Both give the same basis, in
+    the same order, and the same table on a monomial ideal (see
+    ``_build_monomial``), and both end with ``Algebra._verify``.
+
+    Raises BoundExceeded when nonzero residue paths survive at max_path_len
+    (the ideal is then not visibly admissible within the bound) or when
+    more than PATH_COUNT_CAP paths are enumerated, and InputError for a
+    negative max_path_len.
     """
     if max_path_len < 0:
         raise InputError(f"path length bound max_path_len must be >= 0, got {max_path_len}")
     relations = tuple(relations)
     for r in relations:
         r.validate(quiver)
+    amap = quiver.arrow_map()
+    vectors = [vec for vec in (_rel_vector(r, amap, fld) for r in relations) if vec]
+    if all(len(vec) == 1 for vec in vectors):
+        words = {word for vec in vectors for _, word in vec}
+        return _build_monomial(quiver, relations, fld, words, max_path_len)
+    return _build_by_elimination(quiver, relations, fld, vectors, max_path_len)
+
+
+def _build_monomial(quiver, relations, fld, words, max_path_len):
+    """KQ/I for I generated by the paths ``words`` (arrow words of length
+    >= 2): the relation words are their own Gröbner basis, so the residue
+    basis is the set of paths that contain no word, and a product of two
+    basis paths is their concatenation when that avoids every word, else 0
+    (E. L. Green, Noncommutative Gröbner bases, and projective resolutions,
+    1999).
+
+    The basis is built layer by layer: each surviving path of length l is
+    extended by the arrows out of its end, in quiver order, and the
+    extension is kept unless some word is a suffix of it, since its prefix
+    already avoids every word.  This is the elimination's basis in the
+    elimination's order: there, a monomial ideal reduces exactly the paths
+    that contain a word, and the survivors of ``paths_by_len`` keep the
+    relative order of the full enumeration, which extends every path of a
+    layer in the same way.  The first empty layer of length >= 2 ends the
+    basis; a path that survives at max_path_len raises BoundExceeded, as
+    more than PATH_COUNT_CAP basis paths do.
+    """
+    lengths = {len(w) for w in words}
+    out = {v: [] for v in quiver.vertices}
+    for name, s, t in quiver.arrows:
+        out[s].append((name, t))
+    layer = [(v, (), v) for v in quiver.vertices]  # (source, word, target)
+    paths = list(layer)
+    for length in range(1, max_path_len + 1):
+        longer = []
+        for src, word, end in layer:
+            for name, t in out[end]:
+                w = word + (name,)
+                if not any(w[-k:] in words for k in lengths if k <= length):
+                    longer.append((src, w, t))
+        layer = longer
+        if not layer and length >= 2:
+            break
+        paths += layer
+        if len(paths) > PATH_COUNT_CAP:
+            raise _cap_error()
+    else:
+        raise _survive_error(max_path_len)
+
+    index = {(src, word): i for i, (src, word, _) in enumerate(paths)}
+    starting = {v: [] for v in quiver.vertices}
+    for j, (src, word, _) in enumerate(paths):
+        starting[src].append((j, word))
+    dim, one = len(paths), fld.one()
+    mult = dict.fromkeys(itertools.product(range(dim), repeat=2), ())
+    for i, (src, word, end) in enumerate(paths):
+        for j, word_j in starting[end]:
+            k = index.get((src, word + word_j))
+            if k is not None:
+                mult[(i, j)] = ((k, one),)
+    alg = Algebra(quiver, relations, fld, tuple(index), mult, max_path_len)
+    alg._verify()
+    return alg
+
+
+def _build_by_elimination(quiver, relations, fld, vectors, max_path_len):
+    """KQ/I for any ideal, from the nonzero relation vectors: enumerate
+    paths by increasing length; close the span of relation instances under
+    one-arrow extension on both sides, layer by layer; stop at the first
+    length whose paths are all reducible.  The residue basis is the
+    irreducible paths of shorter length, in enumeration order, and each
+    product of two basis paths is the reduction of their concatenation."""
     amap = quiver.arrow_map()
     arrow_index = {a[0]: i for i, a in enumerate(quiver.arrows)}
     src_index = {v: i for i, v in enumerate(quiver.vertices)}
@@ -174,26 +282,12 @@ def build_algebra(quiver: Quiver, relations, fld: FieldSpec, max_path_len: int =
                     out.append((src, word + (name,)))
         total_paths += len(out)
         if total_paths > PATH_COUNT_CAP:
-            raise BoundExceeded(
-                f"path enumeration exceeded {PATH_COUNT_CAP} paths; "
-                "algebra not finite-dimensional within bound")
+            raise _cap_error()
         paths_by_len.append(out)
 
     elim = _Eliminator(fld, keyfn)
-
-    def rel_vector(rel: RelationPoly) -> dict:
-        vec = {}
-        for coeff, word in rel.terms:
-            src = amap[word[0]][0]
-            p = (src, tuple(word))
-            c = fld.coerce(coeff)
-            vec[p] = fld.add(vec.get(p, fld.zero()), c)
-        return {p: c for p, c in vec.items() if c}
-
-    for rel in relations:
-        vec = rel_vector(rel)
-        if vec:
-            elim.insert(vec)
+    for vec in vectors:
+        elim.insert(vec)
     elim._tagged = set()
     frontier = _fresh_rules(elim)
 
@@ -237,14 +331,10 @@ def build_algebra(quiver: Quiver, relations, fld: FieldSpec, max_path_len: int =
         if death_len is not None and rnd >= max(1, 2 * death_len - 4):
             break
         if death_len is None and rnd + 2 > max_path_len:
-            raise BoundExceeded(
-                f"nonzero residue paths survive at length {max_path_len}; "
-                "algebra not finite-dimensional within bound")
+            raise _survive_error(max_path_len)
 
     if death_len is None:
-        raise BoundExceeded(
-            f"nonzero residue paths survive at length {max_path_len}; "
-            "algebra not finite-dimensional within bound")
+        raise _survive_error(max_path_len)
 
     # residue basis: irreducible paths of length < death_len
     basis = []
@@ -487,8 +577,24 @@ class Algebra:
                 raise ConsistencyError("relation does not vanish in the quotient")
 
     def _row_times(self, row, k, right: bool) -> tuple:
-        """row * basis[k] if right else basis[k] * row, as a sparse row."""
+        """row * basis[k] if right else basis[k] * row, as a sparse row.
+
+        A one-term row c * b_m whose product entry with b_k is 0, or one
+        term d * b_t with c * d = d != 0, is that entry itself: the sum
+        below would rebuild it.  On a monomial table, where c = d = 1,
+        every row of the certificate's arrow triples is such a row.  Any
+        other entry (a zero coefficient, a repeated index, a scaled term)
+        is summed."""
         fld = self.field
+        if len(row) == 1:
+            m, c = row[0]
+            entry = self.mult[(m, k) if right else (k, m)]
+            if not entry:
+                return ()
+            if len(entry) == 1:
+                d = entry[0][1]
+                if d and fld.mul(c, d) == d:
+                    return entry
         acc = {}
         for m, c in row:
             for t, d in self.mult[(m, k) if right else (k, m)]:
@@ -594,14 +700,16 @@ def projective(alg: Algebra, v) -> "Representation":
 
 def injective(alg: Algebra, v) -> "Representation":
     """I_v = D(A * e_v): the dual basis of the paths ending at v, grouped by
-    where they start.  An arrow a: s -> t acts as the transpose of left
+    where they start (one pass over ``paths_to(v)``, each group in basis
+    order).  An arrow a: s -> t acts as the transpose of left
     multiplication p -> a * p from the paths starting at t to those
     starting at s."""
     from .modules import Representation
     fld = alg.field
     zero = fld.zero()
-    by_source = {w: [i for i in alg.paths_to(v) if alg.path_source(i) == w]
-                 for w in alg.vertices}
+    by_source = {w: [] for w in alg.vertices}
+    for i in alg.paths_to(v):
+        by_source[alg._src[i]].append(i)
     mats = {}
     for name, s, t in alg.quiver.arrows:
         a = alg.basis_index_of_arrow(name)

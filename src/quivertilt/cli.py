@@ -53,7 +53,11 @@ def _emit(args, report: dict, lines):
     for ln in lines:
         print(ln)
     if args.json:
-        Path(args.json).write_text(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
+        try:
+            Path(args.json).write_text(
+                json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write --json report {args.json}: {exc.strerror}") from None
 
 
 def _field(args):

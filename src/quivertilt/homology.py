@@ -877,10 +877,15 @@ def _left_approximation(x: Representation, factors: list, between: list):
     t0 = direct_sum([factors[j] for j, _, _ in copies])
     mats = {}
     for w in alg.vertices:
+        act = {}  # T_j's action of path i, read once per (j, i)
+        for k, i in p0.layout[w]:
+            for j, kc, _ in copies:
+                if kc == k and (j, i) not in act:
+                    act[j, i] = factors[j].basis_action(i).entries
+        zeros = [(fld.zero(),) * fac.dims[w] for fac in factors]
         # row (k, i): row c of T_j's action of path i in each copy (j, k, c)
         rows = tuple(tuple(e for j, kc, c in copies
-                           for e in (factors[j].basis_action(i).entries[c] if kc == k
-                                     else (fld.zero(),) * factors[j].dims[w]))
+                           for e in (act[j, i][c] if kc == k else zeros[j]))
                      for k, i in p0.layout[w])
         mats[w] = Matrix(fld, len(rows), t0.dims[w], rows)
         ident = Matrix.identity(fld, x.dims[w])

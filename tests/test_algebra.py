@@ -1,13 +1,18 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import quivertilt.algebra as algebra_module
 from quivertilt import (GF, QQ, BoundExceeded, ConsistencyError, InputError, Quiver,
                         RelationPoly, build_algebra, injective,
                         opposite_algebra, projective, regular_module, simple,
                         tilting_module_check)
-from quivertilt.algebra import Algebra, _memo
+from quivertilt.algebra import Algebra, _build_by_elimination, _memo, _rel_vector
 from quivertilt.formats import fixture_algebra, parse_algebra_text
 from quivertilt.modules import direct_sum, hom_space, is_isomorphic, proj_sum, proj_sum_layout
-from conftest import (linear_algebra, non_prefix_closed_algebra, reordered_algebra,
+from conftest import (counting, linear_algebra, non_prefix_closed_algebra, reordered_algebra,
                       tilting_summary)
 from oracles import (reference_generator_certificate, reference_module_from_paths,
                      reference_verify_algebra)
@@ -228,6 +233,48 @@ def test_certificate_rejects_every_corruption_the_full_sweep_rejects(field):
     assert (tried, swept_out) == ((945, 943) if field == GF(2) else (1890, 1886))
 
 
+def _noncanonical_corruptions(field):
+    """(algebra name, table, where) for each zero product a * b_k of an
+    arrow a and a path b_k of length >= 1, in the cycle2 and triple3 tables
+    and radical-square-zero A_4, rewritten as ((t, 0),), ((t, 1), (t, -1))
+    or ((t, 1), (t, 1)) for every basis index t: a zero coefficient or a
+    repeated index.  The certificate's arrow triple (a, b_k, e) times the
+    unit row ((b_k, 1),) of b_k * e by a on the left, so it meets the
+    entry through _row_times."""
+    algebras = [("cycle2", fixture_algebra("cycle2", field)),
+                ("triple3", fixture_algebra("triple3", field)),
+                ("A4/rad2", linear_algebra(4, True, field or QQ))]
+    for name, alg in algebras:
+        fld = alg.field
+        one, minus_one = fld.one(), fld.neg(fld.one())
+        for a in (alg.basis_index_of_arrow(arrow) for arrow, _, _ in alg.quiver.arrows):
+            for k in alg.paths_from(alg.path_target(a)):
+                if not alg.basis[k][1] or alg.mult[(a, k)]:
+                    continue
+                for t in range(alg.dim):
+                    for row in (((t, fld.zero()),), ((t, one), (t, minus_one)),
+                                ((t, one), (t, one))):
+                        mult = dict(alg.mult)
+                        mult[(a, k)] = row
+                        yield name, Algebra(alg.quiver, alg.relations, fld, alg.basis, mult,
+                                            alg.max_path_len), (alg.basis[a], alg.basis[k], row)
+
+
+@pytest.mark.parametrize("field", CORRUPTION_FIELDS, ids=["Q", "GF2", "GF3", "GF101"])
+def test_certificate_sums_entries_that_are_not_canonical(field):
+    """A unit row times an entry with a zero coefficient or a repeated
+    index is summed, not passed through: the certificate gives the
+    generator-triple verdict on every such table, and accepts exactly the
+    entries that sum to zero (((t, 1), (t, 1)) too over GF(2))."""
+    tried = accepted = 0
+    for name, bad, where in _noncanonical_corruptions(field):
+        tried += 1
+        verdict = _rejected(bad)
+        accepted += not verdict
+        assert verdict != reference_generator_certificate(bad), (name,) + where
+    assert tried and accepted == (tried if field == GF(2) else 2 * tried // 3)
+
+
 def test_certificate_checks_the_unit_law(a2):
     # e_1 * a = 0: associative, and e_1, e_2 stay orthogonal idempotents,
     # but e_1 + e_2 is not a unit
@@ -443,3 +490,153 @@ def test_memo_stores_nothing_when_compute_raises():
             _memo(obj, "k", failing)
     assert len(runs) == 2
     assert _memo(obj, "k", lambda: 3) == 3
+
+
+# -- the monomial construction against the elimination ----------------------------
+
+MONOMIAL_FIELDS = [QQ, GF(101), GF(2), GF(3)]
+
+
+def _by_elimination(quiver, relations, fld, max_path_len=64):
+    """The algebra the elimination rounds build from the relations, whatever
+    the ideal."""
+    relations = tuple(relations)
+    amap = quiver.arrow_map()
+    vectors = [vec for vec in (_rel_vector(r, amap, fld) for r in relations) if vec]
+    return _build_by_elimination(quiver, relations, fld, vectors, max_path_len)
+
+
+def _same_as_elimination(monkeypatch, quiver, relations, fld, max_path_len=64):
+    """build_algebra takes the monomial route on these relations and gives
+    the elimination's basis and table, or raises the same exception type.
+    Returns the outcome: the algebra or the exception type."""
+    monomial = counting(monkeypatch, algebra_module, "_build_monomial")
+    outcomes = []
+    for build in (build_algebra, _by_elimination):
+        try:
+            alg = build(quiver, relations, fld, max_path_len)
+        except (BoundExceeded, InputError) as exc:
+            outcomes.append(type(exc))
+        else:
+            outcomes.append(alg)
+    monkeypatch.undo()
+    assert len(monomial) == 1
+    got, want = outcomes
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert (got.basis, got.mult) == (want.basis, want.mult)
+    return got
+
+
+def _relabelled_linear(n, rad2, seed):
+    """A_n with its vertices and arrows declared in a seeded order; with
+    ``rad2`` every path of length two is a relation, listed in seeded
+    order too."""
+    rng = random.Random(f"{n}/{rad2}/{seed}")
+    vertices = [f"v{i}" for i in rng.sample(range(10 * n), n)]
+    names = [f"e{i}" for i in rng.sample(range(10 * n), n - 1)]
+    arrows = [(names[i], vertices[i], vertices[i + 1]) for i in range(n - 1)]
+    rels = [RelationPoly(((1, (names[i], names[i + 1])),)) for i in range(n - 2)] if rad2 else []
+    for part in (vertices, arrows, rels):
+        rng.shuffle(part)
+    return Quiver(tuple(vertices), tuple(arrows)), rels
+
+
+@pytest.mark.parametrize("field", MONOMIAL_FIELDS, ids=["Q", "GF101", "GF2", "GF3"])
+def test_monomial_fixtures_build_as_the_elimination_builds(monkeypatch, field):
+    for name in ("a2", "kron2", "cycle2"):
+        alg = fixture_algebra(name, field)
+        _same_as_elimination(monkeypatch, alg.quiver, alg.relations, alg.field)
+
+
+@pytest.mark.parametrize("field", MONOMIAL_FIELDS, ids=["Q", "GF101", "GF2", "GF3"])
+def test_a_binomial_relation_builds_through_the_elimination(monkeypatch, field):
+    """triple3's b*a - g*d is no zero relation: the elimination builds it."""
+    alg = fixture_algebra("triple3", field)
+    rounds = counting(monkeypatch, algebra_module, "_build_by_elimination")
+    monomial = counting(monkeypatch, algebra_module, "_build_monomial")
+    rebuilt = build_algebra(alg.quiver, alg.relations, alg.field)
+    assert (len(rounds), len(monomial)) == (1, 0)
+    assert (rebuilt.basis, rebuilt.mult) == (alg.basis, alg.mult) and alg.dim == 9
+
+
+def test_linear_families_build_as_the_elimination_builds(monkeypatch):
+    for seed in range(3):
+        for n in range(2, 13):
+            for rad2 in (False, True):
+                q, rels = _relabelled_linear(n, rad2, seed)
+                fld = GF(101) if rad2 else QQ
+                alg = _same_as_elimination(monkeypatch, q, rels, fld)
+                assert alg.dim == (2 * n - 1 if rad2 else n * (n + 1) // 2)
+
+
+def test_a_truncated_loop_builds_as_the_elimination_builds(monkeypatch):
+    # K[x]/(x^k): dimension k, and BoundExceeded once the bound is below k
+    q = Quiver(("1",), (("x", "1", "1"),))
+    for k in range(2, 6):
+        rels = [RelationPoly(((1, ("x",) * k),))]
+        assert _same_as_elimination(monkeypatch, q, rels, QQ).dim == k
+        assert _same_as_elimination(monkeypatch, q, rels, QQ, k) is not BoundExceeded
+        assert _same_as_elimination(monkeypatch, q, rels, QQ, k - 1) is BoundExceeded
+
+
+def test_path_length_bounds_build_as_the_elimination_builds(monkeypatch):
+    # radical-square-zero A_3 has no path of length 2: a bound of 2 suffices
+    q, rels = _relabelled_linear(3, True, 0)
+    outcomes = [_same_as_elimination(monkeypatch, q, rels, QQ, bound) for bound in range(4)]
+    assert outcomes[:2] == [BoundExceeded] * 2
+    assert [alg.dim for alg in outcomes[2:]] == [5, 5]
+
+
+@pytest.mark.parametrize("field, terms, dim", [
+    # 101 * a*b vanishes over GF(101): no relation, the hereditary algebra
+    (GF(101), ((101, ("a", "b")),), 8),
+    (GF(2), ((2, ("a", "b")), (4, ("c", "b"))), 8),
+    # a*b - a*b cancels to no relation
+    (QQ, ((1, ("a", "b")), (-1, ("a", "b"))), 8),
+    # c*b + a*b - c*b cancels to the zero relation a*b
+    (QQ, ((1, ("c", "b")), (1, ("a", "b")), (-1, ("c", "b"))), 7),
+    (GF(3), ((2, ("a", "b")), (1, ("c", "b")), (2, ("c", "b"))), 7),
+    (GF(2), ((1, ("c", "b")), (1, ("a", "b")), (1, ("c", "b"))), 7),
+], ids=["vanishing-GF101", "vanishing-GF2", "cancelling-Q", "cancelling-to-one-Q",
+        "cancelling-to-one-GF3", "cancelling-to-one-GF2"])
+def test_vanishing_and_cancelling_relations_build_as_the_elimination_builds(
+        monkeypatch, field, terms, dim):
+    # 1 -a-> 2 -b-> 3 and 1 -c-> 2: paths e_1, e_2, e_3, a, b, c, ab, cb
+    q = Quiver(("1", "2", "3"), (("a", "1", "2"), ("b", "2", "3"), ("c", "1", "2")))
+    assert _same_as_elimination(monkeypatch, q, [RelationPoly(terms)], field).dim == dim
+
+
+@st.composite
+def monomial_inputs(draw):
+    """A quiver on at most 4 vertices with at most 5 arrows, loops and
+    cycles allowed, and zero relations along walks of length 2 or 3 with
+    coefficients that may vanish in the field."""
+    vertices = tuple(str(v) for v in range(1, draw(st.integers(1, 4)) + 1))
+    ends = draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)),
+                         max_size=5))
+    arrows = tuple((f"x{i}", s, t) for i, (s, t) in enumerate(ends))
+    rels = []
+    for _ in range(draw(st.integers(0, 6)) if arrows else 0):
+        walk = [draw(st.sampled_from(arrows))]
+        for _ in range(draw(st.integers(1, 2))):
+            after = [a for a in arrows if a[1] == walk[-1][2]]
+            if not after:
+                break
+            walk.append(draw(st.sampled_from(after)))
+        if len(walk) >= 2:
+            coeff = draw(st.sampled_from((1, -1, 2, 3)))
+            rels.append(RelationPoly(((coeff, tuple(a[0] for a in walk)),)))
+    fld = draw(st.sampled_from((QQ, GF(2), GF(3))))
+    return Quiver(vertices, arrows), rels, fld
+
+
+@settings(max_examples=80, deadline=None)
+@given(monomial_inputs())
+def test_random_monomial_algebras_build_as_the_elimination_builds(case):
+    """Finite-dimensional or not (a loop or cycle no word cuts): the same
+    basis and table, or BoundExceeded on both routes."""
+    q, rels, fld = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _same_as_elimination(monkeypatch, q, rels, fld, max_path_len=5)

@@ -349,6 +349,18 @@ def test_cli_json_report_deterministic(tmp_path, capsys):
     assert data["t0_dims"] == [2, 4]
 
 
+@pytest.mark.parametrize("where", ["missing dir/x.json", "."])
+def test_cli_json_to_an_unwritable_path_exits_two(tmp_path, capsys, where):
+    """A --json path in a directory that does not exist, or a directory
+    itself: the report is printed, then an input error names the path."""
+    out = tmp_path / where
+    assert main(["info", str(FIXTURE_DIR / "a2.alg"), "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "algebra" in captured.out
+    assert f"cannot write --json report {out}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cli_has_no_seed_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["tilting-check", ALG, P2, S2, "--seed", "3"])

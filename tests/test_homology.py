@@ -913,6 +913,32 @@ def test_approximation_matches_greedy_reference():
         assert f.target.arrow_mats == ref_f.target.arrow_mats, name
 
 
+def test_left_approximation_reads_each_path_action_once_per_factor(monkeypatch):
+    """_left_approximation reads T_j's action of a path once per (j, path),
+    not once per copy of T_j: at most one basis_action call per (factor,
+    path) pair.  R and P_1 over kron2 approximated by I_2 put two copies of
+    I_2 over generator 1; the map still equals the greedy reference's."""
+    from quivertilt.homology import _left_approximation
+    from oracles import reference_left_approximation
+    extra = []
+    for fld in (None, GF(101)):
+        k = fixture_algebra("kron2", fld)
+        extra += [(f"kron2/{k.field}/R/I2", regular_module(k), injective(k, "2")),
+                  (f"kron2/{k.field}/P1/I2", projective(k, "1"), injective(k, "2"))]
+    for name, x, t in _approx_cases() + extra:
+        factors = [fac for fac, _ in decompose(t)]
+        between = [[hom_space(a, b) for b in factors] for a in factors]
+        _left_approximation(x, factors, between)  # fills every cache it reads
+        calls = counting(monkeypatch, Representation, "basis_action")
+        f, tags = _left_approximation(x, factors, between)
+        monkeypatch.undo()
+        assert len(calls) <= len(factors) * x.algebra.dim, name
+        if name.startswith("kron2/"):
+            ref_f, ref_tags = reference_left_approximation(x, t)
+            assert (f.mats, tags) == (ref_f.mats, ref_tags), name
+            assert f.target.arrow_mats == ref_f.target.arrow_mats, name
+
+
 def test_right_approximation_rows_are_the_flattened_composites(monkeypatch):
     """The rows that _right_approximation hands independent_rows as the
     radical span, built one row of h_v times g_v at a time, equal the

@@ -298,19 +298,6 @@ def _cone_inclusion(f: ChainMap, cone: PerfectComplex) -> ChainMap:
     return ChainMap(y, cone, incl_comps)
 
 
-def triangle_from_map(alpha: ChainMap):
-    """Given alpha: T2 -> T1[1], realize the triangle T1 -> T -> T2 -> T1[1]
-    with T = cone(alpha)[-1].  Returns (T, incl: T1 -> T, proj: T -> T2).
-
-    T^n = T2^n ⊕ T1^n with differential [[d_T2, -alpha], [0, d_T1]]: the
-    cone's sign and the shift's sign cancel on the blocks of T2 and T1."""
-    cone, incl, proj = mapping_cone(alpha)
-    T = shift(cone, -1)
-    t1 = shift(alpha.target, -1)
-    return (T, ChainMap._trusted(t1, T, {n + 1: f for n, f in incl.comps.items()}),
-            ChainMap._trusted(T, alpha.source, {n + 1: f for n, f in proj.comps.items()}))
-
-
 # -- derived Hom ---------------------------------------------------------------
 
 

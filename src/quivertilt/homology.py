@@ -84,16 +84,6 @@ def _precompose_matrix(d: ModuleMap, psrc: ProjSum, ptgt: ProjSum, n: Representa
 # -- projective covers and minimal resolutions -----------------------------------
 
 
-def projective_cover(m: Representation):
-    """(P, epi) with P the projective cover of m; the kernel of the epi lies
-    in rad P.  The cover of all of m, by _cover."""
-    if m.total_dim == 0:
-        raise InputError("projective cover of the zero module")
-    psum, epi, _ = _cover(m, {v: Matrix.identity(m.algebra.field, m.dims[v])
-                              for v in m.algebra.vertices})
-    return psum, epi
-
-
 def _cover(m: Representation, rows: dict):
     """(P, d, ker) with d: P -> m the projective cover of the submodule K of
     m with basis rows[v] at each vertex v, in m's coordinates, and ker[v] =
@@ -405,6 +395,8 @@ def ext(degree: int, m: Representation, n: Representation,
     """Ext^degree(m, n) = H^degree of Hom(P, n), P the minimal resolution of
     m in degrees -length..0 and n in degree 0 (_hom_cohomology): the
     dimension from two ranks, the classes on first use."""
+    if m.algebra is not n.algebra:
+        raise InputError("ext across different algebras")
     if degree < 0:
         raise InputError("ext degree must be >= 0")
     if bound < 0:
@@ -483,44 +475,6 @@ class LeftModule:
         return obj
 
 
-def left_regular_module(alg: Algebra) -> LeftModule:
-    """The algebra as a left module over itself, memoized in the algebra's
-    cache (a LeftModule is immutable)."""
-    def compute():
-        act = tuple(Matrix(alg.field, alg.dim, alg.dim,
-                           tuple(alg.dense_row(alg.mult[(i, p)]) for p in range(alg.dim)))
-                    for i in range(alg.dim))
-        # left multiplication in the verified (associative, unital) algebra
-        return LeftModule._trusted(alg, alg.dim, act)
-    return _memo(alg, "left_regular", compute)
-
-
-def left_module_from_op_rep(alg: Algebra, op_rep: Representation) -> LeftModule:
-    """Left A-module from a representation of the opposite algebra built by
-    opposite_algebra(alg); basis indices of A and A^op are aligned."""
-    op_alg = op_rep.algebra
-    if op_alg.dim != alg.dim:
-        raise InputError("opposite representation has mismatched dimension")
-    act = tuple(_total_action(op_rep, i) for i in range(alg.dim))
-    # a representation of the verified A^op is a left A-module
-    return LeftModule._trusted(alg, op_rep.total_dim, act)
-
-
-def _total_action(rep: Representation, i: int) -> Matrix:
-    """Total-space matrix of the right action of basis element i."""
-    alg = rep.algebra
-    fld = alg.field
-    off = rep.offsets()
-    n = rep.total_dim
-    src, tgt = alg.path_source(i), alg.path_target(i)
-    act = rep.basis_action(i)
-    out = [[fld.zero()] * n for _ in range(n)]
-    for r in range(act.rows):
-        for c in range(act.cols):
-            out[off[src] + r][off[tgt] + c] = act.entries[r][c]
-    return Matrix(fld, n, n, tuple(tuple(r) for r in out))
-
-
 def tor_dims_range(x: Representation, y: LeftModule, max_degree: int,
                    bound: int = DEFAULT_RESOLUTION_BOUND,
                    resolution: Resolution | None = None):
@@ -532,6 +486,8 @@ def tor_dims_range(x: Representation, y: LeftModule, max_degree: int,
     P_{k-1}: the sum of c * B_{u_g} * act[i] over the entries c of d_k(g) at
     (h, path i), in the columns of h's copy of y.  So dim Tor_k =
     Σ_g dim e_{u_g}y - rank(d_k ⊗ id) - rank(d_{k+1} ⊗ id)."""
+    if x.algebra is not y.algebra:
+        raise InputError("tor across different algebras")
     if max_degree < 0:
         raise InputError("tor degree must be >= 0")
     if bound < 0:
@@ -570,14 +526,6 @@ def tor_dims_range(x: Representation, y: LeftModule, max_degree: int,
     ranks = [0] + [rank(tensored(k)) for k in range(1, top + 1)] + [0]
     return tuple(dims[k] - ranks[k] - ranks[k + 1] if k <= top else 0
                  for k in range(max_degree + 1))
-
-
-def tor_dim(degree: int, x: Representation, y: LeftModule,
-            bound: int = DEFAULT_RESOLUTION_BOUND) -> int:
-    """dim Tor_degree(x, y) via a minimal resolution of x tensored with y."""
-    if degree < 0:
-        raise InputError("tor degree must be >= 0")
-    return tor_dims_range(x, y, degree, bound)[degree]
 
 
 # -- short exact sequences and extension realization ------------------------------
@@ -622,6 +570,8 @@ def realize_extension(c: ExtClass) -> ShortExact:
         raise InputError("realize_extension needs a degree-1 class")
     res, n = c.resolution, c.target
     m, alg = res.module, n.algebra
+    if m.algebra is not alg:
+        raise InputError("extension class across different algebras")
     if res.length < 1 and not c.cocycle.is_zero():
         # projective source: only the split extension exists
         raise ConsistencyError("nonzero cocycle over a projective module")
@@ -711,16 +661,6 @@ def _lift(psum: ProjSum, f: ModuleMap, g: ModuleMap) -> ModuleMap:
             raise ConsistencyError("map out of a projective sum does not lift")
         images.append(x.entries[0])
     return hom_from_gens(psum, g.source, images)
-
-
-def connecting_class(ses: ShortExact, space: ExtSpace) -> tuple:
-    """Class coordinates of the connecting cocycle of a short exact sequence
-    0 -> n -> E -> m -> 0 against Ext^1(m, n) computed from `space`."""
-    res = space.resolution
-    # sigma lifts the augmentation through E; d1 then sigma lands in n
-    sigma = _lift(res.terms[0], res.augment, ses.proj)
-    psi = _lift(res.terms[1], res.diffs[0].compose(sigma), ses.incl)
-    return space.class_coords(psi)
 
 
 # -- universal extensions ----------------------------------------------------------
@@ -843,6 +783,8 @@ def left_add_approximation(x: Representation, t: Representation):
     Checked: at each generator vertex v, the rows c of h.mats[v] over the
     kept units c of each T_i and h ∈ Hom(T_i, T_j) span (T_j)_v.
     """
+    if x.algebra is not t.algebra:
+        raise InputError("left add-approximation across different algebras")
     factors = [fac for fac, _ in decompose(t)]
     return _left_approximation(x, factors, [[hom_space(a, b) for b in factors] for a in factors])
 

@@ -28,11 +28,11 @@ Each routine eliminates once and computes only what it returns:
 
 - ``solve_linear_system`` alone carries the transform T with T*m = R
   through the elimination, since it needs a particular solution.
-- ``solve_right_kernel`` and ``solve_null_space`` read the kernel off the
-  free columns of one RREF, with no transform; ``solve_right_kernel``
-  eliminates the columns of m as row lists, so no transpose is built.
-- ``rref``, ``rank``, ``row_space``, ``sum_subspaces`` and
-  ``quotient_basis`` reduce the matrix alone.  Input already in echelon
+- ``solve_right_kernel`` reads the kernel off the free columns of one
+  RREF, with no transform; it eliminates the columns of m as row lists, so
+  no transpose is built.
+- ``rank``, ``row_space``, ``sum_subspaces`` and ``quotient_basis``
+  reduce the matrix alone.  Input already in echelon
   form is not reduced again: ``rank`` counts the nonzero rows of a row
   echelon form, and ``quotient_basis`` reads the pivots of an RREF basis.
 - ``independent_rows`` reduces each row against the echelon rows kept so
@@ -283,10 +283,6 @@ class Matrix:
         return Matrix(self.field, self.rows, self.cols,
                       tuple(tuple(f(c, a) for a in r) for r in self.entries))
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.cols, self.rows, tuple(zip(*self.entries)) if self.rows and self.cols
-                      else tuple(() for _ in range(self.cols)) if self.cols else ())
-
     def hstack(self, other: "Matrix") -> "Matrix":
         _check_fields(self, other, "hstack")
         if self.rows != other.rows:
@@ -515,26 +511,6 @@ def _rows_matrix(fld: FieldSpec, cols: int, rows) -> Matrix:
     return Matrix(fld, len(rows), cols, tuple(map(tuple, rows)))
 
 
-def _rref_with_transform(m: Matrix, with_transform: bool = True):
-    """Reduced row echelon form.  Returns (R, pivots, T) with T*m = R and T
-    invertible; rows of T below the pivot rows span the left kernel of m.
-    Without ``with_transform`` T is not computed and is None.  A matrix
-    with no rows or no columns is its own RREF, with T the identity."""
-    fld = m.field
-    if not (m.rows and m.cols):
-        return m, (), _identity(fld, m.rows) if with_transform else None
-    work, pivots, trans = _eliminate(fld, m.entries, m.cols, with_transform)
-    R = _rows_matrix(fld, m.cols, work)
-    T = _rows_matrix(fld, m.rows, trans) if with_transform else None
-    return R, pivots, T
-
-
-def rref(m: Matrix):
-    """(R, pivots) without the transform."""
-    R, pivots, _ = _rref_with_transform(m, with_transform=False)
-    return R, pivots
-
-
 def independent_rows(above: Matrix, rows: Matrix) -> tuple:
     """Indices of the rows of ``rows`` independent modulo the span of
     ``above`` and of the rows before them.
@@ -665,26 +641,13 @@ def _null_space(fld: FieldSpec, eqs, n: int) -> Matrix:
     return Matrix(fld, len(free), n, tuple(basis))
 
 
-def solve_null_space(eqs: Matrix) -> Matrix:
-    """Basis of {x : eqs * x^T = 0}, one basis vector per row: the
-    solutions of the homogeneous system whose equations are the rows of
-    eqs, in one elimination of eqs with no transform.
-
-    Row count is cols(eqs) - rank(eqs); the rows are linearly independent.
-    The basis is the free-column basis of rref(eqs) (one row per non-pivot
-    column f, with 1 at f and 0 at every other non-pivot column), so which
-    basis comes out depends on the order of the unknowns, not only on the
-    solution space."""
-    return _null_space(eqs.field, eqs.entries, eqs.cols)
-
-
 def solve_right_kernel(m: Matrix) -> Matrix:
     """Basis of {v : v*m = 0}, one basis vector per row.
 
     These are the solutions of the equations m^T, whose rows (the columns
     of m) are eliminated as row lists with no transform and no transposed
-    Matrix; the basis is the free-column basis of rref(m^T), as in
-    ``solve_null_space``.  Row count is rows(m) - rank(m); the rows are
+    Matrix; the basis is the free-column basis of rref(m^T)
+    (``_null_space``).  Row count is rows(m) - rank(m); the rows are
     linearly independent.  The span is determined by m, the basis is not:
     every basis built from it (Hom bases, Ext cocycle representatives,
     resolution differentials) is basis-dependent, while dimensions and

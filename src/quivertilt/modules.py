@@ -211,19 +211,6 @@ class ModuleMap:
     def is_isomorphism(self) -> bool:
         return (self.source.dims == self.target.dims and self.is_injective())
 
-    def total_matrix(self) -> Matrix:
-        """Block-diagonal matrix over the flattened spaces, vertex order."""
-        fld = self.source.algebra.field
-        src_off, tgt_off = self.source.offsets(), self.target.offsets()
-        out = [[fld.zero()] * self.target.total_dim for _ in range(self.source.total_dim)]
-        for v in self.source.algebra.vertices:
-            m = self.mats[v]
-            for i in range(m.rows):
-                for j in range(m.cols):
-                    out[src_off[v] + i][tgt_off[v] + j] = m.entries[i][j]
-        return Matrix(fld, self.source.total_dim, self.target.total_dim,
-                      tuple(tuple(r) for r in out))
-
     def __repr__(self):
         return f"ModuleMap({self.source.dim_vector()} -> {self.target.dim_vector()})"
 
@@ -720,16 +707,6 @@ def hom_from_gens(psum: ProjSum, n: Representation, images) -> ModuleMap:
 # -- trace, radical, socle, top -------------------------------------------------
 
 
-def trace_submodule(gen: Representation, target: Representation) -> ModuleMap:
-    """Inclusion of the trace of gen in target: the sum of images of all
-    morphisms gen -> target, spanned by the rows of a Hom basis
-    (``_trace_rows``)."""
-    if gen.algebra is not target.algebra:
-        raise InputError("trace across different algebras")
-    _, incl = submodule_from_rows(target, _trace_rows(hom_space(gen, target)))
-    return incl
-
-
 def _trace_rows(hs: HomSpace) -> dict:
     """The rows of every basis map of hs at each vertex, stacked in one
     matrix: their span is the trace of hs.source in hs.target."""
@@ -1052,17 +1029,3 @@ def _right_approximation(x: Representation, factors: list, between):
         return None
     src = direct_sum([g.source for g in kept])
     return _assemble_block_map(src, x, [[g] for g in kept], src._parts, [x])
-
-
-def in_add_of(x: Representation, t: Representation) -> bool:
-    """Is x isomorphic to a direct summand of a finite sum of copies of t?
-
-    Exactly when x = 0 or its minimal right add(t)-approximation g is an
-    isomorphism: for x in add t the identity of x is a minimal right
-    approximation, minimal approximations are unique up to isomorphism,
-    so g is one too; and an isomorphism g puts x in add t.  Checking g is
-    one rank per vertex; x is never decomposed."""
-    if x.total_dim == 0:
-        return True
-    g = right_add_approximation(x, t)
-    return g is not None and g.is_isomorphism()

@@ -57,8 +57,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .algebra import Algebra, _memo, regular_module
-from .complexes import (ChainMap, PerfectComplex, _cohomology_dims, cohomology, derived_hom,
-                        hom_window, identity_chain_map, is_exceptional, resolve_to_complex,
+from .complexes import (ChainMap, PerfectComplex, _cohomology_dims, derived_hom, hom_window,
+                        identity_chain_map, is_exceptional, resolve_to_complex,
                         shift_chain_map, universal_triangle)
 from .errors import BoundExceeded, ConsistencyError, InputError
 from .homology import (DEFAULT_RESOLUTION_BOUND, LeftModule, ShortExact, _gen_rows,
@@ -102,31 +102,6 @@ def perp_membership(us, x: Representation, bound: int = DEFAULT_RESOLUTION_BOUND
         if d:
             return False, PerpWitness(k, "ext1", d)
     return True, None
-
-
-def perp_complex_membership(m: Representation, y: PerfectComplex,
-                            bound: int = DEFAULT_RESOLUTION_BOUND) -> bool:
-    """Does y lie in the derived orthogonal of m?  Computed both ways — all
-    derived Homs from resolve(m) vanish, and every cohomology of y lies in
-    the module perpendicular category — and the two answers are asserted
-    equal."""
-    pd = proj_dim(m, bound)
-    if pd is None or pd > 1:
-        raise InputError(f"perpendicular test needs pd <= 1, got {pd}")
-    rm = resolve_to_complex(m, bound)
-    derived_answer = all(derived_hom(rm, y, n).dim == 0 for n in hom_window(rm, y))
-    module_answer = True
-    if not y.is_zero_complex():
-        for n in range(y.lo, y.hi + 1):
-            h = cohomology(y, n)
-            ok, _ = perp_membership([m], h, bound)
-            if not ok:
-                module_answer = False
-                break
-    if derived_answer != module_answer:
-        raise ConsistencyError(
-            "derived and cohomology-wise perpendicular verdicts disagree")
-    return derived_answer
 
 
 # -- reflections -------------------------------------------------------------------
@@ -425,11 +400,6 @@ class HomEpiReport:
     ext_dims: tuple      # dim Ext^i(S, S) for i = 1..max_degree
     tor_dims: tuple      # dim Tor_i(S, S) for i = 1..max_degree
     is_homological_epi: bool
-
-    @property
-    def agree(self) -> bool:
-        return all((e == 0) == (t == 0) for e, t in zip(self.ext_dims, self.tor_dims)) and \
-            (all(e == 0 for e in self.ext_dims) == all(t == 0 for t in self.tor_dims))
 
 
 def homological_epi_check(eta: ModuleMap, lam, max_degree: int = 6,

@@ -3,13 +3,10 @@ certification.
 
 The two-object input is a pair (T1, T2) of exceptional perfect complexes
 with Hom(T1, T2[k]) = 0 for all k and Hom(T2, T1[k]) = 0 outside {0, 1}.
-From a map alpha: T2 -> T1[1] the triangle T1 -> T -> T2 -> T1[1] is
-realized as a complex, and exceptionality of T is equivalent to
-surjectivity of End(T2) ⊕ End(T1[1]) -> Hom(T2, T1[1]); both routes are
-always computed and compared.  The tilting construction's two triangles,
-T1 -> C1 -> T2^m -> T1[1] and T1^m -> C2 -> T2 -> T1[1]^m, are the left and
-right ``complexes.universal_triangle`` over the one space Hom(T2, T1[1])
-that ``check_A1_A2`` solved.
+The tilting construction's two triangles, T1 -> C1 -> T2^m -> T1[1] and
+T1^m -> C2 -> T2 -> T1[1]^m, are the left and right
+``complexes.universal_triangle`` over the one space Hom(T2, T1[1]) that
+``check_A1_A2`` solved.
 
 A tilting-module verdict is a function of the module's recorded
 ``direct_sum`` parts, in order, and the resolution bound, so
@@ -30,14 +27,12 @@ the cokernel.
 from dataclasses import dataclass, replace
 
 from .algebra import _memo, regular_module, simple
-from .complexes import (ChainMap, DerivedHomSpace, PerfectComplex, derived_hom,
+from .complexes import (DerivedHomSpace, PerfectComplex, derived_hom,
                         direct_sum_complexes, hom_window, is_exceptional,
-                        resolve_to_complex, shift_chain_map, triangle_from_map,
-                        universal_triangle)
+                        resolve_to_complex, universal_triangle)
 from .errors import ConsistencyError, InputError
 from .homology import (DEFAULT_RESOLUTION_BOUND, ShortExact, _left_approximation, ext_dim,
                        proj_dim, universal_extension)
-from .linalg import Matrix, rank
 from .modules import (Representation, _inverse_map, _right_approximation, cokernel,
                       decompose, direct_sum, hom_space)
 
@@ -92,40 +87,6 @@ def check_A1_A2(t1: PerfectComplex, t2: PerfectComplex) -> PairReport:
     if violations:
         return PairReport(False, None, tuple(violations))
     return PairReport(True, ExceptionalPair(t1, t2, derived_hom(t2, t1, 1)), ())
-
-
-def criterion_map_surjective(pair: ExceptionalPair, alpha: ChainMap) -> bool:
-    """Is End(T2) ⊕ End(T1[1]) -> Hom(T2, T1[1]), (f, g) -> alpha∘f + g∘alpha,
-    surjective?  (Composition written diagrammatically: alpha∘f = f then
-    alpha.)"""
-    return _spans(pair.ext_space, lambda: (
-        [f.compose(alpha) for f in derived_hom(pair.t2, pair.t2, 0).reps]
-        + [alpha.compose(shift_chain_map(g, 1)) for g in derived_hom(pair.t1, pair.t1, 0).reps]))
-
-
-def cone_exceptionality(pair: ExceptionalPair, alpha: ChainMap):
-    """Realize the triangle T1 -> T -> T2 -> T1[1] over alpha and decide
-    exceptionality of T twice: directly, and through the surjectivity
-    criterion.  The two verdicts must agree; disagreement aborts."""
-    if alpha.source is not pair.t2 and alpha.source.terms != pair.t2.terms:
-        raise InputError("alpha must start at t2")
-    T, incl, proj = triangle_from_map(alpha)
-    direct = is_exceptional(T)
-    criterion = criterion_map_surjective(pair, alpha)
-    if direct != criterion:
-        raise ConsistencyError(
-            f"cone exceptionality ({direct}) disagrees with the criterion map ({criterion})")
-    return T, direct, criterion
-
-
-def _spans(space: DerivedHomSpace, maps) -> bool:
-    """Whether the classes of the chain maps maps() returns span space:
-    True for a zero space, where maps is not called, and False for an
-    empty list otherwise."""
-    if space.dim == 0:
-        return True
-    rows = [space.class_coords(f) for f in maps()]
-    return rank(Matrix(space.x.algebra.field, len(rows), space.dim, tuple(rows))) == space.dim
 
 
 @dataclass(frozen=True)

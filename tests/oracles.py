@@ -1,79 +1,141 @@
 """Small self-contained oracles used by the tests.
 
-Deliberately independent of quivertilt.linalg: plain Fraction Gaussian
-elimination over row lists, so oracle results share no code with the
-implementation they check.  The exceptions are
-reference_quotient_projection, the per-coordinate reduction loop that
-quotient_basis replaced with a closed form, which uses the field's element
-operations, reference_left_approximation, a direct search built on the
-library's Hom solver, reference_triangle, the direct block assembly of
-a triangle that triangle_from_map replaced with a shifted mapping cone,
-reference_summands, the Fitting search that runs every candidate before it
-asks the trace form whether End is local, reference_is_isomorphic, the
-seeded random search for an invertible map that exact isomorphism
-replaced, reference_ext_matrices, the
-per-coordinate construction of Ext's cocycle and coboundary matrices that
-the closed-form matrix of precomposition replaced,
-reference_sc_tor_dims with its corner-ring callers, Tor over a
-structure-constant ring from free resolutions built with the library's
-elimination, which the stratifying-ideal test used before it computed Tor
-over the algebra, and reference_tor_dims, Tor over the algebra with each
-P_k ⊗_A Y taken as a quotient of the raw (dim P_k · dim Y)-space, the
-route that reading P_k ⊗_A Y as a sum of vertex components e_vY replaced,
-both through _tensor_quotient, the raw tensor-space quotient that left
-the package once the stratifying check read its multiplication check off
-Tor_2, reference_verify_algebra, the sweep of a dense structure-constant
-table over all basis triples that the generator-triple certificate of
-Algebra._verify replaced, which uses the field's element operations,
-reference_min_resolution, the resolution that built each kernel as a
-module and covered it through its top, which covering each kernel inside
-the previous term replaced, and reference_realize_extension, the pushout
-over the whole target that pushing out only over the recorded parts the
-cocycle touches replaced (it factors the cocycle through the syzygy by
-left division through transposes, the route that taking one cokernel of
-(-c, d_1) replaced), and reference_hom_space, the naturality solve that
-reading Hom out of a projective sum off its generators replaced there, and
-direct_sum_with_maps, a direct sum with the split pair of each summand,
-which left the package with that pushout, and reference_ring_presentation, End(R_U) as a
-structure-constant ring (SCRing, which left the package with it) with
-lambda checked on all basis pairs and the two-sided ideal scan, which
-the split pair R_U ≅ X^n and the generator-pair check of lambda replaced, and
-reference_module_from_paths, the construction of P_v and I_v from basis
-paths that proj_sum and the transpose of left multiplication replaced, and
-reference_hom_cohomology_dim, the dimension
-of H^n of the Hom complex as the number of cocycle classes modulo
-coboundaries, built with the library's elimination, which reading the
-dimension off the ranks of the two differentials replaced, and
-reference_in_add_of, add(T) membership by decomposing x and matching its
-factors with those of T, which the minimal right add(T)-approximation
-replaced, and reference_lambda_system, lambda's linear system in the full
-coordinates of Hom(R, R_U), which reading maps out of R at its generators
-replaced, and block_matrix, the grid assembly of a matrix from blocks
-that writing each vertex's rows directly replaced, and
-reference_concentrated_h0 with reference_h0_match, H^0(q(R)) built as a
-module and matched with R_U by the library's exact isomorphism test,
-which the comparison map psi: q(R) -> R_U replaced, and
-reference_independent_rows, the pivot columns of one rref of the stacked
-transpose, which reducing each row against the echelon rows kept so far
-replaced, and reference_quotient_by_rows, a quotient through the
-submodule its rows span, which reading it off one RREF per vertex
-replaced, reference_actions, the left actions of R_U as total matrices of
-combo maps, which writing them straight from lambda replaced, and
-reference_radical_rows, the flattened composites h then g, which building
-each row of h times g replaced, and reference_is_left_universal with
-reference_is_right_universal, the End-span universality of a stacked map,
-which the kill check of complexes.universal_triangle replaced, and
-reference_generator_certificate, the check of every generator triple that
-the graded certificate of Algebra._verify replaced, and
-reference_hom_from_gens, the rows of a map out of a projective sum as
-each generator image times the action of the path, which propagating the
-rows along arrows replaced.  unstable_rows changes one entry of a
-span's rows so that it is no longer action-stable.  oracle_rank and oracle_left_kernel also work over a prime
-field when given its characteristic.
+The oracle_* functions are deliberately independent of quivertilt.linalg:
+plain Fraction Gaussian elimination over row lists, so their results share
+no code with the implementation they check.  Most others are routes the
+package replaced, kept here as references, and the last group is package
+code that only tests call:
+
+- oracle_rank, oracle_solve, oracle_left_kernel, oracle_matmul and
+  oracle_tensor_dim: naive Fraction elimination; oracle_rank and
+  oracle_left_kernel also work over a prime field given its characteristic.
+- euler_form and euler_characteristic: the Euler form of two modules read
+  off the Cartan matrix with oracle_solve, and the alternating sum of Ext
+  dimensions it must equal on an algebra of finite global dimension.
+- corner_data, oracle_corner_tensor_dim, oracle_corner_ideal_dim and
+  oracle_corner_tor1_dim: corner-ring data and numbers straight from the
+  multiplication table.
+- block_matrix: the grid assembly of a matrix from blocks, which writing
+  each vertex's rows directly replaced.
+- direct_sum_with_maps: a direct sum with the split pair of each summand,
+  which left the package with the pushout over the whole target.
+- reference_quotient_projection: the per-coordinate reduction loop that
+  quotient_basis replaced with a closed form; it uses the field's element
+  operations.
+- reference_independent_rows: the pivot columns of one rref of the
+  stacked transpose, which reducing each row against the echelon rows kept
+  so far replaced.
+- reference_verify_algebra: the sweep of a dense structure-constant table
+  over all basis triples, which the generator-triple certificate of
+  Algebra._verify replaced; it uses the field's element operations.
+- reference_generator_certificate: the check of every generator triple,
+  which the graded certificate of Algebra._verify replaced.
+- reference_left_approximation: a direct greedy search built on the
+  library's Hom solver.
+- reference_triangle: the direct block assembly of a triangle, which
+  triangle_from_map's shifted mapping cone replaced.
+- reference_is_left_universal and reference_is_right_universal: the
+  End-span universality of a stacked map, which the kill check of
+  complexes.universal_triangle replaced.
+- reference_summands: the Fitting search that runs every candidate before
+  it asks the trace form whether End is local.
+- reference_in_add_of: add(T) membership by decomposing x and matching its
+  factors with those of T, which the minimal right add(T)-approximation
+  replaced.
+- reference_concentrated_h0 and reference_h0_match: H^0(q(R)) built as a
+  module and matched with R_U by the library's exact isomorphism test,
+  which the comparison map psi: q(R) -> R_U replaced.
+- reference_is_isomorphic: the seeded random search for an invertible map,
+  which exact isomorphism replaced.
+- reference_ext_matrices: the per-coordinate construction of Ext's
+  cocycle and coboundary matrices, which the closed-form matrix of
+  precomposition replaced.
+- reference_ring_presentation, with SCRing and ReferenceRing: End(R_U) as
+  a structure-constant ring with lambda checked on all basis pairs and the
+  two-sided ideal scan, which the split pair R_U ≅ X^n and the
+  generator-pair check of lambda replaced; SCRing left the package with it.
+- reference_lambda_system: lambda's linear system in the full coordinates
+  of Hom(R, R_U), which reading maps out of R at its generators replaced.
+- reference_corner_ring, reference_sc_tor_dims, reference_corner_tor_dims
+  and reference_stratifying_verdict: Tor over a structure-constant ring
+  from free resolutions built with the library's elimination, which the
+  stratifying-ideal test used before it computed Tor over the algebra.
+- _tensor_quotient: the raw tensor-space quotient, which left the package
+  once the stratifying check read its multiplication check off Tor_2.
+- reference_tor_dims: Tor over the algebra with each P_k ⊗_A Y taken as a
+  quotient of the raw (dim P_k · dim Y)-space, which reading P_k ⊗_A Y as
+  a sum of vertex components e_vY replaced.
+- reference_min_resolution: the resolution that built each kernel as a
+  module and covered it through its top, which covering each kernel inside
+  the previous term replaced.
+- reference_realize_extension: the pushout over the whole target, which
+  pushing out only over the recorded parts the cocycle touches replaced;
+  it factors the cocycle through the syzygy by left division through
+  transposes, the route that taking one cokernel of (-c, d_1) replaced.
+- reference_hom_space: the naturality solve, which reading Hom out of a
+  projective sum off its generators replaced there.
+- reference_hom_from_gens: the rows of a map out of a projective sum as
+  each generator image times the action of the path, which propagating the
+  rows along arrows replaced.
+- reference_module_from_paths: the construction of P_v and I_v from basis
+  paths, which proj_sum and the transpose of left multiplication replaced.
+- reference_hom_cohomology_dim: the dimension of H^n of the Hom complex as
+  the number of cocycle classes modulo coboundaries, built with the
+  library's elimination, which reading the dimension off the ranks of the
+  two differentials replaced.
+- reference_quotient_by_rows: a quotient through the submodule its rows
+  span, which reading it off one RREF per vertex replaced.
+- unstable_rows: one entry of a span's rows changed so that it is no
+  longer action-stable.
+- reference_actions: the left actions of R_U as total matrices of combo
+  maps, which writing them straight from lambda replaced.
+- reference_radical_rows: the flattened composites h then g, which
+  building each row of h times g replaced.
+
+Each function below left ``src/`` because only tests call it.  It is the
+package code as it was, with its imports made local:
+
+- projective_cover: the cover of a whole module, a thin wrapper over
+  homology._cover.
+- tor_dim: one degree of tor_dims_range.
+- left_regular_module: the algebra as a left module over itself, memoized
+  in the algebra's cache.
+- left_module_from_op_rep: a left module from a representation of the
+  opposite algebra.
+- _total_action: the total-space matrix of the right action of a basis
+  element.
+- connecting_class: the class coordinates of a short exact sequence's
+  connecting cocycle.
+- total_matrix: a module map as one block-diagonal matrix over the
+  flattened spaces (formerly the method ModuleMap.total_matrix).
+- trace_submodule: the inclusion of the trace of one module in another.
+- in_add_of: add(t) membership read off the minimal right
+  add(t)-approximation.
+- perp_complex_membership: the derived perpendicular test, computed
+  through derived Hom and through each cohomology module.
+- triangle_from_map: the triangle T1 -> T -> T2 -> T1[1] of a map
+  alpha: T2 -> T1[1], as the shifted mapping cone.
+- cone_exceptionality: the paper's criterion for the cone of alpha to be
+  exceptional, compared with a direct exceptionality check.
+- criterion_map_surjective: the criterion, surjectivity of
+  End(T2) ⊕ End(T1[1]) -> Hom(T2, T1[1]).
+- _spans: whether the classes of some chain maps span a derived Hom space.
+- transpose: the transpose of a matrix (formerly the method
+  Matrix.transpose).
+- rref and _rref_with_transform: the reduced row echelon form, without and
+  with the transform.
+- solve_null_space: the solutions of a homogeneous system given by its
+  equation rows.
+- ext_tor_agree: whether Ext and Tor of a homological-epimorphism report
+  vanish in the same degrees (formerly the property HomEpiReport.agree).
 """
+
+from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+from quivertilt.homology import DEFAULT_RESOLUTION_BOUND
 
 
 def oracle_rank(rows, char=0):
@@ -242,14 +304,35 @@ def oracle_left_kernel(rows, char=0):
     return [row[width:] for row in aug[rank:]]
 
 
+
+def euler_form(m, n):
+    """<dim m, dim n> read off the Cartan matrix: solve dim m = Σ_v a_v dim P_v
+    by Fraction elimination (oracle_solve) and return Σ_v a_v (dim n)_v,
+    which is Σ_v a_v dim Hom(P_v, n).  Shares no code with resolutions or
+    Ext.  The Cartan matrix of an algebra of finite global dimension is
+    invertible over the integers, so every a_v is asserted integral."""
+    from quivertilt.algebra import projective
+
+    alg = m.algebra
+    cartan = [[projective(alg, v).dims[w] for w in alg.vertices] for v in alg.vertices]
+    a = oracle_solve(cartan, [m.dims[w] for w in alg.vertices])
+    assert a is not None and all(x.denominator == 1 for x in a), (alg.vertices, a)
+    return sum(int(x) * n.dims[v] for x, v in zip(a, alg.vertices))
+
+
+def euler_characteristic(ext_dims):
+    """Σ_i (-1)^i ext_dims[i]: the alternating sum of dim Ext^i(m, n) over
+    i = 0, 1, ..., which equals euler_form(m, n) when the list reaches the
+    global dimension."""
+    return sum(-d if i % 2 else d for i, d in enumerate(ext_dims))
+
 def reference_independent_rows(above, rows):
     """independent_rows as the pivot columns of the transpose of
     [above; rows] past above's rows, in one rref of the stacked transpose:
     the definition that reducing each row against the echelon rows kept so
     far replaced."""
-    from quivertilt.linalg import rref
     first = above.rows
-    return tuple(p - first for p in rref(above.vstack(rows).transpose())[1] if p >= first)
+    return tuple(p - first for p in rref(transpose(above.vstack(rows)))[1] if p >= first)
 
 
 def oracle_tensor_dim(dim_x, dim_y, right_acts, left_acts, char=0):
@@ -518,7 +601,7 @@ def reference_left_approximation(x, t):
     elimination; what it checks is the library's per-vertex selection and
     span test against this direct search.
     """
-    from quivertilt.homology import hom_from_gens, projective_cover
+    from quivertilt.homology import hom_from_gens
     from quivertilt.linalg import Matrix, solve_linear_system
     from quivertilt.modules import ModuleMap, _flatten_map, decompose, hom_space, zero_map
     from quivertilt.algebra import zero_module
@@ -637,7 +720,6 @@ def reference_is_left_universal(alpha) -> bool:
     (endomorphism of M) then alpha, i.e. End(M) -> Hom(M, N) induced by
     alpha is surjective in the homotopy category."""
     from quivertilt.complexes import derived_hom
-    from quivertilt.tilting import _spans
     src = alpha.source
     return _spans(derived_hom(src, alpha.target, 0),
                   lambda: [f.compose(alpha) for f in derived_hom(src, src, 0).reps])
@@ -647,7 +729,6 @@ def reference_is_right_universal(beta) -> bool:
     """beta: M -> N is right-universal when every map M -> N factors as
     beta then (endomorphism of N)."""
     from quivertilt.complexes import derived_hom
-    from quivertilt.tilting import _spans
     tgt = beta.target
     return _spans(derived_hom(beta.source, tgt, 0),
                   lambda: [beta.compose(g) for g in derived_hom(tgt, tgt, 0).reps])
@@ -1217,7 +1298,7 @@ def reference_tor_dims(x, y, max_degree):
     tensored with y as the quotient of the raw (dim P_k · dim y)-space by
     the relations p*r ⊗ q - p ⊗ r*q of the vertex idempotents and arrows
     (they generate A), and d_k ⊗ id induced on those quotients."""
-    from quivertilt.homology import _total_action, min_resolution
+    from quivertilt.homology import min_resolution
 
     alg = x.algebra
     gens = [alg.vertex_idempotent(v) for v in alg.vertices]
@@ -1227,7 +1308,7 @@ def reference_tor_dims(x, y, max_degree):
     spaces = [_tensor_quotient(alg.field, t.rep.total_dim, y.dim,
                                ((_total_action(t.rep, g), y.act[g]) for g in gens))
               for t in res.terms[:top + 1]]
-    fmats = [d.total_matrix() for d in res.diffs[:top]]
+    fmats = [total_matrix(d) for d in res.diffs[:top]]
     return _tensor_homology_dims(spaces, fmats, y.dim, max_degree)
 
 
@@ -1311,10 +1392,10 @@ def reference_realize_extension(c):
 
     def _left_divide(a, b):
         # a * x = b, through the transposes
-        x, _ = solve_linear_system(a.transpose(), b.transpose())
+        x, _ = solve_linear_system(transpose(a), transpose(b))
         if x is None:
             raise ConsistencyError("left division failed")
-        return x.transpose()
+        return transpose(x)
 
     res, n = c.resolution, c.target
     m, alg = res.module, n.algebra
@@ -1338,7 +1419,7 @@ def reference_hom_space(m, n):
     one dense equation per arrow a: s -> t and entry (i, j), solved in one
     equations Matrix: the solve that hom_space ran for every module before
     it read Hom out of a projective sum off the generators."""
-    from quivertilt.linalg import Matrix, solve_null_space
+    from quivertilt.linalg import Matrix
     from quivertilt.modules import HomSpace, _entry_count, _unflatten_map
 
     alg = m.algebra
@@ -1431,7 +1512,7 @@ def reference_module_from_paths(alg, idxs, dual: bool):
                     for k, c in alg.mult[(ai, i)]:
                         row[pos[s][k]] = c
                 rows.append(tuple(row))
-            mats[name] = Matrix(fld, dims[t], dims[s], tuple(rows)).transpose()
+            mats[name] = transpose(Matrix(fld, dims[t], dims[s], tuple(rows)))
     return Representation(alg, dims, mats)
 
 
@@ -1512,7 +1593,7 @@ def reference_actions(ends, lam):
     End basis, one ``HomSpace.combo`` map per basis element: the route that
     ``recollement.ActionsOnRead`` writing the total matrix straight from
     lambda's coordinates replaced."""
-    return [ends.combo(c).total_matrix() for c in lam]
+    return [total_matrix(ends.combo(c)) for c in lam]
 
 
 def reference_radical_rows(x, factors, between):
@@ -1530,3 +1611,273 @@ def reference_radical_rows(x, factors, between):
                   for h in (_endo_radical(factors[j]) if i == j else between(j, i).basis)
                   for g in into[i].basis)
             for j in live]
+
+
+# -- functions that left the package: only tests call them -------------------------
+
+
+def projective_cover(m: Representation):
+    """(P, epi) with P the projective cover of m; the kernel of the epi lies
+    in rad P.  The cover of all of m, by _cover."""
+    from quivertilt.errors import InputError
+    from quivertilt.homology import _cover
+    from quivertilt.linalg import Matrix
+
+    if m.total_dim == 0:
+        raise InputError("projective cover of the zero module")
+    psum, epi, _ = _cover(m, {v: Matrix.identity(m.algebra.field, m.dims[v])
+                              for v in m.algebra.vertices})
+    return psum, epi
+
+
+def tor_dim(degree: int, x: Representation, y: LeftModule,
+            bound: int = DEFAULT_RESOLUTION_BOUND) -> int:
+    """dim Tor_degree(x, y) via a minimal resolution of x tensored with y."""
+    from quivertilt.errors import InputError
+    from quivertilt.homology import tor_dims_range
+
+    if degree < 0:
+        raise InputError("tor degree must be >= 0")
+    return tor_dims_range(x, y, degree, bound)[degree]
+
+
+def left_regular_module(alg: Algebra) -> LeftModule:
+    """The algebra as a left module over itself, memoized in the algebra's
+    cache (a LeftModule is immutable)."""
+    from quivertilt.algebra import _memo
+    from quivertilt.homology import LeftModule
+    from quivertilt.linalg import Matrix
+
+    def compute():
+        act = tuple(Matrix(alg.field, alg.dim, alg.dim,
+                           tuple(alg.dense_row(alg.mult[(i, p)]) for p in range(alg.dim)))
+                    for i in range(alg.dim))
+        # left multiplication in the verified (associative, unital) algebra
+        return LeftModule._trusted(alg, alg.dim, act)
+    return _memo(alg, "left_regular", compute)
+
+
+def left_module_from_op_rep(alg: Algebra, op_rep: Representation) -> LeftModule:
+    """Left A-module from a representation of the opposite algebra built by
+    opposite_algebra(alg); basis indices of A and A^op are aligned."""
+    from quivertilt.errors import InputError
+    from quivertilt.homology import LeftModule
+
+    op_alg = op_rep.algebra
+    if op_alg.dim != alg.dim:
+        raise InputError("opposite representation has mismatched dimension")
+    act = tuple(_total_action(op_rep, i) for i in range(alg.dim))
+    # a representation of the verified A^op is a left A-module
+    return LeftModule._trusted(alg, op_rep.total_dim, act)
+
+
+def _total_action(rep: Representation, i: int) -> Matrix:
+    """Total-space matrix of the right action of basis element i."""
+    from quivertilt.linalg import Matrix
+
+    alg = rep.algebra
+    fld = alg.field
+    off = rep.offsets()
+    n = rep.total_dim
+    src, tgt = alg.path_source(i), alg.path_target(i)
+    act = rep.basis_action(i)
+    out = [[fld.zero()] * n for _ in range(n)]
+    for r in range(act.rows):
+        for c in range(act.cols):
+            out[off[src] + r][off[tgt] + c] = act.entries[r][c]
+    return Matrix(fld, n, n, tuple(tuple(r) for r in out))
+
+
+def connecting_class(ses: ShortExact, space: ExtSpace) -> tuple:
+    """Class coordinates of the connecting cocycle of a short exact sequence
+    0 -> n -> E -> m -> 0 against Ext^1(m, n) computed from `space`."""
+    from quivertilt.homology import _lift
+
+    res = space.resolution
+    # sigma lifts the augmentation through E; d1 then sigma lands in n
+    sigma = _lift(res.terms[0], res.augment, ses.proj)
+    psi = _lift(res.terms[1], res.diffs[0].compose(sigma), ses.incl)
+    return space.class_coords(psi)
+
+
+def total_matrix(f: ModuleMap) -> Matrix:
+    """Block-diagonal matrix over the flattened spaces, vertex order."""
+    from quivertilt.linalg import Matrix
+
+    fld = f.source.algebra.field
+    src_off, tgt_off = f.source.offsets(), f.target.offsets()
+    out = [[fld.zero()] * f.target.total_dim for _ in range(f.source.total_dim)]
+    for v in f.source.algebra.vertices:
+        m = f.mats[v]
+        for i in range(m.rows):
+            for j in range(m.cols):
+                out[src_off[v] + i][tgt_off[v] + j] = m.entries[i][j]
+    return Matrix(fld, f.source.total_dim, f.target.total_dim,
+                  tuple(tuple(r) for r in out))
+
+
+def trace_submodule(gen: Representation, target: Representation) -> ModuleMap:
+    """Inclusion of the trace of gen in target: the sum of images of all
+    morphisms gen -> target, spanned by the rows of a Hom basis
+    (``_trace_rows``)."""
+    from quivertilt.errors import InputError
+    from quivertilt.modules import _trace_rows, hom_space, submodule_from_rows
+
+    if gen.algebra is not target.algebra:
+        raise InputError("trace across different algebras")
+    _, incl = submodule_from_rows(target, _trace_rows(hom_space(gen, target)))
+    return incl
+
+
+def in_add_of(x: Representation, t: Representation) -> bool:
+    """Is x isomorphic to a direct summand of a finite sum of copies of t?
+
+    Exactly when x = 0 or its minimal right add(t)-approximation g is an
+    isomorphism: for x in add t the identity of x is a minimal right
+    approximation, minimal approximations are unique up to isomorphism,
+    so g is one too; and an isomorphism g puts x in add t.  Checking g is
+    one rank per vertex; x is never decomposed."""
+    from quivertilt.modules import right_add_approximation
+
+    if x.total_dim == 0:
+        return True
+    g = right_add_approximation(x, t)
+    return g is not None and g.is_isomorphism()
+
+
+def perp_complex_membership(m: Representation, y: PerfectComplex,
+                            bound: int = DEFAULT_RESOLUTION_BOUND) -> bool:
+    """Does y lie in the derived orthogonal of m?  Computed both ways — all
+    derived Homs from resolve(m) vanish, and every cohomology of y lies in
+    the module perpendicular category — and the two answers are asserted
+    equal."""
+    from quivertilt.complexes import cohomology, derived_hom, hom_window, resolve_to_complex
+    from quivertilt.errors import ConsistencyError, InputError
+    from quivertilt.homology import proj_dim
+    from quivertilt.recollement import perp_membership
+
+    pd = proj_dim(m, bound)
+    if pd is None or pd > 1:
+        raise InputError(f"perpendicular test needs pd <= 1, got {pd}")
+    rm = resolve_to_complex(m, bound)
+    derived_answer = all(derived_hom(rm, y, n).dim == 0 for n in hom_window(rm, y))
+    module_answer = True
+    if not y.is_zero_complex():
+        for n in range(y.lo, y.hi + 1):
+            h = cohomology(y, n)
+            ok, _ = perp_membership([m], h, bound)
+            if not ok:
+                module_answer = False
+                break
+    if derived_answer != module_answer:
+        raise ConsistencyError(
+            "derived and cohomology-wise perpendicular verdicts disagree")
+    return derived_answer
+
+
+def triangle_from_map(alpha: ChainMap):
+    """Given alpha: T2 -> T1[1], realize the triangle T1 -> T -> T2 -> T1[1]
+    with T = cone(alpha)[-1].  Returns (T, incl: T1 -> T, proj: T -> T2).
+
+    T^n = T2^n ⊕ T1^n with differential [[d_T2, -alpha], [0, d_T1]]: the
+    cone's sign and the shift's sign cancel on the blocks of T2 and T1."""
+    from quivertilt.complexes import ChainMap, mapping_cone, shift
+
+    cone, incl, proj = mapping_cone(alpha)
+    T = shift(cone, -1)
+    t1 = shift(alpha.target, -1)
+    return (T, ChainMap._trusted(t1, T, {n + 1: f for n, f in incl.comps.items()}),
+            ChainMap._trusted(T, alpha.source, {n + 1: f for n, f in proj.comps.items()}))
+
+
+def criterion_map_surjective(pair: ExceptionalPair, alpha: ChainMap) -> bool:
+    """Is End(T2) ⊕ End(T1[1]) -> Hom(T2, T1[1]), (f, g) -> alpha∘f + g∘alpha,
+    surjective?  (Composition written diagrammatically: alpha∘f = f then
+    alpha.)"""
+    from quivertilt.complexes import derived_hom, shift_chain_map
+
+    return _spans(pair.ext_space, lambda: (
+        [f.compose(alpha) for f in derived_hom(pair.t2, pair.t2, 0).reps]
+        + [alpha.compose(shift_chain_map(g, 1)) for g in derived_hom(pair.t1, pair.t1, 0).reps]))
+
+
+def cone_exceptionality(pair: ExceptionalPair, alpha: ChainMap):
+    """Realize the triangle T1 -> T -> T2 -> T1[1] over alpha and decide
+    exceptionality of T twice: directly, and through the surjectivity
+    criterion.  The two verdicts must agree; disagreement aborts."""
+    from quivertilt.complexes import is_exceptional
+    from quivertilt.errors import ConsistencyError, InputError
+
+    if alpha.source is not pair.t2 and alpha.source.terms != pair.t2.terms:
+        raise InputError("alpha must start at t2")
+    T, incl, proj = triangle_from_map(alpha)
+    direct = is_exceptional(T)
+    criterion = criterion_map_surjective(pair, alpha)
+    if direct != criterion:
+        raise ConsistencyError(
+            f"cone exceptionality ({direct}) disagrees with the criterion map ({criterion})")
+    return T, direct, criterion
+
+
+def _spans(space: DerivedHomSpace, maps) -> bool:
+    """Whether the classes of the chain maps maps() returns span space:
+    True for a zero space, where maps is not called, and False for an
+    empty list otherwise."""
+    from quivertilt.linalg import Matrix, rank
+
+    if space.dim == 0:
+        return True
+    rows = [space.class_coords(f) for f in maps()]
+    return rank(Matrix(space.x.algebra.field, len(rows), space.dim, tuple(rows))) == space.dim
+
+
+def transpose(m: Matrix) -> Matrix:
+    """The transpose of m (formerly the method Matrix.transpose)."""
+    from quivertilt.linalg import Matrix
+
+    return Matrix(m.field, m.cols, m.rows, tuple(zip(*m.entries)) if m.rows and m.cols
+                  else tuple(() for _ in range(m.cols)) if m.cols else ())
+
+
+def _rref_with_transform(m: Matrix, with_transform: bool = True):
+    """Reduced row echelon form.  Returns (R, pivots, T) with T*m = R and T
+    invertible; rows of T below the pivot rows span the left kernel of m.
+    Without ``with_transform`` T is not computed and is None.  A matrix
+    with no rows or no columns is its own RREF, with T the identity."""
+    from quivertilt.linalg import _eliminate, _identity, _rows_matrix
+
+    fld = m.field
+    if not (m.rows and m.cols):
+        return m, (), _identity(fld, m.rows) if with_transform else None
+    work, pivots, trans = _eliminate(fld, m.entries, m.cols, with_transform)
+    R = _rows_matrix(fld, m.cols, work)
+    T = _rows_matrix(fld, m.rows, trans) if with_transform else None
+    return R, pivots, T
+
+
+def rref(m: Matrix):
+    """(R, pivots) without the transform."""
+    R, pivots, _ = _rref_with_transform(m, with_transform=False)
+    return R, pivots
+
+
+def solve_null_space(eqs: Matrix) -> Matrix:
+    """Basis of {x : eqs * x^T = 0}, one basis vector per row: the
+    solutions of the homogeneous system whose equations are the rows of
+    eqs, in one elimination of eqs with no transform.
+
+    Row count is cols(eqs) - rank(eqs); the rows are linearly independent.
+    The basis is the free-column basis of rref(eqs) (one row per non-pivot
+    column f, with 1 at f and 0 at every other non-pivot column), so which
+    basis comes out depends on the order of the unknowns, not only on the
+    solution space."""
+    from quivertilt.linalg import _null_space
+
+    return _null_space(eqs.field, eqs.entries, eqs.cols)
+
+
+def ext_tor_agree(report: HomEpiReport) -> bool:
+    """Do Ext and Tor of a homological-epimorphism report vanish in the
+    same degrees (formerly the property HomEpiReport.agree)?"""
+    return all((e == 0) == (t == 0) for e, t in zip(report.ext_dims, report.tor_dims)) and \
+        (all(e == 0 for e in report.ext_dims) == all(t == 0 for t in report.tor_dims))

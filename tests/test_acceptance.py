@@ -16,16 +16,15 @@ from quivertilt.complexes import (cohomology, derived_hom, hom_window,
 from quivertilt.formats import fixture_algebra
 from quivertilt.homology import ext_dim, left_add_approximation, min_resolution
 from quivertilt.linalg import Matrix, rank, solve_right_kernel
-from quivertilt.modules import (cokernel, direct_sum, is_isomorphic, quotient,
-                                trace_submodule)
-from quivertilt.recollement import (perp_complex_membership, reflection_brick,
-                                    reflection_iterative,
+from quivertilt.modules import cokernel, direct_sum, is_isomorphic, quotient
+from quivertilt.recollement import (reflection_brick, reflection_iterative,
                                     stratifying_ideal_check)
-from quivertilt.tilting import check_A1_A2, cone_exceptionality
+from quivertilt.tilting import check_A1_A2
 from quivertilt.verify import run_example
-from oracles import (oracle_corner_ideal_dim, oracle_corner_tensor_dim,
-                     oracle_corner_tor1_dim, reference_corner_tor_dims,
-                     reference_stratifying_verdict)
+from oracles import (cone_exceptionality, oracle_corner_ideal_dim, oracle_corner_tensor_dim,
+                     oracle_corner_tor1_dim, perp_complex_membership,
+                     reference_corner_tor_dims, reference_stratifying_verdict,
+                     trace_submodule)
 
 
 def _report(criterion: str, passed: bool):

@@ -8,11 +8,10 @@ import pytest
 from quivertilt import (GF, QQ, TiltingCertificate, injective, projective, simple,
                         zero_module)
 from quivertilt.formats import fixture_algebra
-from quivertilt.modules import (_same_module, direct_sum, in_add_of,
-                                right_add_approximation)
+from quivertilt.modules import _same_module, direct_sum, right_add_approximation
 from quivertilt.tilting import tilting_module_check
 from conftest import tilting_summary
-from oracles import reference_in_add_of
+from oracles import in_add_of, reference_in_add_of
 
 FIELDS = {"Q": QQ, "GF101": GF(101), "GF5": GF(5)}
 

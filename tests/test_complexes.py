@@ -7,15 +7,14 @@ from quivertilt.complexes import (ChainMap, PerfectComplex, _shift, cohomology, 
                                   direct_sum_complexes, hom_window,
                                   identity_chain_map, is_exceptional,
                                   mapping_cone, resolve_to_complex, shift,
-                                  shift_chain_map, triangle_from_map,
-                                  zero_chain_map, zero_complex)
+                                  shift_chain_map, zero_chain_map, zero_complex)
 from quivertilt.formats import fixture_algebra
 from quivertilt.errors import ConsistencyError, DimensionMismatch, InputError
 from quivertilt.homology import (_hom_differential, _split_gen_vector, ext_dim, gen_coords,
                                  hom_from_gens)
 from quivertilt.linalg import Matrix, row_space
 from quivertilt.modules import ModuleMap, Representation, direct_sum, is_isomorphic, proj_sum
-from oracles import reference_triangle
+from oracles import reference_triangle, triangle_from_map
 
 
 def test_resolve_projective_is_stalk(cycle2):

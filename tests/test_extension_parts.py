@@ -10,11 +10,10 @@ Bongartz complements of every simple of the A_n families and two fixtures.
 import pytest
 
 from conftest import linear_algebra
-from oracles import reference_realize_extension
+from oracles import connecting_class, left_regular_module, reference_realize_extension
 from quivertilt import GF, QQ, ext, regular_module, simple
 from quivertilt.formats import fixture_algebra
-from quivertilt.homology import (ExtClass, connecting_class, left_regular_module,
-                                 realize_extension)
+from quivertilt.homology import ExtClass, realize_extension
 from quivertilt.modules import (_block_maps, direct_sum, is_isomorphic, match_decomposition,
                                 decompose, zero_map)
 

@@ -6,12 +6,9 @@ from quivertilt import (GF, BoundExceeded, ConsistencyError, InputError, Represe
                         opposite_algebra, projective, regular_module, simple,
                         zero_module)
 from quivertilt.formats import fixture_algebra, parse_algebra_text
-from quivertilt.homology import (ExtClass, _precompose_matrix, connecting_class, ext, ext_dim,
-                                 global_dimension, left_add_approximation,
-                                 left_module_from_op_rep, left_regular_module,
-                                 min_resolution, proj_dim, projective_cover,
-                                 realize_extension, tor_dim, tor_dims_range,
-                                 universal_extension)
+from quivertilt.homology import (ExtClass, _precompose_matrix, ext, ext_dim, global_dimension,
+                                 left_add_approximation, min_resolution, proj_dim,
+                                 realize_extension, tor_dims_range, universal_extension)
 from quivertilt.linalg import Matrix, rank
 from quivertilt.modules import (cokernel, decompose, direct_sum, hom_space,
                                 is_isomorphic, quotient, socle, zero_map)
@@ -19,8 +16,10 @@ from quivertilt.recollement import (_quotient_by_vertex_ideal, _vertex_ideal_pro
                                     lambda_left_module, universal_localization)
 from quivertilt.tilting import TiltingCertificate, tilting_module_check
 from conftest import counting
-from oracles import (oracle_tensor_dim, reference_corner_ring, reference_ext_matrices,
-                     reference_min_resolution, reference_sc_tor_dims, reference_tor_dims)
+from oracles import (_total_action, connecting_class, left_module_from_op_rep,
+                     left_regular_module, oracle_tensor_dim, projective_cover,
+                     reference_corner_ring, reference_ext_matrices, reference_min_resolution,
+                     reference_sc_tor_dims, reference_tor_dims, tor_dim)
 
 
 # -- covers and resolutions -------------------------------------------------
@@ -585,7 +584,6 @@ def test_tor_a2_hand_table(a2):
 def test_tor0_matches_brute_force_bilinear_quotient(a2, cycle2):
     """Independent oracle: X ⊗_A Y as the quotient of the full K-tensor
     space by the generator relations."""
-    from quivertilt.homology import _total_action
     for alg in (a2, cycle2):
         left = left_regular_module(alg)
         gens = [alg.vertex_idempotent(v) for v in alg.vertices]
@@ -603,7 +601,6 @@ def test_tor_routes_agree_on_a2(a2):
     structure-constant reference route (free resolution over a ring) give
     the same Tor: the corner ring over every vertex is A itself, in the
     algebra's basis order."""
-    from quivertilt.homology import _total_action
     ring, idx = reference_corner_ring(a2, a2.vertices)
     assert idx == list(range(a2.dim))
     op = opposite_algebra(a2)
@@ -1095,3 +1092,49 @@ def test_approximation_solves_each_hom_space_once(monkeypatch):
     pairs = sum(1 for fac, _ in decompose(r) for v in alg.vertices if fac.dims[v])
     assert elims.count(independent_rows) == elims.count(rank) == pairs == 10
     assert f.is_isomorphism() and len(tags) == 4
+
+
+# -- arguments over two different algebras ------------------------------------------
+
+
+def test_ext_across_different_algebras_raises(cycle2, a2):
+    """Before the check, Ext^0(P1 of cycle2, S1 of a2) read 1."""
+    with pytest.raises(InputError, match="different algebras"):
+        ext(0, projective(cycle2, "1"), simple(a2, "1"))
+
+
+def test_ext_dim_across_different_algebras_raises(cycle2, a2):
+    for m, n in ((projective(cycle2, "1"), simple(a2, "1")),
+                 (simple(a2, "2"), simple(fixture_algebra("a2", GF(101)), "1"))):
+        with pytest.raises(InputError, match="different algebras"):
+            ext_dim(0, m, n)
+        with pytest.raises(InputError, match="different algebras"):
+            ext_dim(1, m, n)
+
+
+def test_tor_across_different_algebras_raises(cycle2, a2):
+    """Before the check, Tor of P1 of cycle2 with the left regular module of
+    a2 read (2, 0)."""
+    with pytest.raises(InputError, match="different algebras"):
+        tor_dims_range(projective(cycle2, "1"), left_regular_module(a2), 1)
+
+
+def test_left_add_approximation_across_different_algebras_raises(cycle2, triple3):
+    """Before the check it raised IndexError."""
+    with pytest.raises(InputError, match="different algebras"):
+        left_add_approximation(projective(cycle2, "1"), simple(triple3, "1"))
+
+
+def test_realize_extension_across_different_algebras_raises(cycle2, a2):
+    """A class whose target lies over another algebra than its resolution:
+    before the check it was realized over the wrong algebra, the dimensions
+    happening to fit."""
+    c = ext(1, simple(cycle2, "1"), simple(cycle2, "2")).classes[0]
+    with pytest.raises(InputError, match="different algebras"):
+        realize_extension(ExtClass(c.resolution, 1, simple(a2, "2"), c.cocycle))
+
+
+def test_universal_extension_across_different_algebras_raises(cycle2, a2):
+    """Before the check it raised IndexError."""
+    with pytest.raises(InputError, match="different algebras"):
+        universal_extension(simple(cycle2, "1"), simple(a2, "2"))

@@ -1,8 +1,10 @@
 """Source hygiene: every name a package module imports is used in it, every
-parameter of a package function is read in its body, every package
-function and method is referred to by name somewhere in ``src/``,
-``tests/`` or ``bench/`` outside its own body, every private (leading
-underscore) one somewhere in ``src/``, the arithmetic modules contain
+parameter of a package function is read in its body, every public package
+function and method is referred to by a package module other than
+``__init__.py`` outside its own body or is a listed entry point that the
+package exports (a call from a test does not count), every private
+(leading underscore) one is referred to somewhere in ``src/``, no package
+module imports test code, the arithmetic modules contain
 no true division, and no package module imports ``random`` or has a
 function parameter named ``seed``: every verdict is deterministic.  Every
 operation the benchmark's tracer times by name pattern matches a package
@@ -176,35 +178,98 @@ def referenced_names(source: str) -> set:
     return found
 
 
-def unreferenced_functions(package_sources: dict, other_sources) -> list:
-    """(file, line, name) of each function or method defined in one of
-    ``package_sources`` (file name -> source) that no source refers to."""
+# The library surface that no package module calls: constructors a library
+# caller builds objects with.  Every name here must be exported from
+# quivertilt; every other public function or method needs a caller in src/.
+ENTRY_POINTS = (
+    "opposite_algebra",  # the opposite algebra, for right modules over A^op
+    "mapping_cone",      # the cone with its maps; bench/tracing.py times it
+)
+
+
+def package_references(package_sources: dict) -> set:
+    """Names the package sources (file name -> source) other than
+    ``__init__.py`` refer to, each outside its own body."""
     used = set()
-    for source in list(package_sources.values()) + list(other_sources):
-        used |= referenced_names(source)
+    for path, source in package_sources.items():
+        if path != "__init__.py":
+            used |= referenced_names(source)
+    return used
+
+
+def unreferenced_functions(package_sources: dict, entry_points=()) -> list:
+    """(file, line, name) of each public function or method defined in one
+    of ``package_sources`` that no package source other than
+    ``__init__.py`` refers to outside its own body, and that is not one of
+    ``entry_points``.  A re-export in ``__init__.py`` or a call from a test
+    is no caller: code only tests reach belongs with them."""
+    used = package_references(package_sources) | set(entry_points)
     return sorted((path, line, name) for path, source in package_sources.items()
-                  for line, name in defined_functions(source) if name not in used)
+                  for line, name in defined_functions(source)
+                  if not name.startswith("_") and name not in used)
 
 
 def test_unreferenced_function_detector_sees_functions_methods_and_recursion():
     pkg = {"m.py": ("def used():\n    return 1\n"
                     "def dead():\n    return used()\n"
                     "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+                    "def only_tested():\n    return 3\n"
+                    "def entry():\n    return 4\n"
                     "class K:\n    def __repr__(self):\n        return 'K'\n"
                     "    def method(self):\n        return self.other()\n"
-                    "    def other(self):\n        return 2\n")}
-    tests = ["from m import K\n\ndef test_k():\n    assert K().method() == 2\n"]
-    assert unreferenced_functions(pkg, tests) == [("m.py", 3, "dead"), ("m.py", 5, "recursive")]
+                    "    def other(self):\n        return 2\n"),
+           "n.py": "from .m import K, dead\n\ndef api():\n    return K().method(), dead\n",
+           "__init__.py": "from .m import entry, only_tested\nfrom .n import api\n"}
+    # only_tested is exported, and a test may call it: neither is a caller
+    assert unreferenced_functions(pkg, ("entry",)) == [
+        ("m.py", 5, "recursive"), ("m.py", 7, "only_tested"), ("n.py", 3, "api")]
+    assert ("m.py", 9, "entry") in unreferenced_functions(pkg)
 
 
 def test_every_package_function_is_referenced():
-    root = PACKAGE_DIR.parent.parent
     package = {path.name: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
-    others = [path.read_text() for d in ("tests", "bench")
-              for path in sorted((root / d).glob("*.py"))]
     found = [f"{path}:{line}: {name}"
-             for path, line, name in unreferenced_functions(package, others)]
-    assert not found, "functions referenced nowhere:\n" + "\n".join(found)
+             for path, line, name in unreferenced_functions(package, ENTRY_POINTS)]
+    assert not found, "functions no package module calls:\n" + "\n".join(found)
+
+
+def exported_names(init_source: str) -> set:
+    """The names ``__init__.py`` imports from sibling modules."""
+    return {alias.asname or alias.name for node in ast.walk(ast.parse(init_source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names}
+
+
+def test_every_entry_point_is_exported_and_every_export_reached():
+    """ENTRY_POINTS names exported functions, and every name the package
+    exports is referred to by a package module other than ``__init__.py``
+    or is an entry point."""
+    exported = exported_names((PACKAGE_DIR / "__init__.py").read_text())
+    missing = [name for name in ENTRY_POINTS
+               if name not in exported or not callable(getattr(quivertilt, name, None))]
+    assert not missing, f"entry points not exported from quivertilt: {missing}"
+    package = {path.name: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    unreached = sorted(exported - package_references(package) - set(ENTRY_POINTS))
+    assert not unreached, f"exports no package module reaches: {unreached}"
+
+
+def test_package_imports_nothing_from_the_tests():
+    """No package module imports the test oracles, conftest or any module
+    under tests/, at any depth."""
+    test_modules = {path.stem for path in (PACKAGE_DIR.parent.parent / "tests").glob("*.py")}
+    test_modules.add("tests")
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [(node.module or "").split(".")[0]]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {r}" for r in roots if r in test_modules]
+    assert "oracles" in test_modules and "conftest" in test_modules
+    assert not found, "package modules importing test code:\n" + "\n".join(found)
 
 
 def private_functions_unused_by_package(package_sources: dict) -> list:
@@ -381,9 +446,12 @@ def test_each_memo_key_namespace_is_used_by_one_function():
     """A namespace shared by two functions would let one read the other's
     entries, as a mistyped key would; a key the check cannot name escapes
     it, so every key has a namespace.  The algebra's lookup tables are
-    fields built with it, so none of their former namespaces is a key."""
+    fields built with it, so none of their former namespaces is a key.
+    The test oracles that memoize in a package object's cache (the left
+    regular module) are scanned with the package."""
     sites = {}
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
+    oracles = PACKAGE_DIR.parent.parent / "tests" / "oracles.py"
+    for path in sorted(PACKAGE_DIR.glob("*.py")) + [oracles]:
         for namespace, scope in memo_namespaces(path.read_text()):
             sites.setdefault(namespace, set()).add(f"{path.stem}.{scope}")
     assert None not in sites, f"_memo keys without a namespace: {sites.get(None)}"

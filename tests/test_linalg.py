@@ -7,14 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quivertilt.linalg import (GF, QQ, FieldSpec, Matrix, _eliminate, _mul_entries,
-                               _rref_with_transform, independent_rows,
-                               intersect_subspaces, quotient_basis, rank, rref,
+                               independent_rows, intersect_subspaces, quotient_basis, rank,
                                rref_coordinates, row_space, row_times, solve_linear_system,
-                               solve_null_space, solve_right_kernel, sum_subspaces)
+                               solve_right_kernel, sum_subspaces)
 from quivertilt.errors import DimensionMismatch, InputError
 
-from oracles import (block_matrix, oracle_left_kernel, oracle_matmul, oracle_rank,
-                     oracle_solve, reference_independent_rows, reference_quotient_projection)
+from oracles import (_rref_with_transform, block_matrix, oracle_left_kernel, oracle_matmul,
+                     oracle_rank, oracle_solve, reference_independent_rows,
+                     reference_quotient_projection, rref, solve_null_space, transpose)
 
 
 def M(field, rows):
@@ -134,7 +134,7 @@ def test_intersect_and_sum():
 
 def test_zero_by_n_matrices_are_legal():
     z = Matrix.zeros(QQ, 0, 3)
-    assert z.transpose().rows == 3
+    assert transpose(z).rows == 3
     assert solve_right_kernel(z).rows == 0
     assert rank(z) == 0
     x, ker = solve_linear_system(z, Matrix.zeros(QQ, 2, 3))
@@ -543,7 +543,7 @@ def test_kernels_are_independent_annihilators_spanning_the_oracle_kernel(m):
     independent rows v with v*m = 0 that span the oracle's left kernel."""
     char = m.field.characteristic
     oracle = oracle_left_kernel(as_lists(m), char)
-    for kernel in (solve_right_kernel(m), solve_null_space(m.transpose())):
+    for kernel in (solve_right_kernel(m), solve_null_space(transpose(m))):
         assert (kernel.rows, kernel.cols) == (m.rows - oracle_rank(as_lists(m), char), m.rows)
         assert kernel.mul(m).is_zero()
         assert oracle_rank(as_lists(kernel), char) == kernel.rows == len(oracle)

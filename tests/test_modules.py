@@ -8,11 +8,12 @@ from quivertilt import (GF, QQ, ConsistencyError, DimensionMismatch, InputError,
                         simple)
 from quivertilt.formats import fixture_algebra
 from quivertilt.modules import (_assemble_block_map, cokernel, decompose, direct_sum,
-                                hom_from_gens, hom_space, identity_map, image, in_add_of,
-                                is_isomorphic, kernel, proj_sum, quotient, radical, socle,
-                                summand_factors, top, trace_submodule, zero_map)
+                                hom_from_gens, hom_space, identity_map, image, is_isomorphic,
+                                kernel, proj_sum, quotient, radical, socle, summand_factors,
+                                top, zero_map)
 from conftest import linear_algebra, non_prefix_closed_algebra, reordered_algebra
-from oracles import block_matrix, direct_sum_with_maps, reference_hom_from_gens
+from oracles import (block_matrix, direct_sum_with_maps, in_add_of, reference_hom_from_gens,
+                     trace_submodule)
 
 
 def test_hom_s2_p2(cycle2):

@@ -10,19 +10,19 @@ from quivertilt import (GF, QQ, InputError, Representation, injective, projectiv
 from quivertilt.complexes import (DerivedHomSpace, cohomology, derived_hom,
                                   direct_sum_complexes, is_exceptional,
                                   resolve_to_complex, shift, stack_to_common_source,
-                                  stack_to_common_target, triangle_from_map,
-                                  universal_triangle, zero_chain_map)
+                                  stack_to_common_target, universal_triangle,
+                                  zero_chain_map)
 from quivertilt.errors import ConsistencyError
 from quivertilt.formats import fixture_algebra
 from quivertilt.modules import (decompose, direct_sum, hom_space,
                                 is_isomorphic, quotient, socle)
 from quivertilt.homology import DEFAULT_RESOLUTION_BOUND, proj_dim, universal_extension
 from quivertilt.tilting import (TiltingCertificate, TiltingFailure, _certify,
-                                bongartz_complement, check_A1_A2,
-                                cone_exceptionality, construct_tilting,
-                                criterion_map_surjective, tilting_module_check)
+                                bongartz_complement, check_A1_A2, construct_tilting,
+                                tilting_module_check)
 from conftest import counting, linear_algebra, recording_shifts, shifted_back, tilting_summary
-from oracles import reference_is_left_universal, reference_is_right_universal
+from oracles import (cone_exceptionality, criterion_map_surjective, reference_is_left_universal,
+                     reference_is_right_universal, trace_submodule, triangle_from_map)
 
 
 # -- pair checks ------------------------------------------------------------
@@ -419,7 +419,6 @@ def test_construct_tilting_triple3_regular_recovery(triple3):
     p2 = projective(triple3, "2")
     p3 = projective(triple3, "3")
     # Delta(2) = P2 / (trace of P3) has dimension vector (1,1,0)
-    from quivertilt.modules import trace_submodule
     tr = trace_submodule(p3, p2)
     delta2, _ = quotient(p2, tr)
     assert delta2.dim_vector() == (1, 1, 0)

@@ -13,12 +13,13 @@ import sys
 import quivertilt.algebra
 from quivertilt import (GF, QQ, LeftModule, ModuleMap, Representation,
                         bongartz_complement, direct_sum, injective,
-                        left_regular_module, recollement_report, regular_module,
+                        recollement_report, regular_module,
                         run_example, simple, stratifying_ideal_check,
                         tilting_module_check)
 from quivertilt.formats import fixture_algebra
-from quivertilt.homology import left_module_from_op_rep, tor_dims_range
+from quivertilt.homology import tor_dims_range
 from conftest import calls_trusted, construction_inventory, linear_algebra, site_of, tilting_summary
+from oracles import left_module_from_op_rep, left_regular_module
 
 
 def _verdicts():

@@ -14,8 +14,8 @@ vertex 2 uniserial of length three with simple socle at vertex 2.
 ideal (every relation a single path, up to a nonzero scalar) is built by
 path combinatorics: the basis is the paths that contain no relation word,
 and a product is a concatenation or zero.  Any other ideal goes through
-rounds of two-sided elimination.  On a monomial ideal the two give the
-same basis, in the same order, and the same table.
+rounds of two-sided elimination in its monomial quotient: only the paths
+that avoid every zero-relation word take part.
 
 An ``Algebra`` is built and certified once.  Its lookup tables (endpoints
 of each basis path, the vertex, idempotent, arrow and arrow-path indexes,
@@ -91,18 +91,36 @@ def _path_key(arrow_index: dict, src_index: dict, path):
     return (len(word), tuple(arrow_index[a] for a in word), src_index[src])
 
 
+class _KeyCache(dict):
+    """path -> sort key, each key computed once, on its first lookup."""
+
+    def __init__(self, keyfn):
+        super().__init__()
+        self.keyfn = keyfn
+
+    def __missing__(self, path):
+        k = self[path] = self.keyfn(path)
+        return k
+
+
 class _Eliminator:
     """Echelonized span of two-sided ideal instances in path coordinates.
 
     Vectors are dicts path -> coefficient.  The order is length-graded
-    (longer paths are leading), then lexicographic on arrow indices.  Rules
-    are normalized to leading coefficient one and indexed by leading path.
+    (longer paths are leading), then lexicographic on arrow indices; each
+    path's sort key is computed once.  Rules are normalized to leading
+    coefficient one and indexed by leading path, and ``fresh`` hands out
+    the leading paths of the rules inserted since its previous call.
+    ``normal_form`` memoizes the reduction of one path, so it is read only
+    once the last rule is in.
     """
 
     def __init__(self, fld: FieldSpec, keyfn):
         self.fld = fld
-        self.key = keyfn
+        self.key = _KeyCache(keyfn).__getitem__
         self.rules = {}
+        self._new = []
+        self._normal = {}
 
     def reduce(self, vec: dict) -> dict:
         fld = self.fld
@@ -127,6 +145,14 @@ class _Eliminator:
                     del work[q]
         return out
 
+    def normal_form(self, path) -> dict:
+        """The reduction of one path, memoized per path."""
+        try:
+            return self._normal[path]
+        except KeyError:
+            red = self._normal[path] = self.reduce({path: self.fld.one()})
+            return red
+
     def insert(self, vec: dict) -> bool:
         """Reduce and, if nonzero, add as a new rule.  Returns True if added."""
         red = self.reduce(vec)
@@ -135,7 +161,14 @@ class _Eliminator:
         lead = max(red, key=self.key)
         inv = self.fld.inv(red[lead])
         self.rules[lead] = {p: self.fld.mul(inv, c) for p, c in red.items()}
+        self._new.append(lead)
         return True
+
+    def fresh(self) -> list:
+        """Leading paths of the rules inserted since the previous call, in
+        insertion order."""
+        new, self._new = self._new, []
+        return new
 
 
 PATH_COUNT_CAP = 200_000
@@ -169,12 +202,15 @@ def build_algebra(quiver: Quiver, relations, fld: FieldSpec, max_path_len: int =
 
     The construction is read off the relations.  Each becomes a vector in
     path coordinates (``_rel_vector``); a relation that vanishes over fld
-    is no relation.  When every remaining vector has one term, the ideal is
-    monomial and ``_build_monomial`` builds the algebra by path
-    combinatorics; any other ideal (a binomial or commutativity relation)
-    goes through ``_build_by_elimination``.  Both give the same basis, in
-    the same order, and the same table on a monomial ideal (see
-    ``_build_monomial``), and both end with ``Algebra._verify``.
+    is no relation.  A vector with one term is a zero relation, and its
+    path a relation word.  The zero relations are their own Gröbner basis,
+    so KQ/I is the monomial quotient KQ/(words) divided by the remaining
+    relations.  When there are none, ``_build_monomial`` builds the
+    algebra by path combinatorics; otherwise ``_build_by_elimination``
+    runs its rounds inside the monomial quotient, on the paths that avoid
+    every word.  Where elimination rounds over every path build the
+    algebra, both give their basis, in their order, and their table (see
+    the two builders), and both end with ``Algebra._verify``.
 
     Raises BoundExceeded when nonzero residue paths survive at max_path_len
     (the ideal is then not visibly admissible within the bound) or when
@@ -188,10 +224,38 @@ def build_algebra(quiver: Quiver, relations, fld: FieldSpec, max_path_len: int =
         r.validate(quiver)
     amap = quiver.arrow_map()
     vectors = [vec for vec in (_rel_vector(r, amap, fld) for r in relations) if vec]
-    if all(len(vec) == 1 for vec in vectors):
-        words = {word for vec in vectors for _, word in vec}
+    words = {word for vec in vectors if len(vec) == 1 for _, word in vec}
+    mixed = [vec for vec in vectors if len(vec) > 1]
+    if not mixed:
         return _build_monomial(quiver, relations, fld, words, max_path_len)
-    return _build_by_elimination(quiver, relations, fld, vectors, max_path_len)
+    return _build_by_elimination(quiver, relations, fld, words, mixed, max_path_len)
+
+
+def _arrows_out(quiver) -> dict:
+    """(name, target) of the arrows out of each vertex, in quiver order."""
+    out = {v: [] for v in quiver.vertices}
+    for name, s, t in quiver.arrows:
+        out[s].append((name, t))
+    return out
+
+
+def _grow(layer, out, words, lengths, length) -> list:
+    """The paths of length ``length`` that contain no word, from ``layer``,
+    those of length - 1, as (source, word, target) triples: each path
+    extended by the arrows out of its end, in quiver order, and kept
+    unless some word is a suffix of the extension, since its prefix
+    already avoids every word."""
+    longer = []
+    for src, word, end in layer:
+        for name, t in out[end]:
+            w = word + (name,)
+            if not any(w[-k:] in words for k in lengths if k <= length):
+                longer.append((src, w, t))
+    return longer
+
+
+def _contains_word(w, words, lengths) -> bool:
+    return any(w[i:i + k] in words for k in lengths for i in range(len(w) - k + 1))
 
 
 def _build_monomial(quiver, relations, fld, words, max_path_len):
@@ -202,31 +266,20 @@ def _build_monomial(quiver, relations, fld, words, max_path_len):
     (E. L. Green, Noncommutative Gröbner bases, and projective resolutions,
     1999).
 
-    The basis is built layer by layer: each surviving path of length l is
-    extended by the arrows out of its end, in quiver order, and the
-    extension is kept unless some word is a suffix of it, since its prefix
-    already avoids every word.  This is the elimination's basis in the
-    elimination's order: there, a monomial ideal reduces exactly the paths
-    that contain a word, and the survivors of ``paths_by_len`` keep the
-    relative order of the full enumeration, which extends every path of a
-    layer in the same way.  The first empty layer of length >= 2 ends the
-    basis; a path that survives at max_path_len raises BoundExceeded, as
-    more than PATH_COUNT_CAP basis paths do.
+    The basis is built layer by layer by ``_grow``.  This is the
+    elimination's basis in the elimination's order: there, a monomial
+    ideal reduces exactly the paths that contain a word, and the survivors
+    of an enumeration of every path keep its relative order, since it
+    extends every path of a layer in the same way.  The first empty layer
+    of length >= 2 ends the basis; a path that survives at max_path_len
+    raises BoundExceeded, as more than PATH_COUNT_CAP basis paths do.
     """
     lengths = {len(w) for w in words}
-    out = {v: [] for v in quiver.vertices}
-    for name, s, t in quiver.arrows:
-        out[s].append((name, t))
+    out = _arrows_out(quiver)
     layer = [(v, (), v) for v in quiver.vertices]  # (source, word, target)
     paths = list(layer)
     for length in range(1, max_path_len + 1):
-        longer = []
-        for src, word, end in layer:
-            for name, t in out[end]:
-                w = word + (name,)
-                if not any(w[-k:] in words for k in lengths if k <= length):
-                    longer.append((src, w, t))
-        layer = longer
+        layer = _grow(layer, out, words, lengths, length)
         if not layer and length >= 2:
             break
         paths += layer
@@ -251,119 +304,137 @@ def _build_monomial(quiver, relations, fld, words, max_path_len):
     return alg
 
 
-def _build_by_elimination(quiver, relations, fld, vectors, max_path_len):
-    """KQ/I for any ideal, from the nonzero relation vectors: enumerate
-    paths by increasing length; close the span of relation instances under
-    one-arrow extension on both sides, layer by layer; stop at the first
-    length whose paths are all reducible.  The residue basis is the
-    irreducible paths of shorter length, in enumeration order, and each
-    product of two basis paths is the reduction of their concatenation."""
+def _build_by_elimination(quiver, relations, fld, words, vectors, max_path_len):
+    """KQ/I for the zero relations ``words`` and the relation vectors
+    ``vectors`` of two or more terms, built in the monomial quotient
+    KQ/(words): only the paths that contain no word are enumerated (by
+    ``_grow``, by increasing length), each vector loses its terms that
+    contain a word, and so does each rule multiplied by an arrow, since a
+    word can then only appear at the end the arrow joins.
+
+    Rounds close the span of relation instances under one-arrow extension
+    on both sides.  The first length whose paths are all reducible is the
+    death length; the multiplication table reduces paths up to length
+    2(death length - 1), so rounds go on while a rule a round adds has a
+    leading path of at most that length.  The residue basis is the
+    irreducible paths shorter than the death length, in enumeration order:
+    the word-avoiding paths keep the relative order of an enumeration of
+    every path, so where rounds over every path build the algebra, the
+    basis and table are theirs.  Those rounds stopped after 2 * death
+    length - 4 and refused some admissible ideals, such as
+    K<x, y>/(xy, yx, x^3 - y^2), that these rounds build."""
     amap = quiver.arrow_map()
     arrow_index = {a[0]: i for i, a in enumerate(quiver.arrows)}
     src_index = {v: i for i, v in enumerate(quiver.vertices)}
-    keyfn = lambda p: _path_key(arrow_index, src_index, p)
+    lengths = {len(w) for w in words}
+    out = _arrows_out(quiver)
 
-    def path_target(path):
-        src, word = path
-        return amap[word[-1]][1] if word else src
-
-    # paths_by_len[l] = list of paths of length l, in deterministic order
-    paths_by_len = [[(v, ()) for v in quiver.vertices]]
+    # layers[l] = the word-avoiding paths of length l, (source, word, target)
+    layers = [[(v, (), v) for v in quiver.vertices]]
     total_paths = len(quiver.vertices)
 
-    def extend_layer():
+    def layer(length):
         nonlocal total_paths
-        prev = paths_by_len[-1]
-        out = []
-        for src, word in prev:
-            end = path_target((src, word))
-            for name, s, t in quiver.arrows:
-                if s == end:
-                    out.append((src, word + (name,)))
-        total_paths += len(out)
-        if total_paths > PATH_COUNT_CAP:
-            raise _cap_error()
-        paths_by_len.append(out)
+        while len(layers) <= length:
+            layers.append(_grow(layers[-1], out, words, lengths, len(layers)))
+            total_paths += len(layers[-1])
+            if total_paths > PATH_COUNT_CAP:
+                raise _cap_error()
+        return layers[length]
 
-    elim = _Eliminator(fld, keyfn)
+    def multiples(rule: dict):
+        """The rule times each arrow that attaches to it, in quiver order,
+        on the left before the right, without the terms that gain a word."""
+        src, word = next(iter(rule))  # the terms of a rule are parallel paths
+        end = amap[word[-1]][1] if word else src
+        for name, s, t in quiver.arrows:
+            if t == src:
+                left = {}
+                for (_, p), c in rule.items():
+                    w = (name,) + p
+                    if not any(w[:k] in words for k in lengths):
+                        left[(s, w)] = c
+                yield left
+            if s == end:
+                right = {}
+                for (_, p), c in rule.items():
+                    w = p + (name,)
+                    if not any(w[-k:] in words for k in lengths):
+                        right[(src, w)] = c
+                yield right
+
+    elim = _Eliminator(fld, lambda p: _path_key(arrow_index, src_index, p))
     for vec in vectors:
-        elim.insert(vec)
-    elim._tagged = set()
-    frontier = _fresh_rules(elim)
-
-    def times_arrow(vec: dict, name: str, on_left: bool) -> dict:
-        s, t = amap[name]
-        out = {}
-        for (src, word), c in vec.items():
-            if on_left:
-                # arrow * path: arrow must end where the path starts
-                if t == src:
-                    out[(s, (name,) + word)] = c
-            else:
-                if path_target((src, word)) == s:
-                    out[(src, word + (name,))] = c
-        return out
-
+        elim.insert({p: c for p, c in vec.items() if not _contains_word(p[1], words, lengths)})
+    frontier = elim.fresh()
     death_len = None
-
-    def layer_dead(length: int) -> bool:
-        while len(paths_by_len) <= length:
-            extend_layer()
-        return all(p in elim.rules for p in paths_by_len[length])
-
-    # Round k makes the rule span cover all instances u*r*w with |u|+|w| <= k.
-    # Checking death at length l needs rounds >= l - 2 (relations have terms
-    # of length >= 2); building the multiplication table of residues of
-    # length < l needs coverage up to length 2(l-1), i.e. rounds 2l - 4.
     for rnd in range(1, 2 * max_path_len + 1):
-        for vec in frontier:
-            for name in amap:
-                for on_left in (True, False):
-                    cand = times_arrow(vec, name, on_left)
-                    if cand:
-                        elim.insert(cand)
-        frontier = _fresh_rules(elim)
+        for lead in frontier:
+            for cand in multiples(elim.rules[lead]):
+                if cand:
+                    elim.insert(cand)
+        frontier = elim.fresh()
         if death_len is None:
             for length in range(2, min(rnd + 2, max_path_len) + 1):
-                if layer_dead(length):
+                if all((src, word) in elim.rules for src, word, _ in layer(length)):
                     death_len = length
                     break
-        if death_len is not None and rnd >= max(1, 2 * death_len - 4):
+            else:
+                if rnd + 2 > max_path_len:
+                    raise _survive_error(max_path_len)
+                continue
+        if all(len(word) > 2 * (death_len - 1) for _, word in frontier):
             break
-        if death_len is None and rnd + 2 > max_path_len:
-            raise _survive_error(max_path_len)
 
     if death_len is None:
         raise _survive_error(max_path_len)
 
     # residue basis: irreducible paths of length < death_len
-    basis = []
-    for length in range(death_len):
-        while len(paths_by_len) <= length:
-            extend_layer()
-        for p in paths_by_len[length]:
-            if p not in elim.rules:
-                basis.append(p)
+    basis = [(src, word) for length in range(death_len) for src, word, _ in layer(length)
+             if (src, word) not in elim.rules]
     # safety: no irreducible path may survive between death_len and the
     # window the multiplication table needs
     for length in range(death_len, min(2 * (death_len - 1), max_path_len) + 1):
-        while len(paths_by_len) <= length:
-            extend_layer()
-        for p in paths_by_len[length]:
-            if p not in elim.rules:
+        if any((src, word) not in elim.rules for src, word, _ in layer(length)):
+            raise BoundExceeded(
+                "residue basis did not stabilize at the detected layer; "
+                "relations are too wild for layer elimination")
+    return _from_elimination(quiver, relations, fld, basis, elim, words, max_path_len)
+
+
+def _from_elimination(quiver, relations, fld, basis, elim, words, max_path_len):
+    """The algebra on the residue basis, each product b_i * b_j read off
+    the concatenated path: a basis path by its index, a path that contains
+    a word (where the two join, as neither contains one) as 0, and any
+    other path from its normal form."""
+    amap = quiver.arrow_map()
+    lengths = {len(w) for w in words}
+    index = {p: i for i, p in enumerate(basis)}
+    dim, one = len(basis), fld.one()
+    starting = {v: [] for v in quiver.vertices}
+    for j, (src, word) in enumerate(basis):
+        starting[src].append((j, word))
+
+    mult = dict.fromkeys(itertools.product(range(dim), repeat=2), ())
+    for i, (src, word) in enumerate(basis):
+        end = amap[word[-1]][1] if word else src
+        for j, word_j in starting[end]:
+            path = (src, word + word_j)
+            k = index.get(path)
+            if k is not None:
+                mult[(i, j)] = ((k, one),)
+                continue
+            if _contains_word(path[1], words, lengths):
+                continue
+            red = elim.normal_form(path)
+            if any(r not in index for r in red):
                 raise BoundExceeded(
-                    "residue basis did not stabilize at the detected layer; "
-                    "relations are too wild for layer elimination")
-
-    return Algebra._from_elimination(quiver, relations, fld, basis, elim, max_path_len)
-
-
-def _fresh_rules(elim: _Eliminator):
-    # rules inserted since the previous call are exactly those not yet tagged
-    tagged = getattr(elim, "_tagged", set())
-    fresh = [dict(vec) for lead, vec in elim.rules.items() if lead not in tagged]
-    elim._tagged = set(elim.rules)
-    return fresh
+                    "product reduction escaped the residue basis; "
+                    "increase max_path_len")
+            mult[(i, j)] = tuple(sorted((index[r], c) for r, c in red.items()))
+    alg = Algebra(quiver, relations, fld, tuple(basis), mult, max_path_len)
+    alg._verify()
+    return alg
 
 
 def _memo(obj, key, compute, keep=None):
@@ -458,31 +529,6 @@ class Algebra:
                 ("_from", {v: tuple(ps) for v, ps in paths_from.items()}),
                 ("_to", {v: tuple(ps) for v, ps in paths_to.items()})):
             object.__setattr__(self, name, value)
-
-    # -- construction --------------------------------------------------------
-
-    @staticmethod
-    def _from_elimination(quiver, relations, fld, basis, elim, max_path_len):
-        amap = quiver.arrow_map()
-        index = {p: i for i, p in enumerate(basis)}
-        dim = len(basis)
-        starting = {v: [] for v in quiver.vertices}
-        for j, (src, _) in enumerate(basis):
-            starting[src].append(j)
-
-        mult = dict.fromkeys(itertools.product(range(dim), repeat=2), ())
-        for i, (src, word) in enumerate(basis):
-            end = amap[word[-1]][1] if word else src
-            for j in starting[end]:
-                red = elim.reduce({(src, word + basis[j][1]): fld.one()})
-                if any(r not in index for r in red):
-                    raise BoundExceeded(
-                        "product reduction escaped the residue basis; "
-                        "increase max_path_len")
-                mult[(i, j)] = tuple(sorted((index[r], c) for r, c in red.items()))
-        alg = Algebra(quiver, relations, fld, tuple(basis), mult, max_path_len)
-        alg._verify()
-        return alg
 
     # -- verified invariants ---------------------------------------------------
 

@@ -88,9 +88,11 @@ def _parse_relation(rest: str) -> RelationPoly:
             sign = 1 if piece == "+" else -1
             expect_term = True
             continue
-        tokens = [t for t in piece.split("*") if t]
-        if not tokens:
+        tokens = piece.split("*")
+        if not piece:
             raise InputError(f"empty term in relation {rest!r}")
+        if "" in tokens:
+            raise InputError(f"empty factor in relation {rest!r}")
         coeff = Fraction(sign)
         if _NUM_RE.match(tokens[0]):
             coeff *= _parse_number(tokens[0])

@@ -299,9 +299,6 @@ class Matrix:
             return _zeros(self.field, rows, self.cols)
         return Matrix(self.field, rows, self.cols, self.entries + other.entries)
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
     def take_rows(self, idxs) -> "Matrix":
         if not idxs:
             return _zeros(self.field, 0, self.cols)

@@ -270,17 +270,6 @@ class HomSpace:
                 for v, grid in grids.items()}
         return ModuleMap._trusted(self.source, self.target, mats)
 
-    def coords(self, f: ModuleMap) -> tuple:
-        """Coordinates of a map in this basis (raises if not in the span)."""
-        fld = self.source.algebra.field
-        rows = Matrix(fld, len(self.basis), _entry_count(self.source, self.target),
-                      tuple(_flatten_map(b) for b in self.basis))
-        v = Matrix(fld, 1, rows.cols, (_flatten_map(f),))
-        x, _ = solve_linear_system(rows, v)
-        if x is None:
-            raise ConsistencyError("map does not lie in the hom space")
-        return x.entries[0]
-
 
 def _entry_count(m: Representation, n: Representation) -> int:
     return sum(m.dims[v] * n.dims[v] for v in m.algebra.vertices)

@@ -30,6 +30,12 @@ code that only tests call:
   Algebra._verify replaced; it uses the field's element operations.
 - reference_generator_certificate: the check of every generator triple,
   which the graded certificate of Algebra._verify replaced.
+- reference_elimination, with _path_key, _Eliminator, _fresh_rules and
+  _from_elimination: KQ/I by elimination rounds over every path, zero
+  relations included, stopped after a fixed number of rounds, each
+  product reduced afresh; building a mixed ideal in its monomial quotient
+  replaced it.  It is the package code as it was, with its imports made
+  local.
 - reference_left_approximation: a direct greedy search built on the
   library's Hom solver.
 - reference_triangle: the direct block assembly of a triangle, which
@@ -108,6 +114,8 @@ package code as it was, with its imports made local:
   connecting cocycle.
 - total_matrix: a module map as one block-diagonal matrix over the
   flattened spaces (formerly the method ModuleMap.total_matrix).
+- coords: the coordinates of a map in the basis of a Hom space
+  (formerly the method HomSpace.coords).
 - trace_submodule: the inclusion of the trace of one module in another.
 - in_add_of: add(t) membership read off the minimal right
   add(t)-approximation.
@@ -1716,6 +1724,23 @@ def total_matrix(f: ModuleMap) -> Matrix:
                   tuple(tuple(r) for r in out))
 
 
+def coords(hs: HomSpace, f: ModuleMap) -> tuple:
+    """Coordinates of a map in the basis of a Hom space (raises if not in
+    the span; formerly the method HomSpace.coords)."""
+    from quivertilt.errors import ConsistencyError
+    from quivertilt.linalg import Matrix, solve_linear_system
+    from quivertilt.modules import _entry_count, _flatten_map
+
+    fld = hs.source.algebra.field
+    rows = Matrix(fld, len(hs.basis), _entry_count(hs.source, hs.target),
+                  tuple(_flatten_map(b) for b in hs.basis))
+    v = Matrix(fld, 1, rows.cols, (_flatten_map(f),))
+    x, _ = solve_linear_system(rows, v)
+    if x is None:
+        raise ConsistencyError("map does not lie in the hom space")
+    return x.entries[0]
+
+
 def trace_submodule(gen: Representation, target: Representation) -> ModuleMap:
     """Inclusion of the trace of gen in target: the sum of images of all
     morphisms gen -> target, spanned by the rows of a Hom basis
@@ -1881,3 +1906,204 @@ def ext_tor_agree(report: HomEpiReport) -> bool:
     same degrees (formerly the property HomEpiReport.agree)?"""
     return all((e == 0) == (t == 0) for e, t in zip(report.ext_dims, report.tor_dims)) and \
         (all(e == 0 for e in report.ext_dims) == all(t == 0 for t in report.tor_dims))
+
+
+# -- the elimination rounds for any ideal, as the package had them -----------------
+
+
+def _path_key(arrow_index: dict, src_index: dict, path):
+    src, word = path
+    return (len(word), tuple(arrow_index[a] for a in word), src_index[src])
+
+
+class _Eliminator:
+    """Echelonized span of two-sided ideal instances in path coordinates.
+
+    Vectors are dicts path -> coefficient.  The order is length-graded
+    (longer paths are leading), then lexicographic on arrow indices.  Rules
+    are normalized to leading coefficient one and indexed by leading path.
+    """
+
+    def __init__(self, fld: FieldSpec, keyfn):
+        self.fld = fld
+        self.key = keyfn
+        self.rules = {}
+
+    def reduce(self, vec: dict) -> dict:
+        fld = self.fld
+        out = {}
+        work = dict(vec)
+        while work:
+            p = max(work, key=self.key)
+            c = work.pop(p)
+            if not c:
+                continue
+            rule = self.rules.get(p)
+            if rule is None:
+                out[p] = c
+                continue
+            for q, d in rule.items():
+                if q == p:
+                    continue
+                nc = fld.sub(work.get(q, fld.zero()), fld.mul(c, d))
+                if nc:
+                    work[q] = nc
+                elif q in work:
+                    del work[q]
+        return out
+
+    def insert(self, vec: dict) -> bool:
+        """Reduce and, if nonzero, add as a new rule.  Returns True if added."""
+        red = self.reduce(vec)
+        if not red:
+            return False
+        lead = max(red, key=self.key)
+        inv = self.fld.inv(red[lead])
+        self.rules[lead] = {p: self.fld.mul(inv, c) for p, c in red.items()}
+        return True
+
+
+def reference_elimination(quiver, relations, fld, vectors, max_path_len):
+    """KQ/I for any ideal, from the nonzero relation vectors: enumerate
+    paths by increasing length; close the span of relation instances under
+    one-arrow extension on both sides, layer by layer; stop at the first
+    length whose paths are all reducible.  The residue basis is the
+    irreducible paths of shorter length, in enumeration order, and each
+    product of two basis paths is the reduction of their concatenation."""
+    from quivertilt.algebra import PATH_COUNT_CAP, _cap_error, _survive_error
+    from quivertilt.errors import BoundExceeded
+
+    amap = quiver.arrow_map()
+    arrow_index = {a[0]: i for i, a in enumerate(quiver.arrows)}
+    src_index = {v: i for i, v in enumerate(quiver.vertices)}
+    keyfn = lambda p: _path_key(arrow_index, src_index, p)
+
+    def path_target(path):
+        src, word = path
+        return amap[word[-1]][1] if word else src
+
+    # paths_by_len[l] = list of paths of length l, in deterministic order
+    paths_by_len = [[(v, ()) for v in quiver.vertices]]
+    total_paths = len(quiver.vertices)
+
+    def extend_layer():
+        nonlocal total_paths
+        prev = paths_by_len[-1]
+        out = []
+        for src, word in prev:
+            end = path_target((src, word))
+            for name, s, t in quiver.arrows:
+                if s == end:
+                    out.append((src, word + (name,)))
+        total_paths += len(out)
+        if total_paths > PATH_COUNT_CAP:
+            raise _cap_error()
+        paths_by_len.append(out)
+
+    elim = _Eliminator(fld, keyfn)
+    for vec in vectors:
+        elim.insert(vec)
+    elim._tagged = set()
+    frontier = _fresh_rules(elim)
+
+    def times_arrow(vec: dict, name: str, on_left: bool) -> dict:
+        s, t = amap[name]
+        out = {}
+        for (src, word), c in vec.items():
+            if on_left:
+                # arrow * path: arrow must end where the path starts
+                if t == src:
+                    out[(s, (name,) + word)] = c
+            else:
+                if path_target((src, word)) == s:
+                    out[(src, word + (name,))] = c
+        return out
+
+    death_len = None
+
+    def layer_dead(length: int) -> bool:
+        while len(paths_by_len) <= length:
+            extend_layer()
+        return all(p in elim.rules for p in paths_by_len[length])
+
+    # Round k makes the rule span cover all instances u*r*w with |u|+|w| <= k.
+    # Checking death at length l needs rounds >= l - 2 (relations have terms
+    # of length >= 2); building the multiplication table of residues of
+    # length < l needs coverage up to length 2(l-1), i.e. rounds 2l - 4.
+    for rnd in range(1, 2 * max_path_len + 1):
+        for vec in frontier:
+            for name in amap:
+                for on_left in (True, False):
+                    cand = times_arrow(vec, name, on_left)
+                    if cand:
+                        elim.insert(cand)
+        frontier = _fresh_rules(elim)
+        if death_len is None:
+            for length in range(2, min(rnd + 2, max_path_len) + 1):
+                if layer_dead(length):
+                    death_len = length
+                    break
+        if death_len is not None and rnd >= max(1, 2 * death_len - 4):
+            break
+        if death_len is None and rnd + 2 > max_path_len:
+            raise _survive_error(max_path_len)
+
+    if death_len is None:
+        raise _survive_error(max_path_len)
+
+    # residue basis: irreducible paths of length < death_len
+    basis = []
+    for length in range(death_len):
+        while len(paths_by_len) <= length:
+            extend_layer()
+        for p in paths_by_len[length]:
+            if p not in elim.rules:
+                basis.append(p)
+    # safety: no irreducible path may survive between death_len and the
+    # window the multiplication table needs
+    for length in range(death_len, min(2 * (death_len - 1), max_path_len) + 1):
+        while len(paths_by_len) <= length:
+            extend_layer()
+        for p in paths_by_len[length]:
+            if p not in elim.rules:
+                raise BoundExceeded(
+                    "residue basis did not stabilize at the detected layer; "
+                    "relations are too wild for layer elimination")
+
+    return _from_elimination(quiver, relations, fld, basis, elim, max_path_len)
+
+
+def _fresh_rules(elim: _Eliminator):
+    # rules inserted since the previous call are exactly those not yet tagged
+    tagged = getattr(elim, "_tagged", set())
+    fresh = [dict(vec) for lead, vec in elim.rules.items() if lead not in tagged]
+    elim._tagged = set(elim.rules)
+    return fresh
+
+
+def _from_elimination(quiver, relations, fld, basis, elim, max_path_len):
+    import itertools
+
+    from quivertilt.algebra import Algebra
+    from quivertilt.errors import BoundExceeded
+
+    amap = quiver.arrow_map()
+    index = {p: i for i, p in enumerate(basis)}
+    dim = len(basis)
+    starting = {v: [] for v in quiver.vertices}
+    for j, (src, _) in enumerate(basis):
+        starting[src].append(j)
+
+    mult = dict.fromkeys(itertools.product(range(dim), repeat=2), ())
+    for i, (src, word) in enumerate(basis):
+        end = amap[word[-1]][1] if word else src
+        for j in starting[end]:
+            red = elim.reduce({(src, word + basis[j][1]): fld.one()})
+            if any(r not in index for r in red):
+                raise BoundExceeded(
+                    "product reduction escaped the residue basis; "
+                    "increase max_path_len")
+            mult[(i, j)] = tuple(sorted((index[r], c) for r, c in red.items()))
+    alg = Algebra(quiver, relations, fld, tuple(basis), mult, max_path_len)
+    alg._verify()
+    return alg

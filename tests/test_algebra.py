@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quivertilt.algebra as algebra_module
@@ -9,13 +9,13 @@ from quivertilt import (GF, QQ, BoundExceeded, ConsistencyError, InputError, Qui
                         RelationPoly, build_algebra, injective,
                         opposite_algebra, projective, regular_module, simple,
                         tilting_module_check)
-from quivertilt.algebra import Algebra, _build_by_elimination, _memo, _rel_vector
+from quivertilt.algebra import Algebra, _memo, _rel_vector
 from quivertilt.formats import fixture_algebra, parse_algebra_text
 from quivertilt.modules import direct_sum, hom_space, is_isomorphic, proj_sum, proj_sum_layout
 from conftest import (counting, linear_algebra, non_prefix_closed_algebra, reordered_algebra,
                       tilting_summary)
-from oracles import (reference_generator_certificate, reference_module_from_paths,
-                     reference_verify_algebra)
+from oracles import (reference_elimination, reference_generator_certificate,
+                     reference_module_from_paths, reference_verify_algebra)
 
 
 def test_a2_basis(a2):
@@ -498,12 +498,12 @@ MONOMIAL_FIELDS = [QQ, GF(101), GF(2), GF(3)]
 
 
 def _by_elimination(quiver, relations, fld, max_path_len=64):
-    """The algebra the elimination rounds build from the relations, whatever
-    the ideal."""
+    """The algebra the reference elimination rounds build from the
+    relations, whatever the ideal."""
     relations = tuple(relations)
     amap = quiver.arrow_map()
     vectors = [vec for vec in (_rel_vector(r, amap, fld) for r in relations) if vec]
-    return _build_by_elimination(quiver, relations, fld, vectors, max_path_len)
+    return reference_elimination(quiver, relations, fld, vectors, max_path_len)
 
 
 def _same_as_elimination(monkeypatch, quiver, relations, fld, max_path_len=64):
@@ -552,13 +552,11 @@ def test_monomial_fixtures_build_as_the_elimination_builds(monkeypatch, field):
 
 @pytest.mark.parametrize("field", MONOMIAL_FIELDS, ids=["Q", "GF101", "GF2", "GF3"])
 def test_a_binomial_relation_builds_through_the_elimination(monkeypatch, field):
-    """triple3's b*a - g*d is no zero relation: the elimination builds it."""
+    """triple3's b*a - g*d is no zero relation: the elimination builds it,
+    with the reference elimination's basis and table."""
     alg = fixture_algebra("triple3", field)
-    rounds = counting(monkeypatch, algebra_module, "_build_by_elimination")
-    monomial = counting(monkeypatch, algebra_module, "_build_monomial")
-    rebuilt = build_algebra(alg.quiver, alg.relations, alg.field)
-    assert (len(rounds), len(monomial)) == (1, 0)
-    assert (rebuilt.basis, rebuilt.mult) == (alg.basis, alg.mult) and alg.dim == 9
+    got, _ = _mixed_as_reference(monkeypatch, alg.quiver, alg.relations, alg.field)
+    assert (got.basis, got.mult) == (alg.basis, alg.mult) and alg.dim == 9
 
 
 def test_linear_families_build_as_the_elimination_builds(monkeypatch):
@@ -640,3 +638,185 @@ def test_random_monomial_algebras_build_as_the_elimination_builds(case):
     q, rels, fld = case
     with pytest.MonkeyPatch.context() as monkeypatch:
         _same_as_elimination(monkeypatch, q, rels, fld, max_path_len=5)
+
+
+# -- mixed ideals in their monomial quotient against the reference elimination ----
+
+
+def _mixed_as_reference(monkeypatch, quiver, relations, fld, max_path_len=64):
+    """build_algebra takes the elimination route exactly when a relation
+    keeps two terms over fld.  Where the reference elimination builds, it
+    gives the same basis and table; where the reference raises
+    BoundExceeded, it raises BoundExceeded too or returns an algebra that
+    passes _verify and the full sweep.  Returns both outcomes,
+    build_algebra's first: an algebra or BoundExceeded."""
+    amap = quiver.arrow_map()
+    mixed = any(len(_rel_vector(r, amap, fld)) > 1 for r in relations)
+    rounds = counting(monkeypatch, algebra_module, "_build_by_elimination")
+    outcomes = []
+    for build in (build_algebra, _by_elimination):
+        try:
+            outcomes.append(build(quiver, relations, fld, max_path_len))
+        except BoundExceeded:
+            outcomes.append(BoundExceeded)
+    monkeypatch.undo()
+    assert len(rounds) == mixed
+    got, want = outcomes
+    if want is not BoundExceeded:
+        assert got is not BoundExceeded and (got.basis, got.mult) == (want.basis, want.mult)
+    elif got is not BoundExceeded:
+        got._verify()
+        assert reference_verify_algebra(got)
+    return got, want
+
+
+@pytest.mark.parametrize("field", MONOMIAL_FIELDS, ids=["Q", "GF101", "GF2", "GF3"])
+@pytest.mark.parametrize("terms, dim", [
+    ([((1, ("a", "b")), (-1, ("c", "b")))], 7),
+    ([((1, ("a", "b")), (5, ("c", "b")))], 7),
+    ([((1, ("a", "b")), (-1, ("c", "b"))), ((1, ("a", "b")),)], 6),
+    ([((1, ("c", "b")), (1, ("a", "b"))), ((3, ("c", "b")),)], None),
+], ids=["ab=cb", "ab=-5cb", "ab=cb=0", "cb-vanishing-over-GF3"])
+def test_mixed_relations_on_a_square_build_as_the_reference_builds(monkeypatch, field, terms,
+                                                                   dim):
+    """The quiver of test_inhomogeneous_relation_layer_elimination, with a
+    relation between a*b and c*b, alone or beside a zero relation."""
+    q = Quiver(("1", "2", "3"), (("a", "1", "2"), ("b", "2", "3"), ("c", "1", "2")))
+    rels = [RelationPoly(t) for t in terms]
+    got, _ = _mixed_as_reference(monkeypatch, q, rels, field)
+    # over GF(3), 3*c*b is no relation and c*b + a*b stays mixed; elsewhere
+    # it is the zero relation c*b, which leaves a*b = 0 too
+    assert got.dim == (dim or (7 if field == GF(3) else 6))
+
+
+def _loops_algebra(field, names, relations, max_path_len=64):
+    """One vertex with the loops ``names``, from the text of its file."""
+    text = f"field {field}\nvertex 1\n" + "".join(f"arrow {x}: 1 -> 1\n" for x in names)
+    return parse_algebra_text(text + "".join(f"relation {r}\n" for r in relations),
+                              max_path_len=max_path_len)
+
+
+@pytest.mark.parametrize("field, names, relations, dim", [
+    ("Q", ("x", "y"), ("x*y", "y*x", "x*x*x - y*y"), 5),
+    ("GF(101)", ("x", "y"), ("x*y", "y*x", "x*x*x - y*y"), 5),
+    ("GF(2)", ("x0", "x1"), ("x0*x1", "x0*x0*x1 + x0*x0", "x0*x1*x1 - x1*x1"), 4),
+    ("Q", ("x0", "x1"), ("x0*x1", "x0*x0*x1 + x0*x0", "x0*x1*x1 - x1*x1"), 4),
+])
+def test_admissible_algebras_the_fixed_round_count_refused_build(monkeypatch, field, names,
+                                                                 relations, dim):
+    """The reference elimination raises BoundExceeded on these: its fixed
+    2 * death_len - 4 rounds leave a path of the window irreducible.  In
+    the monomial quotient they build, and pass _verify and the full sweep."""
+    alg = _loops_algebra(field, names, relations)
+    assert alg.dim == dim
+    got, want = _mixed_as_reference(monkeypatch, alg.quiver, alg.relations, alg.field)
+    assert want is BoundExceeded and (got.basis, got.mult) == (alg.basis, alg.mult)
+
+
+def test_rounds_go_on_while_a_new_rule_leads_inside_the_window(monkeypatch):
+    """Pruning with a fixed 2 * death_len - 4 rounds raised BoundExceeded
+    here; the rounds that go on while a new leading path lies in the window
+    build the algebra the reference builds."""
+    relations = ("x0*x0", "3*x1*x1*x1", "-x0*x0*x0", "2*x0*x1*x1", "x0*x1*x1",
+                 "x1*x1*x1 + 2*x1*x1", "x0*x1*x0 - x1*x0")
+    alg = _loops_algebra("GF(3)", ("x0", "x1"), relations, max_path_len=4)
+    assert alg.dim == 5 and [word for _, word in alg.basis] == [
+        (), ("x0",), ("x1",), ("x0", "x1"), ("x1", "x1")]
+    _, want = _mixed_as_reference(monkeypatch, alg.quiver, alg.relations, alg.field, 4)
+    assert want is not BoundExceeded
+
+
+def test_no_rule_of_triple3_leads_with_a_zero_relation_word(monkeypatch):
+    """The words a*g, d*g and d*b are never eliminated: after triple3 is
+    built, the count of rules whose leading path contains one is 0.  The
+    reference elimination, which takes them as rules, has such rules."""
+    import oracles
+
+    built = counting(monkeypatch, algebra_module, "_from_elimination")
+    referenced = counting(monkeypatch, oracles, "_from_elimination")
+    alg = fixture_algebra("triple3")
+    _by_elimination(alg.quiver, alg.relations, alg.field)
+    words = {("a", "g"), ("d", "g"), ("d", "b")}
+
+    def with_word(elim):
+        return [lead for _, lead in elim.rules
+                if any(lead[i:i + 2] in words for i in range(len(lead) - 1))]
+
+    (args,), (ref_args,) = built, referenced
+    assert len(with_word(args[4])) == 0
+    assert len(with_word(ref_args[4])) > 0
+
+
+@pytest.mark.parametrize("vertices, arrows, terms, field, max_path_len, dim", [
+    ("12", (("x0", "2", "2"), ("x1", "2", "1"), ("x2", "1", "2")),
+     [((2, ("x1", "x2", "x1")),), ((3, ("x2", "x0", "x0")),), ((2, ("x2", "x1")),),
+      ((3, ("x1", "x2", "x0")),), ((2, ("x2", "x0")), (3, ("x2", "x0", "x0"))),
+      ((2, ("x0", "x1", "x2")), (1, ("x0", "x0")))], GF(3), 3, 8),
+    ("1", (("x0", "1", "1"), ("x1", "1", "1")),
+     [((3, ("x0", "x0", "x0")),), ((2, ("x0", "x1")),), ((3, ("x1", "x1", "x1")),),
+      ((-1, ("x1", "x1")), (-1, ("x0", "x1", "x1"))),
+      ((3, ("x1", "x0", "x0")), (2, ("x0", "x0")))], GF(3), 5, 4),
+    ("123", (("x0", "3", "2"), ("x1", "2", "1"), ("x2", "1", "3"), ("x3", "3", "1")),
+     [((-1, ("x1", "x2")),), ((-1, ("x2", "x0")),),
+      ((2, ("x0", "x1", "x2")), (-1, ("x3", "x2")))], GF(3), 5, 9),
+    # vertex 2 is isolated
+    ("123", (("x0", "1", "3"), ("x1", "1", "1"), ("x2", "3", "1")),
+     [((3, ("x0", "x2")), (3, ("x1", "x1", "x1"))),
+      ((2, ("x2", "x0")), (3, ("x2", "x1", "x0")))], GF(2), 5, 20),
+    ("1", (("x0", "1", "1"), ("x1", "1", "1")),
+     [((1, ("x1", "x1")),), ((-1, ("x1", "x1", "x0")),), ((2, ("x0", "x0")),),
+      ((3, ("x0", "x0", "x1")), (3, ("x1", "x1", "x1"))),
+      ((1, ("x1", "x0", "x0")), (-1, ("x1", "x0")))], QQ, 5, 4),
+])
+def test_random_inputs_the_reference_refuses_build_and_pass_the_sweep(
+        monkeypatch, vertices, arrows, terms, field, max_path_len, dim):
+    """Inputs of mixed_inputs' kind, found among about 6,000 generated
+    ones, on which the reference elimination raises BoundExceeded and
+    build_algebra returns an algebra that passes _verify and the full
+    sweep.  ``dim`` was checked by hand on the four smaller ones; on the
+    GF(2) one, the paths of length < 5 span a 20-dimensional space modulo
+    the ideal's instances of length <= 10."""
+    q = Quiver(tuple(vertices), arrows)
+    got, want = _mixed_as_reference(monkeypatch, q, [RelationPoly(t) for t in terms], field,
+                                    max_path_len)
+    assert want is BoundExceeded and got.dim == dim
+
+
+def _parallel_walks(arrows):
+    """The walks of length 2 or 3 grouped by their endpoints, groups of at
+    least two walks only."""
+    groups, walks = {}, [(a,) for a in arrows]
+    for length in (2, 3):
+        walks = [w + (a,) for w in walks for a in arrows if a[1] == w[-1][2]]
+        for w in walks:
+            groups.setdefault((w[0][1], w[-1][2]), []).append(tuple(a[0] for a in w))
+    return [g for g in groups.values() if len(g) >= 2]
+
+
+@st.composite
+def mixed_inputs(draw):
+    """A monomial input (monomial_inputs) whose quiver has two parallel
+    walks of length 2 or 3, with one or two relations between two such
+    walks, coefficients that may vanish in the field, and a max_path_len of
+    3 to 6."""
+    q, rels, fld = draw(monomial_inputs())
+    groups = _parallel_walks(q.arrows)
+    assume(groups)
+    for _ in range(draw(st.integers(1, 2))):
+        pair = draw(st.lists(st.sampled_from(draw(st.sampled_from(groups))),
+                             min_size=2, max_size=2, unique=True))
+        rels.append(RelationPoly(tuple((draw(st.sampled_from((1, -1, 2, 3))), w)
+                                       for w in pair)))
+    return q, rels, fld, draw(st.integers(3, 6))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(mixed_inputs())
+def test_random_mixed_ideals_build_as_the_reference_builds(case):
+    """A fixed draw of 100 inputs: a free loop algebra at max_path_len 6
+    takes the reference elimination seconds and about 100 MiB, which a
+    fresh draw on every run could meet, and a later test reads the peak
+    RSS of a child forked from this process."""
+    q, rels, fld, max_path_len = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _mixed_as_reference(monkeypatch, q, rels, fld, max_path_len)

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -88,6 +89,18 @@ def test_parse_errors():
                         ("dim 1=1 2=1\nmap a = [[1/0]]", "1/0")):
         with pytest.raises(InputError, match=f"'{token}'"):
             parse_module_text(text, a2)
+
+
+@pytest.mark.parametrize("relation", ["x**x", "*x*x", "x*x*", "2**x*x"])
+def test_a_relation_with_an_empty_factor_is_rejected(tmp_path, relation):
+    """An empty factor is an error naming the relation, not a dropped
+    factor that reads the relation as x*x; at the CLI it exits 2."""
+    text = f"field Q\nvertex 1\narrow x: 1 -> 1\nrelation {relation}\n"
+    with pytest.raises(InputError, match=f"empty factor in relation '{re.escape(relation)}'"):
+        parse_algebra_text(text)
+    alg = tmp_path / "bad.alg"
+    alg.write_text(text)
+    assert main(["info", str(alg)]) == 2
 
 
 def test_cli_malformed_number_exits_2(tmp_path):

@@ -146,28 +146,34 @@ def test_no_true_division_in_arithmetic_modules():
 
 
 def defined_functions(source: str) -> list:
-    """(line, name) of each function and method defined in the source,
-    except dunder methods, which Python calls by protocol."""
+    """(line, name, is_method) of each function and method defined in the
+    source, except dunder methods, which Python calls by protocol.  A
+    method is a function defined directly in a class body."""
     tree = ast.parse(source)
-    return sorted((node.lineno, node.name) for node in ast.walk(tree)
+    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body}
+    return sorted((node.lineno, node.name, id(node) in methods) for node in ast.walk(tree)
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                   and not (node.name.startswith("__") and node.name.endswith("__")))
 
 
-def referenced_names(source: str) -> set:
+def referenced_names(source: str, attributes_only: bool = False) -> set:
     """Names the source refers to: a read or written name, an attribute or an
-    imported name, except a reference inside a function of that same name,
-    so that a function reached only from its own body counts as unused."""
+    imported name (with ``attributes_only``, an attribute only), except a
+    reference inside a function of that same name, so that a function
+    reached only from its own body counts as unused."""
     found = set()
 
     def visit(node, enclosing):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             enclosing = enclosing | {node.name}
         names = []
-        if isinstance(node, ast.Name):
-            names.append(node.id)
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             names.append(node.attr)
+        elif attributes_only:
+            pass
+        elif isinstance(node, ast.Name):
+            names.append(node.id)
         elif isinstance(node, ast.ImportFrom):
             names.extend(alias.name for alias in node.names)
         found.update(n for n in names if n not in enclosing)
@@ -187,13 +193,14 @@ ENTRY_POINTS = (
 )
 
 
-def package_references(package_sources: dict) -> set:
-    """Names the package sources (file name -> source) other than
-    ``__init__.py`` refer to, each outside its own body."""
+def package_references(package_sources: dict, attributes_only: bool = False) -> set:
+    """Names (with ``attributes_only``, attribute names) the package sources
+    (file name -> source) other than ``__init__.py`` refer to, each outside
+    its own body."""
     used = set()
     for path, source in package_sources.items():
         if path != "__init__.py":
-            used |= referenced_names(source)
+            used |= referenced_names(source, attributes_only)
     return used
 
 
@@ -201,12 +208,15 @@ def unreferenced_functions(package_sources: dict, entry_points=()) -> list:
     """(file, line, name) of each public function or method defined in one
     of ``package_sources`` that no package source other than
     ``__init__.py`` refers to outside its own body, and that is not one of
-    ``entry_points``.  A re-export in ``__init__.py`` or a call from a test
-    is no caller: code only tests reach belongs with them."""
+    ``entry_points``.  A method is reached only through an attribute, so a
+    local variable of the same name is no reference to it.  A re-export in
+    ``__init__.py`` or a call from a test is no caller: code only tests
+    reach belongs with them."""
     used = package_references(package_sources) | set(entry_points)
+    attributes = package_references(package_sources, attributes_only=True)
     return sorted((path, line, name) for path, source in package_sources.items()
-                  for line, name in defined_functions(source)
-                  if not name.startswith("_") and name not in used)
+                  for line, name, method in defined_functions(source)
+                  if not name.startswith("_") and name not in (attributes if method else used))
 
 
 def test_unreferenced_function_detector_sees_functions_methods_and_recursion():
@@ -217,12 +227,16 @@ def test_unreferenced_function_detector_sees_functions_methods_and_recursion():
                     "def entry():\n    return 4\n"
                     "class K:\n    def __repr__(self):\n        return 'K'\n"
                     "    def method(self):\n        return self.other()\n"
-                    "    def other(self):\n        return 2\n"),
-           "n.py": "from .m import K, dead\n\ndef api():\n    return K().method(), dead\n",
+                    "    def other(self):\n        return 2\n"
+                    "    def shadowed(self):\n        return 5\n"),
+           "n.py": ("from .m import K, dead\n\ndef api():\n"
+                    "    shadowed = K().method()\n    return shadowed, dead\n"),
            "__init__.py": "from .m import entry, only_tested\nfrom .n import api\n"}
-    # only_tested is exported, and a test may call it: neither is a caller
+    # only_tested is exported, and a test may call it: neither is a caller;
+    # the local variable named shadowed is no reference to the method
     assert unreferenced_functions(pkg, ("entry",)) == [
-        ("m.py", 5, "recursive"), ("m.py", 7, "only_tested"), ("n.py", 3, "api")]
+        ("m.py", 5, "recursive"), ("m.py", 7, "only_tested"), ("m.py", 18, "shadowed"),
+        ("n.py", 3, "api")]
     assert ("m.py", 9, "entry") in unreferenced_functions(pkg)
 
 
@@ -275,14 +289,16 @@ def test_package_imports_nothing_from_the_tests():
 def private_functions_unused_by_package(package_sources: dict) -> list:
     """(file, line, name) of each function or method whose name starts with
     an underscore, defined in one of ``package_sources``, that no package
-    source refers to outside its own body.  A private helper that only
-    tests or benchmarks reach belongs with them, not in the package."""
-    used = set()
+    source refers to outside its own body (a method: through an
+    attribute).  A private helper that only tests or benchmarks reach
+    belongs with them, not in the package."""
+    used, attributes = set(), set()
     for source in package_sources.values():
         used |= referenced_names(source)
+        attributes |= referenced_names(source, attributes_only=True)
     return sorted((path, line, name) for path, source in package_sources.items()
-                  for line, name in defined_functions(source)
-                  if name.startswith("_") and name not in used)
+                  for line, name, method in defined_functions(source)
+                  if name.startswith("_") and name not in (attributes if method else used))
 
 
 def test_private_function_detector_ignores_tests_and_public_names():
@@ -290,9 +306,12 @@ def test_private_function_detector_ignores_tests_and_public_names():
                     "def public():\n    return _inner()\n"
                     "def _for_tests():\n    return _for_tests\n"
                     "class K:\n    def _hook(self):\n        return 2\n"
-                    "    def _used(self):\n        return self._hook()\n"),
-           "n.py": "from m import K\n\ndef api():\n    return K()._used()\n"}
-    assert private_functions_unused_by_package(pkg) == [("m.py", 5, "_for_tests")]
+                    "    def _used(self):\n        return self._hook()\n"
+                    "    def _shadowed(self):\n        return 3\n"),
+           "n.py": ("from m import K\n\ndef api():\n"
+                    "    _shadowed = K()._used()\n    return _shadowed\n")}
+    assert private_functions_unused_by_package(pkg) == [
+        ("m.py", 5, "_for_tests"), ("m.py", 12, "_shadowed")]
 
 
 def test_every_private_package_function_is_used_by_the_package():

@@ -12,8 +12,8 @@ from quivertilt.modules import (_assemble_block_map, cokernel, decompose, direct
                                 kernel, proj_sum, quotient, radical, socle, summand_factors,
                                 top, zero_map)
 from conftest import linear_algebra, non_prefix_closed_algebra, reordered_algebra
-from oracles import (block_matrix, direct_sum_with_maps, in_add_of, reference_hom_from_gens,
-                     trace_submodule)
+from oracles import (block_matrix, coords, direct_sum_with_maps, in_add_of,
+                     reference_hom_from_gens, trace_submodule)
 
 
 def test_hom_s2_p2(cycle2):
@@ -29,8 +29,7 @@ def test_identity_lies_in_end(cycle2):
         m = projective(cycle2, v)
         hs = hom_space(m, m)
         idm = identity_map(m)
-        coords = hs.coords(idm)
-        assert hs.combo(coords).mats == idm.mats
+        assert hs.combo(coords(hs, idm)).mats == idm.mats
 
 
 @pytest.mark.parametrize("coeffs", [[1], [1, 5, 7]])

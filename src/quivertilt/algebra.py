@@ -741,7 +741,7 @@ def projective(alg: Algebra, v) -> "Representation":
     """P_v = e_v * A: the basis paths starting at v, grouped by where they
     end, arrows acting by right multiplication (``modules.proj_sum``)."""
     from .modules import proj_sum
-    return proj_sum(alg, (v,)).rep
+    return proj_sum(alg, (v,))
 
 
 def injective(alg: Algebra, v) -> "Representation":

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field as _dc_field
 from .algebra import Algebra, _memo, zero_module
 from .errors import ConsistencyError, DimensionMismatch, InputError
 from .linalg import rank, row_space, solve_linear_system, solve_right_kernel
-from .modules import (ModuleMap, Representation, _assemble_block_map, _same_module,
-                      hom_from_gens, identity_map, proj_sum, quotient, submodule_from_rows,
+from .modules import (ModuleMap, Representation, _assemble_block_map, _quotient_by_rows,
+                      _same_module, hom_from_gens, identity_map, proj_sum, submodule_from_rows,
                       zero_map)
 from .homology import (DEFAULT_RESOLUTION_BOUND, Resolution, _check_resolution_of,
                        _class_coords, _gen_rows, _hom_basis, _hom_cohomology, _same_gen_rows,
@@ -36,24 +36,30 @@ from .homology import (DEFAULT_RESOLUTION_BOUND, Resolution, _check_resolution_o
 @dataclass(frozen=True)
 class PerfectComplex:
     """Bounded complex of projective sums.  Checked on construction: every
-    differential runs between the modules of its terms (_same_module), and
-    d∘d = 0 on the generator rows of each term, which decides it: a map out
-    of a projective sum is zero exactly when it kills the generators."""
+    term is a nonzero module built by ``proj_sum`` over the complex's
+    algebra (InputError otherwise), every differential runs between the
+    modules of its terms (_same_module), and d∘d = 0 on the generator rows
+    of each term, which decides it: a map out of a projective sum is zero
+    exactly when it kills the generators."""
 
     algebra: Algebra
-    terms: dict   # degree -> ProjSum (only nonzero degrees present)
+    terms: dict   # degree -> module built by proj_sum (only nonzero degrees present)
     diffs: dict   # degree n -> ModuleMap terms[n] -> terms[n+1]
     _caches: dict = _dc_field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         for n, t in self.terms.items():
-            if t.rank == 0:
+            if not isinstance(t, Representation) or t.gens is None:
+                raise InputError(f"term {n} is not a projective sum built by proj_sum")
+            if t.algebra is not self.algebra:
+                raise InputError(f"term {n} is over another algebra than the complex")
+            if not t.gens:
                 raise InputError("zero terms must be omitted from a complex")
         for n, d in self.diffs.items():
             if n not in self.terms or (n + 1) not in self.terms:
                 raise InputError("differential between absent terms")
-            if not (_same_module(d.source, self.terms[n].rep)
-                    and _same_module(d.target, self.terms[n + 1].rep)):
+            if not (_same_module(d.source, self.terms[n])
+                    and _same_module(d.target, self.terms[n + 1])):
                 raise DimensionMismatch("differential shape mismatch")
         for n, d in self.diffs.items():
             if not _same_gen_rows(_gen_rows(self.terms[n], d, self.diffs.get(n + 1)), None):
@@ -73,7 +79,7 @@ class PerfectComplex:
     def term_rep(self, n: int) -> Representation:
         t = self.terms.get(n)
         if t is not None:
-            return t.rep
+            return t
         return zero_module(self.algebra)
 
     def diff(self, n: int) -> ModuleMap:
@@ -104,11 +110,11 @@ def resolve_to_complex(m: Representation, bound: int = DEFAULT_RESOLUTION_BOUND,
     terms = {}
     diffs = {}
     for k, t in enumerate(res.terms):
-        if t.rank:
+        if t.gens:
             terms[-k] = t
     for k, d in enumerate(res.diffs):
         # d: terms[k+1] -> terms[k], i.e. degree -(k+1) -> -k
-        if res.terms[k + 1].rank and res.terms[k].rank:
+        if res.terms[k + 1].gens and res.terms[k].gens:
             diffs[-(k + 1)] = d
     return PerfectComplex(m.algebra, terms, diffs)
 
@@ -155,7 +161,7 @@ def direct_sum_complexes(parts, algebra: Algebra | None = None) -> PerfectComple
             continue
         blocks = [[live[i].diffs.get(n) if i == j else None for j in range(len(live))]
                   for i in range(len(live))]
-        d = _assemble_block_map(terms[n].rep, terms[n + 1].rep, blocks,
+        d = _assemble_block_map(terms[n], terms[n + 1], blocks,
                                 [p.term_rep(n) for p in live],
                                 [p.term_rep(n + 1) for p in live])
         if not d.is_zero():
@@ -178,7 +184,7 @@ class ChainMap:
         for n, f in self.comps.items():
             if n not in x.terms or n not in y.terms:
                 raise InputError("chain map component between absent terms")
-            if not (_same_module(f.source, x.terms[n].rep) and _same_module(f.target, y.terms[n].rep)):
+            if not (_same_module(f.source, x.terms[n]) and _same_module(f.target, y.terms[n])):
                 raise DimensionMismatch("chain map component shape mismatch")
         for n, t in x.terms.items():
             lhs = _gen_rows(t, self.comps.get(n), y.diffs.get(n))
@@ -230,7 +236,7 @@ def zero_chain_map(x: PerfectComplex, y: PerfectComplex) -> ChainMap:
 
 
 def identity_chain_map(x: PerfectComplex) -> ChainMap:
-    return ChainMap(x, x, {n: identity_map(x.terms[n].rep) for n in x.terms})
+    return ChainMap(x, x, {n: identity_map(x.terms[n]) for n in x.terms})
 
 
 def shift_chain_map(f: ChainMap, n: int) -> ChainMap:
@@ -253,7 +259,7 @@ def mapping_cone(f: ChainMap):
     for n in cone.terms:
         if n in sx.terms:
             proj_comps[n] = _assemble_block_map(
-                cone.terms[n].rep, sx.terms[n].rep,
+                cone.terms[n], sx.terms[n],
                 [[identity_map(x.term_rep(n + 1))], [None]],
                 [x.term_rep(n + 1), f.target.term_rep(n)], [x.term_rep(n + 1)])
     proj = ChainMap(cone, sx, proj_comps)
@@ -279,7 +285,7 @@ def _cone(f: ChainMap) -> PerfectComplex:
         tgt_reps = [x.term_rep(n + 2), y.term_rep(n + 1)]
         blocks = [[x.diff(n + 1).neg(), f.comp(n + 1)],
                   [None, y.diff(n)]]
-        d = _assemble_block_map(terms[n].rep, terms[n + 1].rep, blocks, src_reps, tgt_reps)
+        d = _assemble_block_map(terms[n], terms[n + 1], blocks, src_reps, tgt_reps)
         if not d.is_zero():
             diffs[n] = d
     return PerfectComplex(alg, terms, diffs)
@@ -292,7 +298,7 @@ def _cone_inclusion(f: ChainMap, cone: PerfectComplex) -> ChainMap:
     for n in y.terms:
         if n in cone.terms:
             incl_comps[n] = _assemble_block_map(
-                y.term_rep(n), cone.terms[n].rep,
+                y.term_rep(n), cone.terms[n],
                 [[None, identity_map(y.term_rep(n))]],
                 [y.term_rep(n)], [x.term_rep(n + 1), y.term_rep(n)])
     return ChainMap(y, cone, incl_comps)
@@ -343,9 +349,9 @@ class DerivedHomSpace:
                 pos = 0
                 for (i, vdim) in self._data["layout"]:
                     psum = x.terms[i]
-                    images = _split_gen_vector(psum, sy.terms[i].rep, row[pos:pos + vdim])
+                    images = _split_gen_vector(psum, sy.terms[i], row[pos:pos + vdim])
                     pos += vdim
-                    comps[i] = hom_from_gens(psum, sy.terms[i].rep, images)
+                    comps[i] = hom_from_gens(psum, sy.terms[i], images)
                 reps.append(ChainMap(x, sy, comps))
             reps = self._data["reps"] = tuple(reps)
         return reps
@@ -387,8 +393,7 @@ def derived_hom(x: PerfectComplex, y: PerfectComplex, n: int) -> DerivedHomSpace
     def compute():
         if n not in hom_window(x, y):
             return DerivedHomSpace(x, y, n, 0)
-        data = _hom_cohomology(x.terms, x.diffs, {i: t.rep for i, t in y.terms.items()},
-                               y.diffs, n)
+        data = _hom_cohomology(x.terms, x.diffs, y.terms, y.diffs, n)
         return DerivedHomSpace(x, y, n, data["dim"], _data=data)
     if x.algebra is not y.algebra:
         raise InputError("derived Hom between complexes over different algebras")
@@ -396,7 +401,8 @@ def derived_hom(x: PerfectComplex, y: PerfectComplex, n: int) -> DerivedHomSpace
 
 
 def cohomology(x: PerfectComplex, n: int) -> Representation:
-    """H^n(x) = ker(d^n) / im(d^{n-1}) as a representation."""
+    """H^n(x) = ker(d^n) / im(d^{n-1}) as a representation: one quotient of
+    the kernel by the image's rows in its coordinates (_quotient_by_rows)."""
     alg = x.algebra
     if n not in x.terms:
         return zero_module(alg)
@@ -412,8 +418,7 @@ def cohomology(x: PerfectComplex, n: int) -> Representation:
         if xsol is None:
             raise ConsistencyError("image not contained in kernel (d∘d != 0?)")
         img_rows[v] = xsol
-    img_sub, img_incl = submodule_from_rows(ker, img_rows)
-    h, _ = quotient(ker, img_incl)
+    h, _, _ = _quotient_by_rows(ker, img_rows)
     return h
 
 
@@ -422,7 +427,7 @@ def _cohomology_dims(x: PerfectComplex) -> dict:
     rank d^{n-1}_v, one rank per differential and vertex and no module
     built (``cohomology`` builds H^n)."""
     ranks = {n: sum(rank(d.mats[v]) for v in x.algebra.vertices) for n, d in x.diffs.items()}
-    return {n: t.rep.total_dim - ranks.get(n, 0) - ranks.get(n - 1, 0)
+    return {n: t.total_dim - ranks.get(n, 0) - ranks.get(n - 1, 0)
             for n, t in x.terms.items()}
 
 

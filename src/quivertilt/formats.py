@@ -88,7 +88,7 @@ def _parse_relation(rest: str) -> RelationPoly:
             sign = 1 if piece == "+" else -1
             expect_term = True
             continue
-        tokens = piece.split("*")
+        tokens = [t.strip() for t in piece.split("*")]
         if not piece:
             raise InputError(f"empty term in relation {rest!r}")
         if "" in tokens:

@@ -1,28 +1,29 @@
 """Projective covers, minimal resolutions, Ext and Tor, extension
 realization, universal extensions and left add-approximations.
 
-Resolutions are built from projective sums (``modules.proj_sum``): a term
-knows the list of vertices its generators sit at, which makes Hom out of it
-free data (a map from ⊕P_v is determined by arbitrary images of the
-generators).  Each cover hands the kernels of its map to the next step,
-so a resolution eliminates each vertex of each term once; a direct sum of
-one recorded part is resolved by its part, whose terms it shares.  The
-pushout that realizes an extension is one quotient by the rows of a map
-(``modules._quotient_by_rows``), with no graph submodule.  A resolution
-handed to Ext, Tor or ``resolve_to_complex`` must be one of the module
-asked about.  Ext is computed from a resolution of the first argument
-only, as H^n of a Hom complex whose dimension is read off the ranks of its
-two differentials; cocycle classes are built only when a caller first asks
-for them.  Tor tensors the same
-resolution with a left module Y through e_vA ⊗_A Y ≅ e_vY, so each term
-P_k ⊗_A Y is a sum of vertex components of Y.  The minimal left add(T)-approximation of ⊕_k P_{v_k} is chosen one
-vertex at a time: by Yoneda Hom(P_v, T_j) = (T_j)_v, its radical is
-(U_j)_v with U_j the sum of the images of the radical maps of add T into
-T_j, and the copies of T_j kept at v_k are a basis of (T_j/U_j)_{v_k}.
-One selection, the rows independent modulo a span and the rows before
-them (``linalg.independent_rows``), picks the generators of a projective
-cover, these copies, and the maps kept by the minimal right
-approximation (``modules.right_add_approximation``).
+The terms of a resolution are modules built by ``modules.proj_sum``: each
+records the vertices its generators sit at in its own ``gens`` field, which
+makes Hom out of it free data (a map from ⊕P_v is determined by arbitrary
+images of the generators).  Each cover hands the kernels of its map to the
+next step, so a resolution eliminates each vertex of each term once; a
+direct sum of one recorded part is resolved by its part, whose terms it
+shares.  The pushout that realizes an extension is one quotient by the
+rows of a map (``modules._quotient_by_rows``), with no graph submodule.  A
+resolution handed to Ext, Tor or ``resolve_to_complex`` must be one of the
+module asked about.  Ext is computed from a resolution of the first
+argument only, as H^n of a Hom complex whose dimension is read off the
+ranks of its two differentials; cocycle classes are built only when a
+caller first asks for them.  Tor tensors the same resolution with a left
+module Y through e_vA ⊗_A Y ≅ e_vY, so each term P_k ⊗_A Y is a sum of
+vertex components of Y.  The minimal left add(T)-approximation of
+⊕_k P_{v_k} is chosen one vertex at a time: by Yoneda
+Hom(P_v, T_j) = (T_j)_v, its radical is (U_j)_v with U_j the sum of the
+images of the radical maps of add T into T_j, and the copies of T_j kept
+at v_k are a basis of (T_j/U_j)_{v_k}.  One selection, the rows
+independent modulo a span and the rows before them
+(``linalg.independent_rows``), picks the generators of a projective cover,
+these copies, and the maps kept by the minimal right approximation
+(``modules.right_add_approximation``).
 """
 
 from dataclasses import dataclass, field as _dc_field
@@ -31,10 +32,9 @@ from .algebra import Algebra, _memo, zero_module
 from .errors import BoundExceeded, ConsistencyError, InputError
 from .linalg import (Matrix, independent_rows, quotient_basis, rank, row_space, row_times,
                      solve_linear_system, solve_right_kernel)
-from .modules import (HomSpace, ModuleMap, ProjSum, Representation, _assemble_block_map,
-                      _block_maps, _endo_radical, _quotient_by_rows, _same_module, decompose,
-                      direct_sum, hom_from_gens, hom_space, identity_map, proj_sum,
-                      zero_map)
+from .modules import (HomSpace, ModuleMap, Representation, _assemble_block_map, _block_maps,
+                      _endo_radical, _quotient_by_rows, _same_module, decompose, direct_sum,
+                      gen_offsets, hom_from_gens, hom_space, identity_map, proj_sum, zero_map)
 
 DEFAULT_RESOLUTION_BOUND = 32
 
@@ -42,7 +42,7 @@ DEFAULT_RESOLUTION_BOUND = 32
 # -- maps out of projective sums ------------------------------------------------
 
 
-def gen_coords(psum: ProjSum, f: ModuleMap) -> tuple:
+def gen_coords(psum: Representation, f: ModuleMap) -> tuple:
     """Generator-image coordinates of a map out of a projective sum; the
     inverse of hom_from_gens."""
     out = []
@@ -51,21 +51,21 @@ def gen_coords(psum: ProjSum, f: ModuleMap) -> tuple:
     return tuple(out)
 
 
-def _precompose_matrix(d: ModuleMap, psrc: ProjSum, ptgt: ProjSum, n: Representation,
-                       out=None, r0: int = 0, c0: int = 0, op=None) -> Matrix | None:
+def _precompose_matrix(d: ModuleMap, psrc: Representation, ptgt: Representation,
+                       n: Representation, out=None, r0: int = 0, c0: int = 0,
+                       op=None) -> Matrix | None:
     """Matrix of Hom(d, n): coords(d then f) = coords(f) * M, where
     d: psrc -> ptgt and f in Hom(ptgt, n).  Given the row lists ``out``,
     M is combined into them at (r0, c0) through ``op`` instead and no
     matrix is built: _hom_differential writes its blocks so."""
     fld = psrc.algebra.field
+    tgt_off, src_off = gen_offsets(ptgt, n), gen_offsets(psrc, n)
     build = out is None
     if build:
-        out = [[fld.zero()] * psrc.hom_dim(n) for _ in range(ptgt.hom_dim(n))]
+        out = [[fld.zero()] * src_off[-1] for _ in range(tgt_off[-1])]
         op = fld.add
-    tgt_off = ptgt.hom_offsets(n)
-    src_off = psrc.hom_offsets(n)
     for jp, (u, row_idx) in enumerate(psrc.gen_pos):
-        drow = d.mats[u].entries[row_idx]  # vector in ptgt.rep at vertex u
+        drow = d.mats[u].entries[row_idx]  # vector in ptgt at vertex u
         for pos, (j, i) in enumerate(ptgt.layout[u]):
             c = drow[pos]
             if not c:
@@ -77,7 +77,7 @@ def _precompose_matrix(d: ModuleMap, psrc: ProjSum, ptgt: ProjSum, n: Representa
                     if a:
                         orow[s] = op(orow[s], fld.mul(c, a))
     if build:
-        return Matrix(fld, len(out), psrc.hom_dim(n), tuple(map(tuple, out)))
+        return Matrix(fld, len(out), src_off[-1], tuple(map(tuple, out)))
     return None
 
 
@@ -110,12 +110,12 @@ def _cover(m: Representation, rows: dict):
     psum = proj_sum(alg, gens)
     d = hom_from_gens(psum, m, images)
     ker = {v: solve_right_kernel(d.mats[v]) for v in alg.vertices}
-    if any(psum.rep.dims[v] - ker[v].rows != rows[v].rows for v in alg.vertices):
+    if any(psum.dims[v] - ker[v].rows != rows[v].rows for v in alg.vertices):
         raise ConsistencyError("projective cover map is not onto its submodule")
     return psum, d, ker
 
 
-def _gen_rows(psum: ProjSum, f: ModuleMap | None, g: ModuleMap | None) -> tuple | None:
+def _gen_rows(psum: Representation, f: ModuleMap | None, g: ModuleMap | None) -> tuple | None:
     """Rows of f then g at the generators of psum, one row-times-matrix
     product each; None (zero) when f or g is absent.  A map out of a
     projective sum is zero exactly when it kills the generators."""
@@ -140,7 +140,7 @@ class Resolution:
     """
 
     module: Representation
-    terms: tuple    # of ProjSum
+    terms: tuple    # of modules built by proj_sum
     diffs: tuple    # of ModuleMap
     augment: ModuleMap
     complete: bool
@@ -195,7 +195,7 @@ def _resolve(m: Representation, max_len: int) -> Resolution:
     alg = m.algebra
     if m.total_dim == 0:
         empty = proj_sum(alg, ())
-        return Resolution(m, (empty,), (), zero_map(empty.rep, m), True)
+        return Resolution(m, (empty,), (), zero_map(empty, m), True)
     p0, augment, ker = _cover(m, {v: Matrix.identity(alg.field, m.dims[v])
                                   for v in alg.vertices})
     terms, diffs = [p0], []
@@ -206,7 +206,7 @@ def _resolve(m: Representation, max_len: int) -> Resolution:
         if len(diffs) == max_len:
             return Resolution(m, tuple(terms), tuple(diffs), augment, False)
         _assert_in_radical(terms[-1], ker)
-        pk, d, ker = _cover(terms[-1].rep, ker)
+        pk, d, ker = _cover(terms[-1], ker)
         if not _same_gen_rows(_gen_rows(pk, d, prev), None):
             raise ConsistencyError("resolution: d∘d != 0")
         diffs.append(d)
@@ -214,7 +214,7 @@ def _resolve(m: Representation, max_len: int) -> Resolution:
         prev = d
 
 
-def _assert_in_radical(psum: ProjSum, ker: dict):
+def _assert_in_radical(psum: Representation, ker: dict):
     # minimality: kernel vectors have no component on the generators
     for v, row_idx in psum.gen_pos:
         for r in ker[v].entries:
@@ -259,24 +259,25 @@ def _hom_differential(xt: dict, xd: dict, yt: dict, yd: dict, n: int):
     δ(f) = f·d_y − (−1)ⁿ d_x·f, composites written diagrammatically
     (Weibel, *An Introduction to Homological Algebra*, §2.7).
 
-    x is a complex of projective sums (xt: degree -> ProjSum, xd: degree
-    i -> map x^i -> x^{i+1}) and y one of modules (yt: degree ->
-    Representation, yd likewise).  layout lists (i, xt[i].hom_dim(y^{i+n}))
-    over the degrees i where both terms exist, in increasing i and zero
-    widths included; f^i is its generator coordinates (gen_coords) there,
-    and coords(δf) = coords(f) * δ.  The block of f^i then d_y is d_y's
-    matrix at each generator's vertex down the diagonal; the block of d_x
-    then f^i is _precompose_matrix, written in place."""
+    x is a complex of projective sums (xt: degree -> module built by
+    proj_sum, xd: degree i -> map x^i -> x^{i+1}) and y one of modules (yt:
+    degree -> Representation, yd likewise).  layout lists
+    (i, dim Hom(x^i, y^{i+n})) (``modules.gen_offsets``) over the degrees i
+    where both terms exist, in increasing i and zero widths included; f^i
+    is its generator coordinates (gen_coords) there, and
+    coords(δf) = coords(f) * δ.  The block of f^i then d_y is d_y's matrix
+    at each generator's vertex down the diagonal; the block of d_x then f^i
+    is _precompose_matrix, written in place."""
     fld = next(iter(yt.values())).algebra.field
 
     rows, roff, coff, nrows, ncols = [], {}, {}, 0, 0
     for i in sorted(xt):
         if i + n in yt:
-            w = xt[i].hom_dim(yt[i + n])
+            w = gen_offsets(xt[i], yt[i + n])[-1]
             rows.append((i, w))
             roff[i], nrows = nrows, nrows + w
         if i + n + 1 in yt:
-            coff[i], ncols = ncols, ncols + xt[i].hom_dim(yt[i + n + 1])
+            coff[i], ncols = ncols, ncols + gen_offsets(xt[i], yt[i + n + 1])[-1]
     out = [[fld.zero()] * ncols for _ in range(nrows)]
     op = fld.sub if n % 2 == 0 else fld.add
     for i, _ in rows:
@@ -407,14 +408,14 @@ def ext(degree: int, m: Representation, n: Representation,
     if resolution is None or (resolution.length < degree + 1 and not resolution.complete):
         resolution = min_resolution(m, degree + 1, require_finite=False)
     res = resolution
-    if degree > res.length or res.terms[degree].hom_dim(n) == 0:
+    if degree > res.length or gen_offsets(res.terms[degree], n)[-1] == 0:
         return ExtSpace(res, degree, n, 0)  # Hom^degree = 0: no δ to build
     data = _hom_cohomology({-k: t for k, t in enumerate(res.terms)},
                            {-k - 1: d for k, d in enumerate(res.diffs)}, {0: n}, {}, degree)
     return ExtSpace(res, degree, n, data["dim"], _data=data)
 
 
-def _split_gen_vector(psum: ProjSum, n: Representation, flat):
+def _split_gen_vector(psum: Representation, n: Representation, flat):
     out = []
     pos = 0
     for v in psum.gens:
@@ -506,7 +507,7 @@ def tor_dims_range(x: Representation, y: LeftModule, max_degree: int,
 
     def tensored(k: int) -> Matrix:
         src, tgt = res.terms[k], res.terms[k - 1]
-        cols = tgt.rank * y.dim
+        cols = len(tgt.gens) * y.dim
         out = []
         for u, row_idx in src.gen_pos:
             block = [[fld.zero()] * cols for _ in range(bases[u].rows)]
@@ -631,7 +632,7 @@ def _pushout(res: Resolution, cocycle: ModuleMap):
     elif not res.complete:
         raise InputError("the pushout needs the resolution through P_2")
     p1 = res.terms[1] if res.length >= 1 else proj_sum(alg, ())
-    total = direct_sum([n, res.terms[0].rep])
+    total = direct_sum([n, res.terms[0]])
     neg = fld.neg
     psi = hom_from_gens(p1, total, [tuple(neg(x) for x in cocycle.mats[v].entries[r])
                                     + res.diffs[0].mats[v].entries[r] for v, r in p1.gen_pos])
@@ -647,7 +648,7 @@ def _pushout(res: Resolution, cocycle: ModuleMap):
     return e_rep, incl, proj
 
 
-def _lift(psum: ProjSum, f: ModuleMap, g: ModuleMap) -> ModuleMap:
+def _lift(psum: Representation, f: ModuleMap, g: ModuleMap) -> ModuleMap:
     """h: psum -> g.source with h then g = f, for f out of the projective
     sum: each generator row of f solved against g at its vertex.  Any
     images define h, and h then g agrees with f on the generators, so
@@ -679,8 +680,8 @@ def _resolution_power(res: Resolution, k: int) -> Resolution:
         blocks = [[d if a == b else None for b in range(k)] for a in range(k)]
         return _assemble_block_map(src, tgt, blocks, [d.source] * k, [d.target] * k)
 
-    diffs = [power(d, terms[i + 1].rep, terms[i].rep) for i, d in enumerate(res.diffs)]
-    augment = power(res.augment, terms[0].rep, msum)
+    diffs = [power(d, terms[i + 1], terms[i]) for i, d in enumerate(res.diffs)]
+    augment = power(res.augment, terms[0], msum)
     return Resolution(msum, tuple(terms), tuple(diffs), augment, res.complete)
 
 

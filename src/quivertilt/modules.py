@@ -47,11 +47,13 @@ class Representation:
     dims: dict  # vertex -> dimension
     arrow_mats: dict  # arrow name -> Matrix dims(s) x dims(t)
     _caches: dict = _dc_field(default_factory=dict, compare=False, repr=False)
-    # (gens, layout, gen_pos) of the projective sum proj_sum built this
-    # module as, else None (the class default, which _trusted leaves in
-    # place): a field, not a cache entry, and no ProjSum, which would hold
-    # the module
-    _proj_sum: tuple = _dc_field(default=None, init=False, compare=False, repr=False)
+    # set by proj_sum alone, for ⊕_j P_{gens[j]}, else None (the class
+    # default, which _trusted leaves in place): the generator vertices, the
+    # basis of proj_sum_layout (vertex -> tuple of (generator index,
+    # algebra basis index)) and generator j -> (vertex, row index there)
+    gens: tuple = _dc_field(default=None, init=False, compare=False, repr=False)
+    layout: dict = _dc_field(default=None, init=False, compare=False, repr=False)
+    gen_pos: tuple = _dc_field(default=None, init=False, compare=False, repr=False)
     # the summands direct_sum built this module from, in order, else () (the
     # class default, which _trusted leaves in place): a record, not a memo
     _parts: tuple = _dc_field(default=(), init=False, compare=False, repr=False)
@@ -301,12 +303,13 @@ def _unflatten_map(m: Representation, n: Representation, flat) -> ModuleMap:
 def hom_space(m: Representation, n: Representation) -> HomSpace:
     """Exact basis of Hom(m, n).
 
-    Out of a module built by ``proj_sum`` the basis is read off by Yoneda,
-    Hom(⊕_j P_{v_j}, n) = ⊕_j n_{v_j}: one map per generator j and unit
-    vector of n_{v_j}, in that order, each sending generator j to the unit
-    vector and the others to 0 (``hom_from_gens``), with no elimination:
-    Hom through a presentation with no relations (P_1 = 0).  Any other m
-    solves the naturality system (``_solve_hom_space``).  The two routes
+    Out of a module built by ``proj_sum`` the basis is read off its own
+    generator fields by Yoneda, Hom(⊕_j P_{v_j}, n) = ⊕_j n_{v_j}: one map
+    per generator j and unit vector of n_{v_j}, in that order, each sending
+    generator j to the unit vector and the others to 0 (``hom_from_gens``),
+    with no elimination: Hom through a presentation with no relations
+    (P_1 = 0).  Any other m solves the naturality system
+    (``_solve_hom_space``).  The two routes
     span the same space but give different bases: every output read off
     individual basis maps depends on the route, while dim Hom does not.
 
@@ -322,21 +325,19 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
 
 
 def _hom_space(m: Representation, n: Representation) -> HomSpace:
-    """Hom(m, n) by Yoneda when m is marked by ``proj_sum``, else by
+    """Hom(m, n) by Yoneda when ``proj_sum`` built m, else by
     ``_solve_hom_space``."""
-    if m._proj_sum is None:
+    if m.gens is None:
         return _solve_hom_space(m, n)
-    gens, layout, gen_pos = m._proj_sum
-    psum = ProjSum(m.algebra, gens, m, layout, gen_pos)
     fld = m.algebra.field
     zero, one = fld.zero(), fld.one()
-    zeros = [(zero,) * n.dims[v] for v in gens]
+    zeros = [(zero,) * n.dims[v] for v in m.gens]
     basis = []
-    for j, v in enumerate(gens):
+    for j, v in enumerate(m.gens):
         for k in range(n.dims[v]):
             images = list(zeros)
             images[j] = tuple(one if c == k else zero for c in range(n.dims[v]))
-            basis.append(hom_from_gens(psum, n, images))
+            basis.append(hom_from_gens(m, n, images))
     return HomSpace(m, n, tuple(basis))
 
 
@@ -607,35 +608,21 @@ def proj_sum_layout(alg: Algebra, gens) -> dict:
     return {w: tuple(e) for w, e in entries.items()}
 
 
-@dataclass(frozen=True)
-class ProjSum:
-    """⊕_j P_{gens[j]} on the basis of ``proj_sum_layout``.  A map out of
-    it is free data: any images of the generators define one."""
-
-    algebra: Algebra
-    gens: tuple
-    rep: Representation
-    layout: dict    # vertex -> tuple of (generator index, algebra basis index)
-    gen_pos: tuple  # generator j -> (vertex, row index at that vertex)
-
-    @property
-    def rank(self) -> int:
-        return len(self.gens)
-
-    def hom_dim(self, n: Representation) -> int:
-        return sum(n.dims[v] for v in self.gens)
-
-    def hom_offsets(self, n: Representation):
-        off, acc = [], 0
-        for v in self.gens:
-            off.append(acc)
-            acc += n.dims[v]
-        return off
+def gen_offsets(p: Representation, n: Representation) -> tuple:
+    """Where each generator's block starts in the Yoneda coordinates of
+    Hom(p, n) = ⊕_j n_{v_j}, p built by ``proj_sum``, followed by their
+    total, dim Hom(p, n)."""
+    out = [0]
+    for v in p.gens:
+        out.append(out[-1] + n.dims[v])
+    return tuple(out)
 
 
-def proj_sum(alg: Algebra, gens) -> ProjSum:
+def proj_sum(alg: Algebra, gens) -> Representation:
     """⊕_j P_{gens[j]} with P_v = e_v A: an arrow a sends (j, p) to p·a in
-    copy j.  Every projective module is built here."""
+    copy j.  Every projective module is built here, and only here are its
+    generator fields (``gens``, ``layout``, ``gen_pos``) set: a map out of
+    it is free data, any images of the generators define one."""
     gens = tuple(gens)
     fld = alg.field
     layout = proj_sum_layout(alg, gens)
@@ -653,22 +640,24 @@ def proj_sum(alg: Algebra, gens) -> ProjSum:
         mats[name] = Matrix(fld, dims[s], dims[t], tuple(rows))
     # right multiplication by arrows on paths: valid by the verified algebra
     rep = Representation._trusted(alg, dims, mats)
-    gen_pos = tuple((v, pos[(j, alg.vertex_idempotent(v))]) for j, v in enumerate(gens))
-    # the mark hom_space reads; it holds no ProjSum, which would hold rep
-    object.__setattr__(rep, "_proj_sum", (gens, layout, gen_pos))
-    return ProjSum(alg, gens, rep, layout, gen_pos)
+    object.__setattr__(rep, "gens", gens)
+    object.__setattr__(rep, "layout", layout)
+    object.__setattr__(rep, "gen_pos", tuple((v, pos[(j, alg.vertex_idempotent(v))])
+                                             for j, v in enumerate(gens)))
+    return rep
 
 
-def hom_from_gens(psum: ProjSum, n: Representation, images) -> ModuleMap:
+def hom_from_gens(psum: Representation, n: Representation, images) -> ModuleMap:
     """Module map ⊕P_{v_j} -> n with prescribed generator images (row
-    vectors of length n.dims[v_j]).  Any images define a module map, as
-    ⊕P_{v_j} is free on its generators (Yoneda: Hom(P_v, n) = n_v).  The
-    row of basis element (j, i) is images[j] times the action of the path
-    i.  It is propagated along arrows: the row of a path p'·a is the row of
-    p' times n's matrix of a, one ``row_times`` each, where p' is the
-    algebra's prefix index of the path; a path without one (a basis that
-    is not prefix-closed) takes images[j] times ``basis_action``.  No
-    1 x n matrix is built."""
+    vectors of length n.dims[v_j]), out of a module psum built by
+    ``proj_sum``, whose generator fields it reads.  Any images define a
+    module map, as ⊕P_{v_j} is free on its generators (Yoneda:
+    Hom(P_v, n) = n_v).  The row of basis element (j, i) is images[j] times
+    the action of the path i.  It is propagated along arrows: the row of a
+    path p'·a is the row of p' times n's matrix of a, one ``row_times``
+    each, where p' is the algebra's prefix index of the path; a path
+    without one (a basis that is not prefix-closed) takes images[j] times
+    ``basis_action``.  No 1 x n matrix is built."""
     alg = psum.algebra
     if n.algebra is not alg:
         raise InputError("module map between different algebras")
@@ -690,7 +679,7 @@ def hom_from_gens(psum: ProjSum, n: Representation, images) -> ModuleMap:
     for w in alg.vertices:
         mats[w] = Matrix(fld, len(psum.layout[w]), n.dims[w],
                          tuple(rows[e] for e in psum.layout[w]))
-    return ModuleMap._trusted(psum.rep, n, mats)
+    return ModuleMap._trusted(psum, n, mats)
 
 
 # -- trace, radical, socle, top -------------------------------------------------

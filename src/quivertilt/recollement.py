@@ -69,7 +69,7 @@ from .linalg import (Matrix, quotient_basis, rank, row_space, row_times,
                      solve_linear_system, solve_right_kernel)
 from .modules import (ModuleMap, Representation, _assemble_block_map, _block_maps,
                       _inverse_map, _quotient_by_rows, _same_module, _trace_rows, cokernel,
-                      decompose, direct_sum, hom_from_gens, hom_space, identity_map,
+                      decompose, direct_sum, gen_offsets, hom_from_gens, hom_space, identity_map,
                       match_decomposition, proj_sum, proj_sum_layout, right_add_approximation,
                       top)
 
@@ -510,7 +510,7 @@ def comparison_map(q: PerfectComplex, mu: ChainMap, eta: ModuleMap) -> ModuleMap
     _, delta = _hom_differential(q.terms, q.diffs, {0: m}, {}, 0)
     mu0 = mu.comps.get(0)
     over_r = (_precompose_matrix(mu0, p0, q0, m) if mu0 is not None
-              else Matrix.zeros(fld, q0.hom_dim(m), p0.hom_dim(m)))
+              else Matrix.zeros(fld, gen_offsets(q0, m)[-1], gen_offsets(p0, m)[-1]))
     target = (fld.zero(),) * delta.cols + sum(_gen_rows(p0, _cover_of_r(alg), eta), ())
     x, kernel = solve_linear_system(delta.hstack(over_r), Matrix(fld, 1, len(target), (target,)))
     if x is None:

@@ -123,7 +123,7 @@ def shifted_back(built) -> list:
 def complex_hom_args(x, y):
     """The Hom complex of derived_hom(x, y, ·), as the arguments of
     homology._hom_differential before the degree."""
-    return x.terms, x.diffs, {i: t.rep for i, t in y.terms.items()}, y.diffs
+    return x.terms, x.diffs, y.terms, y.diffs
 
 
 def resolution_hom_args(res, n):

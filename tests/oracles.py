@@ -622,7 +622,7 @@ def reference_left_approximation(x, t):
     for v in x.algebra.vertices:
         inv, _ = solve_linear_system(cover.mats[v], Matrix.identity(fld, x.dims[v]))
         inverse[v] = inv
-    back = ModuleMap(x, p0.rep, inverse)
+    back = ModuleMap(x, p0, inverse)
 
     def unit_map(j, k, c):
         images = [[fld.zero()] * factors[j].dims[v] for v in p0.gens]
@@ -705,18 +705,18 @@ def reference_triangle(alpha):
     for n in terms:
         if (n + 1) not in terms:
             continue
-        d = assemble(terms[n].rep, terms[n + 1].rep,
+        d = assemble(terms[n], terms[n + 1],
                      [[t2.diff(n), alpha.comp(n).neg()], [None, t1.diff(n)]],
                      [t2.term_rep(n), t1.term_rep(n)],
                      [t2.term_rep(n + 1), t1.term_rep(n + 1)])
         if not d.is_zero():
             diffs[n] = d
     T = PerfectComplex(alg, terms, diffs)
-    incl = ChainMap(t1, T, {n: assemble(t1.term_rep(n), T.terms[n].rep,
+    incl = ChainMap(t1, T, {n: assemble(t1.term_rep(n), T.terms[n],
                                         [[None, identity_map(t1.term_rep(n))]],
                                         [t1.term_rep(n)], [t2.term_rep(n), t1.term_rep(n)])
                             for n in t1.terms if n in T.terms})
-    proj = ChainMap(T, t2, {n: assemble(T.terms[n].rep, t2.term_rep(n),
+    proj = ChainMap(T, t2, {n: assemble(T.terms[n], t2.term_rep(n),
                                         [[identity_map(t2.term_rep(n))], [None]],
                                         [t2.term_rep(n), t1.term_rep(n)], [t2.term_rep(n)])
                             for n in T.terms if n in t2.terms})
@@ -899,7 +899,7 @@ def reference_ext_matrices(res, degree, n):
 
     def rows_of(d, psrc, ptgt):
         rows = [gen_coords(psrc, d.compose(f)) for f in basis_maps(ptgt)]
-        return Matrix(fld, ptgt.hom_dim(n), psrc.hom_dim(n), tuple(rows))
+        return Matrix(fld, len(rows), sum(n.dims[v] for v in psrc.gens), tuple(rows))
 
     pk = res.terms[degree]
     m_next = (rows_of(res.diffs[degree], res.terms[degree + 1], pk)
@@ -1313,8 +1313,8 @@ def reference_tor_dims(x, y, max_degree):
     gens += [alg.basis_index_of_arrow(a[0]) for a in alg.quiver.arrows]
     res = min_resolution(x, max_degree + 1, require_finite=False)
     top = min(res.length, max_degree + 1)
-    spaces = [_tensor_quotient(alg.field, t.rep.total_dim, y.dim,
-                               ((_total_action(t.rep, g), y.act[g]) for g in gens))
+    spaces = [_tensor_quotient(alg.field, t.total_dim, y.dim,
+                               ((_total_action(t, g), y.act[g]) for g in gens))
               for t in res.terms[:top + 1]]
     fmats = [total_matrix(d) for d in res.diffs[:top]]
     return _tensor_homology_dims(spaces, fmats, y.dim, max_degree)
@@ -1375,7 +1375,7 @@ def reference_min_resolution(m, max_len):
 
     if m.total_dim == 0:
         empty = proj_sum(alg, ())
-        return Resolution(m, (empty,), (), zero_map(empty.rep, m), True)
+        return Resolution(m, (empty,), (), zero_map(empty, m), True)
     p0, augment = cover(m)
     terms, diffs, epi = [p0], [], augment
     while True:
@@ -1407,11 +1407,11 @@ def reference_realize_extension(c):
 
     res, n = c.resolution, c.target
     m, alg = res.module, n.algebra
-    d1 = res.diffs[0] if res.length >= 1 else zero_map(proj_sum(alg, ()).rep, res.terms[0].rep)
+    d1 = res.diffs[0] if res.length >= 1 else zero_map(proj_sum(alg, ()), res.terms[0])
     omega, om_incl, om_proj = image(d1)
     phi = ModuleMap(omega, n, {v: _left_divide(om_proj.mats[v], c.cocycle.mats[v])
                                for v in alg.vertices})
-    total, incls, _ = direct_sum_with_maps([n, res.terms[0].rep])
+    total, incls, _ = direct_sum_with_maps([n, res.terms[0]])
     graph = ModuleMap(omega, total,
                       {v: phi.mats[v].neg().hstack(om_incl.mats[v]) for v in alg.vertices})
     _, gincl, _ = image(graph)
@@ -1471,7 +1471,7 @@ def reference_hom_from_gens(psum, n, images):
     for w in alg.vertices:
         rows = tuple(row_times(images[j], n.basis_action(i)) for j, i in psum.layout[w])
         mats[w] = Matrix(alg.field, len(rows), n.dims[w], rows)
-    return ModuleMap(psum.rep, n, mats)
+    return ModuleMap(psum, n, mats)
 
 
 def reference_module_from_paths(alg, idxs, dual: bool):

@@ -252,7 +252,7 @@ def _invariant_regression(field):
     from quivertilt.modules import identity_map, proj_sum
     p = proj_sum(alg, ("1",))
     q = proj_sum(alg, ("1",))
-    contractible = PerfectComplex(alg, {0: p, 1: q}, {0: identity_map(p.rep)})
+    contractible = PerfectComplex(alg, {0: p, 1: q}, {0: identity_map(p)})
     fat = direct_sum_complexes([rs2, contractible])
     for n in range(-3, 4):
         assert derived_hom(fat, ri1, n).dim == derived_hom(rs2, ri1, n).dim

@@ -448,7 +448,7 @@ def test_standard_modules_equal_the_path_construction(field):
             w: tuple((j, i) for j, v in enumerate(alg.vertices)
                      for i in alg.paths_from(v) if alg.path_target(i) == w)
             for w in alg.vertices}
-        assert _exact(proj_sum(alg, gens).rep) == _exact(direct_sum([ps[v] for v in gens]))
+        assert _exact(proj_sum(alg, gens)) == _exact(direct_sum([ps[v] for v in gens]))
 
 
 class _Cached:

@@ -135,8 +135,7 @@ def test_homotopy_invariance(cycle2):
     from quivertilt.modules import identity_map
     p = proj_sum(cycle2, ("1",))
     q = proj_sum(cycle2, ("1",))
-    contractible = PerfectComplex(cycle2, {0: p, 1: q},
-                                  {0: identity_map(p.rep)})
+    contractible = PerfectComplex(cycle2, {0: p, 1: q}, {0: identity_map(p)})
     for x, y in ((rs2, ri1), (ri1, rs2)):
         fat_x = direct_sum_complexes([x, contractible])
         fat_y = direct_sum_complexes([y, shift(contractible, 2)])
@@ -145,6 +144,25 @@ def test_homotopy_invariance(cycle2):
             assert derived_hom(fat_x, y, n).dim == d
             assert derived_hom(x, fat_y, n).dim == d
             assert derived_hom(fat_x, fat_y, n).dim == d
+
+
+def test_a_complex_term_must_be_a_nonzero_projective_sum(cycle2):
+    """A term is a module built by proj_sum over the complex's algebra: an
+    equal module built any other way, a simple module, a plain tuple of
+    generator vertices, the empty sum and a projective sum over another
+    algebra are each an InputError, not an AttributeError or a complex
+    whose derived Hom reads a dimension."""
+    p = proj_sum(cycle2, ("1",))
+    PerfectComplex(cycle2, {0: p}, {})
+    rebuilt = Representation(cycle2, p.dims, p.arrow_mats)
+    assert rebuilt == p
+    for term in (rebuilt, simple(cycle2, "1"), ("1",)):
+        with pytest.raises(InputError, match="not a projective sum built by proj_sum"):
+            PerfectComplex(cycle2, {0: term}, {})
+    with pytest.raises(InputError, match="zero terms"):
+        PerfectComplex(cycle2, {0: proj_sum(cycle2, ())}, {})
+    with pytest.raises(InputError, match="another algebra"):
+        PerfectComplex(cycle2, {0: proj_sum(fixture_algebra("triple3"), ("1",))}, {})
 
 
 def test_exceptionality(all_algebras, cycle2, triple3):
@@ -309,9 +327,8 @@ def test_hom_complex_differential_squares_to_zero():
         cs = [resolve_to_complex(build(alg, v)) for build in (simple, projective, injective)
               for v in alg.vertices]
         for x, y in itertools.product(cs, repeat=2):
-            yt = {i: t.rep for i, t in y.terms.items()}
             window = hom_window(x, y)
-            deltas = [_hom_differential(x.terms, x.diffs, yt, y.diffs, n)
+            deltas = [_hom_differential(x.terms, x.diffs, y.terms, y.diffs, n)
                       for n in range(window.start - 1, window.stop + 1)]
             for (_, d0), (layout, d1) in zip(deltas, deltas[1:]):
                 assert d0.cols == sum(w for _, w in layout) == d1.rows

@@ -85,7 +85,7 @@ def test_zero_cocycle_records_every_part_of_the_target(cycle2):
     r = regular_module(cycle2)
     space = ext(1, simple(cycle2, "2"), r)
     res = space.resolution
-    ses = realize_extension(ExtClass(res, 1, r, zero_map(res.terms[1].rep, r)))
+    ses = realize_extension(ExtClass(res, 1, r, zero_map(res.terms[1], r)))
     parts = ses.mid._parts
     assert len(parts) == 3 and parts[1:] == r._parts
     assert all(a is b for a, b in zip(parts[1:], r._parts))

@@ -61,6 +61,25 @@ def test_parse_relation_fraction_coefficient():
     assert alg.dim == 5
 
 
+@pytest.mark.parametrize("spaced, plain", [("a * b", "a*b"), ("2 * a*b", "2*a*b"),
+                                           ("1/2 *a *  b", "1/2*a*b")])
+def test_spaces_around_a_product_star_are_ignored(tmp_path, capsys, spaced, plain):
+    """Spaces around ``*`` are stripped from each factor, as they are around
+    ``+`` and ``-``: the spaced relation builds the algebra of the plain
+    one, also at the CLI, which exits 0 with the same report."""
+    def text(relation):
+        return f"field Q\nvertex 1 2\narrow a: 1 -> 2\narrow b: 2 -> 1\nrelation {relation}\n"
+    alg, ref = parse_algebra_text(text(spaced)), parse_algebra_text(text(plain))
+    assert (alg.basis, alg.mult) == (ref.basis, ref.mult)
+    reports = []
+    for name, relation in (("spaced", spaced), ("plain", plain)):
+        path = tmp_path / f"{name}.alg"
+        path.write_text(text(relation))
+        assert main(["info", str(path)]) == 0
+        reports.append(capsys.readouterr().out.replace(str(path), ""))
+    assert reports[0] == reports[1]
+
+
 def test_parse_field_gf():
     alg = parse_algebra_text("field GF(101)\nvertex 1 2\narrow a: 1 -> 2\n")
     assert alg.field.characteristic == 101
@@ -91,7 +110,7 @@ def test_parse_errors():
             parse_module_text(text, a2)
 
 
-@pytest.mark.parametrize("relation", ["x**x", "*x*x", "x*x*", "2**x*x"])
+@pytest.mark.parametrize("relation", ["x**x", "*x*x", "x*x*", "2**x*x", "x * * x"])
 def test_a_relation_with_an_empty_factor_is_rejected(tmp_path, relation):
     """An empty factor is an error naming the relation, not a dropped
     factor that reads the relation as x*x; at the CLI it exits 2."""

@@ -337,7 +337,7 @@ def _is_exact(res):
         for k, t in enumerate(res.terms):
             incoming = ranks[k + 1] if k + 1 < len(ranks) else 0
             if res.complete or k + 1 < len(res.terms):
-                if ranks[k] + incoming != t.rep.dims[v]:
+                if ranks[k] + incoming != t.dims[v]:
                     return False
     return True
 
@@ -722,7 +722,7 @@ def test_realize_zero_cocycle_splits(cycle2):
     space = ext(1, injective(cycle2, "1"), simple(cycle2, "2"))
     res = space.resolution
     zero_cls = ExtClass(res, 1, space.target,
-                        zero_map(res.terms[1].rep, space.target))
+                        zero_map(res.terms[1], space.target))
     ses = realize_extension(zero_cls)
     expected = direct_sum([simple(cycle2, "2"), injective(cycle2, "1")])
     assert is_isomorphic(ses.mid, expected)

@@ -11,7 +11,9 @@ operation the benchmark's tracer times by name pattern matches a package
 function, so a rename cannot silently zero a per-layer metric.  Every
 per-object cache is read and written through ``algebra._memo`` alone, and
 each memo key namespace is used by one function, so two sites cannot
-share an entry by a mistyped key.  Only ``complexes``
+share an entry by a mistyped key.  A projective sum is one module: only
+``modules.proj_sum`` writes its generator fields, and no ``ProjSum``
+wrapper or ``.rep`` hop to a module is left.  Only ``complexes``
 calls the cone and stacking helpers, so every stacked universal map is
 built by ``complexes.universal_triangle``.
 
@@ -481,6 +483,71 @@ def test_each_memo_key_namespace_is_used_by_one_function():
     assert not tables, f"algebra tables read through _memo: {sorted(tables)}"
     shared = {ns: sorted(s) for ns, s in sites.items() if len(s) > 1}
     assert not shared, f"memo key namespaces used by more than one function: {shared}"
+
+
+GENERATOR_FIELDS = ("gens", "layout", "gen_pos")
+
+
+def generator_field_writes(source: str) -> list:
+    """The sorted scopes that write a generator field of a projective sum:
+    by ``setattr`` or ``object.__setattr__`` with the field's name as a
+    string, or by assigning to or deleting the attribute."""
+    found = set()
+    for scope, node in scoped_nodes(source):
+        if isinstance(node, ast.Call) and (getattr(node.func, "id", None) == "setattr"
+                                           or getattr(node.func, "attr", None) == "__setattr__"):
+            key = node.args[1] if len(node.args) > 1 else None
+            if isinstance(key, ast.Constant) and key.value in GENERATOR_FIELDS:
+                found.add(scope)
+        elif (isinstance(node, ast.Attribute) and node.attr in GENERATOR_FIELDS
+              and isinstance(node.ctx, (ast.Store, ast.Del))):
+            found.add(scope)
+    return sorted(found)
+
+
+def name_sites(source: str, name: str) -> list:
+    """Lines that name ``name``: as a plain name, an attribute, a class or
+    function, an import or a string (an annotation written as one)."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if (isinstance(node, ast.Name) and node.id == name)
+                   or (isinstance(node, ast.Attribute) and node.attr == name)
+                   or (isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name)
+                   or (isinstance(node, ast.alias) and name in (node.name, node.asname))
+                   or (isinstance(node, ast.Constant) and node.value == name)})
+
+
+def attribute_reads(source: str, attr: str) -> list:
+    """Lines that read the attribute ``attr`` of any object."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr == attr
+                   and isinstance(node.ctx, ast.Load)})
+
+
+def test_generator_detectors_see_every_kind_of_write_name_and_read():
+    src = ("from .m import ProjSum as P\n"
+           "class ProjSum:\n    gens: tuple = ()\n\n"
+           "def f(o, rep):\n    object.__setattr__(o, 'gens', ())\n    return o.rep, rep\n\n"
+           "def g(o):\n    setattr(o, 'layout', {})\n    x: 'ProjSum' = o.gens\n\n"
+           "def h(o):\n    o.gen_pos = ()\n    del o.layout\n    o.rep = None\n\n"
+           "def k(o):\n    return o.gens, getattr(o, 'gen_pos'), o.reps, m.ProjSum\n")
+    assert generator_field_writes(src) == ["f", "g", "h"]
+    assert name_sites(src, "ProjSum") == [1, 2, 11, 19]
+    assert attribute_reads(src, "rep") == [7]
+
+
+def test_only_proj_sum_sets_generator_fields_and_no_wrapper_remains():
+    """A projective sum is one module: proj_sum alone sets its generator
+    fields, no package module names a ProjSum wrapper, and none reads a
+    ``.rep`` hop from a wrapper to its module."""
+    writes, names, reads = set(), [], []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        source = path.read_text()
+        writes |= {(path.stem, scope) for scope in generator_field_writes(source)}
+        names += [f"{path.name}:{line}" for line in name_sites(source, "ProjSum")]
+        reads += [f"{path.name}:{line}" for line in attribute_reads(source, "rep")]
+    assert writes == {("modules", "proj_sum")}, f"generator fields written: {sorted(writes)}"
+    assert not names, f"ProjSum named at {names}"
+    assert not reads, f".rep read at {reads}"
 
 
 # Package modules from the bottom layer up; formats sits below verify,

@@ -448,14 +448,14 @@ def test_hom_out_of_a_projective_sum_spans_the_naturality_solution(name, field):
     targets.append(regular_module(alg))
     checked = 0
     for psum in _projective_sums(alg):
-        for n in targets + [psum.rep]:
-            got, ref = hom_space(psum.rep, n), reference_hom_space(psum.rep, n)
+        for n in targets + [psum]:
+            got, ref = hom_space(psum, n), reference_hom_space(psum, n)
             assert got.dim == ref.dim == sum(n.dims[v] for v in psum.gens)
             rows = [list(_flatten_map(f)) for f in got.basis]
             assert oracle_rank(rows, char) == got.dim
             rows += [list(_flatten_map(f)) for f in ref.basis]
             assert oracle_rank(rows, char) == ref.dim
-            assert all(f.source is psum.rep and f.target is n for f in got.basis)
+            assert all(f.source is psum and f.target is n for f in got.basis)
             checked += ref.dim > 0
     assert checked > 20
 
@@ -471,18 +471,20 @@ def test_hom_out_of_a_projective_sum_solves_nothing(monkeypatch, triple3):
     solves = counting(monkeypatch, modules, "_solve_hom_space")
     elims = counting(monkeypatch, linalg, "_eliminate")
     psum = proj_sum(triple3, ("1", "3", "1"))
-    hs = hom_space(psum.rep, injective(triple3, "3"))
+    hs = hom_space(psum, injective(triple3, "3"))
     assert hs.dim == 2 * injective(triple3, "3").dims["1"] + injective(triple3, "3").dims["3"]
     assert solves == [] and elims == []
     for f in hs.basis:
         ModuleMap(f.source, f.target, f.mats)
-    hom_space(simple(triple3, "1"), psum.rep)  # not out of a projective sum: solved
+    hom_space(simple(triple3, "1"), psum)  # not out of a projective sum: solved
     assert len(solves) == 1
 
 
 def test_a_projective_sum_frees_its_module_without_the_collector():
-    """The mark proj_sum leaves on its module holds no ProjSum, so the
-    module and its sum form no reference cycle."""
+    """The generator fields proj_sum sets on its module hold plain tuples
+    and dicts, not the module, so the module is in no reference cycle: it
+    is freed with the collector off, also after Hom out of it was read off
+    its generators and dropped."""
     import gc
     import weakref
 
@@ -491,10 +493,11 @@ def test_a_projective_sum_frees_its_module_without_the_collector():
     gc.disable()
     try:
         psum = proj_sum(alg, ("1", "2", "2"))
-        rep = weakref.ref(psum.rep)
-        assert rep()._proj_sum[0] is psum.gens
+        assert psum.gens == ("1", "2", "2") and len(psum.gen_pos) == 3
+        assert hom_space(psum, simple(alg, "2")).dim == 2
+        ref = weakref.ref(psum)
         del psum
-        assert rep() is None
+        assert ref() is None
     finally:
         gc.enable()
 
@@ -502,10 +505,11 @@ def test_a_projective_sum_frees_its_module_without_the_collector():
 def _quotient_sites(field):
     """(label, run) for each caller of ``modules._quotient_by_rows``, on
     the fixtures over the given field: a cokernel, ``quotient``, the
-    pushout of an extension, the trace quotient of a localization and
-    A/AeA of the stratifying check.  The tilting sequence the trace
+    pushout of an extension, the trace quotient of a localization, A/AeA
+    of the stratifying check and H^0 of the resolution of S_2.  The tilting sequence the trace
     quotient divides is certified here, so that run() reaches no other
     quotient first."""
+    from quivertilt.complexes import cohomology, resolve_to_complex
     from quivertilt.homology import left_add_approximation, universal_extension
     from quivertilt.recollement import (_quotient_by_vertex_ideal, _trace_quotient,
                                         _vertex_ideal_products)
@@ -521,22 +525,24 @@ def _quotient_sites(field):
         ("trace quotient", lambda: _trace_quotient(seq.right, seq.mid)),
         ("vertex ideal", lambda: _quotient_by_vertex_ideal(
             cycle2, list(_vertex_ideal_products(cycle2, ["1"])))),
+        ("cohomology", lambda: cohomology(resolve_to_complex(simple(cycle2, "2")), 0)),
     ]
 
 
 def _patch_quotient_by_rows(monkeypatch, wrapper):
+    import quivertilt.complexes as complexes
     import quivertilt.homology as homology
     import quivertilt.modules as modules
     import quivertilt.recollement as recollement
     real = modules._quotient_by_rows
-    for mod in (modules, homology, recollement):
+    for mod in (modules, homology, complexes, recollement):
         monkeypatch.setattr(mod, "_quotient_by_rows", lambda m, rows: wrapper(real, m, rows))
 
 
 @pytest.mark.parametrize("field", [None, GF(101), GF(5)], ids=["Q", "GF101", "GF5"])
 def test_quotient_by_rows_equals_the_submodule_route_at_every_site(monkeypatch, field):
     """Every quotient the package takes by rows (a cokernel, quotient, the
-    pushout, the trace quotient, A/AeA) equals the quotient through the
+    pushout, the trace quotient, A/AeA, H^n of a complex) equals the quotient through the
     submodule the rows span (``oracles.reference_quotient_by_rows``): the
     same dims, arrow matrices, projection and sections."""
     from oracles import reference_quotient_by_rows

@@ -763,7 +763,7 @@ def test_comparison_verdict_matches_the_h0_reference(bongartz_localizations,
     verdicts = []
     for label, loc in bongartz_localizations + example_localizations:
         q, _, _ = reflect_regular(loc.sequence.right)
-        assert loc.comparison.source is q.terms[0].rep, label
+        assert loc.comparison.source is q.terms[0], label
         assert loc.comparison.target is loc.ru_module, label
         assert loc.reflection_matches == reference_h0_match(q, loc.ru_module), label
         verdicts.append(loc.reflection_matches)
@@ -1100,9 +1100,12 @@ def test_stratifying_verdict_matches_corner_ring_route(a2, kron2, cycle2):
 
 def test_stratifying_suite_time_and_memory():
     """Every proper vertex subset of the four fixtures at the default
-    max_degree, in a fresh interpreter: under 10 s and 100 MiB peak RSS."""
+    max_degree, in a fresh interpreter: under 10 s and 100 MiB peak RSS.
+    The peak is the child's own VmHWM (Linux ``/proc/self/status``): its
+    ``ru_maxrss`` also keeps the resident set of the process it was forked
+    from, before ``exec``, so it would bound the test runner's size."""
     script = textwrap.dedent("""
-        import itertools, json, resource, time
+        import itertools, json, time
         from quivertilt.formats import fixture_algebra
         from quivertilt.recollement import stratifying_ideal_check
         start = time.perf_counter()
@@ -1114,7 +1117,9 @@ def test_stratifying_suite_time_and_memory():
                     rep = stratifying_ideal_check(alg, vs)
                     verdicts.append(rep.is_stratifying)
         print(json.dumps({"seconds": time.perf_counter() - start,
-                          "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+                          "peak_kib": next(int(line.split()[1])
+                                           for line in open("/proc/self/status")
+                                           if line.startswith("VmHWM:")),
                           "verdicts": verdicts}))
     """)
     env = dict(os.environ)
@@ -1125,7 +1130,7 @@ def test_stratifying_suite_time_and_memory():
     stats = json.loads(out.stdout)
     assert len(stats["verdicts"]) == 12
     assert stats["seconds"] < 10
-    assert stats["maxrss_kib"] < 100 * 1024
+    assert stats["peak_kib"] < 100 * 1024
 
 
 # -- recollement reports -----------------------------------------------------------
